@@ -40,7 +40,7 @@ def main():
         ans = query(cg, cg.internal_id(a), cg.internal_id(b))
         verdict = ("yes" if ans.value else "no") if ans.is_definite \
             else f"fuzzy likelihood {ans.value:.3f}"
-        truth = "edge" if cg.internal_id(b) in g.adjacency[cg.internal_id(a)] else "no edge"
+        truth = "edge" if cg.internal_id(b) in g.neighbors(cg.internal_id(a)) else "no edge"
         print(f"  ({a:>2}, {b:>2}) -> {verdict:<24} [ground truth: {truth}]")
 
     buf = io.BytesIO()

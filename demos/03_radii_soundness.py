@@ -21,14 +21,14 @@ def main():
     print("  node   r      R      neighbor distances -> non-neighbor distances")
     for v in range(g.n):
         d = distances_from(cg.embedding.coords, v)
-        nbd = sorted(round(float(d[u]), 2) for u in g.adjacency[v])
+        nbd = sorted(round(float(d[u]), 2) for u in g.neighbors(v))
         nnd = sorted(round(float(d[u]), 2) for u in range(g.n)
-                     if u != v and u not in g.adjacency[v])
+                     if u != v and u not in g.neighbors(v))
         print(f"  {v:>4}  {cg.radii.r[v]:>5.1f} {cg.radii.R[v]:>6.1f}   {nbd} -> {nnd}")
 
     us, vs = np.triu_indices(g.n, 1)
     definite, value = query_arrays(cg, us, vs)
-    truth = np.array([v in g.adjacency[u] for u, v in zip(us, vs)])
+    truth = np.array([v in g.neighbors(u) for u, v in zip(us, vs)])
     n_def = int(definite.sum())
     n_wrong = int((definite & ((value == 1.0) != truth)).sum())
     print(f"\nall {len(us)} pairs queried: {n_def} definite answers, "

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, adjacent
 
 PIVOT_SEARCH_ITERATIONS = 5  # classic FastMap heuristic constant
 
@@ -49,15 +49,13 @@ def graph_distance(g: Graph, u: int, v: int) -> float:
     g._check_id(v)
     if u == v:
         return 0.0
-    return 1.0 if v in g.adjacency[u] else float(g.n)
+    return 1.0 if adjacent(g, u, v) else float(g.n)
 
 
 def graph_distance_row(g: Graph, u: int) -> np.ndarray:
     """Vector of graph_distance(g, u, v) for all v; O(n) time and space."""
-    g._check_id(u)
     row = np.full(g.n, float(g.n))
-    if g.adjacency[u]:
-        row[np.fromiter(g.adjacency[u], dtype=np.int64)] = 1.0
+    row[g.neighbors(u)] = 1.0
     row[u] = 0.0
     return row
 

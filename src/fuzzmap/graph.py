@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable
 
 import numpy as np
@@ -29,46 +29,54 @@ class GraphParseError(ValueError):
 
 @dataclass(eq=False)
 class Graph:
-    """Adjacency-set graph over dense internal ids.
+    """Compressed-sparse-row (CSR) graph over dense internal ids.
 
-    ``adjacency[u]`` holds u's neighbor set (out-neighbors when directed).
-    ``external_ids[u]`` is the original id of internal node u; sorted
-    ascending, so the mapping is canonical. Treat instances as immutable
-    after construction; they are then safe for concurrent readers.
+    Row u, ``indices[indptr[u]:indptr[u + 1]]``, holds u's sorted neighbors
+    (out-neighbors when directed); other modules read it only through
+    ``neighbors`` and ``edges``. ``external_ids[u]`` is the original id of
+    internal node u; sorted ascending, so the mapping is canonical.
+    Instances are immutable and safe for concurrent readers.
     """
 
     n: int
     directed: bool
-    adjacency: list[frozenset[int]]
+    indptr: np.ndarray  # (n + 1,) int64 row offsets
+    indices: np.ndarray  # (indptr[n],) int64 neighbor ids, sorted per row
     external_ids: np.ndarray  # (n,) uint64, internal id -> external id
-    _ext2int: dict[int, int] = field(repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self._ext2int:
-            self._ext2int = {int(e): i for i, e in enumerate(self.external_ids)}
+        # read-only int64 views; an array the caller passed in stays writable
+        self.indptr = np.asarray(self.indptr, dtype=np.int64).view()
+        self.indices = np.asarray(self.indices, dtype=np.int64).view()
+        self.indptr.flags.writeable = self.indices.flags.writeable = False
 
     @property
     def num_edges(self) -> int:
-        total = sum(len(s) for s in self.adjacency)
-        return total if self.directed else total // 2
+        return len(self.indices) if self.directed else len(self.indices) // 2
 
-    def neighbors(self, u: int) -> frozenset[int]:
+    def neighbors(self, u: int) -> np.ndarray:
+        """Sorted neighbor ids of u (out-neighbors when directed)."""
         self._check_id(u)
-        return self.adjacency[u]
+        return self.indices[self.indptr[u] : self.indptr[u + 1]]
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """(us, vs): each edge once, in ascending (u, v) order; u < v if undirected."""
+        us = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        vs = self.indices
+        if not self.directed:
+            keep = us < vs
+            us, vs = us[keep], vs[keep]
+        return us, vs
 
     def internal_id(self, external: int) -> int:
-        try:
-            return self._ext2int[int(external)]
-        except KeyError:
-            raise ValueError(f"unknown external node id {external}") from None
+        return lookup_internal_id(self.external_ids, external)
 
     def external_id(self, internal: int) -> int:
         self._check_id(internal)
         return int(self.external_ids[internal])
 
     def _check_id(self, u: int) -> None:
-        if not 0 <= u < self.n:
-            raise ValueError(f"node id {u} out of range [0, {self.n})")
+        check_node_id(u, self.n)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -76,9 +84,26 @@ class Graph:
         return (
             self.n == other.n
             and self.directed == other.directed
-            and self.adjacency == other.adjacency
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
             and np.array_equal(self.external_ids, other.external_ids)
         )
+
+
+def check_node_id(u: int, n: int) -> None:
+    """Raise ValueError unless u is an internal id in [0, n)."""
+    if not 0 <= u < n:
+        raise ValueError(f"node id {u} out of range [0, {n})")
+
+
+def lookup_internal_id(external_ids: np.ndarray, external: int) -> int:
+    """Binary search over sorted ids; range-checked before the uint64 cast."""
+    e = int(external)
+    if 0 <= e <= _MAX_ID:
+        i = int(np.searchsorted(external_ids, np.uint64(e)))
+        if i < external_ids.shape[0] and int(external_ids[i]) == e:
+            return i
+    raise ValueError(f"unknown external node id {external}")
 
 
 def adjacent(g: Graph, u: int, v: int) -> bool:
@@ -90,7 +115,7 @@ def adjacent(g: Graph, u: int, v: int) -> bool:
     g._check_id(v)
     if u == v:
         raise ValueError("self query")
-    return v in g.adjacency[u]
+    return v in g.neighbors(u)
 
 
 def graph_from_edges(pairs: Iterable[tuple[int, int]], directed: bool = False) -> Graph:
@@ -99,28 +124,22 @@ def graph_from_edges(pairs: Iterable[tuple[int, int]], directed: bool = False) -
     Deduplicates edges and drops self-loops; nodes are the union of
     endpoint ids, remapped densely in sorted order.
     """
-    pairs = list(pairs)
-    self_loops = sum(1 for u, v in pairs if u == v)
-    if self_loops:
-        log.warning("skipped %d self-loop edge(s)", self_loops)
-    pairs = [(u, v) for u, v in pairs if u != v]
-    if not pairs:
+    ends = np.array(list(pairs), dtype=np.uint64).reshape(-1, 2)
+    loops = ends[:, 0] == ends[:, 1]
+    if loops.any():
+        log.warning("skipped %d self-loop edge(s)", int(loops.sum()))
+        ends = ends[~loops]
+    if not ends.size:
         raise GraphParseError("empty graph")
-    ids = sorted({e for pair in pairs for e in pair})
-    ext2int = {e: i for i, e in enumerate(ids)}
-    n = len(ids)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for eu, ev in pairs:
-        u, v = ext2int[eu], ext2int[ev]
-        adj[u].add(v)
-        if not directed:
-            adj[v].add(u)
-    return Graph(
-        n=n,
-        directed=directed,
-        adjacency=[frozenset(s) for s in adj],
-        external_ids=np.array(ids, dtype=np.uint64),
-    )
+    ids, inverse = np.unique(ends.ravel(), return_inverse=True)
+    src, dst = inverse.astype(np.int64).reshape(-1, 2).T
+    if not directed:
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    n = ids.shape[0]
+    rows, indices = np.divmod(np.unique(src * n + dst), n)  # sorted, deduplicated
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return Graph(n=n, directed=directed, indptr=indptr, indices=indices, external_ids=ids)
 
 
 def parse_edge_list(text: str | bytes | IO, directed: bool = False) -> Graph:
@@ -174,9 +193,7 @@ def canonical_edge_list(g: Graph) -> str:
     Re-parsing the result with the same directed flag reproduces the Graph
     exactly.
     """
-    lines = []
-    for u in range(g.n):  # internal order == ascending external order
-        for v in sorted(g.adjacency[u]):
-            if g.directed or u < v:
-                lines.append(f"{g.external_id(u)} {g.external_id(v)}")
+    us, vs = g.edges()  # internal order == ascending external order
+    ext = g.external_ids
+    lines = [f"{a} {b}" for a, b in zip(ext[us].tolist(), ext[vs].tolist())]
     return "\n".join(lines) + "\n"

@@ -97,13 +97,9 @@ def _sample_pairs(
 
 
 def _edge_keys(g: Graph) -> np.ndarray:
-    keys = [
-        np.int64(u) * g.n + v
-        for u in range(g.n)
-        for v in g.adjacency[u]
-        if g.directed or u < v
-    ]
-    return np.sort(np.array(keys, dtype=np.int64))
+    """Ascending pair keys u * n + v, one per edge (u < v when undirected)."""
+    us, vs = g.edges()
+    return us * np.int64(g.n) + vs
 
 
 def evaluate_model(

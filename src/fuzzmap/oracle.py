@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Optional
 
 import numpy as np
 
 from .fastmap import Embedding, fastmap_embed
 from .fuzzy import FuzzySystem, default_system, evaluate_many, parse_fcl, to_fcl
-from .graph import Graph
-from .radii import NodeRadii, compute_all_radii, pair_distances
+from .graph import Graph, check_node_id, lookup_internal_id
+from .radii import R_NONE, NodeRadii, compute_all_radii, pair_distances
 
 MAGIC = b"FZG1"
 FORMAT_VERSION = 1
@@ -63,13 +63,8 @@ class CompressedGraph:
     radii: NodeRadii
     directed: bool
     fuzzy: FuzzySystem
-    external_ids: np.ndarray  # (n,) uint64
+    external_ids: np.ndarray  # (n,) uint64, sorted ascending
     fcl_text: str
-    _ext2int: dict[int, int] = field(repr=False, default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self._ext2int:
-            self._ext2int = {int(e): i for i, e in enumerate(self.external_ids)}
 
     @property
     def n(self) -> int:
@@ -80,12 +75,10 @@ class CompressedGraph:
         return self.embedding.k
 
     def internal_id(self, external: int) -> int:
-        try:
-            return self._ext2int[int(external)]
-        except KeyError:
-            raise ValueError(f"unknown external node id {external}") from None
+        return lookup_internal_id(self.external_ids, external)
 
     def external_id(self, internal: int) -> int:
+        check_node_id(internal, self.n)
         return int(self.external_ids[internal])
 
 
@@ -119,13 +112,6 @@ def build(
     )
 
 
-def _check_pair(cg: CompressedGraph, u: int, v: int) -> None:
-    if not (0 <= u < cg.n and 0 <= v < cg.n):
-        raise ValueError(f"node id out of range [0, {cg.n})")
-    if u == v:
-        raise ValueError("self query")
-
-
 def query_arrays(
     cg: CompressedGraph, us: np.ndarray, vs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -150,25 +136,31 @@ def query_arrays(
 
     value = np.where(yes, 1.0, 0.0)
     fuzzy_mask = ~(yes | no)
-    if fuzzy_mask.any():
-        idx = np.flatnonzero(fuzzy_mask)
-        fd = d[idx]
-        sides = [us[idx]] if cg.directed else [us[idx], vs[idx]]
-        outs = np.full((len(sides), idx.shape[0]), np.nan)
-        for s, sw in enumerate(sides):
-            ok = (r[sw] != -1.0) & np.isfinite(R[sw])  # sentinel sides contribute nothing
-            if ok.any():
-                x = (R[sw[ok]] - fd[ok]) / (R[sw[ok]] - r[sw[ok]])
-                outs[s, ok] = evaluate_many(cg.fuzzy, np.clip(x, 0.0, 1.0))
-        if len(sides) > 1:
-            a, b = outs
-            combined = np.where(
-                np.isnan(a), b, np.where(np.isnan(b), a, np.minimum(a, b))
-            )
-        else:
-            combined = outs[0]
+    idx = np.flatnonzero(fuzzy_mask)
+    if idx.size:
+        sides = us[idx][None, :] if cg.directed else np.stack([us[idx], vs[idx]])
+        side_r, side_R = r[sides], R[sides]
+        fd = np.broadcast_to(d[idx], sides.shape)
+        ok = (side_r != R_NONE) & np.isfinite(side_R)  # sentinel sides contribute nothing
+        x = (side_R[ok] - fd[ok]) / (side_R[ok] - side_r[ok])
+        outs = np.full(sides.shape, np.nan)
+        # one call for every side: evaluate_many reduces per row, so batching is bit-exact
+        outs[ok] = evaluate_many(cg.fuzzy, np.clip(x, 0.0, 1.0))
+        combined = np.fmin.reduce(outs, axis=0)  # NaN (sentinel) sides drop out
         value[idx] = np.where(np.isnan(combined), 0.5, combined)  # all sides degenerate
     return ~fuzzy_mask, value
+
+
+def _query_pair(cg: CompressedGraph, u: int, v: int, directed: bool) -> Answer:
+    if cg.directed != directed:
+        hint = "directed; use query_directed" if cg.directed else "undirected; use query"
+        raise ValueError(f"model is {hint}")
+    check_node_id(u, cg.n)
+    check_node_id(v, cg.n)
+    if u == v:
+        raise ValueError("self query")
+    definite, value = query_arrays(cg, np.array([u]), np.array([v]))
+    return Answer(DEFINITE if definite[0] else FUZZY, float(value[0]))
 
 
 def query(cg: CompressedGraph, u: int, v: int) -> Answer:
@@ -178,20 +170,12 @@ def query(cg: CompressedGraph, u: int, v: int) -> Answer:
     either side, otherwise the minimum of the two sides' fuzzy outputs.
     Internal ids; u != v.
     """
-    if cg.directed:
-        raise ValueError("model is directed; use query_directed")
-    _check_pair(cg, u, v)
-    definite, value = query_arrays(cg, np.array([u]), np.array([v]))
-    return Answer(DEFINITE if definite[0] else FUZZY, float(value[0]))
+    return _query_pair(cg, u, v, directed=False)
 
 
 def query_directed(cg: CompressedGraph, u: int, v: int) -> Answer:
     """Arc query u -> v on a directed model; uses r(u), R(u) only."""
-    if not cg.directed:
-        raise ValueError("model is undirected; use query")
-    _check_pair(cg, u, v)
-    definite, value = query_arrays(cg, np.array([u]), np.array([v]))
-    return Answer(DEFINITE if definite[0] else FUZZY, float(value[0]))
+    return _query_pair(cg, u, v, directed=True)
 
 
 # --- FZG1 persistence --------------------------------------------------------
@@ -230,6 +214,8 @@ def load(source: IO[bytes]) -> CompressedGraph:
         raise ModelFormatError(f"bad magic {magic!r} at offset 0")
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format version {version} at offset 4")
+    if flags & ~(_FLAG_DIRECTED | _FLAG_QUANTIZED):
+        raise ModelFormatError(f"unknown flag bits {flags:#x} at offset 8")
     expected = _HEADER.size + 8 * n + 8 * n * k + 16 * n + fcl_len + 4
     if len(blob) != expected:
         raise ModelFormatError(
@@ -242,10 +228,16 @@ def load(source: IO[bytes]) -> CompressedGraph:
 
     off = _HEADER.size
     external_ids = np.frombuffer(blob, dtype="<u8", count=n, offset=off).astype(np.uint64)
+    increasing = external_ids[1:] > external_ids[:-1]
+    _reject_first(increasing, off + 8, 8, "external ids not strictly increasing")
     off += 8 * n
     coords = np.frombuffer(blob, dtype="<f8", count=n * k, offset=off).reshape(n, k).copy()
+    _reject_first(np.isfinite(coords).ravel(), off, 8, "non-finite coordinate")
     off += 8 * n * k
     radii_flat = np.frombuffer(blob, dtype="<f8", count=2 * n, offset=off).reshape(n, 2)
+    r, R = radii_flat[:, 0], radii_flat[:, 1]
+    _reject_first((r == R_NONE) | (np.isfinite(r) & (r >= 0.0)), off, 16, "invalid radius r")
+    _reject_first((R == np.inf) | (np.isfinite(R) & (R >= 0.0)), off + 8, 16, "invalid radius R")
     off += 16 * n
     try:
         fcl_text = blob[off : off + fcl_len].decode("utf-8")
@@ -255,8 +247,8 @@ def load(source: IO[bytes]) -> CompressedGraph:
     return CompressedGraph(
         embedding=Embedding(coords=coords, pivots=None, seed=None),
         radii=NodeRadii(
-            r=radii_flat[:, 0].copy(),
-            R=radii_flat[:, 1].copy(),
+            r=r.copy(),
+            R=R.copy(),
             quantized=bool(flags & _FLAG_QUANTIZED),
         ),
         directed=bool(flags & _FLAG_DIRECTED),
@@ -264,6 +256,16 @@ def load(source: IO[bytes]) -> CompressedGraph:
         external_ids=external_ids,
         fcl_text=fcl_text,
     )
+
+
+def _reject_first(ok: np.ndarray, base: int, stride: int, what: str) -> None:
+    """Raise naming the byte offset of the first False in ``ok``.
+
+    Element i of ``ok`` describes the field at ``base + stride * i``.
+    """
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise ModelFormatError(f"{what} at offset {base + stride * int(bad[0])}")
 
 
 def save_file(cg: CompressedGraph, path: str) -> int:

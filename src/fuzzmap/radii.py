@@ -54,8 +54,7 @@ def euclidean_distance(e: Embedding, u: int, v: int) -> float:
 
 def _neighbor_mask(g: Graph, v: int) -> np.ndarray:
     mask = np.zeros(g.n, dtype=bool)
-    if g.adjacency[v]:
-        mask[np.fromiter(g.adjacency[v], dtype=np.int64)] = True
+    mask[g.neighbors(v)] = True
     return mask
 
 

@@ -8,6 +8,9 @@ from fuzzmap import Graph, gnp_random_graph, graph_from_edges
 # leave node 2 in the fuzzy band (holds for every seed 0..31).
 UNCERTAIN_PAIR_EDGES = [(1, 2), (1, 5), (2, 3), (2, 5), (4, 5), (5, 6)]
 
+# adjacent external ids from 2**63: beyond int64, and equal once rounded to float64
+HIGH_ID_EDGES = [(2**63, 2**63 + 1), (2**63 + 1, 5)]
+
 
 @pytest.fixture
 def uncertain_pair_graph() -> Graph:
@@ -24,7 +27,8 @@ def edgeless_graph(n: int) -> Graph:
     return Graph(
         n=n,
         directed=False,
-        adjacency=[frozenset() for _ in range(n)],
+        indptr=np.zeros(n + 1),
+        indices=np.zeros(0),
         external_ids=np.arange(n, dtype=np.uint64),
     )
 

@@ -64,6 +64,24 @@ def radii_sort_scan(labelled: list[tuple[float, bool]], quantize: bool) -> tuple
     return rq, Rq
 
 
+def adjacency_sets_oracle(pairs, directed: bool) -> tuple[list[int], list[set[int]]]:
+    """(sorted external ids, per-node neighbor sets) by plain set building.
+
+    Drops self-loops and collapses duplicates; nodes are the endpoints of
+    the remaining pairs, numbered densely in ascending external order.
+    """
+    pairs = [(u, v) for u, v in pairs if u != v]
+    ids = sorted({e for pair in pairs for e in pair})
+    ext2int = {e: i for i, e in enumerate(ids)}
+    adj: list[set[int]] = [set() for _ in ids]
+    for eu, ev in pairs:
+        u, v = ext2int[eu], ext2int[ev]
+        adj[u].add(v)
+        if not directed:
+            adj[v].add(u)
+    return ids, adj
+
+
 def farthest_pair_distance(dist, n: int) -> float:
     """Max pairwise distance by exhaustive search."""
     return max(dist(u, w) for u in range(n) for w in range(n) if u != w)

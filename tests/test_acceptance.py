@@ -62,7 +62,7 @@ def test_criterion_1_definite_soundness():
         for g, i in CORPUS:
             us, vs = _all_pairs(g.n, g.directed)
             truth = np.fromiter(
-                (v in g.adjacency[u] for u, v in zip(us, vs)), bool, len(us)
+                (v in g.neighbors(u) for u, v in zip(us, vs)), bool, len(us)
             )
             for quantize in (True, False):
                 cg = build(g, k=3, seed=i, quantize=quantize)
@@ -86,7 +86,7 @@ def test_criterion_2_radii_oracle_equivalence():
             e = fastmap_embed(g, 3, seed=i)
             for v in range(g.n):
                 d = distances_from(e.coords, v)
-                labelled = [(float(d[u]), u in g.adjacency[v])
+                labelled = [(float(d[u]), u in g.neighbors(v))
                             for u in range(g.n) if u != v]
                 for quantize in (True, False):
                     got = compute_radii(g, e, v, quantize=quantize)

@@ -202,3 +202,8 @@ def test_module_entry_point(sample_edge_file, tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "yes"
+
+
+def test_query_negative_id_exits_3(sample_model, capsys):
+    assert run(["query", "--model", str(sample_model), "--u", "-1", "--v", "5"]) == 3
+    assert "unknown external node id -1" in capsys.readouterr().err

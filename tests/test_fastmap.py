@@ -169,7 +169,7 @@ def test_embed_validation():
     g = path_graph(3)
     with pytest.raises(ValueError):
         fastmap_embed(g, 0, seed=0)
-    singleton = Graph(n=1, directed=False, adjacency=[frozenset()],
+    singleton = Graph(n=1, directed=False, indptr=np.zeros(2), indices=np.zeros(0),
                       external_ids=np.array([0], dtype=np.uint64))
     with pytest.raises(ValueError):
         fastmap_embed(singleton, 2, seed=0)

@@ -12,6 +12,10 @@ from fuzzmap import (
     graph_from_edges,
     parse_edge_list,
 )
+from fuzzmap.harness import _edge_keys
+
+from conftest import HIGH_ID_EDGES
+from oracles import adjacency_sets_oracle
 
 
 def test_parse_two_edges_external_ids():
@@ -120,7 +124,7 @@ def test_undirected_symmetry_and_degree_sum(uncertain_pair_graph):
         for v in range(g.n):
             if u != v:
                 assert adjacent(g, u, v) == adjacent(g, v, u)
-    assert sum(len(s) for s in g.adjacency) == 2 * g.num_edges
+    assert sum(len(g.neighbors(u)) for u in range(g.n)) == 2 * g.num_edges
 
 
 def test_roundtrip_canonical_edge_list(uncertain_pair_graph):
@@ -145,7 +149,7 @@ def test_roundtrip_directed():
 def test_roundtrip_property(edges, directed):
     g = graph_from_edges(list(edges), directed=directed)
     assert parse_edge_list(canonical_edge_list(g), directed=directed) == g
-    total = sum(len(s) for s in g.adjacency)
+    total = sum(len(g.neighbors(u)) for u in range(g.n))
     assert total == (g.num_edges if directed else 2 * g.num_edges)
 
 
@@ -154,3 +158,52 @@ def test_large_external_ids_remap_densely():
     assert g.n == 3
     assert list(g.external_ids) == [7, 123456789012, 2**63]
     assert g.external_ids.dtype == np.uint64
+
+
+_ext_id = st.one_of(st.integers(0, 12), st.integers(2**64 - 4, 2**64 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    edges=st.lists(st.tuples(_ext_id, _ext_id), min_size=1, max_size=40).filter(
+        lambda es: any(u != v for u, v in es)
+    ),
+    directed=st.booleans(),
+)
+def test_csr_matches_set_reference(edges, directed):
+    g = graph_from_edges(edges, directed=directed)
+    ids, adj = adjacency_sets_oracle(edges, directed)
+    assert g.external_ids.tolist() == ids
+    for u in range(g.n):
+        assert g.neighbors(u).tolist() == sorted(adj[u])
+        if not directed:
+            assert all(u in g.neighbors(v) for v in g.neighbors(u))
+    us, vs = g.edges()
+    listed = list(zip(us.tolist(), vs.tolist()))
+    assert listed == sorted(set(listed))  # ascending, each edge once
+    ref_keys = sorted(u * g.n + v for u in range(g.n) for v in adj[u] if directed or u < v)
+    assert _edge_keys(g).tolist() == ref_keys
+
+
+def test_csr_arrays_are_read_only(uncertain_pair_graph):
+    g = uncertain_pair_graph
+    with pytest.raises(ValueError):
+        g.indices[0] = 0
+    with pytest.raises(ValueError):
+        g.neighbors(0)[0] = 0
+
+
+@pytest.mark.parametrize("absent", [-1, 2**64, 6])
+def test_unknown_external_ids_rejected(absent):
+    g = graph_from_edges(HIGH_ID_EDGES)
+    with pytest.raises(ValueError, match="unknown external node id"):
+        g.internal_id(absent)
+
+
+def test_adjacent_high_ids_resolve_to_distinct_rows():
+    g = graph_from_edges(HIGH_ID_EDGES)
+    assert g.internal_id(2**63) == 1
+    assert g.internal_id(2**63 + 1) == 2
+    assert g.external_id(2) == 2**63 + 1
+    with pytest.raises(ValueError, match="out of range"):
+        g.external_id(-1)

@@ -50,7 +50,7 @@ def test_random_graph_soundness_and_determinism():
     # brute-force ground truth for the definite tally
     us, vs = np.triu_indices(g.n, 1)
     definite, value = query_arrays(cg, us, vs)
-    truth = np.array([v in g.adjacency[u] for u, v in zip(us, vs)])
+    truth = np.array([v in g.neighbors(u) for u, v in zip(us, vs)])
     assert int(definite.sum()) == rep1.definite
     assert np.all((value[definite] == 1.0) == truth[definite])
 

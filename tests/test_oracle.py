@@ -1,5 +1,9 @@
 import io
 import itertools
+import math
+import re
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -22,9 +26,10 @@ from fuzzmap import (
     save,
     to_fcl,
 )
+from fuzzmap.cli import run
 from fuzzmap.fastmap import Embedding
 
-from conftest import edgeless_graph
+from conftest import HIGH_ID_EDGES, edgeless_graph, soundness_corpus
 
 # 5-node digraph exhibiting asymmetric definite answers (found by search,
 # stable for k=2, seed=0, quantized): arc 1->0 exists, 0->1 does not, and
@@ -279,3 +284,74 @@ def test_external_id_mapping(uncertain_pair_graph):
         assert cg.external_id(cg.internal_id(ext)) == ext
     with pytest.raises(ValueError, match="unknown external"):
         cg.internal_id(99)
+
+
+@pytest.mark.parametrize("absent", [-1, 2**64, 6])
+def test_model_unknown_external_ids_rejected(absent):
+    cg = build(graph_from_edges(HIGH_ID_EDGES), k=1, seed=0)
+    with pytest.raises(ValueError, match="unknown external node id"):
+        cg.internal_id(absent)
+
+
+def test_model_adjacent_high_ids_resolve_to_distinct_rows():
+    cg = build(graph_from_edges(HIGH_ID_EDGES), k=1, seed=0)
+    assert cg.internal_id(2**63) == 1
+    assert cg.internal_id(2**63 + 1) == 2
+    assert cg.external_id(2) == 2**63 + 1
+    with pytest.raises(ValueError, match="out of range"):
+        cg.external_id(-1)  # once wrapped to the last node
+
+
+def _rewritten(blob: bytes, offset: int, fmt: str, value) -> bytes:
+    """Blob with one field rewritten and a recomputed, valid CRC."""
+    out = bytearray(blob)
+    struct.pack_into(fmt, out, offset, value)
+    struct.pack_into("<I", out, len(out) - 4, zlib.crc32(bytes(out[:-4])))
+    return bytes(out)
+
+
+# uncertain_pair_graph at k=2: n=6, ids at 28, coords at 76, radii (r, R) at 172
+_IDS, _COORDS, _RADII = 28, 28 + 8 * 6, 28 + 8 * 6 + 8 * 6 * 2
+
+
+@pytest.mark.parametrize(
+    "offset, fmt, value, message",
+    [
+        (_IDS + 8, "<Q", 1, "external ids not strictly increasing at offset 36"),
+        (_IDS + 16, "<Q", 0, "external ids not strictly increasing at offset 44"),
+        (_COORDS + 8 * 7, "<d", math.nan, "non-finite coordinate at offset 132"),
+        (_COORDS, "<d", -math.inf, "non-finite coordinate at offset 76"),
+        (_RADII + 16 * 2, "<d", math.nan, "invalid radius r at offset 204"),
+        (_RADII, "<d", -0.5, "invalid radius r at offset 172"),
+        (_RADII + 16, "<d", math.inf, "invalid radius r at offset 188"),
+        (_RADII + 8, "<d", math.nan, "invalid radius R at offset 180"),
+        (_RADII + 16 * 3 + 8, "<d", -1.0, "invalid radius R at offset 228"),
+        (_RADII + 8, "<d", -math.inf, "invalid radius R at offset 180"),
+        (8, "<I", 4, "unknown flag bits 0x4 at offset 8"),
+    ],
+    ids=["duplicate-id", "descending-id", "nan-coord", "inf-coord", "nan-r", "negative-r",
+         "inf-r", "nan-R", "negative-R", "minus-inf-R", "unknown-flag"],
+)
+def test_load_rejects_invalid_values(uncertain_pair_graph, tmp_path, offset, fmt, value, message):
+    buf = io.BytesIO()
+    save(build(uncertain_pair_graph, k=2, seed=0), buf)
+    bad = _rewritten(buf.getvalue(), offset, fmt, value)
+    with pytest.raises(ModelFormatError, match=re.escape(message)):
+        load(io.BytesIO(bad))
+    path = tmp_path / "bad.fzg"
+    path.write_bytes(bad)
+    assert run(["info", str(path)]) == 2
+
+
+def test_load_accepts_crossed_radii_of_built_models():
+    """Quantized radii may cross (R <= r) and stay sound; the loader must accept them."""
+    crossed = touching = 0
+    for g, i in soundness_corpus(52):
+        for k in (2, 4, 8, 16):
+            cg = build(g, k=k, seed=i, quantize=True)
+            loaded, _, _ = roundtrip(cg)
+            r, R = loaded.radii.r, loaded.radii.R
+            both = (r != -1.0) & np.isfinite(R)
+            crossed += int((both & (R < r)).sum())
+            touching += int((both & (R == r)).sum())
+    assert crossed > 0 and touching > 0

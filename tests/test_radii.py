@@ -42,7 +42,7 @@ def test_euclidean_matches_independent_norm():
 
 def labelled_distances(g, coords, v):
     d = distances_from(coords, v)
-    return [(float(d[u]), u in g.adjacency[v]) for u in range(g.n) if u != v]
+    return [(float(d[u]), u in g.neighbors(v)) for u in range(g.n) if u != v]
 
 
 @pytest.mark.parametrize("quantize", [False, True])
@@ -128,9 +128,9 @@ def test_soundness_brute_force(quantize):
                 if u == v:
                     continue
                 if d[u] <= radii.r[v]:
-                    assert u in g.adjacency[v], "yes-soundness violated"
+                    assert u in g.neighbors(v), "yes-soundness violated"
                 if d[u] >= radii.R[v]:
-                    assert u not in g.adjacency[v], "no-soundness violated"
+                    assert u not in g.neighbors(v), "no-soundness violated"
 
 
 def test_quantized_radii_sound_direction():
@@ -141,7 +141,7 @@ def test_quantized_radii_sound_direction():
             d = distances_from(e.coords, v)
             others = np.arange(g.n) != v
             nb = np.zeros(g.n, bool)
-            nb[list(g.adjacency[v])] = True
+            nb[g.neighbors(v)] = True
             nnd = d[~nb & others]
             nbd = d[nb & others]
             m = nnd.min() if nnd.size else math.inf
@@ -169,7 +169,7 @@ def test_radii_validation(uncertain_pair_graph):
     e = fastmap_embed(uncertain_pair_graph, 2, seed=0)
     with pytest.raises(ValueError):
         compute_radii(uncertain_pair_graph, embed_of([[0.0], [1.0]]), 0)
-    singleton = Graph(n=1, directed=False, adjacency=[frozenset()],
+    singleton = Graph(n=1, directed=False, indptr=np.zeros(2), indices=np.zeros(0),
                       external_ids=np.array([9], dtype=np.uint64))
     with pytest.raises(ValueError):
         compute_radii(singleton, embed_of([[0.0]]), 0)
