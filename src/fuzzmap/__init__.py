@@ -5,8 +5,6 @@ Adjacency queries against the compressed model come back definite
 likelihood from a two-rule Mamdani system.
 """
 
-from importlib import resources
-
 from .fastmap import (
     Embedding,
     choose_pivots,
@@ -21,6 +19,7 @@ from .fuzzy import (
     FuzzyRule,
     FuzzySystem,
     MembershipFunction,
+    default_fcl_text,
     default_system,
     evaluate,
     evaluate_many,
@@ -54,11 +53,6 @@ from .oracle import (
 from .radii import NodeRadii, compute_all_radii, compute_radii, euclidean_distance
 
 __version__ = "0.1.0"
-
-
-def default_fcl_text() -> str:
-    """Source of the shipped default.fcl (behaviorally equal to default_system())."""
-    return resources.files(__package__).joinpath("default.fcl").read_text(encoding="utf-8")
 
 
 __all__ = [

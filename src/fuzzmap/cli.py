@@ -13,9 +13,9 @@ import sys
 from typing import Optional, Sequence
 
 from ._parallel import thread_count
-from .fuzzy import FclParseError, parse_fcl
+from .fuzzy import FclParseError
 from .graph import GraphParseError, load_edge_list
-from .harness import evaluate_model, reports_to_csv, sweep_k
+from .harness import DEFAULT_SAMPLE, evaluate_model, reports_to_csv, sweep_k
 from .oracle import ModelFormatError, build, load_file, query, query_directed, save_file
 
 EXIT_OK = 0
@@ -82,7 +82,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="accuracy report for a model vs its graph")
     p.add_argument("--model", required=True)
     p.add_argument("--graph", required=True, help="edge-list file the model was built from")
-    p.add_argument("--sample", type=int, default=1_000_000,
+    p.add_argument("--sample", type=int, default=DEFAULT_SAMPLE,
                    help="pairs to sample (0 = all pairs)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="CSV path (default stdout)")
@@ -91,7 +91,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="edge-list file")
     p.add_argument("--k", required=True, help="k range lo:hi[:step]")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sample", type=int, default=1_000_000,
+    p.add_argument("--sample", type=int, default=DEFAULT_SAMPLE,
                    help="pairs to sample (0 = all pairs)")
     p.add_argument("--quantize", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--directed", action="store_true")
@@ -115,14 +115,11 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     if args.k < 1:
         raise _UsageError("--k must be >= 1")
     g = load_edge_list(args.input, directed=args.directed)
-    system = None
     fcl_text = None
     if args.fcl:
         with open(args.fcl, "r", encoding="utf-8") as f:
             fcl_text = f.read()
-        system = parse_fcl(fcl_text)
-    cg = build(g, k=args.k, seed=args.seed, quantize=args.quantize,
-               fuzzy=system, fcl_text=fcl_text)
+    cg = build(g, k=args.k, seed=args.seed, quantize=args.quantize, fcl_text=fcl_text)
     nbytes = save_file(cg, args.output)
     print(f"n={cg.n} k={cg.k} bytes={nbytes}")
     return EXIT_OK
@@ -192,10 +189,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             thread_count()  # surface a bad FUZZMAP_THREADS as a usage error
             if getattr(args, "sample", 1) < 0:
                 raise _UsageError("--sample must be >= 0")
-    except _UsageError as exc:
-        print(f"fuzzmap: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"fuzzmap: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:  # argparse -h/--help

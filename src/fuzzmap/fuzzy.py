@@ -12,13 +12,17 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import IO, Iterator
+from importlib import resources
+from typing import IO
 
 import numpy as np
 
-DEFAULT_RESOLUTION = 1001
-MIN_RESOLUTION = 101
-_CHUNK = 4096  # bounds the (chunk x resolution) accumulation buffer
+_SAMPLES = 1001  # uniform output samples of [0, 1] for the COG integral
+_GRID = np.linspace(0.0, 1.0, _SAMPLES)
+_WEIGHTS = np.full(_SAMPLES, 1.0 / (_SAMPLES - 1))
+_WEIGHTS[[0, -1]] /= 2.0  # trapezoid rule
+_WEIGHTED_GRID = _WEIGHTS * _GRID
+_CHUNK = 4096  # bounds the (chunk x grid) accumulation buffer
 
 _TOKEN = re.compile(r":=|[():;,]|[A-Za-z_][A-Za-z0-9_]*|[-+]?\d*\.?\d+(?:[eE][-+]?\d+)?")
 
@@ -43,6 +47,8 @@ class MembershipFunction:
     """
 
     vertices: tuple[tuple[float, float], ...]
+    _xs: np.ndarray = field(init=False, repr=False, compare=False)
+    _mus: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.vertices:
@@ -55,12 +61,12 @@ class MembershipFunction:
             raise FclParseError("membership x values must lie in [0, 1]")
         if any(not 0.0 <= mu <= 1.0 for mu in mus):
             raise FclParseError("membership values must lie in [0, 1]")
+        object.__setattr__(self, "_xs", np.array(xs, dtype=float))
+        object.__setattr__(self, "_mus", np.array(mus, dtype=float))
 
     def at(self, x):
         """Membership degree at x (scalar or array)."""
-        xs = np.array([v[0] for v in self.vertices])
-        mus = np.array([v[1] for v in self.vertices])
-        return np.interp(x, xs, mus, left=0.0, right=0.0)
+        return np.interp(x, self._xs, self._mus, left=0.0, right=0.0)
 
 
 @dataclass(frozen=True)
@@ -78,10 +84,11 @@ class FuzzySystem:
     input_terms: dict[str, MembershipFunction]
     output_terms: dict[str, MembershipFunction]
     rules: tuple[FuzzyRule, ...]
-    resolution: int = DEFAULT_RESOLUTION
     default_output: float = 0.5  # returned when no rule fires at all
-    activation: str = field(default="min", repr=False)
-    accumulation: str = field(default="max", repr=False)
+    # per rule: antecedent term and consequent term sampled on the grid
+    _compiled: tuple[tuple[MembershipFunction, np.ndarray], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.rules:
@@ -91,32 +98,26 @@ class FuzzySystem:
                 raise FclParseError(f"unresolved input term '{rule.antecedent}'")
             if rule.consequent not in self.output_terms:
                 raise FclParseError(f"unresolved output term '{rule.consequent}'")
-        if self.resolution < MIN_RESOLUTION:
-            raise FclParseError(f"resolution must be >= {MIN_RESOLUTION}")
-        if self.activation != "min" or self.accumulation != "max":
-            raise FclParseError("only MIN activation and MAX accumulation are supported")
+        compiled = tuple(
+            (self.input_terms[rule.antecedent], self.output_terms[rule.consequent].at(_GRID))
+            for rule in self.rules
+        )
+        object.__setattr__(self, "_compiled", compiled)
 
 
-def default_system(resolution: int = DEFAULT_RESOLUTION) -> FuzzySystem:
-    """The built-in symmetric system.
+def default_fcl_text() -> str:
+    """Source of the shipped default.fcl, the one definition of default_system()."""
+    return resources.files(__package__).joinpath("default.fcl").read_text(encoding="utf-8")
+
+
+def default_system() -> FuzzySystem:
+    """The built-in symmetric system, parsed from the shipped default.fcl.
 
     Input ramps close_to_r(x) = x and close_to_R(x) = 1 - x; mirrored
     triangular output terms; rules close_to_r -> adjacent and
     close_to_R -> non_adjacent. Symmetry makes 0.5 a fixed point.
     """
-    rising = MembershipFunction(((0.0, 0.0), (1.0, 1.0)))
-    falling = MembershipFunction(((0.0, 1.0), (1.0, 0.0)))
-    return FuzzySystem(
-        input_var="closeness",
-        output_var="likelihood",
-        input_terms={"close_to_r": rising, "close_to_R": falling},
-        output_terms={"adjacent": rising, "non_adjacent": falling},
-        rules=(
-            FuzzyRule("close_to_r", "adjacent"),
-            FuzzyRule("close_to_R", "non_adjacent"),
-        ),
-        resolution=resolution,
-    )
+    return parse_fcl(default_fcl_text())
 
 
 def evaluate_many(sys: FuzzySystem, xs) -> np.ndarray:
@@ -125,7 +126,7 @@ def evaluate_many(sys: FuzzySystem, xs) -> np.ndarray:
     Per input: each rule truncates its output term at the antecedent
     degree (min), the truncated terms accumulate pointwise (max), and the
     centroid of the accumulated curve is taken by the trapezoid rule over
-    ``resolution`` uniform samples of [0, 1].
+    1001 uniform samples of [0, 1].
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.ndim != 1:
@@ -133,24 +134,17 @@ def evaluate_many(sys: FuzzySystem, xs) -> np.ndarray:
     if not np.all(np.isfinite(xs)) or np.any(xs < 0.0) or np.any(xs > 1.0):
         raise ValueError("crisp input must lie in [0, 1]")
 
-    ys = np.linspace(0.0, 1.0, sys.resolution)
-    h = 1.0 / (sys.resolution - 1)
-    w = np.full(sys.resolution, h)
-    w[0] = w[-1] = h / 2.0  # trapezoid weights
-    wy = w * ys
-    out_rows = [sys.output_terms[rule.consequent].at(ys) for rule in sys.rules]
-
     result = np.empty(xs.shape[0])
     for lo in range(0, xs.shape[0], _CHUNK):
         chunk = xs[lo : lo + _CHUNK]
-        acc = np.zeros((chunk.shape[0], sys.resolution))
-        for rule, row in zip(sys.rules, out_rows):
-            act = sys.input_terms[rule.antecedent].at(chunk)
+        acc = np.zeros((chunk.shape[0], _SAMPLES))
+        for term, row in sys._compiled:
+            act = term.at(chunk)
             np.maximum(acc, np.minimum(act[:, None], row[None, :]), out=acc)
         # per-row reductions (not BLAS matvec) so results are bit-identical
         # regardless of batch size; scalar evaluate() relies on this
-        den = (acc * w).sum(axis=1)
-        num = (acc * wy).sum(axis=1)
+        den = (acc * _WEIGHTS).sum(axis=1)
+        num = (acc * _WEIGHTED_GRID).sum(axis=1)
         out = np.full(chunk.shape[0], sys.default_output)
         fired = den > 0.0
         out[fired] = num[fired] / den[fired]

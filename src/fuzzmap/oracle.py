@@ -87,19 +87,22 @@ def build(
     k: int,
     seed: int,
     quantize: bool = True,
-    fuzzy: Optional[FuzzySystem] = None,
     fcl_text: Optional[str] = None,
 ) -> CompressedGraph:
     """Embed the graph, compute all radii, and attach the fuzzy system.
 
-    The model embeds its FCL source (``fcl_text`` when given, otherwise
-    the system serialized) so a saved file is self-contained.
+    The fuzzy system is exactly ``fcl_text`` parsed (default: the built-in
+    system serialized), and the model embeds that text, so a saved file
+    is self-contained and loads back to the same system. Bad FCL raises
+    FclParseError before any embedding work.
     """
     if g.n < 2:
         raise ValueError("graph must have at least 2 nodes")
     if k < 1:
         raise ValueError("k must be >= 1")
-    system = fuzzy if fuzzy is not None else default_system()
+    if fcl_text is None:
+        fcl_text = to_fcl(default_system())
+    system = parse_fcl(fcl_text)
     embedding = fastmap_embed(g, k, seed)
     radii = compute_all_radii(g, embedding, quantize=quantize)
     return CompressedGraph(
@@ -108,7 +111,7 @@ def build(
         directed=g.directed,
         fuzzy=system,
         external_ids=g.external_ids.copy(),
-        fcl_text=fcl_text if fcl_text is not None else to_fcl(system),
+        fcl_text=fcl_text,
     )
 
 

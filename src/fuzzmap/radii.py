@@ -34,16 +34,20 @@ class NodeRadii:
         return self.r.shape[0]
 
 
+def _row_norms(diff: np.ndarray) -> np.ndarray:
+    """The one distance kernel. Soundness needs build-time and query-time
+    distances bitwise equal, so every distance goes through here."""
+    return np.sqrt((diff * diff).sum(axis=1))
+
+
 def distances_from(coords: np.ndarray, v: int) -> np.ndarray:
     """Euclidean distances from node v to every node (self included, 0)."""
-    diff = coords - coords[v]
-    return np.sqrt((diff * diff).sum(axis=1))
+    return _row_norms(coords - coords[v])
 
 
 def pair_distances(coords: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Euclidean distances for aligned id arrays; same kernel as distances_from."""
-    diff = coords[us] - coords[vs]
-    return np.sqrt((diff * diff).sum(axis=1))
+    return _row_norms(coords[us] - coords[vs])
 
 
 def euclidean_distance(e: Embedding, u: int, v: int) -> float:

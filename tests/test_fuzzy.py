@@ -12,6 +12,7 @@ from fuzzmap import (
     evaluate,
     evaluate_many,
 )
+from fuzzmap.fuzzy import _CHUNK
 
 from oracles import mamdani_centroid_oracle
 
@@ -52,17 +53,11 @@ def test_system_validation():
         FuzzySystem("x", "y", {"a": ramp}, {"b": ramp}, rules=())
     with pytest.raises(FclParseError, match="unresolved"):
         FuzzySystem("x", "y", {"a": ramp}, {"b": ramp}, rules=(FuzzyRule("near", "b"),))
-    with pytest.raises(FclParseError, match="resolution"):
-        FuzzySystem("x", "y", {"a": ramp}, {"b": ramp},
-                    rules=(FuzzyRule("a", "b"),), resolution=50)
 
 
 def test_default_system_shape():
     sys = default_system()
     assert len(sys.rules) == 2
-    assert sys.activation == "min"
-    assert sys.accumulation == "max"
-    assert sys.resolution == 1001
     assert set(sys.input_terms) == {"close_to_r", "close_to_R"}
     assert set(sys.output_terms) == {"adjacent", "non_adjacent"}
 
@@ -108,20 +103,22 @@ def test_range_bounds():
     assert values.min() >= 0.0 and values.max() <= 1.0
 
 
-def test_resolution_convergence():
-    lo = default_system(resolution=1001)
-    hi = default_system(resolution=2001)
-    grid = np.round(np.arange(0.0, 1.0001, 0.01), 9)
-    diff = np.abs(evaluate_many(lo, grid) - evaluate_many(hi, grid))
-    assert diff.max() < 1e-3
-
-
 def test_scalar_equals_vectorized():
     sys = default_system()
     xs = np.linspace(0.0, 1.0, 97)
     many = evaluate_many(sys, xs)
     for x, expected in zip(xs, many):
         assert evaluate(sys, float(x)) == expected
+
+
+def test_evaluate_many_across_chunk_boundaries():
+    sys = default_system()
+    xs = np.random.default_rng(5).random(2 * _CHUNK + 3)
+    many = evaluate_many(sys, xs)
+    assert many.shape == xs.shape
+    edges = (0, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 2)
+    for i in edges:
+        assert evaluate(sys, float(xs[i])) == many[i]
 
 
 def test_no_rule_fires_returns_default():

@@ -15,6 +15,7 @@ from fuzzmap import (
     NodeRadii,
     adjacent,
     build,
+    default_fcl_text,
     default_system,
     evaluate,
     gnp_random_graph,
@@ -197,13 +198,35 @@ def test_save_load_roundtrip_exact(uncertain_pair_graph):
     assert loaded.embedding.pivots is None and loaded.embedding.seed is None
 
 
-def test_answers_survive_roundtrip():
+DEFAULT_FCL = default_fcl_text()
+FCL_VARIANTS = {
+    "default": DEFAULT_FCL,
+    "three_vertex_output": DEFAULT_FCL.replace(
+        "TERM adjacent := (0.0, 0.0) (1.0, 1.0);",
+        "TERM adjacent := (0.0, 0.0) (0.5, 0.2) (1.0, 1.0);"),
+    # crisp inputs in (0.2, 0.4] and [0.6, 1] fire no rule: DEFAULT answers
+    "spike_no_rule_fires": DEFAULT_FCL.replace(
+        "TERM close_to_r := (0.0, 0.0) (1.0, 1.0);",
+        "TERM close_to_r := (0.4, 0.0) (0.5, 1.0) (0.6, 0.0);").replace(
+        "TERM close_to_R := (0.0, 1.0) (1.0, 0.0);",
+        "TERM close_to_R := (0.0, 1.0) (0.2, 0.0);").replace(
+        "DEFAULT := 0.5;", "DEFAULT := 0.25;"),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(FCL_VARIANTS))
+def test_answers_survive_roundtrip(variant):
+    text = FCL_VARIANTS[variant]
+    assert variant == "default" or text != DEFAULT_FCL
     g = gnp_random_graph(40, 0.2, seed=31)
-    cg = build(g, k=4, seed=4)
+    cg = build(g, k=4, seed=4, fcl_text=text)
     loaded, _, _ = roundtrip(cg)
     us, vs = np.triu_indices(g.n, 1)
     def_a, val_a = query_arrays(cg, us, vs)
     def_b, val_b = query_arrays(loaded, us, vs)
+    assert not def_a.all()  # the fuzzy system is exercised
+    if variant == "spike_no_rule_fires":
+        assert np.any(val_a[~def_a] == 0.25)
     assert np.array_equal(def_a, def_b)
     assert np.array_equal(val_a, val_b)
 

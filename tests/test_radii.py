@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fuzzmap import (
     Graph,
@@ -13,7 +16,7 @@ from fuzzmap import (
     graph_from_edges,
 )
 from fuzzmap.fastmap import Embedding
-from fuzzmap.radii import distances_from
+from fuzzmap.radii import distances_from, pair_distances
 
 from oracles import norm_oracle, radii_sort_scan
 
@@ -29,6 +32,20 @@ def test_euclidean_basics():
     assert euclidean_distance(e, 0, 0) == 0.0
     with pytest.raises(ValueError, match="out of range"):
         euclidean_distance(e, 0, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(2, 40), k=st.integers(1, 16))
+def test_pair_distances_bitwise_equal_distances_from(data, n, k):
+    # soundness: the radii are built from distances_from and queries read
+    # pair_distances, so the two must agree bit for bit in both directions
+    coords = data.draw(arrays(np.float64, (n, k), elements=st.floats(-1e6, 1e6)))
+    node = st.integers(0, n - 1)
+    us, vs = np.array(data.draw(st.lists(st.tuples(node, node), min_size=1, max_size=50))).T
+    d = pair_distances(coords, us, vs)
+    for i, (u, v) in enumerate(zip(us, vs)):
+        assert d[i].tobytes() == distances_from(coords, u)[v].tobytes()
+        assert d[i].tobytes() == distances_from(coords, v)[u].tobytes()
 
 
 def test_euclidean_matches_independent_norm():
