@@ -19,3 +19,10 @@ def thread_count() -> int:
         if value > 0:
             return value
     return max(1, min(os.cpu_count() or 1, _AUTO_CAP))
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

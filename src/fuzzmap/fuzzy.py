@@ -236,6 +236,15 @@ def _parse_term(tokens: _Tokens) -> tuple[str, MembershipFunction]:
         raise FclParseError(f"line {line}: TERM {name}: {exc}") from None
 
 
+def _add_term(terms: dict[str, MembershipFunction], tokens: _Tokens) -> None:
+    """Parse one TERM (the next token) into ``terms``; a repeated name is an error."""
+    line, _ = tokens.next()
+    name, mf = _parse_term(tokens)
+    if name in terms:
+        raise FclParseError(f"line {line}: duplicate TERM '{name}'")
+    terms[name] = mf
+
+
 def parse_fcl(text: str | bytes | IO) -> FuzzySystem:
     """Parse FCL-subset text into a validated FuzzySystem.
 
@@ -261,6 +270,7 @@ def parse_fcl(text: str | bytes | IO) -> FuzzySystem:
     rules: list[tuple[int, str, str, str, str]] = []
     default_output = 0.5
     saw_ruleblock = False
+    blocks_seen: set[str] = set()  # FUZZIFY / DEFUZZIFY, at most once each
 
     while True:
         line, tok = tokens.peek()
@@ -283,17 +293,19 @@ def parse_fcl(text: str | bytes | IO) -> FuzzySystem:
                 if output_var is not None:
                     raise FclParseError(f"line {line}: only one output variable is supported")
                 output_var = name
+        elif keyword in blocks_seen:
+            raise FclParseError(f"line {line}: duplicate {keyword} block")
         elif keyword == "FUZZIFY":
+            blocks_seen.add(keyword)
             tokens.next()
             var = tokens.ident()
             if input_var is None or var != input_var:
                 raise FclParseError(f"line {line}: FUZZIFY names undeclared input '{var}'")
             while tokens.peek()[1].upper() == "TERM":
-                tokens.next()
-                name, mf = _parse_term(tokens)
-                input_terms[name] = mf
+                _add_term(input_terms, tokens)
             tokens.expect_keyword("END_FUZZIFY")
         elif keyword == "DEFUZZIFY":
+            blocks_seen.add(keyword)
             tokens.next()
             var = tokens.ident()
             if output_var is None or var != output_var:
@@ -301,9 +313,7 @@ def parse_fcl(text: str | bytes | IO) -> FuzzySystem:
             while True:
                 inner = tokens.peek()[1].upper()
                 if inner == "TERM":
-                    tokens.next()
-                    name, mf = _parse_term(tokens)
-                    output_terms[name] = mf
+                    _add_term(output_terms, tokens)
                 elif inner == "METHOD":
                     tokens.next()
                     tokens.expect(":")

@@ -66,6 +66,12 @@ class CompressedGraph:
     external_ids: np.ndarray  # (n,) uint64, sorted ascending
     fcl_text: str
 
+    def __post_init__(self) -> None:
+        # save writes only fcl_text, so a system that differs from its
+        # parse would answer differently after a save/load round trip
+        if parse_fcl(self.fcl_text) != self.fuzzy:
+            raise ValueError("fuzzy system does not match the parse of fcl_text")
+
     @property
     def n(self) -> int:
         return self.embedding.n

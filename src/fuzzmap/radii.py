@@ -6,6 +6,15 @@ non-neighbor. Sentinels: r = -1 means no distance triggers a definite
 yes; R = +inf means no distance triggers a definite no. Quantization
 rounds each radius to an integer in the direction that preserves these
 guarantees.
+
+Every distance comes from one kernel, ``_axis_distances``: it adds the
+squared coordinate differences axis by axis, j = 0..k-1, then takes the
+square root. The all-nodes scan, ``distances_from`` and the query side's
+``pair_distances`` therefore agree bit for bit, which the soundness of
+definite answers rests on. The scan transposes the coords once to a
+(k, n) array and fills the distance rows of _BLOCK nodes per kernel call
+into two reused (_BLOCK, n) buffers, so each thread holds O(_BLOCK * n)
+memory; there is no (_BLOCK, n, k) temporary.
 """
 
 from __future__ import annotations
@@ -16,11 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import thread_count
+from ._parallel import thread_count, usable_cpus
 from .fastmap import Embedding
 from .graph import Graph
 
 R_NONE = -1.0  # definite-yes sentinel: never triggers
+_BLOCK = 4  # nodes per kernel call in the all-nodes scan
 
 
 @dataclass(eq=False)
@@ -34,20 +44,33 @@ class NodeRadii:
         return self.r.shape[0]
 
 
-def _row_norms(diff: np.ndarray) -> np.ndarray:
-    """The one distance kernel. Soundness needs build-time and query-time
-    distances bitwise equal, so every distance goes through here."""
-    return np.sqrt((diff * diff).sum(axis=1))
+def _axis_distances(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The one distance kernel: sqrt of (a[j] - b[j])**2 summed into ``out``
+    axis by axis, j = 0..k-1. a[j] and b[j] broadcast to out's shape.
+
+    Soundness needs build-time and query-time distances bitwise equal, so
+    every distance goes through here and sums its axes in this order.
+    """
+    for j in range(len(a)):
+        np.subtract(a[j], b[j], out=tmp)
+        if j == 0:
+            np.multiply(tmp, tmp, out=out)
+        else:
+            np.multiply(tmp, tmp, out=tmp)
+            np.add(out, tmp, out=out)
+    return np.sqrt(out, out=out)
 
 
 def distances_from(coords: np.ndarray, v: int) -> np.ndarray:
     """Euclidean distances from node v to every node (self included, 0)."""
-    return _row_norms(coords - coords[v])
+    n = coords.shape[0]
+    return _axis_distances(coords.T, coords[v], np.empty(n), np.empty(n))
 
 
 def pair_distances(coords: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Euclidean distances for aligned id arrays; same kernel as distances_from."""
-    return _row_norms(coords[us] - coords[vs])
+    m = np.shape(us)[0]
+    return _axis_distances(coords[us].T, coords[vs].T, np.empty(m), np.empty(m))
 
 
 def euclidean_distance(e: Embedding, u: int, v: int) -> float:
@@ -56,16 +79,10 @@ def euclidean_distance(e: Embedding, u: int, v: int) -> float:
     return float(pair_distances(e.coords, np.array([u]), np.array([v]))[0])
 
 
-def _neighbor_mask(g: Graph, v: int) -> np.ndarray:
-    mask = np.zeros(g.n, dtype=bool)
-    mask[g.neighbors(v)] = True
-    return mask
-
-
 def _radii_from_distances(
-    d: np.ndarray, neighbor: np.ndarray, v: int, quantize: bool
+    d: np.ndarray, neighbors: np.ndarray, v: int, quantize: bool
 ) -> tuple[float, float]:
-    """Core rule, shared by the per-node op and the all-nodes builder.
+    """Core rule for node v, given its distance row ``d`` (overwritten).
 
     m = nearest non-neighbor distance, M = farthest neighbor distance.
     r is the largest neighbor distance strictly below m; R the smallest
@@ -73,17 +90,16 @@ def _radii_from_distances(
     R = floor(M) + 1, each falling back to the sound unquantized-derived
     value if the integer candidate ever failed its soundness check.
     """
-    others = np.ones(d.shape[0], dtype=bool)
-    others[v] = False
-    nbd = d[neighbor & others]
-    nnd = d[~neighbor & others]
-    m = float(nnd.min()) if nnd.size else math.inf
+    nbd = d[neighbors]
+    d[neighbors] = math.inf  # masked: d now holds only non-neighbor distances
+    d[v] = math.inf
+    m = float(d.min())
     M = float(nbd.max()) if nbd.size else -math.inf
 
     below = nbd[nbd < m]
     r = float(below.max()) if below.size else R_NONE
-    above = nnd[nnd > M]
-    R = float(above.min()) if above.size else math.inf
+    # the masked entries are inf, so the min over d > M is never empty
+    R = m if m > M else float(d[d > M].min())
 
     if not quantize:
         return r, R
@@ -107,42 +123,71 @@ def _radii_from_distances(
     return rq, Rq
 
 
-def compute_radii(g: Graph, e: Embedding, v: int, quantize: bool = True) -> tuple[float, float]:
-    """(r, R) for one node. Uses out-neighbors when the graph is directed."""
+def _check_inputs(g: Graph, e: Embedding) -> None:
     if g.n < 2:
         raise ValueError("graph must have at least 2 nodes")
     if e.n != g.n:
         raise ValueError(f"embedding has {e.n} rows but graph has {g.n} nodes")
+
+
+def _block_distances(
+    coords_t: np.ndarray, lo: int, hi: int, out: np.ndarray, tmp: np.ndarray
+) -> np.ndarray:
+    """Distance rows of nodes lo..hi-1 to every node, in one kernel call.
+
+    coords_t is the (k, n) transposed embedding; out and tmp are reusable
+    buffers with at least hi - lo rows of n.
+    """
+    return _axis_distances(coords_t[:, None, :], coords_t[:, lo:hi, None],
+                           out[: hi - lo], tmp[: hi - lo])
+
+
+def _scan_block(
+    g: Graph, coords_t: np.ndarray, lo: int, hi: int, quantize: bool,
+    out: np.ndarray, tmp: np.ndarray,
+) -> list[tuple[float, float]]:
+    """(r, R) for nodes lo..hi-1."""
+    d = _block_distances(coords_t, lo, hi, out, tmp)
+    return [_radii_from_distances(d[i], g.neighbors(v), v, quantize)
+            for i, v in enumerate(range(lo, hi))]
+
+
+def compute_radii(g: Graph, e: Embedding, v: int, quantize: bool = True) -> tuple[float, float]:
+    """(r, R) for one node. Uses out-neighbors when the graph is directed."""
+    _check_inputs(g, e)
     g._check_id(v)
-    d = distances_from(e.coords, v)
-    return _radii_from_distances(d, _neighbor_mask(g, v), v, quantize)
+    buffers = np.empty((2, 1, g.n))
+    return _scan_block(g, e.coords.T, v, v + 1, quantize, *buffers)[0]
 
 
 def compute_all_radii(g: Graph, e: Embedding, quantize: bool = True) -> NodeRadii:
     """Radii for every node; equals the per-node op applied sequentially.
 
-    Nodes are independent, so the O(n^2) distance work is chunked across
-    threads (FUZZMAP_THREADS caps the pool; results do not depend on it).
+    Nodes are scanned _BLOCK at a time against a (k, n) copy of the
+    coords, into two (_BLOCK, n) buffers per thread. Nodes are
+    independent, so contiguous runs of blocks go to a thread pool no
+    larger than FUZZMAP_THREADS, the number of blocks or the usable CPUs;
+    results do not depend on the pool size.
     """
-    if g.n < 2:
-        raise ValueError("graph must have at least 2 nodes")
-    if e.n != g.n:
-        raise ValueError(f"embedding has {e.n} rows but graph has {g.n} nodes")
-
+    _check_inputs(g, e)
     n = g.n
+    coords_t = np.ascontiguousarray(e.coords.T)
     r = np.empty(n)
     R = np.empty(n)
 
     def fill(lo: int, hi: int) -> None:
-        for v in range(lo, hi):
-            d = distances_from(e.coords, v)
-            r[v], R[v] = _radii_from_distances(d, _neighbor_mask(g, v), v, quantize)
+        buffers = np.empty((2, _BLOCK, n))
+        for start in range(lo, hi, _BLOCK):
+            stop = min(start + _BLOCK, hi)
+            r[start:stop], R[start:stop] = zip(
+                *_scan_block(g, coords_t, start, stop, quantize, *buffers))
 
-    workers = min(thread_count(), n)
-    if workers <= 1 or n < 256:
+    blocks = -(-n // _BLOCK)
+    workers = min(thread_count(), blocks, usable_cpus())
+    if workers <= 1:
         fill(0, n)
     else:
-        step = -(-n // workers)
+        step = -(-blocks // workers) * _BLOCK
         bounds = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda b: fill(*b), bounds))

@@ -143,3 +143,36 @@ def test_comments_ignored():
 def test_parsed_default_output_honored():
     text = default_fcl_text().replace("DEFAULT := 0.5;", "DEFAULT := 0.25;")
     assert parse_fcl(text).default_output == 0.25
+
+
+def line_of(text: str, needle: str, occurrence: int = 1) -> int:
+    lines = [i for i, line in enumerate(text.splitlines(), start=1) if needle in line]
+    return lines[occurrence - 1]
+
+
+@pytest.mark.parametrize("anchor, duplicate", [
+    ("TERM close_to_R := (0.0, 1.0) (1.0, 0.0);", "TERM close_to_R := (0.0, 0.0) (1.0, 1.0);"),
+    ("TERM non_adjacent := (0.0, 1.0) (1.0, 0.0);", "TERM adjacent := (0.0, 1.0) (1.0, 0.0);"),
+], ids=["FUZZIFY", "DEFUZZIFY"])
+def test_duplicate_term_rejected_with_line(anchor, duplicate):
+    # the last definition used to win silently and to_fcl dropped the first
+    text = default_fcl_text().replace(anchor, f"{anchor}\n        {duplicate}")
+    name = duplicate.split()[1]
+    with pytest.raises(FclParseError,
+                       match=rf"line {line_of(text, duplicate)}: duplicate TERM '{name}'"):
+        parse_fcl(text)
+
+
+@pytest.mark.parametrize("block, second", [
+    ("FUZZIFY", "    FUZZIFY closeness\n        TERM far := (0.0, 1.0) (1.0, 0.0);\n"
+                "    END_FUZZIFY\n"),
+    ("DEFUZZIFY", "    DEFUZZIFY likelihood\n        TERM maybe := (0.0, 0.0) (0.5, 1.0);\n"
+                  "    END_DEFUZZIFY\n"),
+], ids=["FUZZIFY", "DEFUZZIFY"])
+def test_duplicate_block_rejected_with_line(block, second):
+    # a second block used to merge its terms into the first
+    text = default_fcl_text().replace("    RULEBLOCK", second + "\n    RULEBLOCK")
+    line = line_of(text, f"    {block} ", occurrence=2)
+    with pytest.raises(FclParseError, match=rf"line {line}: duplicate {block} block"):
+        parse_fcl(text)
+

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import math
@@ -21,6 +22,7 @@ from fuzzmap import (
     gnp_random_graph,
     graph_from_edges,
     load,
+    parse_fcl,
     query,
     query_arrays,
     query_directed,
@@ -196,6 +198,19 @@ def test_save_load_roundtrip_exact(uncertain_pair_graph):
     assert np.array_equal(loaded.external_ids, cg.external_ids)
     assert loaded.fcl_text == cg.fcl_text
     assert loaded.embedding.pivots is None and loaded.embedding.seed is None
+
+
+def test_fuzzy_system_must_match_fcl_text(uncertain_pair_graph):
+    # save writes only fcl_text, so a disagreeing system would change
+    # answers after save/load; the model refuses to hold such a pair
+    cg = build(uncertain_pair_graph, k=2, seed=0)
+    text = default_fcl_text().replace("DEFAULT := 0.5;", "DEFAULT := 0.25;")
+    with pytest.raises(ValueError, match="does not match"):
+        dataclasses.replace(cg, fcl_text=text)
+    with pytest.raises(ValueError, match="does not match"):
+        dataclasses.replace(cg, fuzzy=parse_fcl(text))
+    matched = dataclasses.replace(cg, fcl_text=text, fuzzy=parse_fcl(text))
+    assert roundtrip(matched)[0].fuzzy == matched.fuzzy
 
 
 DEFAULT_FCL = default_fcl_text()

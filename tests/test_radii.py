@@ -15,8 +15,10 @@ from fuzzmap import (
     gnp_random_graph,
     graph_from_edges,
 )
+from fuzzmap import radii
+from fuzzmap._parallel import usable_cpus
 from fuzzmap.fastmap import Embedding
-from fuzzmap.radii import distances_from, pair_distances
+from fuzzmap.radii import _BLOCK, _block_distances, distances_from, pair_distances
 
 from oracles import norm_oracle, radii_sort_scan
 
@@ -46,6 +48,25 @@ def test_pair_distances_bitwise_equal_distances_from(data, n, k):
     for i, (u, v) in enumerate(zip(us, vs)):
         assert d[i].tobytes() == distances_from(coords, u)[v].tobytes()
         assert d[i].tobytes() == distances_from(coords, v)[u].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(2, 3 * _BLOCK + 1), k=st.integers(1, 16))
+def test_block_rows_bitwise_equal_query_distances(data, n, k):
+    # the all-nodes scan reads its distances from these block rows, so each
+    # must equal what a query computes for the same pair, bit for bit
+    coords = data.draw(arrays(np.float64, (n, k), elements=st.floats(-1e6, 1e6)))
+    coords_t = np.ascontiguousarray(coords.T)
+    out, tmp = np.empty((2, _BLOCK, n))
+    ids = np.arange(n)
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        rows = _block_distances(coords_t, lo, hi, out, tmp)
+        for i, v in enumerate(range(lo, hi)):
+            row = rows[i].tobytes()
+            assert row == distances_from(coords, v).tobytes()
+            assert row == pair_distances(coords, np.full(n, v), ids).tobytes()
+            assert row == pair_distances(coords, ids, np.full(n, v)).tobytes()
 
 
 def test_euclidean_matches_independent_norm():
@@ -180,6 +201,70 @@ def test_all_radii_equals_per_node(monkeypatch):
     assert np.array_equal(threaded.r, single.r)
     assert np.array_equal(threaded.R, single.R)
     assert [(r, R) for r, R in zip(single.r, single.R)] == seq
+
+
+def graph_from_matrix(adj: np.ndarray, directed: bool) -> Graph:
+    adj = adj & ~np.eye(len(adj), dtype=bool)
+    if not directed:
+        adj = adj | adj.T
+    return Graph(n=len(adj), directed=directed,
+                 indptr=np.concatenate([[0], np.cumsum(adj.sum(axis=1))]),
+                 indices=np.nonzero(adj)[1],
+                 external_ids=np.arange(len(adj), dtype=np.uint64))
+
+
+# small integers make distance ties, general floats make rounding
+COORD = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]),
+       k=st.integers(1, 8), directed=st.booleans(), quantize=st.booleans())
+def test_all_radii_equal_per_node_and_sort_scan(threads, data, n, k, directed, quantize):
+    g = graph_from_matrix(data.draw(arrays(bool, (n, n))), directed)
+    e = embed_of(data.draw(arrays(np.float64, (n, k), elements=COORD)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("FUZZMAP_THREADS", threads)
+        every = compute_all_radii(g, e, quantize=quantize)
+    for v in range(n):
+        want = radii_sort_scan(labelled_distances(g, e.coords, v), quantize)
+        assert compute_radii(g, e, v, quantize=quantize) == want
+        assert (every.r[v], every.R[v]) == want
+
+
+def test_radii_pool_is_capped(monkeypatch):
+    # FUZZMAP_THREADS asks for 5000 threads; the pool gets at most one per
+    # usable CPU and one per node block. The recorder runs the work inline.
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(radii, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setenv("FUZZMAP_THREADS", "5000")
+    g = gnp_random_graph(300, 0.05, seed=77)
+    e = fastmap_embed(g, 3, seed=7)
+    capped = compute_all_radii(g, e)
+    assert sizes == ([usable_cpus()] if usable_cpus() > 1 else [])
+
+    monkeypatch.setattr(radii, "usable_cpus", lambda: 5000)
+    small = gnp_random_graph(2 * _BLOCK + 3, 0.3, seed=5)
+    compute_all_radii(small, fastmap_embed(small, 3, seed=1))
+    assert sizes[-1] == 3  # node blocks
+    monkeypatch.setenv("FUZZMAP_THREADS", "1")
+    single = compute_all_radii(g, e)
+    assert np.array_equal(capped.r, single.r) and np.array_equal(capped.R, single.R)
 
 
 def test_radii_validation(uncertain_pair_graph):
