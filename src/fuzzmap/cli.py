@@ -16,7 +16,7 @@ from ._parallel import thread_count
 from .fuzzy import FclParseError
 from .graph import GraphParseError, load_edge_list
 from .harness import DEFAULT_SAMPLE, evaluate_model, reports_to_csv, sweep_k
-from .oracle import ModelFormatError, build, load_file, query, query_directed, save_file
+from .oracle import FORMAT_VERSION, ModelFormatError, build, load_file, query, query_directed, save_file
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -161,7 +161,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_info(args: argparse.Namespace) -> int:
     cg = load_file(args.model)
-    print("version=1")
+    print(f"version={FORMAT_VERSION}")
     print(f"n={cg.n}")
     print(f"k={cg.k}")
     print(f"directed={'true' if cg.directed else 'false'}")

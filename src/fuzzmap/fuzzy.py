@@ -22,7 +22,7 @@ _GRID = np.linspace(0.0, 1.0, _SAMPLES)
 _WEIGHTS = np.full(_SAMPLES, 1.0 / (_SAMPLES - 1))
 _WEIGHTS[[0, -1]] /= 2.0  # trapezoid rule
 _WEIGHTED_GRID = _WEIGHTS * _GRID
-_CHUNK = 4096  # bounds the (chunk x grid) accumulation buffer
+_CHUNK = 64  # rows per (chunk x grid) buffer: 0.5 MB, so each rule's pass stays in cache
 
 _TOKEN = re.compile(r":=|[():;,]|[A-Za-z_][A-Za-z0-9_]*|[-+]?\d*\.?\d+(?:[eE][-+]?\d+)?")
 

@@ -71,8 +71,10 @@ def _sample_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distinct node pairs, uniform without replacement, seeded.
 
-    Unordered pairs for undirected graphs, ordered for directed. Linear
-    pair indices are decoded with exact integer arithmetic.
+    Unordered pairs (u < v) for undirected graphs, ordered for directed.
+    Pair index i is (u, (u + 1 + i // n) mod n) with u = i mod n: over
+    i < n(n-1) that is every ordered pair once, and over i < n(n-1)/2
+    every unordered pair once. Memory is O(sample), not O(n^2).
     """
     total = n * (n - 1) if directed else n * (n - 1) // 2
     if sample_size is not None and sample_size < 1:
@@ -81,19 +83,13 @@ def _sample_pairs(
         idx = np.arange(total, dtype=np.int64)
     else:
         rng = np.random.default_rng(seed)
-        idx = rng.permutation(total)[:sample_size].astype(np.int64)
+        idx = np.sort(rng.choice(total, sample_size, replace=False, shuffle=False))
 
+    us = idx % n
+    vs = (us + 1 + idx // n) % n
     if directed:
-        us = idx // (n - 1)
-        rem = idx % (n - 1)
-        vs = rem + (rem >= us)
         return us, vs
-    # unordered: row u owns pairs (u, u+1..n-1); cumulative row offsets
-    row_ends = np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64))
-    us = np.searchsorted(row_ends, idx, side="right")
-    row_starts = row_ends - np.arange(n - 1, 0, -1, dtype=np.int64)
-    vs = idx - row_starts[us] + us + 1
-    return us, vs
+    return np.minimum(us, vs), np.maximum(us, vs)
 
 
 def _edge_keys(g: Graph) -> np.ndarray:
@@ -117,8 +113,7 @@ def evaluate_model(
     us, vs = _sample_pairs(g.n, g.directed, sample_size, seed)
     definite, value = query_arrays(cg, us, vs)
 
-    keys = us * np.int64(g.n) + vs if g.directed else np.minimum(us, vs) * np.int64(g.n) + np.maximum(us, vs)
-    truth = np.isin(keys, _edge_keys(g))
+    truth = np.isin(us * np.int64(g.n) + vs, _edge_keys(g))
 
     def_mask = definite
     fuz_mask = ~definite

@@ -225,6 +225,8 @@ def load(source: IO[bytes]) -> CompressedGraph:
         raise ModelFormatError(f"unsupported format version {version} at offset 4")
     if flags & ~(_FLAG_DIRECTED | _FLAG_QUANTIZED):
         raise ModelFormatError(f"unknown flag bits {flags:#x} at offset 8")
+    if k < 1:
+        raise ModelFormatError(f"invalid dimension k={k} at offset 20")
     expected = _HEADER.size + 8 * n + 8 * n * k + 16 * n + fcl_len + 4
     if len(blob) != expected:
         raise ModelFormatError(
@@ -232,7 +234,7 @@ def load(source: IO[bytes]) -> CompressedGraph:
             f" (offset {min(len(blob), expected)})"
         )
     (crc,) = struct.unpack_from("<I", blob, expected - 4)
-    if crc != zlib.crc32(blob[:-4]):
+    if crc != zlib.crc32(memoryview(blob)[:-4]):
         raise ModelFormatError(f"CRC mismatch at offset {expected - 4}")
 
     off = _HEADER.size

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -82,14 +85,38 @@ def test_exact_half_counts_unsound():
 
 
 def test_sampling_without_replacement_deterministic():
-    us1, vs1 = _sample_pairs(50, False, 100, seed=9)
-    us2, vs2 = _sample_pairs(50, False, 100, seed=9)
-    assert np.array_equal(us1, us2) and np.array_equal(vs1, vs2)
-    keys = us1 * 50 + vs1
-    assert len(np.unique(keys)) == 100  # no replacement
-    assert np.all(us1 < vs1)
-    us3, _ = _sample_pairs(50, False, 100, seed=10)
-    assert not np.array_equal(us1, us3)
+    for directed in (False, True):
+        us1, vs1 = _sample_pairs(50, directed, 100, seed=9)
+        us2, vs2 = _sample_pairs(50, directed, 100, seed=9)
+        assert np.array_equal(us1, us2) and np.array_equal(vs1, vs2)
+        keys = us1 * 50 + vs1
+        assert len(np.unique(keys)) == 100  # no replacement
+        assert np.all(us1 != vs1 if directed else us1 < vs1)
+        us3, _ = _sample_pairs(50, directed, 100, seed=10)
+        assert not np.array_equal(us1, us3)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_full_enumeration_yields_each_pair_once(directed):
+    for n in range(2, 41):
+        us, vs = _sample_pairs(n, directed, None, 0)
+        if not directed:
+            assert np.all(us < vs)
+        pairs = itertools.permutations(range(n), 2) if directed else itertools.combinations(range(n), 2)
+        assert sorted(zip(us.tolist(), vs.tolist())) == sorted(pairs)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_sampling_memory_is_bounded_by_sample(directed):
+    # a permutation of all ~4.5M (9M directed) pair indices would peak at 35+ MiB
+    tracemalloc.start()
+    try:
+        us, _ = _sample_pairs(3000, directed, 100, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(us) == 100
+    assert peak < 4 * 2**20
 
 
 def test_sampling_covers_all_pairs_when_small():

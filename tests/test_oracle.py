@@ -366,9 +366,11 @@ _IDS, _COORDS, _RADII = 28, 28 + 8 * 6, 28 + 8 * 6 + 8 * 6 * 2
         (_RADII + 16 * 3 + 8, "<d", -1.0, "invalid radius R at offset 228"),
         (_RADII + 8, "<d", -math.inf, "invalid radius R at offset 180"),
         (8, "<I", 4, "unknown flag bits 0x4 at offset 8"),
+        (20, "<I", 0, "invalid dimension k=0 at offset 20"),
     ],
     ids=["duplicate-id", "descending-id", "nan-coord", "inf-coord", "nan-r", "negative-r",
-         "inf-r", "nan-R", "negative-R", "minus-inf-R", "unknown-flag"],
+         "inf-r", "nan-R", "negative-R", "minus-inf-R", "unknown-flag",
+         "zero-k"],
 )
 def test_load_rejects_invalid_values(uncertain_pair_graph, tmp_path, offset, fmt, value, message):
     buf = io.BytesIO()
