@@ -17,6 +17,7 @@ from .fuzzy import FclParseError
 from .graph import GraphParseError, load_edge_list
 from .harness import DEFAULT_SAMPLE, evaluate_model, reports_to_csv, sweep_k
 from .oracle import FORMAT_VERSION, ModelFormatError, build, load_file, query, query_directed, save_file
+from .radii import group_points
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -97,7 +98,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--directed", action="store_true")
     p.add_argument("--out", help="CSV path (default stdout)")
 
-    p = sub.add_parser("info", help="print model header fields")
+    p = sub.add_parser("info", help="print model header fields and distinct-point counts")
     p.add_argument("model")
 
     return parser
@@ -166,6 +167,9 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"k={cg.k}")
     print(f"directed={'true' if cg.directed else 'false'}")
     print(f"quantized={'true' if cg.radii.quantized else 'false'}")
+    groups = group_points(cg.embedding.coords)
+    print(f"distinct_points={groups.u}")
+    print(f"largest_group={groups.cnt.max()}")
     print(f"fcl_bytes={len(cg.fcl_text.encode('utf-8'))}")
     print(f"file_bytes={os.path.getsize(args.model)}")
     return EXIT_OK

@@ -9,17 +9,26 @@ guarantees.
 
 Every distance comes from one kernel, ``_axis_distances``: it adds the
 squared coordinate differences axis by axis, j = 0..k-1, then takes the
-square root. The all-nodes scan, ``distances_from`` and the query side's
+square root. The radii scan, ``distances_from`` and the query side's
 ``pair_distances`` therefore agree bit for bit, which the soundness of
-definite answers rests on. The scan transposes the coords once to a
-(k, n) array and fills the distance rows of _BLOCK nodes per kernel call
-into two reused (_BLOCK, n) buffers, so each thread holds O(_BLOCK * n)
-memory; there is no (_BLOCK, n, k) temporary.
+definite answers rests on.
+
+FastMap often puts many nodes on one point, so the scan works on the u
+distinct points of the embedding, not on the n nodes. The kernel fills
+point-to-point distance rows, _BLOCK points per call, into a reused
+buffer that holds a span of points. A node v on point p reads its
+neighbor distances from row p; a point q still holds a non-neighbor of
+v exactly when cnt[q] - #{neighbors of v on q} - [q == p] > 0, and every
+other point is masked out. The rule then runs on a chunk of nodes at
+once; ``compute_radii`` runs the same path for one node. Spans and
+chunks hold at most max(_BLOCK * u, _CHUNK) elements, so a thread's
+scratch is O(_BLOCK * u + _CHUNK). The gain depends on the collapse:
+with all points distinct (u = n) the scan costs O(n^2 k) as before.
 """
 
 from __future__ import annotations
 
-import math
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -29,8 +38,11 @@ from ._parallel import thread_count, usable_cpus
 from .fastmap import Embedding
 from .graph import Graph
 
+log = logging.getLogger(__name__)
+
 R_NONE = -1.0  # definite-yes sentinel: never triggers
-_BLOCK = 4  # nodes per kernel call in the all-nodes scan
+_BLOCK = 4  # points per kernel call in the radii scan
+_CHUNK = 1 << 18  # scratch elements (nodes x u) per rule call
 
 
 @dataclass(eq=False)
@@ -79,117 +91,186 @@ def euclidean_distance(e: Embedding, u: int, v: int) -> float:
     return float(pair_distances(e.coords, np.array([u]), np.array([v]))[0])
 
 
-def _radii_from_distances(
-    d: np.ndarray, neighbors: np.ndarray, v: int, quantize: bool
-) -> tuple[float, float]:
-    """Core rule for node v, given its distance row ``d`` (overwritten).
-
-    m = nearest non-neighbor distance, M = farthest neighbor distance.
-    r is the largest neighbor distance strictly below m; R the smallest
-    non-neighbor distance strictly above M. Quantized: r = ceil(m) - 1 and
-    R = floor(M) + 1, each falling back to the sound unquantized-derived
-    value if the integer candidate ever failed its soundness check.
-    """
-    nbd = d[neighbors]
-    d[neighbors] = math.inf  # masked: d now holds only non-neighbor distances
-    d[v] = math.inf
-    m = float(d.min())
-    M = float(nbd.max()) if nbd.size else -math.inf
-
-    below = nbd[nbd < m]
-    r = float(below.max()) if below.size else R_NONE
-    # the masked entries are inf, so the min over d > M is never empty
-    R = m if m > M else float(d[d > M].min())
-
-    if not quantize:
-        return r, R
-
-    if math.isfinite(m):
-        q = math.ceil(m) - 1.0
-        if q < m:  # no non-neighbor within q: yes-sound
-            rq = q
-        else:
-            fq = float(math.floor(r))
-            rq = fq if 0.0 <= fq < m else R_NONE
-    else:
-        rq = float(math.floor(r))  # no non-neighbors at all; any value is sound
-
-    if math.isfinite(M):
-        Q = math.floor(M) + 1.0
-        Rq = Q if Q > M else R  # Q exceeds every neighbor distance: no-sound
-    else:
-        Rq = R  # no neighbors: R is already the nearest non-neighbor distance
-
-    return rq, Rq
-
-
 def _check_inputs(g: Graph, e: Embedding) -> None:
     if g.n < 2:
         raise ValueError("graph must have at least 2 nodes")
     if e.n != g.n:
         raise ValueError(f"embedding has {e.n} rows but graph has {g.n} nodes")
+    if e.k < 1:
+        raise ValueError("embedding must have k >= 1 dimensions")
+    bad = np.flatnonzero(~np.isfinite(e.coords).all(axis=1))
+    if bad.size:
+        raise ValueError(f"non-finite coordinate at node {bad[0]}")
+    # the count mask of _radii_rule would hide a non-neighbor otherwise
+    owner = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    if np.any(g.indices == owner) or np.any(
+            (np.diff(g.indices) <= 0) & (owner[1:] == owner[:-1])):
+        raise ValueError("graph rows must hold sorted neighbors without self-loops or repeats")
+
+
+@dataclass(eq=False)
+class PointGroups:
+    """The distinct points of an embedding and the nodes on each.
+
+    ``points_t`` is the (k, u) transposed table of distinct points,
+    ``inv[v]`` the point of node v and ``cnt[q]`` the number of nodes on
+    point q. ``order`` lists the nodes grouped by point, so the nodes on
+    points lo..hi-1 are ``order[offsets[lo]:offsets[hi]]``.
+    """
+
+    points_t: np.ndarray
+    inv: np.ndarray
+    cnt: np.ndarray
+    order: np.ndarray
+    offsets: np.ndarray
+
+    @property
+    def u(self) -> int:
+        return self.cnt.shape[0]
+
+
+def group_points(coords: np.ndarray) -> PointGroups:
+    """Group nodes by equal coordinate rows, in one lexicographic sort.
+
+    0.0 and -0.0 compare equal and share a point; the kernel squares
+    every difference, so either sign gives the same distance bits.
+    """
+    order = np.lexsort(coords.T[::-1])
+    ranked = coords[order]
+    new = np.ones(order.size, dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    starts = np.flatnonzero(new)
+    inv = np.empty(order.size, dtype=np.int64)
+    inv[order] = np.cumsum(new) - 1
+    offsets = np.append(starts, order.size)
+    return PointGroups(points_t=np.ascontiguousarray(ranked[starts].T), inv=inv,
+                       cnt=np.diff(offsets), order=order, offsets=offsets)
 
 
 def _block_distances(
     coords_t: np.ndarray, lo: int, hi: int, out: np.ndarray, tmp: np.ndarray
 ) -> np.ndarray:
-    """Distance rows of nodes lo..hi-1 to every node, in one kernel call.
+    """Distance rows of points lo..hi-1 to every point, in one kernel call.
 
-    coords_t is the (k, n) transposed embedding; out and tmp are reusable
-    buffers with at least hi - lo rows of n.
+    coords_t is a (k, u) transposed point table; out and tmp are reusable
+    buffers with at least hi - lo rows of u.
     """
     return _axis_distances(coords_t[:, None, :], coords_t[:, lo:hi, None],
                            out[: hi - lo], tmp[: hi - lo])
 
 
-def _scan_block(
-    g: Graph, coords_t: np.ndarray, lo: int, hi: int, quantize: bool,
-    out: np.ndarray, tmp: np.ndarray,
-) -> list[tuple[float, float]]:
-    """(r, R) for nodes lo..hi-1."""
-    d = _block_distances(coords_t, lo, hi, out, tmp)
-    return [_radii_from_distances(d[i], g.neighbors(v), v, quantize)
-            for i, v in enumerate(range(lo, hi))]
+def _segment_max(values: np.ndarray, sizes: np.ndarray, empty: float) -> np.ndarray:
+    """Max of each consecutive run of sizes[i] values; ``empty`` for an empty run."""
+    out = np.full(sizes.shape[0], empty)
+    full = sizes > 0
+    if values.size:
+        out[full] = np.maximum.reduceat(values, (np.cumsum(sizes) - sizes)[full])
+    return out
+
+
+def _radii_rule(
+    g: Graph, groups: PointGroups, nodes: np.ndarray, rows: np.ndarray, quantize: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """(r, R) for ``nodes``, given the distance row of each node's point.
+
+    ``rows`` is (len(nodes), u) and is overwritten. m = nearest
+    non-neighbor distance, M = farthest neighbor distance. r is the
+    largest neighbor distance strictly below m; R the smallest
+    non-neighbor distance strictly above M. Quantized: r = ceil(m) - 1
+    and R = floor(M) + 1, each falling back to the sound unquantized
+    value if the integer candidate ever failed its soundness check.
+    The count mask needs CSR rows free of self-loops and repeats;
+    ``_check_inputs`` enforces that.
+    """
+    c, u = rows.shape
+    first = g.indptr[nodes]
+    deg = g.indptr[nodes + 1] - first
+    owner = np.repeat(np.arange(c), deg)  # row of each flat neighbor entry
+    flat = np.arange(owner.size) + np.repeat(first - (np.cumsum(deg) - deg), deg)
+    nb_point = groups.inv[g.indices[flat]]
+    nbd = rows[owner, nb_point]
+
+    # a point holds no non-neighbor of a node when every node on it is a
+    # neighbor or the node itself; count (node, point) pairs by sorting keys
+    keys, taken = np.unique(np.concatenate([owner * u + nb_point,
+                                            np.arange(c) * u + groups.inv[nodes]]),
+                            return_counts=True)
+    np.put(rows, keys[groups.cnt[keys % u] <= taken], np.inf)
+
+    m = rows.min(axis=1)
+    M = _segment_max(nbd, deg, -np.inf)
+    r = _segment_max(np.where(nbd < m[owner], nbd, R_NONE), deg, R_NONE)
+    np.putmask(rows, rows <= M[:, None], np.inf)
+    R = rows.min(axis=1)  # m itself when m > M; +inf when nothing lies beyond M
+
+    if not quantize:
+        return r, R
+
+    floor_r = np.floor(r)
+    q = np.ceil(m) - 1.0
+    # q < m: no non-neighbor within q, so q is yes-sound
+    fallback = np.where((floor_r >= 0.0) & (floor_r < m), floor_r, R_NONE)
+    # no non-neighbors at all (m = +inf): any value is sound
+    rq = np.where(np.isfinite(m), np.where(q < m, q, fallback), floor_r)
+    # Q exceeds every neighbor distance: no-sound; never true without neighbors
+    Q = np.floor(M) + 1.0
+    return rq, np.where(Q > M, Q, R)
 
 
 def compute_radii(g: Graph, e: Embedding, v: int, quantize: bool = True) -> tuple[float, float]:
     """(r, R) for one node. Uses out-neighbors when the graph is directed."""
     _check_inputs(g, e)
     g._check_id(v)
-    buffers = np.empty((2, 1, g.n))
-    return _scan_block(g, e.coords.T, v, v + 1, quantize, *buffers)[0]
+    groups = group_points(e.coords)
+    p = int(groups.inv[v])
+    rows = _block_distances(groups.points_t, p, p + 1, *np.empty((2, 1, groups.u)))
+    r, R = _radii_rule(g, groups, np.array([v]), rows, quantize)
+    return float(r[0]), float(R[0])
 
 
 def compute_all_radii(g: Graph, e: Embedding, quantize: bool = True) -> NodeRadii:
     """Radii for every node; equals the per-node op applied sequentially.
 
-    Nodes are scanned _BLOCK at a time against a (k, n) copy of the
-    coords, into two (_BLOCK, n) buffers per thread. Nodes are
-    independent, so contiguous runs of blocks go to a thread pool no
-    larger than FUZZMAP_THREADS, the number of blocks or the usable CPUs;
-    results do not depend on the pool size.
+    Points are taken a span of max(_BLOCK, _CHUNK // u) at a time: the
+    kernel fills the span's distance rows _BLOCK points per call, then
+    the nodes on those points go through the rule max(1, _CHUNK // u) at
+    a time. Points are independent, so contiguous runs of point blocks
+    go to a thread pool no larger than FUZZMAP_THREADS, the number of
+    blocks or the usable CPUs; results do not depend on the pool size.
     """
     _check_inputs(g, e)
     n = g.n
-    coords_t = np.ascontiguousarray(e.coords.T)
+    groups = group_points(e.coords)
+    u = groups.u
+    chunk = max(1, _CHUNK // u)
+    span = max(_BLOCK, chunk // _BLOCK * _BLOCK)
     r = np.empty(n)
     R = np.empty(n)
 
     def fill(lo: int, hi: int) -> None:
-        buffers = np.empty((2, _BLOCK, n))
-        for start in range(lo, hi, _BLOCK):
-            stop = min(start + _BLOCK, hi)
-            r[start:stop], R[start:stop] = zip(
-                *_scan_block(g, coords_t, start, stop, quantize, *buffers))
+        d = np.empty((min(span, hi - lo), u))
+        tmp = np.empty((_BLOCK, u))
+        for start in range(lo, hi, span):
+            stop = min(start + span, hi)
+            for b in range(start, stop, _BLOCK):
+                _block_distances(groups.points_t, b, min(b + _BLOCK, stop), d[b - start :], tmp)
+            last = groups.offsets[stop]
+            for a in range(groups.offsets[start], last, chunk):
+                nodes = groups.order[a : min(a + chunk, last)]
+                r[nodes], R[nodes] = _radii_rule(
+                    g, groups, nodes, d[groups.inv[nodes] - start], quantize)
 
-    blocks = -(-n // _BLOCK)
+    blocks = -(-u // _BLOCK)
     workers = min(thread_count(), blocks, usable_cpus())
     if workers <= 1:
-        fill(0, n)
+        fill(0, u)
     else:
         step = -(-blocks // workers) * _BLOCK
-        bounds = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+        bounds = [(lo, min(lo + step, u)) for lo in range(0, u, step)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda b: fill(*b), bounds))
 
+    log.info("radii: n=%d distinct_points=%d largest_group=%d r_sentinel_frac=%.4f "
+             "R_inf_frac=%.4f", n, u, groups.cnt.max(), np.mean(r == R_NONE),
+             np.mean(R == np.inf))
     return NodeRadii(r=r, R=R, quantized=quantize)

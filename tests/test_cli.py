@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -42,6 +43,14 @@ def test_info_fields(sample_model, capsys):
     assert "k=2" in out
     assert "quantized=true" in out
     assert "directed=false" in out
+
+
+def test_info_reports_distinct_points(sample_model, capsys):
+    assert run(["info", str(sample_model)]) == 0
+    fields = dict(line.split("=", 1) for line in capsys.readouterr().out.split())
+    groups = Counter(map(tuple, load_file(sample_model).embedding.coords.tolist()))
+    assert fields["distinct_points"] == str(len(groups))
+    assert fields["largest_group"] == str(max(groups.values()))
 
 
 def test_query_definite_yes(sample_model, capsys):

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -233,9 +234,71 @@ def test_all_radii_equal_per_node_and_sort_scan(threads, data, n, k, directed, q
         assert (every.r[v], every.R[v]) == want
 
 
+# signed zeros and integer ties: pool rows coincide, and 0.0/-0.0 rows merge
+POOL_COORD = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0])
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(2, 3 * _BLOCK + 1), k=st.integers(1, 4),
+       pool=st.integers(1, 5), directed=st.booleans(), quantize=st.booleans(),
+       chunk_cap=st.sampled_from([1, 5, radii._CHUNK]))
+def test_coincident_points_match_per_node_and_sort_scan(threads, data, n, k, pool, directed,
+                                                        quantize, chunk_cap):
+    # coords drawn from a few rows put many nodes on one point (u << n); a
+    # small _CHUNK splits a point's nodes over several rule calls
+    rows = data.draw(arrays(np.float64, (pool, k), elements=POOL_COORD))
+    e = embed_of(rows[data.draw(arrays(np.intp, n, elements=st.integers(0, pool - 1)))])
+    g = graph_from_matrix(data.draw(arrays(bool, (n, n))), directed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("FUZZMAP_THREADS", threads)
+        mp.setattr(radii, "_CHUNK", chunk_cap)
+        every = compute_all_radii(g, e, quantize=quantize)
+    for v in range(n):
+        want = radii_sort_scan(labelled_distances(g, e.coords, v), quantize)
+        assert compute_radii(g, e, v, quantize=quantize) == want
+        assert (every.r[v], every.R[v]) == want
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coords_rejected(bad):
+    g = gnp_random_graph(20, 0.3, seed=1)
+    coords = fastmap_embed(g, 3, seed=1).coords.copy()
+    coords[7, 1] = bad
+    with pytest.raises(ValueError, match="non-finite coordinate at node 7"):
+        compute_all_radii(g, embed_of(coords))
+    with pytest.raises(ValueError, match="non-finite coordinate at node 7"):
+        compute_radii(g, embed_of(coords), 0)
+
+
+@pytest.mark.parametrize("row", [[0], [1, 1], [2, 1]], ids=["self-loop", "repeat", "unsorted"])
+def test_malformed_graph_rows_rejected(row):
+    # node 3 shares node 0's point and node 2 node 1's; a self-loop or a
+    # repeated neighbor would make the count mask hide one of them. Repeats
+    # are found by row order, so an unsorted row is rejected as well.
+    g = Graph(n=4, directed=True, indptr=np.array([0] + [len(row)] * 4), indices=np.array(row),
+              external_ids=np.arange(4, dtype=np.uint64))
+    e = embed_of([[0.0], [1.0], [1.0], [0.0]])
+    with pytest.raises(ValueError, match="self-loops or repeats"):
+        compute_all_radii(g, e)
+    with pytest.raises(ValueError, match="self-loops or repeats"):
+        compute_radii(g, e, 0)
+
+
+def test_scan_logs_point_grouping(caplog):
+    # nodes 0 and 2 share a point and are not adjacent: both get r = -1;
+    # node 1 neighbors both, and nobody has a non-neighbor beyond its M
+    g = graph_from_edges([(0, 1), (1, 2)])
+    e = embed_of([[0.0], [5.0], [-0.0]])
+    with caplog.at_level(logging.INFO, logger="fuzzmap.radii"):
+        compute_all_radii(g, e, quantize=False)
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "radii: n=3 distinct_points=2 largest_group=2 r_sentinel_frac=0.6667 R_inf_frac=1.0000"]
+
+
 def test_radii_pool_is_capped(monkeypatch):
     # FUZZMAP_THREADS asks for 5000 threads; the pool gets at most one per
-    # usable CPU and one per node block. The recorder runs the work inline.
+    # usable CPU and one per point block. The recorder runs the work inline.
     sizes = []
 
     class Recorder:
@@ -260,8 +323,10 @@ def test_radii_pool_is_capped(monkeypatch):
 
     monkeypatch.setattr(radii, "usable_cpus", lambda: 5000)
     small = gnp_random_graph(2 * _BLOCK + 3, 0.3, seed=5)
-    compute_all_radii(small, fastmap_embed(small, 3, seed=1))
-    assert sizes[-1] == 3  # node blocks
+    small_e = fastmap_embed(small, 3, seed=1)
+    assert radii.group_points(small_e.coords).u == small.n  # every point distinct
+    compute_all_radii(small, small_e)
+    assert sizes[-1] == 3  # point blocks
     monkeypatch.setenv("FUZZMAP_THREADS", "1")
     single = compute_all_radii(g, e)
     assert np.array_equal(capped.r, single.r) and np.array_equal(capped.R, single.R)
@@ -277,3 +342,5 @@ def test_radii_validation(uncertain_pair_graph):
         compute_radii(singleton, embed_of([[0.0]]), 0)
     with pytest.raises(ValueError, match="out of range"):
         compute_radii(uncertain_pair_graph, e, 17)
+    with pytest.raises(ValueError, match="k >= 1"):
+        compute_radii(uncertain_pair_graph, embed_of(np.zeros((6, 0))), 0)
