@@ -25,14 +25,19 @@ DistRow = Callable[[int], np.ndarray]
 class Embedding:
     """n x k coordinate table with the pivot pair recorded per axis.
 
-    ``pivots[i]`` is (a, b) for axis i, or None for a degenerate
-    (zero-filled) axis. Models loaded from disk carry coords only;
-    their pivots and seed are None.
+    ``coords`` is kept axis-major: the (n, k) array in Fortran order, so
+    ``coords.T`` is the C-contiguous (k, n) table the distance kernel
+    reads one axis at a time. ``pivots[i]`` is (a, b) for axis i, or None
+    for a degenerate (zero-filled) axis. Models loaded from disk carry
+    coords only; their pivots and seed are None.
     """
 
-    coords: np.ndarray  # (n, k) float64
+    coords: np.ndarray  # (n, k) float64, Fortran order
     pivots: Optional[list[Optional[tuple[int, int]]]] = None
     seed: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        self.coords = np.asfortranarray(self.coords)
 
     @property
     def n(self) -> int:
@@ -125,7 +130,7 @@ def fastmap_embed(g: Graph, k: int, seed: int) -> Embedding:
         raise ValueError("graph must have at least 2 nodes")
 
     n = g.n
-    coords = np.zeros((n, k))
+    coords = np.zeros((n, k), order="F")
     pivots: list[Optional[tuple[int, int]]] = []
     axis_seeds = np.random.SeedSequence(seed).generate_state(k)
 

@@ -36,6 +36,13 @@ class Graph:
     ``neighbors`` and ``edges``. ``external_ids[u]`` is the original id of
     internal node u; sorted ascending, so the mapping is canonical.
     Instances are immutable and safe for concurrent readers.
+
+    Construction rejects, with ValueError, arrays that are not such a
+    graph: offsets that are not n + 1 non-decreasing values from 0 to
+    len(indices), neighbor ids outside [0, n), rows that are not strictly
+    increasing or hold their own node, undirected rows that are not
+    symmetric, and external ids that are not n strictly increasing values.
+    The radii scan's neighbor counts rely on these.
     """
 
     n: int
@@ -49,6 +56,23 @@ class Graph:
         self.indptr = np.asarray(self.indptr, dtype=np.int64).view()
         self.indices = np.asarray(self.indices, dtype=np.int64).view()
         self.indptr.flags.writeable = self.indices.flags.writeable = False
+        n, indptr, indices = self.n, self.indptr, self.indices
+        if (n < 0 or indptr.shape != (n + 1,) or indices.ndim != 1 or indptr[0] != 0
+                or indptr[-1] != indices.shape[0] or np.any(np.diff(indptr) < 0)):
+            raise ValueError("indptr must hold n + 1 non-decreasing offsets from 0 to len(indices)")
+        if indices.size and not 0 <= indices.min() <= indices.max() < n:
+            raise ValueError(f"neighbor id out of range [0, {n})")
+        owner = np.repeat(np.arange(n), np.diff(indptr))
+        if np.any(indices == owner) or np.any(
+                (np.diff(indices) <= 0) & (owner[1:] == owner[:-1])):
+            raise ValueError("graph rows must hold sorted neighbors without self-loops or repeats")
+        # the keys u * n + v are ascending by now; symmetric rows give the same keys for (v, u)
+        if not self.directed and not np.array_equal(np.sort(indices * n + owner),
+                                                    owner * n + indices):
+            raise ValueError("undirected graph rows must be symmetric")
+        ids = np.asarray(self.external_ids)
+        if ids.shape != (n,) or np.any(ids[1:] <= ids[:-1]):
+            raise ValueError("external_ids must hold n strictly increasing ids")
 
     @property
     def num_edges(self) -> int:

@@ -128,47 +128,45 @@ def query_arrays(
 
     Returns (definite, value): a bool mask and, per pair, 1.0/0.0 for
     definite answers or the fuzzy likelihood. Directed models use only
-    the source side; undirected combine both sides with minimum. The
-    scalar query ops delegate here, so all paths agree bit for bit.
+    the source side; undirected combine both sides with minimum. This is
+    the one validated entry: the scalar query ops delegate here, so all
+    paths agree bit for bit. Raises ValueError for id arrays that are not
+    1-d or differ in length, an id outside [0, n) and a self pair.
     """
-    us = np.asarray(us, dtype=np.int64)
-    vs = np.asarray(vs, dtype=np.int64)
-    r, R = cg.radii.r, cg.radii.R
-    d = pair_distances(cg.embedding.coords, us, vs)
+    us, vs = np.asarray(us), np.asarray(vs)
+    if us.ndim != 1 or us.shape != vs.shape:
+        raise ValueError(f"us and vs must be 1-d and of equal length, got shapes "
+                         f"{us.shape} and {vs.shape}")
+    for ids in (us, vs):  # before the int64 cast, which would wrap ids >= 2**63
+        bad = ids[(ids < 0) | (ids >= cg.n)]
+        if bad.size:
+            check_node_id(bad[0], cg.n)
+    us, vs = us.astype(np.int64, copy=False), vs.astype(np.int64, copy=False)
+    if np.any(us == vs):
+        raise ValueError("self query")
 
-    if cg.directed:
-        yes = d <= r[us]
-        no = ~yes & (d >= R[us])
-    else:
-        yes = (d <= r[us]) | (d <= r[vs])
-        no = ~yes & ((d >= R[us]) | (d >= R[vs]))
+    sides = us[None, :] if cg.directed else np.stack([us, vs])
+    side_r, side_R = cg.radii.r[sides], cg.radii.R[sides]
+    d = np.broadcast_to(pair_distances(cg.embedding.coords, us, vs), sides.shape)
+    yes = (d <= side_r).any(axis=0)
+    no = ~yes & (d >= side_R).any(axis=0)
 
-    value = np.where(yes, 1.0, 0.0)
     fuzzy_mask = ~(yes | no)
-    idx = np.flatnonzero(fuzzy_mask)
-    if idx.size:
-        sides = us[idx][None, :] if cg.directed else np.stack([us[idx], vs[idx]])
-        side_r, side_R = r[sides], R[sides]
-        fd = np.broadcast_to(d[idx], sides.shape)
-        ok = (side_r != R_NONE) & np.isfinite(side_R)  # sentinel sides contribute nothing
-        x = (side_R[ok] - fd[ok]) / (side_R[ok] - side_r[ok])
-        outs = np.full(sides.shape, np.nan)
-        # one call for every side: evaluate_many reduces per row, so batching is bit-exact
-        outs[ok] = evaluate_many(cg.fuzzy, np.clip(x, 0.0, 1.0))
-        combined = np.fmin.reduce(outs, axis=0)  # NaN (sentinel) sides drop out
-        value[idx] = np.where(np.isnan(combined), 0.5, combined)  # all sides degenerate
-    return ~fuzzy_mask, value
+    ok = fuzzy_mask & (side_r != R_NONE) & np.isfinite(side_R)  # sentinel sides contribute nothing
+    x = (side_R[ok] - d[ok]) / (side_R[ok] - side_r[ok])
+    outs = np.full(sides.shape, np.nan)
+    # one call for every side: evaluate_many reduces per row, so batching is bit-exact
+    outs[ok] = evaluate_many(cg.fuzzy, np.clip(x, 0.0, 1.0))
+    combined = np.fmin.reduce(outs, axis=0)  # NaN (sentinel) sides drop out
+    fuzzy = np.where(np.isnan(combined), 0.5, combined)  # all sides degenerate
+    return ~fuzzy_mask, np.where(yes, 1.0, np.where(no, 0.0, fuzzy))
 
 
 def _query_pair(cg: CompressedGraph, u: int, v: int, directed: bool) -> Answer:
     if cg.directed != directed:
         hint = "directed; use query_directed" if cg.directed else "undirected; use query"
         raise ValueError(f"model is {hint}")
-    check_node_id(u, cg.n)
-    check_node_id(v, cg.n)
-    if u == v:
-        raise ValueError("self query")
-    definite, value = query_arrays(cg, np.array([u]), np.array([v]))
+    definite, value = query_arrays(cg, [u], [v])
     return Answer(DEFINITE if definite[0] else FUZZY, float(value[0]))
 
 
@@ -242,7 +240,8 @@ def load(source: IO[bytes]) -> CompressedGraph:
     increasing = external_ids[1:] > external_ids[:-1]
     _reject_first(increasing, off + 8, 8, "external ids not strictly increasing")
     off += 8 * n
-    coords = np.frombuffer(blob, dtype="<f8", count=n * k, offset=off).reshape(n, k).copy()
+    # row-major in the file; Embedding makes the one axis-major copy
+    coords = np.frombuffer(blob, dtype="<f8", count=n * k, offset=off).reshape(n, k)
     _reject_first(np.isfinite(coords).ravel(), off, 8, "non-finite coordinate")
     off += 8 * n * k
     radii_flat = np.frombuffer(blob, dtype="<f8", count=2 * n, offset=off).reshape(n, 2)

@@ -7,11 +7,15 @@ yes; R = +inf means no distance triggers a definite no. Quantization
 rounds each radius to an integer in the direction that preserves these
 guarantees.
 
-Every distance comes from one kernel, ``_axis_distances``: it adds the
-squared coordinate differences axis by axis, j = 0..k-1, then takes the
-square root. The radii scan, ``distances_from`` and the query side's
-``pair_distances`` therefore agree bit for bit, which the soundness of
-definite answers rests on.
+Every distance comes from one kernel, ``_axis_distances``: it takes one
+(a_j, b_j) operand pair per axis, adds the squared differences axis by
+axis, j = 0..k-1, then takes the square root. The radii scan,
+``distances_from`` and the query side's ``pair_distances`` therefore
+agree bit for bit, which the soundness of definite answers rests on.
+Coordinates are axis-major (``Embedding.coords`` is Fortran-ordered), so
+``coords.T`` is the C-contiguous (k, n) table and each caller hands the
+kernel contiguous axis rows, or one gather per axis for m pairs: no row
+gather of (m, k) and no transposed copy.
 
 FastMap often puts many nodes on one point, so the scan works on the u
 distinct points of the embedding, not on the n nodes. The kernel fills
@@ -56,15 +60,16 @@ class NodeRadii:
         return self.r.shape[0]
 
 
-def _axis_distances(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """The one distance kernel: sqrt of (a[j] - b[j])**2 summed into ``out``
-    axis by axis, j = 0..k-1. a[j] and b[j] broadcast to out's shape.
+def _axis_distances(axes, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The one distance kernel: sqrt of (a_j - b_j)**2 summed into ``out``
+    axis by axis, over the (a_j, b_j) pairs of ``axes`` for j = 0..k-1.
+    a_j and b_j broadcast to out's shape.
 
     Soundness needs build-time and query-time distances bitwise equal, so
     every distance goes through here and sums its axes in this order.
     """
-    for j in range(len(a)):
-        np.subtract(a[j], b[j], out=tmp)
+    for j, (a, b) in enumerate(axes):
+        np.subtract(a, b, out=tmp)
         if j == 0:
             np.multiply(tmp, tmp, out=out)
         else:
@@ -76,13 +81,16 @@ def _axis_distances(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 def distances_from(coords: np.ndarray, v: int) -> np.ndarray:
     """Euclidean distances from node v to every node (self included, 0)."""
     n = coords.shape[0]
-    return _axis_distances(coords.T, coords[v], np.empty(n), np.empty(n))
+    return _axis_distances(zip(coords.T, coords[v]), np.empty(n), np.empty(n))
 
 
 def pair_distances(coords: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Euclidean distances for aligned id arrays; same kernel as distances_from."""
+    """Euclidean distances for aligned id arrays; same kernel as distances_from.
+
+    Gathers one axis at a time, so temporaries are O(m), not O(m * k).
+    """
     m = np.shape(us)[0]
-    return _axis_distances(coords[us].T, coords[vs].T, np.empty(m), np.empty(m))
+    return _axis_distances(((c[us], c[vs]) for c in coords.T), np.empty(m), np.empty(m))
 
 
 def euclidean_distance(e: Embedding, u: int, v: int) -> float:
@@ -101,18 +109,13 @@ def _check_inputs(g: Graph, e: Embedding) -> None:
     bad = np.flatnonzero(~np.isfinite(e.coords).all(axis=1))
     if bad.size:
         raise ValueError(f"non-finite coordinate at node {bad[0]}")
-    # the count mask of _radii_rule would hide a non-neighbor otherwise
-    owner = np.repeat(np.arange(g.n), np.diff(g.indptr))
-    if np.any(g.indices == owner) or np.any(
-            (np.diff(g.indices) <= 0) & (owner[1:] == owner[:-1])):
-        raise ValueError("graph rows must hold sorted neighbors without self-loops or repeats")
 
 
 @dataclass(eq=False)
 class PointGroups:
     """The distinct points of an embedding and the nodes on each.
 
-    ``points_t`` is the (k, u) transposed table of distinct points,
+    ``points_t`` is the (k, u) axis-major table of distinct points,
     ``inv[v]`` the point of node v and ``cnt[q]`` the number of nodes on
     point q. ``order`` lists the nodes grouped by point, so the nodes on
     points lo..hi-1 are ``order[offsets[lo]:offsets[hi]]``.
@@ -136,27 +139,26 @@ def group_points(coords: np.ndarray) -> PointGroups:
     every difference, so either sign gives the same distance bits.
     """
     order = np.lexsort(coords.T[::-1])
-    ranked = coords[order]
+    ranked_t = coords.T.take(order, axis=1)  # take keeps the (k, n) table C-contiguous
     new = np.ones(order.size, dtype=bool)
-    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    np.any(ranked_t[:, 1:] != ranked_t[:, :-1], axis=0, out=new[1:])
     starts = np.flatnonzero(new)
     inv = np.empty(order.size, dtype=np.int64)
     inv[order] = np.cumsum(new) - 1
     offsets = np.append(starts, order.size)
-    return PointGroups(points_t=np.ascontiguousarray(ranked[starts].T), inv=inv,
+    return PointGroups(points_t=ranked_t.take(starts, axis=1), inv=inv,
                        cnt=np.diff(offsets), order=order, offsets=offsets)
 
 
 def _block_distances(
-    coords_t: np.ndarray, lo: int, hi: int, out: np.ndarray, tmp: np.ndarray
+    points_t: np.ndarray, lo: int, hi: int, out: np.ndarray, tmp: np.ndarray
 ) -> np.ndarray:
     """Distance rows of points lo..hi-1 to every point, in one kernel call.
 
-    coords_t is a (k, u) transposed point table; out and tmp are reusable
+    points_t is a (k, u) axis-major point table; out and tmp are reusable
     buffers with at least hi - lo rows of u.
     """
-    return _axis_distances(coords_t[:, None, :], coords_t[:, lo:hi, None],
-                           out[: hi - lo], tmp[: hi - lo])
+    return _axis_distances(zip(points_t, points_t[:, lo:hi, None]), out[: hi - lo], tmp[: hi - lo])
 
 
 def _segment_max(values: np.ndarray, sizes: np.ndarray, empty: float) -> np.ndarray:
@@ -180,7 +182,7 @@ def _radii_rule(
     and R = floor(M) + 1, each falling back to the sound unquantized
     value if the integer candidate ever failed its soundness check.
     The count mask needs CSR rows free of self-loops and repeats;
-    ``_check_inputs`` enforces that.
+    ``Graph`` guarantees that.
     """
     c, u = rows.shape
     first = g.indptr[nodes]

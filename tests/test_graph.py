@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzmap import (
+    Graph,
     GraphParseError,
     adjacent,
     canonical_edge_list,
@@ -183,6 +184,38 @@ def test_csr_matches_set_reference(edges, directed):
     assert listed == sorted(set(listed))  # ascending, each edge once
     ref_keys = sorted(u * g.n + v for u in range(g.n) for v in adj[u] if directed or u < v)
     assert _edge_keys(g).tolist() == ref_keys
+
+
+@pytest.mark.parametrize(
+    "n, directed, indptr, indices, external_ids, message",
+    [
+        (2, True, [0, 1], [1], None, r"indptr must hold n \+ 1"),
+        (2, True, [1, 1, 2], [1, 0], None, r"indptr must hold n \+ 1"),
+        (3, True, [0, 2, 1, 2], [1, 2], None, r"indptr must hold n \+ 1"),
+        (2, True, [0, 1, 1], [1, 0], None, r"indptr must hold n \+ 1"),
+        # read as node 2, -1 once gave node 0 a definite-yes radius reaching
+        # its non-neighbor 2 (coords [[0], [5], [1]])
+        (3, True, [0, 1, 1, 1], [-1], None, r"neighbor id out of range \[0, 3\)"),
+        (3, True, [0, 1, 1, 1], [3], None, r"neighbor id out of range \[0, 3\)"),
+        (3, True, [0, 1, 1, 1], [0], None, "without self-loops or repeats"),
+        (3, True, [0, 2, 2, 2], [1, 1], None, "without self-loops or repeats"),
+        (3, True, [0, 2, 2, 2], [2, 1], None, "without self-loops or repeats"),
+        (3, False, [0, 1, 1, 1], [1], None, "must be symmetric"),
+        (3, False, [0, 1, 2, 2], [1, 2], None, "must be symmetric"),
+        (2, True, [0, 1, 1], [1], [0], "external_ids must hold n strictly increasing"),
+        (2, True, [0, 1, 1], [1], [5, 5], "external_ids must hold n strictly increasing"),
+        (2, True, [0, 1, 1], [1], [5, 3], "external_ids must hold n strictly increasing"),
+    ],
+    ids=["indptr-length", "indptr-start", "indptr-decreasing", "indptr-end", "neighbor-minus-one",
+         "neighbor-n", "self-loop", "repeat", "unsorted", "one-way-edge", "one-way-path",
+         "ids-length", "ids-repeat", "ids-descending"],
+)
+def test_malformed_csr_rejected(n, directed, indptr, indices, external_ids, message):
+    ids = np.arange(n) if external_ids is None else external_ids
+    with pytest.raises(ValueError, match=message):
+        Graph(n=n, directed=directed, indptr=np.array(indptr),
+              indices=np.array(indices, dtype=np.int64),
+              external_ids=np.array(ids, dtype=np.uint64))
 
 
 def test_csr_arrays_are_read_only(uncertain_pair_graph):

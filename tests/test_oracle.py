@@ -19,6 +19,7 @@ from fuzzmap import (
     default_fcl_text,
     default_system,
     evaluate,
+    fastmap_embed,
     gnp_random_graph,
     graph_from_edges,
     load,
@@ -89,6 +90,35 @@ def test_query_errors(uncertain_pair_graph):
         query(dg, 0, 1)
     with pytest.raises(ValueError, match="use query"):
         query_directed(cg, 0, 1)
+
+
+# (us, vs) batches that must raise, each with the scalar (u, v) query
+# that raises the same message, or None where no scalar query can express
+# the fault; n = 5
+BAD_BATCHES = {
+    "minus-one": ([-1], [0], (-1, 0)),
+    "n": ([0], [5], (0, 5)),
+    "self-pair": ([0, 1], [2, 1], (1, 1)),
+    "m-vs-1": ([0, 1], [2], None),
+    "1-vs-m": ([2], [0, 1], None),
+    "2-d": ([[0], [1]], [[2], [3]], None),
+}
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+@pytest.mark.parametrize("case", sorted(BAD_BATCHES))
+def test_query_arrays_rejects_what_scalar_query_rejects(directed, case):
+    cg = build(graph_from_edges(DIGRAPH_ARCS, directed=directed), k=2, seed=0)
+    assert cg.n == 5
+    us, vs, pair = BAD_BATCHES[case]
+    with pytest.raises(ValueError) as batch:
+        query_arrays(cg, np.array(us), np.array(vs))
+    if pair is None:
+        assert "1-d and of equal length" in str(batch.value)
+    else:
+        with pytest.raises(ValueError) as scalar:
+            (query_directed if directed else query)(cg, *pair)
+        assert str(batch.value) == str(scalar.value)
 
 
 def test_undirected_symmetry(uncertain_pair_graph):
@@ -198,6 +228,17 @@ def test_save_load_roundtrip_exact(uncertain_pair_graph):
     assert np.array_equal(loaded.external_ids, cg.external_ids)
     assert loaded.fcl_text == cg.fcl_text
     assert loaded.embedding.pivots is None and loaded.embedding.seed is None
+
+
+def test_coords_are_axis_major(uncertain_pair_graph):
+    # the kernel reads coords.T row by row: built, loaded and hand-made
+    # embeddings all hold Fortran-ordered coords
+    e = fastmap_embed(uncertain_pair_graph, 3, seed=9)
+    loaded, _, _ = roundtrip(build(uncertain_pair_graph, k=3, seed=9))
+    manual = manual_model(np.arange(12.0).reshape(6, 2), r=[-1.0] * 6, R=[np.inf] * 6)
+    for coords in (e.coords, loaded.embedding.coords, manual.embedding.coords):
+        assert coords.flags.f_contiguous and not coords.flags.c_contiguous
+    assert np.array_equal(loaded.embedding.coords, e.coords)
 
 
 def test_fuzzy_system_must_match_fcl_text(uncertain_pair_graph):

@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,11 +39,13 @@ def test_euclidean_basics():
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), n=st.integers(2, 40), k=st.integers(1, 16))
-def test_pair_distances_bitwise_equal_distances_from(data, n, k):
+@given(data=st.data(), n=st.integers(2, 40), k=st.integers(1, 16), order=st.sampled_from("CF"))
+def test_pair_distances_bitwise_equal_distances_from(data, n, k, order):
     # soundness: the radii are built from distances_from and queries read
-    # pair_distances, so the two must agree bit for bit in both directions
-    coords = data.draw(arrays(np.float64, (n, k), elements=st.floats(-1e6, 1e6)))
+    # pair_distances, so the two must agree bit for bit in both directions,
+    # whichever memory order the coords are in
+    coords = np.asarray(data.draw(arrays(np.float64, (n, k), elements=st.floats(-1e6, 1e6))),
+                        order=order)
     node = st.integers(0, n - 1)
     us, vs = np.array(data.draw(st.lists(st.tuples(node, node), min_size=1, max_size=50))).T
     d = pair_distances(coords, us, vs)
@@ -52,22 +55,42 @@ def test_pair_distances_bitwise_equal_distances_from(data, n, k):
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), n=st.integers(2, 3 * _BLOCK + 1), k=st.integers(1, 16))
-def test_block_rows_bitwise_equal_query_distances(data, n, k):
+@given(data=st.data(), n=st.integers(2, 3 * _BLOCK + 1), k=st.integers(1, 16),
+       order=st.sampled_from("CF"))
+def test_block_rows_bitwise_equal_query_distances(data, n, k, order):
     # the all-nodes scan reads its distances from these block rows, so each
-    # must equal what a query computes for the same pair, bit for bit
-    coords = data.draw(arrays(np.float64, (n, k), elements=st.floats(-1e6, 1e6)))
-    coords_t = np.ascontiguousarray(coords.T)
+    # must equal what a query computes for the same pair, bit for bit; in F
+    # order coords.T is the C-contiguous table the scan reads
+    coords = np.asarray(data.draw(arrays(np.float64, (n, k), elements=st.floats(-1e6, 1e6))),
+                        order=order)
     out, tmp = np.empty((2, _BLOCK, n))
     ids = np.arange(n)
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
-        rows = _block_distances(coords_t, lo, hi, out, tmp)
+        rows = _block_distances(coords.T, lo, hi, out, tmp)
         for i, v in enumerate(range(lo, hi)):
             row = rows[i].tobytes()
             assert row == distances_from(coords, v).tobytes()
             assert row == pair_distances(coords, np.full(n, v), ids).tobytes()
             assert row == pair_distances(coords, ids, np.full(n, v)).tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 16])
+def test_pair_distances_memory_is_linear_in_pairs(k):
+    # one axis gathered at a time: the output, one scratch array and the
+    # gathers of at most two axes live at once, whatever k; gathering whole
+    # (m, k) rows would need 2 m k floats on top
+    rng = np.random.default_rng(k)
+    coords = embed_of(rng.normal(size=(1000, k))).coords
+    m = 100_000
+    us, vs = rng.integers(0, 1000, (2, m))
+    tracemalloc.start()
+    try:
+        pair_distances(coords, us, vs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * m * 8
 
 
 def test_euclidean_matches_independent_norm():
@@ -273,16 +296,12 @@ def test_non_finite_coords_rejected(bad):
 
 @pytest.mark.parametrize("row", [[0], [1, 1], [2, 1]], ids=["self-loop", "repeat", "unsorted"])
 def test_malformed_graph_rows_rejected(row):
-    # node 3 shares node 0's point and node 2 node 1's; a self-loop or a
-    # repeated neighbor would make the count mask hide one of them. Repeats
-    # are found by row order, so an unsorted row is rejected as well.
-    g = Graph(n=4, directed=True, indptr=np.array([0] + [len(row)] * 4), indices=np.array(row),
+    # a self-loop or a repeated neighbor would make the scan's count mask
+    # hide a coincident non-neighbor, so no Graph may hold one. Repeats are
+    # found by row order, so an unsorted row is rejected as well.
+    with pytest.raises(ValueError, match="self-loops or repeats"):
+        Graph(n=4, directed=True, indptr=np.array([0] + [len(row)] * 4), indices=np.array(row),
               external_ids=np.arange(4, dtype=np.uint64))
-    e = embed_of([[0.0], [1.0], [1.0], [0.0]])
-    with pytest.raises(ValueError, match="self-loops or repeats"):
-        compute_all_radii(g, e)
-    with pytest.raises(ValueError, match="self-loops or repeats"):
-        compute_radii(g, e, 0)
 
 
 def test_scan_logs_point_grouping(caplog):
