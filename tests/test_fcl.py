@@ -1,10 +1,16 @@
 import io
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzmap import (
     FclParseError,
+    FuzzyRule,
+    FuzzySystem,
+    MembershipFunction,
     default_fcl_text,
     default_system,
     evaluate_many,
@@ -176,3 +182,125 @@ def test_duplicate_block_rejected_with_line(block, second):
     with pytest.raises(FclParseError, match=rf"line {line}: duplicate {block} block"):
         parse_fcl(text)
 
+
+
+def variant(old: str, new: str) -> str:
+    """default.fcl with the first ``old`` replaced by ``new``."""
+    text = default_fcl_text()
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+# one malformed variant per parser branch, with its exact message
+MALFORMED = {
+    "second-var-input": (
+        variant("VAR_INPUT closeness : REAL; END_VAR",
+                "VAR_INPUT closeness : REAL; END_VAR\n    VAR_INPUT other : REAL; END_VAR"),
+        "line 7: only one input variable is supported"),
+    "second-var-output": (
+        variant("VAR_OUTPUT likelihood : REAL; END_VAR",
+                "VAR_OUTPUT likelihood : REAL; END_VAR\n    VAR_OUTPUT other : REAL; END_VAR"),
+        "line 8: only one output variable is supported"),
+    "fuzzify-undeclared": (
+        variant("FUZZIFY closeness", "FUZZIFY mystery"),
+        "line 9: FUZZIFY names undeclared input 'mystery'"),
+    "defuzzify-undeclared": (
+        variant("DEFUZZIFY likelihood", "DEFUZZIFY mystery"),
+        "line 14: DEFUZZIFY names undeclared output 'mystery'"),
+    "duplicate-block": (
+        variant("    RULEBLOCK", "    DEFUZZIFY likelihood\n    END_DEFUZZIFY\n    RULEBLOCK"),
+        "line 21: duplicate DEFUZZIFY block"),
+    "duplicate-term": (
+        variant("TERM close_to_R :=", "TERM close_to_r :="),
+        "line 11: duplicate TERM 'close_to_r'"),
+    "bad-vertex": (
+        variant("(0.0, 0.0) (1.0, 1.0);\n        TERM close_to_R",
+                "(0.2, 0.0) (0.1, 1.0);\n        TERM close_to_R"),
+        "line 10: TERM close_to_r: non-increasing x in membership vertices"),
+    "and-max": (
+        variant("AND : MIN;", "AND : MAX;"),
+        "line 22: expected MIN, got 'MAX'"),
+    "method-in-ruleblock": (
+        variant("ACCU : MAX;", "ACCU : MAX;\n        METHOD : COG;"),
+        "line 25: expected END_RULEBLOCK, got 'METHOD'"),
+    "and-in-defuzzify": (
+        variant("METHOD : COG;", "METHOD : COG;\n        AND : MIN;"),
+        "line 18: expected END_DEFUZZIFY, got 'AND'"),
+    "non-number-default": (
+        variant("DEFAULT := 0.5;", "DEFAULT := half;"),
+        "line 18: expected number, got 'half'"),
+    "rule-unknown-condition": (
+        variant("IF closeness IS close_to_R", "IF strangeness IS close_to_R"),
+        "line 26: rule condition names unknown variable 'strangeness'"),
+    "rule-unknown-conclusion": (
+        variant("THEN likelihood IS adjacent", "THEN chance IS adjacent"),
+        "line 25: rule conclusion names unknown variable 'chance'"),
+    "unresolved-term": (
+        variant("IS close_to_r THEN", "IS near THEN"),
+        "line 25: unresolved term 'near'"),
+    "trailing-content": (
+        variant("END_FUNCTION_BLOCK", "END_FUNCTION_BLOCK\nEND_VAR"),
+        "line 29: trailing content 'END_VAR'"),
+    "missing-var": (
+        "FUNCTION_BLOCK f\nEND_FUNCTION_BLOCK\n",
+        "missing VAR_INPUT or VAR_OUTPUT declaration"),
+    "missing-ruleblock": (
+        "FUNCTION_BLOCK f\n    VAR_INPUT x : REAL; END_VAR\n"
+        "    VAR_OUTPUT y : REAL; END_VAR\nEND_FUNCTION_BLOCK\n",
+        "missing RULEBLOCK"),
+    "unexpected-character": (
+        variant("DEFAULT := 0.5;", "DEFAULT := 0.5; #"),
+        "line 18: unexpected character '#'"),
+    "end-of-input": (
+        variant("END_FUNCTION_BLOCK", ""),
+        "line 27: unexpected end of input"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_variant_message(case):
+    text, message = MALFORMED[case]
+    with pytest.raises(FclParseError) as exc:
+        parse_fcl(text)
+    assert str(exc.value) == message
+
+
+KEYWORDS = {"FUNCTION_BLOCK", "END_FUNCTION_BLOCK", "VAR_INPUT", "VAR_OUTPUT", "END_VAR",
+            "REAL", "FUZZIFY", "END_FUZZIFY", "DEFUZZIFY", "END_DEFUZZIFY", "TERM",
+            "METHOD", "COG", "DEFAULT", "RULEBLOCK", "END_RULEBLOCK", "AND", "ACT",
+            "ACCU", "MIN", "MAX", "RULE", "IF", "IS", "THEN"}
+identifiers = st.from_regex(re.compile(r"[A-Za-z_][A-Za-z0-9_]{0,8}"), fullmatch=True).filter(
+    lambda name: name.upper() not in KEYWORDS)
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def membership_functions(draw):
+    xs = sorted(draw(st.sets(unit, min_size=1, max_size=5)))
+    return MembershipFunction(tuple((x, draw(unit)) for x in xs))
+
+
+@st.composite
+def fuzzy_systems(draw):
+    terms = st.dictionaries(identifiers, membership_functions(), min_size=1, max_size=4)
+    input_terms, output_terms = draw(terms), draw(terms)
+    rules = draw(st.lists(st.builds(FuzzyRule, st.sampled_from(sorted(input_terms)),
+                                    st.sampled_from(sorted(output_terms))),
+                          min_size=1, max_size=5))
+    return FuzzySystem(
+        input_var=draw(identifiers),
+        output_var=draw(identifiers),
+        input_terms=input_terms,
+        output_terms=output_terms,
+        rules=tuple(rules),
+        default_output=draw(unit),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzzy_systems())
+def test_to_fcl_parse_roundtrip_generated(sys):
+    text = to_fcl(sys)
+    again = parse_fcl(text)
+    assert again == sys
+    assert to_fcl(again) == text
