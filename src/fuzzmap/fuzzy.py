@@ -26,13 +26,6 @@ _CHUNK = 64  # rows per (chunk x grid) buffer: 0.5 MB, so each rule's pass stays
 
 _TOKEN = re.compile(r":=|[():;,]|[A-Za-z_][A-Za-z0-9_]*|[-+]?\d*\.?\d+(?:[eE][-+]?\d+)?")
 
-_KEYWORDS = {
-    "FUNCTION_BLOCK", "END_FUNCTION_BLOCK", "VAR_INPUT", "VAR_OUTPUT", "END_VAR",
-    "REAL", "FUZZIFY", "END_FUZZIFY", "DEFUZZIFY", "END_DEFUZZIFY", "TERM",
-    "METHOD", "COG", "DEFAULT", "RULEBLOCK", "END_RULEBLOCK", "AND", "ACT",
-    "ACCU", "MIN", "MAX", "RULE", "IF", "IS", "THEN",
-}
-
 
 class FclParseError(ValueError):
     """Raised when FCL text cannot be parsed or validated."""
@@ -160,6 +153,36 @@ def evaluate(sys: FuzzySystem, x: float) -> float:
 # --- FCL subset -------------------------------------------------------------
 
 
+# Statement forms read by _Tokens.read: uppercase words are keywords
+# (case-insensitive), "ident" and "number" capture a value, anything else
+# is punctuation matched exactly. A TERM continues with vertices and ';'.
+_STATEMENTS = {
+    "VAR_INPUT": "VAR_INPUT ident : REAL ; END_VAR",
+    "VAR_OUTPUT": "VAR_OUTPUT ident : REAL ; END_VAR",
+    "TERM": "TERM ident :=",
+    "METHOD": "METHOD : COG ;",
+    "DEFAULT": "DEFAULT := number ;",
+    "AND": "AND : MIN ;",
+    "ACT": "ACT : MIN ;",
+    "ACCU": "ACCU : MAX ;",
+    "RULE": "RULE number : IF ident IS ident THEN ident IS ident ;",
+}
+_VERTEX = "( number , number )"
+
+# the statements each block admits, in any order and number, before its END_
+_BLOCKS = {
+    "FUZZIFY": ("TERM",),
+    "DEFUZZIFY": ("TERM", "METHOD", "DEFAULT"),
+    "RULEBLOCK": ("AND", "ACT", "ACCU", "RULE"),
+}
+# the role of each declaration and of the term block naming it; one of each
+_VARIABLES = {"VAR_INPUT": "input", "VAR_OUTPUT": "output"}
+_TERM_BLOCKS = {"FUZZIFY": "input", "DEFUZZIFY": "output"}
+# every keyword of the grammar above; none may name a variable, term or block
+_KEYWORDS = {word for form in _STATEMENTS.values() for word in form.split() if word.isupper()}
+_KEYWORDS |= {end + block for block in (*_BLOCKS, "FUNCTION_BLOCK") for end in ("", "END_")}
+
+
 class _Tokens:
     """Token stream with line numbers for error reporting."""
 
@@ -189,16 +212,12 @@ class _Tokens:
         self.pos += 1
         return item
 
-    def expect_keyword(self, *names: str) -> str:
+    def expect(self, *accepted: str, keyword: bool = True) -> None:
+        """Consume one of ``accepted``: keywords in any case, punctuation exactly."""
         line, tok = self.next()
-        if tok.upper() not in names:
-            raise FclParseError(f"line {line}: expected {' or '.join(names)}, got '{tok}'")
-        return tok.upper()
-
-    def expect(self, literal: str) -> None:
-        line, tok = self.next()
-        if tok != literal:
-            raise FclParseError(f"line {line}: expected '{literal}', got '{tok}'")
+        if (tok.upper() if keyword else tok) not in accepted:
+            wanted = " or ".join(accepted) if keyword else f"'{accepted[0]}'"
+            raise FclParseError(f"line {line}: expected {wanted}, got '{tok}'")
 
     def ident(self) -> str:
         line, tok = self.next()
@@ -213,33 +232,32 @@ class _Tokens:
         except ValueError:
             raise FclParseError(f"line {line}: expected number, got '{tok}'") from None
 
-    def done(self) -> bool:
-        return self.pos >= len(self.items)
-
-
-def _parse_term(tokens: _Tokens) -> tuple[str, MembershipFunction]:
-    name = tokens.ident()
-    tokens.expect(":=")
-    vertices: list[tuple[float, float]] = []
-    line, _ = tokens.peek()
-    while tokens.peek()[1] == "(":
-        tokens.expect("(")
-        x = tokens.number()
-        tokens.expect(",")
-        mu = tokens.number()
-        tokens.expect(")")
-        vertices.append((x, mu))
-    tokens.expect(";")
-    try:
-        return name, MembershipFunction(tuple(vertices))
-    except FclParseError as exc:
-        raise FclParseError(f"line {line}: TERM {name}: {exc}") from None
+    def read(self, form: str) -> list:
+        """Consume the fixed token sequence ``form``; returns its captured values."""
+        values = []
+        for word in form.split():
+            if word == "ident":
+                values.append(self.ident())
+            elif word == "number":
+                values.append(self.number())
+            else:
+                self.expect(word, keyword=word.isupper())
+        return values
 
 
 def _add_term(terms: dict[str, MembershipFunction], tokens: _Tokens) -> None:
-    """Parse one TERM (the next token) into ``terms``; a repeated name is an error."""
-    line, _ = tokens.next()
-    name, mf = _parse_term(tokens)
+    """Read one TERM statement into ``terms``; a repeated name is an error."""
+    line, _ = tokens.peek()
+    (name,) = tokens.read(_STATEMENTS["TERM"])
+    vertex_line, _ = tokens.peek()
+    vertices = []
+    while tokens.peek()[1] == "(":
+        vertices.append(tuple(tokens.read(_VERTEX)))
+    tokens.expect(";", keyword=False)
+    try:
+        mf = MembershipFunction(tuple(vertices))
+    except FclParseError as exc:
+        raise FclParseError(f"line {vertex_line}: TERM {name}: {exc}") from None
     if name in terms:
         raise FclParseError(f"line {line}: duplicate TERM '{name}'")
     terms[name] = mf
@@ -257,20 +275,20 @@ def parse_fcl(text: str | bytes | IO) -> FuzzySystem:
     if hasattr(text, "read"):
         text = text.read()
     if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FclParseError(f"input is not UTF-8: {exc}") from None
 
     tokens = _Tokens(text)
-    tokens.expect_keyword("FUNCTION_BLOCK")
+    tokens.expect("FUNCTION_BLOCK")
     tokens.ident()
 
-    input_var: str | None = None
-    output_var: str | None = None
-    input_terms: dict[str, MembershipFunction] = {}
-    output_terms: dict[str, MembershipFunction] = {}
+    variables: dict[str, str] = {}  # role -> declared name
+    terms: dict[str, dict[str, MembershipFunction]] = {"input": {}, "output": {}}
     rules: list[tuple[int, str, str, str, str]] = []
     default_output = 0.5
-    saw_ruleblock = False
-    blocks_seen: set[str] = set()  # FUZZIFY / DEFUZZIFY, at most once each
+    blocks_seen: set[str] = set()
 
     while True:
         line, tok = tokens.peek()
@@ -278,117 +296,60 @@ def parse_fcl(text: str | bytes | IO) -> FuzzySystem:
         if keyword == "END_FUNCTION_BLOCK":
             tokens.next()
             break
-        if keyword in ("VAR_INPUT", "VAR_OUTPUT"):
-            tokens.next()
-            name = tokens.ident()
-            tokens.expect(":")
-            tokens.expect_keyword("REAL")
-            tokens.expect(";")
-            tokens.expect_keyword("END_VAR")
-            if keyword == "VAR_INPUT":
-                if input_var is not None:
-                    raise FclParseError(f"line {line}: only one input variable is supported")
-                input_var = name
-            else:
-                if output_var is not None:
-                    raise FclParseError(f"line {line}: only one output variable is supported")
-                output_var = name
-        elif keyword in blocks_seen:
-            raise FclParseError(f"line {line}: duplicate {keyword} block")
-        elif keyword == "FUZZIFY":
-            blocks_seen.add(keyword)
-            tokens.next()
-            var = tokens.ident()
-            if input_var is None or var != input_var:
-                raise FclParseError(f"line {line}: FUZZIFY names undeclared input '{var}'")
-            while tokens.peek()[1].upper() == "TERM":
-                _add_term(input_terms, tokens)
-            tokens.expect_keyword("END_FUZZIFY")
-        elif keyword == "DEFUZZIFY":
-            blocks_seen.add(keyword)
-            tokens.next()
-            var = tokens.ident()
-            if output_var is None or var != output_var:
-                raise FclParseError(f"line {line}: DEFUZZIFY names undeclared output '{var}'")
-            while True:
-                inner = tokens.peek()[1].upper()
-                if inner == "TERM":
-                    _add_term(output_terms, tokens)
-                elif inner == "METHOD":
-                    tokens.next()
-                    tokens.expect(":")
-                    tokens.expect_keyword("COG")
-                    tokens.expect(";")
-                elif inner == "DEFAULT":
-                    tokens.next()
-                    tokens.expect(":=")
-                    default_output = tokens.number()
-                    tokens.expect(";")
-                else:
-                    break
-            tokens.expect_keyword("END_DEFUZZIFY")
-        elif keyword == "RULEBLOCK":
-            tokens.next()
-            tokens.ident()
-            saw_ruleblock = True
-            while True:
-                inner_line, inner = tokens.peek()
-                upper = inner.upper()
-                if upper in ("AND", "ACT"):
-                    tokens.next()
-                    tokens.expect(":")
-                    tokens.expect_keyword("MIN")
-                    tokens.expect(";")
-                elif upper == "ACCU":
-                    tokens.next()
-                    tokens.expect(":")
-                    tokens.expect_keyword("MAX")
-                    tokens.expect(";")
-                elif upper == "RULE":
-                    tokens.next()
-                    tokens.number()
-                    tokens.expect(":")
-                    tokens.expect_keyword("IF")
-                    in_var = tokens.ident()
-                    tokens.expect_keyword("IS")
-                    in_term = tokens.ident()
-                    tokens.expect_keyword("THEN")
-                    out_var = tokens.ident()
-                    tokens.expect_keyword("IS")
-                    out_term = tokens.ident()
-                    tokens.expect(";")
-                    rules.append((inner_line, in_var, in_term, out_var, out_term))
-                else:
-                    break
-            tokens.expect_keyword("END_RULEBLOCK")
-        else:
+        if keyword in _VARIABLES:
+            role = _VARIABLES[keyword]
+            (name,) = tokens.read(_STATEMENTS[keyword])
+            if role in variables:
+                raise FclParseError(f"line {line}: only one {role} variable is supported")
+            variables[role] = name
+            continue
+        if keyword not in _BLOCKS:
             raise FclParseError(f"line {line}: unknown keyword '{tok}'")
+        if keyword in _TERM_BLOCKS and keyword in blocks_seen:
+            raise FclParseError(f"line {line}: duplicate {keyword} block")
+        blocks_seen.add(keyword)
+        tokens.next()
+        name = tokens.ident()
+        role = _TERM_BLOCKS.get(keyword)
+        if role and name != variables.get(role):
+            raise FclParseError(f"line {line}: {keyword} names undeclared {role} '{name}'")
+        while (inner := tokens.peek()[1].upper()) in _BLOCKS[keyword]:
+            inner_line, _ = tokens.peek()
+            if inner == "TERM":
+                _add_term(terms[role], tokens)
+                continue
+            values = tokens.read(_STATEMENTS[inner])
+            if inner == "DEFAULT":
+                (default_output,) = values
+            elif inner == "RULE":
+                rules.append((inner_line, *values[1:]))
+        tokens.expect(f"END_{keyword}")
 
-    if not tokens.done():
+    if tokens.pos < len(tokens.items):
         line, tok = tokens.peek()
         raise FclParseError(f"line {line}: trailing content '{tok}'")
-    if input_var is None or output_var is None:
+    if len(variables) < 2:
         raise FclParseError("missing VAR_INPUT or VAR_OUTPUT declaration")
-    if not saw_ruleblock:
+    if "RULEBLOCK" not in blocks_seen:
         raise FclParseError("missing RULEBLOCK")
 
     checked_rules = []
     for line, in_var, in_term, out_var, out_term in rules:
-        if in_var != input_var:
+        if in_var != variables["input"]:
             raise FclParseError(f"line {line}: rule condition names unknown variable '{in_var}'")
-        if out_var != output_var:
+        if out_var != variables["output"]:
             raise FclParseError(f"line {line}: rule conclusion names unknown variable '{out_var}'")
-        if in_term not in input_terms:
+        if in_term not in terms["input"]:
             raise FclParseError(f"line {line}: unresolved term '{in_term}'")
-        if out_term not in output_terms:
+        if out_term not in terms["output"]:
             raise FclParseError(f"line {line}: unresolved term '{out_term}'")
         checked_rules.append(FuzzyRule(in_term, out_term))
 
     return FuzzySystem(
-        input_var=input_var,
-        output_var=output_var,
-        input_terms=input_terms,
-        output_terms=output_terms,
+        input_var=variables["input"],
+        output_var=variables["output"],
+        input_terms=terms["input"],
+        output_terms=terms["output"],
         rules=tuple(checked_rules),
         default_output=default_output,
     )
@@ -400,17 +361,17 @@ def _fmt(value: float) -> str:
 
 def to_fcl(sys: FuzzySystem, name: str = "adjacency_likelihood") -> str:
     """Serialize a system to FCL text that parses back to equal behavior."""
+
+    def term_lines(terms: dict[str, MembershipFunction]):
+        for term, mf in terms.items():
+            pts = " ".join(f"({_fmt(x)}, {_fmt(mu)})" for x, mu in mf.vertices)
+            yield f"        TERM {term} := {pts};"
+
     lines = [f"FUNCTION_BLOCK {name}"]
     lines += [f"    VAR_INPUT {sys.input_var} : REAL; END_VAR"]
     lines += [f"    VAR_OUTPUT {sys.output_var} : REAL; END_VAR"]
-    lines += ["", f"    FUZZIFY {sys.input_var}"]
-    for term, mf in sys.input_terms.items():
-        pts = " ".join(f"({_fmt(x)}, {_fmt(mu)})" for x, mu in mf.vertices)
-        lines.append(f"        TERM {term} := {pts};")
-    lines += ["    END_FUZZIFY", "", f"    DEFUZZIFY {sys.output_var}"]
-    for term, mf in sys.output_terms.items():
-        pts = " ".join(f"({_fmt(x)}, {_fmt(mu)})" for x, mu in mf.vertices)
-        lines.append(f"        TERM {term} := {pts};")
+    lines += ["", f"    FUZZIFY {sys.input_var}", *term_lines(sys.input_terms)]
+    lines += ["    END_FUZZIFY", "", f"    DEFUZZIFY {sys.output_var}", *term_lines(sys.output_terms)]
     lines += [
         "        METHOD : COG;",
         f"        DEFAULT := {_fmt(sys.default_output)};",

@@ -213,6 +213,10 @@ MALFORMED = {
     "duplicate-term": (
         variant("TERM close_to_R :=", "TERM close_to_r :="),
         "line 11: duplicate TERM 'close_to_r'"),
+    "duplicate-term-bad-vertex": (  # the vertex check comes first
+        variant("TERM close_to_R := (0.0, 1.0) (1.0, 0.0);",
+                "TERM close_to_r := (1.0, 1.0) (0.0, 0.0);"),
+        "line 11: TERM close_to_r: non-increasing x in membership vertices"),
     "bad-vertex": (
         variant("(0.0, 0.0) (1.0, 1.0);\n        TERM close_to_R",
                 "(0.2, 0.0) (0.1, 1.0);\n        TERM close_to_R"),
