@@ -114,14 +114,23 @@ class Graph:
         )
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; bools are not ids (they would answer as 1/0)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_node_id(u: int, n: int) -> None:
-    """Raise ValueError unless u is an internal id in [0, n)."""
+    """Raise ValueError unless u is an integer internal id in [0, n)."""
+    if not _is_integer(u):
+        raise ValueError(f"node id {u!r} is not an integer")
     if not 0 <= u < n:
         raise ValueError(f"node id {u} out of range [0, {n})")
 
 
 def lookup_internal_id(external_ids: np.ndarray, external: int) -> int:
     """Binary search over sorted ids; range-checked before the uint64 cast."""
+    if not _is_integer(external):
+        raise ValueError(f"external node id {external!r} is not an integer")
     e = int(external)
     if 0 <= e <= _MAX_ID:
         i = int(np.searchsorted(external_ids, np.uint64(e)))

@@ -67,6 +67,10 @@ class CompressedGraph:
     fcl_text: str
 
     def __post_init__(self) -> None:
+        sizes = (self.embedding.n, len(self.radii.r), len(self.radii.R), len(self.external_ids))
+        if len(set(sizes)) != 1:
+            raise ValueError("model parts disagree in n: {} coordinate rows, {} r, {} R, "
+                             "{} external ids".format(*sizes))
         # save writes only fcl_text, so a system that differs from its
         # parse would answer differently after a save/load round trip
         if parse_fcl(self.fcl_text) != self.fuzzy:
@@ -131,13 +135,17 @@ def query_arrays(
     the source side; undirected combine both sides with minimum. This is
     the one validated entry: the scalar query ops delegate here, so all
     paths agree bit for bit. Raises ValueError for id arrays that are not
-    1-d or differ in length, an id outside [0, n) and a self pair.
+    1-d or differ in length, an id that is not an integer (floats and bools
+    included), an id outside [0, n) and a self pair.
     """
     us, vs = np.asarray(us), np.asarray(vs)
     if us.ndim != 1 or us.shape != vs.shape:
         raise ValueError(f"us and vs must be 1-d and of equal length, got shapes "
                          f"{us.shape} and {vs.shape}")
-    for ids in (us, vs):  # before the int64 cast, which would wrap ids >= 2**63
+    for ids in (us, vs):  # before the int64 cast, which would truncate or wrap
+        if ids.dtype.kind not in "iu":  # float, bool, or object holding big ints
+            for u in ids.tolist():
+                check_node_id(u, cg.n)
         bad = ids[(ids < 0) | (ids >= cg.n)]
         if bad.size:
             check_node_id(bad[0], cg.n)

@@ -77,6 +77,11 @@ def test_bytes_and_stream_inputs():
     assert parse_fcl(io.StringIO(default_fcl_text())).rules
 
 
+def test_undecodable_bytes_raise_parse_error():
+    with pytest.raises(FclParseError, match="input is not UTF-8: .*0xff"):
+        parse_fcl(b"\xff")
+
+
 def test_unresolved_term_names_the_term():
     text = default_fcl_text().replace("IS close_to_r ", "IS near ")
     with pytest.raises(FclParseError, match="near"):

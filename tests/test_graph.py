@@ -233,6 +233,16 @@ def test_unknown_external_ids_rejected(absent):
         g.internal_id(absent)
 
 
+def test_non_integer_ids_rejected():
+    # int() used to truncate 1.9 to external id 1 and parse '3'
+    g = graph_from_edges(HIGH_ID_EDGES)
+    for external in (1.9, "3", np.float64(7.0), True):
+        with pytest.raises(ValueError, match="is not an integer"):
+            g.internal_id(external)
+    with pytest.raises(ValueError, match="node id 1.5 is not an integer"):
+        g.neighbors(1.5)
+
+
 def test_adjacent_high_ids_resolve_to_distinct_rows():
     g = graph_from_edges(HIGH_ID_EDGES)
     assert g.internal_id(2**63) == 1

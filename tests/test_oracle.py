@@ -102,6 +102,8 @@ BAD_BATCHES = {
     "m-vs-1": ([0, 1], [2], None),
     "1-vs-m": ([2], [0, 1], None),
     "2-d": ([[0], [1]], [[2], [3]], None),
+    "float": ([1.5], [0], (1.5, 0)),
+    "bool": ([True], [False], (True, False)),
 }
 
 
@@ -119,6 +121,22 @@ def test_query_arrays_rejects_what_scalar_query_rejects(directed, case):
         with pytest.raises(ValueError) as scalar:
             (query_directed if directed else query)(cg, *pair)
         assert str(batch.value) == str(scalar.value)
+
+
+def test_empty_batch_answers_empty_arrays():
+    # np.asarray([]) is float64, which the non-integer id check must let through
+    cg = build(graph_from_edges(DIGRAPH_ARCS), k=2, seed=0)
+    definite, value = query_arrays(cg, [], [])
+    assert definite.shape == value.shape == (0,)
+
+
+def test_non_integer_external_ids_rejected():
+    cg = build(gnp_random_graph(30, 0.2, seed=1), k=3, seed=1)
+    for external in (1.9, "3", True):
+        with pytest.raises(ValueError, match=f"external node id {external!r} is not an integer"):
+            cg.internal_id(external)
+    with pytest.raises(ValueError, match="node id 1.0 is not an integer"):
+        cg.external_id(1.0)
 
 
 def test_undirected_symmetry(uncertain_pair_graph):
@@ -239,6 +257,19 @@ def test_coords_are_axis_major(uncertain_pair_graph):
     for coords in (e.coords, loaded.embedding.coords, manual.embedding.coords):
         assert coords.flags.f_contiguous and not coords.flags.c_contiguous
     assert np.array_equal(loaded.embedding.coords, e.coords)
+
+
+def test_model_parts_must_agree_in_n():
+    # 29 coordinate rows with 30 radii used to answer queries and save a
+    # file that load rejects
+    cg = build(gnp_random_graph(30, 0.2, seed=1), k=3, seed=1)
+    short = Embedding(coords=cg.embedding.coords[:29])
+    with pytest.raises(ValueError, match="29 coordinate rows, 30 r, 30 R, 30 external ids"):
+        dataclasses.replace(cg, embedding=short)
+    with pytest.raises(ValueError, match="disagree in n"):
+        dataclasses.replace(cg, radii=NodeRadii(cg.radii.r, cg.radii.R[:-1], cg.radii.quantized))
+    with pytest.raises(ValueError, match="disagree in n"):
+        dataclasses.replace(cg, external_ids=cg.external_ids[1:])
 
 
 def test_fuzzy_system_must_match_fcl_text(uncertain_pair_graph):
