@@ -212,11 +212,12 @@ class _Tokens:
         self.pos += 1
         return item
 
-    def expect(self, *accepted: str, keyword: bool = True) -> None:
-        """Consume one of ``accepted``: keywords in any case, punctuation exactly."""
+    def expect(self, word: str) -> None:
+        """Consume ``word``: a keyword (uppercase) in any case, punctuation exactly."""
         line, tok = self.next()
-        if (tok.upper() if keyword else tok) not in accepted:
-            wanted = " or ".join(accepted) if keyword else f"'{accepted[0]}'"
+        keyword = word.isupper()
+        if (tok.upper() if keyword else tok) != word:
+            wanted = word if keyword else repr(word)
             raise FclParseError(f"line {line}: expected {wanted}, got '{tok}'")
 
     def ident(self) -> str:
@@ -241,7 +242,7 @@ class _Tokens:
             elif word == "number":
                 values.append(self.number())
             else:
-                self.expect(word, keyword=word.isupper())
+                self.expect(word)
         return values
 
 
@@ -253,7 +254,7 @@ def _add_term(terms: dict[str, MembershipFunction], tokens: _Tokens) -> None:
     vertices = []
     while tokens.peek()[1] == "(":
         vertices.append(tuple(tokens.read(_VERTEX)))
-    tokens.expect(";", keyword=False)
+    tokens.expect(";")
     try:
         mf = MembershipFunction(tuple(vertices))
     except FclParseError as exc:
@@ -370,8 +371,8 @@ def to_fcl(sys: FuzzySystem, name: str = "adjacency_likelihood") -> str:
     lines = [f"FUNCTION_BLOCK {name}"]
     lines += [f"    VAR_INPUT {sys.input_var} : REAL; END_VAR"]
     lines += [f"    VAR_OUTPUT {sys.output_var} : REAL; END_VAR"]
-    lines += ["", f"    FUZZIFY {sys.input_var}", *term_lines(sys.input_terms)]
-    lines += ["    END_FUZZIFY", "", f"    DEFUZZIFY {sys.output_var}", *term_lines(sys.output_terms)]
+    lines += ["", f"    FUZZIFY {sys.input_var}", *term_lines(sys.input_terms), "    END_FUZZIFY"]
+    lines += ["", f"    DEFUZZIFY {sys.output_var}", *term_lines(sys.output_terms)]
     lines += [
         "        METHOD : COG;",
         f"        DEFAULT := {_fmt(sys.default_output)};",

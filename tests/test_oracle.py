@@ -130,15 +130,6 @@ def test_empty_batch_answers_empty_arrays():
     assert definite.shape == value.shape == (0,)
 
 
-def test_non_integer_external_ids_rejected():
-    cg = build(gnp_random_graph(30, 0.2, seed=1), k=3, seed=1)
-    for external in (1.9, "3", True):
-        with pytest.raises(ValueError, match=f"external node id {external!r} is not an integer"):
-            cg.internal_id(external)
-    with pytest.raises(ValueError, match="node id 1.0 is not an integer"):
-        cg.external_id(1.0)
-
-
 def test_undirected_symmetry(uncertain_pair_graph):
     cg = build(uncertain_pair_graph, k=2, seed=5)
     for u, v in itertools.combinations(range(cg.n), 2):
