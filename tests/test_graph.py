@@ -234,7 +234,6 @@ def test_unknown_external_ids_rejected(absent):
 
 
 def test_non_integer_ids_rejected():
-    # int() used to truncate 1.9 to external id 1 and parse '3'
     g = graph_from_edges(HIGH_ID_EDGES)
     for external in (1.9, "3", np.float64(7.0), True):
         with pytest.raises(ValueError, match="is not an integer"):

@@ -251,8 +251,6 @@ def test_coords_are_axis_major(uncertain_pair_graph):
 
 
 def test_model_parts_must_agree_in_n():
-    # 29 coordinate rows with 30 radii used to answer queries and save a
-    # file that load rejects
     cg = build(gnp_random_graph(30, 0.2, seed=1), k=3, seed=1)
     short = Embedding(coords=cg.embedding.coords[:29])
     with pytest.raises(ValueError, match="29 coordinate rows, 30 r, 30 R, 30 external ids"):
