@@ -84,6 +84,8 @@ class FuzzySystem:
     )
 
     def __post_init__(self) -> None:
+        if not 0.0 <= self.default_output <= 1.0:  # also refuses nan
+            raise FclParseError(f"DEFAULT must be in [0, 1], got {self.default_output}")
         if not self.rules:
             raise FclParseError("at least one rule is required")
         for rule in self.rules:
@@ -322,6 +324,9 @@ def parse_fcl(text: str | bytes | IO) -> FuzzySystem:
             values = tokens.read(_STATEMENTS[inner])
             if inner == "DEFAULT":
                 (default_output,) = values
+                if not 0.0 <= default_output <= 1.0:
+                    raise FclParseError(
+                        f"line {inner_line}: DEFAULT must be in [0, 1], got {default_output}")
             elif inner == "RULE":
                 rules.append((inner_line, *values[1:]))
         tokens.expect(f"END_{keyword}")

@@ -21,6 +21,8 @@ _MAX_ID = 2**64 - 1
 
 # token split: runs of spaces/tabs, or a single comma (optionally padded)
 _SPLIT = re.compile(r"\s*,\s*|[ \t]+")
+# the only bytes of a plain edge list, which _parse_plain reads without a line loop
+_PLAIN_BYTES = b"0123456789 \t\n"
 
 
 class GraphParseError(ValueError):
@@ -151,13 +153,22 @@ def adjacent(g: Graph, u: int, v: int) -> bool:
     return v in g.neighbors(u)
 
 
-def graph_from_edges(pairs: Iterable[tuple[int, int]], directed: bool = False) -> Graph:
+def graph_from_edges(pairs: Iterable[tuple[int, int]] | np.ndarray,
+                     directed: bool = False) -> Graph:
     """Build a Graph from (external_u, external_v) pairs.
 
-    Deduplicates edges and drops self-loops; nodes are the union of
-    endpoint ids, remapped densely in sorted order.
+    ``pairs`` is an iterable of pairs or an (m, 2) integer array, which is
+    used as is. Deduplicates edges and drops self-loops; nodes are the
+    union of endpoint ids, remapped densely in sorted order.
     """
-    ends = np.array(list(pairs), dtype=np.uint64).reshape(-1, 2)
+    if isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu":
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"edge array must have shape (m, 2), got {pairs.shape}")
+        if pairs.dtype.kind == "i" and pairs.size and pairs.min() < 0:
+            raise ValueError("edge array holds a negative node id")
+        ends = pairs.astype(np.uint64, copy=False)
+    else:
+        ends = np.array(list(pairs), dtype=np.uint64).reshape(-1, 2)
     loops = ends[:, 0] == ends[:, 1]
     if loops.any():
         log.warning("skipped %d self-loop edge(s)", int(loops.sum()))
@@ -169,7 +180,10 @@ def graph_from_edges(pairs: Iterable[tuple[int, int]], directed: bool = False) -
     if not directed:
         src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
     n = ids.shape[0]
-    rows, indices = np.divmod(np.unique(src * n + dst), n)  # sorted, deduplicated
+    # not np.unique: without return_* flags numpy >= 2.3 hashes, ~30x slower than a sort here
+    keys = np.sort(src * n + dst)
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    rows, indices = np.divmod(keys, n)  # sorted, deduplicated
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return Graph(n=n, directed=directed, indptr=indptr, indices=indices, external_ids=ids)
@@ -182,15 +196,56 @@ def parse_edge_list(text: str | bytes | IO, directed: bool = False) -> Graph:
     spaces/tabs or a single comma. Blank lines and lines starting with '#'
     or '%' are ignored. Self-loop lines are skipped (with a logged warning
     count); duplicate edges collapse.
+
+    Plain text, made only of ASCII digits, spaces, tabs and '\n' with
+    every line blank or holding two ids of under 20 digits, is read by
+    vectorised numpy code; this covers ``canonical_edge_list`` output and
+    headerless SNAP files. Any other input (comments, commas, CRLF line
+    ends, signs, longer ids, malformed lines) goes through a loop over
+    lines. Both give the same Graph, and every error, with its line
+    number, comes from the loop.
     """
     if hasattr(text, "read"):
         text = text.read()
-    if isinstance(text, (bytes, bytearray)):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise GraphParseError(f"input is not UTF-8: {exc}") from None
+    ends = _parse_plain(text)
+    if ends is None:
+        if isinstance(text, (bytes, bytearray)):
+            try:
+                text = text.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise GraphParseError(f"input is not UTF-8: {exc}") from None
+        ends = _parse_lines(text)
+    return graph_from_edges(ends, directed=directed)
 
+
+def _parse_plain(data: str | bytes | bytearray) -> np.ndarray | None:
+    """(m, 2) uint64 ids of a plain edge list, or None to leave it to _parse_lines.
+
+    Plain: only ASCII digits, spaces, tabs and '\n'; 0 or 2 tokens on every
+    line; at least one token; no token of 20 or more digits, so every id is
+    below 2**64. Such input parses as _parse_lines would, without raising.
+    """
+    if isinstance(data, str):
+        if not data.isascii():
+            return None
+        data = data.encode("ascii")
+    if not isinstance(data, (bytes, bytearray)) or data.translate(None, _PLAIN_BYTES):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # digits are the only bytes >= '0' left; +1 where a run of them starts, -1 one past its end
+    steps = np.diff((buf >= ord("0")).view(np.int8), prepend=0, append=0)
+    starts, stops = np.flatnonzero(steps == 1), np.flatnonzero(steps == -1)
+    if not starts.size or (stops - starts).max() >= 20:
+        return None
+    per_line = np.bincount(np.searchsorted(np.flatnonzero(buf == ord("\n")), starts))
+    if np.any((per_line != 0) & (per_line != 2)):
+        return None
+    # bytes, not bytearray: numpy reads a bytearray token as a sequence of byte values
+    return np.array(bytes(data).split(), dtype=np.uint64).reshape(-1, 2)
+
+
+def _parse_lines(text: str) -> np.ndarray:
+    """(m, 2) uint64 ids of any edge list, one line at a time; raises on bad lines."""
     pairs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -210,8 +265,7 @@ def parse_edge_list(text: str | bytes | IO, directed: bool = False) -> Graph:
         if u < 0 or v < 0 or u > _MAX_ID or v > _MAX_ID:
             raise GraphParseError(f"line {lineno}: node id out of 64-bit range: {raw!r}")
         pairs.append((u, v))
-
-    return graph_from_edges(pairs, directed=directed)
+    return np.array(pairs, dtype=np.uint64).reshape(-1, 2)
 
 
 def load_edge_list(path: str, directed: bool = False) -> Graph:

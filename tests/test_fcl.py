@@ -238,6 +238,15 @@ MALFORMED = {
     "non-number-default": (
         variant("DEFAULT := 0.5;", "DEFAULT := half;"),
         "line 18: expected number, got 'half'"),
+    "default-above-one": (
+        variant("DEFAULT := 0.5;", "DEFAULT := 7.5;"),
+        "line 18: DEFAULT must be in [0, 1], got 7.5"),
+    "default-negative": (
+        variant("DEFAULT := 0.5;", "DEFAULT := -0.25;"),
+        "line 18: DEFAULT must be in [0, 1], got -0.25"),
+    "default-inf": (
+        variant("DEFAULT := 0.5;", "DEFAULT := 1e999;"),
+        "line 18: DEFAULT must be in [0, 1], got inf"),
     "rule-unknown-condition": (
         variant("IF closeness IS close_to_R", "IF strangeness IS close_to_R"),
         "line 26: rule condition names unknown variable 'strangeness'"),

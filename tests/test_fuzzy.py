@@ -53,6 +53,10 @@ def test_system_validation():
         FuzzySystem("x", "y", {"a": ramp}, {"b": ramp}, rules=())
     with pytest.raises(FclParseError, match="unresolved"):
         FuzzySystem("x", "y", {"a": ramp}, {"b": ramp}, rules=(FuzzyRule("near", "b"),))
+    for bad in (7.5, -0.25, float("inf"), float("nan")):
+        with pytest.raises(FclParseError, match=r"DEFAULT must be in \[0, 1\]"):
+            FuzzySystem("x", "y", {"a": ramp}, {"b": ramp}, rules=(FuzzyRule("a", "b"),),
+                        default_output=bad)
 
 
 def test_default_system_shape():

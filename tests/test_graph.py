@@ -1,8 +1,9 @@
+import io
 import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from fuzzmap import (
@@ -13,6 +14,7 @@ from fuzzmap import (
     graph_from_edges,
     parse_edge_list,
 )
+from fuzzmap.graph import _parse_lines, _parse_plain
 from fuzzmap.harness import _edge_keys
 
 from conftest import HIGH_ID_EDGES
@@ -69,6 +71,10 @@ def test_line_order_does_not_matter():
         ("1 2\nx y\n", "line 2"),
         ("1,2,3\n", "line 1"),
         ("-1 2\n", "line 1"),
+        # defects after plain lines: the plain reader must hand over, not shift the line
+        ("1 2\n3 4 5\n", "line 2"),
+        ("1 2\n3\n", "line 2"),
+        ("1 2\n18446744073709551616 3\n", "line 2"),
     ],
 )
 def test_malformed_lines_report_line_numbers(bad, fragment):
@@ -164,15 +170,23 @@ def test_large_external_ids_remap_densely():
 _ext_id = st.one_of(st.integers(0, 12), st.integers(2**64 - 4, 2**64 - 1))
 
 
-@settings(max_examples=100, deadline=None)
+@pytest.mark.parametrize("as_array", [False, True], ids=["tuples", "uint64-array"])
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     edges=st.lists(st.tuples(_ext_id, _ext_id), min_size=1, max_size=40).filter(
         lambda es: any(u != v for u, v in es)
     ),
     directed=st.booleans(),
 )
-def test_csr_matches_set_reference(edges, directed):
-    g = graph_from_edges(edges, directed=directed)
+def test_csr_matches_set_reference(caplog, as_array, edges, directed):
+    pairs = np.array(edges, dtype=np.uint64) if as_array else edges
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="fuzzmap.graph"):
+        g = graph_from_edges(pairs, directed=directed)
+    loops = sum(u == v for u, v in edges)
+    assert [r.getMessage() for r in caplog.records] == (
+        [f"skipped {loops} self-loop edge(s)"] if loops else [])
     ids, adj = adjacency_sets_oracle(edges, directed)
     assert g.external_ids.tolist() == ids
     for u in range(g.n):
@@ -184,6 +198,68 @@ def test_csr_matches_set_reference(edges, directed):
     assert listed == sorted(set(listed))  # ascending, each edge once
     ref_keys = sorted(u * g.n + v for u in range(g.n) for v in adj[u] if directed or u < v)
     assert _edge_keys(g).tolist() == ref_keys
+
+
+def test_edge_array_shape_and_sign_checked():
+    with pytest.raises(ValueError, match=r"shape \(m, 2\), got \(2, 3\)"):
+        graph_from_edges(np.zeros((2, 3), dtype=np.uint64))
+    with pytest.raises(ValueError, match="negative node id"):
+        graph_from_edges(np.array([[1, -1]]))
+    assert graph_from_edges(np.array([[1, 7]], dtype=np.int32)) == graph_from_edges([(1, 7)])
+
+
+# plain-reader differential: mostly text the plain reader takes, with every
+# condition that must hand it to the line loop mixed in at a lower rate
+_id_token = st.sampled_from(["short"] * 24 + ["19 digits", "20 digits", "zeros", "edge"]).flatmap(
+    lambda kind: {
+        "short": st.integers(0, 99999).map(str),
+        "19 digits": st.integers(10**18, 10**19 - 1).map(str),  # the longest plain token
+        "20 digits": st.integers(10**19, 2**64 - 1).map(str),  # in range; only the loop reads it
+        "zeros": st.tuples(st.integers(1, 19), st.integers(0, 99)).map(
+            lambda z: "0" * z[0] + str(z[1])),
+        "edge": st.sampled_from(["18446744073709551615", "18446744073709551616",
+                                 "99999999999999999999", "9999999999999999999"]),
+    }[kind])
+_gap = st.sampled_from([" ", "  ", "\t", " \t "])
+_decoration = st.sampled_from([",", "#", "%", "+", "-", "\r"])
+
+
+@st.composite
+def _edge_lines(draw):
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.integers(0, 7)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+            continue
+        tokens = [draw(_id_token) for _ in range(draw(st.sampled_from([2] * 16 + [1, 3])))]
+        line = draw(st.sampled_from(["", " ", "\t"])) + draw(_gap).join(tokens)
+        if draw(st.integers(0, 15)) == 0:
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + draw(_decoration) + line[at:]
+        lines.append(line)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _outcome(parse):
+    try:
+        return parse()
+    except Exception as exc:  # the type and message are what the readers must agree on
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_edge_lines(), directed=st.booleans())
+def test_plain_reader_matches_line_loop(text, directed):
+    data = text.encode("ascii")
+    plain = _parse_plain(data)
+    event("plain reader" if plain is not None else "line loop")
+    if plain is not None:
+        reference = _parse_lines(text)
+        assert plain.dtype == reference.dtype == np.uint64
+        assert np.array_equal(plain, reference)
+    expected = _outcome(lambda: graph_from_edges(_parse_lines(text), directed=directed))
+    for form in (text, data, bytearray(data), io.BytesIO(data), io.StringIO(text)):
+        assert _outcome(lambda: parse_edge_list(form, directed=directed)) == expected
 
 
 @pytest.mark.parametrize(
