@@ -1,6 +1,7 @@
 """Compress a small friendship graph and query it, definitively and fuzzily.
 
-The model stores k coordinates and two radii per node, never the edges.
+The model stores two radii and a point index per node, k coordinates per
+distinct point, and never the edges.
 Queries come back 'yes'/'no' only when the geometry guarantees the truth;
 everything else gets a likelihood.
 """
@@ -8,6 +9,7 @@ everything else gets a likelihood.
 import io
 
 from fuzzmap import build, parse_edge_list, query, save, load
+from fuzzmap.radii import group_points
 
 EDGE_LIST = """\
 # a 10-person friendship graph, arbitrary external ids
@@ -45,8 +47,9 @@ def main():
 
     buf = io.BytesIO()
     nbytes = save(cg, buf)
-    print(f"\nmodel serialized to {nbytes} bytes "
-          f"(header + id map + {g.n}x{cg.k} coords + {g.n}x2 radii + FCL + CRC)")
+    u = group_points(cg.embedding.coords).u
+    print(f"\nmodel serialized to {nbytes} bytes (header + id map + {u}x{cg.k} distinct "
+          f"points + {g.n} point indices + {g.n}x2 radii + FCL + CRC)")
 
     reloaded = load(io.BytesIO(buf.getvalue()))
     ans = query(reloaded, reloaded.internal_id(10), reloaded.internal_id(20))

@@ -8,6 +8,7 @@ graph does not depend on the order of lines in the input.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import re
 from dataclasses import dataclass
@@ -159,7 +160,9 @@ def graph_from_edges(pairs: Iterable[tuple[int, int]] | np.ndarray,
 
     ``pairs`` is an iterable of pairs or an (m, 2) integer array, which is
     used as is. Deduplicates edges and drops self-loops; nodes are the
-    union of endpoint ids, remapped densely in sorted order.
+    union of endpoint ids, remapped densely in sorted order. Raises
+    ValueError for an element that is not a pair and for an id that is not
+    an integer (floats and bools included) or lies outside [0, 2**64).
     """
     if isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu":
         if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -168,7 +171,7 @@ def graph_from_edges(pairs: Iterable[tuple[int, int]] | np.ndarray,
             raise ValueError("edge array holds a negative node id")
         ends = pairs.astype(np.uint64, copy=False)
     else:
-        ends = np.array(list(pairs), dtype=np.uint64).reshape(-1, 2)
+        ends = _pairs_to_array(pairs)
     loops = ends[:, 0] == ends[:, 1]
     if loops.any():
         log.warning("skipped %d self-loop edge(s)", int(loops.sum()))
@@ -187,6 +190,31 @@ def graph_from_edges(pairs: Iterable[tuple[int, int]] | np.ndarray,
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return Graph(n=n, directed=directed, indptr=indptr, indices=indices, external_ids=ids)
+
+
+def _pairs_to_array(pairs: Iterable) -> np.ndarray:
+    """The (m, 2) uint64 array of checked (u, v) pairs.
+
+    Each check is one pass at C speed (map, set, min, max); only a failed
+    check walks the pairs in Python, to name the first bad one.
+    """
+    rows = list(pairs)
+    try:
+        pairs_only = set(map(len, rows)) <= {2}
+    except TypeError:  # an element without a length
+        pairs_only = False
+    if not pairs_only:
+        bad = next(p for p in rows if not (hasattr(p, "__len__") and len(p) == 2))
+        raise ValueError(f"edge {bad!r} is not a (u, v) pair")
+    ids = list(itertools.chain.from_iterable(rows))
+    if not all(issubclass(t, (int, np.integer)) and not issubclass(t, bool)
+               for t in set(map(type, ids))):
+        bad = next(x for x in ids if not _is_integer(x))
+        raise ValueError(f"node id {bad!r} is not an integer")
+    if ids and not (min(ids) >= 0 and max(ids) <= _MAX_ID):
+        bad = min(ids) if min(ids) < 0 else max(ids)
+        raise ValueError(f"node id {bad} is outside [0, 2**64)")
+    return np.array(ids, dtype=np.uint64).reshape(-1, 2)
 
 
 def parse_edge_list(text: str | bytes | IO, directed: bool = False) -> Graph:

@@ -1,15 +1,18 @@
 """The compressed-graph model: build, query, persist.
 
-A CompressedGraph holds only linear-in-n state: n x k coordinates, two
+A CompressedGraph holds only linear-in-n state: the n x k embedding, two
 radii per node, the id map, and the fuzzy system's FCL source. Queries
 answer definite yes/no when a radius guarantees the truth, otherwise a
 fuzzy likelihood. Models persist in the FZG1 binary format with a CRC32
-trailer.
+trailer; the file stores each of the u distinct FastMap points once and
+one u32 point index per node.
 """
 
 from __future__ import annotations
 
+import math
 import struct
+import sys
 import zlib
 from dataclasses import dataclass
 from typing import IO, Optional
@@ -17,15 +20,16 @@ from typing import IO, Optional
 import numpy as np
 
 from .fastmap import Embedding, fastmap_embed
-from .fuzzy import FuzzySystem, default_system, evaluate_many, parse_fcl, to_fcl
+from .fuzzy import FclParseError, FuzzySystem, default_system, evaluate_many, parse_fcl, to_fcl
 from .graph import Graph, check_node_id, lookup_internal_id
-from .radii import R_NONE, NodeRadii, compute_all_radii, pair_distances
+from .radii import R_NONE, NodeRadii, compute_all_radii, group_points, pair_distances
 
 MAGIC = b"FZG1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _FLAG_DIRECTED = 1
 _FLAG_QUANTIZED = 2
-_HEADER = struct.Struct("<4sIIQII")  # magic, version, flags, n, k, fcl_len
+_HEADER = struct.Struct("<4sIIQIIQ")  # magic, version, flags, n, k, fcl_len, u
+_MAX_POINTS = 2**32  # point indices are u32
 
 DEFINITE = "definite"
 FUZZY = "fuzzy"
@@ -199,17 +203,24 @@ def query_directed(cg: CompressedGraph, u: int, v: int) -> Answer:
 def save(cg: CompressedGraph, sink: IO[bytes]) -> int:
     """Write the FZG1 stream; returns the byte count.
 
-    Layout (little-endian): 28-byte header (magic, version, flags, n, k,
-    fcl_len), n x u64 external ids, n x k f64 coords, n x (f64 r, f64 R),
-    fcl_len bytes of UTF-8 FCL, CRC32 of everything preceding.
+    Layout (little-endian): 36-byte header (magic, version, flags, n, k,
+    fcl_len, u), n x u64 external ids, u x k f64 distinct points (row-major,
+    in ``group_points`` order), n x u32 point index, n x (f64 r, f64 R),
+    fcl_len bytes of UTF-8 FCL, CRC32 of everything preceding; in all
+    36 + 28n + 8uk + fcl_len + 4 bytes. Raises ValueError when the
+    embedding has more than 2**32 distinct points.
     """
     n, k = cg.n, cg.k
+    groups = group_points(cg.embedding.coords)
+    if groups.u > _MAX_POINTS:
+        raise ValueError(f"{groups.u} distinct points exceed the format's limit of 2**32")
     fcl = cg.fcl_text.encode("utf-8")
     flags = (_FLAG_DIRECTED if cg.directed else 0) | (_FLAG_QUANTIZED if cg.radii.quantized else 0)
     parts = [
-        _HEADER.pack(MAGIC, FORMAT_VERSION, flags, n, k, len(fcl)),
+        _HEADER.pack(MAGIC, FORMAT_VERSION, flags, n, k, len(fcl), groups.u),
         np.ascontiguousarray(cg.external_ids, dtype="<u8").tobytes(),
-        np.ascontiguousarray(cg.embedding.coords, dtype="<f8").tobytes(),
+        np.ascontiguousarray(groups.points_t.T, dtype="<f8").tobytes(),
+        groups.inv.astype("<u4").tobytes(),
         np.ascontiguousarray(np.column_stack([cg.radii.r, cg.radii.R]), dtype="<f8").tobytes(),
         fcl,
     ]
@@ -219,12 +230,22 @@ def save(cg: CompressedGraph, sink: IO[bytes]) -> int:
     return len(blob)
 
 
+def _coordinate_limit(k: int) -> float:
+    """Largest |coordinate| for which no k-axis distance can overflow."""
+    return math.sqrt(sys.float_info.max / k) / 4
+
+
 def load(source: IO[bytes]) -> CompressedGraph:
-    """Read an FZG1 stream back into a model; errors name the byte offset."""
+    """Read an FZG1 stream back into a model; errors name the byte offset.
+
+    The header is checked against the stream length before any array is
+    made. The model's coordinates are the file's points gathered through
+    the point indices; its id, coordinate and radius arrays are read-only.
+    """
     blob = source.read()
     if len(blob) < _HEADER.size:
         raise ModelFormatError(f"truncated header: {len(blob)} bytes (offset {len(blob)})")
-    magic, version, flags, n, k, fcl_len = _HEADER.unpack_from(blob, 0)
+    magic, version, flags, n, k, fcl_len, u = _HEADER.unpack_from(blob, 0)
     if magic != MAGIC:
         raise ModelFormatError(f"bad magic {magic!r} at offset 0")
     if version != FORMAT_VERSION:
@@ -233,7 +254,9 @@ def load(source: IO[bytes]) -> CompressedGraph:
         raise ModelFormatError(f"unknown flag bits {flags:#x} at offset 8")
     if k < 1:
         raise ModelFormatError(f"invalid dimension k={k} at offset 20")
-    expected = _HEADER.size + 8 * n + 8 * n * k + 16 * n + fcl_len + 4
+    if not 1 <= u <= min(n, _MAX_POINTS):
+        raise ModelFormatError(f"invalid point count u={u} for n={n} at offset 28")
+    expected = _HEADER.size + 28 * n + 8 * u * k + fcl_len + 4  # Python ints: no overflow
     if len(blob) != expected:
         raise ModelFormatError(
             f"truncated or oversized stream: expected {expected} bytes, got {len(blob)}"
@@ -248,29 +271,36 @@ def load(source: IO[bytes]) -> CompressedGraph:
     increasing = external_ids[1:] > external_ids[:-1]
     _reject_first(increasing, off + 8, 8, "external ids not strictly increasing")
     off += 8 * n
-    # row-major in the file; Embedding makes the one axis-major copy
-    coords = np.frombuffer(blob, dtype="<f8", count=n * k, offset=off).reshape(n, k)
-    _reject_first(np.isfinite(coords).ravel(), off, 8, "non-finite coordinate")
-    off += 8 * n * k
+    points = np.frombuffer(blob, dtype="<f8", count=u * k, offset=off).reshape(u, k)
+    # NaN and inf fail the comparison too
+    _reject_first((np.abs(points) <= _coordinate_limit(k)).ravel(), off, 8,
+                  "non-finite or overflowing coordinate")
+    off += 8 * u * k
+    index = np.frombuffer(blob, dtype="<u4", count=n, offset=off)
+    _reject_first(index < u, off, 4, "point index out of range")
+    off += 4 * n
     radii_flat = np.frombuffer(blob, dtype="<f8", count=2 * n, offset=off).reshape(n, 2)
-    r, R = radii_flat[:, 0], radii_flat[:, 1]
+    r, R = radii_flat[:, 0].copy(), radii_flat[:, 1].copy()
     _reject_first((r == R_NONE) | (np.isfinite(r) & (r >= 0.0)), off, 16, "invalid radius r")
     _reject_first((R == np.inf) | (np.isfinite(R) & (R >= 0.0)), off + 8, 16, "invalid radius R")
     off += 16 * n
     try:
         fcl_text = blob[off : off + fcl_len].decode("utf-8")
+        fuzzy = parse_fcl(fcl_text)
     except UnicodeDecodeError as exc:
         raise ModelFormatError(f"FCL block is not UTF-8 at offset {off + exc.start}") from None
+    except FclParseError as exc:
+        raise ModelFormatError(f"FCL block at offset {off} does not parse: {exc}") from None
 
+    # one gather through the index: (k, u) -> C-ordered (k, n), whose .T is axis-major
+    coords = points.T.take(index, axis=1).T
+    for array in (external_ids, coords, r, R):
+        array.flags.writeable = False
     return CompressedGraph(
         embedding=Embedding(coords=coords, pivots=None, seed=None),
-        radii=NodeRadii(
-            r=r.copy(),
-            R=R.copy(),
-            quantized=bool(flags & _FLAG_QUANTIZED),
-        ),
+        radii=NodeRadii(r=r, R=R, quantized=bool(flags & _FLAG_QUANTIZED)),
         directed=bool(flags & _FLAG_DIRECTED),
-        fuzzy=parse_fcl(fcl_text),
+        fuzzy=fuzzy,
         external_ids=external_ids,
         fcl_text=fcl_text,
     )

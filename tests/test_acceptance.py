@@ -4,6 +4,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the lines as they
 complete. Criteria 1 and 7 carry wall-clock budgets and are asserted.
 """
 
+import dataclasses
 import io
 import time
 
@@ -31,7 +32,8 @@ from fuzzmap import (
     to_fcl,
 )
 from fuzzmap.fuzzy import FclParseError
-from fuzzmap.radii import distances_from
+from fuzzmap.fastmap import Embedding
+from fuzzmap.radii import distances_from, group_points
 
 from conftest import UNCERTAIN_PAIR_EDGES, soundness_corpus
 from oracles import mamdani_centroid_oracle, radii_sort_scan
@@ -172,20 +174,25 @@ def test_criterion_5_fcl_round_trip():
 
 
 def test_criterion_6_linear_storage():
-    """Body bytes = n(8k+16) exactly; 10x nodes = exactly 10x body."""
+    """Bytes = 36 + 28n + 8uk + fcl_len + 4 exactly, u the distinct points
+    (u <= n); the per-node part is 28n, so 10x nodes = exactly 10x of it."""
     ok = False
     try:
-        bodies = {}
+        node_bytes = {}
         for n in (1000, 10000):
             g = graph_from_edges([(i, i + 1) for i in range(n - 1)])
             cg = build(g, k=4, seed=0)
-            buf = io.BytesIO()
-            total = save(cg, buf)
+            total = save(cg, io.BytesIO())
             fcl_len = len(cg.fcl_text.encode("utf-8"))
-            body = total - 28 - 8 * n - fcl_len - 4
-            assert body == n * (8 * 4 + 16), f"body size off at n={n}"
-            bodies[n] = body
-        assert bodies[10000] == 10 * bodies[1000]
+            u = group_points(cg.embedding.coords).u
+            assert 1 <= u <= n
+            assert total == 36 + 28 * n + 8 * u * 4 + fcl_len + 4, f"size off at n={n}"
+            node_bytes[n] = total - 36 - 8 * u * 4 - fcl_len - 4
+        assert node_bytes[10000] == 10 * node_bytes[1000]
+        # worst case, every row distinct: u = n
+        distinct = Embedding(coords=np.arange(4.0 * n).reshape(n, 4))
+        total = save(dataclasses.replace(cg, embedding=distinct), io.BytesIO())
+        assert total == 36 + n * (28 + 8 * 4) + fcl_len + 4
         ok = True
     finally:
         _report(6, "linear storage", ok)

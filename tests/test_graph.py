@@ -1,5 +1,6 @@
 import io
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -206,6 +207,23 @@ def test_edge_array_shape_and_sign_checked():
     with pytest.raises(ValueError, match="negative node id"):
         graph_from_edges(np.array([[1, -1]]))
     assert graph_from_edges(np.array([[1, 7]], dtype=np.int32)) == graph_from_edges([(1, 7)])
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([(1, 2, 3), (4, 5, 6)], "edge (1, 2, 3) is not a (u, v) pair"),
+    ([(1, 2), 3], "edge 3 is not a (u, v) pair"),
+    ([(1, 2), (3,)], "edge (3,) is not a (u, v) pair"),
+    ([(1.7, 2.2), (3, 4)], "node id 1.7 is not an integer"),
+    ([(1, 2), (True, 4)], "node id True is not an integer"),
+    (np.array([[1.0, 2.0]]), f"node id {np.float64(1.0)!r} is not an integer"),
+    ([(-1, 2)], "node id -1 is outside [0, 2**64)"),
+    ([(1, 2**64)], "node id 18446744073709551616 is outside [0, 2**64)"),
+], ids=["triples", "scalar", "single", "float", "bool", "float-array", "negative", "2**64"])
+def test_edge_list_elements_checked(pairs, message):
+    # the list path refuses what the array path and the id lookup refuse,
+    # where it once read triples as pairs, truncated floats or overflowed
+    with pytest.raises(ValueError, match=re.escape(message)):
+        graph_from_edges(pairs)
 
 
 # plain-reader differential: mostly text the plain reader takes, with every

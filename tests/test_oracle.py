@@ -8,6 +8,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from fuzzmap import (
     Answer,
@@ -30,8 +32,10 @@ from fuzzmap import (
     save,
     to_fcl,
 )
+from fuzzmap import oracle
 from fuzzmap.cli import run
 from fuzzmap.fastmap import Embedding
+from fuzzmap.radii import group_points, pair_distances
 
 from conftest import HIGH_ID_EDGES, edgeless_graph, soundness_corpus
 
@@ -316,28 +320,44 @@ def test_sentinels_survive_roundtrip():
     assert np.array_equal(np.isinf(loaded.radii.R), np.isinf(cg.radii.R))
 
 
+def model_size(cg: CompressedGraph) -> int:
+    """36-byte header, per node an id, a point index and two radii, u
+    distinct points of k coordinates, the FCL text and the CRC."""
+    u = group_points(cg.embedding.coords).u
+    return 36 + 28 * cg.n + 8 * u * cg.k + len(cg.fcl_text.encode("utf-8")) + 4
+
+
 def test_file_layout_exact_sizes():
     g = gnp_random_graph(100, 0.08, seed=77)
     cg = build(g, k=4, seed=0)
     _, nbytes, blob = roundtrip(cg)
     fcl_len = len(cg.fcl_text.encode("utf-8"))
-    body = 100 * (4 * 8 + 16)
-    assert body == 4800
-    assert nbytes == 28 + 8 * 100 + body + fcl_len + 4
+    assert group_points(cg.embedding.coords).u == 27  # the embedding collapses
+    assert nbytes == model_size(cg) == 36 + 28 * 100 + 8 * 27 * 4 + fcl_len + 4
     assert blob[:4] == b"FZG1"
+    assert struct.unpack_from("<IQ", blob, 4)[0] == 2  # version
+    assert struct.unpack_from("<Q", blob, 28)[0] == 27  # u
+    # worst case, every row distinct: u = n, 4 bytes a node more than one
+    # row per node
+    distinct = manual_model(np.arange(12.0).reshape(6, 2), r=[-1.0] * 6, R=[np.inf] * 6)
+    _, nbytes, _ = roundtrip(distinct)
+    assert group_points(distinct.embedding.coords).u == 6
+    assert nbytes == 36 + 28 * 6 + 8 * 6 * 2 + len(distinct.fcl_text.encode("utf-8")) + 4
 
 
 def test_linear_growth_in_n():
-    sizes = {}
+    node_bytes = {}
     for n in (100, 200, 400):
         g = gnp_random_graph(n, 8.0 / n, seed=n)
         cg = build(g, k=4, seed=0)
         buf = io.BytesIO()
         save(cg, buf)
-        fcl_len = len(cg.fcl_text.encode("utf-8"))
-        sizes[n] = len(buf.getvalue()) - 28 - fcl_len - 4
-    assert sizes[200] == 2 * sizes[100]
-    assert sizes[400] == 4 * sizes[100]
+        assert len(buf.getvalue()) == model_size(cg)
+        u = group_points(cg.embedding.coords).u
+        assert 1 <= u <= n
+        node_bytes[n] = model_size(cg) - 36 - 8 * u * 4 - len(cg.fcl_text.encode("utf-8")) - 4
+    assert node_bytes[200] == 2 * node_bytes[100]
+    assert node_bytes[400] == 4 * node_bytes[100]
 
 
 def test_load_errors_name_offending_offsets(uncertain_pair_graph):
@@ -409,29 +429,39 @@ def _rewritten(blob: bytes, offset: int, fmt: str, value) -> bytes:
     return bytes(out)
 
 
-# uncertain_pair_graph at k=2: n=6, ids at 28, coords at 76, radii (r, R) at 172
-_IDS, _COORDS, _RADII = 28, 28 + 8 * 6, 28 + 8 * 6 + 8 * 6 * 2
+# uncertain_pair_graph at k=2: n=6 and u=6 (no two rows coincide); ids
+# at 36, points at 84, point indices at 180, radii (r, R) at 204, FCL at 300
+_IDS, _POINTS = 36, 36 + 8 * 6
+_INDEX = _POINTS + 8 * 6 * 2
+_RADII = _INDEX + 4 * 6
+_FCL = _RADII + 16 * 6
 
 
 @pytest.mark.parametrize(
     "offset, fmt, value, message",
     [
-        (_IDS + 8, "<Q", 1, "external ids not strictly increasing at offset 36"),
-        (_IDS + 16, "<Q", 0, "external ids not strictly increasing at offset 44"),
-        (_COORDS + 8 * 7, "<d", math.nan, "non-finite coordinate at offset 132"),
-        (_COORDS, "<d", -math.inf, "non-finite coordinate at offset 76"),
-        (_RADII + 16 * 2, "<d", math.nan, "invalid radius r at offset 204"),
-        (_RADII, "<d", -0.5, "invalid radius r at offset 172"),
-        (_RADII + 16, "<d", math.inf, "invalid radius r at offset 188"),
-        (_RADII + 8, "<d", math.nan, "invalid radius R at offset 180"),
-        (_RADII + 16 * 3 + 8, "<d", -1.0, "invalid radius R at offset 228"),
-        (_RADII + 8, "<d", -math.inf, "invalid radius R at offset 180"),
+        (_IDS + 8, "<Q", 1, "external ids not strictly increasing at offset 44"),
+        (_IDS + 16, "<Q", 0, "external ids not strictly increasing at offset 52"),
+        (_POINTS + 8 * 7, "<d", math.nan, "non-finite or overflowing coordinate at offset 140"),
+        (_POINTS, "<d", -math.inf, "non-finite or overflowing coordinate at offset 84"),
+        (_POINTS + 8, "<d", 1e300, "non-finite or overflowing coordinate at offset 92"),
+        (_INDEX + 4 * 2, "<I", 6, "point index out of range at offset 188"),
+        (_RADII + 16 * 2, "<d", math.nan, "invalid radius r at offset 236"),
+        (_RADII, "<d", -0.5, "invalid radius r at offset 204"),
+        (_RADII + 16, "<d", math.inf, "invalid radius r at offset 220"),
+        (_RADII + 8, "<d", math.nan, "invalid radius R at offset 212"),
+        (_RADII + 16 * 3 + 8, "<d", -1.0, "invalid radius R at offset 260"),
+        (_RADII + 8, "<d", -math.inf, "invalid radius R at offset 212"),
+        (_FCL, "<c", b"@", "FCL block at offset 300 does not parse: line 1: "
+                           "unexpected character '@'"),
         (8, "<I", 4, "unknown flag bits 0x4 at offset 8"),
         (20, "<I", 0, "invalid dimension k=0 at offset 20"),
+        (28, "<Q", 0, "invalid point count u=0 for n=6 at offset 28"),
+        (28, "<Q", 7, "invalid point count u=7 for n=6 at offset 28"),
     ],
-    ids=["duplicate-id", "descending-id", "nan-coord", "inf-coord", "nan-r", "negative-r",
-         "inf-r", "nan-R", "negative-R", "minus-inf-R", "unknown-flag",
-         "zero-k"],
+    ids=["duplicate-id", "descending-id", "nan-coord", "inf-coord", "huge-coord",
+         "index-u", "nan-r", "negative-r", "inf-r", "nan-R", "negative-R", "minus-inf-R",
+         "bad-fcl", "unknown-flag", "zero-k", "zero-u", "u-above-n"],
 )
 def test_load_rejects_invalid_values(uncertain_pair_graph, tmp_path, offset, fmt, value, message):
     buf = io.BytesIO()
@@ -456,3 +486,153 @@ def test_load_accepts_crossed_radii_of_built_models():
             crossed += int((both & (R < r)).sum())
             touching += int((both & (R == r)).sum())
     assert crossed > 0 and touching > 0
+
+
+def _v1_stream(cg: CompressedGraph) -> bytes:
+    """The version 1 layout: a 28-byte header and one coordinate row per node."""
+    fcl = cg.fcl_text.encode("utf-8")
+    blob = b"".join([
+        struct.pack("<4sIIQII", b"FZG1", 1, 0, cg.n, cg.k, len(fcl)),
+        cg.external_ids.astype("<u8").tobytes(),
+        np.ascontiguousarray(cg.embedding.coords, dtype="<f8").tobytes(),
+        np.column_stack([cg.radii.r, cg.radii.R]).astype("<f8").tobytes(),
+        fcl,
+    ])
+    return blob + struct.pack("<I", zlib.crc32(blob))
+
+
+def test_version_1_stream_rejected(uncertain_pair_graph, tmp_path):
+    blob = _v1_stream(build(uncertain_pair_graph, k=2, seed=0))
+    with pytest.raises(ModelFormatError, match=re.escape("unsupported format version 1 at offset 4")):
+        load(io.BytesIO(blob))
+    path = tmp_path / "v1.fzg"
+    path.write_bytes(blob)
+    assert run(["info", str(path)]) == 2
+
+
+def test_signed_zero_rows_share_a_point():
+    # -0.0 and 0.0 compare equal, so the file stores one point for both
+    # rows; the kernel squares every difference, so distances keep their bits
+    coords = [[0.0, 1.0], [-0.0, 1.0], [2.0, -0.0], [2.0, 0.0], [0.5, 3.0]]
+    cg = manual_model(coords, r=[-1.0] * 5, R=[np.inf] * 5)
+    loaded, nbytes, _ = roundtrip(cg)
+    assert group_points(cg.embedding.coords).u == 3
+    assert nbytes == model_size(cg)
+    us, vs = np.triu_indices(5, 1)
+    before = pair_distances(cg.embedding.coords, us, vs)
+    after = pair_distances(loaded.embedding.coords, us, vs)
+    assert before.tobytes() == after.tobytes()
+    assert np.array_equal(loaded.embedding.coords, cg.embedding.coords)
+
+
+def test_save_refuses_more_points_than_u32_indices_address(uncertain_pair_graph, monkeypatch):
+    cg = build(uncertain_pair_graph, k=2, seed=0)
+    too_many = dataclasses.make_dataclass("Groups", ["u"])(2**32 + 1)
+    monkeypatch.setattr(oracle, "group_points", lambda coords: too_many)
+    with pytest.raises(ValueError, match=re.escape("4294967297 distinct points exceed")):
+        save(cg, io.BytesIO())
+
+
+@pytest.mark.parametrize("offset, fmt, value", [
+    (12, "<Q", 2**64 - 1),  # n
+    (20, "<I", 2**32 - 1),  # k
+    (24, "<I", 2**32 - 1),  # fcl_len
+    (28, "<Q", 5),  # u, still in 1..n
+])
+def test_header_sizes_checked_before_any_array(uncertain_pair_graph, offset, fmt, value):
+    # a header claiming more than the stream holds fails on the length
+    # check, before a single array is made from it
+    buf = io.BytesIO()
+    save(build(uncertain_pair_graph, k=2, seed=0), buf)
+    bad = _rewritten(buf.getvalue(), offset, fmt, value)
+    with pytest.raises(ModelFormatError, match="truncated or oversized stream"):
+        load(io.BytesIO(bad))
+
+
+# --- loader fuzz: a mutant loads as a valid model or raises ModelFormatError --
+
+_FUZZ_CG = build(gnp_random_graph(16, 0.2, seed=1), k=2, seed=0)  # u = 9 of n = 16
+_FUZZ_BLOB = roundtrip(_FUZZ_CG)[2]
+# part boundaries: header, ids, points, point indices, radii, FCL (CRC excluded)
+_FUZZ_PARTS = np.cumsum([0, 36, 8 * 16, 8 * 9 * 2, 4 * 16, 16 * 16,
+                         len(_FUZZ_CG.fcl_text.encode("utf-8"))])
+_HEADER_FIELDS = [(4, "<I"), (8, "<I"), (12, "<Q"), (20, "<I"), (24, "<I"), (28, "<Q")]
+# array parts by index into _FUZZ_PARTS, with their element format
+_ARRAY_FIELDS = [(1, "<Q"), (2, "<d"), (3, "<I"), (4, "<d")]
+
+
+def _with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _field_value(fmt: str):
+    if fmt == "<d":
+        return st.one_of(st.floats(), st.sampled_from([1e300, -1e154, 5e153, -0.0, -1.0]))
+    top = 2 ** (8 * struct.calcsize(fmt)) - 1
+    return st.one_of(st.integers(0, 40), st.sampled_from([top, top // 2, min(top, 2**32), 2**32 - 1]),
+                     st.integers(0, top))
+
+
+@st.composite
+def _mutants(draw) -> bytes:
+    """The fuzz base stream with byte flips, a truncation or one rewritten
+    header or array field; the CRC is recomputed, so value checks run."""
+    body = bytearray(_FUZZ_BLOB[:-4])
+    kind = draw(st.sampled_from(["flip", "truncate", "header", "array"]))
+    if kind == "flip":
+        for _ in range(draw(st.integers(1, 4))):
+            # header and arrays are small next to the FCL text: pick a part first
+            part = draw(st.integers(0, len(_FUZZ_PARTS) - 2))
+            lo, hi = int(_FUZZ_PARTS[part]), int(_FUZZ_PARTS[part + 1])
+            body[draw(st.integers(lo, hi - 1))] ^= 1 << draw(st.integers(0, 7))
+    elif kind == "truncate":
+        del body[draw(st.integers(0, len(body) - 1)):]
+    elif kind == "header":
+        offset, fmt = draw(st.sampled_from(_HEADER_FIELDS))
+        struct.pack_into(fmt, body, offset, draw(_field_value(fmt)))
+    else:
+        part, fmt = draw(st.sampled_from(_ARRAY_FIELDS))
+        size = struct.calcsize(fmt)
+        count = (_FUZZ_PARTS[part + 1] - _FUZZ_PARTS[part]) // size
+        offset = int(_FUZZ_PARTS[part]) + size * draw(st.integers(0, count - 1))
+        struct.pack_into(fmt, body, offset, draw(_field_value(fmt)))
+    return _with_crc(bytes(body))
+
+
+def _check_loaded_model(cg: CompressedGraph) -> None:
+    """Every property the loader promises of a model it returns."""
+    assert cg.n == len(cg.radii.r) == len(cg.radii.R) == len(cg.external_ids) >= 1 and cg.k >= 1
+    assert np.all(cg.external_ids[1:] > cg.external_ids[:-1])
+    assert np.all(np.isfinite(cg.embedding.coords))
+    assert cg.embedding.coords.flags.f_contiguous
+    r, R = cg.radii.r, cg.radii.R
+    assert np.all((r == -1.0) | (np.isfinite(r) & (r >= 0.0)))
+    assert np.all((R == np.inf) | (np.isfinite(R) & (R >= 0.0)))
+    assert cg.fuzzy == parse_fcl(cg.fcl_text)
+    for array in (cg.external_ids, cg.embedding.coords, r, R):
+        assert not array.flags.writeable
+    if cg.n >= 2:
+        us = np.arange(cg.n)
+        definite, value = query_arrays(cg, us, np.roll(us, 1))
+        assert np.all((value >= 0.0) & (value <= 1.0))
+        assert np.all(np.isin(value[definite], (0.0, 1.0)))
+    again, _, _ = roundtrip(cg)  # what load accepts, save writes back
+    assert np.array_equal(again.embedding.coords, cg.embedding.coords)
+
+
+def test_fuzz_base_model_loads():
+    assert group_points(_FUZZ_CG.embedding.coords).u == 9
+    assert len(_FUZZ_BLOB) == model_size(_FUZZ_CG) == _FUZZ_PARTS[-1] + 4
+    _check_loaded_model(load(io.BytesIO(_FUZZ_BLOB)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(blob=_mutants())
+def test_mutated_streams_fail_cleanly_or_load_valid(blob):
+    try:
+        cg = load(io.BytesIO(blob))
+    except ModelFormatError as exc:
+        event(f"rejected: {re.match('[A-Za-z ]*', str(exc)).group().strip()}")
+        return
+    event("loaded")
+    _check_loaded_model(cg)
