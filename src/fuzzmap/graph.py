@@ -117,9 +117,18 @@ class Graph:
         )
 
 
+def _is_integer_type(t: type) -> bool:
+    """Python and numpy integer types; bool is not an id type (it would answer as 1/0)."""
+    return issubclass(t, (int, np.integer)) and not issubclass(t, bool)
+
+
 def _is_integer(value) -> bool:
-    """A Python or numpy integer; bools are not ids (they would answer as 1/0)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return _is_integer_type(type(value))
+
+
+def _in_id_range(e: int) -> bool:
+    """External ids are u64: [0, 2**64)."""
+    return 0 <= e <= _MAX_ID
 
 
 def check_node_id(u: int, n: int) -> None:
@@ -135,7 +144,7 @@ def lookup_internal_id(external_ids: np.ndarray, external: int) -> int:
     if not _is_integer(external):
         raise ValueError(f"external node id {external!r} is not an integer")
     e = int(external)
-    if 0 <= e <= _MAX_ID:
+    if _in_id_range(e):
         i = int(np.searchsorted(external_ids, np.uint64(e)))
         if i < external_ids.shape[0] and int(external_ids[i]) == e:
             return i
@@ -207,11 +216,10 @@ def _pairs_to_array(pairs: Iterable) -> np.ndarray:
         bad = next(p for p in rows if not (hasattr(p, "__len__") and len(p) == 2))
         raise ValueError(f"edge {bad!r} is not a (u, v) pair")
     ids = list(itertools.chain.from_iterable(rows))
-    if not all(issubclass(t, (int, np.integer)) and not issubclass(t, bool)
-               for t in set(map(type, ids))):
+    if not all(map(_is_integer_type, set(map(type, ids)))):
         bad = next(x for x in ids if not _is_integer(x))
         raise ValueError(f"node id {bad!r} is not an integer")
-    if ids and not (min(ids) >= 0 and max(ids) <= _MAX_ID):
+    if ids and not (_in_id_range(min(ids)) and _in_id_range(max(ids))):
         bad = min(ids) if min(ids) < 0 else max(ids)
         raise ValueError(f"node id {bad} is outside [0, 2**64)")
     return np.array(ids, dtype=np.uint64).reshape(-1, 2)
@@ -290,7 +298,7 @@ def _parse_lines(text: str) -> np.ndarray:
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise GraphParseError(f"line {lineno}: non-integer token in {raw!r}") from None
-        if u < 0 or v < 0 or u > _MAX_ID or v > _MAX_ID:
+        if not (_in_id_range(u) and _in_id_range(v)):
             raise GraphParseError(f"line {lineno}: node id out of 64-bit range: {raw!r}")
         pairs.append((u, v))
     return np.array(pairs, dtype=np.uint64).reshape(-1, 2)

@@ -1,15 +1,7 @@
-import os
-
 import numpy as np
 import pytest
-from hypothesis import settings
 
 from fuzzmap import Graph, gnp_random_graph, graph_from_edges
-
-# CI runs the "ci" profile: a fixed seed per test, and every failure prints
-# the blob that replays it locally (@reproduce_failure)
-settings.register_profile("ci", derandomize=True, print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # 6-node graph with N(1) = {2, 5} whose k=2 quantized models put node 5
 # inside node 1's definite-yes radius, push 3/4/6 to definite no, and

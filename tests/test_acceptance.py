@@ -6,6 +6,7 @@ complete. Criteria 1 and 7 carry wall-clock budgets and are asserted.
 
 import dataclasses
 import io
+import struct
 import time
 
 import numpy as np
@@ -182,12 +183,15 @@ def test_criterion_6_linear_storage():
         for n in (1000, 10000):
             g = graph_from_edges([(i, i + 1) for i in range(n - 1)])
             cg = build(g, k=4, seed=0)
-            total = save(cg, io.BytesIO())
-            fcl_len = len(cg.fcl_text.encode("utf-8"))
-            u = group_points(cg.embedding.coords).u
-            assert 1 <= u <= n
-            assert total == 36 + 28 * n + 8 * u * 4 + fcl_len + 4, f"size off at n={n}"
-            node_bytes[n] = total - 36 - 8 * u * 4 - fcl_len - 4
+            buf = io.BytesIO()
+            save(cg, buf)
+            blob = buf.getvalue()
+            # the per-node part of the stream, from the header's own k, fcl_len and u
+            _, _, _, _, k, fcl_len, u = struct.unpack_from("<4sIIQIIQ", blob, 0)
+            node_bytes[n] = len(blob) - 36 - 8 * u * k - fcl_len - 4
+            assert 1 <= u == group_points(cg.embedding.coords).u <= n
+            assert (k, fcl_len) == (4, len(cg.fcl_text.encode("utf-8")))
+            assert len(blob) == 36 + 28 * n + 8 * u * 4 + fcl_len + 4, f"size off at n={n}"
         assert node_bytes[10000] == 10 * node_bytes[1000]
         # worst case, every row distinct: u = n
         distinct = Embedding(coords=np.arange(4.0 * n).reshape(n, 4))

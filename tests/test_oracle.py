@@ -345,17 +345,23 @@ def test_file_layout_exact_sizes():
     assert nbytes == 36 + 28 * 6 + 8 * 6 * 2 + len(distinct.fcl_text.encode("utf-8")) + 4
 
 
+def stream_node_bytes(blob: bytes) -> int:
+    """The per-node part of a saved stream: its length less the header, the
+    points, the FCL text and the CRC, with k, fcl_len and u read from the
+    stream's own header."""
+    _, _, _, _, k, fcl_len, u = struct.unpack_from("<4sIIQIIQ", blob, 0)
+    return len(blob) - 36 - 8 * u * k - fcl_len - 4
+
+
 def test_linear_growth_in_n():
     node_bytes = {}
     for n in (100, 200, 400):
         g = gnp_random_graph(n, 8.0 / n, seed=n)
         cg = build(g, k=4, seed=0)
-        buf = io.BytesIO()
-        save(cg, buf)
-        assert len(buf.getvalue()) == model_size(cg)
-        u = group_points(cg.embedding.coords).u
-        assert 1 <= u <= n
-        node_bytes[n] = model_size(cg) - 36 - 8 * u * 4 - len(cg.fcl_text.encode("utf-8")) - 4
+        _, _, blob = roundtrip(cg)
+        assert 1 <= struct.unpack_from("<Q", blob, 28)[0] == group_points(cg.embedding.coords).u <= n
+        node_bytes[n] = stream_node_bytes(blob)
+        assert len(blob) == model_size(cg)
     assert node_bytes[200] == 2 * node_bytes[100]
     assert node_bytes[400] == 4 * node_bytes[100]
 
