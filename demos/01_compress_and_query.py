@@ -9,7 +9,6 @@ everything else gets a likelihood.
 import io
 
 from fuzzmap import build, parse_edge_list, query, save, load
-from fuzzmap.radii import group_points
 
 EDGE_LIST = """\
 # a 10-person friendship graph, arbitrary external ids
@@ -47,8 +46,7 @@ def main():
 
     buf = io.BytesIO()
     nbytes = save(cg, buf)
-    u = group_points(cg.embedding.coords).u
-    print(f"\nmodel serialized to {nbytes} bytes (header + id map + {u}x{cg.k} distinct "
+    print(f"\nmodel serialized to {nbytes} bytes (header + id map + {cg.u}x{cg.k} distinct "
           f"points + {g.n} point indices + {g.n}x2 radii + FCL + CRC)")
 
     reloaded = load(io.BytesIO(buf.getvalue()))

@@ -12,12 +12,13 @@ import os
 import sys
 from typing import Optional, Sequence
 
+import numpy as np
+
 from ._parallel import thread_count
 from .fuzzy import FclParseError
 from .graph import GraphParseError, load_edge_list
 from .harness import DEFAULT_SAMPLE, evaluate_model, reports_to_csv, sweep_k
 from .oracle import FORMAT_VERSION, ModelFormatError, build, load_file, query, query_directed, save_file
-from .radii import group_points
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -98,7 +99,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--directed", action="store_true")
     p.add_argument("--out", help="CSV path (default stdout)")
 
-    p = sub.add_parser("info", help="print model header fields and distinct-point counts")
+    p = sub.add_parser("info", help="print model header fields, distinct-point counts "
+                                    "and the point table size")
     p.add_argument("model")
 
     return parser
@@ -167,9 +169,10 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"k={cg.k}")
     print(f"directed={'true' if cg.directed else 'false'}")
     print(f"quantized={'true' if cg.radii.quantized else 'false'}")
-    groups = group_points(cg.embedding.coords)
-    print(f"distinct_points={groups.u}")
-    print(f"largest_group={groups.cnt.max()}")
+    print(f"distinct_points={cg.u}")
+    print(f"largest_group={np.bincount(cg.point_index).max()}")
+    # 0 above the u**2 <= k * n cap, where queries run the distance kernel
+    print(f"point_table_bytes={0 if cg.point_table is None else cg.point_table.nbytes}")
     print(f"fcl_bytes={len(cg.fcl_text.encode('utf-8'))}")
     print(f"file_bytes={os.path.getsize(args.model)}")
     return EXIT_OK

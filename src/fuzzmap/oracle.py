@@ -1,11 +1,16 @@
 """The compressed-graph model: build, query, persist.
 
 A CompressedGraph holds only linear-in-n state: the n x k embedding, two
-radii per node, the id map, and the fuzzy system's FCL source. Queries
-answer definite yes/no when a radius guarantees the truth, otherwise a
-fuzzy likelihood. Models persist in the FZG1 binary format with a CRC32
-trailer; the file stores each of the u distinct FastMap points once and
-one u32 point index per node.
+radii per node, the id map, and the fuzzy system's FCL source. From the
+embedding it derives the u distinct FastMap points, the point of each
+node and, while u**2 <= k * n, the u x u table of point-to-point
+distances. That cap keeps the table no larger than the n x k coordinates
+the model already holds. Queries read each pair's distance from the
+table, or run the distance kernel on the pair's coordinates above the
+cap; both give the same bits. They answer definite yes/no when a radius
+guarantees the truth, otherwise a fuzzy likelihood. Models persist in the
+FZG1 binary format with a CRC32 trailer; the file stores each of the u
+distinct FastMap points once and one u32 point index per node.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import math
 import struct
 import sys
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Optional
 
 import numpy as np
@@ -22,7 +27,8 @@ import numpy as np
 from .fastmap import Embedding, fastmap_embed
 from .fuzzy import FclParseError, FuzzySystem, default_system, evaluate_many, parse_fcl, to_fcl
 from .graph import Graph, check_node_id, lookup_internal_id
-from .radii import R_NONE, NodeRadii, compute_all_radii, group_points, pair_distances
+from .radii import (R_NONE, NodeRadii, _block_distances, compute_all_radii, group_points,
+                    pair_distances)
 
 MAGIC = b"FZG1"
 FORMAT_VERSION = 2
@@ -30,6 +36,9 @@ _FLAG_DIRECTED = 1
 _FLAG_QUANTIZED = 2
 _HEADER = struct.Struct("<4sIIQIIQ")  # magic, version, flags, n, k, fcl_len, u
 _MAX_POINTS = 2**32  # point indices are u32
+# the u x u distance table may hold this many cells per model coordinate:
+# kept while u**2 <= k * n, it is never larger than the n x k coordinates
+_TABLE_CELLS_PER_COORD = 1
 
 DEFINITE = "definite"
 FUZZY = "fuzzy"
@@ -61,7 +70,13 @@ class Answer:
 
 @dataclass(eq=False)
 class CompressedGraph:
-    """Embedding + radii + fuzzy system: the persisted adjacency oracle."""
+    """Embedding + radii + fuzzy system: the persisted adjacency oracle.
+
+    The point fields are derived from ``embedding.coords`` on construction
+    and are read-only: ``points_t`` the (k, u) distinct points in
+    ``group_points`` order, ``point_index`` the point of each node, and
+    ``point_table`` the (u, u) point distances, or None when u**2 > k * n.
+    """
 
     embedding: Embedding
     radii: NodeRadii
@@ -69,6 +84,9 @@ class CompressedGraph:
     fuzzy: FuzzySystem
     external_ids: np.ndarray  # (n,) uint64, sorted ascending
     fcl_text: str
+    points_t: np.ndarray = field(init=False, repr=False)
+    point_index: np.ndarray = field(init=False, repr=False)  # (n,) intp
+    point_table: Optional[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         sizes = (self.embedding.n, len(self.radii.r), len(self.radii.R), len(self.external_ids))
@@ -79,6 +97,18 @@ class CompressedGraph:
         # parse would answer differently after a save/load round trip
         if parse_fcl(self.fcl_text) != self.fuzzy:
             raise ValueError("fuzzy system does not match the parse of fcl_text")
+        groups = group_points(self.embedding.coords)
+        self.points_t, self.point_index = groups.points_t, groups.inv
+        u = groups.u
+        self.point_table = None
+        if u * u <= _TABLE_CELLS_PER_COORD * self.k * self.n:
+            # a point's coordinates are its nodes' coordinates, and the kernel
+            # squares every difference: entries equal pair_distances bit for bit
+            out, tmp = np.empty((u, u)), np.empty((u, u))
+            self.point_table = _block_distances(self.points_t, 0, u, out, tmp)
+        for array in (self.points_t, self.point_index, self.point_table):
+            if array is not None:
+                array.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -87,6 +117,11 @@ class CompressedGraph:
     @property
     def k(self) -> int:
         return self.embedding.k
+
+    @property
+    def u(self) -> int:
+        """Number of distinct points in the embedding."""
+        return self.points_t.shape[1]
 
     def internal_id(self, external: int) -> int:
         return lookup_internal_id(self.external_ids, external)
@@ -159,7 +194,11 @@ def query_arrays(
 
     sides = us[None, :] if cg.directed else np.stack([us, vs])
     side_r, side_R = cg.radii.r[sides], cg.radii.R[sides]
-    d = np.broadcast_to(pair_distances(cg.embedding.coords, us, vs), sides.shape)
+    if cg.point_table is None:
+        d = pair_distances(cg.embedding.coords, us, vs)
+    else:  # one flat take; the same bits as the kernel on the pair's coordinates
+        d = cg.point_table.take(cg.point_index[us] * cg.u + cg.point_index[vs])
+    d = np.broadcast_to(d, sides.shape)
     yes = (d <= side_r).any(axis=0)
     no = ~yes & (d >= side_R).any(axis=0)
 
@@ -207,20 +246,20 @@ def save(cg: CompressedGraph, sink: IO[bytes]) -> int:
     fcl_len, u), n x u64 external ids, u x k f64 distinct points (row-major,
     in ``group_points`` order), n x u32 point index, n x (f64 r, f64 R),
     fcl_len bytes of UTF-8 FCL, CRC32 of everything preceding; in all
-    36 + 28n + 8uk + fcl_len + 4 bytes. Raises ValueError when the
+    36 + 28n + 8uk + fcl_len + 4 bytes. The points and indices are the
+    model's own ``points_t`` and ``point_index``. Raises ValueError when the
     embedding has more than 2**32 distinct points.
     """
-    n, k = cg.n, cg.k
-    groups = group_points(cg.embedding.coords)
-    if groups.u > _MAX_POINTS:
-        raise ValueError(f"{groups.u} distinct points exceed the format's limit of 2**32")
+    n, k, u = cg.n, cg.k, cg.u
+    if u > _MAX_POINTS:
+        raise ValueError(f"{u} distinct points exceed the format's limit of 2**32")
     fcl = cg.fcl_text.encode("utf-8")
     flags = (_FLAG_DIRECTED if cg.directed else 0) | (_FLAG_QUANTIZED if cg.radii.quantized else 0)
     parts = [
-        _HEADER.pack(MAGIC, FORMAT_VERSION, flags, n, k, len(fcl), groups.u),
+        _HEADER.pack(MAGIC, FORMAT_VERSION, flags, n, k, len(fcl), u),
         np.ascontiguousarray(cg.external_ids, dtype="<u8").tobytes(),
-        np.ascontiguousarray(groups.points_t.T, dtype="<f8").tobytes(),
-        groups.inv.astype("<u4").tobytes(),
+        np.ascontiguousarray(cg.points_t.T, dtype="<f8").tobytes(),
+        cg.point_index.astype("<u4").tobytes(),
         np.ascontiguousarray(np.column_stack([cg.radii.r, cg.radii.R]), dtype="<f8").tobytes(),
         fcl,
     ]
@@ -240,7 +279,8 @@ def load(source: IO[bytes]) -> CompressedGraph:
 
     The header is checked against the stream length before any array is
     made. The model's coordinates are the file's points gathered through
-    the point indices; its id, coordinate and radius arrays are read-only.
+    the point indices, and the model regroups them into its point fields;
+    its id, coordinate, radius and point arrays are read-only.
     """
     blob = source.read()
     if len(blob) < _HEADER.size:

@@ -10,8 +10,11 @@ guarantees.
 Every distance comes from one kernel, ``_axis_distances``: it takes one
 (a_j, b_j) operand pair per axis, adds the squared differences axis by
 axis, j = 0..k-1, then takes the square root. The radii scan,
-``distances_from`` and the query side's ``pair_distances`` therefore
-agree bit for bit, which the soundness of definite answers rests on.
+``distances_from``, the query side's ``pair_distances`` and the model's
+u x u point-distance table (one ``_block_distances`` call over all
+points, kept while u**2 <= k * n; queries fall back to
+``pair_distances`` above that cap) therefore agree bit for bit, which
+the soundness of definite answers rests on.
 Coordinates are axis-major (``Embedding.coords`` is Fortran-ordered), so
 ``coords.T`` is the C-contiguous (k, n) table and each caller hands the
 kernel contiguous axis rows, or one gather per axis for m pairs: no row
@@ -143,7 +146,7 @@ def group_points(coords: np.ndarray) -> PointGroups:
     new = np.ones(order.size, dtype=bool)
     np.any(ranked_t[:, 1:] != ranked_t[:, :-1], axis=0, out=new[1:])
     starts = np.flatnonzero(new)
-    inv = np.empty(order.size, dtype=np.int64)
+    inv = np.empty(order.size, dtype=np.intp)
     inv[order] = np.cumsum(new) - 1
     offsets = np.append(starts, order.size)
     return PointGroups(points_t=ranked_t.take(starts, axis=1), inv=inv,

@@ -45,12 +45,34 @@ def test_info_fields(sample_model, capsys):
     assert "directed=false" in out
 
 
+def info_fields(model, capsys) -> dict:
+    assert run(["info", str(model)]) == 0
+    return dict(line.split("=", 1) for line in capsys.readouterr().out.split())
+
+
 def test_info_reports_distinct_points(sample_model, capsys):
-    assert run(["info", str(sample_model)]) == 0
-    fields = dict(line.split("=", 1) for line in capsys.readouterr().out.split())
+    fields = info_fields(sample_model, capsys)
+    # counted from the coordinates, independently of the model's point index
     groups = Counter(map(tuple, load_file(sample_model).embedding.coords.tolist()))
     assert fields["distinct_points"] == str(len(groups))
     assert fields["largest_group"] == str(max(groups.values()))
+
+
+def test_info_reports_point_table_bytes(sample_model, tmp_path, capsys):
+    # the six-node model at k=2 has u = 6 distinct points: 36 > k * n = 12,
+    # so it holds no table and queries run the kernel
+    fields = info_fields(sample_model, capsys)
+    assert fields["distinct_points"] == "6" and fields["point_table_bytes"] == "0"
+    # a 40-node star collapses onto a few points: u**2 <= k * n = 80
+    edges = tmp_path / "star.txt"
+    edges.write_text("".join(f"0 {leaf}\n" for leaf in range(1, 40)))
+    model = tmp_path / "star.fzg"
+    assert run(["compress", "--input", str(edges), "--output", str(model), "--k", "2"]) == 0
+    capsys.readouterr()
+    fields = info_fields(model, capsys)
+    u = int(fields["distinct_points"])
+    assert 1 < u and u * u <= 2 * 40
+    assert fields["point_table_bytes"] == str(8 * u * u) == str(load_file(model).point_table.nbytes)
 
 
 def test_query_definite_yes(sample_model, capsys):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fuzzmap import (
     Answer,
@@ -26,6 +27,7 @@ from fuzzmap import (
     graph_from_edges,
     load,
     parse_fcl,
+    preferential_attachment_graph,
     query,
     query_arrays,
     query_directed,
@@ -35,7 +37,7 @@ from fuzzmap import (
 from fuzzmap import oracle
 from fuzzmap.cli import run
 from fuzzmap.fastmap import Embedding
-from fuzzmap.radii import group_points, pair_distances
+from fuzzmap.radii import _BLOCK, _block_distances, distances_from, group_points, pair_distances
 
 from conftest import HIGH_ID_EDGES, edgeless_graph, soundness_corpus
 
@@ -531,10 +533,10 @@ def test_signed_zero_rows_share_a_point():
     assert np.array_equal(loaded.embedding.coords, cg.embedding.coords)
 
 
-def test_save_refuses_more_points_than_u32_indices_address(uncertain_pair_graph, monkeypatch):
+def test_save_refuses_more_points_than_u32_indices_address(uncertain_pair_graph):
     cg = build(uncertain_pair_graph, k=2, seed=0)
-    too_many = dataclasses.make_dataclass("Groups", ["u"])(2**32 + 1)
-    monkeypatch.setattr(oracle, "group_points", lambda coords: too_many)
+    # a broadcast view claims 2**32 + 1 points without allocating them
+    cg.points_t = np.broadcast_to(cg.points_t[:, :1], (cg.k, 2**32 + 1))
     with pytest.raises(ValueError, match=re.escape("4294967297 distinct points exceed")):
         save(cg, io.BytesIO())
 
@@ -615,8 +617,12 @@ def _check_loaded_model(cg: CompressedGraph) -> None:
     assert np.all((r == -1.0) | (np.isfinite(r) & (r >= 0.0)))
     assert np.all((R == np.inf) | (np.isfinite(R) & (R >= 0.0)))
     assert cg.fuzzy == parse_fcl(cg.fcl_text)
-    for array in (cg.external_ids, cg.embedding.coords, r, R):
+    for array in (cg.external_ids, cg.embedding.coords, r, R, cg.points_t, cg.point_index):
         assert not array.flags.writeable
+    assert (cg.point_table is None) == (cg.u**2 > oracle._TABLE_CELLS_PER_COORD * cg.k * cg.n)
+    if cg.point_table is not None:
+        assert not cg.point_table.flags.writeable
+        assert_table_matches_kernel(cg)
     if cg.n >= 2:
         us = np.arange(cg.n)
         definite, value = query_arrays(cg, us, np.roll(us, 1))
@@ -633,12 +639,119 @@ def test_fuzz_base_model_loads():
 
 
 @settings(max_examples=400, deadline=None)
-@given(blob=_mutants())
-def test_mutated_streams_fail_cleanly_or_load_valid(blob):
-    try:
-        cg = load(io.BytesIO(blob))
-    except ModelFormatError as exc:
-        event(f"rejected: {re.match('[A-Za-z ]*', str(exc)).group().strip()}")
-        return
-    event("loaded")
-    _check_loaded_model(cg)
+@given(blob=_mutants(), table=st.booleans())
+def test_mutated_streams_fail_cleanly_or_load_valid(blob, table):
+    # the base model (u = 9, k = 2, n = 16) is above the table cap; a raised
+    # cap gives a mutant a point table too, checked against the kernel
+    with pytest.MonkeyPatch.context() as mp:
+        if table:
+            mp.setattr(oracle, "_TABLE_CELLS_PER_COORD", _TABLE_ALWAYS)
+        try:
+            cg = load(io.BytesIO(blob))
+        except ModelFormatError as exc:
+            event(f"rejected: {re.match('[A-Za-z ]*', str(exc)).group().strip()}")
+            return
+        event("loaded with a point table" if cg.point_table is not None else "loaded")
+        _check_loaded_model(cg)
+
+
+# --- the point-distance table ------------------------------------------------
+
+_TABLE_ALWAYS = 2**40  # a cap no test model reaches: every model keeps its table
+
+
+def assert_table_matches_kernel(cg: CompressedGraph) -> None:
+    """Every table entry a query can read equals the kernel on the pair's
+    coordinates, bit for bit, and so do the radii scan's block rows."""
+    coords, table, index, u = cg.embedding.coords, cg.point_table, cg.point_index, cg.u
+    ids = np.arange(cg.n)
+    for v in range(cg.n):
+        row = table[index[v]][index].tobytes()
+        assert row == table.take(index[v] * u + index).tobytes()  # the query's flat take
+        assert row == distances_from(coords, v).tobytes()
+        assert row == pair_distances(coords, np.full(cg.n, v), ids).tobytes()
+        assert row == pair_distances(coords, ids, np.full(cg.n, v)).tobytes()
+    out, tmp = np.empty((2, _BLOCK, u))
+    for lo in range(0, u, _BLOCK):
+        hi = min(lo + _BLOCK, u)
+        assert _block_distances(cg.points_t, lo, hi, out, tmp).tobytes() == table[lo:hi].tobytes()
+
+
+# a few values with both zero signs put many nodes on one point (u < n)
+POOL_COORD = st.sampled_from([0.0, -0.0, 1.0, -2.5, 3.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(2, 3 * _BLOCK + 1), k=st.integers(1, 8),
+       pooled=st.booleans())
+def test_point_table_bitwise_equals_kernel(data, n, k, pooled):
+    if pooled:
+        coords = data.draw(arrays(np.float64, (n, k), elements=POOL_COORD))
+    else:  # unique elements: every row distinct, u = n
+        coords = data.draw(arrays(np.float64, (n, k), elements=st.floats(-1e6, 1e6), unique=True))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_TABLE_CELLS_PER_COORD", _TABLE_ALWAYS)
+        cg = manual_model(coords, r=[-1.0] * n, R=[np.inf] * n)
+    assert cg.u == group_points(cg.embedding.coords).u and (pooled or cg.u == n)
+    assert_table_matches_kernel(cg)
+    capped = manual_model(coords, r=[-1.0] * n, R=[np.inf] * n)
+    if cg.u**2 <= k * n:
+        assert capped.point_table.tobytes() == cg.point_table.tobytes()
+        assert capped.point_table.nbytes <= capped.embedding.coords.nbytes
+    else:
+        assert capped.point_table is None
+
+
+@pytest.mark.parametrize("quantize", [False, True], ids=["exact", "quantized"])
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_table_and_kernel_paths_answer_the_same_bytes(directed, quantize):
+    g = gnp_random_graph(120, 0.05, seed=11, directed=directed)
+    us, vs = np.nonzero(~np.eye(g.n, dtype=bool))
+    answers = set()
+    for cells in (0, _TABLE_ALWAYS):  # the kernel path, then the table path
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_TABLE_CELLS_PER_COORD", cells)
+            cg = build(g, k=4, seed=3, quantize=quantize)
+            loaded = roundtrip(cg)[0]
+            if cells:  # a model with a table never runs the kernel in a query
+                mp.setattr(oracle, "pair_distances", None)
+            for model in (cg, loaded):
+                assert (model.point_table is None) == (cells == 0)
+                definite, value = query_arrays(model, us, vs)
+                answers.add(definite.tobytes() + value.tobytes())
+    assert 0 < definite.sum() < definite.size  # definite and fuzzy answers both occur
+    assert len(answers) == 1
+
+
+def _model_on_points(points, n: int) -> CompressedGraph:
+    """n nodes spread round-robin over the given distinct points."""
+    points = np.asarray(points, dtype=float)
+    return manual_model(points[np.arange(n) % len(points)], r=[-1.0] * n, R=[np.inf] * n)
+
+
+def test_point_table_never_outgrows_the_coordinates():
+    # k = 2, n = 8: the table is kept up to u**2 = k * n = 16 cells, where it
+    # is exactly as large as the coordinates
+    points = [[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [3.0, 3.0], [5.0, 5.0]]
+    at_cap = _model_on_points(points[:4], 8)
+    assert at_cap.u == 4 and at_cap.point_table.shape == (4, 4)
+    assert at_cap.point_table.nbytes == at_cap.embedding.coords.nbytes
+    over_cap = _model_on_points(points, 8)
+    assert over_cap.u == 5 and over_cap.point_table is None
+    distinct = manual_model(np.arange(12.0).reshape(6, 2), r=[-1.0] * 6, R=[np.inf] * 6)
+    assert distinct.u == distinct.n and distinct.point_table is None
+    for cg in (at_cap, over_cap, distinct):
+        assert not cg.points_t.flags.writeable and not cg.point_index.flags.writeable
+        assert cg.point_index.dtype == np.intp
+    assert not at_cap.point_table.flags.writeable
+
+
+def test_benchmark_model_keeps_its_point_table():
+    # the query benchmark's model, BA(20000, 5) at k = 8: u = 148 points, far
+    # under the cap of sqrt(k * n) = 400, so queries take the table path
+    cg = build(preferential_attachment_graph(20000, 5, seed=1), k=8, seed=1)
+    assert cg.u == 148
+    assert cg.point_table is not None and cg.point_table.shape == (148, 148)
+    loaded = roundtrip(cg)[0]
+    assert loaded.point_table.tobytes() == cg.point_table.tobytes()
+    assert np.array_equal(loaded.point_index, cg.point_index)

@@ -144,6 +144,23 @@ def test_node_adjacent_to_none_directed():
     assert Rq == 1.0  # no neighbors: unquantized R is kept
 
 
+def test_quantized_R_keeps_its_guard_above_2_53():
+    # path 0-1-2 on the line at 0, 2**54 and 2**55. For node 0, M = 2**54,
+    # and floor(M) + 1 rounds back to 2**54 (doubles there are 4 apart): as
+    # R it would answer a definite no for the edge (0, 1). The Q > M guard
+    # keeps the unquantized R = 2**55, the nearest non-neighbor beyond M.
+    g = graph_from_edges([(0, 1), (1, 2)])
+    e = embed_of([[0.0], [2.0**54], [2.0**55]])
+    M = distances_from(e.coords, 0)[1]
+    assert M == 2.0**54 and np.floor(M) + 1.0 == M  # the shortcut is not above M
+    for quantize in (False, True):
+        r, R = compute_radii(g, e, 0, quantize=quantize)
+        assert R == 2.0**55 and M < R  # edge (0, 1) never answers a definite no
+        assert r == 2.0**54  # and it answers yes: no non-neighbor within r
+    every = compute_all_radii(g, e, quantize=True)
+    assert every.R[0] == 2.0**55 and every.r[0] == 2.0**54
+
+
 def test_coincident_non_neighbor_forces_sentinel():
     # node 2 coincides with node 0 in the embedding but is not its neighbor
     g = graph_from_edges([(0, 1), (1, 2)])
