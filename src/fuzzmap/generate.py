@@ -31,9 +31,10 @@ def gnp_random_graph(n: int, p: float, seed: int, directed: bool = False) -> Gra
     g = graph_from_edges(pairs, directed=directed)
     if g.n == n:
         return g
-    # isolated nodes cannot come from an edge list; re-anchor them to node 0
+    # isolated nodes cannot come from an edge list; re-anchor them to node 0,
+    # and node 0 itself to node 1 when it is the only one missing
     present = set(int(e) for e in g.external_ids)
-    extra = [(0, u) for u in range(1, n) if u not in present]
+    extra = [(0, u) for u in range(1, n) if u not in present] or [(0, 1)]
     return graph_from_edges(pairs + extra, directed=directed)
 
 

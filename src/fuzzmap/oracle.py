@@ -145,10 +145,6 @@ def build(
     is self-contained and loads back to the same system. Bad FCL raises
     FclParseError before any embedding work.
     """
-    if g.n < 2:
-        raise ValueError("graph must have at least 2 nodes")
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if fcl_text is None:
         fcl_text = to_fcl(default_system())
     system = parse_fcl(fcl_text)

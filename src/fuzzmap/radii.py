@@ -58,10 +58,6 @@ class NodeRadii:
     R: np.ndarray  # (n,) float64, +inf sentinel
     quantized: bool
 
-    @property
-    def n(self) -> int:
-        return self.r.shape[0]
-
 
 def _axis_distances(axes, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """The one distance kernel: sqrt of (a_j - b_j)**2 summed into ``out``
@@ -181,9 +177,11 @@ def _radii_rule(
     ``rows`` is (len(nodes), u) and is overwritten. m = nearest
     non-neighbor distance, M = farthest neighbor distance. r is the
     largest neighbor distance strictly below m; R the smallest
-    non-neighbor distance strictly above M. Quantized: r = ceil(m) - 1
-    and R = floor(M) + 1, each falling back to the sound unquantized
-    value if the integer candidate ever failed its soundness check.
+    non-neighbor distance strictly above M. Quantized, in one rounding
+    step: r = ceil(m) - 1 and R = floor(M) + 1. These integer candidates
+    are exact and sound below 2**53; where one is not (at or above 2**53,
+    m = +inf, or no neighbors), the unquantized radius is kept, r rounded
+    down to an integer.
     The count mask needs CSR rows free of self-loops and repeats;
     ``Graph`` guarantees that.
     """
@@ -211,15 +209,10 @@ def _radii_rule(
     if not quantize:
         return r, R
 
-    floor_r = np.floor(r)
-    q = np.ceil(m) - 1.0
-    # q < m: no non-neighbor within q, so q is yes-sound
-    fallback = np.where((floor_r >= 0.0) & (floor_r < m), floor_r, R_NONE)
-    # no non-neighbors at all (m = +inf): any value is sound
-    rq = np.where(np.isfinite(m), np.where(q < m, q, fallback), floor_r)
-    # Q exceeds every neighbor distance: no-sound; never true without neighbors
-    Q = np.floor(M) + 1.0
-    return rq, np.where(Q > M, Q, R)
+    # q < m: no non-neighbor within q; Q > M: every neighbor below Q. Where
+    # a test fails, floor(r) is still sound: r is -1 or lies in [0, m).
+    q, Q = np.ceil(m) - 1.0, np.floor(M) + 1.0
+    return np.where(q < m, q, np.floor(r)), np.where(Q > M, Q, R)
 
 
 def compute_radii(g: Graph, e: Embedding, v: int, quantize: bool = True) -> tuple[float, float]:

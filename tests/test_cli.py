@@ -106,6 +106,10 @@ def test_usage_errors_exit_1(capsys):
     assert run(["compress", "--input", "x", "--output", "y"]) == 1  # missing --k
     assert run(["sweep", "--input", "x", "--k", "10:2", "--out", "y"]) == 1
     assert run(["compress", "--input", "x", "--output", "y", "--k", "0"]) == 1
+    for spec in ("abc", "1:2:3:4", "0:3"):
+        assert run(["sweep", "--input", "x", "--k", spec]) == 1
+    assert run(["evaluate", "--model", "x", "--graph", "y", "--sample", "-1"]) == 1
+    assert run(["sweep", "--input", "x", "--k", "2", "--sample", "-1"]) == 1
     assert capsys.readouterr().err
 
 
@@ -169,6 +173,9 @@ def test_sweep_k_range_step(sample_edge_file, tmp_path):
                 "--sample", "0", "--out", str(out)]) == 0
     ks = [row.split(",")[0] for row in out.read_text().splitlines()[1:]]
     assert ks == ["2", "4", "6"]
+    assert run(["sweep", "--input", str(sample_edge_file), "--k", "4",
+                "--sample", "0", "--out", str(out)]) == 0
+    assert [row.split(",")[0] for row in out.read_text().splitlines()[1:]] == ["4"]
 
 
 def test_compress_no_quantize_and_directed(tmp_path, capsys):

@@ -256,6 +256,9 @@ MALFORMED = {
     "unresolved-term": (
         variant("IS close_to_r THEN", "IS near THEN"),
         "line 25: unresolved term 'near'"),
+    "unresolved-output-term": (
+        variant("IS adjacent;", "IS far;"),
+        "line 25: unresolved term 'far'"),
     "trailing-content": (
         variant("END_FUNCTION_BLOCK", "END_FUNCTION_BLOCK\nEND_VAR"),
         "line 29: trailing content 'END_VAR'"),

@@ -53,6 +53,8 @@ def test_system_validation():
         FuzzySystem("x", "y", {"a": ramp}, {"b": ramp}, rules=())
     with pytest.raises(FclParseError, match="unresolved"):
         FuzzySystem("x", "y", {"a": ramp}, {"b": ramp}, rules=(FuzzyRule("near", "b"),))
+    with pytest.raises(FclParseError, match="unresolved output term 'far'"):
+        FuzzySystem("x", "y", {"a": ramp}, {"b": ramp}, rules=(FuzzyRule("a", "far"),))
     for bad in (7.5, -0.25, float("inf"), float("nan")):
         with pytest.raises(FclParseError, match=r"DEFAULT must be in \[0, 1\]"):
             FuzzySystem("x", "y", {"a": ramp}, {"b": ramp}, rules=(FuzzyRule("a", "b"),),
@@ -142,6 +144,8 @@ def test_input_domain_enforced():
     for bad in (-0.1, 1.1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             evaluate(sys, bad)
+    with pytest.raises(ValueError, match="scalar or 1-d"):
+        evaluate_many(sys, [[0.5, 0.5]])
 
 
 @settings(max_examples=120, deadline=None)

@@ -107,6 +107,8 @@ def test_bytes_and_stream_input(tmp_path):
     path.write_text("1 2\n2 3\n")
     with open(path, "rb") as f:
         assert parse_edge_list(f).n == 3
+    with pytest.raises(GraphParseError, match="input is not UTF-8"):
+        parse_edge_list(b"1 2\n\xff 3\n")
 
 
 def test_directed_arcs_one_way():

@@ -214,10 +214,10 @@ def test_directed_asymmetric_answers():
 
 
 def test_build_validation(uncertain_pair_graph):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k must be >= 1"):
         build(uncertain_pair_graph, k=0, seed=0)
     singleton = edgeless_graph(1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="graph must have at least 2 nodes"):
         build(singleton, k=2, seed=0)
 
 

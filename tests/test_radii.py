@@ -254,8 +254,10 @@ def graph_from_matrix(adj: np.ndarray, directed: bool) -> Graph:
                  external_ids=np.arange(len(adj), dtype=np.uint64))
 
 
-# small integers make distance ties, general floats make rounding
-COORD = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3))
+# small integers make distance ties, general floats make rounding, and
+# multiples of 2**52 put m and M where ceil(m) - 1 and floor(M) + 1 fail
+COORD = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3),
+                  st.integers(-6, 6).map(lambda i: i * 2.0**52))
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
