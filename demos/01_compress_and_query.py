@@ -1,7 +1,8 @@
 """Compress a small friendship graph and query it, definitively and fuzzily.
 
-The model stores two radii and a point index per node, k coordinates per
-distinct point, and never the edges.
+The model file stores k coordinates per distinct point, two radii per
+distinct (point, r, R) node state, one state index per node, and never
+the edges.
 Queries come back 'yes'/'no' only when the geometry guarantees the truth;
 everything else gets a likelihood.
 """
@@ -9,6 +10,7 @@ everything else gets a likelihood.
 import io
 
 from fuzzmap import build, parse_edge_list, query, save, load
+from fuzzmap.oracle import node_states
 
 EDGE_LIST = """\
 # a 10-person friendship graph, arbitrary external ids
@@ -47,7 +49,8 @@ def main():
     buf = io.BytesIO()
     nbytes = save(cg, buf)
     print(f"\nmodel serialized to {nbytes} bytes (header + id map + {cg.u}x{cg.k} distinct "
-          f"points + {g.n} point indices + {g.n}x2 radii + FCL + CRC)")
+          f"points + {node_states(cg).t} node states (r, R, point) + {g.n} state indices "
+          f"+ FCL + CRC)")
 
     reloaded = load(io.BytesIO(buf.getvalue()))
     ans = query(reloaded, reloaded.internal_id(10), reloaded.internal_id(20))

@@ -18,7 +18,8 @@ from ._parallel import thread_count
 from .fuzzy import FclParseError
 from .graph import GraphParseError, load_edge_list
 from .harness import DEFAULT_SAMPLE, evaluate_model, reports_to_csv, sweep_k
-from .oracle import FORMAT_VERSION, ModelFormatError, build, load_file, query, query_directed, save_file
+from .oracle import (FORMAT_VERSION, ModelFormatError, build, load_file, node_states, query,
+                     query_directed, save_file)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -99,8 +100,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--directed", action="store_true")
     p.add_argument("--out", help="CSV path (default stdout)")
 
-    p = sub.add_parser("info", help="print model header fields, distinct-point counts "
-                                    "and the point table size")
+    p = sub.add_parser("info", help="print model header fields, the distinct-point and "
+                                    "node-state counts the file stores, and the point "
+                                    "table size")
     p.add_argument("model")
 
     return parser
@@ -171,6 +173,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"quantized={'true' if cg.radii.quantized else 'false'}")
     print(f"distinct_points={cg.u}")
     print(f"largest_group={np.bincount(cg.point_index).max()}")
+    # the distinct (point, r, R) triples: the grouping save writes the state table from
+    print(f"node_states={node_states(cg).t}")
     # 0 above the u**2 <= k * n cap, where queries run the distance kernel
     print(f"point_table_bytes={0 if cg.point_table is None else cg.point_table.nbytes}")
     print(f"fcl_bytes={len(cg.fcl_text.encode('utf-8'))}")

@@ -9,8 +9,10 @@ the model already holds. Queries read each pair's distance from the
 table, or run the distance kernel on the pair's coordinates above the
 cap; both give the same bits. They answer definite yes/no when a radius
 guarantees the truth, otherwise a fuzzy likelihood. Models persist in the
-FZG1 binary format with a CRC32 trailer; the file stores each of the u
-distinct FastMap points once and one u32 point index per node.
+FZG1 binary format with a CRC32 trailer. The file stores each of the u
+distinct FastMap points once, each of the t distinct node states (point,
+r, R) once, and one u32 state index per node; external ids that are a
+range lo..lo+n-1 take only lo.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import struct
 import sys
 import zlib
 from dataclasses import dataclass, field
-from typing import IO, Optional
+from typing import IO, NamedTuple, Optional
 
 import numpy as np
 
@@ -31,11 +33,12 @@ from .radii import (R_NONE, NodeRadii, _block_distances, compute_all_radii, grou
                     pair_distances)
 
 MAGIC = b"FZG1"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _FLAG_DIRECTED = 1
 _FLAG_QUANTIZED = 2
-_HEADER = struct.Struct("<4sIIQIIQ")  # magic, version, flags, n, k, fcl_len, u
-_MAX_POINTS = 2**32  # point indices are u32
+_FLAG_ID_RANGE = 4  # external ids are lo..lo+n-1; the id block holds lo alone
+_HEADER = struct.Struct("<4sIIQIIQQ")  # magic, version, flags, n, k, fcl_len, u, t
+_MAX_U32_INDEXED = 2**32  # point and state indices are u32: at most this many of each
 # the u x u distance table may hold this many cells per model coordinate:
 # kept while u**2 <= k * n, it is never larger than the n x k coordinates
 _TABLE_CELLS_PER_COORD = 1
@@ -235,28 +238,74 @@ def query_directed(cg: CompressedGraph, u: int, v: int) -> Answer:
 # --- FZG1 persistence --------------------------------------------------------
 
 
+class NodeStates(NamedTuple):
+    """The t distinct (point, r, R) states of a model's nodes.
+
+    State s sits on point ``point[s]`` with radii ``r[s]`` and ``R[s]``;
+    node v is in state ``index[v]``.
+    """
+
+    point: np.ndarray  # (t,) intp
+    r: np.ndarray  # (t,) f64
+    R: np.ndarray  # (t,) f64
+    index: np.ndarray  # (n,) intp
+
+    @property
+    def t(self) -> int:
+        return len(self.point)
+
+
+def node_states(cg: CompressedGraph) -> NodeStates:
+    """Group nodes by (point, r, R), in one lexicographic sort.
+
+    Radii are compared by their bit patterns, so every node of a state
+    has that state's r and R byte for byte. States come in (point, r bits,
+    R bits) order.
+    """
+    r_bits, R_bits = (np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+                      for a in (cg.radii.r, cg.radii.R))
+    keys = np.stack([cg.point_index.astype(np.uint64), r_bits, R_bits])
+    order = np.lexsort(keys[::-1])
+    ranked = keys.take(order, axis=1)
+    new = np.ones(order.size, dtype=bool)
+    np.any(ranked[:, 1:] != ranked[:, :-1], axis=0, out=new[1:])
+    index = np.empty(order.size, dtype=np.intp)
+    index[order] = np.cumsum(new) - 1
+    first = order[new]  # one node of each state
+    return NodeStates(point=cg.point_index[first], r=cg.radii.r[first], R=cg.radii.R[first],
+                      index=index)
+
+
 def save(cg: CompressedGraph, sink: IO[bytes]) -> int:
     """Write the FZG1 stream; returns the byte count.
 
-    Layout (little-endian): 36-byte header (magic, version, flags, n, k,
-    fcl_len, u), n x u64 external ids, u x k f64 distinct points (row-major,
-    in ``group_points`` order), n x u32 point index, n x (f64 r, f64 R),
-    fcl_len bytes of UTF-8 FCL, CRC32 of everything preceding; in all
-    36 + 28n + 8uk + fcl_len + 4 bytes. The points and indices are the
-    model's own ``points_t`` and ``point_index``. Raises ValueError when the
-    embedding has more than 2**32 distinct points.
+    Layout (little-endian): 44-byte header (magic, version, flags, n, k,
+    fcl_len, u, t); the id block, lo alone (u64) when the external ids are
+    lo..lo+n-1 (flag bit2), else n x u64 ids; u x k f64 distinct points
+    (row-major, in ``group_points`` order); the t node states of
+    ``node_states``, as t x (f64 r, f64 R) then t x u32 point index;
+    n x u32 state index; fcl_len bytes of UTF-8 FCL; CRC32 of everything
+    preceding. In all 44 + 8 * (1 or n) + 8uk + 20t + 4n + fcl_len + 4
+    bytes. Raises ValueError when the embedding has more than 2**32
+    distinct points or the model more than 2**32 node states.
     """
     n, k, u = cg.n, cg.k, cg.u
-    if u > _MAX_POINTS:
-        raise ValueError(f"{u} distinct points exceed the format's limit of 2**32")
+    states = node_states(cg)
+    for count, what in ((u, "distinct points"), (states.t, "node states")):
+        if count > _MAX_U32_INDEXED:
+            raise ValueError(f"{count} {what} exceed the format's limit of 2**32")
+    ids = np.ascontiguousarray(cg.external_ids, dtype="<u8")
+    id_range = np.array_equal(ids, ids[0] + np.arange(n, dtype=np.uint64))
     fcl = cg.fcl_text.encode("utf-8")
-    flags = (_FLAG_DIRECTED if cg.directed else 0) | (_FLAG_QUANTIZED if cg.radii.quantized else 0)
+    flags = ((_FLAG_DIRECTED if cg.directed else 0) | (_FLAG_QUANTIZED if cg.radii.quantized else 0)
+             | (_FLAG_ID_RANGE if id_range else 0))
     parts = [
-        _HEADER.pack(MAGIC, FORMAT_VERSION, flags, n, k, len(fcl), u),
-        np.ascontiguousarray(cg.external_ids, dtype="<u8").tobytes(),
+        _HEADER.pack(MAGIC, FORMAT_VERSION, flags, n, k, len(fcl), u, states.t),
+        (ids[:1] if id_range else ids).tobytes(),
         np.ascontiguousarray(cg.points_t.T, dtype="<f8").tobytes(),
-        cg.point_index.astype("<u4").tobytes(),
-        np.ascontiguousarray(np.column_stack([cg.radii.r, cg.radii.R]), dtype="<f8").tobytes(),
+        np.ascontiguousarray(np.column_stack([states.r, states.R]), dtype="<f8").tobytes(),
+        states.point.astype("<u4").tobytes(),
+        states.index.astype("<u4").tobytes(),
         fcl,
     ]
     blob = b"".join(parts)
@@ -274,25 +323,30 @@ def load(source: IO[bytes]) -> CompressedGraph:
     """Read an FZG1 stream back into a model; errors name the byte offset.
 
     The header is checked against the stream length before any array is
-    made. The model's coordinates are the file's points gathered through
-    the point indices, and the model regroups them into its point fields;
-    its id, coordinate, radius and point arrays are read-only.
+    made, and each state's radii once per state. The model's coordinates,
+    r and R are the file's points and state radii gathered through the
+    state index, and the model regroups the coordinates into its point
+    fields; its id, coordinate, radius and point arrays are read-only.
     """
     blob = source.read()
     if len(blob) < _HEADER.size:
         raise ModelFormatError(f"truncated header: {len(blob)} bytes (offset {len(blob)})")
-    magic, version, flags, n, k, fcl_len, u = _HEADER.unpack_from(blob, 0)
+    magic, version, flags, n, k, fcl_len, u, t = _HEADER.unpack_from(blob, 0)
     if magic != MAGIC:
         raise ModelFormatError(f"bad magic {magic!r} at offset 0")
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format version {version} at offset 4")
-    if flags & ~(_FLAG_DIRECTED | _FLAG_QUANTIZED):
+    if flags & ~(_FLAG_DIRECTED | _FLAG_QUANTIZED | _FLAG_ID_RANGE):
         raise ModelFormatError(f"unknown flag bits {flags:#x} at offset 8")
     if k < 1:
         raise ModelFormatError(f"invalid dimension k={k} at offset 20")
-    if not 1 <= u <= min(n, _MAX_POINTS):
+    if not 1 <= u <= min(n, _MAX_U32_INDEXED):
         raise ModelFormatError(f"invalid point count u={u} for n={n} at offset 28")
-    expected = _HEADER.size + 28 * n + 8 * u * k + fcl_len + 4  # Python ints: no overflow
+    if not 1 <= t <= min(n, _MAX_U32_INDEXED):
+        raise ModelFormatError(f"invalid state count t={t} for n={n} at offset 36")
+    id_count = 1 if flags & _FLAG_ID_RANGE else n
+    # Python ints: no overflow
+    expected = _HEADER.size + 8 * id_count + 8 * u * k + 20 * t + 4 * n + fcl_len + 4
     if len(blob) != expected:
         raise ModelFormatError(
             f"truncated or oversized stream: expected {expected} bytes, got {len(blob)}"
@@ -303,23 +357,35 @@ def load(source: IO[bytes]) -> CompressedGraph:
         raise ModelFormatError(f"CRC mismatch at offset {expected - 4}")
 
     off = _HEADER.size
-    external_ids = np.frombuffer(blob, dtype="<u8", count=n, offset=off).astype(np.uint64)
-    increasing = external_ids[1:] > external_ids[:-1]
-    _reject_first(increasing, off + 8, 8, "external ids not strictly increasing")
-    off += 8 * n
+    ids = np.frombuffer(blob, dtype="<u8", count=id_count, offset=off).astype(np.uint64)
+    if flags & _FLAG_ID_RANGE:
+        lo = int(ids[0])
+        if lo + n - 1 >= 2**64:
+            raise ModelFormatError(f"id range {lo}..{lo + n - 1} exceeds 2**64 - 1 at offset {off}")
+        external_ids = ids[0] + np.arange(n, dtype=np.uint64)
+    else:
+        external_ids = ids
+        increasing = external_ids[1:] > external_ids[:-1]
+        _reject_first(increasing, off + 8, 8, "external ids not strictly increasing")
+    off += 8 * id_count
     points = np.frombuffer(blob, dtype="<f8", count=u * k, offset=off).reshape(u, k)
     # NaN and inf fail the comparison too
     _reject_first((np.abs(points) <= _coordinate_limit(k)).ravel(), off, 8,
                   "non-finite or overflowing coordinate")
     off += 8 * u * k
-    index = np.frombuffer(blob, dtype="<u4", count=n, offset=off)
-    _reject_first(index < u, off, 4, "point index out of range")
+    state_radii = np.frombuffer(blob, dtype="<f8", count=2 * t, offset=off).reshape(t, 2)
+    state_r, state_R = state_radii[:, 0], state_radii[:, 1]
+    _reject_first((state_r == R_NONE) | (np.isfinite(state_r) & (state_r >= 0.0)), off, 16,
+                  "invalid radius r")
+    _reject_first((state_R == np.inf) | (np.isfinite(state_R) & (state_R >= 0.0)), off + 8, 16,
+                  "invalid radius R")
+    off += 16 * t
+    state_point = np.frombuffer(blob, dtype="<u4", count=t, offset=off)
+    _reject_first(state_point < u, off, 4, "point index out of range")
+    off += 4 * t
+    state_index = np.frombuffer(blob, dtype="<u4", count=n, offset=off)
+    _reject_first(state_index < t, off, 4, "state index out of range")
     off += 4 * n
-    radii_flat = np.frombuffer(blob, dtype="<f8", count=2 * n, offset=off).reshape(n, 2)
-    r, R = radii_flat[:, 0].copy(), radii_flat[:, 1].copy()
-    _reject_first((r == R_NONE) | (np.isfinite(r) & (r >= 0.0)), off, 16, "invalid radius r")
-    _reject_first((R == np.inf) | (np.isfinite(R) & (R >= 0.0)), off + 8, 16, "invalid radius R")
-    off += 16 * n
     try:
         fcl_text = blob[off : off + fcl_len].decode("utf-8")
         fuzzy = parse_fcl(fcl_text)
@@ -328,8 +394,10 @@ def load(source: IO[bytes]) -> CompressedGraph:
     except FclParseError as exc:
         raise ModelFormatError(f"FCL block at offset {off} does not parse: {exc}") from None
 
-    # one gather through the index: (k, u) -> C-ordered (k, n), whose .T is axis-major
-    coords = points.T.take(index, axis=1).T
+    # one gather each through the state index; the (k, t) state points go
+    # to a C-ordered (k, n), whose .T is axis-major
+    r, R = state_r.take(state_index), state_R.take(state_index)
+    coords = points.T.take(state_point, axis=1).take(state_index, axis=1).T
     for array in (external_ids, coords, r, R):
         array.flags.writeable = False
     return CompressedGraph(

@@ -7,6 +7,7 @@ share no code path with the implementations they check.
 from __future__ import annotations
 
 import math
+import struct
 from itertools import groupby
 
 
@@ -80,6 +81,23 @@ def adjacency_sets_oracle(pairs, directed: bool) -> tuple[list[int], list[set[in
         if not directed:
             adj[v].add(u)
     return ids, adj
+
+
+def fzg1_size_oracle(coords, r, R, external_ids, k: int, fcl_len: int) -> int:
+    """Expected FZG1 version 3 file size, counted with plain sets.
+
+    A 44-byte header; the id block, lo alone when the ids are consecutive;
+    each distinct point (k f64); each distinct (point, r, R) state, radii
+    compared by their f64 bytes (r, R and a u32 point index: 20 bytes);
+    a u32 state index per node; the FCL text and a 4-byte CRC. Points
+    compare as Python floats, so 0.0 and -0.0 share one.
+    """
+    points = [tuple(row) for row in coords]
+    ids = [int(e) for e in external_ids]
+    n = len(ids)
+    id_block = 8 if ids == list(range(ids[0], ids[0] + n)) else 8 * n
+    states = {(p, struct.pack("<d", a), struct.pack("<d", b)) for p, a, b in zip(points, r, R)}
+    return 44 + id_block + 8 * k * len(set(points)) + 20 * len(states) + 4 * n + fcl_len + 4
 
 
 def farthest_pair_distance(dist, n: int) -> float:

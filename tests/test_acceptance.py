@@ -34,10 +34,11 @@ from fuzzmap import (
 )
 from fuzzmap.fuzzy import FclParseError
 from fuzzmap.fastmap import Embedding
+from fuzzmap.oracle import node_states
 from fuzzmap.radii import distances_from, group_points
 
 from conftest import UNCERTAIN_PAIR_EDGES, soundness_corpus
-from oracles import mamdani_centroid_oracle, radii_sort_scan
+from oracles import fzg1_size_oracle, mamdani_centroid_oracle, radii_sort_scan
 
 
 def _report(num: int, name: str, ok: bool) -> None:
@@ -175,8 +176,9 @@ def test_criterion_5_fcl_round_trip():
 
 
 def test_criterion_6_linear_storage():
-    """Bytes = 36 + 28n + 8uk + fcl_len + 4 exactly, u the distinct points
-    (u <= n); the per-node part is 28n, so 10x nodes = exactly 10x of it."""
+    """Bytes = 44 + 8 + 8uk + 20t + 4n + fcl_len + 4 exactly for ids 0..n-1,
+    u the distinct points and t the distinct (point, r, R) states
+    (u <= t <= n); the per-node part is 4n, so 10x nodes = exactly 10x of it."""
     ok = False
     try:
         node_bytes = {}
@@ -186,17 +188,20 @@ def test_criterion_6_linear_storage():
             buf = io.BytesIO()
             save(cg, buf)
             blob = buf.getvalue()
-            # the per-node part of the stream, from the header's own k, fcl_len and u
-            _, _, _, _, k, fcl_len, u = struct.unpack_from("<4sIIQIIQ", blob, 0)
-            node_bytes[n] = len(blob) - 36 - 8 * u * k - fcl_len - 4
-            assert 1 <= u == group_points(cg.embedding.coords).u <= n
+            # the per-node part of the stream, from the header's own k, fcl_len, u and t
+            _, _, flags, _, k, fcl_len, u, t = struct.unpack_from("<4sIIQIIQQ", blob, 0)
+            node_bytes[n] = len(blob) - 44 - 8 - 8 * u * k - 20 * t - fcl_len - 4
+            assert flags & 4  # ids 0..n-1: the id block is lo alone
+            assert 1 <= u == group_points(cg.embedding.coords).u <= t == node_states(cg).t <= n
             assert (k, fcl_len) == (4, len(cg.fcl_text.encode("utf-8")))
-            assert len(blob) == 36 + 28 * n + 8 * u * 4 + fcl_len + 4, f"size off at n={n}"
+            assert len(blob) == 44 + 8 + 8 * u * 4 + 20 * t + 4 * n + fcl_len + 4, f"size off at n={n}"
+            assert len(blob) == fzg1_size_oracle(cg.embedding.coords.tolist(), cg.radii.r.tolist(),
+                                                 cg.radii.R.tolist(), cg.external_ids, 4, fcl_len)
         assert node_bytes[10000] == 10 * node_bytes[1000]
-        # worst case, every row distinct: u = n
+        # worst case, every row distinct: u = t = n
         distinct = Embedding(coords=np.arange(4.0 * n).reshape(n, 4))
         total = save(dataclasses.replace(cg, embedding=distinct), io.BytesIO())
-        assert total == 36 + n * (28 + 8 * 4) + fcl_len + 4
+        assert total == 44 + 8 + n * (8 * 4 + 20 + 4) + fcl_len + 4
         ok = True
     finally:
         _report(6, "linear storage", ok)

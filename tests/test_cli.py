@@ -58,17 +58,35 @@ def test_info_reports_distinct_points(sample_model, capsys):
     assert fields["largest_group"] == str(max(groups.values()))
 
 
+def test_info_reports_node_states(sample_model, tmp_path, capsys):
+    # counted from the loaded per-node arrays, independently of the grouping save uses
+    for model in (sample_model, star_model(tmp_path, capsys)):
+        fields = info_fields(model, capsys)
+        cg = load_file(model)
+        states = Counter(zip(map(tuple, cg.embedding.coords.tolist()), cg.radii.r.tolist(),
+                             cg.radii.R.tolist()))
+        assert fields["node_states"] == str(len(states))
+        assert int(fields["distinct_points"]) <= len(states) <= cg.n
+        assert fields["version"] == "3"
+
+
+def star_model(tmp_path, capsys):
+    """A 40-node star at k=2: it collapses onto a few points."""
+    edges = tmp_path / "star.txt"
+    edges.write_text("".join(f"0 {leaf}\n" for leaf in range(1, 40)))
+    model = tmp_path / "star.fzg"
+    assert run(["compress", "--input", str(edges), "--output", str(model), "--k", "2"]) == 0
+    capsys.readouterr()
+    return model
+
+
 def test_info_reports_point_table_bytes(sample_model, tmp_path, capsys):
     # the six-node model at k=2 has u = 6 distinct points: 36 > k * n = 12,
     # so it holds no table and queries run the kernel
     fields = info_fields(sample_model, capsys)
     assert fields["distinct_points"] == "6" and fields["point_table_bytes"] == "0"
     # a 40-node star collapses onto a few points: u**2 <= k * n = 80
-    edges = tmp_path / "star.txt"
-    edges.write_text("".join(f"0 {leaf}\n" for leaf in range(1, 40)))
-    model = tmp_path / "star.fzg"
-    assert run(["compress", "--input", str(edges), "--output", str(model), "--k", "2"]) == 0
-    capsys.readouterr()
+    model = star_model(tmp_path, capsys)
     fields = info_fields(model, capsys)
     u = int(fields["distinct_points"])
     assert 1 < u and u * u <= 2 * 40

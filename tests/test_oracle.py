@@ -39,7 +39,8 @@ from fuzzmap.cli import run
 from fuzzmap.fastmap import Embedding
 from fuzzmap.radii import _BLOCK, _block_distances, distances_from, group_points, pair_distances
 
-from conftest import HIGH_ID_EDGES, edgeless_graph, soundness_corpus
+from conftest import HIGH_ID_EDGES, UNCERTAIN_PAIR_EDGES, edgeless_graph, soundness_corpus
+from oracles import fzg1_size_oracle
 
 # 5-node digraph exhibiting asymmetric definite answers (found by search,
 # stable for k=2, seed=0, quantized): arc 1->0 exists, 0->1 does not, and
@@ -323,10 +324,9 @@ def test_sentinels_survive_roundtrip():
 
 
 def model_size(cg: CompressedGraph) -> int:
-    """36-byte header, per node an id, a point index and two radii, u
-    distinct points of k coordinates, the FCL text and the CRC."""
-    u = group_points(cg.embedding.coords).u
-    return 36 + 28 * cg.n + 8 * u * cg.k + len(cg.fcl_text.encode("utf-8")) + 4
+    """The version 3 size, from points, states and ids counted independently."""
+    return fzg1_size_oracle(cg.embedding.coords.tolist(), cg.radii.r.tolist(), cg.radii.R.tolist(),
+                            cg.external_ids, cg.k, len(cg.fcl_text.encode("utf-8")))
 
 
 def test_file_layout_exact_sizes():
@@ -335,24 +335,33 @@ def test_file_layout_exact_sizes():
     _, nbytes, blob = roundtrip(cg)
     fcl_len = len(cg.fcl_text.encode("utf-8"))
     assert group_points(cg.embedding.coords).u == 27  # the embedding collapses
-    assert nbytes == model_size(cg) == 36 + 28 * 100 + 8 * 27 * 4 + fcl_len + 4
+    assert oracle.node_states(cg).t == 49  # and so do the radii on its points
+    # ids 0..99: the id block is lo alone
+    assert nbytes == model_size(cg) == 44 + 8 + 8 * 27 * 4 + 20 * 49 + 4 * 100 + fcl_len + 4
     assert blob[:4] == b"FZG1"
-    assert struct.unpack_from("<IQ", blob, 4)[0] == 2  # version
-    assert struct.unpack_from("<Q", blob, 28)[0] == 27  # u
-    # worst case, every row distinct: u = n, 4 bytes a node more than one
-    # row per node
-    distinct = manual_model(np.arange(12.0).reshape(6, 2), r=[-1.0] * 6, R=[np.inf] * 6)
-    _, nbytes, _ = roundtrip(distinct)
-    assert group_points(distinct.embedding.coords).u == 6
-    assert nbytes == 36 + 28 * 6 + 8 * 6 * 2 + len(distinct.fcl_text.encode("utf-8")) + 4
+    assert struct.unpack_from("<IQ", blob, 4)[0] == 3  # version
+    assert struct.unpack_from("<I", blob, 8)[0] == 4 | 2  # flags: ids are a range, quantized
+    assert struct.unpack_from("<QQQ", blob, 28) == (27, 49, 0)  # u, t, lo
+    # worst case, every row distinct and ids not a range: u = t = n, 4 bytes
+    # a node (and the 8-byte t field) more than version 2
+    distinct = dataclasses.replace(
+        manual_model(np.arange(12.0).reshape(6, 2), r=[-1.0] * 6, R=[np.inf] * 6),
+        external_ids=np.array([1, 3, 5, 7, 9, 11], dtype=np.uint64))
+    _, nbytes, blob = roundtrip(distinct)
+    assert group_points(distinct.embedding.coords).u == oracle.node_states(distinct).t == 6
+    fcl_len = len(distinct.fcl_text.encode("utf-8"))
+    assert nbytes == model_size(distinct) == 44 + 8 * 6 + 8 * 6 * 2 + 20 * 6 + 4 * 6 + fcl_len + 4
+    assert nbytes == (36 + 28 * 6 + 8 * 6 * 2 + fcl_len + 4) + 4 * 6 + 8
+    assert struct.unpack_from("<I", blob, 8)[0] == 0  # flags: explicit ids
 
 
 def stream_node_bytes(blob: bytes) -> int:
     """The per-node part of a saved stream: its length less the header, the
-    points, the FCL text and the CRC, with k, fcl_len and u read from the
-    stream's own header."""
-    _, _, _, _, k, fcl_len, u = struct.unpack_from("<4sIIQIIQ", blob, 0)
-    return len(blob) - 36 - 8 * u * k - fcl_len - 4
+    range id block, the points, the states, the FCL text and the CRC, with
+    flags, k, fcl_len, u and t read from the stream's own header."""
+    _, _, flags, _, k, fcl_len, u, t = struct.unpack_from("<4sIIQIIQQ", blob, 0)
+    lo_bytes = 8 if flags & 4 else 0
+    return len(blob) - 44 - lo_bytes - 8 * u * k - 20 * t - fcl_len - 4
 
 
 def test_linear_growth_in_n():
@@ -362,10 +371,15 @@ def test_linear_growth_in_n():
         cg = build(g, k=4, seed=0)
         _, _, blob = roundtrip(cg)
         assert 1 <= struct.unpack_from("<Q", blob, 28)[0] == group_points(cg.embedding.coords).u <= n
+        assert 1 <= struct.unpack_from("<Q", blob, 36)[0] == oracle.node_states(cg).t <= n
         node_bytes[n] = stream_node_bytes(blob)
         assert len(blob) == model_size(cg)
+        assert node_bytes[n] == 4 * n  # ids 0..n-1: a u32 state index a node
     assert node_bytes[200] == 2 * node_bytes[100]
     assert node_bytes[400] == 4 * node_bytes[100]
+    # explicit ids add one u64 a node: 12n, still linear
+    _, _, blob = roundtrip(dataclasses.replace(cg, external_ids=cg.external_ids * 2))
+    assert stream_node_bytes(blob) == 12 * 400
 
 
 def test_load_errors_name_offending_offsets(uncertain_pair_graph):
@@ -391,7 +405,7 @@ def test_load_errors_name_offending_offsets(uncertain_pair_graph):
         load(io.BytesIO(b"FZ"))
 
     corrupted = bytearray(blob)
-    corrupted[40] ^= 0x01
+    corrupted[60] ^= 0x01  # a point coordinate: the header's own fields are checked before the CRC
     with pytest.raises(ModelFormatError, match="CRC mismatch at offset"):
         load(io.BytesIO(bytes(corrupted)))
 
@@ -437,44 +451,60 @@ def _rewritten(blob: bytes, offset: int, fmt: str, value) -> bytes:
     return bytes(out)
 
 
-# uncertain_pair_graph at k=2: n=6 and u=6 (no two rows coincide); ids
-# at 36, points at 84, point indices at 180, radii (r, R) at 204, FCL at 300
-_IDS, _POINTS = 36, 36 + 8 * 6
-_INDEX = _POINTS + 8 * 6 * 2
-_RADII = _INDEX + 4 * 6
-_FCL = _RADII + 16 * 6
+# uncertain_pair_graph at k=2: n = u = t = 6 (no two rows coincide) and ids
+# 1..6, so the id block is lo alone: lo at 44, points at 52, state radii
+# (r, R) at 148, state point indices at 244, state indices at 268, FCL at 292
+_LO = 44
+_POINTS = _LO + 8
+_RADII = _POINTS + 8 * 6 * 2
+_STATE_POINT = _RADII + 16 * 6
+_STATE_INDEX = _STATE_POINT + 4 * 6
+_FCL = _STATE_INDEX + 4 * 6
+# the same model with ids 10, 20, ..., 60 (not a range): ids at 44, 52, ...
+_IDS = 44
+
+
+def _saved_uncertain_pair_model(ids: str) -> bytes:
+    cg = build(graph_from_edges(UNCERTAIN_PAIR_EDGES), k=2, seed=0)
+    if ids == "explicit":
+        cg = dataclasses.replace(cg, external_ids=cg.external_ids * 10)
+    return roundtrip(cg)[2]
 
 
 @pytest.mark.parametrize(
-    "offset, fmt, value, message",
+    "ids, offset, fmt, value, message",
     [
-        (_IDS + 8, "<Q", 1, "external ids not strictly increasing at offset 44"),
-        (_IDS + 16, "<Q", 0, "external ids not strictly increasing at offset 52"),
-        (_POINTS + 8 * 7, "<d", math.nan, "non-finite or overflowing coordinate at offset 140"),
-        (_POINTS, "<d", -math.inf, "non-finite or overflowing coordinate at offset 84"),
-        (_POINTS + 8, "<d", 1e300, "non-finite or overflowing coordinate at offset 92"),
-        (_INDEX + 4 * 2, "<I", 6, "point index out of range at offset 188"),
-        (_RADII + 16 * 2, "<d", math.nan, "invalid radius r at offset 236"),
-        (_RADII, "<d", -0.5, "invalid radius r at offset 204"),
-        (_RADII + 16, "<d", math.inf, "invalid radius r at offset 220"),
-        (_RADII + 8, "<d", math.nan, "invalid radius R at offset 212"),
-        (_RADII + 16 * 3 + 8, "<d", -1.0, "invalid radius R at offset 260"),
-        (_RADII + 8, "<d", -math.inf, "invalid radius R at offset 212"),
-        (_FCL, "<c", b"@", "FCL block at offset 300 does not parse: line 1: "
-                           "unexpected character '@'"),
-        (8, "<I", 4, "unknown flag bits 0x4 at offset 8"),
-        (20, "<I", 0, "invalid dimension k=0 at offset 20"),
-        (28, "<Q", 0, "invalid point count u=0 for n=6 at offset 28"),
-        (28, "<Q", 7, "invalid point count u=7 for n=6 at offset 28"),
+        ("explicit", _IDS + 8, "<Q", 10, "external ids not strictly increasing at offset 52"),
+        ("explicit", _IDS + 16, "<Q", 0, "external ids not strictly increasing at offset 60"),
+        ("range", _LO, "<Q", 2**64 - 5, "id range 18446744073709551611..18446744073709551616 "
+                                        "exceeds 2**64 - 1 at offset 44"),
+        ("range", _POINTS + 8 * 7, "<d", math.nan, "non-finite or overflowing coordinate at offset 108"),
+        ("range", _POINTS, "<d", -math.inf, "non-finite or overflowing coordinate at offset 52"),
+        ("range", _POINTS + 8, "<d", 1e300, "non-finite or overflowing coordinate at offset 60"),
+        ("range", _STATE_POINT + 4 * 2, "<I", 6, "point index out of range at offset 252"),
+        ("range", _STATE_INDEX + 4 * 3, "<I", 6, "state index out of range at offset 280"),
+        ("range", _RADII + 16 * 2, "<d", math.nan, "invalid radius r at offset 180"),
+        ("range", _RADII, "<d", -0.5, "invalid radius r at offset 148"),
+        ("range", _RADII + 16, "<d", math.inf, "invalid radius r at offset 164"),
+        ("range", _RADII + 8, "<d", math.nan, "invalid radius R at offset 156"),
+        ("range", _RADII + 16 * 3 + 8, "<d", -1.0, "invalid radius R at offset 204"),
+        ("range", _RADII + 8, "<d", -math.inf, "invalid radius R at offset 156"),
+        ("range", _FCL, "<c", b"@", "FCL block at offset 292 does not parse: line 1: "
+                                    "unexpected character '@'"),
+        ("range", 8, "<I", 8, "unknown flag bits 0x8 at offset 8"),
+        ("range", 20, "<I", 0, "invalid dimension k=0 at offset 20"),
+        ("range", 28, "<Q", 0, "invalid point count u=0 for n=6 at offset 28"),
+        ("range", 28, "<Q", 7, "invalid point count u=7 for n=6 at offset 28"),
+        ("range", 36, "<Q", 0, "invalid state count t=0 for n=6 at offset 36"),
+        ("range", 36, "<Q", 7, "invalid state count t=7 for n=6 at offset 36"),
     ],
-    ids=["duplicate-id", "descending-id", "nan-coord", "inf-coord", "huge-coord",
-         "index-u", "nan-r", "negative-r", "inf-r", "nan-R", "negative-R", "minus-inf-R",
-         "bad-fcl", "unknown-flag", "zero-k", "zero-u", "u-above-n"],
+    ids=["duplicate-id", "descending-id", "id-range-overflow", "nan-coord", "inf-coord",
+         "huge-coord", "index-u", "state-index-t", "nan-r", "negative-r", "inf-r", "nan-R",
+         "negative-R", "minus-inf-R", "bad-fcl", "unknown-flag", "zero-k", "zero-u", "u-above-n",
+         "zero-t", "t-above-n"],
 )
-def test_load_rejects_invalid_values(uncertain_pair_graph, tmp_path, offset, fmt, value, message):
-    buf = io.BytesIO()
-    save(build(uncertain_pair_graph, k=2, seed=0), buf)
-    bad = _rewritten(buf.getvalue(), offset, fmt, value)
+def test_load_rejects_invalid_values(tmp_path, ids, offset, fmt, value, message):
+    bad = _rewritten(_saved_uncertain_pair_model(ids), offset, fmt, value)
     with pytest.raises(ModelFormatError, match=re.escape(message)):
         load(io.BytesIO(bad))
     path = tmp_path / "bad.fzg"
@@ -518,6 +548,57 @@ def test_version_1_stream_rejected(uncertain_pair_graph, tmp_path):
     assert run(["info", str(path)]) == 2
 
 
+def _v2_stream(cg: CompressedGraph) -> bytes:
+    """The version 2 layout: a 36-byte header, n ids, the u points, a point
+    index and two radii per node."""
+    fcl = cg.fcl_text.encode("utf-8")
+    blob = b"".join([
+        struct.pack("<4sIIQIIQ", b"FZG1", 2, 2, cg.n, cg.k, len(fcl), cg.u),
+        cg.external_ids.astype("<u8").tobytes(),
+        np.ascontiguousarray(cg.points_t.T, dtype="<f8").tobytes(),
+        cg.point_index.astype("<u4").tobytes(),
+        np.column_stack([cg.radii.r, cg.radii.R]).astype("<f8").tobytes(),
+        fcl,
+    ])
+    return blob + struct.pack("<I", zlib.crc32(blob))
+
+
+def test_version_2_stream_rejected(uncertain_pair_graph, tmp_path):
+    blob = _v2_stream(build(uncertain_pair_graph, k=2, seed=0))
+    with pytest.raises(ModelFormatError, match=re.escape("unsupported format version 2 at offset 4")):
+        load(io.BytesIO(blob))
+    path = tmp_path / "v2.fzg"
+    path.write_bytes(blob)
+    assert run(["info", str(path)]) == 2
+
+
+@pytest.mark.parametrize("ids, id_range", [
+    ([5, 9, 40], False),
+    ([2**63, 2**63 + 1, 2**63 + 2], True),
+    ([2**64 - 3, 2**64 - 2, 2**64 - 1], True),  # the last range the format holds
+], ids=["gaps", "high-range", "top-range"])
+def test_ids_survive_roundtrip(ids, id_range):
+    cg = build(graph_from_edges([(ids[0], ids[1]), (ids[1], ids[2])]), k=1, seed=0)
+    loaded, nbytes, blob = roundtrip(cg)
+    assert loaded.external_ids.tolist() == ids and loaded.external_ids.dtype == np.uint64
+    assert bool(struct.unpack_from("<I", blob, 8)[0] & 4) == id_range
+    assert nbytes == model_size(cg)
+    assert struct.unpack_from("<Q", blob, 44)[0] == ids[0]
+    assert [loaded.internal_id(e) for e in ids] == [0, 1, 2]
+
+
+def test_loaded_radii_are_the_built_bytes():
+    # states group radii by their bits, so each node gets its own r and R back
+    for g, i in soundness_corpus(12):
+        for quantize in (False, True):
+            cg = build(g, k=4, seed=i, quantize=quantize)
+            loaded = roundtrip(cg)[0]
+            assert oracle.node_states(cg).t <= cg.n
+            assert loaded.radii.r.tobytes() == cg.radii.r.tobytes()
+            assert loaded.radii.R.tobytes() == cg.radii.R.tobytes()
+            assert np.array_equal(loaded.embedding.coords, cg.embedding.coords)
+
+
 def test_signed_zero_rows_share_a_point():
     # -0.0 and 0.0 compare equal, so the file stores one point for both
     # rows; the kernel squares every difference, so distances keep their bits
@@ -546,6 +627,7 @@ def test_save_refuses_more_points_than_u32_indices_address(uncertain_pair_graph)
     (20, "<I", 2**32 - 1),  # k
     (24, "<I", 2**32 - 1),  # fcl_len
     (28, "<Q", 5),  # u, still in 1..n
+    (36, "<Q", 5),  # t, still in 1..n
 ])
 def test_header_sizes_checked_before_any_array(uncertain_pair_graph, offset, fmt, value):
     # a header claiming more than the stream holds fails on the length
@@ -559,14 +641,23 @@ def test_header_sizes_checked_before_any_array(uncertain_pair_graph, offset, fmt
 
 # --- loader fuzz: a mutant loads as a valid model or raises ModelFormatError --
 
-_FUZZ_CG = build(gnp_random_graph(16, 0.2, seed=1), k=2, seed=0)  # u = 9 of n = 16
-_FUZZ_BLOB = roundtrip(_FUZZ_CG)[2]
-# part boundaries: header, ids, points, point indices, radii, FCL (CRC excluded)
-_FUZZ_PARTS = np.cumsum([0, 36, 8 * 16, 8 * 9 * 2, 4 * 16, 16 * 16,
-                         len(_FUZZ_CG.fcl_text.encode("utf-8"))])
-_HEADER_FIELDS = [(4, "<I"), (8, "<I"), (12, "<Q"), (20, "<I"), (24, "<I"), (28, "<Q")]
-# array parts by index into _FUZZ_PARTS, with their element format
-_ARRAY_FIELDS = [(1, "<Q"), (2, "<d"), (3, "<I"), (4, "<d")]
+_FUZZ_CG = build(gnp_random_graph(16, 0.2, seed=1), k=2, seed=0)  # u = 9, t = 11 of n = 16
+
+
+def _fuzz_base(cg: CompressedGraph, id_count: int) -> tuple[bytes, np.ndarray]:
+    """A saved stream and its part boundaries: header, id block, points,
+    state radii, state point indices, state indices, FCL (CRC excluded)."""
+    fcl_len = len(cg.fcl_text.encode("utf-8"))
+    return roundtrip(cg)[2], np.cumsum([0, 44, 8 * id_count, 8 * 9 * 2, 16 * 11, 4 * 11, 4 * 16,
+                                        fcl_len])
+
+
+# ids 0..15 store lo alone; the same model with ids 3i + 5 stores all 16
+_FUZZ_BASES = [_fuzz_base(_FUZZ_CG, 1),
+               _fuzz_base(dataclasses.replace(_FUZZ_CG, external_ids=_FUZZ_CG.external_ids * 3 + 5), 16)]
+_HEADER_FIELDS = [(4, "<I"), (8, "<I"), (12, "<Q"), (20, "<I"), (24, "<I"), (28, "<Q"), (36, "<Q")]
+# array parts by index into a base's part boundaries, with their element format
+_ARRAY_FIELDS = [(1, "<Q"), (2, "<d"), (3, "<d"), (4, "<I"), (5, "<I")]
 
 
 def _with_crc(body: bytes) -> bytes:
@@ -583,27 +674,39 @@ def _field_value(fmt: str):
 
 @st.composite
 def _mutants(draw) -> bytes:
-    """The fuzz base stream with byte flips, a truncation or one rewritten
-    header or array field; the CRC is recomputed, so value checks run."""
-    body = bytearray(_FUZZ_BLOB[:-4])
-    kind = draw(st.sampled_from(["flip", "truncate", "header", "array"]))
+    """A fuzz base stream with byte flips, a truncation, one rewritten header
+    or array field, or its id block swapped for the other form (flag bit2
+    toggled); the CRC is recomputed, so value checks run."""
+    blob, parts = draw(st.sampled_from(_FUZZ_BASES))
+    body = bytearray(blob[:-4])
+    kind = draw(st.sampled_from(["flip", "truncate", "header", "array", "id-form"]))
     if kind == "flip":
         for _ in range(draw(st.integers(1, 4))):
             # header and arrays are small next to the FCL text: pick a part first
-            part = draw(st.integers(0, len(_FUZZ_PARTS) - 2))
-            lo, hi = int(_FUZZ_PARTS[part]), int(_FUZZ_PARTS[part + 1])
+            part = draw(st.integers(0, len(parts) - 2))
+            lo, hi = int(parts[part]), int(parts[part + 1])
             body[draw(st.integers(lo, hi - 1))] ^= 1 << draw(st.integers(0, 7))
     elif kind == "truncate":
         del body[draw(st.integers(0, len(body) - 1)):]
     elif kind == "header":
         offset, fmt = draw(st.sampled_from(_HEADER_FIELDS))
         struct.pack_into(fmt, body, offset, draw(_field_value(fmt)))
-    else:
+    elif kind == "array":
         part, fmt = draw(st.sampled_from(_ARRAY_FIELDS))
         size = struct.calcsize(fmt)
-        count = (_FUZZ_PARTS[part + 1] - _FUZZ_PARTS[part]) // size
-        offset = int(_FUZZ_PARTS[part]) + size * draw(st.integers(0, count - 1))
+        count = (parts[part + 1] - parts[part]) // size
+        offset = int(parts[part]) + size * draw(st.integers(0, count - 1))
         struct.pack_into(fmt, body, offset, draw(_field_value(fmt)))
+    else:
+        flags = struct.unpack_from("<I", body, 8)[0] ^ 4
+        struct.pack_into("<I", body, 8, flags)
+        if flags & 4:  # now a range: lo alone
+            block = [draw(_field_value("<Q"))]
+        else:  # now n ids, sorted or not
+            block = draw(st.lists(st.integers(0, 2**64 - 1), min_size=16, max_size=16))
+            if draw(st.booleans()):
+                block.sort()
+        body[int(parts[1]):int(parts[2])] = struct.pack(f"<{len(block)}Q", *block)
     return _with_crc(bytes(body))
 
 
@@ -630,12 +733,17 @@ def _check_loaded_model(cg: CompressedGraph) -> None:
         assert np.all(np.isin(value[definite], (0.0, 1.0)))
     again, _, _ = roundtrip(cg)  # what load accepts, save writes back
     assert np.array_equal(again.embedding.coords, cg.embedding.coords)
+    assert np.array_equal(again.external_ids, cg.external_ids)
+    assert again.radii.r.tobytes() == r.tobytes() and again.radii.R.tobytes() == R.tobytes()
 
 
 def test_fuzz_base_model_loads():
     assert group_points(_FUZZ_CG.embedding.coords).u == 9
-    assert len(_FUZZ_BLOB) == model_size(_FUZZ_CG) == _FUZZ_PARTS[-1] + 4
-    _check_loaded_model(load(io.BytesIO(_FUZZ_BLOB)))
+    assert oracle.node_states(_FUZZ_CG).t == 11
+    for blob, parts in _FUZZ_BASES:
+        cg = load(io.BytesIO(blob))
+        assert len(blob) == model_size(cg) == parts[-1] + 4
+        _check_loaded_model(cg)
 
 
 @settings(max_examples=400, deadline=None)
