@@ -110,7 +110,8 @@ def default_system() -> FuzzySystem:
 
     Input ramps close_to_r(x) = x and close_to_R(x) = 1 - x; mirrored
     triangular output terms; rules close_to_r -> adjacent and
-    close_to_R -> non_adjacent. Symmetry makes 0.5 a fixed point.
+    close_to_R -> non_adjacent. Symmetry makes 0.5 a fixed point up to
+    rounding: the 1001-sample centroid sums give 0.4999999999999998.
     """
     return parse_fcl(default_fcl_text())
 

@@ -5,18 +5,29 @@ radii per node, the id map, and the fuzzy system's FCL source. From the
 embedding it derives the u distinct FastMap points, the point of each
 node and, while u**2 <= k * n, the u x u table of point-to-point
 distances. That cap keeps the table no larger than the n x k coordinates
-the model already holds. Queries read each pair's distance from the
-table, or run the distance kernel on the pair's coordinates above the
-cap; both give the same bits. They answer definite yes/no when a radius
-guarantees the truth, otherwise a fuzzy likelihood. Models persist in the
-FZG1 binary format with a CRC32 trailer. The file stores each of the u
-distinct FastMap points once, each of the t distinct node states (point,
-r, R) once, and one u32 state index per node; external ids that are a
-range lo..lo+n-1 take only lo.
+the model already holds.
+
+A query answers definite yes/no when a radius guarantees the truth,
+otherwise a fuzzy likelihood. Each endpoint of a pair contributes one
+side value, which depends only on that endpoint's node state (point, r,
+R) and on the other endpoint's point. So on the first query the model
+fills the side table, one value per (node state, point), while t * u is
+under the same cap as the point table, and a batch is then a few integer
+gathers and one combine with no fuzzy inference. Above that cap a batch
+reads each pair's distance from the point table, or runs the distance
+kernel on the pair's coordinates above the point table's cap (both give
+the same bits), and scores its undecided sides itself. All three sources
+give the same answers bit for bit.
+
+Models persist in the FZG1 binary format with a CRC32 trailer. The file
+stores each of the u distinct FastMap points once, each of the t distinct
+node states (point, r, R) once, and one u32 state index per node;
+external ids that are a range lo..lo+n-1 take only lo.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import sys
@@ -39,8 +50,9 @@ _FLAG_QUANTIZED = 2
 _FLAG_ID_RANGE = 4  # external ids are lo..lo+n-1; the id block holds lo alone
 _HEADER = struct.Struct("<4sIIQIIQQ")  # magic, version, flags, n, k, fcl_len, u, t
 _MAX_U32_INDEXED = 2**32  # point and state indices are u32: at most this many of each
-# the u x u distance table may hold this many cells per model coordinate:
-# kept while u**2 <= k * n, it is never larger than the n x k coordinates
+# the u x u distance table and the t x u side table may each hold this many
+# cells per model coordinate: kept while u**2 <= k * n (t * u <= k * n),
+# neither is larger than the n x k coordinates
 _TABLE_CELLS_PER_COORD = 1
 
 DEFINITE = "definite"
@@ -79,6 +91,7 @@ class CompressedGraph:
     and are read-only: ``points_t`` the (k, u) distinct points in
     ``group_points`` order, ``point_index`` the point of each node, and
     ``point_table`` the (u, u) point distances, or None when u**2 > k * n.
+    ``side_table`` is derived on first use; see there.
     """
 
     embedding: Embedding
@@ -104,7 +117,7 @@ class CompressedGraph:
         self.points_t, self.point_index = groups.points_t, groups.inv
         u = groups.u
         self.point_table = None
-        if u * u <= _TABLE_CELLS_PER_COORD * self.k * self.n:
+        if self._fits_table(u * u):
             # a point's coordinates are its nodes' coordinates, and the kernel
             # squares every difference: entries equal pair_distances bit for bit
             out, tmp = np.empty((u, u)), np.empty((u, u))
@@ -126,12 +139,79 @@ class CompressedGraph:
         """Number of distinct points in the embedding."""
         return self.points_t.shape[1]
 
+    def _fits_table(self, cells: int) -> bool:
+        """Whether a derived table of this many cells stays under the cap."""
+        return cells <= _TABLE_CELLS_PER_COORD * self.k * self.n
+
+    def side_table_cells(self, t: int) -> int:
+        """Cells the side table of a model with t node states holds: t * u,
+        or 0 when that is over the cap."""
+        cells = t * self.u
+        return cells if self._fits_table(cells) else 0
+
+    @functools.cached_property
+    def side_table(self) -> Optional[SideTable]:
+        """Every side value a query can need, one per (node state, point).
+
+        ``values[s, p]`` is ``_side_values`` of a node in state s (of
+        ``node_states``) against any node on point p, from the point
+        table's distance; ``state_index`` is each node's state and
+        ``state_point`` each state's point. None when t * u exceeds the
+        point table's cap, k * n cells, so it is never larger than the
+        coordinates; since t >= u, a model with a side table also has a
+        point table. Built on the first query, not by build, save or
+        load; its arrays are read-only. Where cached_property takes no
+        lock (Python 3.12 and later), two threads that race on the first
+        query may both build it; they build identical tables.
+        """
+        states = node_states(self)
+        if not self.side_table_cells(states.t):
+            return None
+        # one side per pair: every (state, point) cell is scored on its own
+        d = self.point_table.take(states.point, axis=0)  # the same bits as the kernel
+        values = _side_values(d[None], states.r[None, :, None], states.R[None, :, None],
+                              self.fuzzy)[0]
+        table = SideTable(state_index=states.index, state_point=states.point, values=values)
+        for array in table:
+            array.flags.writeable = False
+        return table
+
     def internal_id(self, external: int) -> int:
         return lookup_internal_id(self.external_ids, external)
 
     def external_id(self, internal: int) -> int:
         check_node_id(internal, self.n)
         return int(self.external_ids[internal])
+
+
+class SideTable(NamedTuple):
+    """Side values per (node state, point); see CompressedGraph.side_table."""
+
+    state_index: np.ndarray  # (n,) intp
+    state_point: np.ndarray  # (t,) intp
+    values: np.ndarray  # (t, u) f64
+
+
+def _side_values(d: np.ndarray, r: np.ndarray, R: np.ndarray, system: FuzzySystem) -> np.ndarray:
+    """Side values of distances and radii that broadcast to (sides, pairs...).
+
+    A side is +inf where d <= r (definite yes), -inf where d >= R and not
+    d <= r (definite no), the fuzzy output of clip((R - d) / (R - r), 0, 1)
+    where r != R_NONE and R is finite, and NaN otherwise. Only the sides
+    of pairs that no side decides are scored; the undecided sides of a
+    decided pair stay NaN, which cannot change that pair's answer.
+    Each distinct crisp input is evaluated once: evaluate_many reduces row
+    by row, so that gives the same bits as evaluating every side.
+    """
+    d, r, R = np.broadcast_arrays(d, r, R)
+    yes = d <= r
+    no = ~yes & (d >= R)
+    values = np.where(yes, np.inf, np.where(no, -np.inf, np.nan))
+    scored = ~(yes | no).any(axis=0) & (r != R_NONE) & np.isfinite(R)
+    r, R, d = r[scored], R[scored], d[scored]
+    xs, inverse = np.unique(np.clip((R - d) / (R - r), 0.0, 1.0), return_inverse=True)
+    values[scored] = evaluate_many(system, xs).take(inverse)
+    return values
 
 
 def build(
@@ -146,19 +226,24 @@ def build(
     The fuzzy system is exactly ``fcl_text`` parsed (default: the built-in
     system serialized), and the model embeds that text, so a saved file
     is self-contained and loads back to the same system. Bad FCL raises
-    FclParseError before any embedding work.
+    FclParseError before any embedding work. The coordinates, radii and
+    ids are read-only, as in a loaded model: the point and side tables
+    are derived from them and would not follow an edit.
     """
     if fcl_text is None:
         fcl_text = to_fcl(default_system())
     system = parse_fcl(fcl_text)
     embedding = fastmap_embed(g, k, seed)
     radii = compute_all_radii(g, embedding, quantize=quantize)
+    external_ids = g.external_ids.copy()
+    for array in (embedding.coords, radii.r, radii.R, external_ids):
+        array.flags.writeable = False
     return CompressedGraph(
         embedding=embedding,
         radii=radii,
         directed=g.directed,
         fuzzy=system,
-        external_ids=g.external_ids.copy(),
+        external_ids=external_ids,
         fcl_text=fcl_text,
     )
 
@@ -170,7 +255,10 @@ def query_arrays(
 
     Returns (definite, value): a bool mask and, per pair, 1.0/0.0 for
     definite answers or the fuzzy likelihood. Directed models use only
-    the source side; undirected combine both sides with minimum. This is
+    the source side; undirected combine both sides with minimum. A model
+    with a side table reads both sides from it; otherwise each pair's
+    distance comes from the point table or the kernel, and the sides of
+    undecided pairs are scored in the batch. This is
     the one validated entry: the scalar query ops delegate here, so all
     paths agree bit for bit. Raises ValueError for id arrays that are not
     1-d or differ in length, an id that is not an integer (floats and bools
@@ -184,32 +272,30 @@ def query_arrays(
         if ids.dtype.kind not in "iu":  # float, bool, or object holding big ints
             for u in ids.tolist():
                 check_node_id(u, cg.n)
-        bad = ids[(ids < 0) | (ids >= cg.n)]
-        if bad.size:
-            check_node_id(bad[0], cg.n)
+        elif ids.size and (ids.min() < 0 or ids.max() >= cg.n):
+            check_node_id(ids[(ids < 0) | (ids >= cg.n)][0], cg.n)
     us, vs = us.astype(np.int64, copy=False), vs.astype(np.int64, copy=False)
     if np.any(us == vs):
         raise ValueError("self query")
 
-    sides = us[None, :] if cg.directed else np.stack([us, vs])
-    side_r, side_R = cg.radii.r[sides], cg.radii.R[sides]
-    if cg.point_table is None:
-        d = pair_distances(cg.embedding.coords, us, vs)
-    else:  # one flat take; the same bits as the kernel on the pair's coordinates
-        d = cg.point_table.take(cg.point_index[us] * cg.u + cg.point_index[vs])
-    d = np.broadcast_to(d, sides.shape)
-    yes = (d <= side_r).any(axis=0)
-    no = ~yes & (d >= side_R).any(axis=0)
-
-    fuzzy_mask = ~(yes | no)
-    ok = fuzzy_mask & (side_r != R_NONE) & np.isfinite(side_R)  # sentinel sides contribute nothing
-    x = (side_R[ok] - d[ok]) / (side_R[ok] - side_r[ok])
-    outs = np.full(sides.shape, np.nan)
-    # one call for every side: evaluate_many reduces per row, so batching is bit-exact
-    outs[ok] = evaluate_many(cg.fuzzy, np.clip(x, 0.0, 1.0))
-    combined = np.fmin.reduce(outs, axis=0)  # NaN (sentinel) sides drop out
-    fuzzy = np.where(np.isnan(combined), 0.5, combined)  # all sides degenerate
-    return ~fuzzy_mask, np.where(yes, 1.0, np.where(no, 0.0, fuzzy))
+    table = cg.side_table
+    if table is not None:  # side values of (state of u, point of v), and the mirror
+        s_u, s_v = table.state_index.take(us), table.state_index.take(vs)
+        a = table.values.take(s_u * cg.u + table.state_point.take(s_v))
+        b = a if cg.directed else table.values.take(s_v * cg.u + table.state_point.take(s_u))
+    else:
+        if cg.point_table is None:
+            d = pair_distances(cg.embedding.coords, us, vs)
+        else:  # one flat take; the same bits as the kernel on the pair's coordinates
+            d = cg.point_table.take(cg.point_index.take(us) * cg.u + cg.point_index.take(vs))
+        sides = us[None, :] if cg.directed else np.stack([us, vs])
+        side = _side_values(d, cg.radii.r.take(sides), cg.radii.R.take(sides), cg.fuzzy)
+        a, b = side[0], side[-1]
+    # a definite side decides the pair, yes first; else the lesser fuzzy
+    # side, NaN (sentinel) sides dropping out, and 0.5 when both are NaN
+    hi, lo = np.fmax(a, b), np.fmin(a, b)
+    yes, no = hi == np.inf, lo == -np.inf
+    return yes | no, np.where(yes, 1.0, np.where(no, 0.0, np.where(np.isnan(lo), 0.5, lo)))
 
 
 def _query_pair(cg: CompressedGraph, u: int, v: int, directed: bool) -> Answer:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fuzzmap import Graph, gnp_random_graph, graph_from_edges
+from fuzzmap import Graph, build, gnp_random_graph, graph_from_edges, preferential_attachment_graph
 
 # 6-node graph with N(1) = {2, 5} whose k=2 quantized models put node 5
 # inside node 1's definite-yes radius, push 3/4/6 to definite no, and
@@ -15,6 +15,12 @@ HIGH_ID_EDGES = [(2**63, 2**63 + 1), (2**63 + 1, 5)]
 @pytest.fixture
 def uncertain_pair_graph() -> Graph:
     return graph_from_edges(UNCERTAIN_PAIR_EDGES)
+
+
+@pytest.fixture(scope="session")
+def benchmark_model():
+    """The query benchmark's model: BA(20000, 5, seed=1) at k = 8, seed 1."""
+    return build(preferential_attachment_graph(20000, 5, seed=1), k=8, seed=1)
 
 
 @pytest.fixture

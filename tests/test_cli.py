@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from fuzzmap import load_file
+from fuzzmap import load_file, save_file
 from fuzzmap.cli import run
 
 from conftest import UNCERTAIN_PAIR_EDGES
@@ -91,6 +91,19 @@ def test_info_reports_point_table_bytes(sample_model, tmp_path, capsys):
     u = int(fields["distinct_points"])
     assert 1 < u and u * u <= 2 * 40
     assert fields["point_table_bytes"] == str(8 * u * u) == str(load_file(model).point_table.nbytes)
+
+
+def test_info_reports_side_table_bytes(sample_model, benchmark_model, tmp_path, capsys):
+    # the six-node model has t = u = 6: 36 cells > k * n = 12, so no side table
+    fields = info_fields(sample_model, capsys)
+    assert fields["side_table_bytes"] == "0"
+    # the query benchmark's model: 8 * t * u = 8 * 522 * 148 bytes, not built by info
+    model = tmp_path / "ba20k.fzg"
+    save_file(benchmark_model, str(model))
+    fields = info_fields(model, capsys)
+    assert (fields["node_states"], fields["distinct_points"]) == ("522", "148")
+    assert fields["side_table_bytes"] == "618048" == str(8 * 522 * 148)
+    assert load_file(model).side_table.values.nbytes == 618048
 
 
 def test_query_definite_yes(sample_model, capsys):

@@ -5,6 +5,7 @@ import math
 import re
 import struct
 import zlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from fuzzmap import (
     graph_from_edges,
     load,
     parse_fcl,
-    preferential_attachment_graph,
     query,
     query_arrays,
     query_directed,
@@ -183,6 +183,16 @@ def test_both_sentinel_sides_yield_half():
     ans = query(cg2, 0, 1)
     assert ans.kind == "fuzzy"
     assert ans.value == 0.5
+
+
+@pytest.mark.parametrize("side_table", [False, True], ids=["kernel", "side-table"])
+def test_definite_yes_decides_before_definite_no(side_table):
+    # hand-made radii no build produces: node 0's r says yes, node 1's R says no
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_TABLE_CELLS_PER_COORD", _TABLE_ALWAYS if side_table else 0)
+        cg = manual_model([[0.0], [1.0]], r=[2.0, -1.0], R=[np.inf, 0.5])
+        assert (cg.side_table is not None) == side_table
+        assert query(cg, 0, 1) == query(cg, 1, 0) == Answer.definite(True)
 
 
 def test_sentinel_never_definite_yes_directed():
@@ -726,11 +736,17 @@ def _check_loaded_model(cg: CompressedGraph) -> None:
     if cg.point_table is not None:
         assert not cg.point_table.flags.writeable
         assert_table_matches_kernel(cg)
+    assert "side_table" not in vars(cg)  # load never builds it
     if cg.n >= 2:
         us = np.arange(cg.n)
         definite, value = query_arrays(cg, us, np.roll(us, 1))
         assert np.all((value >= 0.0) & (value <= 1.0))
         assert np.all(np.isin(value[definite], (0.0, 1.0)))
+        t = oracle.node_states(cg).t
+        assert (cg.side_table is None) == (cg.side_table_cells(t) == 0)
+        if cg.side_table is not None:
+            assert cg.side_table.values.shape == (t, cg.u)
+            assert not any(array.flags.writeable for array in cg.side_table)
     again, _, _ = roundtrip(cg)  # what load accepts, save writes back
     assert np.array_equal(again.embedding.coords, cg.embedding.coords)
     assert np.array_equal(again.external_ids, cg.external_ids)
@@ -810,13 +826,88 @@ def test_point_table_bitwise_equals_kernel(data, n, k, pooled):
         assert capped.point_table is None
 
 
+# radii around the pool's distances (0 to ~10), with both sentinels
+POOL_r = st.sampled_from([oracle.R_NONE, 0.0, 0.5, 1.0, 3.0])
+POOL_R = st.sampled_from([0.5, 2.0, 6.0, 12.0, np.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(2, 3 * _BLOCK + 1), k=st.integers(1, 4))
+def test_side_table_bitwise_equals_side_rule(data, n, k):
+    coords = data.draw(arrays(np.float64, (n, k), elements=POOL_COORD))
+    r = data.draw(arrays(np.float64, n, elements=POOL_r))
+    R = data.draw(arrays(np.float64, n, elements=POOL_R))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_TABLE_CELLS_PER_COORD", _TABLE_ALWAYS)
+        cg = manual_model(coords, r, R)
+        table = cg.side_table
+    states = oracle.node_states(cg)
+    assert table.values.shape == (states.t, cg.u)
+    assert np.array_equal(table.state_index, states.index)
+    assert np.array_equal(table.state_point, states.point)
+    event(f"{np.count_nonzero(np.abs(table.values) <= 1.0) > 0} fuzzy-scored cells")
+    for s in range(states.t):
+        v = int(np.flatnonzero(states.index == s)[0])  # a node in state s
+        for p in range(cg.u):
+            w = int(np.flatnonzero(cg.point_index == p)[-1])  # a node on point p
+            d = pair_distances(cg.embedding.coords, np.array([v]), np.array([w]))
+            side = oracle._side_values(d, r[[v]], R[[v]], cg.fuzzy)
+            assert table.values[s, p].tobytes() == side.tobytes()
+    capped = manual_model(coords, r, R)
+    if states.t * cg.u <= k * n:  # under the default cap: the same table, never
+        event("under the default cap")  # larger than the coordinates
+        assert capped.side_table.values.tobytes() == table.values.tobytes()
+        assert capped.side_table.values.nbytes <= capped.embedding.coords.nbytes
+    else:
+        assert capped.side_table is None
+
+
+def test_side_table_is_built_on_the_first_query_only(uncertain_pair_graph, tmp_path, capsys):
+    def unexpected(*args):
+        raise AssertionError("side table built before a query")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_TABLE_CELLS_PER_COORD", _TABLE_ALWAYS)
+        mp.setattr(oracle, "_side_values", unexpected)  # a query computes side values
+        cg = build(uncertain_pair_graph, k=2, seed=0)
+        path = tmp_path / "model.fzg"
+        oracle.save_file(cg, str(path))
+        loaded = oracle.load_file(str(path))
+        assert run(["info", str(path)]) == 0
+        t = oracle.node_states(cg).t
+        assert f"side_table_bytes={8 * t * cg.u}" in capsys.readouterr().out
+        assert "side_table" not in vars(cg) and "side_table" not in vars(loaded)
+    # the table is derived from these, so neither a built nor a loaded model
+    # lets them change under it
+    for model in (cg, loaded):
+        for array in (model.embedding.coords, model.radii.r, model.radii.R, model.external_ids):
+            assert not array.flags.writeable
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_TABLE_CELLS_PER_COORD", _TABLE_ALWAYS)
+        for model in (cg, loaded):
+            query(model, 0, 1)
+            table = vars(model)["side_table"]
+            assert table is model.side_table  # built once, then cached
+            assert not any(array.flags.writeable for array in table)
+            with pytest.raises(ValueError, match="read-only"):
+                table.values[0, 0] = 0.5
+
+
 @pytest.mark.parametrize("quantize", [False, True], ids=["exact", "quantized"])
 @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
 def test_table_and_kernel_paths_answer_the_same_bytes(directed, quantize):
     g = gnp_random_graph(120, 0.05, seed=11, directed=directed)
-    us, vs = np.nonzero(~np.eye(g.n, dtype=bool))
+    us, vs = np.nonzero(~np.eye(g.n, dtype=bool))  # every ordered pair
+    base = build(g, k=4, seed=3, quantize=quantize)
+    u, t = base.u, oracle.node_states(base).t
+    assert u < t
+    caps = {  # cells per coordinate for each of the three sources
+        "kernel": 0,
+        "point table": Fraction(u * u, base.k * base.n),  # u**2 fits, t * u does not
+        "side table": _TABLE_ALWAYS,
+    }
     answers = set()
-    for cells in (0, _TABLE_ALWAYS):  # the kernel path, then the table path
+    for source, cells in caps.items():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "_TABLE_CELLS_PER_COORD", cells)
             cg = build(g, k=4, seed=3, quantize=quantize)
@@ -824,7 +915,11 @@ def test_table_and_kernel_paths_answer_the_same_bytes(directed, quantize):
             if cells:  # a model with a table never runs the kernel in a query
                 mp.setattr(oracle, "pair_distances", None)
             for model in (cg, loaded):
-                assert (model.point_table is None) == (cells == 0)
+                assert (model.point_table is None) == (source == "kernel")
+                assert (model.side_table is None) == (source != "side table")
+            if source == "side table":  # tables built: a batch runs no fuzzy inference
+                mp.setattr(oracle, "evaluate_many", None)
+            for model in (cg, loaded):
                 definite, value = query_arrays(model, us, vs)
                 answers.add(definite.tobytes() + value.tobytes())
     assert 0 < definite.sum() < definite.size  # definite and fuzzy answers both occur
@@ -854,12 +949,16 @@ def test_point_table_never_outgrows_the_coordinates():
     assert not at_cap.point_table.flags.writeable
 
 
-def test_benchmark_model_keeps_its_point_table():
+def test_benchmark_model_keeps_its_point_table(benchmark_model):
     # the query benchmark's model, BA(20000, 5) at k = 8: u = 148 points, far
     # under the cap of sqrt(k * n) = 400, so queries take the table path
-    cg = build(preferential_attachment_graph(20000, 5, seed=1), k=8, seed=1)
+    cg = benchmark_model
     assert cg.u == 148
     assert cg.point_table is not None and cg.point_table.shape == (148, 148)
     loaded = roundtrip(cg)[0]
     assert loaded.point_table.tobytes() == cg.point_table.tobytes()
     assert np.array_equal(loaded.point_index, cg.point_index)
+    # and the side-table path: t = 522 node states, 77,256 cells <= k * n = 160,000
+    assert oracle.node_states(cg).t == 522
+    for model in (cg, loaded):
+        assert model.side_table is not None and model.side_table.values.shape == (522, 148)
