@@ -102,7 +102,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("info", help="print model header fields, the distinct-point and "
                                     "node-state counts the file stores, and the sizes of "
-                                    "the point and side tables queries read")
+                                    "the point and pair tables queries read")
     p.add_argument("model")
 
     return parser
@@ -174,12 +174,11 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"distinct_points={cg.u}")
     print(f"largest_group={np.bincount(cg.point_index).max()}")
     # the distinct (point, r, R) triples: the grouping save writes the state table from
-    t = node_states(cg).t
-    print(f"node_states={t}")
+    print(f"node_states={node_states(cg).t}")
     # 0 above the u**2 <= k * n cap, where queries run the distance kernel
     print(f"point_table_bytes={0 if cg.point_table is None else cg.point_table.nbytes}")
-    # 8 * t * u, or 0 above the t * u <= k * n cap; from t and u, not built
-    print(f"side_table_bytes={8 * cg.side_table_cells(t)}")
+    # 0 above the itemsize * t**2 <= 8 * k * n byte cap; builds the table
+    print(f"pair_table_bytes={0 if cg.pair_table is None else cg.pair_table.codes.nbytes}")
     print(f"fcl_bytes={len(cg.fcl_text.encode('utf-8'))}")
     print(f"file_bytes={os.path.getsize(args.model)}")
     return EXIT_OK

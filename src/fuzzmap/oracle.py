@@ -10,14 +10,15 @@ the model already holds.
 A query answers definite yes/no when a radius guarantees the truth,
 otherwise a fuzzy likelihood. Each endpoint of a pair contributes one
 side value, which depends only on that endpoint's node state (point, r,
-R) and on the other endpoint's point. So on the first query the model
-fills the side table, one value per (node state, point), while t * u is
-under the same cap as the point table, and a batch is then a few integer
-gathers and one combine with no fuzzy inference. Above that cap a batch
-reads each pair's distance from the point table, or runs the distance
-kernel on the pair's coordinates above the point table's cap (both give
-the same bits), and scores its undecided sides itself. All three sources
-give the same answers bit for bit.
+R) and on the other endpoint's point, so a pair's answer depends only on
+the two node states. On the first query the model fills the pair table,
+one answer code per ordered pair of its t node states, while it is no
+larger than the coordinates; a batch is then one gather per pair, with
+no fuzzy inference and no combine. Above that cap a batch reads each
+pair's distance from the point table, or runs the distance kernel on the
+pair's coordinates above the point table's cap (both give the same
+bits), scores its undecided sides and combines them. Both paths give
+the same answers bit for bit.
 
 Models persist in the FZG1 binary format with a CRC32 trailer. The file
 stores each of the u distinct FastMap points once, each of the t distinct
@@ -40,8 +41,8 @@ import numpy as np
 from .fastmap import Embedding, fastmap_embed
 from .fuzzy import FclParseError, FuzzySystem, default_system, evaluate_many, parse_fcl, to_fcl
 from .graph import Graph, check_node_id, lookup_internal_id
-from .radii import (R_NONE, NodeRadii, _block_distances, compute_all_radii, group_points,
-                    pair_distances)
+from .radii import (R_NONE, NodeRadii, _axis_distances, _block_distances, compute_all_radii,
+                    group_points, pair_distances)
 
 MAGIC = b"FZG1"
 FORMAT_VERSION = 3
@@ -50,10 +51,11 @@ _FLAG_QUANTIZED = 2
 _FLAG_ID_RANGE = 4  # external ids are lo..lo+n-1; the id block holds lo alone
 _HEADER = struct.Struct("<4sIIQIIQQ")  # magic, version, flags, n, k, fcl_len, u, t
 _MAX_U32_INDEXED = 2**32  # point and state indices are u32: at most this many of each
-# the u x u distance table and the t x u side table may each hold this many
-# cells per model coordinate: kept while u**2 <= k * n (t * u <= k * n),
-# neither is larger than the n x k coordinates
-_TABLE_CELLS_PER_COORD = 1
+# a derived table may take this many bytes per byte of the n x k f64
+# coordinates: the u x u f64 point table is kept while 8 * u**2 <= 8 * k * n,
+# the t x t pair table while itemsize * t**2 <= 8 * k * n
+_TABLE_COORD_RATIO = 1
+_YES, _NO = 0, 1  # the pair table's definite codes; fuzzy codes follow
 
 DEFINITE = "definite"
 FUZZY = "fuzzy"
@@ -91,7 +93,7 @@ class CompressedGraph:
     and are read-only: ``points_t`` the (k, u) distinct points in
     ``group_points`` order, ``point_index`` the point of each node, and
     ``point_table`` the (u, u) point distances, or None when u**2 > k * n.
-    ``side_table`` is derived on first use; see there.
+    ``pair_table`` is derived on first use; see there.
     """
 
     embedding: Embedding
@@ -117,7 +119,7 @@ class CompressedGraph:
         self.points_t, self.point_index = groups.points_t, groups.inv
         u = groups.u
         self.point_table = None
-        if self._fits_table(u * u):
+        if self._fits_table(8 * u * u):
             # a point's coordinates are its nodes' coordinates, and the kernel
             # squares every difference: entries equal pair_distances bit for bit
             out, tmp = np.empty((u, u)), np.empty((u, u))
@@ -139,39 +141,47 @@ class CompressedGraph:
         """Number of distinct points in the embedding."""
         return self.points_t.shape[1]
 
-    def _fits_table(self, cells: int) -> bool:
-        """Whether a derived table of this many cells stays under the cap."""
-        return cells <= _TABLE_CELLS_PER_COORD * self.k * self.n
-
-    def side_table_cells(self, t: int) -> int:
-        """Cells the side table of a model with t node states holds: t * u,
-        or 0 when that is over the cap."""
-        cells = t * self.u
-        return cells if self._fits_table(cells) else 0
+    def _fits_table(self, nbytes: int) -> bool:
+        """Whether a derived table of this many bytes stays under the cap."""
+        return nbytes <= _TABLE_COORD_RATIO * 8 * self.k * self.n
 
     @functools.cached_property
-    def side_table(self) -> Optional[SideTable]:
-        """Every side value a query can need, one per (node state, point).
+    def pair_table(self) -> Optional[PairTable]:
+        """Every answer a query can give, one code per ordered pair of node states.
 
-        ``values[s, p]`` is ``_side_values`` of a node in state s (of
-        ``node_states``) against any node on point p, from the point
-        table's distance; ``state_index`` is each node's state and
-        ``state_point`` each state's point. None when t * u exceeds the
-        point table's cap, k * n cells, so it is never larger than the
-        coordinates; since t >= u, a model with a side table also has a
-        point table. Built on the first query, not by build, save or
-        load; its arrays are read-only. Where cached_property takes no
-        lock (Python 3.12 and later), two threads that race on the first
-        query may both build it; they build identical tables.
+        ``codes[s, s']`` answers a node in state s (of ``node_states``)
+        against a node in state s' with ``decode[codes[s, s']]``, and is
+        definite exactly when below 2; ``state_index`` is each node's
+        state. The codes rank the side values of ``_side_values``
+        (``_side_codes``), and a pair's code is the lesser of its two
+        sides' codes, or the source side's alone when directed. None
+        when itemsize * t**2 bytes exceed the point table's cap,
+        8 * k * n bytes, so it is never larger than the coordinates; the
+        side values come from the point table's distances, or from the
+        kernel when the model has none (the same bits). Built on the
+        first query, not by build, save or load; its arrays are
+        read-only. Where cached_property takes no lock (Python 3.12 and
+        later), two threads that race on the first query may both build
+        it; they build identical tables.
         """
         states = node_states(self)
-        if not self.side_table_cells(states.t):
+        t = states.t
+        if not self._fits_table(t * t):  # over the cap even at one byte a code
             return None
-        # one side per pair: every (state, point) cell is scored on its own
-        d = self.point_table.take(states.point, axis=0)  # the same bits as the kernel
-        values = _side_values(d[None], states.r[None, :, None], states.R[None, :, None],
-                              self.fuzzy)[0]
-        table = SideTable(state_index=states.index, state_point=states.point, values=values)
+        if self.point_table is None:  # the block kernel's operands, rows at the state points
+            rows = self.points_t.take(states.point, axis=1)[..., None]  # (k, t, 1)
+            d = _axis_distances(zip(self.points_t, rows), *np.empty((2, t, self.u)))
+        else:
+            d = self.point_table.take(states.point, axis=0)
+        # one side per (state, point) cell, each scored on its own
+        r, R = states.r[None, :, None], states.R[None, :, None]
+        side_codes, decode = _side_codes(_side_values(d[None], r, R, self.fuzzy)[0])
+        if not self._fits_table(side_codes.itemsize * t * t):
+            return None
+        codes = side_codes.take(states.point, axis=1)  # s's side against a node in state s'
+        if not self.directed:
+            codes = np.minimum(codes, codes.T)
+        table = PairTable(state_index=states.index, codes=codes, decode=decode)
         for array in table:
             array.flags.writeable = False
         return table
@@ -184,12 +194,12 @@ class CompressedGraph:
         return int(self.external_ids[internal])
 
 
-class SideTable(NamedTuple):
-    """Side values per (node state, point); see CompressedGraph.side_table."""
+class PairTable(NamedTuple):
+    """Answer codes per ordered pair of node states; see CompressedGraph.pair_table."""
 
     state_index: np.ndarray  # (n,) intp
-    state_point: np.ndarray  # (t,) intp
-    values: np.ndarray  # (t, u) f64
+    codes: np.ndarray  # (t, t), the smallest unsigned dtype that holds every code
+    decode: np.ndarray  # (codes,) f64: the answer value of each code
 
 
 def _side_values(d: np.ndarray, r: np.ndarray, R: np.ndarray, system: FuzzySystem) -> np.ndarray:
@@ -214,6 +224,30 @@ def _side_values(d: np.ndarray, r: np.ndarray, R: np.ndarray, system: FuzzySyste
     return values
 
 
+def _side_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Precedence codes of side values, and the answer value of each code.
+
+    _YES (0) is a definite yes (+inf) and _NO (1) a definite no (-inf);
+    2... are the distinct fuzzy values in ascending order, -0.0 before
+    0.0; the last code is NaN, which answers the 0.5 fallback. So the
+    lesser code of two sides is the pair's answer: yes first, then no,
+    then the lesser fuzzy side, NaN sides dropping out. The codes take
+    the smallest unsigned dtype that holds them.
+    """
+    fuzzy = np.isfinite(values)
+    bits, inverse = np.unique(values[fuzzy].view(np.uint64), return_inverse=True)
+    xs = bits.view(np.float64)
+    order = np.lexsort((~np.signbit(xs), xs))  # equal values, by sign: -0.0 first
+    rank = np.empty(order.size, dtype=np.intp)
+    rank[order] = np.arange(2, 2 + order.size)
+    nan_code = 2 + order.size
+    codes = np.full(values.shape, nan_code, dtype=np.min_scalar_type(nan_code))
+    codes[values == np.inf] = _YES
+    codes[values == -np.inf] = _NO
+    codes[fuzzy] = rank.take(inverse)
+    return codes, np.concatenate([[1.0, 0.0], xs.take(order), [0.5]])
+
+
 def build(
     g: Graph,
     k: int,
@@ -227,7 +261,7 @@ def build(
     system serialized), and the model embeds that text, so a saved file
     is self-contained and loads back to the same system. Bad FCL raises
     FclParseError before any embedding work. The coordinates, radii and
-    ids are read-only, as in a loaded model: the point and side tables
+    ids are read-only, as in a loaded model: the point and pair tables
     are derived from them and would not follow an edit.
     """
     if fcl_text is None:
@@ -256,46 +290,58 @@ def query_arrays(
     Returns (definite, value): a bool mask and, per pair, 1.0/0.0 for
     definite answers or the fuzzy likelihood. Directed models use only
     the source side; undirected combine both sides with minimum. A model
-    with a side table reads both sides from it; otherwise each pair's
-    distance comes from the point table or the kernel, and the sides of
-    undecided pairs are scored in the batch. This is
-    the one validated entry: the scalar query ops delegate here, so all
-    paths agree bit for bit. Raises ValueError for id arrays that are not
-    1-d or differ in length, an id that is not an integer (floats and bools
-    included), an id outside [0, n) and a self pair.
+    with a pair table reads each pair's answer code from it with one
+    gather; otherwise each pair's distance comes from the point table or
+    the kernel, the sides of undecided pairs are scored in the batch, and
+    the two sides are combined. This is the one validated entry: the
+    scalar query ops delegate here, so all paths agree bit for bit.
+    Raises ValueError for id arrays that are not 1-d or differ in length,
+    an id that is not an integer (floats and bools included), an id
+    outside [0, n) and a self pair.
     """
     us, vs = np.asarray(us), np.asarray(vs)
     if us.ndim != 1 or us.shape != vs.shape:
         raise ValueError(f"us and vs must be 1-d and of equal length, got shapes "
                          f"{us.shape} and {vs.shape}")
-    for ids in (us, vs):  # before the int64 cast, which would truncate or wrap
-        if ids.dtype.kind not in "iu":  # float, bool, or object holding big ints
-            for u in ids.tolist():
-                check_node_id(u, cg.n)
-        elif ids.size and (ids.min() < 0 or ids.max() >= cg.n):
-            check_node_id(ids[(ids < 0) | (ids >= cg.n)][0], cg.n)
-    us, vs = us.astype(np.int64, copy=False), vs.astype(np.int64, copy=False)
+    us, vs = _checked_ids(us, cg.n), _checked_ids(vs, cg.n)
     if np.any(us == vs):
         raise ValueError("self query")
 
-    table = cg.side_table
-    if table is not None:  # side values of (state of u, point of v), and the mirror
-        s_u, s_v = table.state_index.take(us), table.state_index.take(vs)
-        a = table.values.take(s_u * cg.u + table.state_point.take(s_v))
-        b = a if cg.directed else table.values.take(s_v * cg.u + table.state_point.take(s_u))
-    else:
-        if cg.point_table is None:
-            d = pair_distances(cg.embedding.coords, us, vs)
-        else:  # one flat take; the same bits as the kernel on the pair's coordinates
-            d = cg.point_table.take(cg.point_index.take(us) * cg.u + cg.point_index.take(vs))
-        sides = us[None, :] if cg.directed else np.stack([us, vs])
-        side = _side_values(d, cg.radii.r.take(sides), cg.radii.R.take(sides), cg.fuzzy)
-        a, b = side[0], side[-1]
+    table = cg.pair_table
+    if table is not None:  # the code of (state of u, state of v)
+        t = table.codes.shape[0]
+        code = table.codes.take(table.state_index.take(us) * t + table.state_index.take(vs))
+        return code <= _NO, table.decode.take(code)
+    if cg.point_table is None:
+        d = pair_distances(cg.embedding.coords, us, vs)
+    else:  # one flat take; the same bits as the kernel on the pair's coordinates
+        d = cg.point_table.take(cg.point_index.take(us) * cg.u + cg.point_index.take(vs))
+    sides = us[None, :] if cg.directed else np.stack([us, vs])
+    side = _side_values(d, cg.radii.r.take(sides), cg.radii.R.take(sides), cg.fuzzy)
+    a, b = side[0], side[-1]
     # a definite side decides the pair, yes first; else the lesser fuzzy
     # side, NaN (sentinel) sides dropping out, and 0.5 when both are NaN
     hi, lo = np.fmax(a, b), np.fmin(a, b)
+    # on a (-0.0, 0.0) tie fmin returns either zero, by numpy loop; the
+    # pair table's codes rank -0.0 first, so take that
+    zero = lo == 0.0
+    lo[zero] = np.where(np.signbit(a[zero]) | np.signbit(b[zero]), -0.0, 0.0)
     yes, no = hi == np.inf, lo == -np.inf
     return yes | no, np.where(yes, 1.0, np.where(no, 0.0, np.where(np.isnan(lo), 0.5, lo)))
+
+
+def _checked_ids(ids: np.ndarray, n: int) -> np.ndarray:
+    """The ids as int64; ValueError names the first that is not an integer in [0, n)."""
+    if ids.dtype.kind not in "iu":  # float, bool, or object holding big ints
+        for u in ids.tolist():
+            check_node_id(u, n)
+    elif ids.size:
+        # unsigned ids before the int64 cast, which would wrap them; signed ids
+        # after it, viewed as unsigned, so a negative id reads as one >= n
+        wide = ids if ids.dtype.kind == "u" else ids.astype(np.int64, copy=False).view(np.uint64)
+        if wide.max() >= n:
+            check_node_id(ids[wide >= n][0], n)
+    return ids.astype(np.int64, copy=False)
 
 
 def _query_pair(cg: CompressedGraph, u: int, v: int, directed: bool) -> Answer:

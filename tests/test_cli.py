@@ -93,17 +93,19 @@ def test_info_reports_point_table_bytes(sample_model, tmp_path, capsys):
     assert fields["point_table_bytes"] == str(8 * u * u) == str(load_file(model).point_table.nbytes)
 
 
-def test_info_reports_side_table_bytes(sample_model, benchmark_model, tmp_path, capsys):
-    # the six-node model has t = u = 6: 36 cells > k * n = 12, so no side table
+def test_info_reports_pair_table_bytes(sample_model, benchmark_model, tmp_path, capsys):
+    # the six-node model at k=2 has t = 6 node states: 36 one-byte codes, under
+    # the 8 * k * n = 96-byte cap
     fields = info_fields(sample_model, capsys)
-    assert fields["side_table_bytes"] == "0"
-    # the query benchmark's model: 8 * t * u = 8 * 522 * 148 bytes, not built by info
+    assert (fields["node_states"], fields["pair_table_bytes"]) == ("6", "36")
+    # the query benchmark's model: 522 x 522 two-byte codes
     model = tmp_path / "ba20k.fzg"
     save_file(benchmark_model, str(model))
     fields = info_fields(model, capsys)
     assert (fields["node_states"], fields["distinct_points"]) == ("522", "148")
-    assert fields["side_table_bytes"] == "618048" == str(8 * 522 * 148)
-    assert load_file(model).side_table.values.nbytes == 618048
+    assert fields["pair_table_bytes"] == "544968" == str(2 * 522 * 522)
+    assert load_file(model).pair_table.codes.nbytes == 544968
+    assert "side_table_bytes" not in fields
 
 
 def test_query_definite_yes(sample_model, capsys):

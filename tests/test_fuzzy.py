@@ -129,7 +129,7 @@ def test_evaluate_many_across_chunk_boundaries():
 
 
 def test_evaluate_many_on_distinct_inputs_gives_the_same_bytes():
-    # the side table evaluates np.unique(xs) once and gathers through the
+    # oracle._side_values evaluates np.unique(xs) once and gathers through the
     # inverse; per-row reductions make that bit-identical to evaluating xs
     sys = default_system()
     rng = np.random.default_rng(9)

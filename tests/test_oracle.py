@@ -48,16 +48,16 @@ from oracles import fzg1_size_oracle
 DIGRAPH_ARCS = [(0, 2), (0, 3), (0, 4), (1, 0), (1, 4), (2, 4), (3, 1), (4, 1)]
 
 
-def manual_model(coords, r, R, directed=False, quantized=False) -> CompressedGraph:
+def manual_model(coords, r, R, directed=False, quantized=False, fcl_text=None) -> CompressedGraph:
     coords = np.asarray(coords, dtype=float)
-    sys = default_system()
+    fcl_text = to_fcl(default_system()) if fcl_text is None else fcl_text
     return CompressedGraph(
         embedding=Embedding(coords=coords),
         radii=NodeRadii(r=np.asarray(r, float), R=np.asarray(R, float), quantized=quantized),
         directed=directed,
-        fuzzy=sys,
+        fuzzy=parse_fcl(fcl_text),
         external_ids=np.arange(coords.shape[0], dtype=np.uint64),
-        fcl_text=to_fcl(sys),
+        fcl_text=fcl_text,
     )
 
 
@@ -137,6 +137,29 @@ def test_empty_batch_answers_empty_arrays():
     assert definite.shape == value.shape == (0,)
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint64])
+def test_id_check_names_the_first_bad_id_of_any_integer_dtype(dtype):
+    cg = build(graph_from_edges(DIGRAPH_ARCS), k=2, seed=0)
+    us, vs = np.array([0, 1, 2, 3], dtype=dtype), np.array([4, 3, 1, 0], dtype=dtype)
+    expected = query_arrays(cg, us.astype(np.int64), vs.astype(np.int64))
+    answers = query_arrays(cg, us, vs)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(answers, expected))
+    assert all(a.shape == (0,) for a in query_arrays(cg, us[:0], vs[:0]))
+    info = np.iinfo(dtype)
+    bad = [5, info.max] + ([-1, info.min] if info.min < 0 else [2**63])  # 2**63 wraps in int64
+    for first in bad:
+        for other in bad:  # the first bad id is named, in us before vs
+            ids = np.array([0, first, 1, other], dtype=dtype)
+            ok = np.array([1, 2, 3, 4], dtype=dtype)
+            message = re.escape(f"node id {first} out of range [0, 5)")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                query_arrays(cg, ids, ok)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                query_arrays(cg, ok, ids)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                query_arrays(cg, ids, ids)
+
+
 def test_undirected_symmetry(uncertain_pair_graph):
     cg = build(uncertain_pair_graph, k=2, seed=5)
     for u, v in itertools.combinations(range(cg.n), 2):
@@ -185,13 +208,13 @@ def test_both_sentinel_sides_yield_half():
     assert ans.value == 0.5
 
 
-@pytest.mark.parametrize("side_table", [False, True], ids=["kernel", "side-table"])
-def test_definite_yes_decides_before_definite_no(side_table):
+@pytest.mark.parametrize("pair_table", [False, True], ids=["kernel", "pair-table"])
+def test_definite_yes_decides_before_definite_no(pair_table):
     # hand-made radii no build produces: node 0's r says yes, node 1's R says no
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_TABLE_CELLS_PER_COORD", _TABLE_ALWAYS if side_table else 0)
+        mp.setattr(oracle, "_TABLE_COORD_RATIO", _TABLE_ALWAYS if pair_table else 0)
         cg = manual_model([[0.0], [1.0]], r=[2.0, -1.0], R=[np.inf, 0.5])
-        assert (cg.side_table is not None) == side_table
+        assert (cg.pair_table is not None) == pair_table
         assert query(cg, 0, 1) == query(cg, 1, 0) == Answer.definite(True)
 
 
@@ -732,21 +755,22 @@ def _check_loaded_model(cg: CompressedGraph) -> None:
     assert cg.fuzzy == parse_fcl(cg.fcl_text)
     for array in (cg.external_ids, cg.embedding.coords, r, R, cg.points_t, cg.point_index):
         assert not array.flags.writeable
-    assert (cg.point_table is None) == (cg.u**2 > oracle._TABLE_CELLS_PER_COORD * cg.k * cg.n)
+    assert (cg.point_table is None) == (cg.u**2 > oracle._TABLE_COORD_RATIO * cg.k * cg.n)
     if cg.point_table is not None:
         assert not cg.point_table.flags.writeable
         assert_table_matches_kernel(cg)
-    assert "side_table" not in vars(cg)  # load never builds it
+    assert "pair_table" not in vars(cg)  # load never builds it
     if cg.n >= 2:
         us = np.arange(cg.n)
         definite, value = query_arrays(cg, us, np.roll(us, 1))
         assert np.all((value >= 0.0) & (value <= 1.0))
         assert np.all(np.isin(value[definite], (0.0, 1.0)))
         t = oracle.node_states(cg).t
-        assert (cg.side_table is None) == (cg.side_table_cells(t) == 0)
-        if cg.side_table is not None:
-            assert cg.side_table.values.shape == (t, cg.u)
-            assert not any(array.flags.writeable for array in cg.side_table)
+        # a 16-node model's side cells hold far fewer than 254 fuzzy values: one-byte codes
+        assert (cg.pair_table is None) == (not cg._fits_table(t * t))
+        if cg.pair_table is not None:
+            assert cg.pair_table.codes.shape == (t, t) and cg.pair_table.codes.dtype == np.uint8
+            assert not any(array.flags.writeable for array in cg.pair_table)
     again, _, _ = roundtrip(cg)  # what load accepts, save writes back
     assert np.array_equal(again.embedding.coords, cg.embedding.coords)
     assert np.array_equal(again.external_ids, cg.external_ids)
@@ -769,7 +793,7 @@ def test_mutated_streams_fail_cleanly_or_load_valid(blob, table):
     # cap gives a mutant a point table too, checked against the kernel
     with pytest.MonkeyPatch.context() as mp:
         if table:
-            mp.setattr(oracle, "_TABLE_CELLS_PER_COORD", _TABLE_ALWAYS)
+            mp.setattr(oracle, "_TABLE_COORD_RATIO", _TABLE_ALWAYS)
         try:
             cg = load(io.BytesIO(blob))
         except ModelFormatError as exc:
@@ -814,7 +838,7 @@ def test_point_table_bitwise_equals_kernel(data, n, k, pooled):
     else:  # unique elements: every row distinct, u = n
         coords = data.draw(arrays(np.float64, (n, k), elements=st.floats(-1e6, 1e6), unique=True))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_TABLE_CELLS_PER_COORD", _TABLE_ALWAYS)
+        mp.setattr(oracle, "_TABLE_COORD_RATIO", _TABLE_ALWAYS)
         cg = manual_model(coords, r=[-1.0] * n, R=[np.inf] * n)
     assert cg.u == group_points(cg.embedding.coords).u and (pooled or cg.u == n)
     assert_table_matches_kernel(cg)
@@ -830,67 +854,118 @@ def test_point_table_bitwise_equals_kernel(data, n, k, pooled):
 POOL_r = st.sampled_from([oracle.R_NONE, 0.0, 0.5, 1.0, 3.0])
 POOL_R = st.sampled_from([0.5, 2.0, 6.0, 12.0, np.inf])
 
+# disjoint input terms and one-sample output spikes: crisp inputs below 0.4
+# answer 0.0, above 0.6 1.0, and from 0.4 to 0.6 no rule fires and DEFAULT
+# answers -0.0, so fuzzy sides tie, and 0.0 meets -0.0
+ZEROS_AND_ONES_FCL = DEFAULT_FCL.replace(
+    "TERM close_to_r := (0.0, 0.0) (1.0, 1.0);",
+    "TERM close_to_r := (0.6, 0.0) (0.7, 1.0) (1.0, 1.0);").replace(
+    "TERM close_to_R := (0.0, 1.0) (1.0, 0.0);",
+    "TERM close_to_R := (0.0, 1.0) (0.3, 1.0) (0.4, 0.0);").replace(
+    "TERM adjacent := (0.0, 0.0) (1.0, 1.0);",
+    "TERM adjacent := (0.9995, 0.0) (1.0, 1.0);").replace(
+    "TERM non_adjacent := (0.0, 1.0) (1.0, 0.0);",
+    "TERM non_adjacent := (0.0, 1.0) (0.0005, 0.0);").replace(
+    "DEFAULT := 0.5;", "DEFAULT := -0.0;")
+TABLE_FCLS = {**FCL_VARIANTS, "zeros_and_ones": ZEROS_AND_ONES_FCL}
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), n=st.integers(2, 3 * _BLOCK + 1), k=st.integers(1, 4))
-def test_side_table_bitwise_equals_side_rule(data, n, k):
-    coords = data.draw(arrays(np.float64, (n, k), elements=POOL_COORD))
-    r = data.draw(arrays(np.float64, n, elements=POOL_r))
-    R = data.draw(arrays(np.float64, n, elements=POOL_R))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_TABLE_CELLS_PER_COORD", _TABLE_ALWAYS)
-        cg = manual_model(coords, r, R)
-        table = cg.side_table
-    states = oracle.node_states(cg)
-    assert table.values.shape == (states.t, cg.u)
-    assert np.array_equal(table.state_index, states.index)
-    assert np.array_equal(table.state_point, states.point)
-    event(f"{np.count_nonzero(np.abs(table.values) <= 1.0) > 0} fuzzy-scored cells")
-    for s in range(states.t):
-        v = int(np.flatnonzero(states.index == s)[0])  # a node in state s
-        for p in range(cg.u):
-            w = int(np.flatnonzero(cg.point_index == p)[-1])  # a node on point p
-            d = pair_distances(cg.embedding.coords, np.array([v]), np.array([w]))
-            side = oracle._side_values(d, r[[v]], R[[v]], cg.fuzzy)
-            assert table.values[s, p].tobytes() == side.tobytes()
-    capped = manual_model(coords, r, R)
-    if states.t * cg.u <= k * n:  # under the default cap: the same table, never
-        event("under the default cap")  # larger than the coordinates
-        assert capped.side_table.values.tobytes() == table.values.tobytes()
-        assert capped.side_table.values.nbytes <= capped.embedding.coords.nbytes
+# each answer source as (cap when the model is made, cap at its first query):
+# the point table is made with the model, the pair table on the first query
+SOURCES = {
+    "kernel": (0, 0),
+    "point table": (_TABLE_ALWAYS, 0),
+    "pair table, kernel sides": (0, _TABLE_ALWAYS),
+    "pair table": (_TABLE_ALWAYS, _TABLE_ALWAYS),
+}
+
+
+def test_zeros_and_ones_system_answers_both_zeros_and_one():
+    system = parse_fcl(ZEROS_AND_ONES_FCL)
+    out = oracle.evaluate_many(system, [0.0, 0.2, 0.35, 0.5, 0.65, 0.8, 1.0])
+    assert out.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+    assert np.signbit(out).tolist() == [False, False, False, True, False, False, False]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(2, 30), k=st.integers(1, 4), directed=st.booleans(),
+       quantize=st.booleans(), handmade=st.booleans(), fcl=st.sampled_from(sorted(TABLE_FCLS)))
+def test_pair_table_answers_equal_the_middle_path_bytes(data, n, k, directed, quantize, handmade,
+                                                        fcl):
+    text = TABLE_FCLS[fcl]
+    if handmade:  # pooled points and radii: d == r and d == R ties, both sentinels
+        coords = data.draw(arrays(np.float64, (n, k), elements=POOL_COORD))
+        r = data.draw(arrays(np.float64, n, elements=POOL_r))
+        R = data.draw(arrays(np.float64, n, elements=POOL_R))
+        make = lambda: manual_model(coords, r, R, directed=directed, fcl_text=text)
     else:
-        assert capped.side_table is None
+        g = gnp_random_graph(n, data.draw(st.sampled_from([0.1, 0.3, 0.6])),
+                             seed=data.draw(st.integers(0, 999)), directed=directed)
+        seed = data.draw(st.integers(0, 999))
+        make = lambda: build(g, k=k, seed=seed, quantize=quantize, fcl_text=text)
+    us, vs = np.nonzero(~np.eye(n, dtype=bool))  # every ordered pair
+    answers = set()
+    for source, (made, queried) in SOURCES.items():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_TABLE_COORD_RATIO", made)
+            cg = make()
+            mp.setattr(oracle, "_TABLE_COORD_RATIO", queried)
+            definite, value = query_arrays(cg, us, vs)
+        assert (cg.point_table is None) == (made == 0)
+        assert (cg.pair_table is None) == (queried == 0)
+        # one pair a call runs numpy's scalar loops, a batch its SIMD loops
+        for i in range(0, len(us), max(1, len(us) // 16)):
+            one = query_arrays(cg, us[i:i + 1], vs[i:i + 1])
+            assert one[0].tobytes() + one[1].tobytes() == \
+                definite[i:i + 1].tobytes() + value[i:i + 1].tobytes()
+        answers.add(definite.tobytes() + value.tobytes())
+    fuzzy = value[~definite]
+    event(f"fuzzy answers of 0.0: {np.any(fuzzy == 0.0)}, -0.0: {np.any(np.signbit(fuzzy))}, "
+          f"1.0: {np.any(fuzzy == 1.0)}")
+    assert len(answers) == 1
 
 
-def test_side_table_is_built_on_the_first_query_only(uncertain_pair_graph, tmp_path, capsys):
+def test_pair_table_is_kept_up_to_the_coordinates_bytes():
+    # k = 1, n = 8: 8 node states on 2 points, one-byte codes: 64 bytes = 8 * k * n
+    at_cap = manual_model([[0.0]] * 4 + [[5.0]] * 4, r=[-1.0, 0.0, 1.0, 2.0] * 2, R=[np.inf] * 8)
+    # k = 1, n = 10: 9 node states, 81 bytes, one cell over the 80-byte cap
+    over_cap = manual_model([[0.0]] * 5 + [[5.0]] * 5, R=[np.inf] * 10,
+                            r=[-1.0, 0.0, 1.0, 2.0, 3.0, -1.0, 0.0, 1.0, 2.0, 2.0])
+    for cg, t in ((at_cap, 8), (over_cap, 9)):
+        assert oracle.node_states(cg).t == t and cg.point_table is not None
+    table = at_cap.pair_table
+    assert table.codes.shape == (8, 8) and table.codes.dtype == np.uint8
+    assert table.codes.nbytes == at_cap.embedding.coords.nbytes == 64
+    assert over_cap.pair_table is None
+
+
+def test_pair_table_is_built_on_the_first_query_only(uncertain_pair_graph, tmp_path):
     def unexpected(*args):
-        raise AssertionError("side table built before a query")
+        raise AssertionError("side values scored")
 
+    # the six-node model at k = 2: t <= 6, so 36 one-byte codes fit in 96 bytes
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_TABLE_CELLS_PER_COORD", _TABLE_ALWAYS)
-        mp.setattr(oracle, "_side_values", unexpected)  # a query computes side values
+        mp.setattr(oracle, "_side_values", unexpected)  # the table is made of side values
         cg = build(uncertain_pair_graph, k=2, seed=0)
         path = tmp_path / "model.fzg"
         oracle.save_file(cg, str(path))
         loaded = oracle.load_file(str(path))
-        assert run(["info", str(path)]) == 0
-        t = oracle.node_states(cg).t
-        assert f"side_table_bytes={8 * t * cg.u}" in capsys.readouterr().out
-        assert "side_table" not in vars(cg) and "side_table" not in vars(loaded)
+        assert "pair_table" not in vars(cg) and "pair_table" not in vars(loaded)
     # the table is derived from these, so neither a built nor a loaded model
     # lets them change under it
     for model in (cg, loaded):
         for array in (model.embedding.coords, model.radii.r, model.radii.R, model.external_ids):
             assert not array.flags.writeable
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_TABLE_CELLS_PER_COORD", _TABLE_ALWAYS)
-        for model in (cg, loaded):
-            query(model, 0, 1)
-            table = vars(model)["side_table"]
-            assert table is model.side_table  # built once, then cached
-            assert not any(array.flags.writeable for array in table)
+    for model in (cg, loaded):
+        query(model, 0, 1)
+        table = vars(model)["pair_table"]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_side_values", unexpected)
+            query(model, 1, 2)
+        assert table is model.pair_table  # built once, then cached
+        assert not any(array.flags.writeable for array in table)
+        for array in (table.codes, table.decode):
             with pytest.raises(ValueError, match="read-only"):
-                table.values[0, 0] = 0.5
+                array[0] = 0
 
 
 @pytest.mark.parametrize("quantize", [False, True], ids=["exact", "quantized"])
@@ -898,32 +973,29 @@ def test_side_table_is_built_on_the_first_query_only(uncertain_pair_graph, tmp_p
 def test_table_and_kernel_paths_answer_the_same_bytes(directed, quantize):
     g = gnp_random_graph(120, 0.05, seed=11, directed=directed)
     us, vs = np.nonzero(~np.eye(g.n, dtype=bool))  # every ordered pair
-    base = build(g, k=4, seed=3, quantize=quantize)
-    u, t = base.u, oracle.node_states(base).t
-    assert u < t
-    caps = {  # cells per coordinate for each of the three sources
-        "kernel": 0,
-        "point table": Fraction(u * u, base.k * base.n),  # u**2 fits, t * u does not
-        "side table": _TABLE_ALWAYS,
-    }
     answers = set()
-    for source, cells in caps.items():
+    for source, (made, queried) in SOURCES.items():
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "_TABLE_CELLS_PER_COORD", cells)
+            mp.setattr(oracle, "_TABLE_COORD_RATIO", made)
             cg = build(g, k=4, seed=3, quantize=quantize)
             loaded = roundtrip(cg)[0]
-            if cells:  # a model with a table never runs the kernel in a query
+            mp.setattr(oracle, "_TABLE_COORD_RATIO", queried)
+            if source != "kernel":  # a model with a table never runs the kernel in a query
                 mp.setattr(oracle, "pair_distances", None)
             for model in (cg, loaded):
-                assert (model.point_table is None) == (source == "kernel")
-                assert (model.side_table is None) == (source != "side table")
-            if source == "side table":  # tables built: a batch runs no fuzzy inference
-                mp.setattr(oracle, "evaluate_many", None)
+                assert (model.point_table is None) == (made == 0)
+                assert (model.pair_table is None) == (queried == 0)
+            if queried:  # tables built: a batch scores no side, so runs no fuzzy inference
+                mp.setattr(oracle, "_side_values", None)
             for model in (cg, loaded):
                 definite, value = query_arrays(model, us, vs)
                 answers.add(definite.tobytes() + value.tobytes())
     assert 0 < definite.sum() < definite.size  # definite and fuzzy answers both occur
     assert len(answers) == 1
+    # under the default cap u**2 = 484 > k * n = 480 cells, so there is no point
+    # table, while t**2 one-byte codes fit in 8 * k * n bytes: kernel sides
+    cg = build(g, k=4, seed=3, quantize=quantize)
+    assert cg.point_table is None and cg.pair_table.codes.dtype == np.uint8
 
 
 def _model_on_points(points, n: int) -> CompressedGraph:
@@ -958,7 +1030,15 @@ def test_benchmark_model_keeps_its_point_table(benchmark_model):
     loaded = roundtrip(cg)[0]
     assert loaded.point_table.tobytes() == cg.point_table.tobytes()
     assert np.array_equal(loaded.point_index, cg.point_index)
-    # and the side-table path: t = 522 node states, 77,256 cells <= k * n = 160,000
+    # and the pair-table path: t = 522 node states, 2,527 codes in two bytes each,
+    # 544,968 bytes of a cap of 8 * k * n = 1,280,000
     assert oracle.node_states(cg).t == 522
     for model in (cg, loaded):
-        assert model.side_table is not None and model.side_table.values.shape == (522, 148)
+        codes = model.pair_table.codes
+        assert codes.shape == (522, 522) and codes.dtype == np.uint16 and codes.nbytes == 544968
+    # the cap counts the code width: a byte under it drops the table, though
+    # 522**2 one-byte codes would fit
+    with pytest.MonkeyPatch.context() as mp:
+        for nbytes, kept in ((544968, True), (544967, False)):
+            mp.setattr(oracle, "_TABLE_COORD_RATIO", Fraction(nbytes, 8 * cg.k * cg.n))
+            assert (roundtrip(cg)[0].pair_table is not None) == kept
