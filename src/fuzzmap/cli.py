@@ -177,7 +177,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"node_states={node_states(cg).t}")
     # 0 above the u**2 <= k * n cap, where queries run the distance kernel
     print(f"point_table_bytes={0 if cg.point_table is None else cg.point_table.nbytes}")
-    # 0 above the itemsize * t**2 <= 8 * k * n byte cap; builds the table
+    # 0 without a point table or above the itemsize * t**2 <= 8 * k * n byte cap;
+    # builds the table
     print(f"pair_table_bytes={0 if cg.pair_table is None else cg.pair_table.codes.nbytes}")
     print(f"fcl_bytes={len(cg.fcl_text.encode('utf-8'))}")
     print(f"file_bytes={os.path.getsize(args.model)}")

@@ -11,14 +11,14 @@ A query answers definite yes/no when a radius guarantees the truth,
 otherwise a fuzzy likelihood. Each endpoint of a pair contributes one
 side value, which depends only on that endpoint's node state (point, r,
 R) and on the other endpoint's point, so a pair's answer depends only on
-the two node states. On the first query the model fills the pair table,
-one answer code per ordered pair of its t node states, while it is no
-larger than the coordinates; a batch is then one gather per pair, with
-no fuzzy inference and no combine. Above that cap a batch reads each
-pair's distance from the point table, or runs the distance kernel on the
-pair's coordinates above the point table's cap (both give the same
-bits), scores its undecided sides and combines them. Both paths give
-the same answers bit for bit.
+the two node states. On the first query a model with a point table fills
+the pair table from it, one answer code per ordered pair of its t node
+states, while it is no larger than the coordinates; a batch is then one
+gather per pair, with no fuzzy inference and no combine. Without a pair
+table a batch reads each pair's distance from the point table, or runs
+the distance kernel on the pair's coordinates above the point table's
+cap (both give the same bits), scores its undecided sides and combines
+them. Both paths give the same answers bit for bit.
 
 Models persist in the FZG1 binary format with a CRC32 trailer. The file
 stores each of the u distinct FastMap points once, each of the t distinct
@@ -41,8 +41,8 @@ import numpy as np
 from .fastmap import Embedding, fastmap_embed
 from .fuzzy import FclParseError, FuzzySystem, default_system, evaluate_many, parse_fcl, to_fcl
 from .graph import Graph, check_node_id, lookup_internal_id
-from .radii import (R_NONE, NodeRadii, _axis_distances, _block_distances, compute_all_radii,
-                    group_points, pair_distances)
+from .radii import (R_NONE, NodeRadii, _block_distances, compute_all_radii, group_points,
+                    pair_distances)
 
 MAGIC = b"FZG1"
 FORMAT_VERSION = 3
@@ -56,6 +56,7 @@ _MAX_U32_INDEXED = 2**32  # point and state indices are u32: at most this many o
 # the t x t pair table while itemsize * t**2 <= 8 * k * n
 _TABLE_COORD_RATIO = 1
 _YES, _NO = 0, 1  # the pair table's definite codes; fuzzy codes follow
+_SIDE_BLOCK = 1 << 15  # (state, point) cells scored at a time while the pair table is built
 
 DEFINITE = "definite"
 FUZZY = "fuzzy"
@@ -93,7 +94,7 @@ class CompressedGraph:
     and are read-only: ``points_t`` the (k, u) distinct points in
     ``group_points`` order, ``point_index`` the point of each node, and
     ``point_table`` the (u, u) point distances, or None when u**2 > k * n.
-    ``pair_table`` is derived on first use; see there.
+    ``pair_table`` is derived from the point table on first use; see there.
     """
 
     embedding: Embedding
@@ -152,32 +153,27 @@ class CompressedGraph:
         ``codes[s, s']`` answers a node in state s (of ``node_states``)
         against a node in state s' with ``decode[codes[s, s']]``, and is
         definite exactly when below 2; ``state_index`` is each node's
-        state. The codes rank the side values of ``_side_values``
-        (``_side_codes``), and a pair's code is the lesser of its two
-        sides' codes, or the source side's alone when directed. None
-        when itemsize * t**2 bytes exceed the point table's cap,
-        8 * k * n bytes, so it is never larger than the coordinates; the
-        side values come from the point table's distances, or from the
-        kernel when the model has none (the same bits). Built on the
-        first query, not by build, save or load; its arrays are
-        read-only. Where cached_property takes no lock (Python 3.12 and
-        later), two threads that race on the first query may both build
-        it; they build identical tables.
+        state. The codes rank the side values of each state against each
+        point (``_side_codes``), and a pair's code is the lesser of its
+        two sides' codes, or the source side's alone when directed. The
+        side values read the point table, so the pair table is None when
+        the model has none, or when itemsize * t**2 bytes exceed the
+        point table's cap, 8 * k * n bytes, so it is never larger than
+        the coordinates. Built on the first query, not by build, save or
+        load; its arrays are read-only. Where cached_property takes no
+        lock (Python 3.12 and later), two threads that race on the first
+        query may both build it; they build identical tables.
         """
         states = node_states(self)
         t = states.t
-        if not self._fits_table(t * t):  # over the cap even at one byte a code
+        # the widest code the cap leaves room for
+        width = next((w for w in (8, 4, 2, 1) if self._fits_table(w * t * t)), 0)
+        if self.point_table is None or not width:
             return None
-        if self.point_table is None:  # the block kernel's operands, rows at the state points
-            rows = self.points_t.take(states.point, axis=1)[..., None]  # (k, t, 1)
-            d = _axis_distances(zip(self.points_t, rows), *np.empty((2, t, self.u)))
-        else:
-            d = self.point_table.take(states.point, axis=0)
-        # one side per (state, point) cell, each scored on its own
-        r, R = states.r[None, :, None], states.R[None, :, None]
-        side_codes, decode = _side_codes(_side_values(d[None], r, R, self.fuzzy)[0])
-        if not self._fits_table(side_codes.itemsize * t * t):
+        sides = _side_codes(self.point_table, states, self.fuzzy, max_codes=256**width)
+        if sides is None:
             return None
+        side_codes, decode = sides
         codes = side_codes.take(states.point, axis=1)  # s's side against a node in state s'
         if not self.directed:
             codes = np.minimum(codes, codes.T)
@@ -220,32 +216,54 @@ def _side_values(d: np.ndarray, r: np.ndarray, R: np.ndarray, system: FuzzySyste
     scored = ~(yes | no).any(axis=0) & (r != R_NONE) & np.isfinite(R)
     r, R, d = r[scored], R[scored], d[scored]
     xs, inverse = np.unique(np.clip((R - d) / (R - r), 0.0, 1.0), return_inverse=True)
-    values[scored] = evaluate_many(system, xs).take(inverse)
+    # + 0.0 turns a -0.0 output into 0.0, so equal fuzzy values have equal bits
+    values[scored] = (evaluate_many(system, xs) + 0.0).take(inverse)
     return values
 
 
-def _side_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Precedence codes of side values, and the answer value of each code.
+def _side_codes(point_table: np.ndarray, states: NodeStates, system: FuzzySystem,
+                max_codes: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Precedence codes of every (state, point) side, and the answer value of each code.
 
+    The side of a node in state s against a node on point p has the side
+    value of ``_side_values`` at distance ``point_table[states.point[s], p]``.
     _YES (0) is a definite yes (+inf) and _NO (1) a definite no (-inf);
-    2... are the distinct fuzzy values in ascending order, -0.0 before
-    0.0; the last code is NaN, which answers the 0.5 fallback. So the
-    lesser code of two sides is the pair's answer: yes first, then no,
-    then the lesser fuzzy side, NaN sides dropping out. The codes take
-    the smallest unsigned dtype that holds them.
+    2... are the distinct fuzzy values in ascending order; the last code
+    is NaN, which answers the 0.5 fallback. So the lesser code of two
+    sides is the pair's answer: yes first, then no, then the lesser
+    fuzzy side, NaN sides dropping out. States are scored about
+    _SIDE_BLOCK cells at a time, so no (t, u) float array is made: each
+    block is coded by its own fuzzy values, then recoded by all of them.
+    None as soon as the codes would number more than max_codes; else
+    they take the smallest unsigned dtype that holds them.
     """
-    fuzzy = np.isfinite(values)
-    bits, inverse = np.unique(values[fuzzy].view(np.uint64), return_inverse=True)
-    xs = bits.view(np.float64)
-    order = np.lexsort((~np.signbit(xs), xs))  # equal values, by sign: -0.0 first
-    rank = np.empty(order.size, dtype=np.intp)
-    rank[order] = np.arange(2, 2 + order.size)
-    nan_code = 2 + order.size
-    codes = np.full(values.shape, nan_code, dtype=np.min_scalar_type(nan_code))
-    codes[values == np.inf] = _YES
-    codes[values == -np.inf] = _NO
-    codes[fuzzy] = rank.take(inverse)
-    return codes, np.concatenate([[1.0, 0.0], xs.take(order), [0.5]])
+    u = point_table.shape[0]
+    rows = max(1, _SIDE_BLOCK // u)
+    blocks, block_xs = [], []
+    for lo in range(0, states.t, rows):
+        s = slice(lo, lo + rows)
+        d = point_table.take(states.point[s], axis=0)
+        values = _side_values(d[None], states.r[None, s, None], states.R[None, s, None], system)[0]
+        fuzzy = np.isfinite(values)
+        xs, inverse = np.unique(values[fuzzy], return_inverse=True)
+        nan_code = 2 + xs.size
+        codes = np.full(values.shape, nan_code, dtype=np.min_scalar_type(nan_code))
+        codes[values == np.inf] = _YES
+        codes[values == -np.inf] = _NO
+        codes[fuzzy] = 2 + inverse
+        blocks.append(codes)
+        block_xs.append(xs)
+        # every fuzzy value so far, and the rank of each block's values among them
+        xs, rank = np.unique(np.concatenate(block_xs), return_inverse=True)
+        if 2 + xs.size >= max_codes:  # the NaN code, 2 + xs.size, would not fit
+            return None
+    nan_code = 2 + xs.size
+    out = np.empty((states.t, u), dtype=np.min_scalar_type(nan_code))
+    ranks = np.split(rank, np.cumsum([x.size for x in block_xs])[:-1])
+    for lo, codes, block_rank in zip(range(0, states.t, rows), blocks, ranks):
+        recode = np.concatenate([[_YES, _NO], 2 + block_rank, [nan_code]])
+        out[lo : lo + rows] = recode.take(codes)
+    return out, np.concatenate([[1.0, 0.0], xs, [0.5]])
 
 
 def build(
@@ -322,10 +340,6 @@ def query_arrays(
     # a definite side decides the pair, yes first; else the lesser fuzzy
     # side, NaN (sentinel) sides dropping out, and 0.5 when both are NaN
     hi, lo = np.fmax(a, b), np.fmin(a, b)
-    # on a (-0.0, 0.0) tie fmin returns either zero, by numpy loop; the
-    # pair table's codes rank -0.0 first, so take that
-    zero = lo == 0.0
-    lo[zero] = np.where(np.signbit(a[zero]) | np.signbit(b[zero]), -0.0, 0.0)
     yes, no = hi == np.inf, lo == -np.inf
     return yes | no, np.where(yes, 1.0, np.where(no, 0.0, np.where(np.isnan(lo), 0.5, lo)))
 

@@ -94,10 +94,15 @@ def test_info_reports_point_table_bytes(sample_model, tmp_path, capsys):
 
 
 def test_info_reports_pair_table_bytes(sample_model, benchmark_model, tmp_path, capsys):
-    # the six-node model at k=2 has t = 6 node states: 36 one-byte codes, under
-    # the 8 * k * n = 96-byte cap
+    # the six-node model at k=2 has no point table, so no pair table either,
+    # though t = 6 node states would take 36 one-byte codes, under the 96-byte cap
     fields = info_fields(sample_model, capsys)
-    assert (fields["node_states"], fields["pair_table_bytes"]) == ("6", "36")
+    assert (fields["node_states"], fields["pair_table_bytes"]) == ("6", "0")
+    # the 40-node star keeps its point table, and a pair table of one-byte codes
+    model = star_model(tmp_path, capsys)
+    fields = info_fields(model, capsys)
+    t = int(fields["node_states"])
+    assert fields["pair_table_bytes"] == str(t * t) == str(load_file(model).pair_table.codes.nbytes)
     # the query benchmark's model: 522 x 522 two-byte codes
     model = tmp_path / "ba20k.fzg"
     save_file(benchmark_model, str(model))

@@ -767,7 +767,7 @@ def _check_loaded_model(cg: CompressedGraph) -> None:
         assert np.all(np.isin(value[definite], (0.0, 1.0)))
         t = oracle.node_states(cg).t
         # a 16-node model's side cells hold far fewer than 254 fuzzy values: one-byte codes
-        assert (cg.pair_table is None) == (not cg._fits_table(t * t))
+        assert (cg.pair_table is None) == (cg.point_table is None or not cg._fits_table(t * t))
         if cg.pair_table is not None:
             assert cg.pair_table.codes.shape == (t, t) and cg.pair_table.codes.dtype == np.uint8
             assert not any(array.flags.writeable for array in cg.pair_table)
@@ -856,7 +856,8 @@ POOL_R = st.sampled_from([0.5, 2.0, 6.0, 12.0, np.inf])
 
 # disjoint input terms and one-sample output spikes: crisp inputs below 0.4
 # answer 0.0, above 0.6 1.0, and from 0.4 to 0.6 no rule fires and DEFAULT
-# answers -0.0, so fuzzy sides tie, and 0.0 meets -0.0
+# answers -0.0, so fuzzy sides tie, and 0.0 meets -0.0 until _side_values
+# turns every -0.0 into 0.0
 ZEROS_AND_ONES_FCL = DEFAULT_FCL.replace(
     "TERM close_to_r := (0.0, 0.0) (1.0, 1.0);",
     "TERM close_to_r := (0.6, 0.0) (0.7, 1.0) (1.0, 1.0);").replace(
@@ -870,11 +871,10 @@ ZEROS_AND_ONES_FCL = DEFAULT_FCL.replace(
 TABLE_FCLS = {**FCL_VARIANTS, "zeros_and_ones": ZEROS_AND_ONES_FCL}
 
 # each answer source as (cap when the model is made, cap at its first query):
-# the point table is made with the model, the pair table on the first query
+# the point table is made with the model, the pair table from it on the first query
 SOURCES = {
     "kernel": (0, 0),
     "point table": (_TABLE_ALWAYS, 0),
-    "pair table, kernel sides": (0, _TABLE_ALWAYS),
     "pair table": (_TABLE_ALWAYS, _TABLE_ALWAYS),
 }
 
@@ -886,11 +886,26 @@ def test_zeros_and_ones_system_answers_both_zeros_and_one():
     assert np.signbit(out).tolist() == [False, False, False, True, False, False, False]
 
 
+@pytest.mark.parametrize("source", sorted(SOURCES))
+def test_a_negative_zero_output_answers_zero(source):
+    # d = 1 between r = 0 and R = 2: the crisp input 0.5 fires no rule, so
+    # the system answers its DEFAULT, -0.0
+    made, queried = SOURCES[source]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_TABLE_COORD_RATIO", made)
+        cg = manual_model([[0.0], [1.0]], r=[0.0, 0.0], R=[2.0, 2.0], fcl_text=ZEROS_AND_ONES_FCL)
+        mp.setattr(oracle, "_TABLE_COORD_RATIO", queried)
+        definite, value = query_arrays(cg, [0, 1], [1, 0])
+    assert (cg.pair_table is None) == (queried == 0)
+    assert not definite.any() and value.tobytes() == np.zeros(2).tobytes()
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), n=st.integers(2, 30), k=st.integers(1, 4), directed=st.booleans(),
-       quantize=st.booleans(), handmade=st.booleans(), fcl=st.sampled_from(sorted(TABLE_FCLS)))
+       quantize=st.booleans(), handmade=st.booleans(), fcl=st.sampled_from(sorted(TABLE_FCLS)),
+       side_block=st.sampled_from([1, 7, oracle._SIDE_BLOCK]))
 def test_pair_table_answers_equal_the_middle_path_bytes(data, n, k, directed, quantize, handmade,
-                                                        fcl):
+                                                        fcl, side_block):
     text = TABLE_FCLS[fcl]
     if handmade:  # pooled points and radii: d == r and d == R ties, both sentinels
         coords = data.draw(arrays(np.float64, (n, k), elements=POOL_COORD))
@@ -909,6 +924,8 @@ def test_pair_table_answers_equal_the_middle_path_bytes(data, n, k, directed, qu
             mp.setattr(oracle, "_TABLE_COORD_RATIO", made)
             cg = make()
             mp.setattr(oracle, "_TABLE_COORD_RATIO", queried)
+            # side blocks of one cell up to all of them: one state a block up to all states
+            mp.setattr(oracle, "_SIDE_BLOCK", side_block)
             definite, value = query_arrays(cg, us, vs)
         assert (cg.point_table is None) == (made == 0)
         assert (cg.pair_table is None) == (queried == 0)
@@ -919,9 +936,9 @@ def test_pair_table_answers_equal_the_middle_path_bytes(data, n, k, directed, qu
                 definite[i:i + 1].tobytes() + value[i:i + 1].tobytes()
         answers.add(definite.tobytes() + value.tobytes())
     fuzzy = value[~definite]
-    event(f"fuzzy answers of 0.0: {np.any(fuzzy == 0.0)}, -0.0: {np.any(np.signbit(fuzzy))}, "
-          f"1.0: {np.any(fuzzy == 1.0)}")
+    event(f"fuzzy answers of 0.0: {np.any(fuzzy == 0.0)}, 1.0: {np.any(fuzzy == 1.0)}")
     assert len(answers) == 1
+    assert not np.any(np.signbit(value))  # a -0.0 output answers 0.0
 
 
 def test_pair_table_is_kept_up_to_the_coordinates_bytes():
@@ -938,11 +955,50 @@ def test_pair_table_is_kept_up_to_the_coordinates_bytes():
     assert over_cap.pair_table is None
 
 
-def test_pair_table_is_built_on_the_first_query_only(uncertain_pair_graph, tmp_path):
+def test_pair_table_gives_up_once_its_codes_outgrow_the_cap():
+    # k = 1, n = 400: 20 points (u**2 = k * n), 50 states of distinct radii, so
+    # hundreds of distinct fuzzy sides; 50**2 codes fit the 3,200-byte cap in
+    # one byte each, not in two
+    n, t = 400, 50
+    state = np.arange(n) % t
+    coords = np.random.default_rng(5).uniform(0.0, 100.0, 20)[state % 20, None]
+    make = lambda: manual_model(coords, r=0.5 + 0.01 * state, R=200.0 + state)
+    scored = []
+
+    def counting(*args):
+        scored.append(args)
+        return side_values(*args)
+
+    side_values = oracle._side_values
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_SIDE_BLOCK", 20)  # one state a block
+        mp.setattr(oracle, "_side_values", counting)
+        capped = make()
+        assert capped.u == 20 and oracle.node_states(capped).t == t
+        assert capped.point_table is not None and capped.pair_table is None
+        assert len(scored) < t  # gave up before scoring every state
+        mp.setattr(oracle, "_TABLE_COORD_RATIO", 2)  # room for two-byte codes
+        wide = make()
+        codes = wide.pair_table.codes
+    assert codes.dtype == np.uint16 and codes.max() > 255
+    # the scoring gives up exactly when the NaN code would not fit under max_codes
+    states = oracle.node_states(wide)
+    count = wide.pair_table.decode.size
+    for max_codes, fits in ((count, True), (count - 1, False)):
+        sides = oracle._side_codes(wide.point_table, states, wide.fuzzy, max_codes)
+        assert (sides is not None) == fits
+    us, vs = np.nonzero(~np.eye(n, dtype=bool))
+    assert b"".join(a.tobytes() for a in query_arrays(capped, us, vs)) == \
+        b"".join(a.tobytes() for a in query_arrays(wide, us, vs))
+
+
+def test_pair_table_is_built_on_the_first_query_only(uncertain_pair_graph, tmp_path, monkeypatch):
     def unexpected(*args):
         raise AssertionError("side values scored")
 
-    # the six-node model at k = 2: t <= 6, so 36 one-byte codes fit in 96 bytes
+    # the six-node model at k = 2 has u = 6 points, over the point table's cap
+    # of u**2 <= k * n = 12; a raised cap gives it both tables
+    monkeypatch.setattr(oracle, "_TABLE_COORD_RATIO", _TABLE_ALWAYS)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_side_values", unexpected)  # the table is made of side values
         cg = build(uncertain_pair_graph, k=2, seed=0)
@@ -993,9 +1049,10 @@ def test_table_and_kernel_paths_answer_the_same_bytes(directed, quantize):
     assert 0 < definite.sum() < definite.size  # definite and fuzzy answers both occur
     assert len(answers) == 1
     # under the default cap u**2 = 484 > k * n = 480 cells, so there is no point
-    # table, while t**2 one-byte codes fit in 8 * k * n bytes: kernel sides
+    # table, and so no pair table, though t**2 one-byte codes would fit
     cg = build(g, k=4, seed=3, quantize=quantize)
-    assert cg.point_table is None and cg.pair_table.codes.dtype == np.uint8
+    assert cg.point_table is None and cg.pair_table is None
+    assert cg._fits_table(oracle.node_states(cg).t ** 2)
 
 
 def _model_on_points(points, n: int) -> CompressedGraph:
