@@ -101,8 +101,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", help="CSV path (default stdout)")
 
     p = sub.add_parser("info", help="print model header fields, the distinct-point and "
-                                    "node-state counts the file stores, and the sizes of "
-                                    "the point and pair tables queries read")
+                                    "node-state counts the file stores, and the size of "
+                                    "the pair table queries read")
     p.add_argument("model")
 
     return parser
@@ -175,10 +175,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"largest_group={np.bincount(cg.point_index).max()}")
     # the distinct (point, r, R) triples: the grouping save writes the state table from
     print(f"node_states={node_states(cg).t}")
-    # 0 above the u**2 <= k * n cap, where queries run the distance kernel
-    print(f"point_table_bytes={0 if cg.point_table is None else cg.point_table.nbytes}")
-    # 0 without a point table or above the itemsize * t**2 <= 8 * k * n byte cap;
-    # builds the table
+    # 0 outside 8 * u**2 <= 8 * k * n or itemsize * t**2 <= 8 * k * n bytes, where
+    # queries run the distance kernel; builds the table
     print(f"pair_table_bytes={0 if cg.pair_table is None else cg.pair_table.codes.nbytes}")
     print(f"fcl_bytes={len(cg.fcl_text.encode('utf-8'))}")
     print(f"file_bytes={os.path.getsize(args.model)}")

@@ -2,23 +2,20 @@
 
 A CompressedGraph holds only linear-in-n state: the n x k embedding, two
 radii per node, the id map, and the fuzzy system's FCL source. From the
-embedding it derives the u distinct FastMap points, the point of each
-node and, while u**2 <= k * n, the u x u table of point-to-point
-distances. That cap keeps the table no larger than the n x k coordinates
-the model already holds.
+embedding it derives the u distinct FastMap points and the point of each
+node.
 
 A query answers definite yes/no when a radius guarantees the truth,
 otherwise a fuzzy likelihood. Each endpoint of a pair contributes one
 side value, which depends only on that endpoint's node state (point, r,
 R) and on the other endpoint's point, so a pair's answer depends only on
-the two node states. On the first query a model with a point table fills
-the pair table from it, one answer code per ordered pair of its t node
-states, while it is no larger than the coordinates; a batch is then one
-gather per pair, with no fuzzy inference and no combine. Without a pair
-table a batch reads each pair's distance from the point table, or runs
-the distance kernel on the pair's coordinates above the point table's
-cap (both give the same bits), scores its undecided sides and combines
-them. Both paths give the same answers bit for bit.
+the two node states. On the first query the model fills the pair table,
+one answer code per ordered pair of its t node states, scoring the sides
+from the distinct points with the distance kernel, while the table is no
+larger than the coordinates; a batch is then one gather per pair, with
+no fuzzy inference and no combine. Without a pair table a batch runs the
+kernel on each pair's coordinates, scores its undecided sides and
+combines them. Both paths give the same answers bit for bit.
 
 Models persist in the FZG1 binary format with a CRC32 trailer. The file
 stores each of the u distinct FastMap points once, each of the t distinct
@@ -52,8 +49,10 @@ _FLAG_ID_RANGE = 4  # external ids are lo..lo+n-1; the id block holds lo alone
 _HEADER = struct.Struct("<4sIIQIIQQ")  # magic, version, flags, n, k, fcl_len, u, t
 _MAX_U32_INDEXED = 2**32  # point and state indices are u32: at most this many of each
 # a derived table may take this many bytes per byte of the n x k f64
-# coordinates: the u x u f64 point table is kept while 8 * u**2 <= 8 * k * n,
-# the t x t pair table while itemsize * t**2 <= 8 * k * n
+# coordinates: the t x t pair table is kept while itemsize * t**2 <= 8 * k * n.
+# Its sides are scored only while 8 * u**2 <= 8 * k * n, as if a u x u f64
+# distance table had to fit too: beyond that the many distinct distances
+# make the first query's fuzzy inference far costlier, often only to give up
 _TABLE_COORD_RATIO = 1
 _YES, _NO = 0, 1  # the pair table's definite codes; fuzzy codes follow
 _SIDE_BLOCK = 1 << 15  # (state, point) cells scored at a time while the pair table is built
@@ -92,9 +91,8 @@ class CompressedGraph:
 
     The point fields are derived from ``embedding.coords`` on construction
     and are read-only: ``points_t`` the (k, u) distinct points in
-    ``group_points`` order, ``point_index`` the point of each node, and
-    ``point_table`` the (u, u) point distances, or None when u**2 > k * n.
-    ``pair_table`` is derived from the point table on first use; see there.
+    ``group_points`` order and ``point_index`` the point of each node.
+    ``pair_table`` is derived from them on first use; see there.
     """
 
     embedding: Embedding
@@ -105,7 +103,6 @@ class CompressedGraph:
     fcl_text: str
     points_t: np.ndarray = field(init=False, repr=False)
     point_index: np.ndarray = field(init=False, repr=False)  # (n,) intp
-    point_table: Optional[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         sizes = (self.embedding.n, len(self.radii.r), len(self.radii.R), len(self.external_ids))
@@ -118,16 +115,8 @@ class CompressedGraph:
             raise ValueError("fuzzy system does not match the parse of fcl_text")
         groups = group_points(self.embedding.coords)
         self.points_t, self.point_index = groups.points_t, groups.inv
-        u = groups.u
-        self.point_table = None
-        if self._fits_table(8 * u * u):
-            # a point's coordinates are its nodes' coordinates, and the kernel
-            # squares every difference: entries equal pair_distances bit for bit
-            out, tmp = np.empty((u, u)), np.empty((u, u))
-            self.point_table = _block_distances(self.points_t, 0, u, out, tmp)
-        for array in (self.points_t, self.point_index, self.point_table):
-            if array is not None:
-                array.flags.writeable = False
+        for array in (self.points_t, self.point_index):
+            array.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -156,21 +145,24 @@ class CompressedGraph:
         state. The codes rank the side values of each state against each
         point (``_side_codes``), and a pair's code is the lesser of its
         two sides' codes, or the source side's alone when directed. The
-        side values read the point table, so the pair table is None when
-        the model has none, or when itemsize * t**2 bytes exceed the
-        point table's cap, 8 * k * n bytes, so it is never larger than
-        the coordinates. Built on the first query, not by build, save or
-        load; its arrays are read-only. Where cached_property takes no
-        lock (Python 3.12 and later), two threads that race on the first
-        query may both build it; they build identical tables.
+        pair table is None when itemsize * t**2 bytes exceed the cap,
+        8 * k * n bytes, so it is never larger than the coordinates, and
+        when 8 * u**2 bytes exceed it (see _TABLE_COORD_RATIO); that check
+        comes first and needs no grouping of the nodes. Built on the first
+        query, not by build, save or load; its arrays are read-only. Where
+        cached_property takes no lock (Python 3.12 and later), two threads
+        that race on the first query may both build it; they build
+        identical tables.
         """
+        if not self._fits_table(8 * self.u * self.u):
+            return None
         states = node_states(self)
         t = states.t
         # the widest code the cap leaves room for
         width = next((w for w in (8, 4, 2, 1) if self._fits_table(w * t * t)), 0)
-        if self.point_table is None or not width:
+        if not width:
             return None
-        sides = _side_codes(self.point_table, states, self.fuzzy, max_codes=256**width)
+        sides = _side_codes(self.points_t, states, self.fuzzy, max_codes=256**width)
         if sides is None:
             return None
         side_codes, decode = sides
@@ -221,28 +213,36 @@ def _side_values(d: np.ndarray, r: np.ndarray, R: np.ndarray, system: FuzzySyste
     return values
 
 
-def _side_codes(point_table: np.ndarray, states: NodeStates, system: FuzzySystem,
+def _side_codes(points_t: np.ndarray, states: NodeStates, system: FuzzySystem,
                 max_codes: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Precedence codes of every (state, point) side, and the answer value of each code.
 
     The side of a node in state s against a node on point p has the side
-    value of ``_side_values`` at distance ``point_table[states.point[s], p]``.
-    _YES (0) is a definite yes (+inf) and _NO (1) a definite no (-inf);
-    2... are the distinct fuzzy values in ascending order; the last code
-    is NaN, which answers the 0.5 fallback. So the lesser code of two
-    sides is the pair's answer: yes first, then no, then the lesser
-    fuzzy side, NaN sides dropping out. States are scored about
-    _SIDE_BLOCK cells at a time, so no (t, u) float array is made: each
-    block is coded by its own fuzzy values, then recoded by all of them.
-    None as soon as the codes would number more than max_codes; else
-    they take the smallest unsigned dtype that holds them.
+    value of ``_side_values`` at the kernel's distance between points
+    ``states.point[s]`` and p of the (k, u) ``points_t``. _YES (0) is a
+    definite yes (+inf) and _NO (1) a definite no (-inf); 2... are the
+    distinct fuzzy values in ascending order; the last code is NaN, which
+    answers the 0.5 fallback. So the lesser code of two sides is the
+    pair's answer: yes first, then no, then the lesser fuzzy side, NaN
+    sides dropping out. States are scored about _SIDE_BLOCK cells at a
+    time, so no (t, u) float array is made: each block is coded by its own
+    fuzzy values, then recoded by all of them. ``node_states`` sorts the
+    states by point and every point holds a state, so a block's states
+    span a run of points no longer than the block, and one kernel call
+    gives their distance rows; a point's coordinates are its nodes'
+    coordinates and the kernel squares every difference, so the rows
+    equal ``pair_distances`` bit for bit. None as soon as the codes would
+    number more than max_codes; else they take the smallest unsigned
+    dtype that holds them.
     """
-    u = point_table.shape[0]
+    u = points_t.shape[1]
     rows = max(1, _SIDE_BLOCK // u)
     blocks, block_xs = [], []
     for lo in range(0, states.t, rows):
         s = slice(lo, lo + rows)
-        d = point_table.take(states.point[s], axis=0)
+        first, last = states.point[s][[0, -1]]
+        span = _block_distances(points_t, first, last + 1, *np.empty((2, last + 1 - first, u)))
+        d = span.take(states.point[s] - first, axis=0)
         values = _side_values(d[None], states.r[None, s, None], states.R[None, s, None], system)[0]
         fuzzy = np.isfinite(values)
         xs, inverse = np.unique(values[fuzzy], return_inverse=True)
@@ -279,8 +279,8 @@ def build(
     system serialized), and the model embeds that text, so a saved file
     is self-contained and loads back to the same system. Bad FCL raises
     FclParseError before any embedding work. The coordinates, radii and
-    ids are read-only, as in a loaded model: the point and pair tables
-    are derived from them and would not follow an edit.
+    ids are read-only, as in a loaded model: the point fields and the
+    pair table are derived from them and would not follow an edit.
     """
     if fcl_text is None:
         fcl_text = to_fcl(default_system())
@@ -309,10 +309,10 @@ def query_arrays(
     definite answers or the fuzzy likelihood. Directed models use only
     the source side; undirected combine both sides with minimum. A model
     with a pair table reads each pair's answer code from it with one
-    gather; otherwise each pair's distance comes from the point table or
-    the kernel, the sides of undecided pairs are scored in the batch, and
-    the two sides are combined. This is the one validated entry: the
-    scalar query ops delegate here, so all paths agree bit for bit.
+    gather; otherwise the kernel gives each pair's distance, the sides of
+    undecided pairs are scored in the batch, and the two sides are
+    combined. This is the one validated entry: the scalar query ops
+    delegate here, so all paths agree bit for bit.
     Raises ValueError for id arrays that are not 1-d or differ in length,
     an id that is not an integer (floats and bools included), an id
     outside [0, n) and a self pair.
@@ -330,10 +330,7 @@ def query_arrays(
         t = table.codes.shape[0]
         code = table.codes.take(table.state_index.take(us) * t + table.state_index.take(vs))
         return code <= _NO, table.decode.take(code)
-    if cg.point_table is None:
-        d = pair_distances(cg.embedding.coords, us, vs)
-    else:  # one flat take; the same bits as the kernel on the pair's coordinates
-        d = cg.point_table.take(cg.point_index.take(us) * cg.u + cg.point_index.take(vs))
+    d = pair_distances(cg.embedding.coords, us, vs)
     sides = us[None, :] if cg.directed else np.stack([us, vs])
     side = _side_values(d, cg.radii.r.take(sides), cg.radii.R.take(sides), cg.fuzzy)
     a, b = side[0], side[-1]

@@ -10,11 +10,9 @@ guarantees.
 Every distance comes from one kernel, ``_axis_distances``: it takes one
 (a_j, b_j) operand pair per axis, adds the squared differences axis by
 axis, j = 0..k-1, then takes the square root. The radii scan,
-``distances_from``, the query side's ``pair_distances`` and the model's
-u x u point-distance table (one ``_block_distances`` call over all
-points, kept while u**2 <= k * n; queries fall back to
-``pair_distances`` above that cap) therefore agree bit for bit, which
-the soundness of definite answers rests on.
+``distances_from``, the query side's ``pair_distances`` and the
+``_block_distances`` rows the model scores its pair table from therefore
+agree bit for bit, which the soundness of definite answers rests on.
 Coordinates are axis-major (``Embedding.coords`` is Fortran-ordered), so
 ``coords.T`` is the C-contiguous (k, n) table and each caller hands the
 kernel contiguous axis rows, or one gather per axis for m pairs: no row
@@ -154,7 +152,7 @@ def _block_distances(
 ) -> np.ndarray:
     """Distance rows of points lo..hi-1 to every point, in one kernel call.
 
-    points_t is a (k, u) axis-major point table; out and tmp are reusable
+    points_t is a (k, u) axis-major table of points; out and tmp are reusable
     buffers with at least hi - lo rows of u.
     """
     return _axis_distances(zip(points_t, points_t[:, lo:hi, None]), out[: hi - lo], tmp[: hi - lo])

@@ -1,6 +1,8 @@
+import re
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -36,13 +38,24 @@ def test_compress_prints_summary(sample_edge_file, tmp_path, capsys):
     assert model.exists()
 
 
+# every key fuzzmap info prints, in order; the README's CLI section lists the same
+INFO_KEYS = ["version", "n", "k", "directed", "quantized", "distinct_points", "largest_group",
+             "node_states", "pair_table_bytes", "fcl_bytes", "file_bytes"]
+
+
 def test_info_fields(sample_model, capsys):
     assert run(["info", str(sample_model)]) == 0
-    out = capsys.readouterr().out
-    assert "n=6" in out
-    assert "k=2" in out
-    assert "quantized=true" in out
-    assert "directed=false" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("=", 1)[0] for line in lines] == INFO_KEYS
+    fields = dict(line.split("=", 1) for line in lines)
+    assert (fields["n"], fields["k"], fields["quantized"], fields["directed"]) == \
+        ("6", "2", "true", "false")
+
+
+def test_readme_lists_the_info_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (comment,) = re.findall(r"^fuzzmap info g\.fzg +# (.*)$", readme, flags=re.M)
+    assert comment.split(", ") == INFO_KEYS
 
 
 def info_fields(model, capsys) -> dict:
@@ -80,28 +93,19 @@ def star_model(tmp_path, capsys):
     return model
 
 
-def test_info_reports_point_table_bytes(sample_model, tmp_path, capsys):
-    # the six-node model at k=2 has u = 6 distinct points: 36 > k * n = 12,
-    # so it holds no table and queries run the kernel
-    fields = info_fields(sample_model, capsys)
-    assert fields["distinct_points"] == "6" and fields["point_table_bytes"] == "0"
-    # a 40-node star collapses onto a few points: u**2 <= k * n = 80
-    model = star_model(tmp_path, capsys)
-    fields = info_fields(model, capsys)
-    u = int(fields["distinct_points"])
-    assert 1 < u and u * u <= 2 * 40
-    assert fields["point_table_bytes"] == str(8 * u * u) == str(load_file(model).point_table.nbytes)
-
-
 def test_info_reports_pair_table_bytes(sample_model, benchmark_model, tmp_path, capsys):
-    # the six-node model at k=2 has no point table, so no pair table either,
-    # though t = 6 node states would take 36 one-byte codes, under the 96-byte cap
+    # the six-node model at k=2 has u = 6 distinct points: u**2 = 36 > k * n = 12,
+    # so no pair table is scored, though t = 6 node states would take 36
+    # one-byte codes, under the 96-byte cap
     fields = info_fields(sample_model, capsys)
-    assert (fields["node_states"], fields["pair_table_bytes"]) == ("6", "0")
-    # the 40-node star keeps its point table, and a pair table of one-byte codes
+    assert (fields["distinct_points"], fields["node_states"]) == ("6", "6")
+    assert fields["pair_table_bytes"] == "0"
+    # a 40-node star collapses onto a few points, u**2 <= k * n = 80, and keeps
+    # a pair table of one-byte codes
     model = star_model(tmp_path, capsys)
     fields = info_fields(model, capsys)
-    t = int(fields["node_states"])
+    u, t = int(fields["distinct_points"]), int(fields["node_states"])
+    assert 1 < u and u * u <= 2 * 40
     assert fields["pair_table_bytes"] == str(t * t) == str(load_file(model).pair_table.codes.nbytes)
     # the query benchmark's model: 522 x 522 two-byte codes
     model = tmp_path / "ba20k.fzg"

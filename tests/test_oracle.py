@@ -755,10 +755,7 @@ def _check_loaded_model(cg: CompressedGraph) -> None:
     assert cg.fuzzy == parse_fcl(cg.fcl_text)
     for array in (cg.external_ids, cg.embedding.coords, r, R, cg.points_t, cg.point_index):
         assert not array.flags.writeable
-    assert (cg.point_table is None) == (cg.u**2 > oracle._TABLE_COORD_RATIO * cg.k * cg.n)
-    if cg.point_table is not None:
-        assert not cg.point_table.flags.writeable
-        assert_table_matches_kernel(cg)
+    assert_side_rows_match_kernel(cg)
     assert "pair_table" not in vars(cg)  # load never builds it
     if cg.n >= 2:
         us = np.arange(cg.n)
@@ -767,7 +764,8 @@ def _check_loaded_model(cg: CompressedGraph) -> None:
         assert np.all(np.isin(value[definite], (0.0, 1.0)))
         t = oracle.node_states(cg).t
         # a 16-node model's side cells hold far fewer than 254 fuzzy values: one-byte codes
-        assert (cg.pair_table is None) == (cg.point_table is None or not cg._fits_table(t * t))
+        assert (cg.pair_table is None) == (not cg._fits_table(8 * cg.u**2)
+                                                or not cg._fits_table(t * t))
         if cg.pair_table is not None:
             assert cg.pair_table.codes.shape == (t, t) and cg.pair_table.codes.dtype == np.uint8
             assert not any(array.flags.writeable for array in cg.pair_table)
@@ -789,8 +787,8 @@ def test_fuzz_base_model_loads():
 @settings(max_examples=400, deadline=None)
 @given(blob=_mutants(), table=st.booleans())
 def test_mutated_streams_fail_cleanly_or_load_valid(blob, table):
-    # the base model (u = 9, k = 2, n = 16) is above the table cap; a raised
-    # cap gives a mutant a point table too, checked against the kernel
+    # the base model (u = 9, k = 2, n = 16) is outside the u**2 <= k * n
+    # condition; a raised cap gives a mutant a pair table too
     with pytest.MonkeyPatch.context() as mp:
         if table:
             mp.setattr(oracle, "_TABLE_COORD_RATIO", _TABLE_ALWAYS)
@@ -799,30 +797,32 @@ def test_mutated_streams_fail_cleanly_or_load_valid(blob, table):
         except ModelFormatError as exc:
             event(f"rejected: {re.match('[A-Za-z ]*', str(exc)).group().strip()}")
             return
-        event("loaded with a point table" if cg.point_table is not None else "loaded")
         _check_loaded_model(cg)
+        event("loaded with a pair table" if cg.pair_table is not None else "loaded")
 
 
-# --- the point-distance table ------------------------------------------------
+# --- the pair table's distance source ----------------------------------------
 
-_TABLE_ALWAYS = 2**40  # a cap no test model reaches: every model keeps its table
+_TABLE_ALWAYS = 2**40  # a cap no test model reaches: every model scores a pair table
 
 
-def assert_table_matches_kernel(cg: CompressedGraph) -> None:
-    """Every table entry a query can read equals the kernel on the pair's
-    coordinates, bit for bit, and so do the radii scan's block rows."""
-    coords, table, index, u = cg.embedding.coords, cg.point_table, cg.point_index, cg.u
+def assert_side_rows_match_kernel(cg: CompressedGraph) -> None:
+    """Every distance row _side_codes can read equals the kernel on the
+    nodes' coordinates, bit for bit: the _block_distances rows of each span
+    of points lo..hi-1 (a single point, a span that starts partway, all of
+    them), gathered through point_index, equal distances_from and
+    pair_distances both ways round."""
+    coords, index, u = cg.embedding.coords, cg.point_index, cg.u
     ids = np.arange(cg.n)
-    for v in range(cg.n):
-        row = table[index[v]][index].tobytes()
-        assert row == table.take(index[v] * u + index).tobytes()  # the query's flat take
-        assert row == distances_from(coords, v).tobytes()
-        assert row == pair_distances(coords, np.full(cg.n, v), ids).tobytes()
-        assert row == pair_distances(coords, ids, np.full(cg.n, v)).tobytes()
-    out, tmp = np.empty((2, _BLOCK, u))
-    for lo in range(0, u, _BLOCK):
-        hi = min(lo + _BLOCK, u)
-        assert _block_distances(cg.points_t, lo, hi, out, tmp).tobytes() == table[lo:hi].tobytes()
+    rows = [distances_from(coords, v).tobytes() for v in ids]
+    for v in ids:
+        assert rows[v] == pair_distances(coords, np.full(cg.n, v), ids).tobytes()
+        assert rows[v] == pair_distances(coords, ids, np.full(cg.n, v)).tobytes()
+    out, tmp = np.empty((2, u, u))
+    for lo, hi in itertools.combinations(range(u + 1), 2):
+        span = _block_distances(cg.points_t, lo, hi, out, tmp)
+        for v in np.flatnonzero((index >= lo) & (index < hi)):
+            assert span[index[v] - lo].take(index).tobytes() == rows[v]
 
 
 # a few values with both zero signs put many nodes on one point (u < n)
@@ -832,22 +832,14 @@ POOL_COORD = st.sampled_from([0.0, -0.0, 1.0, -2.5, 3.0])
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), n=st.integers(2, 3 * _BLOCK + 1), k=st.integers(1, 8),
        pooled=st.booleans())
-def test_point_table_bitwise_equals_kernel(data, n, k, pooled):
+def test_side_rows_bitwise_equal_kernel(data, n, k, pooled):
     if pooled:
         coords = data.draw(arrays(np.float64, (n, k), elements=POOL_COORD))
     else:  # unique elements: every row distinct, u = n
         coords = data.draw(arrays(np.float64, (n, k), elements=st.floats(-1e6, 1e6), unique=True))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_TABLE_COORD_RATIO", _TABLE_ALWAYS)
-        cg = manual_model(coords, r=[-1.0] * n, R=[np.inf] * n)
+    cg = manual_model(coords, r=[-1.0] * n, R=[np.inf] * n)
     assert cg.u == group_points(cg.embedding.coords).u and (pooled or cg.u == n)
-    assert_table_matches_kernel(cg)
-    capped = manual_model(coords, r=[-1.0] * n, R=[np.inf] * n)
-    if cg.u**2 <= k * n:
-        assert capped.point_table.tobytes() == cg.point_table.tobytes()
-        assert capped.point_table.nbytes <= capped.embedding.coords.nbytes
-    else:
-        assert capped.point_table is None
+    assert_side_rows_match_kernel(cg)
 
 
 # radii around the pool's distances (0 to ~10), with both sentinels
@@ -870,13 +862,9 @@ ZEROS_AND_ONES_FCL = DEFAULT_FCL.replace(
     "DEFAULT := 0.5;", "DEFAULT := -0.0;")
 TABLE_FCLS = {**FCL_VARIANTS, "zeros_and_ones": ZEROS_AND_ONES_FCL}
 
-# each answer source as (cap when the model is made, cap at its first query):
-# the point table is made with the model, the pair table from it on the first query
-SOURCES = {
-    "kernel": (0, 0),
-    "point table": (_TABLE_ALWAYS, 0),
-    "pair table": (_TABLE_ALWAYS, _TABLE_ALWAYS),
-}
+# each answer source as the cap at the model's first query, which builds the
+# pair table when the cap leaves room for it
+SOURCES = {"kernel": 0, "pair table": _TABLE_ALWAYS}
 
 
 def test_zeros_and_ones_system_answers_both_zeros_and_one():
@@ -890,13 +878,12 @@ def test_zeros_and_ones_system_answers_both_zeros_and_one():
 def test_a_negative_zero_output_answers_zero(source):
     # d = 1 between r = 0 and R = 2: the crisp input 0.5 fires no rule, so
     # the system answers its DEFAULT, -0.0
-    made, queried = SOURCES[source]
+    cap = SOURCES[source]
+    cg = manual_model([[0.0], [1.0]], r=[0.0, 0.0], R=[2.0, 2.0], fcl_text=ZEROS_AND_ONES_FCL)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_TABLE_COORD_RATIO", made)
-        cg = manual_model([[0.0], [1.0]], r=[0.0, 0.0], R=[2.0, 2.0], fcl_text=ZEROS_AND_ONES_FCL)
-        mp.setattr(oracle, "_TABLE_COORD_RATIO", queried)
+        mp.setattr(oracle, "_TABLE_COORD_RATIO", cap)
         definite, value = query_arrays(cg, [0, 1], [1, 0])
-    assert (cg.pair_table is None) == (queried == 0)
+    assert (cg.pair_table is None) == (cap == 0)
     assert not definite.any() and value.tobytes() == np.zeros(2).tobytes()
 
 
@@ -919,16 +906,15 @@ def test_pair_table_answers_equal_the_middle_path_bytes(data, n, k, directed, qu
         make = lambda: build(g, k=k, seed=seed, quantize=quantize, fcl_text=text)
     us, vs = np.nonzero(~np.eye(n, dtype=bool))  # every ordered pair
     answers = set()
-    for source, (made, queried) in SOURCES.items():
+    for source, cap in SOURCES.items():
+        cg = make()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "_TABLE_COORD_RATIO", made)
-            cg = make()
-            mp.setattr(oracle, "_TABLE_COORD_RATIO", queried)
-            # side blocks of one cell up to all of them: one state a block up to all states
+            mp.setattr(oracle, "_TABLE_COORD_RATIO", cap)
+            # side blocks of one cell up to all of them: one state a block up to
+            # all states, so a block boundary may split one point's states
             mp.setattr(oracle, "_SIDE_BLOCK", side_block)
             definite, value = query_arrays(cg, us, vs)
-        assert (cg.point_table is None) == (made == 0)
-        assert (cg.pair_table is None) == (queried == 0)
+        assert (cg.pair_table is None) == (cap == 0)
         # one pair a call runs numpy's scalar loops, a batch its SIMD loops
         for i in range(0, len(us), max(1, len(us) // 16)):
             one = query_arrays(cg, us[i:i + 1], vs[i:i + 1])
@@ -941,6 +927,25 @@ def test_pair_table_answers_equal_the_middle_path_bytes(data, n, k, directed, qu
     assert not np.any(np.signbit(value))  # a -0.0 output answers 0.0
 
 
+def test_side_codes_do_not_depend_on_the_block_size():
+    # 6 points holding 1 to 4 states each, so blocks of every size from one
+    # state to all of them start partway through the points and split a point
+    counts = [3, 1, 4, 2, 1, 3]
+    point = np.repeat(np.arange(6), counts)
+    state = np.concatenate([np.arange(c) for c in counts])
+    coords = np.random.default_rng(3).uniform(0.0, 10.0, (6, 2))[point]
+    cg = manual_model(coords, r=0.5 * state, R=12.0 + state)
+    states = oracle.node_states(cg)
+    assert (cg.u, states.t) == (6, 14)
+    sides = set()
+    for rows in range(1, states.t + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_SIDE_BLOCK", rows * cg.u)
+            codes, decode = oracle._side_codes(cg.points_t, states, cg.fuzzy, 2**16)
+        sides.add(codes.tobytes() + decode.tobytes())
+    assert len(sides) == 1 and decode.size > 10  # one coding, of many fuzzy values
+
+
 def test_pair_table_is_kept_up_to_the_coordinates_bytes():
     # k = 1, n = 8: 8 node states on 2 points, one-byte codes: 64 bytes = 8 * k * n
     at_cap = manual_model([[0.0]] * 4 + [[5.0]] * 4, r=[-1.0, 0.0, 1.0, 2.0] * 2, R=[np.inf] * 8)
@@ -948,7 +953,7 @@ def test_pair_table_is_kept_up_to_the_coordinates_bytes():
     over_cap = manual_model([[0.0]] * 5 + [[5.0]] * 5, R=[np.inf] * 10,
                             r=[-1.0, 0.0, 1.0, 2.0, 3.0, -1.0, 0.0, 1.0, 2.0, 2.0])
     for cg, t in ((at_cap, 8), (over_cap, 9)):
-        assert oracle.node_states(cg).t == t and cg.point_table is not None
+        assert oracle.node_states(cg).t == t and cg._fits_table(8 * cg.u**2)
     table = at_cap.pair_table
     assert table.codes.shape == (8, 8) and table.codes.dtype == np.uint8
     assert table.codes.nbytes == at_cap.embedding.coords.nbytes == 64
@@ -975,7 +980,7 @@ def test_pair_table_gives_up_once_its_codes_outgrow_the_cap():
         mp.setattr(oracle, "_side_values", counting)
         capped = make()
         assert capped.u == 20 and oracle.node_states(capped).t == t
-        assert capped.point_table is not None and capped.pair_table is None
+        assert capped._fits_table(8 * capped.u**2) and capped.pair_table is None
         assert len(scored) < t  # gave up before scoring every state
         mp.setattr(oracle, "_TABLE_COORD_RATIO", 2)  # room for two-byte codes
         wide = make()
@@ -985,7 +990,7 @@ def test_pair_table_gives_up_once_its_codes_outgrow_the_cap():
     states = oracle.node_states(wide)
     count = wide.pair_table.decode.size
     for max_codes, fits in ((count, True), (count - 1, False)):
-        sides = oracle._side_codes(wide.point_table, states, wide.fuzzy, max_codes)
+        sides = oracle._side_codes(wide.points_t, states, wide.fuzzy, max_codes)
         assert (sides is not None) == fits
     us, vs = np.nonzero(~np.eye(n, dtype=bool))
     assert b"".join(a.tobytes() for a in query_arrays(capped, us, vs)) == \
@@ -996,8 +1001,8 @@ def test_pair_table_is_built_on_the_first_query_only(uncertain_pair_graph, tmp_p
     def unexpected(*args):
         raise AssertionError("side values scored")
 
-    # the six-node model at k = 2 has u = 6 points, over the point table's cap
-    # of u**2 <= k * n = 12; a raised cap gives it both tables
+    # the six-node model at k = 2 has u = 6 points, outside the u**2 <= k * n
+    # = 12 condition; a raised cap gives it a pair table
     monkeypatch.setattr(oracle, "_TABLE_COORD_RATIO", _TABLE_ALWAYS)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_side_values", unexpected)  # the table is made of side values
@@ -1030,64 +1035,73 @@ def test_table_and_kernel_paths_answer_the_same_bytes(directed, quantize):
     g = gnp_random_graph(120, 0.05, seed=11, directed=directed)
     us, vs = np.nonzero(~np.eye(g.n, dtype=bool))  # every ordered pair
     answers = set()
-    for source, (made, queried) in SOURCES.items():
+    for source, cap in SOURCES.items():
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "_TABLE_COORD_RATIO", made)
+            mp.setattr(oracle, "_TABLE_COORD_RATIO", cap)
             cg = build(g, k=4, seed=3, quantize=quantize)
             loaded = roundtrip(cg)[0]
-            mp.setattr(oracle, "_TABLE_COORD_RATIO", queried)
-            if source != "kernel":  # a model with a table never runs the kernel in a query
+            if cap:  # a model with a pair table never runs pair_distances, even to build it
                 mp.setattr(oracle, "pair_distances", None)
             for model in (cg, loaded):
-                assert (model.point_table is None) == (made == 0)
-                assert (model.pair_table is None) == (queried == 0)
-            if queried:  # tables built: a batch scores no side, so runs no fuzzy inference
+                assert (model.pair_table is None) == (cap == 0)
+            if cap:  # tables built: a batch scores no side, so runs no fuzzy inference
                 mp.setattr(oracle, "_side_values", None)
             for model in (cg, loaded):
                 definite, value = query_arrays(model, us, vs)
                 answers.add(definite.tobytes() + value.tobytes())
     assert 0 < definite.sum() < definite.size  # definite and fuzzy answers both occur
     assert len(answers) == 1
-    # under the default cap u**2 = 484 > k * n = 480 cells, so there is no point
-    # table, and so no pair table, though t**2 one-byte codes would fit
-    cg = build(g, k=4, seed=3, quantize=quantize)
-    assert cg.point_table is None and cg.pair_table is None
-    assert cg._fits_table(oracle.node_states(cg).t ** 2)
 
 
-def _model_on_points(points, n: int) -> CompressedGraph:
+def _model_on_points(points, n: int, directed: bool) -> CompressedGraph:
     """n nodes spread round-robin over the given distinct points."""
     points = np.asarray(points, dtype=float)
-    return manual_model(points[np.arange(n) % len(points)], r=[-1.0] * n, R=[np.inf] * n)
+    return manual_model(points[np.arange(n) % len(points)], r=[-1.0] * n, R=[np.inf] * n,
+                        directed=directed)
 
 
-def test_point_table_never_outgrows_the_coordinates():
-    # k = 2, n = 8: the table is kept up to u**2 = k * n = 16 cells, where it
-    # is exactly as large as the coordinates
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_first_query_outside_the_u2_condition_scores_no_side(directed):
+    # sides are scored only while 8 * u**2 <= 8 * k * n bytes. k = 2, n = 8:
+    # up to u = 4 points
     points = [[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [3.0, 3.0], [5.0, 5.0]]
-    at_cap = _model_on_points(points[:4], 8)
-    assert at_cap.u == 4 and at_cap.point_table.shape == (4, 4)
-    assert at_cap.point_table.nbytes == at_cap.embedding.coords.nbytes
-    over_cap = _model_on_points(points, 8)
-    assert over_cap.u == 5 and over_cap.point_table is None
-    distinct = manual_model(np.arange(12.0).reshape(6, 2), r=[-1.0] * 6, R=[np.inf] * 6)
-    assert distinct.u == distinct.n and distinct.point_table is None
-    for cg in (at_cap, over_cap, distinct):
+    at_cap = _model_on_points(points[:4], 8, directed)
+    assert at_cap.u == 4 and at_cap.pair_table is not None
+    over_cap = _model_on_points(points, 8, directed)
+    distinct = _model_on_points(np.arange(12.0).reshape(6, 2), 6, directed)
+    # G(120, 0.05) at k = 4: u**2 = 484 > k * n = 480
+    built = build(gnp_random_graph(120, 0.05, seed=11, directed=directed), k=4, seed=3)
+    assert (over_cap.u, distinct.u, built.u) == (5, 6, 22)
+
+    def unexpected(*args):
+        raise AssertionError("node states grouped or scored")
+
+    for cg in (over_cap, distinct, built):
+        # t**2 one-byte codes would fit the 8 * k * n-byte cap
+        assert cg._fits_table(oracle.node_states(cg).t ** 2)
+        us, vs = np.nonzero(~np.eye(cg.n, dtype=bool))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "node_states", unexpected)
+            mp.setattr(oracle, "_side_codes", unexpected)
+            definite, value = query_arrays(cg, us, vs)
+            assert cg.pair_table is None
+        assert np.all((value >= 0.0) & (value <= 1.0))
+    assert 0 < definite.sum() < definite.size  # the built model answers both kinds
+    for cg in (at_cap, over_cap, distinct, built):
         assert not cg.points_t.flags.writeable and not cg.point_index.flags.writeable
         assert cg.point_index.dtype == np.intp
-    assert not at_cap.point_table.flags.writeable
 
 
-def test_benchmark_model_keeps_its_point_table(benchmark_model):
+def test_benchmark_model_keeps_its_pair_table(benchmark_model):
     # the query benchmark's model, BA(20000, 5) at k = 8: u = 148 points, far
-    # under the cap of sqrt(k * n) = 400, so queries take the table path
+    # inside u**2 <= k * n (u up to 400), so its first query scores a pair table
     cg = benchmark_model
     assert cg.u == 148
-    assert cg.point_table is not None and cg.point_table.shape == (148, 148)
+    assert cg._fits_table(8 * 400**2) and not cg._fits_table(8 * 401**2)
     loaded = roundtrip(cg)[0]
-    assert loaded.point_table.tobytes() == cg.point_table.tobytes()
+    assert loaded.points_t.tobytes() == cg.points_t.tobytes()
     assert np.array_equal(loaded.point_index, cg.point_index)
-    # and the pair-table path: t = 522 node states, 2,527 codes in two bytes each,
+    # t = 522 node states, 2,527 codes in two bytes each,
     # 544,968 bytes of a cap of 8 * k * n = 1,280,000
     assert oracle.node_states(cg).t == 522
     for model in (cg, loaded):
