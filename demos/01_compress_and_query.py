@@ -1,8 +1,8 @@
 """Compress a small friendship graph and query it, definitively and fuzzily.
 
-The model file stores k coordinates per distinct point, two radii per
-distinct (point, r, R) node state, one state index per node, and never
-the edges.
+The model, in memory as in its file, holds k coordinates per distinct
+point, two radii per distinct (point, r, R) node state, one state index
+per node, and never the edges.
 Queries come back 'yes'/'no' only when the geometry guarantees the truth;
 everything else gets a likelihood.
 """
@@ -10,7 +10,6 @@ everything else gets a likelihood.
 import io
 
 from fuzzmap import build, parse_edge_list, query, save, load
-from fuzzmap.oracle import node_states
 
 EDGE_LIST = """\
 # a 10-person friendship graph, arbitrary external ids
@@ -36,7 +35,8 @@ def main():
     print(f"parsed graph: {g.n} nodes, {g.num_edges} edges")
 
     cg = build(g, k=3, seed=7, quantize=True)
-    print(f"compressed to {cg.k} coordinates + 2 radii per node\n")
+    print(f"compressed to {cg.u} points of {cg.k} coordinates + {cg.states.t} node states "
+          f"(point, r, R) + a state index per node\n")
 
     print("some queries (external ids):")
     for a, b in [(10, 20), (10, 99), (20, 40), (30, 99), (50, 80)]:
@@ -49,7 +49,7 @@ def main():
     buf = io.BytesIO()
     nbytes = save(cg, buf)
     print(f"\nmodel serialized to {nbytes} bytes (header + id map + {cg.u}x{cg.k} distinct "
-          f"points + {node_states(cg).t} node states (r, R, point) + {g.n} state indices "
+          f"points + {cg.states.t} node states (r, R, point) + {g.n} state indices "
           f"+ FCL + CRC)")
 
     reloaded = load(io.BytesIO(buf.getvalue()))

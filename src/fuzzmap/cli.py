@@ -18,8 +18,8 @@ from ._parallel import thread_count
 from .fuzzy import FclParseError
 from .graph import GraphParseError, load_edge_list
 from .harness import DEFAULT_SAMPLE, evaluate_model, reports_to_csv, sweep_k
-from .oracle import (FORMAT_VERSION, ModelFormatError, build, load_file, node_states, query,
-                     query_directed, save_file)
+from .oracle import (FORMAT_VERSION, ModelFormatError, build, load_file, query, query_directed,
+                     save_file)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -170,11 +170,11 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"n={cg.n}")
     print(f"k={cg.k}")
     print(f"directed={'true' if cg.directed else 'false'}")
-    print(f"quantized={'true' if cg.radii.quantized else 'false'}")
+    print(f"quantized={'true' if cg.quantized else 'false'}")
     print(f"distinct_points={cg.u}")
-    print(f"largest_group={np.bincount(cg.point_index).max()}")
-    # the distinct (point, r, R) triples: the grouping save writes the state table from
-    print(f"node_states={node_states(cg).t}")
+    print(f"largest_group={np.bincount(cg.states.point.take(cg.states.index)).max()}")
+    # the distinct (point, r, R) triples of the file's state table
+    print(f"node_states={cg.states.t}")
     # 0 outside 8 * u**2 <= 8 * k * n or itemsize * t**2 <= 8 * k * n bytes, where
     # queries run the distance kernel; builds the table
     print(f"pair_table_bytes={0 if cg.pair_table is None else cg.pair_table.codes.nbytes}")

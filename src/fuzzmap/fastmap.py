@@ -28,8 +28,8 @@ class Embedding:
     ``coords`` is kept axis-major: the (n, k) array in Fortran order, so
     ``coords.T`` is the C-contiguous (k, n) table the distance kernel
     reads one axis at a time. ``pivots[i]`` is (a, b) for axis i, or None
-    for a degenerate (zero-filled) axis. Models loaded from disk carry
-    coords only; their pivots and seed are None.
+    for a degenerate (zero-filled) axis. ``CompressedGraph.embedding``
+    gathers a model's coords only; its pivots and seed are None.
     """
 
     coords: np.ndarray  # (n, k) float64, Fortran order

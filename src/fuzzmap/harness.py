@@ -109,6 +109,10 @@ def evaluate_model(
         raise ValueError(f"model has {cg.n} nodes but graph has {g.n}")
     if cg.directed != g.directed:
         raise ValueError("model and graph disagree on directedness")
+    differ = np.flatnonzero(cg.external_ids != g.external_ids)
+    if differ.size:
+        raise ValueError(f"model node {differ[0]} has id {cg.external_ids[differ[0]]} but graph "
+                         f"node {differ[0]} has id {g.external_ids[differ[0]]}")
 
     us, vs = _sample_pairs(g.n, g.directed, sample_size, seed)
     definite, value = query_arrays(cg, us, vs)

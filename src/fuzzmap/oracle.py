@@ -1,9 +1,9 @@
 """The compressed-graph model: build, query, persist.
 
-A CompressedGraph holds only linear-in-n state: the n x k embedding, two
-radii per node, the id map, and the fuzzy system's FCL source. From the
-embedding it derives the u distinct FastMap points and the point of each
-node.
+A CompressedGraph holds what its FZG1 file stores: the u distinct
+FastMap points, the t distinct node states (point, r, R), each node's
+state, the id map and the fuzzy system's FCL source; per-node
+coordinates and radii are gathered only for a caller that asks.
 
 A query answers definite yes/no when a radius guarantees the truth,
 otherwise a fuzzy likelihood. Each endpoint of a pair contributes one
@@ -12,15 +12,15 @@ R) and on the other endpoint's point, so a pair's answer depends only on
 the two node states. On the first query the model fills the pair table,
 one answer code per ordered pair of its t node states, scoring the sides
 from the distinct points with the distance kernel, while the table is no
-larger than the coordinates; a batch is then one gather per pair, with
-no fuzzy inference and no combine. Without a pair table a batch runs the
-kernel on each pair's coordinates, scores its undecided sides and
-combines them. Both paths give the same answers bit for bit.
+larger than n x k f64 coordinates would be; a batch is then one gather
+per pair, with no fuzzy inference and no combine. Without a pair table a
+batch runs the kernel on the points of each pair's states, scores its
+undecided sides and combines them. Both paths answer bit for bit alike.
 
-Models persist in the FZG1 binary format with a CRC32 trailer. The file
-stores each of the u distinct FastMap points once, each of the t distinct
-node states (point, r, R) once, and one u32 state index per node;
-external ids that are a range lo..lo+n-1 take only lo.
+Models persist in the FZG1 binary format with a CRC32 trailer, written
+and read as held: each of the u points once, each of the t node states
+once, and one u32 state index per node; external ids that are a range
+lo..lo+n-1 take only lo.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import math
 import struct
 import sys
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, NamedTuple, Optional
 
 import numpy as np
@@ -48,8 +48,8 @@ _FLAG_QUANTIZED = 2
 _FLAG_ID_RANGE = 4  # external ids are lo..lo+n-1; the id block holds lo alone
 _HEADER = struct.Struct("<4sIIQIIQQ")  # magic, version, flags, n, k, fcl_len, u, t
 _MAX_U32_INDEXED = 2**32  # point and state indices are u32: at most this many of each
-# a derived table may take this many bytes per byte of the n x k f64
-# coordinates: the t x t pair table is kept while itemsize * t**2 <= 8 * k * n.
+# a derived table may take this many bytes per byte of n x k f64 coordinates, which
+# the model does not hold: the t x t pair table is kept while itemsize * t**2 <= 8 * k * n.
 # Its sides are scored only while 8 * u**2 <= 8 * k * n, as if a u x u f64
 # distance table had to fit too: beyond that the many distinct distances
 # make the first query's fuzzy inference far costlier, often only to give up
@@ -85,51 +85,107 @@ class Answer:
         return self.kind == DEFINITE
 
 
-@dataclass(eq=False)
-class CompressedGraph:
-    """Embedding + radii + fuzzy system: the persisted adjacency oracle.
+class NodeStates(NamedTuple):
+    """The t distinct (point, r, R) states of a model's nodes.
 
-    The point fields are derived from ``embedding.coords`` on construction
-    and are read-only: ``points_t`` the (k, u) distinct points in
-    ``group_points`` order and ``point_index`` the point of each node.
-    ``pair_table`` is derived from them on first use; see there.
+    State s sits on point ``point[s]`` with radii ``r[s]`` and ``R[s]``;
+    node v is in state ``index[v]``. In ``node_states`` order, which save
+    writes, load checks and the pair table's scoring reads: strictly
+    increasing in (point, r bits, R bits), each point holding a state and
+    each state a node.
     """
 
-    embedding: Embedding
-    radii: NodeRadii
-    directed: bool
-    fuzzy: FuzzySystem
-    external_ids: np.ndarray  # (n,) uint64, sorted ascending
-    fcl_text: str
-    points_t: np.ndarray = field(init=False, repr=False)
-    point_index: np.ndarray = field(init=False, repr=False)  # (n,) intp
+    point: np.ndarray  # (t,) intp
+    r: np.ndarray  # (t,) f64
+    R: np.ndarray  # (t,) f64
+    index: np.ndarray  # (n,) intp: in u32, index * t would wrap once t**2 > 2**32
 
-    def __post_init__(self) -> None:
-        sizes = (self.embedding.n, len(self.radii.r), len(self.radii.R), len(self.external_ids))
+    @property
+    def t(self) -> int:
+        return len(self.point)
+
+
+def node_states(point_index: np.ndarray, r: np.ndarray, R: np.ndarray) -> NodeStates:
+    """Group nodes by (point, r, R), in one lexicographic sort.
+
+    Radii are compared by their bit patterns, so every node of a state
+    has that state's r and R byte for byte.
+    """
+    r_bits, R_bits = (np.ascontiguousarray(a, dtype=np.float64).view(np.uint64) for a in (r, R))
+    keys = np.stack([point_index.astype(np.uint64), r_bits, R_bits])
+    order = np.lexsort(keys[::-1])
+    ranked = keys.take(order, axis=1)
+    new = np.ones(order.size, dtype=bool)
+    np.any(ranked[:, 1:] != ranked[:, :-1], axis=0, out=new[1:])
+    index = np.empty(order.size, dtype=np.intp)
+    index[order] = np.cumsum(new) - 1
+    first = order[new]  # one node of each state
+    return NodeStates(point=point_index[first], r=r[first], R=R[first], index=index)
+
+
+class CompressedGraph:
+    """The persisted adjacency oracle, held as its FZG1 file holds it.
+
+    ``points_t`` is the (k, u) table of distinct points in ``group_points``
+    order and ``states`` the node states; with the external ids, nothing
+    else is held per node, and all are read-only. The constructor groups
+    per-node parts once; ``from_states`` takes them grouped. ``embedding``
+    and ``radii`` gather per-node arrays for a caller that reads them; no
+    query, save or load does. ``pair_table`` is derived on first use.
+    """
+
+    def __init__(self, embedding: Embedding, radii: NodeRadii, directed: bool,
+                 fuzzy: FuzzySystem, external_ids: np.ndarray, fcl_text: str) -> None:
+        sizes = (embedding.n, len(radii.r), len(radii.R), len(external_ids))
         if len(set(sizes)) != 1:
             raise ValueError("model parts disagree in n: {} coordinate rows, {} r, {} R, "
                              "{} external ids".format(*sizes))
         # save writes only fcl_text, so a system that differs from its
         # parse would answer differently after a save/load round trip
-        if parse_fcl(self.fcl_text) != self.fuzzy:
+        if parse_fcl(fcl_text) != fuzzy:
             raise ValueError("fuzzy system does not match the parse of fcl_text")
-        groups = group_points(self.embedding.coords)
-        self.points_t, self.point_index = groups.points_t, groups.inv
-        for array in (self.points_t, self.point_index):
+        groups = group_points(embedding.coords)
+        vars(self).update(vars(self.from_states(
+            groups.points_t, node_states(groups.inv, radii.r, radii.R), directed,
+            radii.quantized, fuzzy, external_ids, fcl_text)))
+
+    @classmethod
+    def from_states(cls, points_t: np.ndarray, states: NodeStates, directed: bool, quantized: bool,
+                    fuzzy: FuzzySystem, external_ids: np.ndarray, fcl_text: str) -> CompressedGraph:
+        """The model of points and states already in ``node_states`` order; unchecked."""
+        cg = cls.__new__(cls)
+        cg.points_t, cg.states, cg.directed, cg.quantized = points_t, states, directed, quantized
+        cg.fuzzy, cg.external_ids, cg.fcl_text = fuzzy, external_ids, fcl_text
+        for array in (points_t, *states, external_ids):  # the pair table would not follow an edit
             array.flags.writeable = False
+        return cg
 
     @property
     def n(self) -> int:
-        return self.embedding.n
+        return len(self.states.index)
 
     @property
     def k(self) -> int:
-        return self.embedding.k
+        return self.points_t.shape[0]
 
     @property
     def u(self) -> int:
         """Number of distinct points in the embedding."""
         return self.points_t.shape[1]
+
+    @functools.cached_property
+    def embedding(self) -> Embedding:
+        """The n x k coordinates, read-only, gathered through the states; no pivots or seed."""
+        coords = self.points_t.take(self.states.point, axis=1).take(self.states.index, axis=1)
+        coords.flags.writeable = False
+        return Embedding(coords=coords.T)  # the (k, n) C-ordered table's .T is axis-major
+
+    @functools.cached_property
+    def radii(self) -> NodeRadii:
+        """Each node's r and R, read-only, gathered through the states."""
+        r, R = self.states.r.take(self.states.index), self.states.R.take(self.states.index)
+        r.flags.writeable = R.flags.writeable = False
+        return NodeRadii(r=r, R=R, quantized=self.quantized)
 
     def _fits_table(self, nbytes: int) -> bool:
         """Whether a derived table of this many bytes stays under the cap."""
@@ -139,24 +195,21 @@ class CompressedGraph:
     def pair_table(self) -> Optional[PairTable]:
         """Every answer a query can give, one code per ordered pair of node states.
 
-        ``codes[s, s']`` answers a node in state s (of ``node_states``)
-        against a node in state s' with ``decode[codes[s, s']]``, and is
-        definite exactly when below 2; ``state_index`` is each node's
-        state. The codes rank the side values of each state against each
+        ``codes[s, s']`` answers a node in state s against a node in state
+        s' with ``decode[codes[s, s']]``, and is definite exactly when below
+        2. The codes rank the side values of each state against each
         point (``_side_codes``), and a pair's code is the lesser of its
         two sides' codes, or the source side's alone when directed. The
         pair table is None when itemsize * t**2 bytes exceed the cap,
-        8 * k * n bytes, so it is never larger than the coordinates, and
-        when 8 * u**2 bytes exceed it (see _TABLE_COORD_RATIO); that check
-        comes first and needs no grouping of the nodes. Built on the first
-        query, not by build, save or load; its arrays are read-only. Where
-        cached_property takes no lock (Python 3.12 and later), two threads
-        that race on the first query may both build it; they build
-        identical tables.
+        8 * k * n bytes, and when 8 * u**2 bytes exceed it (see
+        _TABLE_COORD_RATIO). Built on the first query, not by build, save
+        or load; its arrays are read-only. Where cached_property takes no
+        lock (Python 3.12 and later), two threads that race on the first
+        query may both build it; they build identical tables.
         """
         if not self._fits_table(8 * self.u * self.u):
             return None
-        states = node_states(self)
+        states = self.states
         t = states.t
         # the widest code the cap leaves room for
         width = next((w for w in (8, 4, 2, 1) if self._fits_table(w * t * t)), 0)
@@ -169,7 +222,7 @@ class CompressedGraph:
         codes = side_codes.take(states.point, axis=1)  # s's side against a node in state s'
         if not self.directed:
             codes = np.minimum(codes, codes.T)
-        table = PairTable(state_index=states.index, codes=codes, decode=decode)
+        table = PairTable(codes=codes, decode=decode)
         for array in table:
             array.flags.writeable = False
         return table
@@ -185,7 +238,6 @@ class CompressedGraph:
 class PairTable(NamedTuple):
     """Answer codes per ordered pair of node states; see CompressedGraph.pair_table."""
 
-    state_index: np.ndarray  # (n,) intp
     codes: np.ndarray  # (t, t), the smallest unsigned dtype that holds every code
     decode: np.ndarray  # (codes,) f64: the answer value of each code
 
@@ -226,14 +278,14 @@ def _side_codes(points_t: np.ndarray, states: NodeStates, system: FuzzySystem,
     pair's answer: yes first, then no, then the lesser fuzzy side, NaN
     sides dropping out. States are scored about _SIDE_BLOCK cells at a
     time, so no (t, u) float array is made: each block is coded by its own
-    fuzzy values, then recoded by all of them. ``node_states`` sorts the
-    states by point and every point holds a state, so a block's states
-    span a run of points no longer than the block, and one kernel call
-    gives their distance rows; a point's coordinates are its nodes'
-    coordinates and the kernel squares every difference, so the rows
-    equal ``pair_distances`` bit for bit. None as soon as the codes would
-    number more than max_codes; else they take the smallest unsigned
-    dtype that holds them.
+    fuzzy values, then recoded by all of them. In ``node_states`` order
+    the states are sorted by point and every point holds one, so a
+    block's states span a run of points no longer than the block, and
+    one kernel call gives their distance rows; a point's coordinates are
+    its nodes' coordinates and the kernel squares every difference, so
+    the rows equal ``pair_distances`` bit for bit. None as soon as the
+    codes would number more than max_codes; else they take the smallest
+    unsigned dtype that holds them.
     """
     u = points_t.shape[1]
     rows = max(1, _SIDE_BLOCK // u)
@@ -278,24 +330,21 @@ def build(
     The fuzzy system is exactly ``fcl_text`` parsed (default: the built-in
     system serialized), and the model embeds that text, so a saved file
     is self-contained and loads back to the same system. Bad FCL raises
-    FclParseError before any embedding work. The coordinates, radii and
-    ids are read-only, as in a loaded model: the point fields and the
-    pair table are derived from them and would not follow an edit.
+    FclParseError before any embedding work. The model keeps the
+    distinct points and node states of the embedding and radii, not the
+    per-node arrays; like a loaded model, its arrays are read-only.
     """
     if fcl_text is None:
         fcl_text = to_fcl(default_system())
     system = parse_fcl(fcl_text)
     embedding = fastmap_embed(g, k, seed)
     radii = compute_all_radii(g, embedding, quantize=quantize)
-    external_ids = g.external_ids.copy()
-    for array in (embedding.coords, radii.r, radii.R, external_ids):
-        array.flags.writeable = False
     return CompressedGraph(
         embedding=embedding,
         radii=radii,
         directed=g.directed,
         fuzzy=system,
-        external_ids=external_ids,
+        external_ids=g.external_ids.copy(),
         fcl_text=fcl_text,
     )
 
@@ -325,14 +374,14 @@ def query_arrays(
     if np.any(us == vs):
         raise ValueError("self query")
 
-    table = cg.pair_table
+    table, states = cg.pair_table, cg.states
+    su, sv = states.index.take(us), states.index.take(vs)
     if table is not None:  # the code of (state of u, state of v)
-        t = table.codes.shape[0]
-        code = table.codes.take(table.state_index.take(us) * t + table.state_index.take(vs))
+        code = table.codes.take(su * states.t + sv)
         return code <= _NO, table.decode.take(code)
-    d = pair_distances(cg.embedding.coords, us, vs)
-    sides = us[None, :] if cg.directed else np.stack([us, vs])
-    side = _side_values(d, cg.radii.r.take(sides), cg.radii.R.take(sides), cg.fuzzy)
+    d = pair_distances(cg.points_t.T, states.point.take(su), states.point.take(sv))
+    sides = su[None, :] if cg.directed else np.stack([su, sv])
+    side = _side_values(d, states.r.take(sides), states.R.take(sides), cg.fuzzy)
     a, b = side[0], side[-1]
     # a definite side decides the pair, yes first; else the lesser fuzzy
     # side, NaN (sentinel) sides dropping out, and 0.5 when both are NaN
@@ -381,66 +430,27 @@ def query_directed(cg: CompressedGraph, u: int, v: int) -> Answer:
 # --- FZG1 persistence --------------------------------------------------------
 
 
-class NodeStates(NamedTuple):
-    """The t distinct (point, r, R) states of a model's nodes.
-
-    State s sits on point ``point[s]`` with radii ``r[s]`` and ``R[s]``;
-    node v is in state ``index[v]``.
-    """
-
-    point: np.ndarray  # (t,) intp
-    r: np.ndarray  # (t,) f64
-    R: np.ndarray  # (t,) f64
-    index: np.ndarray  # (n,) intp
-
-    @property
-    def t(self) -> int:
-        return len(self.point)
-
-
-def node_states(cg: CompressedGraph) -> NodeStates:
-    """Group nodes by (point, r, R), in one lexicographic sort.
-
-    Radii are compared by their bit patterns, so every node of a state
-    has that state's r and R byte for byte. States come in (point, r bits,
-    R bits) order.
-    """
-    r_bits, R_bits = (np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
-                      for a in (cg.radii.r, cg.radii.R))
-    keys = np.stack([cg.point_index.astype(np.uint64), r_bits, R_bits])
-    order = np.lexsort(keys[::-1])
-    ranked = keys.take(order, axis=1)
-    new = np.ones(order.size, dtype=bool)
-    np.any(ranked[:, 1:] != ranked[:, :-1], axis=0, out=new[1:])
-    index = np.empty(order.size, dtype=np.intp)
-    index[order] = np.cumsum(new) - 1
-    first = order[new]  # one node of each state
-    return NodeStates(point=cg.point_index[first], r=cg.radii.r[first], R=cg.radii.R[first],
-                      index=index)
-
-
 def save(cg: CompressedGraph, sink: IO[bytes]) -> int:
     """Write the FZG1 stream; returns the byte count.
 
     Layout (little-endian): 44-byte header (magic, version, flags, n, k,
     fcl_len, u, t); the id block, lo alone (u64) when the external ids are
     lo..lo+n-1 (flag bit2), else n x u64 ids; u x k f64 distinct points
-    (row-major, in ``group_points`` order); the t node states of
-    ``node_states``, as t x (f64 r, f64 R) then t x u32 point index;
+    (row-major, in ``group_points`` order); the t node states, in
+    ``node_states`` order, as t x (f64 r, f64 R) then t x u32 point index;
     n x u32 state index; fcl_len bytes of UTF-8 FCL; CRC32 of everything
     preceding. In all 44 + 8 * (1 or n) + 8uk + 20t + 4n + fcl_len + 4
-    bytes. Raises ValueError when the embedding has more than 2**32
-    distinct points or the model more than 2**32 node states.
+    bytes, written as held, with no sort. Raises ValueError for more than
+    2**32 distinct points or node states.
     """
-    n, k, u = cg.n, cg.k, cg.u
-    states = node_states(cg)
+    n, k, u, states = cg.n, cg.k, cg.u, cg.states
     for count, what in ((u, "distinct points"), (states.t, "node states")):
         if count > _MAX_U32_INDEXED:
             raise ValueError(f"{count} {what} exceed the format's limit of 2**32")
     ids = np.ascontiguousarray(cg.external_ids, dtype="<u8")
     id_range = np.array_equal(ids, ids[0] + np.arange(n, dtype=np.uint64))
     fcl = cg.fcl_text.encode("utf-8")
-    flags = ((_FLAG_DIRECTED if cg.directed else 0) | (_FLAG_QUANTIZED if cg.radii.quantized else 0)
+    flags = ((_FLAG_DIRECTED if cg.directed else 0) | (_FLAG_QUANTIZED if cg.quantized else 0)
              | (_FLAG_ID_RANGE if id_range else 0))
     parts = [
         _HEADER.pack(MAGIC, FORMAT_VERSION, flags, n, k, len(fcl), u, states.t),
@@ -466,10 +476,10 @@ def load(source: IO[bytes]) -> CompressedGraph:
     """Read an FZG1 stream back into a model; errors name the byte offset.
 
     The header is checked against the stream length before any array is
-    made, and each state's radii once per state. The model's coordinates,
-    r and R are the file's points and state radii gathered through the
-    state index, and the model regroups the coordinates into its point
-    fields; its id, coordinate, radius and point arrays are read-only.
+    made, and each state's radii once per state. Points and states must be
+    in the order save writes (see NodeStates), which the pair table needs.
+    The model holds read-only copies of the file's arrays: no sort, no
+    gather and one FCL parse.
     """
     blob = source.read()
     if len(blob) < _HEADER.size:
@@ -510,24 +520,33 @@ def load(source: IO[bytes]) -> CompressedGraph:
         external_ids = ids
         increasing = external_ids[1:] > external_ids[:-1]
         _reject_first(increasing, off + 8, 8, "external ids not strictly increasing")
-    off += 8 * id_count
-    points = np.frombuffer(blob, dtype="<f8", count=u * k, offset=off).reshape(u, k)
+    points_at = off + 8 * id_count
+    points = np.frombuffer(blob, dtype="<f8", count=u * k, offset=points_at).reshape(u, k)
     # NaN and inf fail the comparison too
-    _reject_first((np.abs(points) <= _coordinate_limit(k)).ravel(), off, 8,
+    _reject_first((np.abs(points) <= _coordinate_limit(k)).ravel(), points_at, 8,
                   "non-finite or overflowing coordinate")
-    off += 8 * u * k
-    state_radii = np.frombuffer(blob, dtype="<f8", count=2 * t, offset=off).reshape(t, 2)
+    _reject_first(_increasing(points), points_at + 8 * k, 8 * k, "points out of order")
+    radii_at = points_at + 8 * u * k
+    state_radii = np.frombuffer(blob, dtype="<f8", count=2 * t, offset=radii_at).reshape(t, 2)
     state_r, state_R = state_radii[:, 0], state_radii[:, 1]
-    _reject_first((state_r == R_NONE) | (np.isfinite(state_r) & (state_r >= 0.0)), off, 16,
+    _reject_first((state_r == R_NONE) | (np.isfinite(state_r) & (state_r >= 0.0)), radii_at, 16,
                   "invalid radius r")
-    _reject_first((state_R == np.inf) | (np.isfinite(state_R) & (state_R >= 0.0)), off + 8, 16,
-                  "invalid radius R")
-    off += 16 * t
+    _reject_first((state_R == np.inf) | (np.isfinite(state_R) & (state_R >= 0.0)), radii_at + 8,
+                  16, "invalid radius R")
+    off = radii_at + 16 * t
     state_point = np.frombuffer(blob, dtype="<u4", count=t, offset=off)
     _reject_first(state_point < u, off, 4, "point index out of range")
+    # a state is named by the offset of its r
+    keys = np.column_stack([state_point.astype(np.uint64), state_radii.view("<u8")])
+    _reject_first(_increasing(keys), radii_at + 16, 16, "node states out of order")
+    held = np.zeros(u, dtype=bool)
+    held[state_point] = True
+    _reject_first(held, points_at, 8 * k, "point without a node state")
     off += 4 * t
     state_index = np.frombuffer(blob, dtype="<u4", count=n, offset=off)
     _reject_first(state_index < t, off, 4, "state index out of range")
+    _reject_first(np.bincount(state_index, minlength=t) > 0, radii_at, 16,
+                  "node state without a node")
     off += 4 * n
     try:
         fcl_text = blob[off : off + fcl_len].decode("utf-8")
@@ -537,20 +556,18 @@ def load(source: IO[bytes]) -> CompressedGraph:
     except FclParseError as exc:
         raise ModelFormatError(f"FCL block at offset {off} does not parse: {exc}") from None
 
-    # one gather each through the state index; the (k, t) state points go
-    # to a C-ordered (k, n), whose .T is axis-major
-    r, R = state_r.take(state_index), state_R.take(state_index)
-    coords = points.T.take(state_point, axis=1).take(state_index, axis=1).T
-    for array in (external_ids, coords, r, R):
-        array.flags.writeable = False
-    return CompressedGraph(
-        embedding=Embedding(coords=coords, pivots=None, seed=None),
-        radii=NodeRadii(r=r, R=R, quantized=bool(flags & _FLAG_QUANTIZED)),
-        directed=bool(flags & _FLAG_DIRECTED),
-        fuzzy=fuzzy,
-        external_ids=external_ids,
-        fcl_text=fcl_text,
-    )
+    states = NodeStates(point=state_point.astype(np.intp), r=state_r.astype(np.float64),
+                        R=state_R.astype(np.float64), index=state_index.astype(np.intp))
+    return CompressedGraph.from_states(
+        points_t=points.T.astype(np.float64, order="C"), states=states,
+        directed=bool(flags & _FLAG_DIRECTED), quantized=bool(flags & _FLAG_QUANTIZED),
+        fuzzy=fuzzy, external_ids=external_ids, fcl_text=fcl_text)
+
+
+def _increasing(rows: np.ndarray) -> np.ndarray:
+    """Whether each row is lexicographically above the one before (-0.0 == 0.0)."""
+    above, differ = rows[1:] > rows[:-1], rows[1:] != rows[:-1]
+    return np.take_along_axis(above, differ.argmax(axis=1)[:, None], axis=1)[:, 0]
 
 
 def _reject_first(ok: np.ndarray, base: int, stride: int, what: str) -> None:

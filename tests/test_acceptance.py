@@ -4,7 +4,6 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the lines as they
 complete. Criteria 1 and 7 carry wall-clock budgets and are asserted.
 """
 
-import dataclasses
 import io
 import struct
 import time
@@ -14,6 +13,7 @@ import pytest
 
 from fuzzmap import (
     Answer,
+    CompressedGraph,
     build,
     compute_radii,
     default_system,
@@ -34,7 +34,6 @@ from fuzzmap import (
 )
 from fuzzmap.fuzzy import FclParseError
 from fuzzmap.fastmap import Embedding
-from fuzzmap.oracle import node_states
 from fuzzmap.radii import distances_from, group_points
 
 from conftest import UNCERTAIN_PAIR_EDGES, soundness_corpus
@@ -192,7 +191,7 @@ def test_criterion_6_linear_storage():
             _, _, flags, _, k, fcl_len, u, t = struct.unpack_from("<4sIIQIIQQ", blob, 0)
             node_bytes[n] = len(blob) - 44 - 8 - 8 * u * k - 20 * t - fcl_len - 4
             assert flags & 4  # ids 0..n-1: the id block is lo alone
-            assert 1 <= u == group_points(cg.embedding.coords).u <= t == node_states(cg).t <= n
+            assert 1 <= u == group_points(cg.embedding.coords).u <= t == cg.states.t <= n
             assert (k, fcl_len) == (4, len(cg.fcl_text.encode("utf-8")))
             assert len(blob) == 44 + 8 + 8 * u * 4 + 20 * t + 4 * n + fcl_len + 4, f"size off at n={n}"
             assert len(blob) == fzg1_size_oracle(cg.embedding.coords.tolist(), cg.radii.r.tolist(),
@@ -200,7 +199,9 @@ def test_criterion_6_linear_storage():
         assert node_bytes[10000] == 10 * node_bytes[1000]
         # worst case, every row distinct: u = t = n
         distinct = Embedding(coords=np.arange(4.0 * n).reshape(n, 4))
-        total = save(dataclasses.replace(cg, embedding=distinct), io.BytesIO())
+        total = save(CompressedGraph(embedding=distinct, radii=cg.radii, directed=cg.directed,
+                                     fuzzy=cg.fuzzy, external_ids=cg.external_ids,
+                                     fcl_text=cg.fcl_text), io.BytesIO())
         assert total == 44 + 8 + n * (8 * 4 + 20 + 4) + fcl_len + 4
         ok = True
     finally:

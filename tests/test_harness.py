@@ -12,8 +12,10 @@ from fuzzmap import (
     query,
     query_arrays,
     reports_to_csv,
+    save_file,
     sweep_k,
 )
+from fuzzmap.cli import run
 from fuzzmap.harness import CSV_HEADER, _sample_pairs
 
 from conftest import edgeless_graph
@@ -151,7 +153,7 @@ def test_permutation_invariance_of_tallies():
     assert sorted(v1.tolist()) == sorted(v2.tolist())
 
 
-def test_mismatched_model_and_graph():
+def test_mismatched_model_and_graph(tmp_path):
     g = gnp_random_graph(20, 0.2, seed=0)
     other = gnp_random_graph(21, 0.2, seed=0)
     cg = build(g, k=2, seed=0)
@@ -161,6 +163,17 @@ def test_mismatched_model_and_graph():
     if directed.n == cg.n:
         with pytest.raises(ValueError, match="directed"):
             evaluate_model(cg, directed)
+    # the same n and direction, but the model is on ids 1000..1299 and the graph on 0..299
+    path = gnp_random_graph(300, 0.02, seed=4)
+    us, vs = path.edges()
+    shifted = graph_from_edges(list(zip((us + 1000).tolist(), (vs + 1000).tolist())))
+    assert shifted.external_ids[0] == 1000 and path.n == shifted.n == 300
+    with pytest.raises(ValueError, match="model node 0 has id 1000 but graph node 0 has id 0"):
+        evaluate_model(build(shifted, k=2, seed=0), path)
+    model, edges = tmp_path / "shifted.fzg", tmp_path / "graph.txt"
+    save_file(build(shifted, k=2, seed=0), str(model))
+    edges.write_text("".join(f"{u} {v}\n" for u, v in zip(us.tolist(), vs.tolist())))
+    assert run(["evaluate", "--model", str(model), "--graph", str(edges)]) == 2
 
 
 def test_csv_format(k5_graph):

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import itertools
 import math
@@ -59,6 +58,13 @@ def manual_model(coords, r, R, directed=False, quantized=False, fcl_text=None) -
         external_ids=np.arange(coords.shape[0], dtype=np.uint64),
         fcl_text=fcl_text,
     )
+
+
+def remodel(cg: CompressedGraph, **parts) -> CompressedGraph:
+    """A model of cg's per-node parts, with some of them replaced."""
+    kept = dict(embedding=cg.embedding, radii=cg.radii, directed=cg.directed, fuzzy=cg.fuzzy,
+                external_ids=cg.external_ids, fcl_text=cg.fcl_text)
+    return CompressedGraph(**{**kept, **parts})
 
 
 def test_complete_graph_all_definite_yes(k4_graph):
@@ -294,11 +300,11 @@ def test_model_parts_must_agree_in_n():
     cg = build(gnp_random_graph(30, 0.2, seed=1), k=3, seed=1)
     short = Embedding(coords=cg.embedding.coords[:29])
     with pytest.raises(ValueError, match="29 coordinate rows, 30 r, 30 R, 30 external ids"):
-        dataclasses.replace(cg, embedding=short)
+        remodel(cg, embedding=short)
     with pytest.raises(ValueError, match="disagree in n"):
-        dataclasses.replace(cg, radii=NodeRadii(cg.radii.r, cg.radii.R[:-1], cg.radii.quantized))
+        remodel(cg, radii=NodeRadii(cg.radii.r, cg.radii.R[:-1], cg.radii.quantized))
     with pytest.raises(ValueError, match="disagree in n"):
-        dataclasses.replace(cg, external_ids=cg.external_ids[1:])
+        remodel(cg, external_ids=cg.external_ids[1:])
 
 
 def test_fuzzy_system_must_match_fcl_text(uncertain_pair_graph):
@@ -307,10 +313,10 @@ def test_fuzzy_system_must_match_fcl_text(uncertain_pair_graph):
     cg = build(uncertain_pair_graph, k=2, seed=0)
     text = default_fcl_text().replace("DEFAULT := 0.5;", "DEFAULT := 0.25;")
     with pytest.raises(ValueError, match="does not match"):
-        dataclasses.replace(cg, fcl_text=text)
+        remodel(cg, fcl_text=text)
     with pytest.raises(ValueError, match="does not match"):
-        dataclasses.replace(cg, fuzzy=parse_fcl(text))
-    matched = dataclasses.replace(cg, fcl_text=text, fuzzy=parse_fcl(text))
+        remodel(cg, fuzzy=parse_fcl(text))
+    matched = remodel(cg, fcl_text=text, fuzzy=parse_fcl(text))
     assert roundtrip(matched)[0].fuzzy == matched.fuzzy
 
 
@@ -368,7 +374,7 @@ def test_file_layout_exact_sizes():
     _, nbytes, blob = roundtrip(cg)
     fcl_len = len(cg.fcl_text.encode("utf-8"))
     assert group_points(cg.embedding.coords).u == 27  # the embedding collapses
-    assert oracle.node_states(cg).t == 49  # and so do the radii on its points
+    assert cg.states.t == 49  # and so do the radii on its points
     # ids 0..99: the id block is lo alone
     assert nbytes == model_size(cg) == 44 + 8 + 8 * 27 * 4 + 20 * 49 + 4 * 100 + fcl_len + 4
     assert blob[:4] == b"FZG1"
@@ -377,11 +383,11 @@ def test_file_layout_exact_sizes():
     assert struct.unpack_from("<QQQ", blob, 28) == (27, 49, 0)  # u, t, lo
     # worst case, every row distinct and ids not a range: u = t = n, 4 bytes
     # a node (and the 8-byte t field) more than version 2
-    distinct = dataclasses.replace(
+    distinct = remodel(
         manual_model(np.arange(12.0).reshape(6, 2), r=[-1.0] * 6, R=[np.inf] * 6),
         external_ids=np.array([1, 3, 5, 7, 9, 11], dtype=np.uint64))
     _, nbytes, blob = roundtrip(distinct)
-    assert group_points(distinct.embedding.coords).u == oracle.node_states(distinct).t == 6
+    assert group_points(distinct.embedding.coords).u == distinct.states.t == 6
     fcl_len = len(distinct.fcl_text.encode("utf-8"))
     assert nbytes == model_size(distinct) == 44 + 8 * 6 + 8 * 6 * 2 + 20 * 6 + 4 * 6 + fcl_len + 4
     assert nbytes == (36 + 28 * 6 + 8 * 6 * 2 + fcl_len + 4) + 4 * 6 + 8
@@ -404,14 +410,14 @@ def test_linear_growth_in_n():
         cg = build(g, k=4, seed=0)
         _, _, blob = roundtrip(cg)
         assert 1 <= struct.unpack_from("<Q", blob, 28)[0] == group_points(cg.embedding.coords).u <= n
-        assert 1 <= struct.unpack_from("<Q", blob, 36)[0] == oracle.node_states(cg).t <= n
+        assert 1 <= struct.unpack_from("<Q", blob, 36)[0] == cg.states.t <= n
         node_bytes[n] = stream_node_bytes(blob)
         assert len(blob) == model_size(cg)
         assert node_bytes[n] == 4 * n  # ids 0..n-1: a u32 state index a node
     assert node_bytes[200] == 2 * node_bytes[100]
     assert node_bytes[400] == 4 * node_bytes[100]
     # explicit ids add one u64 a node: 12n, still linear
-    _, _, blob = roundtrip(dataclasses.replace(cg, external_ids=cg.external_ids * 2))
+    _, _, blob = roundtrip(remodel(cg, external_ids=cg.external_ids * 2))
     assert stream_node_bytes(blob) == 12 * 400
 
 
@@ -500,7 +506,7 @@ _IDS = 44
 def _saved_uncertain_pair_model(ids: str) -> bytes:
     cg = build(graph_from_edges(UNCERTAIN_PAIR_EDGES), k=2, seed=0)
     if ids == "explicit":
-        cg = dataclasses.replace(cg, external_ids=cg.external_ids * 10)
+        cg = remodel(cg, external_ids=cg.external_ids * 10)
     return roundtrip(cg)[2]
 
 
@@ -589,7 +595,7 @@ def _v2_stream(cg: CompressedGraph) -> bytes:
         struct.pack("<4sIIQIIQ", b"FZG1", 2, 2, cg.n, cg.k, len(fcl), cg.u),
         cg.external_ids.astype("<u8").tobytes(),
         np.ascontiguousarray(cg.points_t.T, dtype="<f8").tobytes(),
-        cg.point_index.astype("<u4").tobytes(),
+        cg.states.point.take(cg.states.index).astype("<u4").tobytes(),
         np.column_stack([cg.radii.r, cg.radii.R]).astype("<f8").tobytes(),
         fcl,
     ])
@@ -626,7 +632,7 @@ def test_loaded_radii_are_the_built_bytes():
         for quantize in (False, True):
             cg = build(g, k=4, seed=i, quantize=quantize)
             loaded = roundtrip(cg)[0]
-            assert oracle.node_states(cg).t <= cg.n
+            assert cg.states.t <= cg.n
             assert loaded.radii.r.tobytes() == cg.radii.r.tobytes()
             assert loaded.radii.R.tobytes() == cg.radii.R.tobytes()
             assert np.array_equal(loaded.embedding.coords, cg.embedding.coords)
@@ -687,7 +693,7 @@ def _fuzz_base(cg: CompressedGraph, id_count: int) -> tuple[bytes, np.ndarray]:
 
 # ids 0..15 store lo alone; the same model with ids 3i + 5 stores all 16
 _FUZZ_BASES = [_fuzz_base(_FUZZ_CG, 1),
-               _fuzz_base(dataclasses.replace(_FUZZ_CG, external_ids=_FUZZ_CG.external_ids * 3 + 5), 16)]
+               _fuzz_base(remodel(_FUZZ_CG, external_ids=_FUZZ_CG.external_ids * 3 + 5), 16)]
 _HEADER_FIELDS = [(4, "<I"), (8, "<I"), (12, "<Q"), (20, "<I"), (24, "<I"), (28, "<Q"), (36, "<Q")]
 # array parts by index into a base's part boundaries, with their element format
 _ARRAY_FIELDS = [(1, "<Q"), (2, "<d"), (3, "<d"), (4, "<I"), (5, "<I")]
@@ -753,16 +759,24 @@ def _check_loaded_model(cg: CompressedGraph) -> None:
     assert np.all((r == -1.0) | (np.isfinite(r) & (r >= 0.0)))
     assert np.all((R == np.inf) | (np.isfinite(R) & (R >= 0.0)))
     assert cg.fuzzy == parse_fcl(cg.fcl_text)
-    for array in (cg.external_ids, cg.embedding.coords, r, R, cg.points_t, cg.point_index):
+    for array in (cg.external_ids, cg.embedding.coords, r, R, cg.points_t, *cg.states):
         assert not array.flags.writeable
+    assert cg.states.point.dtype == cg.states.index.dtype == np.intp
     assert_side_rows_match_kernel(cg)
     assert "pair_table" not in vars(cg)  # load never builds it
+    # the loaded points and states are the grouping the constructor makes of
+    # the per-node parts, and answer every pair as it does
+    rebuilt = remodel(cg)
+    assert rebuilt.points_t.tobytes() == cg.points_t.tobytes()
+    assert [a.tobytes() for a in rebuilt.states] == [a.tobytes() for a in cg.states]
     if cg.n >= 2:
-        us = np.arange(cg.n)
-        definite, value = query_arrays(cg, us, np.roll(us, 1))
+        us, vs = np.nonzero(~np.eye(cg.n, dtype=bool))
+        definite, value = query_arrays(cg, us, vs)
         assert np.all((value >= 0.0) & (value <= 1.0))
         assert np.all(np.isin(value[definite], (0.0, 1.0)))
-        t = oracle.node_states(cg).t
+        assert b"".join(a.tobytes() for a in query_arrays(rebuilt, us, vs)) == \
+            definite.tobytes() + value.tobytes()
+        t = cg.states.t
         # a 16-node model's side cells hold far fewer than 254 fuzzy values: one-byte codes
         assert (cg.pair_table is None) == (not cg._fits_table(8 * cg.u**2)
                                                 or not cg._fits_table(t * t))
@@ -777,7 +791,7 @@ def _check_loaded_model(cg: CompressedGraph) -> None:
 
 def test_fuzz_base_model_loads():
     assert group_points(_FUZZ_CG.embedding.coords).u == 9
-    assert oracle.node_states(_FUZZ_CG).t == 11
+    assert _FUZZ_CG.states.t == 11
     for blob, parts in _FUZZ_BASES:
         cg = load(io.BytesIO(blob))
         assert len(blob) == model_size(cg) == parts[-1] + 4
@@ -801,6 +815,89 @@ def test_mutated_streams_fail_cleanly_or_load_valid(blob, table):
         event("loaded with a pair table" if cg.pair_table is not None else "loaded")
 
 
+# --- the loader accepts only the order save writes ---------------------------
+
+
+def _reordered(cg: CompressedGraph, case: str) -> tuple[CompressedGraph, str]:
+    """cg held with its points or states out of node_states order (unchecked),
+    and the error load must raise for its stream. save writes a model's
+    points and states as held, so the stream has them in that order too.
+    The ids of cg are a range, so the points start at offset 52."""
+    pts, (point, r, R, index) = cg.points_t, cg.states
+    k, u, t = cg.k, cg.u, cg.states.t
+    radii_at = 52 + 8 * u * k
+    if case in ("reversed", "interleaved"):  # the same nodes, states listed in another order
+        if case == "reversed":
+            order = np.arange(t)[::-1]
+        else:  # the states of point 1, then those of point 0, then the rest
+            order = np.concatenate([np.flatnonzero(point == 1), np.flatnonzero(point == 0),
+                                    np.flatnonzero(point > 1)])
+        first_down = np.flatnonzero(np.diff(order) < 0)[0] + 1
+        message = f"node states out of order at offset {radii_at + 16 * first_down}"
+        point, r, R, index = point[order], r[order], R[order], np.argsort(order)[index]
+    elif case == "duplicated":  # state 0 listed twice
+        point, r, R = (np.insert(a, 1, a[0]) for a in (point, r, R))
+        index = index + (index >= 1)
+        message = f"node states out of order at offset {radii_at + 16}"
+    elif case == "unused":  # a last point, with a state no node is in
+        pts = np.column_stack([pts, pts[:, -1] + 1.0])
+        point, r, R = np.append(point, u), np.append(r, -1.0), np.append(R, np.inf)
+        message = f"node state without a node at offset {radii_at + 8 * k + 16 * t}"
+    elif case == "stateless point":  # a last point no state is on
+        pts = np.column_stack([pts, pts[:, -1] + 1.0])
+        message = f"point without a node state at offset {52 + 8 * k * u}"
+    elif case == "points swapped":  # points 0 and 1, each state still on its point
+        swap = np.array([1, 0, *range(2, u)])
+        pts, point = pts[:, swap], swap[point]
+        message = f"points out of order at offset {52 + 8 * k}"
+    else:  # "point repeated": point 0 twice
+        pts = np.insert(pts, 1, pts[:, 0], axis=1)
+        point = point + (point >= 1)
+        message = f"points out of order at offset {52 + 8 * k}"
+    states = oracle.NodeStates(point.astype(np.intp), r.copy(), R.copy(), index.astype(np.intp))
+    held = CompressedGraph.from_states(np.array(pts), states, cg.directed, cg.quantized, cg.fuzzy,
+                                       cg.external_ids, cg.fcl_text)
+    return held, message
+
+
+@pytest.mark.parametrize("case", ["reversed", "interleaved", "duplicated", "unused",
+                                  "stateless point", "points swapped", "point repeated"])
+def test_load_accepts_only_the_order_save_writes(case, tmp_path):
+    held, message = _reordered(_FUZZ_CG, case)
+    blob = io.BytesIO()
+    save(held, blob)
+    with pytest.raises(ModelFormatError, match=re.escape(message)):
+        load(io.BytesIO(blob.getvalue()))
+    path = tmp_path / "bad.fzg"
+    path.write_bytes(blob.getvalue())
+    assert run(["info", str(path)]) == 2
+
+
+def test_reordered_states_would_answer_wrongly_and_do_not_load():
+    # G(60, 0.1) at k = 3, with a pair table: held unchecked, states in
+    # reverse make the first query fail, and the states of point 1 listed
+    # before those of point 0 give unsound definite answers
+    g = gnp_random_graph(60, 0.1, seed=0)
+    cg = build(g, k=3, seed=0)
+    us, vs = np.triu_indices(g.n, 1)
+    truth = np.array([adjacent(g, u, v) for u, v in zip(us.tolist(), vs.tolist())])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_TABLE_COORD_RATIO", _TABLE_ALWAYS)
+        reversed_states = _reordered(cg, "reversed")[0]
+        with pytest.raises(ValueError):
+            query_arrays(reversed_states, us, vs)
+        interleaved = _reordered(cg, "interleaved")[0]
+        definite, value = query_arrays(interleaved, us, vs)
+        assert np.sum(definite & ((value == 1.0) != truth)) == 10
+        definite, value = query_arrays(cg, us, vs)
+        assert not np.any(definite & ((value == 1.0) != truth))
+    for held in (reversed_states, interleaved):
+        blob = io.BytesIO()
+        save(held, blob)
+        with pytest.raises(ModelFormatError, match="node states out of order at offset"):
+            load(io.BytesIO(blob.getvalue()))
+
+
 # --- the pair table's distance source ----------------------------------------
 
 _TABLE_ALWAYS = 2**40  # a cap no test model reaches: every model scores a pair table
@@ -810,9 +907,9 @@ def assert_side_rows_match_kernel(cg: CompressedGraph) -> None:
     """Every distance row _side_codes can read equals the kernel on the
     nodes' coordinates, bit for bit: the _block_distances rows of each span
     of points lo..hi-1 (a single point, a span that starts partway, all of
-    them), gathered through point_index, equal distances_from and
+    them), gathered through each node's point, equal distances_from and
     pair_distances both ways round."""
-    coords, index, u = cg.embedding.coords, cg.point_index, cg.u
+    coords, index, u = cg.embedding.coords, cg.states.point.take(cg.states.index), cg.u
     ids = np.arange(cg.n)
     rows = [distances_from(coords, v).tobytes() for v in ids]
     for v in ids:
@@ -935,7 +1032,7 @@ def test_side_codes_do_not_depend_on_the_block_size():
     state = np.concatenate([np.arange(c) for c in counts])
     coords = np.random.default_rng(3).uniform(0.0, 10.0, (6, 2))[point]
     cg = manual_model(coords, r=0.5 * state, R=12.0 + state)
-    states = oracle.node_states(cg)
+    states = cg.states
     assert (cg.u, states.t) == (6, 14)
     sides = set()
     for rows in range(1, states.t + 1):
@@ -953,7 +1050,7 @@ def test_pair_table_is_kept_up_to_the_coordinates_bytes():
     over_cap = manual_model([[0.0]] * 5 + [[5.0]] * 5, R=[np.inf] * 10,
                             r=[-1.0, 0.0, 1.0, 2.0, 3.0, -1.0, 0.0, 1.0, 2.0, 2.0])
     for cg, t in ((at_cap, 8), (over_cap, 9)):
-        assert oracle.node_states(cg).t == t and cg._fits_table(8 * cg.u**2)
+        assert cg.states.t == t and cg._fits_table(8 * cg.u**2)
     table = at_cap.pair_table
     assert table.codes.shape == (8, 8) and table.codes.dtype == np.uint8
     assert table.codes.nbytes == at_cap.embedding.coords.nbytes == 64
@@ -979,7 +1076,7 @@ def test_pair_table_gives_up_once_its_codes_outgrow_the_cap():
         mp.setattr(oracle, "_SIDE_BLOCK", 20)  # one state a block
         mp.setattr(oracle, "_side_values", counting)
         capped = make()
-        assert capped.u == 20 and oracle.node_states(capped).t == t
+        assert capped.u == 20 and capped.states.t == t
         assert capped._fits_table(8 * capped.u**2) and capped.pair_table is None
         assert len(scored) < t  # gave up before scoring every state
         mp.setattr(oracle, "_TABLE_COORD_RATIO", 2)  # room for two-byte codes
@@ -987,7 +1084,7 @@ def test_pair_table_gives_up_once_its_codes_outgrow_the_cap():
         codes = wide.pair_table.codes
     assert codes.dtype == np.uint16 and codes.max() > 255
     # the scoring gives up exactly when the NaN code would not fit under max_codes
-    states = oracle.node_states(wide)
+    states = wide.states
     count = wide.pair_table.decode.size
     for max_codes, fits in ((count, True), (count - 1, False)):
         sides = oracle._side_codes(wide.points_t, states, wide.fuzzy, max_codes)
@@ -1011,10 +1108,12 @@ def test_pair_table_is_built_on_the_first_query_only(uncertain_pair_graph, tmp_p
         oracle.save_file(cg, str(path))
         loaded = oracle.load_file(str(path))
         assert "pair_table" not in vars(cg) and "pair_table" not in vars(loaded)
-    # the table is derived from these, so neither a built nor a loaded model
-    # lets them change under it
+    # the table is derived from the points and states, so neither a built nor
+    # a loaded model lets them change under it; the per-node gathers are
+    # read-only too
     for model in (cg, loaded):
-        for array in (model.embedding.coords, model.radii.r, model.radii.R, model.external_ids):
+        for array in (model.points_t, *model.states, model.external_ids, model.embedding.coords,
+                      model.radii.r, model.radii.R):
             assert not array.flags.writeable
     for model in (cg, loaded):
         query(model, 0, 1)
@@ -1074,25 +1173,31 @@ def test_first_query_outside_the_u2_condition_scores_no_side(directed):
     assert (over_cap.u, distinct.u, built.u) == (5, 6, 22)
 
     def unexpected(*args):
-        raise AssertionError("node states grouped or scored")
+        raise AssertionError("node states scored")
 
     for cg in (over_cap, distinct, built):
         # t**2 one-byte codes would fit the 8 * k * n-byte cap
-        assert cg._fits_table(oracle.node_states(cg).t ** 2)
+        assert cg._fits_table(cg.states.t ** 2)
         us, vs = np.nonzero(~np.eye(cg.n, dtype=bool))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "node_states", unexpected)
             mp.setattr(oracle, "_side_codes", unexpected)
             definite, value = query_arrays(cg, us, vs)
             assert cg.pair_table is None
         assert np.all((value >= 0.0) & (value <= 1.0))
     assert 0 < definite.sum() < definite.size  # the built model answers both kinds
     for cg in (at_cap, over_cap, distinct, built):
-        assert not cg.points_t.flags.writeable and not cg.point_index.flags.writeable
-        assert cg.point_index.dtype == np.intp
+        assert not any(array.flags.writeable for array in (cg.points_t, *cg.states))
+        assert cg.states.point.dtype == cg.states.index.dtype == np.intp
 
 
-def test_benchmark_model_keeps_its_pair_table(benchmark_model):
+def held_arrays(cg: CompressedGraph) -> list[np.ndarray]:
+    """The arrays in the model's fields, and in the tuples among them."""
+    values = [v for value in vars(cg).values()
+              for v in (value if isinstance(value, tuple) else (value,))]
+    return [v for v in values if isinstance(v, np.ndarray)]
+
+
+def test_benchmark_model_keeps_its_pair_table(benchmark_model, tmp_path):
     # the query benchmark's model, BA(20000, 5) at k = 8: u = 148 points, far
     # inside u**2 <= k * n (u up to 400), so its first query scores a pair table
     cg = benchmark_model
@@ -1100,10 +1205,10 @@ def test_benchmark_model_keeps_its_pair_table(benchmark_model):
     assert cg._fits_table(8 * 400**2) and not cg._fits_table(8 * 401**2)
     loaded = roundtrip(cg)[0]
     assert loaded.points_t.tobytes() == cg.points_t.tobytes()
-    assert np.array_equal(loaded.point_index, cg.point_index)
+    assert [a.tobytes() for a in loaded.states] == [a.tobytes() for a in cg.states]
     # t = 522 node states, 2,527 codes in two bytes each,
     # 544,968 bytes of a cap of 8 * k * n = 1,280,000
-    assert oracle.node_states(cg).t == 522
+    assert cg.states.t == 522
     for model in (cg, loaded):
         codes = model.pair_table.codes
         assert codes.shape == (522, 522) and codes.dtype == np.uint16 and codes.nbytes == 544968
@@ -1113,3 +1218,26 @@ def test_benchmark_model_keeps_its_pair_table(benchmark_model):
         for nbytes, kept in ((544968, True), (544967, False)):
             mp.setattr(oracle, "_TABLE_COORD_RATIO", Fraction(nbytes, 8 * cg.k * cg.n))
             assert (roundtrip(cg)[0].pair_table is not None) == kept
+
+    # load, the first query and save read the file's points and states as
+    # they are: they never regroup the nodes or gather per-node arrays
+    def regrouped(*args):
+        raise AssertionError("nodes regrouped")
+
+    path, again = tmp_path / "model.fzg", tmp_path / "again.fzg"
+    oracle.save_file(cg, str(path))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "group_points", regrouped)
+        mp.setattr(oracle, "node_states", regrouped)
+        held = oracle.load_file(str(path))
+        query_arrays(held, [0], [1])
+        oracle.save_file(held, str(again))
+    assert again.read_bytes() == path.read_bytes()
+    assert "embedding" not in vars(held) and "radii" not in vars(held)
+    assert "pair_table" in vars(held)
+    # each array owns its buffer, so its nbytes is what it holds: the file's
+    # points, states and ids, and the pair table
+    arrays = held_arrays(held)
+    assert all(a.base is None for a in arrays)
+    assert all(a.size != held.n * held.k for a in arrays)
+    assert sum(a.nbytes for a in arrays) <= 910_000
