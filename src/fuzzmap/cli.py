@@ -201,6 +201,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             thread_count()  # surface a bad FUZZMAP_THREADS as a usage error
             if getattr(args, "sample", 1) < 0:
                 raise _UsageError("--sample must be >= 0")
+            if args.seed < 0:
+                raise _UsageError("--seed must be >= 0")
     except (_UsageError, ValueError) as exc:
         print(f"fuzzmap: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,6 +9,7 @@ residual distances.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -120,9 +121,11 @@ def fastmap_embed(g: Graph, k: int, seed: int) -> Embedding:
     """Embed the graph's nodes as n x k coordinates.
 
     Per axis: pivot search, projection of every node, then residual
-    wrapping of the distance function for the next axis. Pivot a anchors
-    at coordinate 0 and pivot b at the pivot distance, exactly. Degenerate
-    axes are zero-filled and iteration continues.
+    wrapping of the distance function for the next axis. The pivot search
+    revisits nodes and ends on the pivots, so each node's distance row is
+    computed once per axis and reused. Pivot a anchors at coordinate 0 and
+    pivot b at the pivot distance, exactly. Degenerate axes are
+    zero-filled and iteration continues.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -136,6 +139,7 @@ def fastmap_embed(g: Graph, k: int, seed: int) -> Embedding:
 
     for axis in range(k):
 
+        @functools.cache
         def dist_row(u: int, _level: int = axis) -> np.ndarray:
             row = graph_distance_row(g, u)
             for lvl in range(_level):

@@ -273,11 +273,12 @@ def _parse_plain(data: str | bytes | bytearray) -> np.ndarray | None:
     starts, stops = np.flatnonzero(steps == 1), np.flatnonzero(steps == -1)
     if not starts.size or (stops - starts).max() >= 20:
         return None
-    per_line = np.bincount(np.searchsorted(np.flatnonzero(buf == ord("\n")), starts))
-    if np.any((per_line != 0) & (per_line != 2)):
+    # newlines between consecutive tokens: none inside a pair, at least one between pairs
+    breaks = np.diff(np.searchsorted(np.flatnonzero(buf == ord("\n")), starts))
+    if starts.size % 2 or np.any(breaks[0::2]) or not np.all(breaks[1::2]):
         return None
-    # bytes, not bytearray: numpy reads a bytearray token as a sequence of byte values
-    return np.array(bytes(data).split(), dtype=np.uint64).reshape(-1, 2)
+    # one C pass over checked text, exact to 2**64 - 1; it reads bytes, not a bytearray
+    return np.fromstring(bytes(data), dtype=np.uint64, sep=" ").reshape(-1, 2)
 
 
 def _parse_lines(text: str) -> np.ndarray:

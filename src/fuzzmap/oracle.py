@@ -38,7 +38,7 @@ import numpy as np
 from .fastmap import Embedding, fastmap_embed
 from .fuzzy import FclParseError, FuzzySystem, default_system, evaluate_many, parse_fcl, to_fcl
 from .graph import Graph, check_node_id, lookup_internal_id
-from .radii import (R_NONE, NodeRadii, _block_distances, compute_all_radii, group_points,
+from .radii import (R_NONE, NodeRadii, _block_distances, _grouped_radii, group_points,
                     pair_distances)
 
 MAGIC = b"FZG1"
@@ -330,23 +330,19 @@ def build(
     The fuzzy system is exactly ``fcl_text`` parsed (default: the built-in
     system serialized), and the model embeds that text, so a saved file
     is self-contained and loads back to the same system. Bad FCL raises
-    FclParseError before any embedding work. The model keeps the
-    distinct points and node states of the embedding and radii, not the
+    FclParseError before any embedding work. The embedding is grouped
+    into distinct points once, and the radii scan and the model share
+    that grouping: the model keeps the points and node states, not the
     per-node arrays; like a loaded model, its arrays are read-only.
     """
     if fcl_text is None:
         fcl_text = to_fcl(default_system())
     system = parse_fcl(fcl_text)
-    embedding = fastmap_embed(g, k, seed)
-    radii = compute_all_radii(g, embedding, quantize=quantize)
-    return CompressedGraph(
-        embedding=embedding,
-        radii=radii,
-        directed=g.directed,
-        fuzzy=system,
-        external_ids=g.external_ids.copy(),
-        fcl_text=fcl_text,
-    )
+    groups = group_points(fastmap_embed(g, k, seed).coords)
+    radii = _grouped_radii(g, groups, quantize)
+    return CompressedGraph.from_states(
+        groups.points_t, node_states(groups.inv, radii.r, radii.R), g.directed, quantize,
+        system, g.external_ids.copy(), fcl_text)
 
 
 def query_arrays(

@@ -201,16 +201,18 @@ def _radii_rule(
     m = rows.min(axis=1)
     M = _segment_max(nbd, deg, -np.inf)
     r = _segment_max(np.where(nbd < m[owner], nbd, R_NONE), deg, R_NONE)
-    np.putmask(rows, rows <= M[:, None], np.inf)
-    R = rows.min(axis=1)  # m itself when m > M; +inf when nothing lies beyond M
-
-    if not quantize:
-        return r, R
-
-    # q < m: no non-neighbor within q; Q > M: every neighbor below Q. Where
-    # a test fails, floor(r) is still sound: r is -1 or lies in [0, m).
-    q, Q = np.ceil(m) - 1.0, np.floor(M) + 1.0
-    return np.where(q < m, q, np.floor(r)), np.where(Q > M, Q, R)
+    if quantize:
+        # q < m: no non-neighbor within q; Q > M: every neighbor below Q. Where
+        # q < m fails, floor(r) is still sound: r is -1 or lies in [0, m); where
+        # Q > M fails, the exact R is kept, so only those rows compute it
+        q, Q = np.ceil(m) - 1.0, np.floor(M) + 1.0
+        r, R, exact = np.where(q < m, q, np.floor(r)), Q, np.flatnonzero(~(Q > M))
+    else:
+        R, exact = np.empty(c), slice(None)
+    beyond = rows[exact]  # a view of every row, or a copy of the few exact ones
+    np.putmask(beyond, beyond <= M[exact, None], np.inf)
+    R[exact] = beyond.min(axis=1)  # m itself when m > M; +inf when nothing lies beyond M
+    return r, R
 
 
 def compute_radii(g: Graph, e: Embedding, v: int, quantize: bool = True) -> tuple[float, float]:
@@ -235,8 +237,12 @@ def compute_all_radii(g: Graph, e: Embedding, quantize: bool = True) -> NodeRadi
     blocks or the usable CPUs; results do not depend on the pool size.
     """
     _check_inputs(g, e)
+    return _grouped_radii(g, group_points(e.coords), quantize)
+
+
+def _grouped_radii(g: Graph, groups: PointGroups, quantize: bool) -> NodeRadii:
+    """compute_all_radii over the grouped points of a checked embedding."""
     n = g.n
-    groups = group_points(e.coords)
     u = groups.u
     chunk = max(1, _CHUNK // u)
     span = max(_BLOCK, chunk // _BLOCK * _BLOCK)

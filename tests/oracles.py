@@ -1,7 +1,9 @@
 """Independent oracles for cross-checking the library.
 
 Deliberately written with different algorithms and plain Python so they
-share no code path with the implementations they check.
+share no code path with the implementations they check. The one exception
+is ``reference_fastmap``: it builds on fuzzmap's own distance rows, so it
+checks how ``fastmap_embed`` schedules them, not the row arithmetic.
 """
 
 from __future__ import annotations
@@ -9,6 +11,10 @@ from __future__ import annotations
 import math
 import struct
 from itertools import groupby
+
+import numpy as np
+
+from fuzzmap.fastmap import graph_distance_row, residual_distance
 
 
 def norm_oracle(p, q) -> float:
@@ -98,6 +104,43 @@ def fzg1_size_oracle(coords, r, R, external_ids, k: int, fcl_len: int) -> int:
     id_block = 8 if ids == list(range(ids[0], ids[0] + n)) else 8 * n
     states = {(p, struct.pack("<d", a), struct.pack("<d", b)) for p, a, b in zip(points, r, R)}
     return 44 + id_block + 8 * k * len(set(points)) + 20 * len(states) + 4 * n + fcl_len + 4
+
+
+def reference_fastmap(g, k: int, seed: int):
+    """(coords, pivots) of textbook FastMap, every distance row computed from scratch.
+
+    The row of node u on axis L is u's graph distance row after L residual
+    passes, recomputed at every request: nothing is cached. The pivot
+    search is written out: a start drawn from the axis seed, five
+    farthest-point hops (argmax ties to the lowest id), and the last two
+    hops as (a, b), or None where they coincide or lie at distance 0.
+    coords is the C-ordered (n, k) table.
+    """
+    n = g.n
+    coords = np.zeros((n, k))
+    pivots = []
+
+    def row(u, axis):
+        d = graph_distance_row(g, u)
+        for lvl in range(axis):
+            d = residual_distance(d, coords[u, lvl], coords[:, lvl])
+        return d
+
+    for axis, axis_seed in enumerate(np.random.SeedSequence(seed).generate_state(k)):
+        hops = [int(np.random.default_rng(int(axis_seed)).integers(n))]
+        for _ in range(5):
+            hops.append(int(np.argmax(row(hops[-1], axis))))
+        a, b = hops[-2:]
+        d_ab = float(row(a, axis)[b])
+        if a == b or d_ab == 0.0:
+            pivots.append(None)
+            continue
+        d_a, d_b = row(a, axis), row(b, axis)
+        x = (d_a * d_a + d_ab * d_ab - d_b * d_b) / (2.0 * d_ab)
+        x[a], x[b] = 0.0, d_ab
+        coords[:, axis] = x
+        pivots.append((a, b))
+    return coords, pivots
 
 
 def farthest_pair_distance(dist, n: int) -> float:

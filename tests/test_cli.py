@@ -155,6 +155,23 @@ def test_usage_errors_exit_1(capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["compress", "--input", "g.txt", "--output", "g.fzg", "--k", "2"],
+    ["evaluate", "--model", "g.fzg", "--graph", "g.txt"],
+    ["sweep", "--input", "g.txt", "--k", "2"],
+])
+def test_negative_seed_is_a_usage_error_before_any_io(command, monkeypatch, capsys):
+    import fuzzmap.cli as cli
+
+    def no_io(*args, **kwargs):
+        raise AssertionError("read an input before checking --seed")
+
+    monkeypatch.setattr(cli, "load_edge_list", no_io)
+    monkeypatch.setattr(cli, "load_file", no_io)
+    assert run([*command, "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "fuzzmap: --seed must be >= 0\n"
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert run(["compress", "--input", str(tmp_path / "absent.txt"),
                 "--output", str(tmp_path / "o.fzg"), "--k", "2"]) == 2

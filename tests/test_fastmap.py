@@ -15,7 +15,7 @@ from fuzzmap import (
 )
 from fuzzmap.fastmap import Embedding
 
-from oracles import farthest_pair_distance
+from oracles import farthest_pair_distance, reference_fastmap
 
 
 def path_graph(n):
@@ -182,24 +182,57 @@ def test_embed_sixnode_shape(uncertain_pair_graph):
 
 
 def test_embed_distance_row_queries_linear_in_n(monkeypatch):
-    # the linear-time claim, measured structurally: the number of
-    # distance-row computations is 7k regardless of n (5 pivot hops + 2
-    # projection rows per axis), each row O(n) work
+    # the linear-time claim, measured structurally: each axis computes one
+    # O(n) distance row per distinct node it visits (the pivot hops' nodes,
+    # then a and b, which are hops too), never more than 7, at every n
     import fuzzmap.fastmap as fmod
 
-    counts = {}
-    real = fmod.graph_distance_row
+    rows, visited = [], []
+    real_row, real_choose = fmod.graph_distance_row, fmod.choose_pivots
 
     def counting(g, u):
-        counts[g.n] = counts.get(g.n, 0) + 1
-        return real(g, u)
+        rows[-1] += 1
+        return real_row(g, u)
+
+    def recording(dist_row, n, seed):
+        rows.append(0)
+        visited.append(set())
+
+        def visit(u):
+            visited[-1].add(u)
+            return dist_row(u)
+
+        pair = real_choose(visit, n, seed)
+        visited[-1].update(pair or ())
+        return pair
 
     monkeypatch.setattr(fmod, "graph_distance_row", counting)
-    for n in (64, 128, 256):
-        g = gnp_random_graph(n, 8.0 / n, seed=n)
-        fastmap_embed(g, 4, seed=0)
-    assert len(set(counts.values())) == 1  # identical row count at every n
-    assert counts[64] == 7 * 4
+    monkeypatch.setattr(fmod, "choose_pivots", recording)
+    for n in (64, 128, 256, 1024):
+        rows.clear()
+        visited.clear()
+        fastmap_embed(gnp_random_graph(n, 8.0 / n, seed=n), 4, seed=0)
+        assert rows == [len(nodes) for nodes in visited]
+        assert len(rows) == 4 and max(rows) <= 7
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    p=st.floats(0.0, 1.0),
+    directed=st.booleans(),
+    graph_seed=st.integers(0, 2**16),
+    k=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_embed_matches_reference_bit_for_bit(n, p, directed, graph_seed, k, seed):
+    # each row computed once per axis gives the coordinates and pivots of
+    # recomputing every row from scratch, bit for bit
+    g = gnp_random_graph(n, p, seed=graph_seed, directed=directed)
+    e = fastmap_embed(g, k, seed)
+    coords, pivots = reference_fastmap(g, k, seed)
+    assert e.coords.tobytes() == coords.tobytes()
+    assert e.pivots == pivots
 
 
 @settings(max_examples=80, deadline=None)

@@ -76,6 +76,10 @@ def test_line_order_does_not_matter():
         ("1 2\n3 4 5\n", "line 2"),
         ("1 2\n3\n", "line 2"),
         ("1 2\n18446744073709551616 3\n", "line 2"),
+        # an even token count is not enough: each pair of tokens must hold one line
+        ("1\n2 3\n4\n", "line 1"),
+        ("1 2 3\n4\n", "line 1"),
+        ("1 2\n3\n4\n", "line 2"),
     ],
 )
 def test_malformed_lines_report_line_numbers(bad, fragment):

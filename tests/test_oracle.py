@@ -4,6 +4,7 @@ import math
 import re
 import struct
 import zlib
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from fuzzmap import (
     NodeRadii,
     adjacent,
     build,
+    compute_all_radii,
     default_fcl_text,
     default_system,
     evaluate,
@@ -259,6 +261,38 @@ def test_build_validation(uncertain_pair_graph):
     singleton = edgeless_graph(1)
     with pytest.raises(ValueError, match="graph must have at least 2 nodes"):
         build(singleton, k=2, seed=0)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("quantize", [True, False])
+def test_build_groups_once_and_matches_the_constructor(directed, quantize, monkeypatch):
+    # build groups the embedding once, for the radii scan and the model
+    # alike, and parses its FCL once; it saves what the keyword constructor
+    # over the same embedding and radii saves
+    from fuzzmap import fuzzy, radii
+
+    g = gnp_random_graph(80, 0.08, seed=5, directed=directed)
+    fcl_text = default_fcl_text()
+    e = fastmap_embed(g, 4, seed=3)
+    expected = CompressedGraph(embedding=e, radii=compute_all_radii(g, e, quantize=quantize),
+                               directed=directed, fuzzy=parse_fcl(fcl_text),
+                               external_ids=g.external_ids.copy(), fcl_text=fcl_text)
+    calls = Counter()
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name, modules in (("group_points", (radii, oracle)), ("node_states", (oracle,)),
+                          ("parse_fcl", (fuzzy, oracle))):
+        call = counted(name, getattr(oracle, name))
+        for module in modules:
+            monkeypatch.setattr(module, name, call)
+    cg = build(g, k=4, seed=3, quantize=quantize, fcl_text=fcl_text)
+    assert calls == {"group_points": 1, "node_states": 1, "parse_fcl": 1}
+    assert roundtrip(cg)[2] == roundtrip(expected)[2]
 
 
 # --- persistence -------------------------------------------------------------
