@@ -4,6 +4,11 @@ Graphs are simple (no self-loops, no duplicate edges) with dense internal
 ids 0..n-1. External ids from edge-list files may be arbitrary non-negative
 64-bit integers; they are remapped densely in sorted order, so the parsed
 graph does not depend on the order of lines in the input.
+
+Scratch stays in proportion to the input: the plain reader checks the
+text in line-aligned pieces of about 64 KiB (``_PLAIN_CHUNK``) before one
+conversion of the whole text, and the CSR build sorts the ids and the
+edge keys in buffers the size of the (m, 2) edge array, in place.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ _MAX_ID = 2**64 - 1
 _SPLIT = re.compile(r"\s*,\s*|[ \t]+")
 # the only bytes of a plain edge list, which _parse_plain reads without a line loop
 _PLAIN_BYTES = b"0123456789 \t\n"
+# bytes per piece of _parse_plain's checks; a piece runs on to the end of its last line
+_PLAIN_CHUNK = 1 << 16
 
 
 class GraphParseError(ValueError):
@@ -67,12 +74,17 @@ class Graph:
             raise ValueError(f"neighbor id out of range [0, {n})")
         owner = np.repeat(np.arange(n), np.diff(indptr))
         if np.any(indices == owner) or np.any(
-                (np.diff(indices) <= 0) & (owner[1:] == owner[:-1])):
+                (indices[1:] <= indices[:-1]) & (owner[1:] == owner[:-1])):
             raise ValueError("graph rows must hold sorted neighbors without self-loops or repeats")
         # the keys u * n + v are ascending by now; symmetric rows give the same keys for (v, u)
-        if not self.directed and not np.array_equal(np.sort(indices * n + owner),
-                                                    owner * n + indices):
-            raise ValueError("undirected graph rows must be symmetric")
+        if not self.directed:
+            flipped = indices * n
+            flipped += owner
+            flipped.sort()
+            owner *= n
+            owner += indices
+            if not np.array_equal(flipped, owner):
+                raise ValueError("undirected graph rows must be symmetric")
         ids = np.asarray(self.external_ids)
         if ids.shape != (n,) or np.any(ids[1:] <= ids[:-1]):
             raise ValueError("external_ids must hold n strictly increasing ids")
@@ -187,18 +199,39 @@ def graph_from_edges(pairs: Iterable[tuple[int, int]] | np.ndarray,
         ends = ends[~loops]
     if not ends.size:
         raise GraphParseError("empty graph")
-    ids, inverse = np.unique(ends.ravel(), return_inverse=True)
-    src, dst = inverse.astype(np.int64).reshape(-1, 2).T
-    if not directed:
-        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    # scratch is a few arrays the size of ``ends``, each dropped once used
+    flat = ends.ravel()
+    order = flat.argsort()
+    ranks = flat[order]  # the sorted ids, overwritten by their dense ranks
+    new = ranks[1:] != ranks[:-1]
+    ids = np.concatenate((ranks[:1], ranks[1:][new]))
     n = ids.shape[0]
+    ranks = ranks.view(np.int64)
+    ranks[0] = 0
+    np.cumsum(new, out=ranks[1:])
+    del new
+    dense = np.empty(flat.shape[0], dtype=np.int64)
+    dense[order] = ranks
+    del order, ranks
+    src, dst = dense[0::2], dense[1::2]
+    # the key u * n + v of each arc; undirected, both directions' keys overwrite dense
+    keys = src * n
+    keys += dst
+    if not directed:
+        dst *= n
+        dst += src
+        src[...] = keys
+        keys = dense
+    del dense, src, dst
     # not np.unique: without return_* flags numpy >= 2.3 hashes, ~30x slower than a sort here
-    keys = np.sort(src * n + dst)
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    rows, indices = np.divmod(keys, n)  # sorted, deduplicated
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return Graph(n=n, directed=directed, indptr=indptr, indices=indices, external_ids=ids)
+    keys.sort()
+    keep = np.concatenate(([True], keys[1:] != keys[:-1]))
+    if not keep.all():
+        keys = keys[keep]
+    del keep
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    keys %= n  # sorted, deduplicated rows of neighbor ids
+    return Graph(n=n, directed=directed, indptr=indptr, indices=keys, external_ids=ids)
 
 
 def _pairs_to_array(pairs: Iterable) -> np.ndarray:
@@ -260,22 +293,38 @@ def _parse_plain(data: str | bytes | bytearray) -> np.ndarray | None:
     Plain: only ASCII digits, spaces, tabs and '\n'; 0 or 2 tokens on every
     line; at least one token; no token of 20 or more digits, so every id is
     below 2**64. Such input parses as _parse_lines would, without raising.
+    The checks run one piece of whole lines at a time, so their scratch is
+    O(_PLAIN_CHUNK) unless one line is longer.
     """
     if isinstance(data, str):
         if not data.isascii():
             return None
         data = data.encode("ascii")
-    if not isinstance(data, (bytes, bytearray)) or data.translate(None, _PLAIN_BYTES):
+    if not isinstance(data, (bytes, bytearray)):
         return None
-    buf = np.frombuffer(data, dtype=np.uint8)
-    # digits are the only bytes >= '0' left; +1 where a run of them starts, -1 one past its end
-    steps = np.diff((buf >= ord("0")).view(np.int8), prepend=0, append=0)
-    starts, stops = np.flatnonzero(steps == 1), np.flatnonzero(steps == -1)
-    if not starts.size or (stops - starts).max() >= 20:
-        return None
-    # newlines between consecutive tokens: none inside a pair, at least one between pairs
-    breaks = np.diff(np.searchsorted(np.flatnonzero(buf == ord("\n")), starts))
-    if starts.size % 2 or np.any(breaks[0::2]) or not np.all(breaks[1::2]):
+    tokens = start = 0
+    while start < len(data):
+        # whole lines of at least _PLAIN_CHUNK bytes, or the rest of the text
+        stop = data.find(b"\n", start + _PLAIN_CHUNK - 1) + 1 or len(data)
+        piece = data[start:stop]
+        start = stop
+        if piece.translate(None, _PLAIN_BYTES):
+            return None
+        buf = np.frombuffer(piece, dtype=np.uint8)
+        # digits are the only bytes >= '0' left; +1 where a run of them starts, -1 one past its end
+        steps = np.diff((buf >= ord("0")).view(np.int8), prepend=0, append=0)
+        starts, stops = np.flatnonzero(steps == 1), np.flatnonzero(steps == -1)
+        if starts.size and (stops - starts).max() >= 20:
+            return None
+        # token starts and newlines in text order; the tokens of a line are the
+        # events between its newline and the one before, and there are 0 or 2
+        events = np.flatnonzero((steps[:-1] == 1) | (buf == ord("\n")))
+        lines = np.flatnonzero(buf[events] == ord("\n"))
+        per_line = np.diff(lines, prepend=-1, append=events.size) - 1
+        if np.any((per_line != 0) & (per_line != 2)):
+            return None
+        tokens += starts.size
+    if not tokens:
         return None
     # one C pass over checked text, exact to 2**64 - 1; it reads bytes, not a bytearray
     return np.fromstring(bytes(data), dtype=np.uint64, sep=" ").reshape(-1, 2)

@@ -25,10 +25,14 @@ buffer that holds a span of points. A node v on point p reads its
 neighbor distances from row p; a point q still holds a non-neighbor of
 v exactly when cnt[q] - #{neighbors of v on q} - [q == p] > 0, and every
 other point is masked out. The rule then runs on a chunk of nodes at
-once; ``compute_radii`` runs the same path for one node. Spans and
-chunks hold at most max(_BLOCK * u, _CHUNK) elements, so a thread's
-scratch is O(_BLOCK * u + _CHUNK). The gain depends on the collapse:
-with all points distinct (u = n) the scan costs O(n^2 k) as before.
+once, reading the span's rows in place: m is 0 while p holds a
+non-neighbor of v, else the distance to p's nearest other point while
+that one does. Only nodes failing both, and rows that need the exact R
+(every row when unquantized), copy and mask their point's row.
+``compute_radii`` runs the same path for one node. Spans and chunks
+hold at most max(_BLOCK * u, _CHUNK) elements, so a thread's scratch
+is O(_BLOCK * u + _CHUNK). The gain depends on the collapse: with all
+points distinct (u = n) the scan costs O(n^2 k) as before.
 """
 
 from __future__ import annotations
@@ -167,51 +171,90 @@ def _segment_max(values: np.ndarray, sizes: np.ndarray, empty: float) -> np.ndar
     return out
 
 
-def _radii_rule(
-    g: Graph, groups: PointGroups, nodes: np.ndarray, rows: np.ndarray, quantize: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """(r, R) for ``nodes``, given the distance row of each node's point.
+def _nearest_other(d: np.ndarray, first: int) -> np.ndarray:
+    """The nearest other point of each point first + i, whose distance row
+    is d[i]; the point itself when it is the only one."""
+    diagonal = np.arange(d.shape[0]), np.arange(first, first + d.shape[0])
+    d[diagonal] = np.inf
+    near = d.argmin(axis=1)
+    d[diagonal] = 0.0  # the kernel's distance from a point to itself
+    return near
 
-    ``rows`` is (len(nodes), u) and is overwritten. m = nearest
-    non-neighbor distance, M = farthest neighbor distance. r is the
-    largest neighbor distance strictly below m; R the smallest
-    non-neighbor distance strictly above M. Quantized, in one rounding
-    step: r = ceil(m) - 1 and R = floor(M) + 1. These integer candidates
-    are exact and sound below 2**53; where one is not (at or above 2**53,
-    m = +inf, or no neighbors), the unquantized radius is kept, r rounded
-    down to an integer.
+
+def _radii_rule(
+    g: Graph, groups: PointGroups, nodes: np.ndarray, d: np.ndarray, first: int,
+    near: np.ndarray, quantize: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """(r, R) for ``nodes``, whose points have distance rows in ``d``.
+
+    Row i of ``d`` is point first + i, and ``near[i]`` its nearest other
+    point (``_nearest_other``). m = nearest non-neighbor distance, M =
+    farthest neighbor distance. r is the largest neighbor distance
+    strictly below m; R the smallest non-neighbor distance strictly above
+    M. Quantized, in one rounding step: r = ceil(m) - 1 and R = floor(M)
+    + 1. These integer candidates are exact and sound below 2**53; where
+    one is not (at or above 2**53, m = +inf, or no neighbors), the
+    unquantized radius is kept, r rounded down to an integer.
+    m is 0 while a node's own point holds a non-neighbor, else the
+    distance to the nearest other point while that one does. Only nodes
+    failing both, and rows that need the exact R (every row when
+    unquantized), gather their point's row and mask it.
     The count mask needs CSR rows free of self-loops and repeats;
     ``Graph`` guarantees that.
     """
-    c, u = rows.shape
-    first = g.indptr[nodes]
-    deg = g.indptr[nodes + 1] - first
-    owner = np.repeat(np.arange(c), deg)  # row of each flat neighbor entry
-    flat = np.arange(owner.size) + np.repeat(first - (np.cumsum(deg) - deg), deg)
+    c, u = nodes.shape[0], groups.u
+    point = groups.inv[nodes]
+    pos = point - first  # each node's row of d
+    start = g.indptr[nodes]
+    deg = g.indptr[nodes + 1] - start
+    owner = np.repeat(np.arange(c), deg)  # node of each flat neighbor entry
+    flat = np.arange(owner.size) + np.repeat(start - (np.cumsum(deg) - deg), deg)
     nb_point = groups.inv[g.indices[flat]]
-    nbd = rows[owner, nb_point]
+    nbd = d[pos[owner], nb_point]
 
     # a point holds no non-neighbor of a node when every node on it is a
     # neighbor or the node itself; count (node, point) pairs by sorting keys
-    keys, taken = np.unique(np.concatenate([owner * u + nb_point,
-                                            np.arange(c) * u + groups.inv[nodes]]),
-                            return_counts=True)
-    np.put(rows, keys[groups.cnt[keys % u] <= taken], np.inf)
+    own = np.arange(c) * u + point
+    keys, taken = np.unique(np.concatenate([owner * u + nb_point, own]), return_counts=True)
+    spent = groups.cnt[keys % u] <= taken
+    # m is 0 while the own point holds a non-neighbor (every own key is among
+    # the keys), else the distance to the nearest other point while that one
+    # does; the nodes failing both scan their whole row
+    nearest = near[pos]
+    own_spent = spent[np.searchsorted(keys, own)]
+    m = np.where(own_spent, d[pos, nearest], 0.0)
+    other = own - point + nearest
+    at = np.minimum(np.searchsorted(keys, other), keys.size - 1)
+    scan = own_spent & spent[at] & (keys[at] == other)
 
-    m = rows.min(axis=1)
     M = _segment_max(nbd, deg, -np.inf)
+    if quantize:
+        # Q > M: every neighbor below Q; where it fails, the exact R is kept
+        Q = np.floor(M) + 1.0
+        exact = ~(Q > M)
+    else:
+        exact = np.ones(c, dtype=bool)
+    # copies of the rows that scan or need the exact R, their spent points masked
+    need = np.flatnonzero(scan | exact)
+    rows = d[pos[need]]
+    row_of = np.full(c, -1)
+    row_of[need] = np.arange(need.size)
+    spent_keys = keys[spent]
+    at = row_of[spent_keys // u]
+    np.put(rows, (at * u + spent_keys % u)[at >= 0], np.inf)
+    m[scan] = rows[scan[need]].min(axis=1)
+
     r = _segment_max(np.where(nbd < m[owner], nbd, R_NONE), deg, R_NONE)
     if quantize:
-        # q < m: no non-neighbor within q; Q > M: every neighbor below Q. Where
-        # q < m fails, floor(r) is still sound: r is -1 or lies in [0, m); where
-        # Q > M fails, the exact R is kept, so only those rows compute it
-        q, Q = np.ceil(m) - 1.0, np.floor(M) + 1.0
-        r, R, exact = np.where(q < m, q, np.floor(r)), Q, np.flatnonzero(~(Q > M))
+        # q < m: no non-neighbor within q. Where it fails, floor(r) is still
+        # sound: r is -1 or lies in [0, m)
+        q = np.ceil(m) - 1.0
+        r, R = np.where(q < m, q, np.floor(r)), Q
     else:
-        R, exact = np.empty(c), slice(None)
-    beyond = rows[exact]  # a view of every row, or a copy of the few exact ones
-    np.putmask(beyond, beyond <= M[exact, None], np.inf)
-    R[exact] = beyond.min(axis=1)  # m itself when m > M; +inf when nothing lies beyond M
+        R = np.empty(c)
+    np.putmask(rows, rows <= M[need, None], np.inf)
+    beyond = rows.min(axis=1)  # m itself when m > M; +inf when nothing lies beyond M
+    R[need[exact[need]]] = beyond[exact[need]]
     return r, R
 
 
@@ -221,8 +264,8 @@ def compute_radii(g: Graph, e: Embedding, v: int, quantize: bool = True) -> tupl
     g._check_id(v)
     groups = group_points(e.coords)
     p = int(groups.inv[v])
-    rows = _block_distances(groups.points_t, p, p + 1, *np.empty((2, 1, groups.u)))
-    r, R = _radii_rule(g, groups, np.array([v]), rows, quantize)
+    d = _block_distances(groups.points_t, p, p + 1, *np.empty((2, 1, groups.u)))
+    r, R = _radii_rule(g, groups, np.array([v]), d, p, _nearest_other(d, p), quantize)
     return float(r[0]), float(R[0])
 
 
@@ -256,11 +299,12 @@ def _grouped_radii(g: Graph, groups: PointGroups, quantize: bool) -> NodeRadii:
             stop = min(start + span, hi)
             for b in range(start, stop, _BLOCK):
                 _block_distances(groups.points_t, b, min(b + _BLOCK, stop), d[b - start :], tmp)
+            rows = d[: stop - start]
+            near = _nearest_other(rows, start)
             last = groups.offsets[stop]
             for a in range(groups.offsets[start], last, chunk):
                 nodes = groups.order[a : min(a + chunk, last)]
-                r[nodes], R[nodes] = _radii_rule(
-                    g, groups, nodes, d[groups.inv[nodes] - start], quantize)
+                r[nodes], R[nodes] = _radii_rule(g, groups, nodes, rows, start, near, quantize)
 
     blocks = -(-u // _BLOCK)
     workers = min(thread_count(), blocks, usable_cpus())

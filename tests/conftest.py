@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from fuzzmap import Graph, build, gnp_random_graph, graph_from_edges, preferential_attachment_graph
+from fuzzmap import (
+    Graph,
+    build,
+    canonical_edge_list,
+    gnp_random_graph,
+    graph_from_edges,
+    preferential_attachment_graph,
+)
 
 # 6-node graph with N(1) = {2, 5} whose k=2 quantized models put node 5
 # inside node 1's definite-yes radius, push 3/4/6 to definite no, and
@@ -21,6 +28,12 @@ def uncertain_pair_graph() -> Graph:
 def benchmark_model():
     """The query benchmark's model: BA(20000, 5, seed=1) at k = 8, seed 1."""
     return build(preferential_attachment_graph(20000, 5, seed=1), k=8, seed=1)
+
+
+@pytest.fixture(scope="session")
+def benchmark_edge_text() -> str:
+    """The compress benchmark's edge file: the canonical edge list of BA(20000, 5, seed=1)."""
+    return canonical_edge_list(preferential_attachment_graph(20000, 5, seed=1))
 
 
 @pytest.fixture

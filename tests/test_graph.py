@@ -1,6 +1,7 @@
 import io
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from fuzzmap import (
     graph_from_edges,
     parse_edge_list,
 )
-from fuzzmap.graph import _parse_lines, _parse_plain
+from fuzzmap import graph
+from fuzzmap.graph import _PLAIN_CHUNK, _parse_lines, _parse_plain
 from fuzzmap.harness import _edge_keys
 
 from conftest import HIGH_ID_EDGES
@@ -271,19 +273,70 @@ def _outcome(parse):
         return type(exc), str(exc)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, _PLAIN_CHUNK])
 @settings(max_examples=400, deadline=None)
 @given(text=_edge_lines(), directed=st.booleans())
-def test_plain_reader_matches_line_loop(text, directed):
+def test_plain_reader_matches_line_loop(chunk, text, directed):
+    # pieces of 1 or 7 bytes end after every line or every few lines
     data = text.encode("ascii")
-    plain = _parse_plain(data)
-    event("plain reader" if plain is not None else "line loop")
-    if plain is not None:
-        reference = _parse_lines(text)
-        assert plain.dtype == reference.dtype == np.uint64
-        assert np.array_equal(plain, reference)
-    expected = _outcome(lambda: graph_from_edges(_parse_lines(text), directed=directed))
-    for form in (text, data, bytearray(data), io.BytesIO(data), io.StringIO(text)):
-        assert _outcome(lambda: parse_edge_list(form, directed=directed)) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_PLAIN_CHUNK", chunk)
+        plain = _parse_plain(data)
+        event("plain reader" if plain is not None else "line loop")
+        if plain is not None:
+            reference = _parse_lines(text)
+            assert plain.dtype == reference.dtype == np.uint64
+            assert np.array_equal(plain, reference)
+        expected = _outcome(lambda: graph_from_edges(_parse_lines(text), directed=directed))
+        for form in (text, data, bytearray(data), io.BytesIO(data), io.StringIO(text)):
+            assert _outcome(lambda: parse_edge_list(form, directed=directed)) == expected
+
+
+@pytest.mark.parametrize("last, outcome", [
+    ("7 8 9", "line 30001: expected two integer tokens, got 3"),
+    ("18446744073709551616 7", "line 30001: node id out of 64-bit range"),
+    ("18446744073709551615 7", None),  # 20 digits, in range: only the loop reads it
+], ids=["three-tokens", "id-out-of-range", "20-digit-id"])
+def test_last_piece_alone_not_plain_goes_to_the_line_loop(last, outcome):
+    # every piece but the last passes the plain checks
+    text = "".join(f"{i} {i + 1}\n" for i in range(30000)) + last + "\n"
+    assert len(text) > 3 * _PLAIN_CHUNK
+    assert _parse_plain(text) is None
+    if outcome is not None:
+        with pytest.raises(GraphParseError, match=outcome):
+            parse_edge_list(text)
+    else:
+        g = parse_edge_list(text)
+        assert g.n == 30002 and g.num_edges == 30001
+        assert g.external_id(g.n - 1) == 2**64 - 1
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reader_memory_is_linear_in_text(benchmark_edge_text):
+    # the checks hold one piece of scratch at a time; the (m, 2) ids the
+    # reader returns are 1.6 times the text on its own
+    data = benchmark_edge_text.encode("ascii")
+    assert len(data) > 10 * _PLAIN_CHUNK
+    assert _traced_peak(lambda: _parse_plain(data)) < 3 * len(data)
+    # and the whole parse holds no more than the ids and the graph build's scratch
+    ends_bytes = _parse_plain(data).nbytes
+    assert _traced_peak(lambda: parse_edge_list(data)) < ends_bytes + 4 * ends_bytes
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_graph_build_memory_is_linear_in_edges(benchmark_edge_text, directed):
+    # one sort of the ids and one of the keys, each in place on a buffer
+    # the size of the edge array
+    ends = _parse_plain(benchmark_edge_text.encode("ascii"))
+    assert _traced_peak(lambda: graph_from_edges(ends, directed=directed)) < 4 * ends.nbytes
 
 
 @pytest.mark.parametrize(

@@ -170,6 +170,38 @@ def test_coincident_non_neighbor_forces_sentinel():
         assert r == -1.0  # d <= 0 must never answer yes
 
 
+# node 0 sits alone at 0.0, so its own point holds no non-neighbor and m
+# comes from the nearest other point, at 1.0: in the first case that point
+# holds a non-neighbor (node 2); in the second every node on it is a
+# neighbor, and node 0 scans its whole row, finding m = 3 at node 3
+NEAREST_POINT_CASES = {
+    "nearest-point-holds-non-neighbor": (
+        [(0, 1), (0, 3), (2, 3), (3, 4)],
+        [[0.0], [1.0], [1.0], [3.0], [5.0]]),
+    "nearest-point-all-neighbors": (
+        [(0, 1), (0, 2), (0, 4), (1, 3), (2, 5), (3, 5)],
+        [[0.0], [1.0], [1.0], [3.0], [3.0], [5.0]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEAREST_POINT_CASES))
+@pytest.mark.parametrize("quantize", [False, True])
+@pytest.mark.parametrize("directed", [False, True])
+def test_nearest_point_and_its_fallback_match_sort_scan(case, quantize, directed):
+    edges, coords = NEAREST_POINT_CASES[case]
+    g = graph_from_edges(edges, directed=directed)
+    e = embed_of(coords)
+    every = compute_all_radii(g, e, quantize=quantize)
+    for v in range(g.n):
+        want = radii_sort_scan(labelled_distances(g, e.coords, v), quantize)
+        assert compute_radii(g, e, v, quantize=quantize) == want, f"node {v}"
+        assert (every.r[v], every.R[v]) == want, f"node {v}"
+    # node 0's r lies below m = 1 in the first case and m = 3 in the second
+    m = 1.0 if case == "nearest-point-holds-non-neighbor" else 3.0
+    assert every.r[0] == {(1.0, False): -1.0, (1.0, True): 0.0,
+                          (3.0, False): 1.0, (3.0, True): 2.0}[m, quantize]
+
+
 def test_boundary_tie_neighbor_and_non_neighbor():
     # neighbor and non-neighbor both at distance 2: the non-neighbor wins
     # for r (r stays below 2), the neighbor wins for R (R stays above 2)
