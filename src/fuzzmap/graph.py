@@ -368,5 +368,7 @@ def canonical_edge_list(g: Graph) -> str:
     """
     us, vs = g.edges()  # internal order == ascending external order
     ext = g.external_ids
-    lines = [f"{a} {b}" for a, b in zip(ext[us].tolist(), ext[vs].tolist())]
-    return "\n".join(lines) + "\n"
+    ends = np.empty((us.shape[0], 2), dtype=ext.dtype)
+    ends[:, 0], ends[:, 1] = ext[us], ext[vs]
+    # tolist gives Python ints, which %d writes exactly beyond int64
+    return ("%d %d\n" * us.shape[0]) % tuple(ends.ravel().tolist()) or "\n"

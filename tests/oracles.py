@@ -3,7 +3,9 @@
 Deliberately written with different algorithms and plain Python so they
 share no code path with the implementations they check. The one exception
 is ``reference_fastmap``: it builds on fuzzmap's own distance rows, so it
-checks how ``fastmap_embed`` schedules them, not the row arithmetic.
+checks how ``fastmap_embed`` schedules them, not the row arithmetic. The
+reference generators hand their pairs to ``graph_from_edges``, so they
+check which pairs the bulk generators draw, not how a graph is built.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from itertools import groupby
 import numpy as np
 
 from fuzzmap.fastmap import graph_distance_row, residual_distance
+from fuzzmap.graph import graph_from_edges
 
 
 def norm_oracle(p, q) -> float:
@@ -168,3 +171,53 @@ def mamdani_centroid_oracle(x: float, samples: int = 1_000_000) -> float:
     if den == 0.0:
         return 0.5
     return num / den
+
+
+def reference_gnp_random_graph(n: int, p: float, seed: int, directed: bool = False):
+    """G(n, p) as ``gnp_random_graph`` draws it, one ``rng.random`` call per row."""
+    rng = np.random.default_rng(seed)
+    pairs: list[tuple[int, int]] = []
+    for u in range(n):
+        if directed:
+            hits = np.flatnonzero(rng.random(n) < p)
+            pairs.extend((u, int(v)) for v in hits if v != u)
+        else:
+            hits = np.flatnonzero(rng.random(n - u - 1) < p)
+            pairs.extend((u, u + 1 + int(v)) for v in hits)
+    if not pairs:
+        pairs = [(0, 1)]
+    g = graph_from_edges(pairs, directed=directed)
+    if g.n == n:
+        return g
+    # isolated nodes cannot come from an edge list; re-anchor them to node 0,
+    # and node 0 itself to node 1 when it is the only one missing
+    present = set(int(e) for e in g.external_ids)
+    extra = [(0, u) for u in range(1, n) if u not in present] or [(0, 1)]
+    return graph_from_edges(pairs + extra, directed=directed)
+
+
+def reference_preferential_attachment_graph(n: int, m: int, seed: int):
+    """BA(n, m) as ``preferential_attachment_graph`` draws it, one ``rng.integers`` call per target."""
+    rng = np.random.default_rng(seed)
+    pairs: list[tuple[int, int]] = []
+    # endpoints repeated by degree; seeded with a star on the first m+1 nodes
+    repeated: list[int] = []
+    for v in range(1, m + 1):
+        pairs.append((0, v))
+        repeated.extend((0, v))
+    for v in range(m + 1, n):
+        targets: set[int] = set()
+        while len(targets) < m:
+            targets.add(repeated[int(rng.integers(len(repeated)))])
+        for t in targets:
+            pairs.append((v, t))
+            repeated.extend((v, t))
+    return graph_from_edges(pairs)
+
+
+def reference_edge_list(g) -> str:
+    """Canonical edge text joined from one f-string per edge."""
+    us, vs = g.edges()
+    ext = g.external_ids
+    lines = [f"{a} {b}" for a, b in zip(ext[us].tolist(), ext[vs].tolist())]
+    return "\n".join(lines) + "\n"

@@ -20,8 +20,8 @@ from fuzzmap import graph
 from fuzzmap.graph import _PLAIN_CHUNK, _parse_lines, _parse_plain
 from fuzzmap.harness import _edge_keys
 
-from conftest import HIGH_ID_EDGES
-from oracles import adjacency_sets_oracle
+from conftest import HIGH_ID_EDGES, edgeless_graph
+from oracles import adjacency_sets_oracle, reference_edge_list
 
 
 def test_parse_two_edges_external_ids():
@@ -153,6 +153,14 @@ def test_roundtrip_directed():
     assert parse_edge_list(canonical_edge_list(g), directed=True) == g
 
 
+@pytest.mark.parametrize("directed", [False, True])
+def test_canonical_edge_list_matches_per_edge_join(directed):
+    for g in (graph_from_edges(HIGH_ID_EDGES, directed=directed),
+              parse_edge_list("5 1\n1 5\n2 5\n", directed=directed),
+              edgeless_graph(3)):
+        assert canonical_edge_list(g) == reference_edge_list(g)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     edges=st.sets(
@@ -164,6 +172,7 @@ def test_roundtrip_directed():
 )
 def test_roundtrip_property(edges, directed):
     g = graph_from_edges(list(edges), directed=directed)
+    assert canonical_edge_list(g) == reference_edge_list(g)
     assert parse_edge_list(canonical_edge_list(g), directed=directed) == g
     total = sum(len(g.neighbors(u)) for u in range(g.n))
     assert total == (g.num_edges if directed else 2 * g.num_edges)
