@@ -364,7 +364,10 @@ def canonical_edge_list(g: Graph) -> str:
     """Emit the canonical edge list (external ids, sorted, one edge per line).
 
     Re-parsing the result with the same directed flag reproduces the Graph
-    exactly.
+    exactly when every node has an edge, as in any graph the parser or
+    ``graph_from_edges`` makes. A node without edges is not written, and a
+    graph with no edges gives "\n", which ``parse_edge_list`` rejects as an
+    empty graph (GraphParseError).
     """
     us, vs = g.edges()  # internal order == ascending external order
     ext = g.external_ids

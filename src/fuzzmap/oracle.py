@@ -19,8 +19,10 @@ undecided sides and combines them. Both paths answer bit for bit alike.
 
 Models persist in the FZG1 binary format with a CRC32 trailer, written
 and read as held: each of the u points once, each of the t node states
-once, and one u32 state index per node; external ids that are a range
-lo..lo+n-1 take only lo.
+once, and one state index per node; external ids that are a range
+lo..lo+n-1 take only lo. Point and state indices are bit-packed, each in
+just the bits its count needs: (u - 1).bit_length() for a point index,
+(t - 1).bit_length() for a state index.
 """
 
 from __future__ import annotations
@@ -42,12 +44,12 @@ from .radii import (R_NONE, NodeRadii, _block_distances, _grouped_radii, group_p
                     pair_distances)
 
 MAGIC = b"FZG1"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _FLAG_DIRECTED = 1
 _FLAG_QUANTIZED = 2
 _FLAG_ID_RANGE = 4  # external ids are lo..lo+n-1; the id block holds lo alone
 _HEADER = struct.Struct("<4sIIQIIQQ")  # magic, version, flags, n, k, fcl_len, u, t
-_MAX_U32_INDEXED = 2**32  # point and state indices are u32: at most this many of each
+_MAX_INDEXED = 2**32  # point and state indices take at most 32 bits: at most this many of each
 # a derived table may take this many bytes per byte of n x k f64 coordinates, which
 # the model does not hold: the t x t pair table is kept while itemsize * t**2 <= 8 * k * n.
 # Its sides are scored only while 8 * u**2 <= 8 * k * n, as if a u x u f64
@@ -433,15 +435,18 @@ def save(cg: CompressedGraph, sink: IO[bytes]) -> int:
     fcl_len, u, t); the id block, lo alone (u64) when the external ids are
     lo..lo+n-1 (flag bit2), else n x u64 ids; u x k f64 distinct points
     (row-major, in ``group_points`` order); the t node states, in
-    ``node_states`` order, as t x (f64 r, f64 R) then t x u32 point index;
-    n x u32 state index; fcl_len bytes of UTF-8 FCL; CRC32 of everything
-    preceding. In all 44 + 8 * (1 or n) + 8uk + 20t + 4n + fcl_len + 4
-    bytes, written as held, with no sort. Raises ValueError for more than
-    2**32 distinct points or node states.
+    ``node_states`` order, as t x (f64 r, f64 R) then t point indices of
+    w_u = (u - 1).bit_length() bits each; n state indices of w_t =
+    (t - 1).bit_length() bits each; fcl_len bytes of UTF-8 FCL; CRC32 of
+    everything preceding. Each index field is packed little-endian (see
+    _pack_bits), its unused high bits zero. In all 44 + 8 * (1 or n) +
+    8uk + 16t + ceil(w_u * t / 8) + ceil(w_t * n / 8) + fcl_len + 4 bytes,
+    written as held, with no sort. Raises ValueError for more than 2**32
+    distinct points or node states.
     """
     n, k, u, states = cg.n, cg.k, cg.u, cg.states
     for count, what in ((u, "distinct points"), (states.t, "node states")):
-        if count > _MAX_U32_INDEXED:
+        if count > _MAX_INDEXED:
             raise ValueError(f"{count} {what} exceed the format's limit of 2**32")
     ids = np.ascontiguousarray(cg.external_ids, dtype="<u8")
     id_range = np.array_equal(ids, ids[0] + np.arange(n, dtype=np.uint64))
@@ -453,14 +458,43 @@ def save(cg: CompressedGraph, sink: IO[bytes]) -> int:
         (ids[:1] if id_range else ids).tobytes(),
         np.ascontiguousarray(cg.points_t.T, dtype="<f8").tobytes(),
         np.ascontiguousarray(np.column_stack([states.r, states.R]), dtype="<f8").tobytes(),
-        states.point.astype("<u4").tobytes(),
-        states.index.astype("<u4").tobytes(),
+        _pack_bits(states.point, _index_bits(u)),
+        _pack_bits(states.index, _index_bits(states.t)),
         fcl,
     ]
     blob = b"".join(parts)
     blob += struct.pack("<I", zlib.crc32(blob))
     sink.write(blob)
     return len(blob)
+
+
+def _index_bits(count: int) -> int:
+    """Bits per index into ``count`` items: 0 when there is one item."""
+    return (count - 1).bit_length()
+
+
+def _packed_size(count: int, w: int) -> int:
+    """Bytes of ``count`` packed fields of ``w`` bits."""
+    return -(-count * w // 8)
+
+
+def _pack_bits(values: np.ndarray, w: int) -> bytes:
+    """Values below 2**w, w <= 32, as consecutive w-bit fields, little-endian.
+
+    Field i holds bits i*w .. i*w + w - 1 of the output, least significant
+    bit first, and the unused high bits of the last byte are zero. Only
+    the low ceil(w / 8) bytes of each value are unpacked, a byte a bit, so
+    scratch is 4 + w bytes a value, not 32.
+    """
+    cells = values.astype("<u4").view(np.uint8).reshape(-1, 4)[:, : -(-w // 8)]
+    bits = np.unpackbits(cells, axis=1, count=w, bitorder="little")
+    return np.packbits(bits, bitorder="little").tobytes()
+
+
+def _unpack_bits(buf, count: int, w: int) -> np.ndarray:
+    """The ``count`` w-bit fields at the start of ``buf``, as u32; see _pack_bits."""
+    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), count=count * w, bitorder="little")
+    return bits.reshape(count, w) @ (np.uint32(1) << np.arange(w, dtype=np.uint32))
 
 
 def _coordinate_limit(k: int) -> float:
@@ -472,10 +506,13 @@ def load(source: IO[bytes]) -> CompressedGraph:
     """Read an FZG1 stream back into a model; errors name the byte offset.
 
     The header is checked against the stream length before any array is
-    made, and each state's radii once per state. Points and states must be
-    in the order save writes (see NodeStates), which the pair table needs.
-    The model holds read-only copies of the file's arrays: no sort, no
-    gather and one FCL parse.
+    made, and each state's radii once per state. The widths of the packed
+    point and state indices follow from the header's u and t; each index
+    must be below its count and each field's padding bits zero. Points and
+    states must be in the order save writes (see NodeStates), which the
+    pair table needs. The model holds read-only copies of the file's
+    arrays, the indices unpacked to intp: no sort, no gather and one FCL
+    parse.
     """
     blob = source.read()
     if len(blob) < _HEADER.size:
@@ -489,13 +526,15 @@ def load(source: IO[bytes]) -> CompressedGraph:
         raise ModelFormatError(f"unknown flag bits {flags:#x} at offset 8")
     if k < 1:
         raise ModelFormatError(f"invalid dimension k={k} at offset 20")
-    if not 1 <= u <= min(n, _MAX_U32_INDEXED):
+    if not 1 <= u <= min(n, _MAX_INDEXED):
         raise ModelFormatError(f"invalid point count u={u} for n={n} at offset 28")
-    if not 1 <= t <= min(n, _MAX_U32_INDEXED):
+    if not 1 <= t <= min(n, _MAX_INDEXED):
         raise ModelFormatError(f"invalid state count t={t} for n={n} at offset 36")
     id_count = 1 if flags & _FLAG_ID_RANGE else n
+    w_u, w_t = _index_bits(u), _index_bits(t)
     # Python ints: no overflow
-    expected = _HEADER.size + 8 * id_count + 8 * u * k + 20 * t + 4 * n + fcl_len + 4
+    expected = (_HEADER.size + 8 * id_count + 8 * u * k + 16 * t + _packed_size(t, w_u)
+                + _packed_size(n, w_t) + fcl_len + 4)
     if len(blob) != expected:
         raise ModelFormatError(
             f"truncated or oversized stream: expected {expected} bytes, got {len(blob)}"
@@ -530,20 +569,18 @@ def load(source: IO[bytes]) -> CompressedGraph:
     _reject_first((state_R == np.inf) | (np.isfinite(state_R) & (state_R >= 0.0)), radii_at + 8,
                   16, "invalid radius R")
     off = radii_at + 16 * t
-    state_point = np.frombuffer(blob, dtype="<u4", count=t, offset=off)
-    _reject_first(state_point < u, off, 4, "point index out of range")
+    state_point = _read_indices(blob, off, t, u, "point index")
     # a state is named by the offset of its r
     keys = np.column_stack([state_point.astype(np.uint64), state_radii.view("<u8")])
     _reject_first(_increasing(keys), radii_at + 16, 16, "node states out of order")
     held = np.zeros(u, dtype=bool)
     held[state_point] = True
     _reject_first(held, points_at, 8 * k, "point without a node state")
-    off += 4 * t
-    state_index = np.frombuffer(blob, dtype="<u4", count=n, offset=off)
-    _reject_first(state_index < t, off, 4, "state index out of range")
+    off += _packed_size(t, w_u)
+    state_index = _read_indices(blob, off, n, t, "state index")
     _reject_first(np.bincount(state_index, minlength=t) > 0, radii_at, 16,
                   "node state without a node")
-    off += 4 * n
+    off += _packed_size(n, w_t)
     try:
         fcl_text = blob[off : off + fcl_len].decode("utf-8")
         fuzzy = parse_fcl(fcl_text)
@@ -558,6 +595,24 @@ def load(source: IO[bytes]) -> CompressedGraph:
         points_t=points.T.astype(np.float64, order="C"), states=states,
         directed=bool(flags & _FLAG_DIRECTED), quantized=bool(flags & _FLAG_QUANTIZED),
         fuzzy=fuzzy, external_ids=external_ids, fcl_text=fcl_text)
+
+
+def _read_indices(blob: bytes, off: int, count: int, bound: int, what: str) -> np.ndarray:
+    """The ``count`` packed indices into ``bound`` items at ``off``, checked.
+
+    Nonzero padding bits name the field's last byte; an index of ``bound``
+    or more names the byte that holds its first bit.
+    """
+    w = _index_bits(bound)
+    end = off + _packed_size(count, w)
+    used = count * w % 8  # bits of the last byte that hold a field
+    if used and blob[end - 1] >> used:
+        raise ModelFormatError(f"nonzero padding bits at offset {end - 1}")
+    values = _unpack_bits(memoryview(blob)[off:end], count, w)
+    bad = np.flatnonzero(values >= bound)
+    if bad.size:
+        raise ModelFormatError(f"{what} out of range at offset {off + int(bad[0]) * w // 8}")
+    return values
 
 
 def _increasing(rows: np.ndarray) -> np.ndarray:

@@ -93,20 +93,29 @@ def adjacency_sets_oracle(pairs, directed: bool) -> tuple[list[int], list[set[in
 
 
 def fzg1_size_oracle(coords, r, R, external_ids, k: int, fcl_len: int) -> int:
-    """Expected FZG1 version 3 file size, counted with plain sets.
+    """Expected FZG1 version 4 file size, counted with plain sets.
 
     A 44-byte header; the id block, lo alone when the ids are consecutive;
     each distinct point (k f64); each distinct (point, r, R) state, radii
-    compared by their f64 bytes (r, R and a u32 point index: 20 bytes);
-    a u32 state index per node; the FCL text and a 4-byte CRC. Points
-    compare as Python floats, so 0.0 and -0.0 share one.
+    compared by their f64 bytes (r and R: 16 bytes), then one point index
+    a state in the bits that number the points, packed; one state index
+    a node in the bits that number the states, packed; the FCL text and a
+    4-byte CRC. Points compare as Python floats, so 0.0 and -0.0 share one.
     """
     points = [tuple(row) for row in coords]
     ids = [int(e) for e in external_ids]
     n = len(ids)
     id_block = 8 if ids == list(range(ids[0], ids[0] + n)) else 8 * n
     states = {(p, struct.pack("<d", a), struct.pack("<d", b)) for p, a, b in zip(points, r, R)}
-    return 44 + id_block + 8 * k * len(set(points)) + 20 * len(states) + 4 * n + fcl_len + 4
+    u, t = len(set(points)), len(states)
+
+    def packed(count, items):  # bits for one of `items` values: 0 for one item
+        bits = 0
+        while 2**bits < items:
+            bits += 1
+        return (count * bits + 7) // 8
+
+    return 44 + id_block + 8 * k * u + 16 * t + packed(t, u) + packed(n, t) + fcl_len + 4
 
 
 def reference_fastmap(g, k: int, seed: int):

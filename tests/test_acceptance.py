@@ -175,9 +175,11 @@ def test_criterion_5_fcl_round_trip():
 
 
 def test_criterion_6_linear_storage():
-    """Bytes = 44 + 8 + 8uk + 20t + 4n + fcl_len + 4 exactly for ids 0..n-1,
-    u the distinct points and t the distinct (point, r, R) states
-    (u <= t <= n); the per-node part is 4n, so 10x nodes = exactly 10x of it."""
+    """Bytes = 44 + 8 + 8uk + 16t + ceil(w_u t / 8) + ceil(w_t n / 8) + fcl_len + 4
+    exactly for ids 0..n-1, u the distinct points, t the distinct (point, r, R)
+    states (u <= t <= n), and w_u = (u - 1).bit_length() and w_t = (t - 1).bit_length()
+    the bits of a packed point and state index; the per-node part is ceil(w_t n / 8),
+    and w_t = 4 at both sizes, so 10x nodes = exactly 10x of it."""
     ok = False
     try:
         node_bytes = {}
@@ -189,20 +191,22 @@ def test_criterion_6_linear_storage():
             blob = buf.getvalue()
             # the per-node part of the stream, from the header's own k, fcl_len, u and t
             _, _, flags, _, k, fcl_len, u, t = struct.unpack_from("<4sIIQIIQQ", blob, 0)
-            node_bytes[n] = len(blob) - 44 - 8 - 8 * u * k - 20 * t - fcl_len - 4
+            w_u, w_t = (u - 1).bit_length(), (t - 1).bit_length()
+            node_bytes[n] = len(blob) - 44 - 8 - 8 * u * k - 16 * t - -(-w_u * t // 8) - fcl_len - 4
             assert flags & 4  # ids 0..n-1: the id block is lo alone
             assert 1 <= u == group_points(cg.embedding.coords).u <= t == cg.states.t <= n
-            assert (k, fcl_len) == (4, len(cg.fcl_text.encode("utf-8")))
-            assert len(blob) == 44 + 8 + 8 * u * 4 + 20 * t + 4 * n + fcl_len + 4, f"size off at n={n}"
+            assert (k, fcl_len, w_t) == (4, len(cg.fcl_text.encode("utf-8")), 4)
+            assert len(blob) == (44 + 8 + 8 * u * 4 + 16 * t + -(-w_u * t // 8) + -(-w_t * n // 8)
+                                 + fcl_len + 4), f"size off at n={n}"
             assert len(blob) == fzg1_size_oracle(cg.embedding.coords.tolist(), cg.radii.r.tolist(),
                                                  cg.radii.R.tolist(), cg.external_ids, 4, fcl_len)
-        assert node_bytes[10000] == 10 * node_bytes[1000]
-        # worst case, every row distinct: u = t = n
+        assert node_bytes[10000] == 10 * node_bytes[1000] == 10 * 1000 // 2
+        # worst case, every row distinct: u = t = n, 14 bits for each index
         distinct = Embedding(coords=np.arange(4.0 * n).reshape(n, 4))
         total = save(CompressedGraph(embedding=distinct, radii=cg.radii, directed=cg.directed,
                                      fuzzy=cg.fuzzy, external_ids=cg.external_ids,
                                      fcl_text=cg.fcl_text), io.BytesIO())
-        assert total == 44 + 8 + n * (8 * 4 + 20 + 4) + fcl_len + 4
+        assert total == 44 + 8 + n * (8 * 4 + 16) + 2 * (14 * n // 8) + fcl_len + 4
         ok = True
     finally:
         _report(6, "linear storage", ok)

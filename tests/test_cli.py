@@ -80,7 +80,7 @@ def test_info_reports_node_states(sample_model, tmp_path, capsys):
                              cg.radii.R.tolist()))
         assert fields["node_states"] == str(len(states))
         assert int(fields["distinct_points"]) <= len(states) <= cg.n
-        assert fields["version"] == "3"
+        assert fields["version"] == "4"
 
 
 def star_model(tmp_path, capsys):

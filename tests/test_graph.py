@@ -161,6 +161,15 @@ def test_canonical_edge_list_matches_per_edge_join(directed):
         assert canonical_edge_list(g) == reference_edge_list(g)
 
 
+def test_canonical_edge_list_of_no_edges_does_not_parse():
+    # nodes without edges are not written, so an edgeless graph gives a
+    # lone newline, which the parser rejects as an empty graph
+    text = canonical_edge_list(edgeless_graph(3))
+    assert text == "\n"
+    with pytest.raises(GraphParseError, match="empty graph"):
+        parse_edge_list(text)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     edges=st.sets(

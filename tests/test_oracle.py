@@ -397,7 +397,7 @@ def test_sentinels_survive_roundtrip():
 
 
 def model_size(cg: CompressedGraph) -> int:
-    """The version 3 size, from points, states and ids counted independently."""
+    """The version 4 size, from points, states and ids counted independently."""
     return fzg1_size_oracle(cg.embedding.coords.tolist(), cg.radii.r.tolist(), cg.radii.R.tolist(),
                             cg.external_ids, cg.k, len(cg.fcl_text.encode("utf-8")))
 
@@ -409,32 +409,36 @@ def test_file_layout_exact_sizes():
     fcl_len = len(cg.fcl_text.encode("utf-8"))
     assert group_points(cg.embedding.coords).u == 27  # the embedding collapses
     assert cg.states.t == 49  # and so do the radii on its points
-    # ids 0..99: the id block is lo alone
-    assert nbytes == model_size(cg) == 44 + 8 + 8 * 27 * 4 + 20 * 49 + 4 * 100 + fcl_len + 4
+    # ids 0..99: the id block is lo alone; a point index takes 5 bits (u = 27)
+    # and a state index 6 (t = 49): ceil(5 * 49 / 8) and 6 * 100 / 8 bytes
+    assert nbytes == model_size(cg) == 44 + 8 + 8 * 27 * 4 + 16 * 49 + 31 + 75 + fcl_len + 4
     assert blob[:4] == b"FZG1"
-    assert struct.unpack_from("<IQ", blob, 4)[0] == 3  # version
+    assert struct.unpack_from("<IQ", blob, 4)[0] == 4  # version
     assert struct.unpack_from("<I", blob, 8)[0] == 4 | 2  # flags: ids are a range, quantized
     assert struct.unpack_from("<QQQ", blob, 28) == (27, 49, 0)  # u, t, lo
-    # worst case, every row distinct and ids not a range: u = t = n, 4 bytes
-    # a node (and the 8-byte t field) more than version 2
+    # worst case, every row distinct and ids not a range: u = t = n = 6, so
+    # each index takes 3 bits; against version 2, the u32 point index a node
+    # goes, the 8-byte t field and two 3-byte packed fields come
     distinct = remodel(
         manual_model(np.arange(12.0).reshape(6, 2), r=[-1.0] * 6, R=[np.inf] * 6),
         external_ids=np.array([1, 3, 5, 7, 9, 11], dtype=np.uint64))
     _, nbytes, blob = roundtrip(distinct)
     assert group_points(distinct.embedding.coords).u == distinct.states.t == 6
     fcl_len = len(distinct.fcl_text.encode("utf-8"))
-    assert nbytes == model_size(distinct) == 44 + 8 * 6 + 8 * 6 * 2 + 20 * 6 + 4 * 6 + fcl_len + 4
-    assert nbytes == (36 + 28 * 6 + 8 * 6 * 2 + fcl_len + 4) + 4 * 6 + 8
+    assert nbytes == model_size(distinct) == 44 + 8 * 6 + 8 * 6 * 2 + 16 * 6 + 3 + 3 + fcl_len + 4
+    assert nbytes == (36 + 28 * 6 + 8 * 6 * 2 + fcl_len + 4) - 4 * 6 + 8 + 2 * 3
     assert struct.unpack_from("<I", blob, 8)[0] == 0  # flags: explicit ids
 
 
 def stream_node_bytes(blob: bytes) -> int:
     """The per-node part of a saved stream: its length less the header, the
-    range id block, the points, the states, the FCL text and the CRC, with
-    flags, k, fcl_len, u and t read from the stream's own header."""
+    range id block, the points, the states (radii and packed point
+    indices), the FCL text and the CRC, with flags, k, fcl_len, u and t
+    read from the stream's own header."""
     _, _, flags, _, k, fcl_len, u, t = struct.unpack_from("<4sIIQIIQQ", blob, 0)
     lo_bytes = 8 if flags & 4 else 0
-    return len(blob) - 44 - lo_bytes - 8 * u * k - 20 * t - fcl_len - 4
+    point_bytes = -(-t * (u - 1).bit_length() // 8)
+    return len(blob) - 44 - lo_bytes - 8 * u * k - 16 * t - point_bytes - fcl_len - 4
 
 
 def test_linear_growth_in_n():
@@ -444,15 +448,15 @@ def test_linear_growth_in_n():
         cg = build(g, k=4, seed=0)
         _, _, blob = roundtrip(cg)
         assert 1 <= struct.unpack_from("<Q", blob, 28)[0] == group_points(cg.embedding.coords).u <= n
-        assert 1 <= struct.unpack_from("<Q", blob, 36)[0] == cg.states.t <= n
+        assert 33 <= struct.unpack_from("<Q", blob, 36)[0] == cg.states.t <= 64
         node_bytes[n] = stream_node_bytes(blob)
         assert len(blob) == model_size(cg)
-        assert node_bytes[n] == 4 * n  # ids 0..n-1: a u32 state index a node
+        assert node_bytes[n] == 6 * n // 8  # ids 0..n-1: a 6-bit state index a node
     assert node_bytes[200] == 2 * node_bytes[100]
     assert node_bytes[400] == 4 * node_bytes[100]
-    # explicit ids add one u64 a node: 12n, still linear
+    # explicit ids add one u64 a node: 8.75n, still linear
     _, _, blob = roundtrip(remodel(cg, external_ids=cg.external_ids * 2))
-    assert stream_node_bytes(blob) == 12 * 400
+    assert stream_node_bytes(blob) == 8 * 400 + 6 * 400 // 8
 
 
 def test_load_errors_name_offending_offsets(uncertain_pair_graph):
@@ -526,13 +530,16 @@ def _rewritten(blob: bytes, offset: int, fmt: str, value) -> bytes:
 
 # uncertain_pair_graph at k=2: n = u = t = 6 (no two rows coincide) and ids
 # 1..6, so the id block is lo alone: lo at 44, points at 52, state radii
-# (r, R) at 148, state point indices at 244, state indices at 268, FCL at 292
+# (r, R) at 148, state point indices at 244, state indices at 247, FCL at
+# 250. Each index takes 3 bits, so each packed field is 18 bits in 3 bytes,
+# and the top 6 bits of its last byte are padding. State s is on point s,
+# and the nodes are in states 0, 2, 5, 4, 1, 3
 _LO = 44
 _POINTS = _LO + 8
 _RADII = _POINTS + 8 * 6 * 2
 _STATE_POINT = _RADII + 16 * 6
-_STATE_INDEX = _STATE_POINT + 4 * 6
-_FCL = _STATE_INDEX + 4 * 6
+_STATE_INDEX = _STATE_POINT + 3
+_FCL = _STATE_INDEX + 3
 # the same model with ids 10, 20, ..., 60 (not a range): ids at 44, 52, ...
 _IDS = 44
 
@@ -554,15 +561,16 @@ def _saved_uncertain_pair_model(ids: str) -> bytes:
         ("range", _POINTS + 8 * 7, "<d", math.nan, "non-finite or overflowing coordinate at offset 108"),
         ("range", _POINTS, "<d", -math.inf, "non-finite or overflowing coordinate at offset 52"),
         ("range", _POINTS + 8, "<d", 1e300, "non-finite or overflowing coordinate at offset 60"),
-        ("range", _STATE_POINT + 4 * 2, "<I", 6, "point index out of range at offset 252"),
-        ("range", _STATE_INDEX + 4 * 3, "<I", 6, "state index out of range at offset 280"),
+        # bits 9..11 of a field, index 3, rewritten from 3 to 6 and from 4 to 6
+        ("range", _STATE_POINT + 1, "<B", 0b11001100, "point index out of range at offset 245"),
+        ("range", _STATE_INDEX + 1, "<B", 0b10011101, "state index out of range at offset 248"),
         ("range", _RADII + 16 * 2, "<d", math.nan, "invalid radius r at offset 180"),
         ("range", _RADII, "<d", -0.5, "invalid radius r at offset 148"),
         ("range", _RADII + 16, "<d", math.inf, "invalid radius r at offset 164"),
         ("range", _RADII + 8, "<d", math.nan, "invalid radius R at offset 156"),
         ("range", _RADII + 16 * 3 + 8, "<d", -1.0, "invalid radius R at offset 204"),
         ("range", _RADII + 8, "<d", -math.inf, "invalid radius R at offset 156"),
-        ("range", _FCL, "<c", b"@", "FCL block at offset 292 does not parse: line 1: "
+        ("range", _FCL, "<c", b"@", "FCL block at offset 250 does not parse: line 1: "
                                     "unexpected character '@'"),
         ("range", 8, "<I", 8, "unknown flag bits 0x8 at offset 8"),
         ("range", 20, "<I", 0, "invalid dimension k=0 at offset 20"),
@@ -583,6 +591,51 @@ def test_load_rejects_invalid_values(tmp_path, ids, offset, fmt, value, message)
     path = tmp_path / "bad.fzg"
     path.write_bytes(bad)
     assert run(["info", str(path)]) == 2
+
+
+@pytest.mark.parametrize("offset, value, message", [
+    # index 2 of the point field, bits 6..8: its top bit, the first of byte
+    # 245, set turns 2 into 6, named by byte 244, which holds its first bit
+    (_STATE_POINT + 1, 0b11000111, "point index out of range at offset 244"),
+    # index 5 of the state field, bits 15..17: bit 1 of the last byte set
+    # turns 3 into 7, named by byte 248, which holds its first bit
+    (_STATE_INDEX + 2, 0b00000011, "state index out of range at offset 248"),
+], ids=["point", "state"])
+def test_packed_index_out_of_range_names_its_first_byte(tmp_path, offset, value, message):
+    bad = _rewritten(_saved_uncertain_pair_model("range"), offset, "<B", value)
+    with pytest.raises(ModelFormatError, match=re.escape(message)):
+        load(io.BytesIO(bad))
+    path = tmp_path / "bad.fzg"
+    path.write_bytes(bad)
+    assert run(["info", str(path)]) == 2
+
+
+@pytest.mark.parametrize("bit", [2, 7])
+@pytest.mark.parametrize("offset", [_STATE_POINT + 2, _STATE_INDEX + 2], ids=["point", "state"])
+def test_set_padding_bit_rejected(offset, bit):
+    # bits 0 and 1 of a packed field's last byte hold its last index; 2..7 are padding
+    blob = _saved_uncertain_pair_model("range")
+    assert blob[offset] >> 2 == 0
+    bad = _rewritten(blob, offset, "<B", blob[offset] | 1 << bit)
+    with pytest.raises(ModelFormatError, match=re.escape(f"nonzero padding bits at offset {offset}")):
+        load(io.BytesIO(bad))
+
+
+@pytest.mark.parametrize("u, t", [(u, t) for u, t in itertools.product([1, 2, 3, 256, 257], repeat=2)
+                                  if u <= t])
+def test_packed_indices_roundtrip_at_width_edges(u, t):
+    # state s is on point s % u with r = s, node v in state v % t: the widths
+    # (u - 1).bit_length() and (t - 1).bit_length() run 0, 1, 2, 8 and 9
+    n = t + 3
+    state = np.arange(n) % t
+    cg = manual_model(np.column_stack([state % u, np.zeros(n)]), r=state.astype(float),
+                      R=[np.inf] * n)
+    assert (cg.u, cg.states.t) == (u, t)
+    loaded, nbytes, _ = roundtrip(cg)
+    assert nbytes == model_size(cg)
+    assert loaded.points_t.tobytes() == cg.points_t.tobytes()
+    assert [a.tobytes() for a in loaded.states] == [a.tobytes() for a in cg.states]
+    assert loaded.states.point.dtype == loaded.states.index.dtype == np.intp
 
 
 def test_load_accepts_crossed_radii_of_built_models():
@@ -641,6 +694,31 @@ def test_version_2_stream_rejected(uncertain_pair_graph, tmp_path):
     with pytest.raises(ModelFormatError, match=re.escape("unsupported format version 2 at offset 4")):
         load(io.BytesIO(blob))
     path = tmp_path / "v2.fzg"
+    path.write_bytes(blob)
+    assert run(["info", str(path)]) == 2
+
+
+def _v3_stream(cg: CompressedGraph) -> bytes:
+    """The version 3 layout: the version 4 header, ids, points and state
+    radii, then a u32 point index a state and a u32 state index a node."""
+    fcl = cg.fcl_text.encode("utf-8")
+    blob = b"".join([
+        struct.pack("<4sIIQIIQQ", b"FZG1", 3, 2, cg.n, cg.k, len(fcl), cg.u, cg.states.t),
+        cg.external_ids.astype("<u8").tobytes(),
+        np.ascontiguousarray(cg.points_t.T, dtype="<f8").tobytes(),
+        np.column_stack([cg.states.r, cg.states.R]).astype("<f8").tobytes(),
+        cg.states.point.astype("<u4").tobytes(),
+        cg.states.index.astype("<u4").tobytes(),
+        fcl,
+    ])
+    return blob + struct.pack("<I", zlib.crc32(blob))
+
+
+def test_version_3_stream_rejected(uncertain_pair_graph, tmp_path):
+    blob = _v3_stream(build(uncertain_pair_graph, k=2, seed=0))
+    with pytest.raises(ModelFormatError, match=re.escape("unsupported format version 3 at offset 4")):
+        load(io.BytesIO(blob))
+    path = tmp_path / "v3.fzg"
     path.write_bytes(blob)
     assert run(["info", str(path)]) == 2
 
@@ -719,18 +797,21 @@ _FUZZ_CG = build(gnp_random_graph(16, 0.2, seed=1), k=2, seed=0)  # u = 9, t = 1
 
 def _fuzz_base(cg: CompressedGraph, id_count: int) -> tuple[bytes, np.ndarray]:
     """A saved stream and its part boundaries: header, id block, points,
-    state radii, state point indices, state indices, FCL (CRC excluded)."""
+    state radii, state point indices, state indices, FCL (CRC excluded).
+    Both index fields take 4 bits an index: 44 bits (6 bytes, the top 4
+    bits padding) for the 11 point indices, 64 bits for the 16 state indices."""
     fcl_len = len(cg.fcl_text.encode("utf-8"))
-    return roundtrip(cg)[2], np.cumsum([0, 44, 8 * id_count, 8 * 9 * 2, 16 * 11, 4 * 11, 4 * 16,
-                                        fcl_len])
+    return roundtrip(cg)[2], np.cumsum([0, 44, 8 * id_count, 8 * 9 * 2, 16 * 11, 6, 8, fcl_len])
 
 
 # ids 0..15 store lo alone; the same model with ids 3i + 5 stores all 16
 _FUZZ_BASES = [_fuzz_base(_FUZZ_CG, 1),
                _fuzz_base(remodel(_FUZZ_CG, external_ids=_FUZZ_CG.external_ids * 3 + 5), 16)]
 _HEADER_FIELDS = [(4, "<I"), (8, "<I"), (12, "<Q"), (20, "<I"), (24, "<I"), (28, "<Q"), (36, "<Q")]
-# array parts by index into a base's part boundaries, with their element format
-_ARRAY_FIELDS = [(1, "<Q"), (2, "<d"), (3, "<d"), (4, "<I"), (5, "<I")]
+# array parts by index into a base's part boundaries, with their element
+# format; the packed index fields are rewritten a byte at a time
+_ARRAY_FIELDS = [(1, "<Q"), (2, "<d"), (3, "<d"), (4, "<B"), (5, "<B")]
+_PACKED_PARTS = [4, 5]
 
 
 def _with_crc(body: bytes) -> bytes:
@@ -741,24 +822,31 @@ def _field_value(fmt: str):
     if fmt == "<d":
         return st.one_of(st.floats(), st.sampled_from([1e300, -1e154, 5e153, -0.0, -1.0]))
     top = 2 ** (8 * struct.calcsize(fmt)) - 1
-    return st.one_of(st.integers(0, 40), st.sampled_from([top, top // 2, min(top, 2**32), 2**32 - 1]),
+    return st.one_of(st.integers(0, min(top, 40)),
+                     st.sampled_from([top, top // 2, min(top, 2**32), min(top, 2**32 - 1)]),
                      st.integers(0, top))
 
 
 @st.composite
 def _mutants(draw) -> bytes:
-    """A fuzz base stream with byte flips, a truncation, one rewritten header
-    or array field, or its id block swapped for the other form (flag bit2
-    toggled); the CRC is recomputed, so value checks run."""
+    """A fuzz base stream with byte flips, bit flips in the packed index
+    fields (padding included), a truncation, one rewritten header or array
+    field, or its id block swapped for the other form (flag bit2 toggled);
+    the CRC is recomputed, so value checks run."""
     blob, parts = draw(st.sampled_from(_FUZZ_BASES))
     body = bytearray(blob[:-4])
-    kind = draw(st.sampled_from(["flip", "truncate", "header", "array", "id-form"]))
+    kind = draw(st.sampled_from(["flip", "bits", "truncate", "header", "array", "id-form"]))
     if kind == "flip":
         for _ in range(draw(st.integers(1, 4))):
             # header and arrays are small next to the FCL text: pick a part first
             part = draw(st.integers(0, len(parts) - 2))
             lo, hi = int(parts[part]), int(parts[part + 1])
             body[draw(st.integers(lo, hi - 1))] ^= 1 << draw(st.integers(0, 7))
+    elif kind == "bits":
+        for _ in range(draw(st.integers(1, 3))):
+            part = draw(st.sampled_from(_PACKED_PARTS))
+            bit = draw(st.integers(8 * int(parts[part]), 8 * int(parts[part + 1]) - 1))
+            body[bit // 8] ^= 1 << bit % 8
     elif kind == "truncate":
         del body[draw(st.integers(0, len(body) - 1)):]
     elif kind == "header":
