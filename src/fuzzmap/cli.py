@@ -18,8 +18,9 @@ from ._parallel import thread_count
 from .fuzzy import FclParseError
 from .graph import GraphParseError, load_edge_list
 from .harness import DEFAULT_SAMPLE, evaluate_model, reports_to_csv, sweep_k
-from .oracle import (FORMAT_VERSION, ModelFormatError, build, load_file, query, query_directed,
-                     save_file)
+from .oracle import (FORMAT_VERSION, ModelFormatError, build, ids_are_range, load_file, query,
+                     query_directed, save_file)
+from .radii import _POINTS_PER_WORKER
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -63,7 +64,9 @@ def _build_parser() -> _Parser:
         prog="fuzzmap",
         description="Compress graphs into k-dimensional points with per-node "
         "radii and answer adjacency queries definitively or fuzzily.",
-        epilog="FUZZMAP_THREADS caps internal parallelism (0 = auto).",
+        epilog="FUZZMAP_THREADS caps internal parallelism (0 = auto). The radii scan "
+        f"starts threads only with at least {_POINTS_PER_WORKER:,} distinct points per "
+        "thread: below that they contend for the GIL between kernel calls.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -178,6 +181,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
     # 0 outside 8 * u**2 <= 8 * k * n or itemsize * t**2 <= 8 * k * n bytes, where
     # queries run the distance kernel; builds the table
     print(f"pair_table_bytes={0 if cg.pair_table is None else cg.pair_table.codes.nbytes}")
+    # true: the file stores the ids as lo alone, false: as n u64 ids
+    print(f"id_range={'true' if ids_are_range(cg.external_ids) else 'false'}")
     print(f"fcl_bytes={len(cg.fcl_text.encode('utf-8'))}")
     print(f"file_bytes={os.path.getsize(args.model)}")
     return EXIT_OK

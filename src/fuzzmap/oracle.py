@@ -449,7 +449,7 @@ def save(cg: CompressedGraph, sink: IO[bytes]) -> int:
         if count > _MAX_INDEXED:
             raise ValueError(f"{count} {what} exceed the format's limit of 2**32")
     ids = np.ascontiguousarray(cg.external_ids, dtype="<u8")
-    id_range = np.array_equal(ids, ids[0] + np.arange(n, dtype=np.uint64))
+    id_range = ids_are_range(ids)
     fcl = cg.fcl_text.encode("utf-8")
     flags = ((_FLAG_DIRECTED if cg.directed else 0) | (_FLAG_QUANTIZED if cg.quantized else 0)
              | (_FLAG_ID_RANGE if id_range else 0))
@@ -466,6 +466,11 @@ def save(cg: CompressedGraph, sink: IO[bytes]) -> int:
     blob += struct.pack("<I", zlib.crc32(blob))
     sink.write(blob)
     return len(blob)
+
+
+def ids_are_range(ids: np.ndarray) -> bool:
+    """Whether external ids are lo..lo+n-1, which ``save`` stores as lo alone."""
+    return bool(np.array_equal(ids, ids[0] + np.arange(ids.shape[0], dtype=np.uint64)))
 
 
 def _index_bits(count: int) -> int:

@@ -33,7 +33,10 @@ R, so every row is copied and masked and m is its minimum.
 ``compute_radii`` runs the same path for one node. Spans and chunks
 hold at most max(_BLOCK * u, _CHUNK) elements, so a thread's scratch
 is O(_BLOCK * u + _CHUNK). The gain depends on the collapse: with all
-points distinct (u = n) the scan costs O(n^2 k) as before.
+points distinct (u = n) the scan costs O(n^2 k) as before. Only there
+does a thread pool pay: threads overlap inside the kernel calls alone,
+so each worker takes at least _POINTS_PER_WORKER points, and a scan of
+fewer than twice that many runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -54,6 +57,13 @@ log = logging.getLogger(__name__)
 R_NONE = -1.0  # definite-yes sentinel: never triggers
 _BLOCK = 4  # points per kernel call in the radii scan
 _CHUNK = 1 << 18  # scratch elements (nodes x u) per rule call
+# Fewest distinct points a pool worker takes. Threads overlap only inside a
+# kernel call of _BLOCK * u cells; the Python dispatch between calls holds
+# the GIL, so at small u a second thread only contends for it. On 2 CPUs
+# (BA(20000, 5) edges, u distinct normal points, k = 8) 2 threads first beat
+# 1 at u ~ 6,144 (3,072 points each), rounded up to a power of two: below
+# 2 * _POINTS_PER_WORKER points the scan runs on the calling thread.
+_POINTS_PER_WORKER = 4096
 
 
 @dataclass(eq=False)
@@ -281,8 +291,10 @@ def compute_all_radii(g: Graph, e: Embedding, quantize: bool = True) -> NodeRadi
     kernel fills the span's distance rows _BLOCK points per call, then
     the nodes on those points go through the rule max(1, _CHUNK // u) at
     a time. Points are independent, so contiguous runs of point blocks
-    go to a thread pool no larger than FUZZMAP_THREADS, the number of
-    blocks or the usable CPUs; results do not depend on the pool size.
+    go to a thread pool no larger than FUZZMAP_THREADS, the usable CPUs
+    or one worker per _POINTS_PER_WORKER points; under two workers'
+    worth of points the scan starts no thread. Results do not depend on
+    the pool size.
     """
     _check_inputs(g, e)
     return _grouped_radii(g, group_points(e.coords), quantize)
@@ -311,17 +323,16 @@ def _grouped_radii(g: Graph, groups: PointGroups, quantize: bool) -> NodeRadii:
                 nodes = groups.order[a : min(a + chunk, last)]
                 r[nodes], R[nodes] = _radii_rule(g, groups, nodes, rows, start, near, quantize)
 
-    blocks = -(-u // _BLOCK)
-    workers = min(thread_count(), blocks, usable_cpus())
-    if workers <= 1:
+    workers = max(1, min(thread_count(), usable_cpus(), u // _POINTS_PER_WORKER))
+    if workers == 1:
         fill(0, u)
     else:
-        step = -(-blocks // workers) * _BLOCK
+        step = -(-u // (workers * _BLOCK)) * _BLOCK  # whole point blocks per worker
         bounds = [(lo, min(lo + step, u)) for lo in range(0, u, step)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda b: fill(*b), bounds))
 
-    log.info("radii: n=%d distinct_points=%d largest_group=%d r_sentinel_frac=%.4f "
-             "R_inf_frac=%.4f", n, u, groups.cnt.max(), np.mean(r == R_NONE),
+    log.info("radii: n=%d distinct_points=%d largest_group=%d workers=%d r_sentinel_frac=%.4f "
+             "R_inf_frac=%.4f", n, u, groups.cnt.max(), workers, np.mean(r == R_NONE),
              np.mean(R == np.inf))
     return NodeRadii(r=r, R=R, quantized=quantize)

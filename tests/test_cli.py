@@ -10,6 +10,7 @@ from fuzzmap import load_file, save_file
 from fuzzmap.cli import run
 
 from conftest import UNCERTAIN_PAIR_EDGES
+from oracles import fzg1_size_oracle
 
 
 @pytest.fixture
@@ -40,7 +41,7 @@ def test_compress_prints_summary(sample_edge_file, tmp_path, capsys):
 
 # every key fuzzmap info prints, in order; the README's CLI section lists the same
 INFO_KEYS = ["version", "n", "k", "directed", "quantized", "distinct_points", "largest_group",
-             "node_states", "pair_table_bytes", "fcl_bytes", "file_bytes"]
+             "node_states", "pair_table_bytes", "id_range", "fcl_bytes", "file_bytes"]
 
 
 def test_info_fields(sample_model, capsys):
@@ -81,6 +82,23 @@ def test_info_reports_node_states(sample_model, tmp_path, capsys):
         assert fields["node_states"] == str(len(states))
         assert int(fields["distinct_points"]) <= len(states) <= cg.n
         assert fields["version"] == "4"
+
+
+def test_info_reports_id_layout(sample_model, tmp_path, capsys):
+    # ids 1..6 are a range, stored as lo alone; ids 0, 5, 9 are not, and the
+    # file holds all three. The size oracle decides the id block by itself.
+    edges = tmp_path / "gaps.txt"
+    edges.write_text("0 5\n5 9\n")
+    gaps = tmp_path / "gaps.fzg"
+    assert run(["compress", "--input", str(edges), "--output", str(gaps), "--k", "2"]) == 0
+    capsys.readouterr()
+    for model, id_range in ((sample_model, "true"), (gaps, "false")):
+        fields = info_fields(model, capsys)
+        assert fields["id_range"] == id_range
+        cg = load_file(model)
+        assert int(fields["file_bytes"]) == model.stat().st_size == fzg1_size_oracle(
+            cg.embedding.coords.tolist(), cg.radii.r.tolist(), cg.radii.R.tolist(),
+            cg.external_ids, cg.k, int(fields["fcl_bytes"]))
 
 
 def star_model(tmp_path, capsys):

@@ -267,6 +267,7 @@ def test_all_radii_equals_per_node(monkeypatch):
     g = gnp_random_graph(300, 0.05, seed=77)
     e = fastmap_embed(g, 3, seed=7)
     seq = [compute_radii(g, e, v) for v in range(g.n)]
+    monkeypatch.setattr(radii, "_POINTS_PER_WORKER", _BLOCK)  # a pool at this size
     monkeypatch.setenv("FUZZMAP_THREADS", "3")
     threaded = compute_all_radii(g, e)
     monkeypatch.setenv("FUZZMAP_THREADS", "1")
@@ -301,6 +302,7 @@ def test_all_radii_equal_per_node_and_sort_scan(threads, data, n, k, directed, q
     e = embed_of(data.draw(arrays(np.float64, (n, k), elements=COORD)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("FUZZMAP_THREADS", threads)
+        mp.setattr(radii, "_POINTS_PER_WORKER", _BLOCK)  # 2 threads start a pool from 2 blocks
         every = compute_all_radii(g, e, quantize=quantize)
     for v in range(n):
         want = radii_sort_scan(labelled_distances(g, e.coords, v), quantize)
@@ -326,6 +328,7 @@ def test_coincident_points_match_per_node_and_sort_scan(threads, data, n, k, poo
     g = graph_from_matrix(data.draw(arrays(bool, (n, n))), directed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("FUZZMAP_THREADS", threads)
+        mp.setattr(radii, "_POINTS_PER_WORKER", _BLOCK)  # 2 threads start a pool from 2 blocks
         mp.setattr(radii, "_CHUNK", chunk_cap)
         every = compute_all_radii(g, e, quantize=quantize)
     for v in range(n):
@@ -363,43 +366,69 @@ def test_scan_logs_point_grouping(caplog):
     with caplog.at_level(logging.INFO, logger="fuzzmap.radii"):
         compute_all_radii(g, e, quantize=False)
     assert [rec.getMessage() for rec in caplog.records] == [
-        "radii: n=3 distinct_points=2 largest_group=2 r_sentinel_frac=0.6667 R_inf_frac=1.0000"]
+        "radii: n=3 distinct_points=2 largest_group=2 workers=1 r_sentinel_frac=0.6667 "
+        "R_inf_frac=1.0000"]
+
+
+class Recorder:
+    """Stands in for ThreadPoolExecutor: records each pool size, runs the work inline."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
 
 
 def test_radii_pool_is_capped(monkeypatch):
     # FUZZMAP_THREADS asks for 5000 threads; the pool gets at most one per
-    # usable CPU and one per point block. The recorder runs the work inline.
-    sizes = []
-
-    class Recorder:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
+    # usable CPU and one per _POINTS_PER_WORKER points, here one point block.
+    monkeypatch.setattr(Recorder, "sizes", [])
     monkeypatch.setattr(radii, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(radii, "_POINTS_PER_WORKER", _BLOCK)
     monkeypatch.setenv("FUZZMAP_THREADS", "5000")
     g = gnp_random_graph(300, 0.05, seed=77)
     e = fastmap_embed(g, 3, seed=7)
     capped = compute_all_radii(g, e)
-    assert sizes == ([usable_cpus()] if usable_cpus() > 1 else [])
+    assert Recorder.sizes == ([usable_cpus()] if usable_cpus() > 1 else [])
 
     monkeypatch.setattr(radii, "usable_cpus", lambda: 5000)
-    small = gnp_random_graph(2 * _BLOCK + 3, 0.3, seed=5)
+    small = gnp_random_graph(3 * _BLOCK, 0.3, seed=5)
     small_e = fastmap_embed(small, 3, seed=1)
     assert radii.group_points(small_e.coords).u == small.n  # every point distinct
     compute_all_radii(small, small_e)
-    assert sizes[-1] == 3  # point blocks
+    assert Recorder.sizes[-1] == 3  # point blocks
     monkeypatch.setenv("FUZZMAP_THREADS", "1")
     single = compute_all_radii(g, e)
     assert np.array_equal(capped.r, single.r) and np.array_equal(capped.R, single.R)
+
+
+def test_small_scan_starts_no_pool(monkeypatch, caplog):
+    # 300 nodes are far below two workers' worth of points, so 2 threads
+    # start no pool; a pool forced at one block a worker gives the same bits
+    g = gnp_random_graph(300, 0.05, seed=77)
+    e = fastmap_embed(g, 3, seed=7)
+    monkeypatch.setenv("FUZZMAP_THREADS", "2")
+    monkeypatch.setattr(radii, "usable_cpus", lambda: 2)
+    with monkeypatch.context() as mp:
+        mp.setattr(Recorder, "sizes", [])
+        mp.setattr(radii, "ThreadPoolExecutor", Recorder)
+        serial = compute_all_radii(g, e)
+        assert Recorder.sizes == []
+    monkeypatch.setattr(radii, "_POINTS_PER_WORKER", _BLOCK)
+    with caplog.at_level(logging.INFO, logger="fuzzmap.radii"):
+        pooled = compute_all_radii(g, e)
+    assert " workers=2 " in caplog.records[-1].getMessage()
+    assert np.concatenate([serial.r, serial.R]).tobytes() == \
+        np.concatenate([pooled.r, pooled.R]).tobytes()
 
 
 def test_radii_validation(uncertain_pair_graph):
