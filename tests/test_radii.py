@@ -370,62 +370,62 @@ def test_scan_logs_point_grouping(caplog):
         "R_inf_frac=1.0000"]
 
 
-class Recorder:
-    """Stands in for ThreadPoolExecutor: records each pool size, runs the work inline."""
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The size of each pool the radii scan starts; a stand-in runs the work inline."""
+    sizes = []
 
-    sizes: list = []
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
+        def __enter__(self):
+            return self
 
-    def __enter__(self):
-        return self
+        def __exit__(self, *exc):
+            return False
 
-    def __exit__(self, *exc):
-        return False
+        def map(self, fn, items):
+            return map(fn, items)
 
-    def map(self, fn, items):
-        return map(fn, items)
+    monkeypatch.setattr(radii, "ThreadPoolExecutor", Recorder)
+    return sizes
 
 
-def test_radii_pool_is_capped(monkeypatch):
+def test_radii_pool_is_capped(monkeypatch, pool_sizes):
     # FUZZMAP_THREADS asks for 5000 threads; the pool gets at most one per
     # usable CPU and one per _POINTS_PER_WORKER points, here one point block.
-    monkeypatch.setattr(Recorder, "sizes", [])
-    monkeypatch.setattr(radii, "ThreadPoolExecutor", Recorder)
     monkeypatch.setattr(radii, "_POINTS_PER_WORKER", _BLOCK)
     monkeypatch.setenv("FUZZMAP_THREADS", "5000")
     g = gnp_random_graph(300, 0.05, seed=77)
     e = fastmap_embed(g, 3, seed=7)
     capped = compute_all_radii(g, e)
-    assert Recorder.sizes == ([usable_cpus()] if usable_cpus() > 1 else [])
+    assert pool_sizes == ([usable_cpus()] if usable_cpus() > 1 else [])
 
     monkeypatch.setattr(radii, "usable_cpus", lambda: 5000)
     small = gnp_random_graph(3 * _BLOCK, 0.3, seed=5)
     small_e = fastmap_embed(small, 3, seed=1)
     assert radii.group_points(small_e.coords).u == small.n  # every point distinct
     compute_all_radii(small, small_e)
-    assert Recorder.sizes[-1] == 3  # point blocks
+    assert pool_sizes[-1] == 3  # point blocks
     monkeypatch.setenv("FUZZMAP_THREADS", "1")
     single = compute_all_radii(g, e)
     assert np.array_equal(capped.r, single.r) and np.array_equal(capped.R, single.R)
 
 
-def test_small_scan_starts_no_pool(monkeypatch, caplog):
+def test_small_scan_starts_no_pool(monkeypatch, pool_sizes, caplog):
     # 300 nodes are far below two workers' worth of points, so 2 threads
     # start no pool; a pool forced at one block a worker gives the same bits
     g = gnp_random_graph(300, 0.05, seed=77)
     e = fastmap_embed(g, 3, seed=7)
     monkeypatch.setenv("FUZZMAP_THREADS", "2")
     monkeypatch.setattr(radii, "usable_cpus", lambda: 2)
-    with monkeypatch.context() as mp:
-        mp.setattr(Recorder, "sizes", [])
-        mp.setattr(radii, "ThreadPoolExecutor", Recorder)
-        serial = compute_all_radii(g, e)
-        assert Recorder.sizes == []
+    serial = compute_all_radii(g, e)
+    assert pool_sizes == []
     monkeypatch.setattr(radii, "_POINTS_PER_WORKER", _BLOCK)
     with caplog.at_level(logging.INFO, logger="fuzzmap.radii"):
         pooled = compute_all_radii(g, e)
+    assert pool_sizes == [2]
     assert " workers=2 " in caplog.records[-1].getMessage()
     assert np.concatenate([serial.r, serial.R]).tobytes() == \
         np.concatenate([pooled.r, pooled.R]).tobytes()
