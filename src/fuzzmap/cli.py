@@ -14,13 +14,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._parallel import thread_count
 from .fuzzy import FclParseError
 from .graph import GraphParseError, load_edge_list
 from .harness import DEFAULT_SAMPLE, evaluate_model, reports_to_csv, sweep_k
 from .oracle import (FORMAT_VERSION, ModelFormatError, build, ids_are_range, load_file, query,
                      query_directed, save_file)
-from .radii import _POINTS_PER_WORKER
+from .radii import _MAX_WORKERS, _POINTS_PER_WORKER
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -64,9 +63,9 @@ def _build_parser() -> _Parser:
         prog="fuzzmap",
         description="Compress graphs into k-dimensional points with per-node "
         "radii and answer adjacency queries definitively or fuzzily.",
-        epilog="FUZZMAP_THREADS caps internal parallelism (0 = auto). The radii scan "
-        f"starts threads only with at least {_POINTS_PER_WORKER:,} distinct points per "
-        "thread: below that they contend for the GIL between kernel calls.",
+        epilog=f"The radii scan runs on min({_MAX_WORKERS}, usable CPUs, distinct points // "
+        f"{_POINTS_PER_WORKER:,}) threads, at least one: fewer points per thread only contend "
+        "for the GIL between kernel calls. The CPU mask (taskset) caps the usable CPUs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -203,12 +202,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command in ("compress", "evaluate", "sweep"):
-            thread_count()  # surface a bad FUZZMAP_THREADS as a usage error
             if getattr(args, "sample", 1) < 0:
                 raise _UsageError("--sample must be >= 0")
             if args.seed < 0:
                 raise _UsageError("--seed must be >= 0")
-    except (_UsageError, ValueError) as exc:
+    except _UsageError as exc:
         print(f"fuzzmap: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:  # argparse -h/--help

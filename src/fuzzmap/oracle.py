@@ -40,8 +40,8 @@ import numpy as np
 from .fastmap import Embedding, fastmap_embed
 from .fuzzy import FclParseError, FuzzySystem, default_system, evaluate_many, parse_fcl, to_fcl
 from .graph import Graph, check_node_id, lookup_internal_id
-from .radii import (R_NONE, NodeRadii, _block_distances, _grouped_radii, group_points,
-                    pair_distances)
+from .radii import (R_NONE, NodeRadii, _block_distances, _group_columns, _grouped_radii,
+                    group_points, pair_distances)
 
 MAGIC = b"FZG1"
 FORMAT_VERSION = 4
@@ -115,12 +115,7 @@ def node_states(point_index: np.ndarray, r: np.ndarray, R: np.ndarray) -> NodeSt
     """
     r_bits, R_bits = (np.ascontiguousarray(a, dtype=np.float64).view(np.uint64) for a in (r, R))
     keys = np.stack([point_index.astype(np.uint64), r_bits, R_bits])
-    order = np.lexsort(keys[::-1])
-    ranked = keys.take(order, axis=1)
-    new = np.ones(order.size, dtype=bool)
-    np.any(ranked[:, 1:] != ranked[:, :-1], axis=0, out=new[1:])
-    index = np.empty(order.size, dtype=np.intp)
-    index[order] = np.cumsum(new) - 1
+    order, _, new, index = _group_columns(keys)
     first = order[new]  # one node of each state
     return NodeStates(point=point_index[first], r=r[first], R=R[first], index=index)
 

@@ -35,20 +35,22 @@ hold at most max(_BLOCK * u, _CHUNK) elements, so a thread's scratch
 is O(_BLOCK * u + _CHUNK). The gain depends on the collapse: with all
 points distinct (u = n) the scan costs O(n^2 k) as before. Only there
 does a thread pool pay: threads overlap inside the kernel calls alone,
-so each worker takes at least _POINTS_PER_WORKER points, and a scan of
-fewer than twice that many runs on the calling thread.
+so the pool is min(_MAX_WORKERS, usable CPUs, u // _POINTS_PER_WORKER)
+threads, and a scan of fewer than 2 * _POINTS_PER_WORKER points runs on
+the calling thread. The process's CPU mask (``taskset``) caps the pool;
+nothing else sets it.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ._parallel import thread_count, usable_cpus
 from .fastmap import Embedding
 from .graph import Graph
 
@@ -64,6 +66,7 @@ _CHUNK = 1 << 18  # scratch elements (nodes x u) per rule call
 # 1 at u ~ 6,144 (3,072 points each), rounded up to a power of two: below
 # 2 * _POINTS_PER_WORKER points the scan runs on the calling thread.
 _POINTS_PER_WORKER = 4096
+_MAX_WORKERS = 8  # diminishing returns beyond this for GIL-released numpy kernel calls
 
 
 @dataclass(eq=False)
@@ -112,6 +115,13 @@ def euclidean_distance(e: Embedding, u: int, v: int) -> float:
     return float(pair_distances(e.coords, np.array([u]), np.array([v]))[0])
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _check_inputs(g: Graph, e: Embedding) -> None:
     if g.n < 2:
         raise ValueError("graph must have at least 2 nodes")
@@ -145,19 +155,31 @@ class PointGroups:
         return self.cnt.shape[0]
 
 
+def _group_columns(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Group the columns of a (k, n) key table that compare equal under ``!=``,
+    in one lexicographic sort, row 0 the primary key.
+
+    Returns (order, ranked, new, inv): the sorting permutation, the sorted
+    table, a mask of the sorted columns that start a group, and each
+    column's group, numbered in sorted order.
+    """
+    order = np.lexsort(keys[::-1])
+    ranked = keys.take(order, axis=1)  # take keeps the (k, n) table C-contiguous
+    new = np.ones(order.size, dtype=bool)
+    np.any(ranked[:, 1:] != ranked[:, :-1], axis=0, out=new[1:])
+    inv = np.empty(order.size, dtype=np.intp)
+    inv[order] = np.cumsum(new) - 1
+    return order, ranked, new, inv
+
+
 def group_points(coords: np.ndarray) -> PointGroups:
     """Group nodes by equal coordinate rows, in one lexicographic sort.
 
     0.0 and -0.0 compare equal and share a point; the kernel squares
     every difference, so either sign gives the same distance bits.
     """
-    order = np.lexsort(coords.T[::-1])
-    ranked_t = coords.T.take(order, axis=1)  # take keeps the (k, n) table C-contiguous
-    new = np.ones(order.size, dtype=bool)
-    np.any(ranked_t[:, 1:] != ranked_t[:, :-1], axis=0, out=new[1:])
+    order, ranked_t, new, inv = _group_columns(coords.T)
     starts = np.flatnonzero(new)
-    inv = np.empty(order.size, dtype=np.intp)
-    inv[order] = np.cumsum(new) - 1
     offsets = np.append(starts, order.size)
     return PointGroups(points_t=ranked_t.take(starts, axis=1), inv=inv,
                        cnt=np.diff(offsets), order=order, offsets=offsets)
@@ -291,10 +313,9 @@ def compute_all_radii(g: Graph, e: Embedding, quantize: bool = True) -> NodeRadi
     kernel fills the span's distance rows _BLOCK points per call, then
     the nodes on those points go through the rule max(1, _CHUNK // u) at
     a time. Points are independent, so contiguous runs of point blocks
-    go to a thread pool no larger than FUZZMAP_THREADS, the usable CPUs
-    or one worker per _POINTS_PER_WORKER points; under two workers'
-    worth of points the scan starts no thread. Results do not depend on
-    the pool size.
+    go to a pool of min(_MAX_WORKERS, usable CPUs, u // _POINTS_PER_WORKER)
+    threads: under two workers' worth of points, or on one usable CPU,
+    the scan starts no thread. Results do not depend on the pool size.
     """
     _check_inputs(g, e)
     return _grouped_radii(g, group_points(e.coords), quantize)
@@ -323,7 +344,7 @@ def _grouped_radii(g: Graph, groups: PointGroups, quantize: bool) -> NodeRadii:
                 nodes = groups.order[a : min(a + chunk, last)]
                 r[nodes], R[nodes] = _radii_rule(g, groups, nodes, rows, start, near, quantize)
 
-    workers = max(1, min(thread_count(), usable_cpus(), u // _POINTS_PER_WORKER))
+    workers = max(1, min(_MAX_WORKERS, usable_cpus(), u // _POINTS_PER_WORKER))
     if workers == 1:
         fill(0, u)
     else:

@@ -289,13 +289,6 @@ def test_bad_fcl_exits_2(sample_edge_file, tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
-def test_bad_threads_env_is_usage_error(sample_edge_file, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FUZZMAP_THREADS", "porridge")
-    assert run(["compress", "--input", str(sample_edge_file), "--output",
-                str(tmp_path / "m.fzg"), "--k", "2"]) == 1
-    assert "FUZZMAP_THREADS" in capsys.readouterr().err
-
-
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "compress" in capsys.readouterr().out
