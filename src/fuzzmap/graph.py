@@ -25,8 +25,11 @@ log = logging.getLogger(__name__)
 
 _MAX_ID = 2**64 - 1
 
-# token split: runs of spaces/tabs, or a single comma (optionally padded)
-_SPLIT = re.compile(r"\s*,\s*|[ \t]+")
+# one line of an edge list, its '\n' cut off: blank, a '#' or '%' comment, or two
+# ids split by spaces/tabs or one comma; an id is a sign, leading zeros and at most
+# 20 digits more (its groups: sign, digits), so int() never meets its digit limit
+_ID = r"([+-]?)0*([0-9]{1,20})"
+_LINE = re.compile(rf"[ \t]*(?:{_ID}(?:[ \t]*,[ \t]*|[ \t]+){_ID}[ \t]*|[#%].*)?\r?")
 # the only bytes of a plain edge list, which _parse_plain reads without a line loop
 _PLAIN_BYTES = b"0123456789 \t\n"
 # bytes per piece of _parse_plain's checks; a piece runs on to the end of its last line
@@ -261,10 +264,17 @@ def _pairs_to_array(pairs: Iterable) -> np.ndarray:
 def parse_edge_list(text: str | bytes | IO, directed: bool = False) -> Graph:
     """Parse edge-list text into a Graph.
 
-    One edge per line, two non-negative integer tokens split on runs of
-    spaces/tabs or a single comma. Blank lines and lines starting with '#'
-    or '%' are ignored. Self-loop lines are skipped (with a logged warning
-    count); duplicate edges collapse.
+    ``text`` is a stream, which is read, a str, which is encoded as UTF-8,
+    or any bytes-like object; anything else raises TypeError. The readers
+    below take those bytes.
+
+    One edge per line, each line ending at '\n' (a carriage return before
+    it is dropped): two ids of ASCII digits with an optional sign, below
+    2**64, split by spaces/tabs or by one comma with optional spaces/tabs
+    around it, and spaces/tabs at either end. Lines of only spaces/tabs,
+    and lines whose first other byte is '#' or '%', are skipped. Self-loop
+    lines are skipped (with a logged warning count); duplicate edges
+    collapse.
 
     Plain text, made only of ASCII digits, spaces, tabs and '\n' with
     every line blank or holding two ids of under 20 digits, is read by
@@ -276,18 +286,16 @@ def parse_edge_list(text: str | bytes | IO, directed: bool = False) -> Graph:
     """
     if hasattr(text, "read"):
         text = text.read()
-    ends = _parse_plain(text)
+    if isinstance(text, str):
+        text = text.encode("utf-8", "surrogatepass")  # a lone surrogate fails _parse_lines' decode
+    data = text if isinstance(text, bytes) else memoryview(text).tobytes()
+    ends = _parse_plain(data)
     if ends is None:
-        if isinstance(text, (bytes, bytearray)):
-            try:
-                text = text.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise GraphParseError(f"input is not UTF-8: {exc}") from None
-        ends = _parse_lines(text)
+        ends = _parse_lines(data)
     return graph_from_edges(ends, directed=directed)
 
 
-def _parse_plain(data: str | bytes | bytearray) -> np.ndarray | None:
+def _parse_plain(data: bytes) -> np.ndarray | None:
     """(m, 2) uint64 ids of a plain edge list, or None to leave it to _parse_lines.
 
     Plain: only ASCII digits, spaces, tabs and '\n'; 0 or 2 tokens on every
@@ -296,12 +304,6 @@ def _parse_plain(data: str | bytes | bytearray) -> np.ndarray | None:
     The checks run one piece of whole lines at a time, so their scratch is
     O(_PLAIN_CHUNK) unless one line is longer.
     """
-    if isinstance(data, str):
-        if not data.isascii():
-            return None
-        data = data.encode("ascii")
-    if not isinstance(data, (bytes, bytearray)):
-        return None
     tokens = start = 0
     while start < len(data):
         # whole lines of at least _PLAIN_CHUNK bytes, or the rest of the text
@@ -326,30 +328,38 @@ def _parse_plain(data: str | bytes | bytearray) -> np.ndarray | None:
         tokens += starts.size
     if not tokens:
         return None
-    # one C pass over checked text, exact to 2**64 - 1; it reads bytes, not a bytearray
-    return np.fromstring(bytes(data), dtype=np.uint64, sep=" ").reshape(-1, 2)
+    # one C pass over checked text, exact to 2**64 - 1
+    return np.fromstring(data, dtype=np.uint64, sep=" ").reshape(-1, 2)
 
 
-def _parse_lines(text: str) -> np.ndarray:
-    """(m, 2) uint64 ids of any edge list, one line at a time; raises on bad lines."""
+def _parse_lines(data: bytes | str) -> np.ndarray:
+    """(m, 2) uint64 ids of any edge list, one ``_LINE`` match a line; raises on bad lines.
+
+    ``data`` is the UTF-8 bytes parse_edge_list hands on, decoded here (a
+    str is read as decoded text). Lines end at '\n' alone, so a vertical
+    tab, a form feed, a lone carriage return or a Unicode line break is a
+    character of its line, which then fails the match.
+    """
+    try:
+        text = data if isinstance(data, str) else data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphParseError(f"input is not UTF-8: {exc}") from None
     pairs: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith(("#", "%")):
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        match = _LINE.fullmatch(line)
+        if match is None:
+            tokens = len(re.findall(r"[^ \t,]+", line))
+            if tokens != 2:
+                raise GraphParseError(
+                    f"line {lineno}: expected two integer tokens, got {tokens}: {line!r}")
+            raise GraphParseError(f"line {lineno}: expected two ids of ASCII digits below "
+                                  f"2**64, split by spaces, tabs or one comma: {line!r}")
+        sign_u, u, sign_v, v = match.groups()
+        if u is None:  # a blank or comment line
             continue
-        if line.count(",") > 1:
-            raise GraphParseError(f"line {lineno}: more than one comma: {raw!r}")
-        tokens = [t for t in _SPLIT.split(line) if t]
-        if len(tokens) != 2:
-            raise GraphParseError(
-                f"line {lineno}: expected two integer tokens, got {len(tokens)}: {raw!r}"
-            )
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise GraphParseError(f"line {lineno}: non-integer token in {raw!r}") from None
-        if not (_in_id_range(u) and _in_id_range(v)):
-            raise GraphParseError(f"line {lineno}: node id out of 64-bit range: {raw!r}")
+        u, v = int(u), int(v)
+        if u > _MAX_ID or v > _MAX_ID or (sign_u == "-" and u) or (sign_v == "-" and v):
+            raise GraphParseError(f"line {lineno}: node id out of 64-bit range: {line!r}")
         pairs.append((u, v))
     return np.array(pairs, dtype=np.uint64).reshape(-1, 2)
 

@@ -18,6 +18,8 @@ from .graph import Graph
 from .oracle import CompressedGraph, build, query_arrays
 
 DEFAULT_SAMPLE = 1_000_000
+# pairs queried and tallied at a time: ~124 bytes of scratch each, ~32 MiB a block
+_EVAL_BLOCK = 1 << 18
 
 CSV_HEADER = (
     "k,pairs,definite_pct,definite_correct_pct,fuzzy_pairs,"
@@ -66,30 +68,47 @@ class EvalReport:
         return 100.0 * self.fuzzy_sound_no / self.fuzzy_false
 
 
-def _sample_pairs(
+def _pair_indices(
     n: int, directed: bool, sample_size: Optional[int], seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct node pairs, uniform without replacement, seeded.
+) -> tuple[int, Optional[np.ndarray]]:
+    """(total, idx): the pair count, and the sorted sampled pair indices or None for all.
 
-    Unordered pairs (u < v) for undirected graphs, ordered for directed.
-    Pair index i is (u, (u + 1 + i // n) mod n) with u = i mod n: over
-    i < n(n-1) that is every ordered pair once, and over i < n(n-1)/2
-    every unordered pair once. Memory is O(sample), not O(n^2).
+    A sample is uniform without replacement over the total pair indices,
+    seeded; memory is O(sample), not O(n^2).
     """
     total = n * (n - 1) if directed else n * (n - 1) // 2
     if sample_size is not None and sample_size < 1:
         raise ValueError("sample_size must be >= 1")
     if sample_size is None or sample_size >= total:
-        idx = np.arange(total, dtype=np.int64)
-    else:
-        rng = np.random.default_rng(seed)
-        idx = np.sort(rng.choice(total, sample_size, replace=False, shuffle=False))
+        return total, None
+    rng = np.random.default_rng(seed)
+    return total, np.sort(rng.choice(total, sample_size, replace=False, shuffle=False))
 
+
+def _decode_pairs(idx: np.ndarray, n: int, directed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The node pairs of pair indices.
+
+    Pair index i is (u, (u + 1 + i // n) mod n) with u = i mod n: over
+    i < n(n-1) that is every ordered pair once, and over i < n(n-1)/2
+    every unordered pair once, given as u < v.
+    """
     us = idx % n
     vs = (us + 1 + idx // n) % n
     if directed:
         return us, vs
     return np.minimum(us, vs), np.maximum(us, vs)
+
+
+def _sample_pairs(
+    n: int, directed: bool, sample_size: Optional[int], seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct node pairs, uniform without replacement, seeded.
+
+    Unordered pairs (u < v) for undirected graphs, ordered for directed;
+    see ``_pair_indices`` and ``_decode_pairs``.
+    """
+    total, idx = _pair_indices(n, directed, sample_size, seed)
+    return _decode_pairs(np.arange(total, dtype=np.int64) if idx is None else idx, n, directed)
 
 
 def _edge_keys(g: Graph) -> np.ndarray:
@@ -104,7 +123,11 @@ def evaluate_model(
     sample_size: Optional[int] = DEFAULT_SAMPLE,
     seed: int = 0,
 ) -> EvalReport:
-    """Query sampled pairs and tally the report against ground truth."""
+    """Query sampled pairs and tally the report against ground truth.
+
+    The pairs are queried and tallied in blocks of ``_EVAL_BLOCK``, so
+    scratch is O(block + sample + m) however many pairs are tallied.
+    """
     if cg.n != g.n:
         raise ValueError(f"model has {cg.n} nodes but graph has {g.n}")
     if cg.directed != g.directed:
@@ -114,29 +137,26 @@ def evaluate_model(
         raise ValueError(f"model node {differ[0]} has id {cg.external_ids[differ[0]]} but graph "
                          f"node {differ[0]} has id {g.external_ids[differ[0]]}")
 
-    us, vs = _sample_pairs(g.n, g.directed, sample_size, seed)
-    definite, value = query_arrays(cg, us, vs)
+    total, idx = _pair_indices(g.n, g.directed, sample_size, seed)
+    pairs = total if idx is None else idx.size
+    # the edge keys and one key past them all, which every searchsorted lands on or below
+    edge_keys = np.append(_edge_keys(g), np.int64(g.n) * g.n)
+    # definite, definite_correct, fuzzy_pairs, fuzzy_true, fuzzy_sound_yes, fuzzy_sound_no
+    counts = np.zeros(6, dtype=np.int64)
+    for lo in range(0, pairs, _EVAL_BLOCK):
+        hi = min(lo + _EVAL_BLOCK, pairs)
+        block = np.arange(lo, hi, dtype=np.int64) if idx is None else idx[lo:hi]
+        us, vs = _decode_pairs(block, g.n, g.directed)
+        definite, value = query_arrays(cg, us, vs)
+        keys = us * np.int64(g.n) + vs
+        truth = edge_keys[np.searchsorted(edge_keys, keys)] == keys
+        fuzzy = ~definite
+        fuzzy_true, fuzzy_val = truth[fuzzy], value[fuzzy]
+        counts += (definite.sum(), ((value[definite] == 1.0) == truth[definite]).sum(),
+                   fuzzy.sum(), fuzzy_true.sum(), (fuzzy_val[fuzzy_true] > 0.5).sum(),
+                   (fuzzy_val[~fuzzy_true] < 0.5).sum())
 
-    truth = np.isin(us * np.int64(g.n) + vs, _edge_keys(g))
-
-    def_mask = definite
-    fuz_mask = ~definite
-    correct = (value[def_mask] == 1.0) == truth[def_mask]
-    fuzzy_true = truth[fuz_mask]
-    fuzzy_val = value[fuz_mask]
-
-    return EvalReport(
-        k=cg.k,
-        pairs=int(us.shape[0]),
-        definite=int(def_mask.sum()),
-        definite_correct=int(correct.sum()),
-        fuzzy_pairs=int(fuz_mask.sum()),
-        fuzzy_true=int(fuzzy_true.sum()),
-        fuzzy_sound_yes=int((fuzzy_val[fuzzy_true] > 0.5).sum()),
-        fuzzy_sound_no=int((fuzzy_val[~fuzzy_true] < 0.5).sum()),
-        seed=seed,
-        sample_size=sample_size,
-    )
+    return EvalReport(cg.k, pairs, *counts.tolist(), seed=seed, sample_size=sample_size)
 
 
 def sweep_k(

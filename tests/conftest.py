@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 
 from fuzzmap import (
+    CompressedGraph,
     Graph,
     build,
     canonical_edge_list,
+    default_system,
     gnp_random_graph,
     graph_from_edges,
+    parse_fcl,
     preferential_attachment_graph,
+    to_fcl,
 )
+from fuzzmap.oracle import node_states
+from fuzzmap.radii import group_points
 
 # 6-node graph with N(1) = {2, 5} whose k=2 quantized models put node 5
 # inside node 1's definite-yes radius, push 3/4/6 to definite no, and
@@ -50,6 +56,26 @@ def edgeless_graph(n: int) -> Graph:
         indices=np.zeros(0),
         external_ids=np.arange(n, dtype=np.uint64),
     )
+
+
+def manual_model(coords, r, R, directed=False, quantized=False, external_ids=None,
+                 fcl_text=None) -> CompressedGraph:
+    """A model of per-node coordinates and radii, grouped as ``build`` groups
+    them: ``group_points``, ``node_states``, then ``CompressedGraph.from_states``.
+
+    External ids default to 0..n-1 and the FCL text to the built-in
+    system's; the fuzzy system is its parse.
+    """
+    coords = np.asfortranarray(coords, dtype=float)
+    r, R = np.asarray(r, dtype=float), np.asarray(R, dtype=float)
+    n = coords.shape[0]
+    ids = np.arange(n, dtype=np.uint64) if external_ids is None else np.array(
+        external_ids, dtype=np.uint64)
+    assert r.shape == R.shape == ids.shape == (n,), "model parts disagree in n"
+    fcl_text = to_fcl(default_system()) if fcl_text is None else fcl_text
+    groups = group_points(coords)
+    return CompressedGraph.from_states(groups.points_t, node_states(groups.inv, r, R), directed,
+                                       quantized, parse_fcl(fcl_text), ids, fcl_text)
 
 
 def soundness_corpus(count: int = 52):

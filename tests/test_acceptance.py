@@ -13,7 +13,6 @@ import pytest
 
 from fuzzmap import (
     Answer,
-    CompressedGraph,
     build,
     compute_radii,
     default_system,
@@ -33,10 +32,9 @@ from fuzzmap import (
     to_fcl,
 )
 from fuzzmap.fuzzy import FclParseError
-from fuzzmap.fastmap import Embedding
 from fuzzmap.radii import distances_from, group_points
 
-from conftest import UNCERTAIN_PAIR_EDGES, soundness_corpus
+from conftest import UNCERTAIN_PAIR_EDGES, manual_model, soundness_corpus
 from oracles import fzg1_size_oracle, mamdani_centroid_oracle, radii_sort_scan
 
 
@@ -202,10 +200,9 @@ def test_criterion_6_linear_storage():
                                                  cg.radii.R.tolist(), cg.external_ids, 4, fcl_len)
         assert node_bytes[10000] == 10 * node_bytes[1000] == 10 * 1000 // 2
         # worst case, every row distinct: u = t = n, 14 bits for each index
-        distinct = Embedding(coords=np.arange(4.0 * n).reshape(n, 4))
-        total = save(CompressedGraph(embedding=distinct, radii=cg.radii, directed=cg.directed,
-                                     fuzzy=cg.fuzzy, external_ids=cg.external_ids,
-                                     fcl_text=cg.fcl_text), io.BytesIO())
+        distinct = manual_model(np.arange(4.0 * n).reshape(n, 4), cg.radii.r, cg.radii.R,
+                                cg.directed, cg.quantized, cg.external_ids, cg.fcl_text)
+        total = save(distinct, io.BytesIO())
         assert total == 44 + 8 + n * (8 * 4 + 16) + 2 * (14 * n // 8) + fcl_len + 4
         ok = True
     finally:

@@ -269,6 +269,12 @@ MALFORMED = {
         "FUNCTION_BLOCK f\n    VAR_INPUT x : REAL; END_VAR\n"
         "    VAR_OUTPUT y : REAL; END_VAR\nEND_FUNCTION_BLOCK\n",
         "missing RULEBLOCK"),
+    "identifier-number": (
+        variant("VAR_INPUT closeness", "VAR_INPUT 12"),
+        "line 6: expected identifier, got '12'"),
+    "identifier-keyword": (
+        variant("RULEBLOCK rules", "RULEBLOCK RULE"),
+        "line 21: expected identifier, got 'RULE'"),
     "unexpected-character": (
         variant("DEFAULT := 0.5;", "DEFAULT := 0.5; #"),
         "line 18: unexpected character '#'"),

@@ -117,6 +117,58 @@ def test_bytes_and_stream_input(tmp_path):
         parse_edge_list(b"1 2\n\xff 3\n")
 
 
+def test_memoryview_input_and_non_text_rejected():
+    # every bytes-like input is read as bytes; anything else is a TypeError
+    assert parse_edge_list(memoryview(b"1 2\n")) == parse_edge_list("1 2\n")
+    with pytest.raises(TypeError):
+        parse_edge_list(12)
+
+
+def test_grammar_decorations_give_the_plain_graph():
+    # a comment header, CRLF line ends, padded commas, signs, leading zeros
+    # and blank-only lines all read as the plain text of the same edges
+    plain = parse_edge_list("1 2\n2 3\n3 4\n4 0\n")
+    decorated = "\t# header\r\n+1,2\r\n 2 ,\t3 \r\n \t\r\n3, 004\n% note\n4\t-0\r\n"
+    assert parse_edge_list(decorated) == parse_edge_list(decorated.encode()) == plain
+
+
+@pytest.mark.parametrize("bad, line", [
+    ("1_000 2\n", 1),  # an underscore in an id
+    ("1 2\n\uff11 \uff12\n", 2),  # fullwidth digits
+    ("\u0663 4\n", 1),  # an Arabic-Indic digit
+    ("1\u00a02\n", 1),  # a no-break space
+    ("1 2\n3\u30004\n", 2),  # an ideographic space
+    ("1 2\x0b3 4\n", 1),
+    ("1 2\x0c3 4\n", 1),
+    ("1 2\x1c3 4\n", 1),
+    ("1 2\x1d3 4\n", 1),
+    ("1 2\x1e3 4\n", 1),
+    ("1 2\x853 4\n", 1),
+    ("1 2\u20283 4\n", 1),
+    ("1 2\u20293 4\n", 1),
+    ("5 6\n1 2\r3 4\n", 2),  # a lone carriage return
+    (",1 2\n", 1),
+    ("1 2,\n", 1),
+    ("1 2\n3 ,4 ,\n", 2),
+], ids=["underscore", "fullwidth", "arabic-indic", "no-break-space", "ideographic-space",
+        "vt", "ff", "fs", "gs", "rs", "nel", "line-separator", "paragraph-separator",
+        "lone-cr", "leading-comma", "trailing-comma", "two-commas"])
+def test_input_outside_the_grammar_names_its_line(bad, line):
+    # each is outside the grammar, though str.splitlines, str.strip or int() would take it
+    for form in (bad, bad.encode("utf-8")):
+        with pytest.raises(GraphParseError, match=f"^line {line}: "):
+            parse_edge_list(form)
+
+
+def test_ids_past_int_digit_limit_read_exactly():
+    # leading zeros do not count toward the 20 digits, nor toward int()'s limit
+    zeros = "0" * 5000
+    g = parse_edge_list(f"{zeros}7 +{zeros}9\n")
+    assert g.external_ids.tolist() == [7, 9]
+    with pytest.raises(GraphParseError, match="^line 2: "):
+        parse_edge_list(f"1 2\n{'1' * 5000} 9\n")
+
+
 def test_directed_arcs_one_way():
     g = parse_edge_list("1 2\n2 3\n", directed=True)
     assert g.directed
@@ -319,7 +371,7 @@ def test_last_piece_alone_not_plain_goes_to_the_line_loop(last, outcome):
     # every piece but the last passes the plain checks
     text = "".join(f"{i} {i + 1}\n" for i in range(30000)) + last + "\n"
     assert len(text) > 3 * _PLAIN_CHUNK
-    assert _parse_plain(text) is None
+    assert _parse_plain(text.encode("ascii")) is None
     if outcome is not None:
         with pytest.raises(GraphParseError, match=outcome):
             parse_edge_list(text)

@@ -9,14 +9,16 @@ from fuzzmap import (
     evaluate_model,
     gnp_random_graph,
     graph_from_edges,
+    preferential_attachment_graph,
     query,
     query_arrays,
     reports_to_csv,
     save_file,
     sweep_k,
 )
+from fuzzmap import harness
 from fuzzmap.cli import run
-from fuzzmap.harness import CSV_HEADER, _sample_pairs
+from fuzzmap.harness import _EVAL_BLOCK, CSV_HEADER, _sample_pairs
 
 from conftest import edgeless_graph
 
@@ -151,6 +153,46 @@ def test_permutation_invariance_of_tallies():
     d2, v2 = query_arrays(cg, us[perm], vs[perm])
     assert d1.sum() == d2.sum()
     assert sorted(v1.tolist()) == sorted(v2.tolist())
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+@pytest.mark.parametrize("sample_size", [None, 150], ids=["all-pairs", "sampled"])
+def test_report_does_not_depend_on_the_block_size(directed, sample_size):
+    for n, p, seed in ((30, 0.2, 1), (45, 0.08, 2)):
+        g = gnp_random_graph(n, p, seed=seed, directed=directed)
+        cg = build(g, k=3, seed=seed)
+        reports = []
+        for block in (1, 7, _EVAL_BLOCK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(harness, "_EVAL_BLOCK", block)
+                reports.append(evaluate_model(cg, g, sample_size=sample_size, seed=seed))
+        assert reports[0] == reports[1] == reports[2]
+        # and the one-batch tally over the same pairs
+        us, vs = _sample_pairs(g.n, directed, sample_size, seed)
+        definite, value = query_arrays(cg, us, vs)
+        truth = np.array([v in g.neighbors(u) for u, v in zip(us.tolist(), vs.tolist())], bool)
+        fuzzy_true, fuzzy_val = truth[~definite], value[~definite]
+        assert (reports[0].pairs, reports[0].definite, reports[0].definite_correct,
+                reports[0].fuzzy_true, reports[0].fuzzy_sound_yes, reports[0].fuzzy_sound_no) == (
+            len(us), definite.sum(), ((value[definite] == 1.0) == truth[definite]).sum(),
+            fuzzy_true.sum(), (fuzzy_val[fuzzy_true] > 0.5).sum(),
+            (fuzzy_val[~fuzzy_true] < 0.5).sum())
+
+
+def test_all_pairs_evaluation_memory_is_bounded_by_the_block():
+    # all 4,498,500 pairs queried at once would peak at ~532 MiB; one block
+    # of 2**18 pairs at a time peaks at ~40 MiB
+    g = preferential_attachment_graph(3000, 5, seed=1)
+    cg = build(g, k=8, seed=1)
+    cg.pair_table  # built on the first query, not part of the tally's scratch
+    tracemalloc.start()
+    try:
+        rep = evaluate_model(cg, g, sample_size=None, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.pairs == 3000 * 2999 // 2
+    assert peak < 64 * 2**20
 
 
 def test_mismatched_model_and_graph(tmp_path):

@@ -22,7 +22,6 @@ from fuzzmap import (
     build,
     compute_all_radii,
     default_fcl_text,
-    default_system,
     evaluate,
     fastmap_embed,
     gnp_random_graph,
@@ -33,14 +32,14 @@ from fuzzmap import (
     query_arrays,
     query_directed,
     save,
-    to_fcl,
 )
 from fuzzmap import oracle
 from fuzzmap.cli import run
 from fuzzmap.fastmap import Embedding
 from fuzzmap.radii import _BLOCK, _block_distances, distances_from, group_points, pair_distances
 
-from conftest import HIGH_ID_EDGES, UNCERTAIN_PAIR_EDGES, edgeless_graph, soundness_corpus
+from conftest import (HIGH_ID_EDGES, UNCERTAIN_PAIR_EDGES, edgeless_graph, manual_model,
+                      soundness_corpus)
 from oracles import fzg1_size_oracle
 
 # 5-node digraph exhibiting asymmetric definite answers (found by search,
@@ -49,21 +48,15 @@ from oracles import fzg1_size_oracle
 DIGRAPH_ARCS = [(0, 2), (0, 3), (0, 4), (1, 0), (1, 4), (2, 4), (3, 1), (4, 1)]
 
 
-def manual_model(coords, r, R, directed=False, quantized=False, fcl_text=None) -> CompressedGraph:
-    coords = np.asarray(coords, dtype=float)
-    fcl_text = to_fcl(default_system()) if fcl_text is None else fcl_text
-    return CompressedGraph(
-        embedding=Embedding(coords=coords),
-        radii=NodeRadii(r=np.asarray(r, float), R=np.asarray(R, float), quantized=quantized),
-        directed=directed,
-        fuzzy=parse_fcl(fcl_text),
-        external_ids=np.arange(coords.shape[0], dtype=np.uint64),
-        fcl_text=fcl_text,
-    )
-
-
 def remodel(cg: CompressedGraph, **parts) -> CompressedGraph:
     """A model of cg's per-node parts, with some of them replaced."""
+    kept = dict(coords=cg.embedding.coords, r=cg.radii.r, R=cg.radii.R, directed=cg.directed,
+                quantized=cg.quantized, external_ids=cg.external_ids, fcl_text=cg.fcl_text)
+    return manual_model(**{**kept, **parts})
+
+
+def keyword_model(cg: CompressedGraph, **parts) -> CompressedGraph:
+    """The keyword constructor on cg's per-node parts, some replaced, for the tests of its checks."""
     kept = dict(embedding=cg.embedding, radii=cg.radii, directed=cg.directed, fuzzy=cg.fuzzy,
                 external_ids=cg.external_ids, fcl_text=cg.fcl_text)
     return CompressedGraph(**{**kept, **parts})
@@ -334,11 +327,11 @@ def test_model_parts_must_agree_in_n():
     cg = build(gnp_random_graph(30, 0.2, seed=1), k=3, seed=1)
     short = Embedding(coords=cg.embedding.coords[:29])
     with pytest.raises(ValueError, match="29 coordinate rows, 30 r, 30 R, 30 external ids"):
-        remodel(cg, embedding=short)
+        keyword_model(cg, embedding=short)
     with pytest.raises(ValueError, match="disagree in n"):
-        remodel(cg, radii=NodeRadii(cg.radii.r, cg.radii.R[:-1], cg.radii.quantized))
+        keyword_model(cg, radii=NodeRadii(cg.radii.r, cg.radii.R[:-1], cg.radii.quantized))
     with pytest.raises(ValueError, match="disagree in n"):
-        remodel(cg, external_ids=cg.external_ids[1:])
+        keyword_model(cg, external_ids=cg.external_ids[1:])
 
 
 def test_fuzzy_system_must_match_fcl_text(uncertain_pair_graph):
@@ -347,10 +340,10 @@ def test_fuzzy_system_must_match_fcl_text(uncertain_pair_graph):
     cg = build(uncertain_pair_graph, k=2, seed=0)
     text = default_fcl_text().replace("DEFAULT := 0.5;", "DEFAULT := 0.25;")
     with pytest.raises(ValueError, match="does not match"):
-        remodel(cg, fcl_text=text)
+        keyword_model(cg, fcl_text=text)
     with pytest.raises(ValueError, match="does not match"):
-        remodel(cg, fuzzy=parse_fcl(text))
-    matched = remodel(cg, fcl_text=text, fuzzy=parse_fcl(text))
+        keyword_model(cg, fuzzy=parse_fcl(text))
+    matched = keyword_model(cg, fcl_text=text, fuzzy=parse_fcl(text))
     assert roundtrip(matched)[0].fuzzy == matched.fuzzy
 
 
@@ -419,9 +412,8 @@ def test_file_layout_exact_sizes():
     # worst case, every row distinct and ids not a range: u = t = n = 6, so
     # each index takes 3 bits; against version 2, the u32 point index a node
     # goes, the 8-byte t field and two 3-byte packed fields come
-    distinct = remodel(
-        manual_model(np.arange(12.0).reshape(6, 2), r=[-1.0] * 6, R=[np.inf] * 6),
-        external_ids=np.array([1, 3, 5, 7, 9, 11], dtype=np.uint64))
+    distinct = manual_model(np.arange(12.0).reshape(6, 2), r=[-1.0] * 6, R=[np.inf] * 6,
+                            external_ids=[1, 3, 5, 7, 9, 11])
     _, nbytes, blob = roundtrip(distinct)
     assert group_points(distinct.embedding.coords).u == distinct.states.t == 6
     fcl_len = len(distinct.fcl_text.encode("utf-8"))
@@ -572,6 +564,7 @@ def _saved_uncertain_pair_model(ids: str) -> bytes:
         ("range", _RADII + 8, "<d", -math.inf, "invalid radius R at offset 156"),
         ("range", _FCL, "<c", b"@", "FCL block at offset 250 does not parse: line 1: "
                                     "unexpected character '@'"),
+        ("range", _FCL + 3, "<c", b"\xff", "FCL block is not UTF-8 at offset 253"),
         ("range", 8, "<I", 8, "unknown flag bits 0x8 at offset 8"),
         ("range", 20, "<I", 0, "invalid dimension k=0 at offset 20"),
         ("range", 28, "<Q", 0, "invalid point count u=0 for n=6 at offset 28"),
@@ -581,7 +574,7 @@ def _saved_uncertain_pair_model(ids: str) -> bytes:
     ],
     ids=["duplicate-id", "descending-id", "id-range-overflow", "nan-coord", "inf-coord",
          "huge-coord", "index-u", "state-index-t", "nan-r", "negative-r", "inf-r", "nan-R",
-         "negative-R", "minus-inf-R", "bad-fcl", "unknown-flag", "zero-k", "zero-u", "u-above-n",
+         "negative-R", "minus-inf-R", "bad-fcl", "non-utf8-fcl", "unknown-flag", "zero-k", "zero-u", "u-above-n",
          "zero-t", "t-above-n"],
 )
 def test_load_rejects_invalid_values(tmp_path, ids, offset, fmt, value, message):
