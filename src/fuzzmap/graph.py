@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import logging
 import re
+from array import array
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -54,8 +55,9 @@ class Graph:
     graph: offsets that are not n + 1 non-decreasing values from 0 to
     len(indices), neighbor ids outside [0, n), rows that are not strictly
     increasing or hold their own node, undirected rows that are not
-    symmetric, and external ids that are not n strictly increasing values.
-    The radii scan's neighbor counts rely on these.
+    symmetric, and external ids that are not n strictly increasing values
+    of an integer dtype in [0, 2**64), which it holds as uint64. The radii
+    scan's neighbor counts rely on these, and a saved model on the ids.
     """
 
     n: int
@@ -89,6 +91,10 @@ class Graph:
             if not np.array_equal(flipped, owner):
                 raise ValueError("undirected graph rows must be symmetric")
         ids = np.asarray(self.external_ids)
+        if ids.dtype.kind not in "iu" or (ids.dtype.kind == "i" and ids.size and ids.min() < 0):
+            raise ValueError("external_ids must be integers in [0, 2**64)")
+        self.external_ids = ids = ids.astype(np.uint64, copy=False).view()
+        ids.flags.writeable = False
         if ids.shape != (n,) or np.any(ids[1:] <= ids[:-1]):
             raise ValueError("external_ids must hold n strictly increasing ids")
 
@@ -338,30 +344,41 @@ def _parse_lines(data: bytes | str) -> np.ndarray:
     ``data`` is the UTF-8 bytes parse_edge_list hands on, decoded here (a
     str is read as decoded text). Lines end at '\n' alone, so a vertical
     tab, a form feed, a lone carriage return or a Unicode line break is a
-    character of its line, which then fails the match.
+    character of its line, which then fails the match. The text is split
+    one piece of whole lines of at least _PLAIN_CHUNK characters at a
+    time, and the ids go to one u64 array, so scratch beyond the text and
+    the ids is O(_PLAIN_CHUNK) unless one line is longer.
     """
     try:
         text = data if isinstance(data, str) else data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise GraphParseError(f"input is not UTF-8: {exc}") from None
-    pairs: list[tuple[int, int]] = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        match = _LINE.fullmatch(line)
-        if match is None:
-            tokens = len(re.findall(r"[^ \t,]+", line))
-            if tokens != 2:
-                raise GraphParseError(
-                    f"line {lineno}: expected two integer tokens, got {tokens}: {line!r}")
-            raise GraphParseError(f"line {lineno}: expected two ids of ASCII digits below "
-                                  f"2**64, split by spaces, tabs or one comma: {line!r}")
-        sign_u, u, sign_v, v = match.groups()
-        if u is None:  # a blank or comment line
-            continue
-        u, v = int(u), int(v)
-        if u > _MAX_ID or v > _MAX_ID or (sign_u == "-" and u) or (sign_v == "-" and v):
-            raise GraphParseError(f"line {lineno}: node id out of 64-bit range: {line!r}")
-        pairs.append((u, v))
-    return np.array(pairs, dtype=np.uint64).reshape(-1, 2)
+    ids = array("Q")
+    lineno = start = 0
+    while start <= len(text):
+        stop = text.find("\n", start + _PLAIN_CHUNK - 1)
+        if stop < 0:
+            stop = len(text)
+        for line in text[start:stop].split("\n"):
+            lineno += 1
+            match = _LINE.fullmatch(line)
+            if match is None:
+                tokens = len(re.findall(r"[^ \t,]+", line))
+                if tokens != 2:
+                    raise GraphParseError(
+                        f"line {lineno}: expected two integer tokens, got {tokens}: {line!r}")
+                raise GraphParseError(f"line {lineno}: expected two ids of ASCII digits below "
+                                      f"2**64, split by spaces, tabs or one comma: {line!r}")
+            sign_u, u, sign_v, v = match.groups()
+            if u is None:  # a blank or comment line
+                continue
+            u, v = int(u), int(v)
+            if u > _MAX_ID or v > _MAX_ID or (sign_u == "-" and u) or (sign_v == "-" and v):
+                raise GraphParseError(f"line {lineno}: node id out of 64-bit range: {line!r}")
+            ids.append(u)
+            ids.append(v)
+        start = stop + 1
+    return np.frombuffer(ids, dtype=np.uint64).reshape(-1, 2)
 
 
 def load_edge_list(path: str, directed: bool = False) -> Graph:

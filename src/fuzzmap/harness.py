@@ -99,18 +99,6 @@ def _decode_pairs(idx: np.ndarray, n: int, directed: bool) -> tuple[np.ndarray, 
     return np.minimum(us, vs), np.maximum(us, vs)
 
 
-def _sample_pairs(
-    n: int, directed: bool, sample_size: Optional[int], seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct node pairs, uniform without replacement, seeded.
-
-    Unordered pairs (u < v) for undirected graphs, ordered for directed;
-    see ``_pair_indices`` and ``_decode_pairs``.
-    """
-    total, idx = _pair_indices(n, directed, sample_size, seed)
-    return _decode_pairs(np.arange(total, dtype=np.int64) if idx is None else idx, n, directed)
-
-
 def _edge_keys(g: Graph) -> np.ndarray:
     """Ascending pair keys u * n + v, one per edge (u < v when undirected)."""
     us, vs = g.edges()

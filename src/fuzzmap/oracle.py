@@ -7,15 +7,16 @@ coordinates and radii are gathered only for a caller that asks.
 
 A query answers definite yes/no when a radius guarantees the truth,
 otherwise a fuzzy likelihood. Each endpoint of a pair contributes one
-side value, which depends only on that endpoint's node state (point, r,
-R) and on the other endpoint's point, so a pair's answer depends only on
-the two node states. On the first query the model fills the pair table,
-one answer code per ordered pair of its t node states, scoring the sides
-from the distinct points with the distance kernel, while the table is no
-larger than n x k f64 coordinates would be; a batch is then one gather
-per pair, with no fuzzy inference and no combine. Without a pair table a
-batch runs the kernel on the points of each pair's states, scores its
-undecided sides and combines them. Both paths answer bit for bit alike.
+side key, which depends only on that endpoint's node state (point, r, R)
+and on the other endpoint's point; the keys rank the answer rule, so a
+pair's answer is its least side key, and it depends only on the two node
+states. A batch runs the kernel on the points of each pair's states,
+scores its undecided sides and maps each least key to an answer. The
+pair table caches that path: on the first query the model ranks the side
+keys of every state against every point, from the same ``pair_distances``
+and ``_side_values``, into one answer code per ordered pair of its t node
+states, while the table is no larger than n x k f64 coordinates would be;
+a batch is then one gather per pair, with no fuzzy inference.
 
 Models persist in the FZG1 binary format with a CRC32 trailer, written
 and read as held: each of the u points once, each of the t node states
@@ -40,8 +41,7 @@ import numpy as np
 from .fastmap import Embedding, fastmap_embed
 from .fuzzy import FclParseError, FuzzySystem, default_system, evaluate_many, parse_fcl, to_fcl
 from .graph import Graph, check_node_id, lookup_internal_id
-from .radii import (R_NONE, NodeRadii, _block_distances, _group_columns, _grouped_radii,
-                    group_points, pair_distances)
+from .radii import R_NONE, NodeRadii, _group_columns, _grouped_radii, group_points, pair_distances
 
 MAGIC = b"FZG1"
 FORMAT_VERSION = 4
@@ -56,6 +56,8 @@ _MAX_INDEXED = 2**32  # point and state indices take at most 32 bits: at most th
 # distance table had to fit too: beyond that the many distinct distances
 # make the first query's fuzzy inference far costlier, often only to give up
 _TABLE_COORD_RATIO = 1
+# side keys, ranked as the answer rule ranks them: yes, no, a fuzzy output in [0, 1], unscored
+_KEY_YES, _KEY_NO, _KEY_UNSCORED = -2.0, -1.0, 2.0
 _YES, _NO = 0, 1  # the pair table's definite codes; fuzzy codes follow
 _SIDE_BLOCK = 1 << 15  # (state, point) cells scored at a time while the pair table is built
 
@@ -91,10 +93,10 @@ class NodeStates(NamedTuple):
     """The t distinct (point, r, R) states of a model's nodes.
 
     State s sits on point ``point[s]`` with radii ``r[s]`` and ``R[s]``;
-    node v is in state ``index[v]``. In ``node_states`` order, which save
-    writes, load checks and the pair table's scoring reads: strictly
+    node v is in state ``index[v]``. In ``node_states`` order, the FZG1
+    file's canonical form, which save writes and load checks: strictly
     increasing in (point, r bits, R bits), each point holding a state and
-    each state a node.
+    each state a node. Queries and the pair table answer alike in any order.
     """
 
     point: np.ndarray  # (t,) intp
@@ -194,9 +196,10 @@ class CompressedGraph:
 
         ``codes[s, s']`` answers a node in state s against a node in state
         s' with ``decode[codes[s, s']]``, and is definite exactly when below
-        2. The codes rank the side values of each state against each
-        point (``_side_codes``), and a pair's code is the lesser of its
-        two sides' codes, or the source side's alone when directed. The
+        2. The codes rank the side keys of each state against each point
+        (``_side_codes``), and a pair's code is the lesser of its two
+        sides' codes, or the source side's alone when directed: the rank of
+        the least side key the table-less path answers from. The
         pair table is None when itemsize * t**2 bytes exceed the cap,
         8 * k * n bytes, and when 8 * u**2 bytes exceed it (see
         _TABLE_COORD_RATIO). Built on the first query, not by build, save
@@ -240,79 +243,80 @@ class PairTable(NamedTuple):
 
 
 def _side_values(d: np.ndarray, r: np.ndarray, R: np.ndarray, system: FuzzySystem) -> np.ndarray:
-    """Side values of distances and radii that broadcast to (sides, pairs...).
+    """Side keys of distances and radii that broadcast to (sides, pairs...).
 
-    A side is +inf where d <= r (definite yes), -inf where d >= R and not
-    d <= r (definite no), the fuzzy output of clip((R - d) / (R - r), 0, 1)
-    where r != R_NONE and R is finite, and NaN otherwise. Only the sides
-    of pairs that no side decides are scored; the undecided sides of a
-    decided pair stay NaN, which cannot change that pair's answer.
+    A side's key is _KEY_YES where d <= r, else _KEY_NO where d >= R, else
+    the fuzzy output of clip((R - d) / (R - r), 0, 1) where r != R_NONE
+    and R is finite, else _KEY_UNSCORED. The keys rank the answer rule, so
+    a pair's least side key is its answer (``_answers``). Only the sides of
+    pairs that no side decides are scored; the undecided sides of a decided
+    pair stay unscored, which cannot change that pair's least key.
     Each distinct crisp input is evaluated once: evaluate_many reduces row
     by row, so that gives the same bits as evaluating every side.
     """
     d, r, R = np.broadcast_arrays(d, r, R)
-    yes = d <= r
-    no = ~yes & (d >= R)
-    values = np.where(yes, np.inf, np.where(no, -np.inf, np.nan))
-    scored = ~(yes | no).any(axis=0) & (r != R_NONE) & np.isfinite(R)
+    keys = np.where(d <= r, _KEY_YES, np.where(d >= R, _KEY_NO, _KEY_UNSCORED))
+    scored = ~(keys < 0.0).any(axis=0) & (r != R_NONE) & np.isfinite(R)
     r, R, d = r[scored], R[scored], d[scored]
     xs, inverse = np.unique(np.clip((R - d) / (R - r), 0.0, 1.0), return_inverse=True)
     # + 0.0 turns a -0.0 output into 0.0, so equal fuzzy values have equal bits
-    values[scored] = (evaluate_many(system, xs) + 0.0).take(inverse)
-    return values
+    keys[scored] = (evaluate_many(system, xs) + 0.0).take(inverse)
+    return keys
+
+
+def _answers(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(definite, value) of least side keys: 1.0 for a yes, 0.0 for a no,
+    the fuzzy output, and 0.5 when no side was scored."""
+    rule = [keys == _KEY_YES, keys == _KEY_NO, keys == _KEY_UNSCORED]
+    return keys < 0.0, np.select(rule, [1.0, 0.0, 0.5], keys)
 
 
 def _side_codes(points_t: np.ndarray, states: NodeStates, system: FuzzySystem,
                 max_codes: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Precedence codes of every (state, point) side, and the answer value of each code.
 
-    The side of a node in state s against a node on point p has the side
-    value of ``_side_values`` at the kernel's distance between points
-    ``states.point[s]`` and p of the (k, u) ``points_t``. _YES (0) is a
-    definite yes (+inf) and _NO (1) a definite no (-inf); 2... are the
-    distinct fuzzy values in ascending order; the last code is NaN, which
-    answers the 0.5 fallback. So the lesser code of two sides is the
-    pair's answer: yes first, then no, then the lesser fuzzy side, NaN
-    sides dropping out. States are scored about _SIDE_BLOCK cells at a
-    time, so no (t, u) float array is made: each block is coded by its own
-    fuzzy values, then recoded by all of them. In ``node_states`` order
-    the states are sorted by point and every point holds one, so a
-    block's states span a run of points no longer than the block, and
-    one kernel call gives their distance rows; a point's coordinates are
-    its nodes' coordinates and the kernel squares every difference, so
-    the rows equal ``pair_distances`` bit for bit. None as soon as the
-    codes would number more than max_codes; else they take the smallest
-    unsigned dtype that holds them.
+    The side of a node in state s against a node on point p has the key of
+    ``_side_values`` at the ``pair_distances`` distance between points
+    ``states.point[s]`` and p of the (k, u) ``points_t``, the distance the
+    table-less path computes for such a pair. The codes rank the keys:
+    _YES (0) and _NO (1), then 2... the distinct fuzzy outputs in
+    ascending order, and last the unscored key; ``_answers`` of those keys
+    is ``decode``. So the lesser code of two sides is the code of their
+    least key. States are scored about _SIDE_BLOCK cells at a time, so no
+    (t, u) float array is made: the distinct points of a block get one
+    distance row each, each block is coded by its own fuzzy values, then
+    recoded by all of them. Any order of the states gives the same codes,
+    row for row. None as soon as the codes would number more than
+    max_codes; else they take the smallest unsigned dtype that holds them.
     """
     u = points_t.shape[1]
     rows = max(1, _SIDE_BLOCK // u)
     blocks, block_xs = [], []
     for lo in range(0, states.t, rows):
         s = slice(lo, lo + rows)
-        first, last = states.point[s][[0, -1]]
-        span = _block_distances(points_t, first, last + 1, *np.empty((2, last + 1 - first, u)))
-        d = span.take(states.point[s] - first, axis=0)
-        values = _side_values(d[None], states.r[None, s, None], states.R[None, s, None], system)[0]
-        fuzzy = np.isfinite(values)
-        xs, inverse = np.unique(values[fuzzy], return_inverse=True)
-        nan_code = 2 + xs.size
-        codes = np.full(values.shape, nan_code, dtype=np.min_scalar_type(nan_code))
-        codes[values == np.inf] = _YES
-        codes[values == -np.inf] = _NO
+        points, row = np.unique(states.point[s], return_inverse=True)
+        d = pair_distances(points_t.T, points[:, None], np.arange(u)).take(row, axis=0)
+        keys = _side_values(d[None], states.r[None, s, None], states.R[None, s, None], system)[0]
+        fuzzy = (keys >= 0.0) & (keys <= 1.0)
+        xs, inverse = np.unique(keys[fuzzy], return_inverse=True)
+        unscored = 2 + xs.size
+        codes = np.full(keys.shape, unscored, dtype=np.min_scalar_type(unscored))
+        codes[keys == _KEY_YES] = _YES
+        codes[keys == _KEY_NO] = _NO
         codes[fuzzy] = 2 + inverse
         blocks.append(codes)
         block_xs.append(xs)
         # every fuzzy value so far, and the rank of each block's values among them
         xs, rank = np.unique(np.concatenate(block_xs), return_inverse=True)
-        if 2 + xs.size >= max_codes:  # the NaN code, 2 + xs.size, would not fit
+        if 2 + xs.size >= max_codes:  # the unscored code, 2 + xs.size, would not fit
             return None
-    nan_code = 2 + xs.size
-    out = np.empty((states.t, u), dtype=np.min_scalar_type(nan_code))
+    unscored = 2 + xs.size
+    out = np.empty((states.t, u), dtype=np.min_scalar_type(unscored))
     ranks = np.split(rank, np.cumsum([x.size for x in block_xs])[:-1])
     for lo, codes, block_rank in zip(range(0, states.t, rows), blocks, ranks):
-        recode = np.concatenate([[_YES, _NO], 2 + block_rank, [nan_code]])
+        recode = np.concatenate([[_YES, _NO], 2 + block_rank, [unscored]])
         out[lo : lo + rows] = recode.take(codes)
-    return out, np.concatenate([[1.0, 0.0], xs, [0.5]])
+    return out, _answers(np.concatenate([[_KEY_YES, _KEY_NO], xs, [_KEY_UNSCORED]]))[1]
 
 
 def build(
@@ -349,12 +353,12 @@ def query_arrays(
 
     Returns (definite, value): a bool mask and, per pair, 1.0/0.0 for
     definite answers or the fuzzy likelihood. Directed models use only
-    the source side; undirected combine both sides with minimum. A model
-    with a pair table reads each pair's answer code from it with one
-    gather; otherwise the kernel gives each pair's distance, the sides of
-    undecided pairs are scored in the batch, and the two sides are
-    combined. This is the one validated entry: the scalar query ops
-    delegate here, so all paths agree bit for bit.
+    the source side; undirected take the least of both sides' keys. The
+    kernel gives each pair's distance, the sides of undecided pairs are
+    scored in the batch, and ``_answers`` maps the least key to the
+    answer; a model with a pair table reads the same answer from its
+    cache with one gather. This is the one validated entry: the scalar
+    query ops delegate here, so all paths agree bit for bit.
     Raises ValueError for id arrays that are not 1-d or differ in length,
     an id that is not an integer (floats and bools included), an id
     outside [0, n) and a self pair.
@@ -374,13 +378,8 @@ def query_arrays(
         return code <= _NO, table.decode.take(code)
     d = pair_distances(cg.points_t.T, states.point.take(su), states.point.take(sv))
     sides = su[None, :] if cg.directed else np.stack([su, sv])
-    side = _side_values(d, states.r.take(sides), states.R.take(sides), cg.fuzzy)
-    a, b = side[0], side[-1]
-    # a definite side decides the pair, yes first; else the lesser fuzzy
-    # side, NaN (sentinel) sides dropping out, and 0.5 when both are NaN
-    hi, lo = np.fmax(a, b), np.fmin(a, b)
-    yes, no = hi == np.inf, lo == -np.inf
-    return yes | no, np.where(yes, 1.0, np.where(no, 0.0, np.where(np.isnan(lo), 0.5, lo)))
+    keys = _side_values(d, states.r.take(sides), states.R.take(sides), cg.fuzzy)
+    return _answers(keys.min(axis=0))
 
 
 def _checked_ids(ids: np.ndarray, n: int) -> np.ndarray:
@@ -509,8 +508,8 @@ def load(source: IO[bytes]) -> CompressedGraph:
     made, and each state's radii once per state. The widths of the packed
     point and state indices follow from the header's u and t; each index
     must be below its count and each field's padding bits zero. Points and
-    states must be in the order save writes (see NodeStates), which the
-    pair table needs. The model holds read-only copies of the file's
+    states must be in the order save writes (see NodeStates), so each
+    model has one file. The model holds read-only copies of the file's
     arrays, the indices unpacked to intp: no sort, no gather and one FCL
     parse.
     """

@@ -9,10 +9,11 @@ guarantees.
 
 Every distance comes from one kernel, ``_axis_distances``: it takes one
 (a_j, b_j) operand pair per axis, adds the squared differences axis by
-axis, j = 0..k-1, then takes the square root. The radii scan,
-``distances_from``, the query side's ``pair_distances`` and the
-``_block_distances`` rows the model scores its pair table from therefore
-agree bit for bit, which the soundness of definite answers rests on.
+axis, j = 0..k-1, then takes the square root. The radii scan's
+``_block_distances`` rows, ``distances_from`` and the query side's
+``pair_distances``, which the model's pair table is scored from too,
+therefore agree bit for bit, which the soundness of definite answers
+rests on.
 Coordinates are axis-major (``Embedding.coords`` is Fortran-ordered), so
 ``coords.T`` is the C-contiguous (k, n) table and each caller hands the
 kernel contiguous axis rows, or one gather per axis for m pairs: no row
@@ -101,12 +102,14 @@ def distances_from(coords: np.ndarray, v: int) -> np.ndarray:
 
 
 def pair_distances(coords: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Euclidean distances for aligned id arrays; same kernel as distances_from.
+    """Euclidean distances for id arrays that broadcast together; same kernel as distances_from.
 
-    Gathers one axis at a time, so temporaries are O(m), not O(m * k).
+    Gathers one axis at a time, so temporaries are the size of the output,
+    not k times it: a (rows, 1) index against a (u,) one gives (rows, u)
+    distances from rows + u gathered values an axis.
     """
-    m = np.shape(us)[0]
-    return _axis_distances(((c[us], c[vs]) for c in coords.T), np.empty(m), np.empty(m))
+    shape = np.broadcast_shapes(np.shape(us), np.shape(vs))
+    return _axis_distances(((c[us], c[vs]) for c in coords.T), np.empty(shape), np.empty(shape))
 
 
 def euclidean_distance(e: Embedding, u: int, v: int) -> float:

@@ -3,9 +3,11 @@
 Deliberately written with different algorithms and plain Python so they
 share no code path with the implementations they check. The one exception
 is ``reference_fastmap``: it builds on fuzzmap's own distance rows, so it
-checks how ``fastmap_embed`` schedules them, not the row arithmetic. The
-reference generators hand their pairs to ``graph_from_edges``, so they
-check which pairs the bulk generators draw, not how a graph is built.
+checks how ``fastmap_embed`` schedules them, not the row arithmetic.
+``answer_oracle`` scores a fuzzy side with fuzzmap's own ``evaluate``, so
+it checks the answer rule, not the inference. The reference generators
+hand their pairs to ``graph_from_edges``, so they check which pairs the
+bulk generators draw, not how a graph is built.
 """
 
 from __future__ import annotations
@@ -17,12 +19,42 @@ from itertools import groupby
 import numpy as np
 
 from fuzzmap.fastmap import graph_distance_row, residual_distance
+from fuzzmap.fuzzy import evaluate
 from fuzzmap.graph import graph_from_edges
 
 
 def norm_oracle(p, q) -> float:
     """Euclidean norm, plain math."""
     return math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
+
+
+def answer_oracle(system, coords, r, R, directed: bool, u: int, v: int) -> tuple[bool, float]:
+    """(definite, value) of the pair (u, v) by the README rule, side by side.
+
+    The side of node a against node b, at d = norm_oracle of their
+    coordinate rows (axes summed in the kernel's order): yes if d <= r[a],
+    else no if d >= R[a], else none where r[a] is -1 or R[a] infinite,
+    else ``evaluate`` of min(max((R - d) / (R - r), 0), 1). The pair: yes
+    if a side says yes, else no if a side says no, else the lesser fuzzy
+    value (-0.0 read as 0.0), else 0.5. Directed pairs read u's side alone.
+    """
+    def side(a, b):
+        d = norm_oracle(coords[a], coords[b])
+        if d <= r[a]:
+            return "yes"
+        if d >= R[a]:
+            return "no"
+        if r[a] == -1.0 or R[a] == math.inf:
+            return None
+        return evaluate(system, min(max((R[a] - d) / (R[a] - r[a]), 0.0), 1.0)) + 0.0
+
+    sides = [side(u, v)] if directed else [side(u, v), side(v, u)]
+    if "yes" in sides:
+        return True, 1.0
+    if "no" in sides:
+        return True, 0.0
+    fuzzy = [x for x in sides if x is not None]
+    return False, min(fuzzy) if fuzzy else 0.5
 
 
 def radii_sort_scan(labelled: list[tuple[float, bool]], quantize: bool) -> tuple[float, float]:

@@ -401,6 +401,18 @@ def test_reader_memory_is_linear_in_text(benchmark_edge_text):
     assert _traced_peak(lambda: parse_edge_list(data)) < ends_bytes + 4 * ends_bytes
 
 
+def test_line_loop_memory_is_linear_in_text(benchmark_edge_text):
+    # a header line sends the text through the line loop, which holds one
+    # piece of lines at a time and the ids in one u64 array: beyond the text,
+    # about the ids, and the whole parse within the plain reader's bound
+    data = benchmark_edge_text.encode("ascii")
+    text = b"# header\n" + data
+    ends = _parse_plain(data)
+    assert _parse_plain(text) is None and np.array_equal(_parse_lines(text), ends)
+    assert _traced_peak(lambda: _parse_lines(text)) < len(text) + 2 * ends.nbytes
+    assert _traced_peak(lambda: parse_edge_list(text)) < ends.nbytes + 4 * ends.nbytes
+
+
 @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
 def test_graph_build_memory_is_linear_in_edges(benchmark_edge_text, directed):
     # one sort of the ids and one of the keys, each in place on a buffer
@@ -439,6 +451,28 @@ def test_malformed_csr_rejected(n, directed, indptr, indices, external_ids, mess
         Graph(n=n, directed=directed, indptr=np.array(indptr),
               indices=np.array(indices, dtype=np.int64),
               external_ids=np.array(ids, dtype=np.uint64))
+
+
+@pytest.mark.parametrize("ids", [
+    np.array([-5, 3, 7]),  # a model saved with these ids would not load
+    np.array([0.5, 3.0, 7.0]),  # save would truncate 0.5 to 0
+    np.array([False, True, True]),
+    np.array([1, 3, 2**64 - 1], dtype=object),
+    np.array(["1", "3", "7"]),
+], ids=["negative", "float", "bool", "object", "str"])
+def test_external_ids_must_be_u64_integers(ids):
+    with pytest.raises(ValueError, match=re.escape("external_ids must be integers in [0, 2**64)")):
+        Graph(n=3, directed=True, indptr=np.zeros(4), indices=np.zeros(0), external_ids=ids)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint16, np.uint64])
+def test_external_ids_are_held_as_read_only_u64(dtype):
+    ids = np.array([0, 3, 7], dtype=dtype)
+    g = Graph(n=3, directed=True, indptr=np.zeros(4), indices=np.zeros(0), external_ids=ids)
+    assert g.external_ids.dtype == np.uint64 and g.external_ids.tolist() == [0, 3, 7]
+    with pytest.raises(ValueError, match="read-only"):
+        g.external_ids[0] = 1
+    assert ids.flags.writeable  # the caller's array stays writable
 
 
 def test_csr_arrays_are_read_only(uncertain_pair_graph):

@@ -18,9 +18,15 @@ from fuzzmap import (
 )
 from fuzzmap import harness
 from fuzzmap.cli import run
-from fuzzmap.harness import _EVAL_BLOCK, CSV_HEADER, _sample_pairs
+from fuzzmap.harness import _EVAL_BLOCK, CSV_HEADER, _decode_pairs, _pair_indices
 
 from conftest import edgeless_graph
+
+
+def sample_pairs(n, directed, sample_size, seed):
+    """The pairs evaluate_model queries: its pair indices, decoded."""
+    total, idx = _pair_indices(n, directed, sample_size, seed)
+    return _decode_pairs(np.arange(total, dtype=np.int64) if idx is None else idx, n, directed)
 
 
 @pytest.fixture
@@ -80,7 +86,7 @@ def test_exact_half_counts_unsound():
     # mutually isolated nodes lands at exactly 0.5 -> unsound both ways
     g = graph_from_edges([(0, 1), (2, 3)], directed=True)
     cg = build(g, k=1, seed=0, quantize=False)
-    us, vs = _sample_pairs(g.n, True, None, 0)
+    us, vs = sample_pairs(g.n, True, None, 0)
     definite, value = query_arrays(cg, us, vs)
     half = ~definite & (value == 0.5)
     if half.any():
@@ -90,20 +96,20 @@ def test_exact_half_counts_unsound():
 
 def test_sampling_without_replacement_deterministic():
     for directed in (False, True):
-        us1, vs1 = _sample_pairs(50, directed, 100, seed=9)
-        us2, vs2 = _sample_pairs(50, directed, 100, seed=9)
+        us1, vs1 = sample_pairs(50, directed, 100, seed=9)
+        us2, vs2 = sample_pairs(50, directed, 100, seed=9)
         assert np.array_equal(us1, us2) and np.array_equal(vs1, vs2)
         keys = us1 * 50 + vs1
         assert len(np.unique(keys)) == 100  # no replacement
         assert np.all(us1 != vs1 if directed else us1 < vs1)
-        us3, _ = _sample_pairs(50, directed, 100, seed=10)
+        us3, _ = sample_pairs(50, directed, 100, seed=10)
         assert not np.array_equal(us1, us3)
 
 
 @pytest.mark.parametrize("directed", [False, True])
 def test_full_enumeration_yields_each_pair_once(directed):
     for n in range(2, 41):
-        us, vs = _sample_pairs(n, directed, None, 0)
+        us, vs = sample_pairs(n, directed, None, 0)
         if not directed:
             assert np.all(us < vs)
         pairs = itertools.permutations(range(n), 2) if directed else itertools.combinations(range(n), 2)
@@ -115,7 +121,7 @@ def test_sampling_memory_is_bounded_by_sample(directed):
     # a permutation of all ~4.5M (9M directed) pair indices would peak at 35+ MiB
     tracemalloc.start()
     try:
-        us, _ = _sample_pairs(3000, directed, 100, seed=1)
+        us, _ = sample_pairs(3000, directed, 100, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -124,19 +130,19 @@ def test_sampling_memory_is_bounded_by_sample(directed):
 
 
 def test_sampling_covers_all_pairs_when_small():
-    us, vs = _sample_pairs(6, False, None, seed=0)
+    us, vs = sample_pairs(6, False, None, seed=0)
     assert len(us) == 15
-    us, vs = _sample_pairs(6, True, None, seed=0)
+    us, vs = sample_pairs(6, True, None, seed=0)
     assert len(us) == 30
     assert np.all(us != vs)
-    us, vs = _sample_pairs(6, False, 10**9, seed=0)
+    us, vs = sample_pairs(6, False, 10**9, seed=0)
     assert len(us) == 15  # sample larger than population: all pairs
 
 
 def test_sampled_subset_matches_scalar_queries():
     g = gnp_random_graph(30, 0.25, seed=2)
     cg = build(g, k=2, seed=2)
-    us, vs = _sample_pairs(g.n, False, 40, seed=5)
+    us, vs = sample_pairs(g.n, False, 40, seed=5)
     definite, value = query_arrays(cg, us, vs)
     for u, v, is_def, val in zip(us, vs, definite, value):
         ans = query(cg, int(u), int(v))
@@ -147,7 +153,7 @@ def test_sampled_subset_matches_scalar_queries():
 def test_permutation_invariance_of_tallies():
     g = gnp_random_graph(25, 0.3, seed=77)
     cg = build(g, k=2, seed=0)
-    us, vs = _sample_pairs(g.n, False, None, seed=0)
+    us, vs = sample_pairs(g.n, False, None, seed=0)
     perm = np.random.default_rng(1).permutation(len(us))
     d1, v1 = query_arrays(cg, us, vs)
     d2, v2 = query_arrays(cg, us[perm], vs[perm])
@@ -168,7 +174,7 @@ def test_report_does_not_depend_on_the_block_size(directed, sample_size):
                 reports.append(evaluate_model(cg, g, sample_size=sample_size, seed=seed))
         assert reports[0] == reports[1] == reports[2]
         # and the one-batch tally over the same pairs
-        us, vs = _sample_pairs(g.n, directed, sample_size, seed)
+        us, vs = sample_pairs(g.n, directed, sample_size, seed)
         definite, value = query_arrays(cg, us, vs)
         truth = np.array([v in g.neighbors(u) for u, v in zip(us.tolist(), vs.tolist())], bool)
         fuzzy_true, fuzzy_val = truth[~definite], value[~definite]

@@ -40,7 +40,7 @@ from fuzzmap.radii import _BLOCK, _block_distances, distances_from, group_points
 
 from conftest import (HIGH_ID_EDGES, UNCERTAIN_PAIR_EDGES, edgeless_graph, manual_model,
                       soundness_corpus)
-from oracles import fzg1_size_oracle
+from oracles import answer_oracle, fzg1_size_oracle
 
 # 5-node digraph exhibiting asymmetric definite answers (found by search,
 # stable for k=2, seed=0, quantized): arc 1->0 exists, 0->1 does not, and
@@ -877,7 +877,7 @@ def _check_loaded_model(cg: CompressedGraph) -> None:
     for array in (cg.external_ids, cg.embedding.coords, r, R, cg.points_t, *cg.states):
         assert not array.flags.writeable
     assert cg.states.point.dtype == cg.states.index.dtype == np.intp
-    assert_side_rows_match_kernel(cg)
+    assert_scan_rows_match_kernel(cg)
     assert "pair_table" not in vars(cg)  # load never builds it
     # the loaded points and states are the grouping the constructor makes of
     # the per-node parts, and answer every pair as it does
@@ -988,27 +988,27 @@ def test_load_accepts_only_the_order_save_writes(case, tmp_path):
     assert run(["info", str(path)]) == 2
 
 
-def test_reordered_states_would_answer_wrongly_and_do_not_load():
-    # G(60, 0.1) at k = 3, with a pair table: held unchecked, states in
-    # reverse make the first query fail, and the states of point 1 listed
-    # before those of point 0 give unsound definite answers
+def test_reordered_states_answer_alike_and_do_not_load():
+    # G(60, 0.1) at k = 3, held unchecked with its states in reverse, or with
+    # the states of point 1 before those of point 0: with or without a pair
+    # table, every pair answers the ordered model's bytes; only the file
+    # keeps one order
     g = gnp_random_graph(60, 0.1, seed=0)
-    cg = build(g, k=3, seed=0)
-    us, vs = np.triu_indices(g.n, 1)
-    truth = np.array([adjacent(g, u, v) for u, v in zip(us.tolist(), vs.tolist())])
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_TABLE_COORD_RATIO", _TABLE_ALWAYS)
-        reversed_states = _reordered(cg, "reversed")[0]
-        with pytest.raises(ValueError):
-            query_arrays(reversed_states, us, vs)
-        interleaved = _reordered(cg, "interleaved")[0]
-        definite, value = query_arrays(interleaved, us, vs)
-        assert np.sum(definite & ((value == 1.0) != truth)) == 10
-        definite, value = query_arrays(cg, us, vs)
-        assert not np.any(definite & ((value == 1.0) != truth))
-    for held in (reversed_states, interleaved):
+    us, vs = np.nonzero(~np.eye(g.n, dtype=bool))  # every ordered pair
+    answers = set()
+    for cap in SOURCES.values():
+        cg = build(g, k=3, seed=0)
+        held = [_reordered(cg, case)[0] for case in ("reversed", "interleaved")]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_TABLE_COORD_RATIO", cap)
+            for model in (cg, *held):
+                answers.add(b"".join(a.tobytes() for a in query_arrays(model, us, vs)))
+                assert (model.pair_table is None) == (cap == 0)
+    assert len(answers) == 1
+    for model in held:
+        assert not np.array_equal(model.states.point, cg.states.point)
         blob = io.BytesIO()
-        save(held, blob)
+        save(model, blob)
         with pytest.raises(ModelFormatError, match="node states out of order at offset"):
             load(io.BytesIO(blob.getvalue()))
 
@@ -1018,12 +1018,12 @@ def test_reordered_states_would_answer_wrongly_and_do_not_load():
 _TABLE_ALWAYS = 2**40  # a cap no test model reaches: every model scores a pair table
 
 
-def assert_side_rows_match_kernel(cg: CompressedGraph) -> None:
-    """Every distance row _side_codes can read equals the kernel on the
-    nodes' coordinates, bit for bit: the _block_distances rows of each span
-    of points lo..hi-1 (a single point, a span that starts partway, all of
-    them), gathered through each node's point, equal distances_from and
-    pair_distances both ways round."""
+def assert_scan_rows_match_kernel(cg: CompressedGraph) -> None:
+    """The radii scan's distance rows equal the distances queries use, bit
+    for bit: the _block_distances rows of each span of points lo..hi-1 (a
+    single point, a span that starts partway, all of them), gathered
+    through each node's point, equal distances_from and pair_distances
+    both ways round on the nodes' coordinates."""
     coords, index, u = cg.embedding.coords, cg.states.point.take(cg.states.index), cg.u
     ids = np.arange(cg.n)
     rows = [distances_from(coords, v).tobytes() for v in ids]
@@ -1050,8 +1050,9 @@ def test_side_rows_bitwise_equal_kernel(data, n, k, pooled):
     else:  # unique elements: every row distinct, u = n
         coords = data.draw(arrays(np.float64, (n, k), elements=st.floats(-1e6, 1e6), unique=True))
     cg = manual_model(coords, r=[-1.0] * n, R=[np.inf] * n)
+    # the radii a scan derives from its rows are sound only for the distances queries compute
     assert cg.u == group_points(cg.embedding.coords).u and (pooled or cg.u == n)
-    assert_side_rows_match_kernel(cg)
+    assert_scan_rows_match_kernel(cg)
 
 
 # radii around the pool's distances (0 to ~10), with both sentinels
@@ -1139,6 +1140,33 @@ def test_pair_table_answers_equal_the_middle_path_bytes(data, n, k, directed, qu
     assert not np.any(np.signbit(value))  # a -0.0 output answers 0.0
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(2, 12), k=st.integers(1, 3), directed=st.booleans(),
+       fcl=st.sampled_from(sorted(TABLE_FCLS)))
+def test_answers_follow_the_rule_from_either_source(data, n, k, directed, fcl):
+    # pooled points and radii: d == r and d == R ties, both sentinels, and
+    # with the zeros-and-ones system fuzzy sides of 0.0, -0.0 and 1.0
+    coords = data.draw(arrays(np.float64, (n, k), elements=POOL_COORD))
+    r = data.draw(arrays(np.float64, n, elements=POOL_r))
+    R = data.draw(arrays(np.float64, n, elements=POOL_R))
+    text = TABLE_FCLS[fcl]
+    us, vs = np.nonzero(~np.eye(n, dtype=bool))  # every ordered pair
+    system = parse_fcl(text)
+    rows, r_list, R_list = coords.tolist(), r.tolist(), R.tolist()
+    expected = [answer_oracle(system, rows, r_list, R_list, directed, u, v)
+                for u, v in zip(us.tolist(), vs.tolist())]
+    definite, value = zip(*expected)
+    want = np.array(definite).tobytes() + np.array(value).tobytes()
+    for source, cap in SOURCES.items():
+        cg = manual_model(coords, r, R, directed=directed, fcl_text=text)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_TABLE_COORD_RATIO", cap)
+            definite, value = query_arrays(cg, us, vs)
+        assert (cg.pair_table is None) == (cap == 0)
+        assert definite.tobytes() + value.tobytes() == want, source
+    event(f"definite: {0 < definite.sum()}, fuzzy: {definite.sum() < definite.size}")
+
+
 def test_side_codes_do_not_depend_on_the_block_size():
     # 6 points holding 1 to 4 states each, so blocks of every size from one
     # state to all of them start partway through the points and split a point
@@ -1198,7 +1226,7 @@ def test_pair_table_gives_up_once_its_codes_outgrow_the_cap():
         wide = make()
         codes = wide.pair_table.codes
     assert codes.dtype == np.uint16 and codes.max() > 255
-    # the scoring gives up exactly when the NaN code would not fit under max_codes
+    # the scoring gives up exactly when the unscored code would not fit under max_codes
     states = wide.states
     count = wide.pair_table.decode.size
     for max_codes, fits in ((count, True), (count - 1, False)):
@@ -1211,13 +1239,13 @@ def test_pair_table_gives_up_once_its_codes_outgrow_the_cap():
 
 def test_pair_table_is_built_on_the_first_query_only(uncertain_pair_graph, tmp_path, monkeypatch):
     def unexpected(*args):
-        raise AssertionError("side values scored")
+        raise AssertionError("side keys scored")
 
     # the six-node model at k = 2 has u = 6 points, outside the u**2 <= k * n
     # = 12 condition; a raised cap gives it a pair table
     monkeypatch.setattr(oracle, "_TABLE_COORD_RATIO", _TABLE_ALWAYS)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_side_values", unexpected)  # the table is made of side values
+        mp.setattr(oracle, "_side_values", unexpected)  # the table is made of side keys
         cg = build(uncertain_pair_graph, k=2, seed=0)
         path = tmp_path / "model.fzg"
         oracle.save_file(cg, str(path))
@@ -1254,11 +1282,10 @@ def test_table_and_kernel_paths_answer_the_same_bytes(directed, quantize):
             mp.setattr(oracle, "_TABLE_COORD_RATIO", cap)
             cg = build(g, k=4, seed=3, quantize=quantize)
             loaded = roundtrip(cg)[0]
-            if cap:  # a model with a pair table never runs pair_distances, even to build it
-                mp.setattr(oracle, "pair_distances", None)
             for model in (cg, loaded):
                 assert (model.pair_table is None) == (cap == 0)
-            if cap:  # tables built: a batch scores no side, so runs no fuzzy inference
+            if cap:  # tables built: a batch computes no distance and scores no side
+                mp.setattr(oracle, "pair_distances", None)
                 mp.setattr(oracle, "_side_values", None)
             for model in (cg, loaded):
                 definite, value = query_arrays(model, us, vs)

@@ -52,6 +52,10 @@ def test_pair_distances_bitwise_equal_distances_from(data, n, k, order):
     for i, (u, v) in enumerate(zip(us, vs)):
         assert d[i].tobytes() == distances_from(coords, u)[v].tobytes()
         assert d[i].tobytes() == distances_from(coords, v)[u].tobytes()
+    # a (rows, 1) index against every node, as the pair table scores its sides
+    rows = pair_distances(coords, us[:, None], np.arange(n))
+    assert rows.shape == (len(us), n)
+    assert rows.tobytes() == np.stack([distances_from(coords, u) for u in us]).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
