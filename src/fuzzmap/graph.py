@@ -52,12 +52,14 @@ class Graph:
     Instances are immutable and safe for concurrent readers.
 
     Construction rejects, with ValueError, arrays that are not such a
-    graph: offsets that are not n + 1 non-decreasing values from 0 to
-    len(indices), neighbor ids outside [0, n), rows that are not strictly
-    increasing or hold their own node, undirected rows that are not
-    symmetric, and external ids that are not n strictly increasing values
-    of an integer dtype in [0, 2**64), which it holds as uint64. The radii
-    scan's neighbor counts rely on these, and a saved model on the ids.
+    graph: offsets or neighbor ids of a dtype that is not an integer one
+    (bool included), offsets that are not n + 1 non-decreasing values
+    from 0 to len(indices), neighbor ids outside [0, n), rows that are
+    not strictly increasing or hold their own node, undirected rows that
+    are not symmetric, and external ids that are not n strictly
+    increasing values of an integer dtype in [0, 2**64), which it holds as
+    uint64. The radii scan's neighbor counts rely on these, and a saved
+    model on the ids.
     """
 
     n: int
@@ -68,9 +70,13 @@ class Graph:
 
     def __post_init__(self) -> None:
         # read-only int64 views; an array the caller passed in stays writable
-        self.indptr = np.asarray(self.indptr, dtype=np.int64).view()
-        self.indices = np.asarray(self.indices, dtype=np.int64).view()
-        self.indptr.flags.writeable = self.indices.flags.writeable = False
+        for name in ("indptr", "indices"):
+            values = np.asarray(getattr(self, name))
+            if values.dtype.kind not in "iu":  # a float would be truncated, a bool read as 0/1
+                raise ValueError(f"{name} must be an integer array, not {values.dtype}")
+            values = values.astype(np.int64, copy=False).view()
+            values.flags.writeable = False
+            setattr(self, name, values)
         n, indptr, indices = self.n, self.indptr, self.indices
         if (n < 0 or indptr.shape != (n + 1,) or indices.ndim != 1 or indptr[0] != 0
                 or indptr[-1] != indices.shape[0] or np.any(np.diff(indptr) < 0)):
@@ -338,19 +344,19 @@ def _parse_plain(data: bytes) -> np.ndarray | None:
     return np.fromstring(data, dtype=np.uint64, sep=" ").reshape(-1, 2)
 
 
-def _parse_lines(data: bytes | str) -> np.ndarray:
+def _parse_lines(data: bytes) -> np.ndarray:
     """(m, 2) uint64 ids of any edge list, one ``_LINE`` match a line; raises on bad lines.
 
-    ``data`` is the UTF-8 bytes parse_edge_list hands on, decoded here (a
-    str is read as decoded text). Lines end at '\n' alone, so a vertical
-    tab, a form feed, a lone carriage return or a Unicode line break is a
-    character of its line, which then fails the match. The text is split
-    one piece of whole lines of at least _PLAIN_CHUNK characters at a
-    time, and the ids go to one u64 array, so scratch beyond the text and
-    the ids is O(_PLAIN_CHUNK) unless one line is longer.
+    ``data`` is the UTF-8 bytes parse_edge_list hands on, decoded here.
+    Lines end at '\n' alone, so a vertical tab, a form feed, a lone
+    carriage return or a Unicode line break is a character of its line,
+    which then fails the match. The text is split one piece of whole
+    lines of at least _PLAIN_CHUNK characters at a time, and the ids go
+    to one u64 array, so scratch beyond the text and the ids is
+    O(_PLAIN_CHUNK) unless one line is longer.
     """
     try:
-        text = data if isinstance(data, str) else data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise GraphParseError(f"input is not UTF-8: {exc}") from None
     ids = array("Q")

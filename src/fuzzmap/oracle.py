@@ -284,37 +284,41 @@ def _side_codes(points_t: np.ndarray, states: NodeStates, system: FuzzySystem,
     is ``decode``. So the lesser code of two sides is the code of their
     least key. States are scored about _SIDE_BLOCK cells at a time, so no
     (t, u) float array is made: the distinct points of a block get one
-    distance row each, each block is coded by its own fuzzy values, then
-    recoded by all of them. Any order of the states gives the same codes,
-    row for row. None as soon as the codes would number more than
-    max_codes; else they take the smallest unsigned dtype that holds them.
+    distance row each, and each block is coded by its own fuzzy values.
+    A running union of every block's values gives up early; at the end
+    each block is recoded by its values' places in that union. Any order
+    of the states gives the same codes, row for row. None as soon as the
+    codes would number more than max_codes; else they take the smallest
+    unsigned dtype that holds them.
     """
     u = points_t.shape[1]
     rows = max(1, _SIDE_BLOCK // u)
-    blocks, block_xs = [], []
+    blocks = []
+    xs = np.empty(0)  # every fuzzy value so far
     for lo in range(0, states.t, rows):
         s = slice(lo, lo + rows)
         points, row = np.unique(states.point[s], return_inverse=True)
         d = pair_distances(points_t.T, points[:, None], np.arange(u)).take(row, axis=0)
         keys = _side_values(d[None], states.r[None, s, None], states.R[None, s, None], system)[0]
         fuzzy = (keys >= 0.0) & (keys <= 1.0)
-        xs, inverse = np.unique(keys[fuzzy], return_inverse=True)
-        unscored = 2 + xs.size
+        block_xs, inverse = np.unique(keys[fuzzy], return_inverse=True)
+        unscored = 2 + block_xs.size
         codes = np.full(keys.shape, unscored, dtype=np.min_scalar_type(unscored))
         codes[keys == _KEY_YES] = _YES
         codes[keys == _KEY_NO] = _NO
         codes[fuzzy] = 2 + inverse
-        blocks.append(codes)
-        block_xs.append(xs)
-        # every fuzzy value so far, and the rank of each block's values among them
-        xs, rank = np.unique(np.concatenate(block_xs), return_inverse=True)
+        blocks.append((codes, block_xs))
+        # a sort, not np.union1d: numpy >= 2.3's hashing np.unique imports
+        # numpy.ma on first use, ~1.5 MB of a query process's peak RSS.
+        # Fuzzy values lie in [0, 1], so -1 starts the first run
+        xs = np.sort(np.concatenate((xs, block_xs)))
+        xs = xs[np.diff(xs, prepend=-1.0) > 0]
         if 2 + xs.size >= max_codes:  # the unscored code, 2 + xs.size, would not fit
             return None
     unscored = 2 + xs.size
     out = np.empty((states.t, u), dtype=np.min_scalar_type(unscored))
-    ranks = np.split(rank, np.cumsum([x.size for x in block_xs])[:-1])
-    for lo, codes, block_rank in zip(range(0, states.t, rows), blocks, ranks):
-        recode = np.concatenate([[_YES, _NO], 2 + block_rank, [unscored]])
+    for lo, (codes, block_xs) in zip(range(0, states.t, rows), blocks):
+        recode = np.concatenate([[_YES, _NO], 2 + np.searchsorted(xs, block_xs), [unscored]])
         out[lo : lo + rows] = recode.take(codes)
     return out, _answers(np.concatenate([[_KEY_YES, _KEY_NO], xs, [_KEY_UNSCORED]]))[1]
 

@@ -26,11 +26,12 @@ buffer that holds a span of points. A node v on point p reads its
 neighbor distances from row p; a point q still holds a non-neighbor of
 v exactly when cnt[q] - #{neighbors of v on q} - [q == p] > 0, and every
 other point is masked out. The rule then runs on a chunk of nodes at
-once, reading the span's rows in place: m is 0 while p holds a
-non-neighbor of v, else the distance to p's nearest other point while
-that one does. Only nodes failing both, and rows that need the exact R,
-copy and mask their point's row; unquantized, every row needs the exact
-R, so every row is copied and masked and m is its minimum.
+once, reading the span's rows in place, by one rule for either kind of
+radius: m is 0 while p holds a non-neighbor of v, else the distance to
+p's nearest other point while that one does. Only nodes failing both,
+and rows that need the exact R, copy and mask their point's row. An
+unquantized model needs the exact R on every row; quantization only
+narrows that to the rows where floor(M) + 1 fails, and rounds at the end.
 ``compute_radii`` runs the same path for one node. Spans and chunks
 hold at most max(_BLOCK * u, _CHUNK) elements, so a thread's scratch
 is O(_BLOCK * u + _CHUNK). The gain depends on the collapse: with all
@@ -48,7 +49,6 @@ import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -220,23 +220,24 @@ def _nearest_other(d: np.ndarray, first: int) -> np.ndarray:
 
 def _radii_rule(
     g: Graph, groups: PointGroups, nodes: np.ndarray, d: np.ndarray, first: int,
-    near: Optional[np.ndarray], quantize: bool
+    near: np.ndarray, quantize: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """(r, R) for ``nodes``, whose points have distance rows in ``d``.
 
     Row i of ``d`` is point first + i, and ``near[i]`` its nearest other
-    point (``_nearest_other``; read only when quantized). m = nearest
-    non-neighbor distance, M = farthest neighbor distance. r is the
-    largest neighbor distance strictly below m; R the smallest
-    non-neighbor distance strictly above M. Quantized, in one rounding step: r = ceil(m) - 1 and R = floor(M)
-    + 1. These integer candidates are exact and sound below 2**53; where
-    one is not (at or above 2**53, m = +inf, or no neighbors), the
-    unquantized radius is kept, r rounded down to an integer.
-    Quantized, m is 0 while a node's own point holds a non-neighbor, else
-    the distance to the nearest other point while that one does. Only
-    nodes failing both, and rows that need the exact R, gather their
-    point's row and mask it. Unquantized, every row needs the exact R, so
-    every row is gathered and masked, and m is its minimum.
+    point (``_nearest_other``). m = nearest non-neighbor distance, M =
+    farthest neighbor distance. r is the largest neighbor distance
+    strictly below m; R the smallest non-neighbor distance strictly above
+    M. m is 0 while a node's own point holds a non-neighbor, else the
+    distance to the nearest other point while that one does; only nodes
+    failing both gather their point's row, mask it and take its minimum.
+    Rows that need the exact R are gathered and masked too: unquantized,
+    every row; quantized, the rows where Q = floor(M) + 1 is not above M.
+    Quantization only rounds, at the end: r = ceil(m) - 1, and R = Q
+    where Q > M. These integer candidates are exact and sound below
+    2**53; where one is not (at or above 2**53, m = +inf, or no
+    neighbors), the unquantized radius is kept, r rounded down to an
+    integer.
     The count mask needs CSR rows free of self-loops and repeats;
     ``Graph`` guarantees that.
     """
@@ -257,22 +258,20 @@ def _radii_rule(
     spent = groups.cnt[keys % u] <= taken
 
     M = _segment_max(nbd, deg, -np.inf)
-    if quantize:
-        # m is 0 while the own point holds a non-neighbor (every own key is
-        # among the keys), else the distance to the nearest other point while
-        # that one does; the nodes failing both scan their whole row
-        nearest = near[pos]
-        own_spent = spent[np.searchsorted(keys, own)]
-        m = np.where(own_spent, d[pos, nearest], 0.0)
-        other = own - point + nearest
-        at = np.minimum(np.searchsorted(keys, other), keys.size - 1)
-        scan = own_spent & spent[at] & (keys[at] == other)
-        # Q > M: every neighbor below Q; where it fails, the exact R is kept
-        Q = np.floor(M) + 1.0
-        exact = ~(Q > M)
-        need = np.flatnonzero(scan | exact)
-    else:  # every row needs the exact R, and its masked minimum is m
-        need = np.arange(c)
+    # m is 0 while the own point holds a non-neighbor (every own key is
+    # among the keys), else the distance to the nearest other point while
+    # that one does; the nodes failing both scan their whole row
+    nearest = near[pos]
+    own_spent = spent[np.searchsorted(keys, own)]
+    m = np.where(own_spent, d[pos, nearest], 0.0)
+    other = own - point + nearest
+    at = np.minimum(np.searchsorted(keys, other), keys.size - 1)
+    scan = own_spent & spent[at] & (keys[at] == other)
+    # R starts as Q = floor(M) + 1, every neighbor below it while Q > M;
+    # where that fails, or unquantized, R is the exact one
+    R = np.floor(M) + 1.0
+    exact = ~(R > M) | (not quantize)
+    need = np.flatnonzero(scan | exact)
     # copies of the rows that scan or need the exact R, their spent points masked
     rows = d[pos[need]]
     row_of = np.full(c, -1)
@@ -280,21 +279,18 @@ def _radii_rule(
     spent_keys = keys[spent]
     at = row_of[spent_keys // u]
     np.put(rows, (at * u + spent_keys % u)[at >= 0], np.inf)
-    if quantize:
-        m[scan] = rows[scan[need]].min(axis=1)
-    else:
-        m = rows.min(axis=1)
+    m[scan] = rows[scan[need]].min(axis=1)
 
     r = _segment_max(np.where(nbd < m[owner], nbd, R_NONE), deg, R_NONE)
     np.putmask(rows, rows <= M[need, None], np.inf)
     beyond = rows.min(axis=1)  # m itself when m > M; +inf when nothing lies beyond M
-    if not quantize:
-        return r, beyond
-    # q < m: no non-neighbor within q. Where it fails, floor(r) is still
-    # sound: r is -1 or lies in [0, m)
-    q = np.ceil(m) - 1.0
-    Q[need[exact[need]]] = beyond[exact[need]]
-    return np.where(q < m, q, np.floor(r)), Q
+    R[need[exact[need]]] = beyond[exact[need]]
+    if quantize:
+        # q < m: no non-neighbor within q. Where it fails, floor(r) is still
+        # sound: r is -1 or lies in [0, m)
+        q = np.ceil(m) - 1.0
+        r = np.where(q < m, q, np.floor(r))
+    return r, R
 
 
 def compute_radii(g: Graph, e: Embedding, v: int, quantize: bool = True) -> tuple[float, float]:
@@ -304,8 +300,7 @@ def compute_radii(g: Graph, e: Embedding, v: int, quantize: bool = True) -> tupl
     groups = group_points(e.coords)
     p = int(groups.inv[v])
     d = _block_distances(groups.points_t, p, p + 1, *np.empty((2, 1, groups.u)))
-    near = _nearest_other(d, p) if quantize else None
-    r, R = _radii_rule(g, groups, np.array([v]), d, p, near, quantize)
+    r, R = _radii_rule(g, groups, np.array([v]), d, p, _nearest_other(d, p), quantize)
     return float(r[0]), float(R[0])
 
 
@@ -341,7 +336,7 @@ def _grouped_radii(g: Graph, groups: PointGroups, quantize: bool) -> NodeRadii:
             for b in range(start, stop, _BLOCK):
                 _block_distances(groups.points_t, b, min(b + _BLOCK, stop), d[b - start :], tmp)
             rows = d[: stop - start]
-            near = _nearest_other(rows, start) if quantize else None
+            near = _nearest_other(rows, start)
             last = groups.offsets[stop]
             for a in range(groups.offsets[start], last, chunk):
                 nodes = groups.order[a : min(a + chunk, last)]

@@ -52,8 +52,8 @@ def edgeless_graph(n: int) -> Graph:
     return Graph(
         n=n,
         directed=False,
-        indptr=np.zeros(n + 1),
-        indices=np.zeros(0),
+        indptr=np.zeros(n + 1, dtype=np.int64),
+        indices=np.zeros(0, dtype=np.int64),
         external_ids=np.arange(n, dtype=np.uint64),
     )
 

@@ -169,8 +169,8 @@ def test_embed_validation():
     g = path_graph(3)
     with pytest.raises(ValueError):
         fastmap_embed(g, 0, seed=0)
-    singleton = Graph(n=1, directed=False, indptr=np.zeros(2), indices=np.zeros(0),
-                      external_ids=np.array([0], dtype=np.uint64))
+    singleton = Graph(n=1, directed=False, indptr=np.zeros(2, dtype=np.int64),
+                      indices=np.zeros(0, dtype=np.int64), external_ids=np.array([0], dtype=np.uint64))
     with pytest.raises(ValueError):
         fastmap_embed(singleton, 2, seed=0)
 

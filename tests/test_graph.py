@@ -354,10 +354,10 @@ def test_plain_reader_matches_line_loop(chunk, text, directed):
         plain = _parse_plain(data)
         event("plain reader" if plain is not None else "line loop")
         if plain is not None:
-            reference = _parse_lines(text)
+            reference = _parse_lines(data)
             assert plain.dtype == reference.dtype == np.uint64
             assert np.array_equal(plain, reference)
-        expected = _outcome(lambda: graph_from_edges(_parse_lines(text), directed=directed))
+        expected = _outcome(lambda: graph_from_edges(_parse_lines(data), directed=directed))
         for form in (text, data, bytearray(data), io.BytesIO(data), io.StringIO(text)):
             assert _outcome(lambda: parse_edge_list(form, directed=directed)) == expected
 
@@ -462,17 +462,40 @@ def test_malformed_csr_rejected(n, directed, indptr, indices, external_ids, mess
 ], ids=["negative", "float", "bool", "object", "str"])
 def test_external_ids_must_be_u64_integers(ids):
     with pytest.raises(ValueError, match=re.escape("external_ids must be integers in [0, 2**64)")):
-        Graph(n=3, directed=True, indptr=np.zeros(4), indices=np.zeros(0), external_ids=ids)
+        Graph(n=3, directed=True, indptr=np.zeros(4, dtype=np.int64),
+              indices=np.zeros(0, dtype=np.int64), external_ids=ids)
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint16, np.uint64])
 def test_external_ids_are_held_as_read_only_u64(dtype):
     ids = np.array([0, 3, 7], dtype=dtype)
-    g = Graph(n=3, directed=True, indptr=np.zeros(4), indices=np.zeros(0), external_ids=ids)
+    g = Graph(n=3, directed=True, indptr=np.zeros(4, dtype=np.int64),
+              indices=np.zeros(0, dtype=np.int64), external_ids=ids)
     assert g.external_ids.dtype == np.uint64 and g.external_ids.tolist() == [0, 3, 7]
     with pytest.raises(ValueError, match="read-only"):
         g.external_ids[0] = 1
     assert ids.flags.writeable  # the caller's array stays writable
+
+
+@pytest.mark.parametrize("indptr, indices, name", [
+    ([0, 1, 1], np.array([1.7]), "indices"),  # would be truncated to neighbor 1
+    (np.array([0, 1.5, 1]), [1], "indptr"),  # would be truncated to [0, 1, 1]
+    ([0, 1, 1], np.array([True]), "indices"),  # would be read as neighbor 1
+    (np.array([False, True, True]), [1], "indptr"),
+    ([0, 0, 0], [], "indices"),  # an empty list is a float64 array
+], ids=["float-indices", "float-indptr", "bool-indices", "bool-indptr", "empty-list"])
+def test_csr_arrays_must_be_integers(indptr, indices, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer array"):
+        Graph(n=2, directed=True, indptr=indptr, indices=indices,
+              external_ids=np.arange(2, dtype=np.uint64))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.uint64])
+def test_csr_arrays_are_held_as_int64(dtype):
+    g = Graph(n=2, directed=True, indptr=np.array([0, 1, 1], dtype=dtype),
+              indices=np.array([1], dtype=dtype), external_ids=np.arange(2, dtype=np.uint64))
+    assert g.indptr.dtype == g.indices.dtype == np.int64
+    assert g.neighbors(0).tolist() == [1] and g.neighbors(1).tolist() == []
 
 
 def test_csr_arrays_are_read_only(uncertain_pair_graph):

@@ -456,8 +456,8 @@ def test_radii_validation(uncertain_pair_graph):
     e = fastmap_embed(uncertain_pair_graph, 2, seed=0)
     with pytest.raises(ValueError):
         compute_radii(uncertain_pair_graph, embed_of([[0.0], [1.0]]), 0)
-    singleton = Graph(n=1, directed=False, indptr=np.zeros(2), indices=np.zeros(0),
-                      external_ids=np.array([9], dtype=np.uint64))
+    singleton = Graph(n=1, directed=False, indptr=np.zeros(2, dtype=np.int64),
+                      indices=np.zeros(0, dtype=np.int64), external_ids=np.array([9], dtype=np.uint64))
     with pytest.raises(ValueError):
         compute_radii(singleton, embed_of([[0.0]]), 0)
     with pytest.raises(ValueError, match="out of range"):
