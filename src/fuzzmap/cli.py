@@ -198,25 +198,19 @@ _COMMANDS = {
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse argv and execute; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if args.command in ("compress", "evaluate", "sweep"):
             if getattr(args, "sample", 1) < 0:
                 raise _UsageError("--sample must be >= 0")
             if args.seed < 0:
                 raise _UsageError("--seed must be >= 0")
+        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"fuzzmap: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:  # argparse -h/--help
         return int(exc.code or 0)
-
-    try:
-        return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"fuzzmap: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (GraphParseError, FclParseError, ModelFormatError, OSError, ValueError) as exc:
         print(f"fuzzmap: {exc}", file=sys.stderr)
         return EXIT_IO

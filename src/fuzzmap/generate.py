@@ -24,8 +24,8 @@ _PA_SPAN = 16
 def gnp_random_graph(n: int, p: float, seed: int, directed: bool = False) -> Graph:
     """Erdos-Renyi G(n, p), deterministic per seed.
 
-    Nodes are 0..n-1 (external ids equal internal ids). Guarantees at
-    least one edge by connecting nodes 0 and 1 if the draw comes up empty.
+    Nodes are 0..n-1 (external ids equal internal ids). A node v >= 1 left
+    isolated gets edge (0, v), and node 0 (0, 1) when it alone is isolated.
 
     The draws are one ``rng.random`` stream over the candidate arcs in
     row-major order: row u holds v = u+1..n-1 (undirected) or v = 0..n-1
@@ -45,6 +45,7 @@ def gnp_random_graph(n: int, p: float, seed: int, directed: bool = False) -> Gra
         starts = np.arange(n, dtype=np.int64)
         starts = starts * n - starts * (starts + 1) // 2
     blocks = []
+    seen = np.zeros(n, dtype=bool)
     for lo in range(0, total, _GNP_BLOCK):
         hits = np.flatnonzero(rng.random(min(_GNP_BLOCK, total - lo)) < p) + lo
         if directed:
@@ -55,17 +56,12 @@ def gnp_random_graph(n: int, p: float, seed: int, directed: bool = False) -> Gra
             u = np.searchsorted(starts, hits, side="right") - 1
             v = hits - starts[u] + u + 1
         blocks.append(np.stack((u, v), axis=1))
-    pairs = np.concatenate(blocks)
-    if not len(pairs):
-        pairs = np.array([(0, 1)])
-    g = graph_from_edges(pairs, directed=directed)
-    if g.n == n:
-        return g
-    # isolated nodes cannot come from an edge list; re-anchor them to node 0,
-    # and node 0 itself to node 1 when it is the only one missing
-    missing = np.setdiff1d(np.arange(1, n), g.external_ids.astype(np.int64))
-    extra = np.stack((np.zeros_like(missing), missing), axis=1) if missing.size else np.array([(0, 1)])
-    return graph_from_edges(np.concatenate((pairs, extra)), directed=directed)
+        seen[u] = seen[v] = True
+    missing = np.flatnonzero(~seen[1:]) + 1
+    if not (seen[0] or missing.size):
+        missing = np.array([1])
+    blocks.append(np.stack((np.zeros_like(missing), missing), axis=1))
+    return graph_from_edges(np.concatenate(blocks), directed=directed)
 
 
 def preferential_attachment_graph(n: int, m: int, seed: int) -> Graph:

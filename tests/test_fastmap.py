@@ -14,6 +14,7 @@ from fuzzmap import (
     residual_distance,
 )
 from fuzzmap.fastmap import Embedding
+from fuzzmap.radii import group_points
 
 from oracles import farthest_pair_distance, reference_fastmap
 
@@ -233,6 +234,32 @@ def test_embed_matches_reference_bit_for_bit(n, p, directed, graph_seed, k, seed
     coords, pivots = reference_fastmap(g, k, seed)
     assert e.coords.tobytes() == coords.tobytes()
     assert e.pivots == pivots
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    p=st.sampled_from([0.02, 0.1, 0.3, 0.6]),
+    directed=st.booleans(),
+    graph_seed=st.integers(0, 2**16),
+    k=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_embedding_collapses_onto_pivot_rows(n, p, directed, graph_seed, k, seed):
+    # the 0/1/n distances from the pivots are all a non-pivot node's axes
+    # see, so nodes alike in every pivot's (out-)neighbour row share their
+    # coordinates bit for bit: at most 4**k points besides the 2k pivots
+    g = gnp_random_graph(n, p, seed=graph_seed, directed=directed)
+    e = fastmap_embed(g, k, seed)
+    pivots = sorted({x for pair in e.pivots if pair is not None for x in pair})
+    member = np.zeros((n, len(pivots)), dtype=bool)
+    for i, a in enumerate(pivots):
+        member[g.neighbors(a), i] = True
+    first = {}
+    for v in sorted(set(range(n)) - set(pivots)):
+        w = first.setdefault(member[v].tobytes(), v)
+        assert e.coords[v].tobytes() == e.coords[w].tobytes(), (v, w)
+    assert group_points(e.coords).u <= min(n, 4**k + 2 * k)
 
 
 @settings(max_examples=80, deadline=None)

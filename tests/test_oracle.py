@@ -645,73 +645,15 @@ def test_load_accepts_crossed_radii_of_built_models():
     assert crossed > 0 and touching > 0
 
 
-def _v1_stream(cg: CompressedGraph) -> bytes:
-    """The version 1 layout: a 28-byte header and one coordinate row per node."""
-    fcl = cg.fcl_text.encode("utf-8")
-    blob = b"".join([
-        struct.pack("<4sIIQII", b"FZG1", 1, 0, cg.n, cg.k, len(fcl)),
-        cg.external_ids.astype("<u8").tobytes(),
-        np.ascontiguousarray(cg.embedding.coords, dtype="<f8").tobytes(),
-        np.column_stack([cg.radii.r, cg.radii.R]).astype("<f8").tobytes(),
-        fcl,
-    ])
-    return blob + struct.pack("<I", zlib.crc32(blob))
-
-
-def test_version_1_stream_rejected(uncertain_pair_graph, tmp_path):
-    blob = _v1_stream(build(uncertain_pair_graph, k=2, seed=0))
-    with pytest.raises(ModelFormatError, match=re.escape("unsupported format version 1 at offset 4")):
+# 1 to 3 are the retired layouts and 5 a future one; load reads the version
+# before any length or CRC check, so a rewritten header takes their path
+@pytest.mark.parametrize("version", [0, 1, 2, 3, 5])
+def test_other_format_versions_rejected(uncertain_pair_graph, tmp_path, version):
+    blob = _rewritten(roundtrip(build(uncertain_pair_graph, k=2, seed=0))[2], 4, "<I", version)
+    message = f"unsupported format version {version} at offset 4"
+    with pytest.raises(ModelFormatError, match=re.escape(message)):
         load(io.BytesIO(blob))
-    path = tmp_path / "v1.fzg"
-    path.write_bytes(blob)
-    assert run(["info", str(path)]) == 2
-
-
-def _v2_stream(cg: CompressedGraph) -> bytes:
-    """The version 2 layout: a 36-byte header, n ids, the u points, a point
-    index and two radii per node."""
-    fcl = cg.fcl_text.encode("utf-8")
-    blob = b"".join([
-        struct.pack("<4sIIQIIQ", b"FZG1", 2, 2, cg.n, cg.k, len(fcl), cg.u),
-        cg.external_ids.astype("<u8").tobytes(),
-        np.ascontiguousarray(cg.points_t.T, dtype="<f8").tobytes(),
-        cg.states.point.take(cg.states.index).astype("<u4").tobytes(),
-        np.column_stack([cg.radii.r, cg.radii.R]).astype("<f8").tobytes(),
-        fcl,
-    ])
-    return blob + struct.pack("<I", zlib.crc32(blob))
-
-
-def test_version_2_stream_rejected(uncertain_pair_graph, tmp_path):
-    blob = _v2_stream(build(uncertain_pair_graph, k=2, seed=0))
-    with pytest.raises(ModelFormatError, match=re.escape("unsupported format version 2 at offset 4")):
-        load(io.BytesIO(blob))
-    path = tmp_path / "v2.fzg"
-    path.write_bytes(blob)
-    assert run(["info", str(path)]) == 2
-
-
-def _v3_stream(cg: CompressedGraph) -> bytes:
-    """The version 3 layout: the version 4 header, ids, points and state
-    radii, then a u32 point index a state and a u32 state index a node."""
-    fcl = cg.fcl_text.encode("utf-8")
-    blob = b"".join([
-        struct.pack("<4sIIQIIQQ", b"FZG1", 3, 2, cg.n, cg.k, len(fcl), cg.u, cg.states.t),
-        cg.external_ids.astype("<u8").tobytes(),
-        np.ascontiguousarray(cg.points_t.T, dtype="<f8").tobytes(),
-        np.column_stack([cg.states.r, cg.states.R]).astype("<f8").tobytes(),
-        cg.states.point.astype("<u4").tobytes(),
-        cg.states.index.astype("<u4").tobytes(),
-        fcl,
-    ])
-    return blob + struct.pack("<I", zlib.crc32(blob))
-
-
-def test_version_3_stream_rejected(uncertain_pair_graph, tmp_path):
-    blob = _v3_stream(build(uncertain_pair_graph, k=2, seed=0))
-    with pytest.raises(ModelFormatError, match=re.escape("unsupported format version 3 at offset 4")):
-        load(io.BytesIO(blob))
-    path = tmp_path / "v3.fzg"
+    path = tmp_path / f"v{version}.fzg"
     path.write_bytes(blob)
     assert run(["info", str(path)]) == 2
 
