@@ -19,7 +19,6 @@ from .graph import GraphParseError, load_edge_list
 from .harness import DEFAULT_SAMPLE, evaluate_model, reports_to_csv, sweep_k
 from .oracle import (FORMAT_VERSION, ModelFormatError, build, ids_are_range, load_file, query,
                      query_directed, save_file)
-from .radii import _MAX_WORKERS, _POINTS_PER_WORKER
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -63,9 +62,6 @@ def _build_parser() -> _Parser:
         prog="fuzzmap",
         description="Compress graphs into k-dimensional points with per-node "
         "radii and answer adjacency queries definitively or fuzzily.",
-        epilog=f"The radii scan runs on min({_MAX_WORKERS}, usable CPUs, distinct points // "
-        f"{_POINTS_PER_WORKER:,}) threads, at least one: fewer points per thread only contend "
-        "for the GIL between kernel calls. The CPU mask (taskset) caps the usable CPUs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -33,41 +33,27 @@ and rows that need the exact R, copy and mask their point's row. An
 unquantized model needs the exact R on every row; quantization only
 narrows that to the rows where floor(M) + 1 fails, and rounds at the end.
 ``compute_radii`` runs the same path for one node. Spans and chunks
-hold at most max(_BLOCK * u, _CHUNK) elements, so a thread's scratch
-is O(_BLOCK * u + _CHUNK). The gain depends on the collapse: with all
-points distinct (u = n) the scan costs O(n^2 k) as before. Only there
-does a thread pool pay: threads overlap inside the kernel calls alone,
-so the pool is min(_MAX_WORKERS, usable CPUs, u // _POINTS_PER_WORKER)
-threads, and a scan of fewer than 2 * _POINTS_PER_WORKER points runs on
-the calling thread. The process's CPU mask (``taskset``) caps the pool;
-nothing else sets it.
+hold at most max(_BLOCK * u, _CHUNK) elements, so the scratch is
+O(_BLOCK * u + _CHUNK). The gain depends on the collapse: with all
+points distinct (u = n) the scan costs O(n^2 k) as before. The scan
+runs on the calling thread.
 """
 
 from __future__ import annotations
 
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fastmap import Embedding
-from .graph import Graph
+from .graph import Graph, check_node_id
 
 log = logging.getLogger(__name__)
 
 R_NONE = -1.0  # definite-yes sentinel: never triggers
 _BLOCK = 4  # points per kernel call in the radii scan
 _CHUNK = 1 << 18  # scratch elements (nodes x u) per rule call
-# Fewest distinct points a pool worker takes. Threads overlap only inside a
-# kernel call of _BLOCK * u cells; the Python dispatch between calls holds
-# the GIL, so at small u a second thread only contends for it. On 2 CPUs
-# (BA(20000, 5) edges, u distinct normal points, k = 8) 2 threads first beat
-# 1 at u ~ 6,144 (3,072 points each), rounded up to a power of two: below
-# 2 * _POINTS_PER_WORKER points the scan runs on the calling thread.
-_POINTS_PER_WORKER = 4096
-_MAX_WORKERS = 8  # diminishing returns beyond this for GIL-released numpy kernel calls
 
 
 @dataclass(eq=False)
@@ -113,16 +99,9 @@ def pair_distances(coords: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.nda
 
 
 def euclidean_distance(e: Embedding, u: int, v: int) -> float:
-    if not (0 <= u < e.n and 0 <= v < e.n):
-        raise ValueError(f"node id out of range [0, {e.n})")
+    check_node_id(u, e.n)
+    check_node_id(v, e.n)
     return float(pair_distances(e.coords, np.array([u]), np.array([v]))[0])
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _check_inputs(g: Graph, e: Embedding) -> None:
@@ -310,10 +289,7 @@ def compute_all_radii(g: Graph, e: Embedding, quantize: bool = True) -> NodeRadi
     Points are taken a span of max(_BLOCK, _CHUNK // u) at a time: the
     kernel fills the span's distance rows _BLOCK points per call, then
     the nodes on those points go through the rule max(1, _CHUNK // u) at
-    a time. Points are independent, so contiguous runs of point blocks
-    go to a pool of min(_MAX_WORKERS, usable CPUs, u // _POINTS_PER_WORKER)
-    threads: under two workers' worth of points, or on one usable CPU,
-    the scan starts no thread. Results do not depend on the pool size.
+    a time, all on the calling thread.
     """
     _check_inputs(g, e)
     return _grouped_radii(g, group_points(e.coords), quantize)
@@ -327,31 +303,19 @@ def _grouped_radii(g: Graph, groups: PointGroups, quantize: bool) -> NodeRadii:
     span = max(_BLOCK, chunk // _BLOCK * _BLOCK)
     r = np.empty(n)
     R = np.empty(n)
+    d = np.empty((min(span, u), u))
+    tmp = np.empty((_BLOCK, u))
+    for start in range(0, u, span):
+        stop = min(start + span, u)
+        for b in range(start, stop, _BLOCK):
+            _block_distances(groups.points_t, b, min(b + _BLOCK, stop), d[b - start :], tmp)
+        rows = d[: stop - start]
+        near = _nearest_other(rows, start)
+        last = groups.offsets[stop]
+        for a in range(groups.offsets[start], last, chunk):
+            nodes = groups.order[a : min(a + chunk, last)]
+            r[nodes], R[nodes] = _radii_rule(g, groups, nodes, rows, start, near, quantize)
 
-    def fill(lo: int, hi: int) -> None:
-        d = np.empty((min(span, hi - lo), u))
-        tmp = np.empty((_BLOCK, u))
-        for start in range(lo, hi, span):
-            stop = min(start + span, hi)
-            for b in range(start, stop, _BLOCK):
-                _block_distances(groups.points_t, b, min(b + _BLOCK, stop), d[b - start :], tmp)
-            rows = d[: stop - start]
-            near = _nearest_other(rows, start)
-            last = groups.offsets[stop]
-            for a in range(groups.offsets[start], last, chunk):
-                nodes = groups.order[a : min(a + chunk, last)]
-                r[nodes], R[nodes] = _radii_rule(g, groups, nodes, rows, start, near, quantize)
-
-    workers = max(1, min(_MAX_WORKERS, usable_cpus(), u // _POINTS_PER_WORKER))
-    if workers == 1:
-        fill(0, u)
-    else:
-        step = -(-u // (workers * _BLOCK)) * _BLOCK  # whole point blocks per worker
-        bounds = [(lo, min(lo + step, u)) for lo in range(0, u, step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: fill(*b), bounds))
-
-    log.info("radii: n=%d distinct_points=%d largest_group=%d workers=%d r_sentinel_frac=%.4f "
-             "R_inf_frac=%.4f", n, u, groups.cnt.max(), workers, np.mean(r == R_NONE),
-             np.mean(R == np.inf))
+    log.info("radii: n=%d distinct_points=%d largest_group=%d r_sentinel_frac=%.4f "
+             "R_inf_frac=%.4f", n, u, groups.cnt.max(), np.mean(r == R_NONE), np.mean(R == np.inf))
     return NodeRadii(r=r, R=R, quantized=quantize)

@@ -1,10 +1,13 @@
-"""No library call takes numpy's hashing set path.
+"""No library call takes numpy's hashing set path or starts a thread.
 
 Without return_* flags, numpy >= 2.3's ``np.unique`` (and the set
 routines built on it, such as ``np.setdiff1d``) hashes, and that path
 imports ``numpy.ma``. The library sorts instead, so a fresh interpreter
 that runs every public step leaves ``numpy.ma`` as a bare ``import numpy``
 left it: unloaded on numpy 2, loaded with numpy itself on numpy 1.x.
+Every step also runs on the calling thread: the interpreter never loads
+the ``concurrent`` package, home of the thread pool executors, and never
+has a second thread.
 """
 
 import os
@@ -14,13 +17,27 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# each step runs in turn; the script prints the first after which numpy.ma's state changed
+# each step runs in turn; the script prints the first after which numpy.ma's
+# state changed, the concurrent package was loaded or a second thread ran
 SCRIPT = r'''
-import io, sys
+import io, sys, threading
 import numpy as np
 bare = "numpy.ma" in sys.modules
+
+def check(name):
+    if ("numpy.ma" in sys.modules) != bare:
+        print(f"numpy.ma loaded={not bare} after: {name}")
+        sys.exit(1)
+    if "concurrent" in sys.modules:
+        print(f"concurrent loaded after: {name}")
+        sys.exit(1)
+    if threading.active_count() != 1:
+        print(f"{threading.active_count()} threads after: {name}")
+        sys.exit(1)
+
 from fuzzmap import (build, evaluate_model, gnp_random_graph, load, parse_edge_list,
                      preferential_attachment_graph, query_arrays, save)
+check("import fuzzmap")
 
 def built(g, quantize, table):
     cg = build(g, k=4, seed=0, quantize=quantize)
@@ -56,14 +73,12 @@ def _save(cg):
 
 for name, step in steps.items():
     step()
-    if ("numpy.ma" in sys.modules) != bare:
-        print(f"numpy.ma loaded={not bare} after: {name}")
-        sys.exit(1)
-print(f"numpy.ma loaded={bare} throughout")
+    check(name)
+print(f"numpy.ma loaded={bare}, concurrent unloaded and one thread throughout")
 '''
 
 
-def test_no_step_changes_whether_numpy_ma_is_loaded():
+def test_no_step_changes_numpy_ma_or_starts_a_thread():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p

@@ -16,7 +16,6 @@ from fuzzmap import (
     fastmap_embed,
     gnp_random_graph,
     graph_from_edges,
-    preferential_attachment_graph,
 )
 from fuzzmap import radii
 from fuzzmap.fastmap import Embedding
@@ -36,6 +35,13 @@ def test_euclidean_basics():
     assert euclidean_distance(e, 0, 0) == 0.0
     with pytest.raises(ValueError, match="out of range"):
         euclidean_distance(e, 0, 5)
+    with pytest.raises(ValueError, match="out of range"):
+        euclidean_distance(e, -1, 0)
+    for bad in (True, 0.5):
+        with pytest.raises(ValueError, match=f"node id {bad!r} is not an integer"):
+            euclidean_distance(e, bad, 1)
+        with pytest.raises(ValueError, match=f"node id {bad!r} is not an integer"):
+            euclidean_distance(e, 1, bad)
 
 
 @settings(max_examples=200, deadline=None)
@@ -267,18 +273,12 @@ def test_quantized_radii_sound_direction():
             assert rq == -1.0 or float(rq).is_integer()
 
 
-def test_all_radii_equals_per_node(monkeypatch):
+def test_all_radii_equals_per_node():
     g = gnp_random_graph(300, 0.05, seed=77)
     e = fastmap_embed(g, 3, seed=7)
     seq = [compute_radii(g, e, v) for v in range(g.n)]
-    monkeypatch.setattr(radii, "_POINTS_PER_WORKER", _BLOCK)  # a pool at this size
-    monkeypatch.setattr(radii, "usable_cpus", lambda: 3)
-    threaded = compute_all_radii(g, e)
-    monkeypatch.setattr(radii, "usable_cpus", lambda: 1)
-    single = compute_all_radii(g, e)
-    assert np.array_equal(threaded.r, single.r)
-    assert np.array_equal(threaded.R, single.R)
-    assert [(r, R) for r, R in zip(single.r, single.R)] == seq
+    every = compute_all_radii(g, e)
+    assert [(r, R) for r, R in zip(every.r, every.R)] == seq
 
 
 def graph_from_matrix(adj: np.ndarray, directed: bool) -> Graph:
@@ -297,17 +297,13 @@ COORD = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3),
                   st.integers(-6, 6).map(lambda i: i * 2.0**52))
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), n=st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]),
        k=st.integers(1, 8), directed=st.booleans(), quantize=st.booleans())
-def test_all_radii_equal_per_node_and_sort_scan(cpus, data, n, k, directed, quantize):
+def test_all_radii_equal_per_node_and_sort_scan(data, n, k, directed, quantize):
     g = graph_from_matrix(data.draw(arrays(bool, (n, n))), directed)
     e = embed_of(data.draw(arrays(np.float64, (n, k), elements=COORD)))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(radii, "usable_cpus", lambda: cpus)
-        mp.setattr(radii, "_POINTS_PER_WORKER", _BLOCK)  # 2 CPUs start a pool from 2 blocks
-        every = compute_all_radii(g, e, quantize=quantize)
+    every = compute_all_radii(g, e, quantize=quantize)
     for v in range(n):
         want = radii_sort_scan(labelled_distances(g, e.coords, v), quantize)
         assert compute_radii(g, e, v, quantize=quantize) == want
@@ -318,21 +314,18 @@ def test_all_radii_equal_per_node_and_sort_scan(cpus, data, n, k, directed, quan
 POOL_COORD = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0])
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), n=st.integers(2, 3 * _BLOCK + 1), k=st.integers(1, 4),
        pool=st.integers(1, 5), directed=st.booleans(), quantize=st.booleans(),
        chunk_cap=st.sampled_from([1, 5, radii._CHUNK]))
-def test_coincident_points_match_per_node_and_sort_scan(cpus, data, n, k, pool, directed,
-                                                        quantize, chunk_cap):
+def test_coincident_points_match_per_node_and_sort_scan(data, n, k, pool, directed, quantize,
+                                                        chunk_cap):
     # coords drawn from a few rows put many nodes on one point (u << n); a
     # small _CHUNK splits a point's nodes over several rule calls
     rows = data.draw(arrays(np.float64, (pool, k), elements=POOL_COORD))
     e = embed_of(rows[data.draw(arrays(np.intp, n, elements=st.integers(0, pool - 1)))])
     g = graph_from_matrix(data.draw(arrays(bool, (n, n))), directed)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(radii, "usable_cpus", lambda: cpus)
-        mp.setattr(radii, "_POINTS_PER_WORKER", _BLOCK)  # 2 CPUs start a pool from 2 blocks
         mp.setattr(radii, "_CHUNK", chunk_cap)
         every = compute_all_radii(g, e, quantize=quantize)
     for v in range(n):
@@ -370,86 +363,8 @@ def test_scan_logs_point_grouping(caplog):
     with caplog.at_level(logging.INFO, logger="fuzzmap.radii"):
         compute_all_radii(g, e, quantize=False)
     assert [rec.getMessage() for rec in caplog.records] == [
-        "radii: n=3 distinct_points=2 largest_group=2 workers=1 r_sentinel_frac=0.6667 "
+        "radii: n=3 distinct_points=2 largest_group=2 r_sentinel_frac=0.6667 "
         "R_inf_frac=1.0000"]
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """The size of each pool the radii scan starts; a stand-in runs the work inline."""
-    sizes = []
-
-    class Recorder:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(radii, "ThreadPoolExecutor", Recorder)
-    return sizes
-
-
-def test_radii_pool_is_capped(monkeypatch, pool_sizes):
-    # the pool gets at most _MAX_WORKERS threads, one per usable CPU and one
-    # per _POINTS_PER_WORKER points, here one point block
-    monkeypatch.setattr(radii, "_POINTS_PER_WORKER", _BLOCK)
-    g = gnp_random_graph(300, 0.05, seed=77)
-    e = embed_of(np.random.default_rng(7).standard_normal((g.n, 3)))
-    assert radii.group_points(e.coords).u == g.n  # 75 point blocks
-    monkeypatch.setattr(radii, "usable_cpus", lambda: 3)
-    by_cpus = compute_all_radii(g, e)  # 3 CPUs
-    monkeypatch.setattr(radii, "usable_cpus", lambda: 5000)
-    by_max = compute_all_radii(g, e)  # _MAX_WORKERS = 8
-    small = gnp_random_graph(3 * _BLOCK, 0.3, seed=5)
-    small_e = fastmap_embed(small, 3, seed=1)
-    assert radii.group_points(small_e.coords).u == small.n  # every point distinct
-    compute_all_radii(small, small_e)  # 3 point blocks
-    monkeypatch.setattr(radii, "usable_cpus", lambda: 1)
-    single = compute_all_radii(g, e)  # one CPU starts no pool
-    assert pool_sizes == [3, 8, 3]
-    for pooled in (by_cpus, by_max):
-        assert np.array_equal(pooled.r, single.r) and np.array_equal(pooled.R, single.R)
-
-
-def test_small_scan_starts_no_pool(monkeypatch, pool_sizes, caplog):
-    # 300 nodes are far below two workers' worth of points, so 2 CPUs start
-    # no pool; a pool forced at one block a worker gives the same bits
-    g = gnp_random_graph(300, 0.05, seed=77)
-    e = fastmap_embed(g, 3, seed=7)
-    monkeypatch.setattr(radii, "usable_cpus", lambda: 2)
-    serial = compute_all_radii(g, e)
-    assert pool_sizes == []
-    monkeypatch.setattr(radii, "_POINTS_PER_WORKER", _BLOCK)
-    with caplog.at_level(logging.INFO, logger="fuzzmap.radii"):
-        pooled = compute_all_radii(g, e)
-    assert pool_sizes == [2]
-    assert " workers=2 " in caplog.records[-1].getMessage()
-    assert np.concatenate([serial.r, serial.R]).tobytes() == \
-        np.concatenate([pooled.r, pooled.R]).tobytes()
-
-
-@pytest.mark.parametrize("quantize", [True, False], ids=["quantized", "exact"])
-def test_shipped_threshold_pool_matches_one_thread(monkeypatch, caplog, quantize):
-    # u = 8,192 distinct points is the fewest at which 2 CPUs start a real pool
-    # under the shipped _POINTS_PER_WORKER: two ranges of ~4,096 points each
-    g = preferential_attachment_graph(8192, 2, seed=3)
-    e = embed_of(np.random.default_rng(3).standard_normal((g.n, 2)))
-    assert radii.group_points(e.coords).u == 2 * radii._POINTS_PER_WORKER
-    monkeypatch.setattr(radii, "usable_cpus", lambda: 1)
-    serial = compute_all_radii(g, e, quantize=quantize)
-    monkeypatch.setattr(radii, "usable_cpus", lambda: 2)
-    with caplog.at_level(logging.INFO, logger="fuzzmap.radii"):
-        pooled = compute_all_radii(g, e, quantize=quantize)
-    assert " workers=2 " in caplog.records[-1].getMessage()
-    assert np.concatenate([serial.r, serial.R]).tobytes() == \
-        np.concatenate([pooled.r, pooled.R]).tobytes()
 
 
 def test_radii_validation(uncertain_pair_graph):
