@@ -5,10 +5,13 @@ ids 0..n-1. External ids from edge-list files may be arbitrary non-negative
 64-bit integers; they are remapped densely in sorted order, so the parsed
 graph does not depend on the order of lines in the input.
 
-Scratch stays in proportion to the input: the plain reader checks the
-text in line-aligned pieces of about 64 KiB (``_PLAIN_CHUNK``) before one
-conversion of the whole text, and the CSR build sorts the ids and the
-edge keys in buffers the size of the (m, 2) edge array, in place.
+One reader takes every edge list: it checks the text in line-aligned
+pieces of about 64 KiB (``_PLAIN_CHUNK``), turning comments, carriage
+returns, commas and signs into blanks where a piece has them, and then
+converts every id with one ``np.fromstring``. Scratch stays in proportion
+to the input: the checks hold one piece at a time, and the CSR build
+sorts the ids and the edge keys in buffers the size of the (m, 2) edge
+array, in place.
 """
 
 from __future__ import annotations
@@ -16,9 +19,8 @@ from __future__ import annotations
 import itertools
 import logging
 import re
-from array import array
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, NoReturn
 
 import numpy as np
 
@@ -31,9 +33,18 @@ _MAX_ID = 2**64 - 1
 # 20 digits more (its groups: sign, digits), so int() never meets its digit limit
 _ID = r"([+-]?)0*([0-9]{1,20})"
 _LINE = re.compile(rf"[ \t]*(?:{_ID}(?:[ \t]*,[ \t]*|[ \t]+){_ID}[ \t]*|[#%].*)?\r?")
-# the only bytes of a plain edge list, which _parse_plain reads without a line loop
+# the same grammar over a piece of whole lines, in bytes; an id may have any
+# number of digits, which _read_ids bounds, but a '-' id can only be zero
+_BYTES_ID = rb"(?:\+?[0-9]+|-0+)"
+_BYTES_LINE = rb"[ \t]*(?:%s(?:[ \t]+,?|,)[ \t]*%s[ \t]*|[#%%][^\n]*)?\r?" % (_BYTES_ID, _BYTES_ID)
+# one lookahead a line: a (?:line\n)* match of a piece would hold ~1.6 KB of backtrack state a line
+_BAD_LINE = re.compile(rb"^(?!%s$)" % _BYTES_LINE, re.M)
+_COMMENT = re.compile(rb"[#%][^\n]*")
+# the bytes np.fromstring is given: digits, blanks and '\n'; in a piece with
+# no _BAD_LINE, '\r', ',', '+' and '-' become blanks, and comments go
 _PLAIN_BYTES = b"0123456789 \t\n"
-# bytes per piece of _parse_plain's checks; a piece runs on to the end of its last line
+_BLANKS = bytes.maketrans(b"\r,+-", b"    ")
+# bytes per piece of _read_ids' checks; a piece runs on to the end of its last line
 _PLAIN_CHUNK = 1 << 16
 
 
@@ -59,7 +70,8 @@ class Graph:
     are not symmetric, and external ids that are not n strictly
     increasing values of an integer dtype in [0, 2**64), which it holds as
     uint64. The radii scan's neighbor counts rely on these, and a saved
-    model on the ids.
+    model on the ids. ``directed`` must be a bool (numpy's included), held
+    as a Python bool.
     """
 
     n: int
@@ -69,6 +81,9 @@ class Graph:
     external_ids: np.ndarray  # (n,) uint64, internal id -> external id
 
     def __post_init__(self) -> None:
+        if not isinstance(self.directed, (bool, np.bool_)):  # None or "no" would pass as a flag
+            raise ValueError(f"directed must be a bool, not {self.directed!r}")
+        self.directed = bool(self.directed)
         # read-only int64 views; an array the caller passed in stays writable
         for name in ("indptr", "indices"):
             values = np.asarray(getattr(self, name))
@@ -277,8 +292,8 @@ def parse_edge_list(text: str | bytes | IO, directed: bool = False) -> Graph:
     """Parse edge-list text into a Graph.
 
     ``text`` is a stream, which is read, a str, which is encoded as UTF-8,
-    or any bytes-like object; anything else raises TypeError. The readers
-    below take those bytes.
+    or any bytes-like object; anything else raises TypeError. ``_read_ids``
+    takes those bytes.
 
     One edge per line, each line ending at '\n' (a carriage return before
     it is dropped): two ids of ASCII digits with an optional sign, below
@@ -286,105 +301,95 @@ def parse_edge_list(text: str | bytes | IO, directed: bool = False) -> Graph:
     around it, and spaces/tabs at either end. Lines of only spaces/tabs,
     and lines whose first other byte is '#' or '%', are skipped. Self-loop
     lines are skipped (with a logged warning count); duplicate edges
-    collapse.
-
-    Plain text, made only of ASCII digits, spaces, tabs and '\n' with
-    every line blank or holding two ids of under 20 digits, is read by
-    vectorised numpy code; this covers ``canonical_edge_list`` output and
-    headerless SNAP files. Any other input (comments, commas, CRLF line
-    ends, signs, longer ids, malformed lines) goes through a loop over
-    lines. Both give the same Graph, and every error, with its line
-    number, comes from the loop.
+    collapse. Input that is not UTF-8, and the first line outside this
+    grammar (named by its number), raise GraphParseError.
     """
     if hasattr(text, "read"):
         text = text.read()
     if isinstance(text, str):
-        text = text.encode("utf-8", "surrogatepass")  # a lone surrogate fails _parse_lines' decode
+        text = text.encode("utf-8", "surrogatepass")  # a lone surrogate fails the UTF-8 check
     data = text if isinstance(text, bytes) else memoryview(text).tobytes()
-    ends = _parse_plain(data)
-    if ends is None:
-        ends = _parse_lines(data)
-    return graph_from_edges(ends, directed=directed)
+    return graph_from_edges(_read_ids(data), directed=directed)
 
 
-def _parse_plain(data: bytes) -> np.ndarray | None:
-    """(m, 2) uint64 ids of a plain edge list, or None to leave it to _parse_lines.
+def _read_ids(data: bytes) -> np.ndarray:
+    """(m, 2) uint64 ids of an edge list, with every id from one ``np.fromstring``.
 
-    Plain: only ASCII digits, spaces, tabs and '\n'; 0 or 2 tokens on every
-    line; at least one token; no token of 20 or more digits, so every id is
-    below 2**64. Such input parses as _parse_lines would, without raising.
-    The checks run one piece of whole lines at a time, so their scratch is
-    O(_PLAIN_CHUNK) unless one line is longer.
+    The text is checked one piece of whole lines at a time. A piece of
+    only digits, spaces, tabs and '\n' goes straight to the numpy checks:
+    0 or 2 tokens a line, and each token of 20 or more digits compared
+    with 2**64. Any other piece must first hold no ``_BAD_LINE``; then its
+    comments, carriage returns, commas and signs become blanks, and it
+    takes the same checks. A piece that fails has its first bad line
+    worded by ``_raise_bad_line``. Scratch beyond the text and the ids is
+    O(_PLAIN_CHUNK) unless one line is longer, plus a blanked copy of the
+    text when a piece held decorations.
     """
+    try:
+        data.decode("utf-8")  # first, so that no bad line is reported ahead of a bad byte
+    except UnicodeDecodeError as exc:
+        raise GraphParseError(f"input is not UTF-8: {exc}") from None
+    # once a piece is blanked: the text up to it and the blanked pieces, in order
+    view, blanked, done = memoryview(data), [], 0
     tokens = start = 0
     while start < len(data):
         # whole lines of at least _PLAIN_CHUNK bytes, or the rest of the text
         stop = data.find(b"\n", start + _PLAIN_CHUNK - 1) + 1 or len(data)
-        piece = data[start:stop]
-        start = stop
-        if piece.translate(None, _PLAIN_BYTES):
-            return None
+        piece = raw = data[start:stop]
+        if raw.translate(None, _PLAIN_BYTES):
+            if _BAD_LINE.search(raw):
+                _raise_bad_line(raw, data.count(b"\n", 0, start))
+            piece = _COMMENT.sub(b"", raw).translate(_BLANKS)
+            blanked += (view[done:start], piece)
+            done = stop
         buf = np.frombuffer(piece, dtype=np.uint8)
         # digits are the only bytes >= '0' left; +1 where a run of them starts, -1 one past its end
         steps = np.diff((buf >= ord("0")).view(np.int8), prepend=0, append=0)
         starts, stops = np.flatnonzero(steps == 1), np.flatnonzero(steps == -1)
-        if starts.size and (stops - starts).max() >= 20:
-            return None
         # token starts and newlines in text order; the tokens of a line are the
         # events between its newline and the one before, and there are 0 or 2
         events = np.flatnonzero((steps[:-1] == 1) | (buf == ord("\n")))
         lines = np.flatnonzero(buf[events] == ord("\n"))
         per_line = np.diff(lines, prepend=-1, append=events.size) - 1
-        if np.any((per_line != 0) & (per_line != 2)):
-            return None
+        if np.any((per_line != 0) & (per_line != 2)) or any(
+                _over_max(piece[starts[i]:stops[i]]) for i in np.flatnonzero(stops - starts >= 20)):
+            _raise_bad_line(raw, data.count(b"\n", 0, start))
         tokens += starts.size
-    if not tokens:
-        return None
+        start = stop
+    if not tokens:  # np.fromstring reads a text of only blanks as one 0
+        return np.empty((0, 2), dtype=np.uint64)
+    data = b"".join(blanked + [view[done:]]) if blanked else data
     # one C pass over checked text, exact to 2**64 - 1
     return np.fromstring(data, dtype=np.uint64, sep=" ").reshape(-1, 2)
 
 
-def _parse_lines(data: bytes) -> np.ndarray:
-    """(m, 2) uint64 ids of any edge list, one ``_LINE`` match a line; raises on bad lines.
+def _over_max(digits: bytes) -> bool:
+    """Whether a token of ASCII digits reads above 2**64 - 1 (leading zeros allowed)."""
+    digits = digits.lstrip(b"0")
+    return len(digits) > 20 or int(digits or 0) > _MAX_ID
 
-    ``data`` is the UTF-8 bytes parse_edge_list hands on, decoded here.
-    Lines end at '\n' alone, so a vertical tab, a form feed, a lone
-    carriage return or a Unicode line break is a character of its line,
-    which then fails the match. The text is split one piece of whole
-    lines of at least _PLAIN_CHUNK characters at a time, and the ids go
-    to one u64 array, so scratch beyond the text and the ids is
-    O(_PLAIN_CHUNK) unless one line is longer.
+
+def _raise_bad_line(piece: bytes, lineno: int) -> NoReturn:
+    """Raise the GraphParseError of the first bad line of a piece after ``lineno`` lines.
+
+    A line is bad when ``_LINE`` does not match it or an id lies outside
+    [0, 2**64). Only a piece that failed ``_read_ids``' checks, which
+    holds such a line, comes here, so only the failing piece is decoded.
     """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise GraphParseError(f"input is not UTF-8: {exc}") from None
-    ids = array("Q")
-    lineno = start = 0
-    while start <= len(text):
-        stop = text.find("\n", start + _PLAIN_CHUNK - 1)
-        if stop < 0:
-            stop = len(text)
-        for line in text[start:stop].split("\n"):
-            lineno += 1
-            match = _LINE.fullmatch(line)
-            if match is None:
-                tokens = len(re.findall(r"[^ \t,]+", line))
-                if tokens != 2:
-                    raise GraphParseError(
-                        f"line {lineno}: expected two integer tokens, got {tokens}: {line!r}")
-                raise GraphParseError(f"line {lineno}: expected two ids of ASCII digits below "
-                                      f"2**64, split by spaces, tabs or one comma: {line!r}")
-            sign_u, u, sign_v, v = match.groups()
-            if u is None:  # a blank or comment line
-                continue
-            u, v = int(u), int(v)
-            if u > _MAX_ID or v > _MAX_ID or (sign_u == "-" and u) or (sign_v == "-" and v):
-                raise GraphParseError(f"line {lineno}: node id out of 64-bit range: {line!r}")
-            ids.append(u)
-            ids.append(v)
-        start = stop + 1
-    return np.frombuffer(ids, dtype=np.uint64).reshape(-1, 2)
+    for line in piece.decode("utf-8").split("\n"):
+        lineno += 1
+        match = _LINE.fullmatch(line)
+        if match is None:
+            tokens = len(re.findall(r"[^ \t,]+", line))
+            if tokens != 2:
+                raise GraphParseError(
+                    f"line {lineno}: expected two integer tokens, got {tokens}: {line!r}")
+            raise GraphParseError(f"line {lineno}: expected two ids of ASCII digits below "
+                                  f"2**64, split by spaces, tabs or one comma: {line!r}")
+        sign_u, u, sign_v, v = match.groups()
+        if u is not None and not (_in_id_range(int(sign_u + u)) and _in_id_range(int(sign_v + v))):
+            raise GraphParseError(f"line {lineno}: node id out of 64-bit range: {line!r}")
+    raise AssertionError("a piece that failed the edge-list checks holds no bad line")
 
 
 def load_edge_list(path: str, directed: bool = False) -> Graph:

@@ -14,7 +14,7 @@ from typing import IO, Optional, Sequence
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _is_integer
 from .oracle import CompressedGraph, build, query_arrays
 
 DEFAULT_SAMPLE = 1_000_000
@@ -77,12 +77,16 @@ def _pair_indices(
     seeded; memory is O(sample), not O(n^2).
     """
     total = n * (n - 1) if directed else n * (n - 1) // 2
-    if sample_size is not None and sample_size < 1:
-        raise ValueError("sample_size must be >= 1")
     if sample_size is None or sample_size >= total:
         return total, None
     rng = np.random.default_rng(seed)
     return total, np.sort(rng.choice(total, sample_size, replace=False, shuffle=False))
+
+
+def _check_sample_size(sample_size) -> None:
+    """Raise ValueError unless sample_size is None or an integer >= 1 (bools and floats refused)."""
+    if sample_size is not None and not (_is_integer(sample_size) and sample_size >= 1):
+        raise ValueError(f"sample_size must be None or an integer >= 1, not {sample_size!r}")
 
 
 def _decode_pairs(idx: np.ndarray, n: int, directed: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -116,6 +120,7 @@ def evaluate_model(
     The pairs are queried and tallied in blocks of ``_EVAL_BLOCK``, so
     scratch is O(block + sample + m) however many pairs are tallied.
     """
+    _check_sample_size(sample_size)
     if cg.n != g.n:
         raise ValueError(f"model has {cg.n} nodes but graph has {g.n}")
     if cg.directed != g.directed:
@@ -157,6 +162,7 @@ def sweep_k(
     """Build one model per k (same seed) and evaluate each."""
     if not k_values:
         raise ValueError("k_values must be non-empty")
+    _check_sample_size(sample_size)
     reports = []
     for k in k_values:
         cg = build(g, k=k, seed=seed, quantize=quantize)

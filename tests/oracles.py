@@ -7,20 +7,23 @@ checks how ``fastmap_embed`` schedules them, not the row arithmetic.
 ``answer_oracle`` scores a fuzzy side with fuzzmap's own ``evaluate``, so
 it checks the answer rule, not the inference. The reference generators
 hand their pairs to ``graph_from_edges``, so they check which pairs the
-bulk generators draw, not how a graph is built.
+bulk generators draw, not how a graph is built. ``reference_parse_lines``
+is the edge-list reader as a loop over lines, one regex match a line.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import struct
+from array import array
 from itertools import groupby
 
 import numpy as np
 
 from fuzzmap.fastmap import graph_distance_row, residual_distance
 from fuzzmap.fuzzy import evaluate
-from fuzzmap.graph import graph_from_edges
+from fuzzmap.graph import GraphParseError, graph_from_edges
 
 
 def norm_oracle(p, q) -> float:
@@ -262,3 +265,52 @@ def reference_edge_list(g) -> str:
     ext = g.external_ids
     lines = [f"{a} {b}" for a, b in zip(ext[us].tolist(), ext[vs].tolist())]
     return "\n".join(lines) + "\n"
+
+
+_MAX_ID = 2**64 - 1
+# one line of an edge list, its '\n' cut off (the README grammar); an id is a sign,
+# leading zeros and at most 20 digits more, so int() never meets its digit limit
+_ID = r"([+-]?)0*([0-9]{1,20})"
+_LINE = re.compile(rf"[ \t]*(?:{_ID}(?:[ \t]*,[ \t]*|[ \t]+){_ID}[ \t]*|[#%].*)?\r?")
+_CHUNK = 1 << 16
+
+
+def reference_parse_lines(data: bytes) -> np.ndarray:
+    """(m, 2) uint64 ids of any edge list, one ``_LINE`` match a line; raises on bad lines.
+
+    ``data`` is UTF-8 bytes, decoded here. Lines end at '\n' alone, so a
+    vertical tab, a form feed, a lone carriage return or a Unicode line
+    break is a character of its line, which then fails the match. The
+    text is split one piece of whole lines of at least _CHUNK characters
+    at a time, and the ids go to one u64 array.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphParseError(f"input is not UTF-8: {exc}") from None
+    ids = array("Q")
+    lineno = start = 0
+    while start <= len(text):
+        stop = text.find("\n", start + _CHUNK - 1)
+        if stop < 0:
+            stop = len(text)
+        for line in text[start:stop].split("\n"):
+            lineno += 1
+            match = _LINE.fullmatch(line)
+            if match is None:
+                tokens = len(re.findall(r"[^ \t,]+", line))
+                if tokens != 2:
+                    raise GraphParseError(
+                        f"line {lineno}: expected two integer tokens, got {tokens}: {line!r}")
+                raise GraphParseError(f"line {lineno}: expected two ids of ASCII digits below "
+                                      f"2**64, split by spaces, tabs or one comma: {line!r}")
+            sign_u, u, sign_v, v = match.groups()
+            if u is None:  # a blank or comment line
+                continue
+            u, v = int(u), int(v)
+            if u > _MAX_ID or v > _MAX_ID or (sign_u == "-" and u) or (sign_v == "-" and v):
+                raise GraphParseError(f"line {lineno}: node id out of 64-bit range: {line!r}")
+            ids.append(u)
+            ids.append(v)
+        start = stop + 1
+    return np.frombuffer(ids, dtype=np.uint64).reshape(-1, 2)

@@ -17,11 +17,11 @@ from fuzzmap import (
     parse_edge_list,
 )
 from fuzzmap import graph
-from fuzzmap.graph import _PLAIN_CHUNK, _parse_lines, _parse_plain
+from fuzzmap.graph import _PLAIN_CHUNK, _read_ids
 from fuzzmap.harness import _edge_keys
 
 from conftest import HIGH_ID_EDGES, edgeless_graph
-from oracles import adjacency_sets_oracle, reference_edge_list
+from oracles import adjacency_sets_oracle, reference_edge_list, reference_parse_lines
 
 
 def test_parse_two_edges_external_ids():
@@ -74,7 +74,7 @@ def test_line_order_does_not_matter():
         ("1 2\nx y\n", "line 2"),
         ("1,2,3\n", "line 1"),
         ("-1 2\n", "line 1"),
-        # defects after plain lines: the plain reader must hand over, not shift the line
+        # defects after plain lines: the line numbers count every line before them
         ("1 2\n3 4 5\n", "line 2"),
         ("1 2\n3\n", "line 2"),
         ("1 2\n18446744073709551616 3\n", "line 2"),
@@ -115,6 +115,27 @@ def test_bytes_and_stream_input(tmp_path):
         assert parse_edge_list(f).n == 3
     with pytest.raises(GraphParseError, match="input is not UTF-8"):
         parse_edge_list(b"1 2\n\xff 3\n")
+
+
+@pytest.mark.parametrize("chunk", [7, None], ids=["7-byte-pieces", "default-pieces"])
+def test_invalid_utf8_is_reported_before_an_earlier_bad_line(monkeypatch, chunk):
+    # the bad byte ends the last piece and the first line is malformed: the
+    # whole input is checked as UTF-8 before any line
+    if chunk is not None:
+        monkeypatch.setattr(graph, "_PLAIN_CHUNK", chunk)
+    data = b"1 2 3\n" + b"4 5\n" * 20000 + b"\xff"
+    with pytest.raises(GraphParseError, match=r"^input is not UTF-8: .* position 80006: "):
+        parse_edge_list(data)
+
+
+@pytest.mark.parametrize("chunk", [7, None], ids=["7-byte-pieces", "default-pieces"])
+def test_non_ascii_comment_is_skipped(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(graph, "_PLAIN_CHUNK", chunk)
+    plain = "1 2\n2 3\n" * 3
+    for text in ("# h\u00e9llo\n" + plain, plain + "% \u00e9t\u00e9\n" + plain):
+        assert parse_edge_list(text) == parse_edge_list(text.encode("utf-8"))
+        assert parse_edge_list(text) == parse_edge_list(plain)
 
 
 def test_memoryview_input_and_non_text_rejected():
@@ -304,20 +325,21 @@ def test_edge_list_elements_checked(pairs, message):
         graph_from_edges(pairs)
 
 
-# plain-reader differential: mostly text the plain reader takes, with every
-# condition that must hand it to the line loop mixed in at a lower rate
+# reader differential: text the numpy checks take as it is, with every
+# decoration the grammar allows or refuses mixed in at a lower rate
 _id_token = st.sampled_from(["short"] * 24 + ["19 digits", "20 digits", "zeros", "edge"]).flatmap(
     lambda kind: {
         "short": st.integers(0, 99999).map(str),
-        "19 digits": st.integers(10**18, 10**19 - 1).map(str),  # the longest plain token
-        "20 digits": st.integers(10**19, 2**64 - 1).map(str),  # in range; only the loop reads it
+        "19 digits": st.integers(10**18, 10**19 - 1).map(str),  # the longest id under 2**64 - 1
+        "20 digits": st.integers(10**19, 2**64 - 1).map(str),  # in range; compared one at a time
         "zeros": st.tuples(st.integers(1, 19), st.integers(0, 99)).map(
             lambda z: "0" * z[0] + str(z[1])),
         "edge": st.sampled_from(["18446744073709551615", "18446744073709551616",
                                  "99999999999999999999", "9999999999999999999"]),
     }[kind])
-_gap = st.sampled_from([" ", "  ", "\t", " \t "])
-_decoration = st.sampled_from([",", "#", "%", "+", "-", "\r"])
+_gap = st.sampled_from([" "] * 5 + ["  ", "\t", " \t ", ",", " , ", ",\t"])
+_decoration = st.sampled_from([",", ", ", "#", "%", "# h\u00e9", "+", "-", "-0", "\r", "\r\n",
+                               "\x0b", "\u00e9"])
 
 
 @st.composite
@@ -325,15 +347,16 @@ def _edge_lines(draw):
     lines = []
     for _ in range(draw(st.integers(1, 5))):
         if draw(st.integers(0, 7)) == 0:
-            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+            lines.append(draw(st.sampled_from(["", " ", "\t", "# h\u00e9llo, 1 2\r", "\t%"])))
             continue
-        tokens = [draw(_id_token) for _ in range(draw(st.sampled_from([2] * 16 + [1, 3])))]
+        tokens = [draw(_id_token) for _ in range(draw(st.sampled_from([2] * 32 + [1, 3])))]
         line = draw(st.sampled_from(["", " ", "\t"])) + draw(_gap).join(tokens)
-        if draw(st.integers(0, 15)) == 0:
+        if draw(st.integers(0, 3)) == 0:
             at = draw(st.integers(0, len(line)))
             line = line[:at] + draw(_decoration) + line[at:]
         lines.append(line)
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    return draw(st.sampled_from(["\n", "\n", "\r\n"])).join(lines) + draw(
+        st.sampled_from(["", "\n"]))
 
 
 def _outcome(parse):
@@ -345,40 +368,52 @@ def _outcome(parse):
 
 @pytest.mark.parametrize("chunk", [1, 7, _PLAIN_CHUNK])
 @settings(max_examples=400, deadline=None)
-@given(text=_edge_lines(), directed=st.booleans())
-def test_plain_reader_matches_line_loop(chunk, text, directed):
-    # pieces of 1 or 7 bytes end after every line or every few lines
-    data = text.encode("ascii")
+@given(text=_edge_lines(), bad_byte=st.sampled_from([b""] * 9 + [b"\xff"]),
+       directed=st.booleans())
+def test_reader_matches_reference_line_loop(chunk, text, bad_byte, directed):
+    # pieces of 1 or 7 bytes end after every line or every few lines; the
+    # reader gives the line loop's ids, or its exception type and message
+    data = text.encode("utf-8") + bad_byte
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_PLAIN_CHUNK", chunk)
-        plain = _parse_plain(data)
-        event("plain reader" if plain is not None else "line loop")
-        if plain is not None:
-            reference = _parse_lines(data)
-            assert plain.dtype == reference.dtype == np.uint64
-            assert np.array_equal(plain, reference)
-        expected = _outcome(lambda: graph_from_edges(_parse_lines(data), directed=directed))
-        for form in (text, data, bytearray(data), io.BytesIO(data), io.StringIO(text)):
+        ids = _outcome(lambda: _read_ids(data))
+        reference = _outcome(lambda: reference_parse_lines(data))
+        event("error" if not isinstance(ids, np.ndarray)
+              else "ids, plain text" if not data.translate(None, b"0123456789 \t\n")
+              else "ids, decorated text")
+        if isinstance(reference, np.ndarray):
+            assert ids.dtype == reference.dtype == np.uint64
+            assert np.array_equal(ids, reference)
+        else:
+            assert ids == reference
+        expected = _outcome(
+            lambda: graph_from_edges(reference_parse_lines(data), directed=directed))
+        forms = [data, bytearray(data), io.BytesIO(data)]
+        forms += [] if bad_byte else [text, io.StringIO(text)]  # a str can hold no '\xff' byte
+        for form in forms:
             assert _outcome(lambda: parse_edge_list(form, directed=directed)) == expected
 
 
 @pytest.mark.parametrize("last, outcome", [
     ("7 8 9", "line 30001: expected two integer tokens, got 3"),
     ("18446744073709551616 7", "line 30001: node id out of 64-bit range"),
-    ("18446744073709551615 7", None),  # 20 digits, in range: only the loop reads it
+    ("18446744073709551615 7", None),  # 20 digits, in range: compared, then read
 ], ids=["three-tokens", "id-out-of-range", "20-digit-id"])
 def test_last_piece_alone_not_plain_goes_to_the_line_loop(last, outcome):
-    # every piece but the last passes the plain checks
+    # every piece but the last holds plain lines of ids under 20 digits; the
+    # reader words the last piece's line as the reference line loop does
     text = "".join(f"{i} {i + 1}\n" for i in range(30000)) + last + "\n"
     assert len(text) > 3 * _PLAIN_CHUNK
-    assert _parse_plain(text.encode("ascii")) is None
+    data = text.encode("ascii")
     if outcome is not None:
         with pytest.raises(GraphParseError, match=outcome):
             parse_edge_list(text)
+        assert _outcome(lambda: _read_ids(data)) == _outcome(lambda: reference_parse_lines(data))
     else:
         g = parse_edge_list(text)
         assert g.n == 30002 and g.num_edges == 30001
         assert g.external_id(g.n - 1) == 2**64 - 1
+        assert np.array_equal(_read_ids(data), reference_parse_lines(data))
 
 
 def _traced_peak(call) -> int:
@@ -395,21 +430,25 @@ def test_reader_memory_is_linear_in_text(benchmark_edge_text):
     # reader returns are 1.6 times the text on its own
     data = benchmark_edge_text.encode("ascii")
     assert len(data) > 10 * _PLAIN_CHUNK
-    assert _traced_peak(lambda: _parse_plain(data)) < 3 * len(data)
-    # and the whole parse holds no more than the ids and the graph build's scratch
-    ends_bytes = _parse_plain(data).nbytes
-    assert _traced_peak(lambda: parse_edge_list(data)) < ends_bytes + 4 * ends_bytes
+    assert _traced_peak(lambda: _read_ids(data)) < 3 * len(data)
+    # and the whole parse holds no more than the ids and the graph build's
+    # scratch, with a header, CRLF line ends or commas as on the plain text
+    ends_bytes = _read_ids(data).nbytes
+    for text in (data, b"# header\n" + data, data.replace(b"\n", b"\r\n"),
+                 data.replace(b" ", b", ")):
+        assert _traced_peak(lambda: parse_edge_list(text)) < ends_bytes + 4 * ends_bytes
 
 
 def test_line_loop_memory_is_linear_in_text(benchmark_edge_text):
-    # a header line sends the text through the line loop, which holds one
-    # piece of lines at a time and the ids in one u64 array: beyond the text,
-    # about the ids, and the whole parse within the plain reader's bound
+    # a header line costs one blanked copy of the text, the reference line
+    # loop reads the same ids, and the whole parse stays within the plain
+    # text's bound
     data = benchmark_edge_text.encode("ascii")
     text = b"# header\n" + data
-    ends = _parse_plain(data)
-    assert _parse_plain(text) is None and np.array_equal(_parse_lines(text), ends)
-    assert _traced_peak(lambda: _parse_lines(text)) < len(text) + 2 * ends.nbytes
+    ends = _read_ids(data)
+    assert np.array_equal(_read_ids(text), ends)
+    assert np.array_equal(reference_parse_lines(text), ends)
+    assert _traced_peak(lambda: _read_ids(text)) < len(text) + 2 * ends.nbytes
     assert _traced_peak(lambda: parse_edge_list(text)) < ends.nbytes + 4 * ends.nbytes
 
 
@@ -417,7 +456,7 @@ def test_line_loop_memory_is_linear_in_text(benchmark_edge_text):
 def test_graph_build_memory_is_linear_in_edges(benchmark_edge_text, directed):
     # one sort of the ids and one of the keys, each in place on a buffer
     # the size of the edge array
-    ends = _parse_plain(benchmark_edge_text.encode("ascii"))
+    ends = _read_ids(benchmark_edge_text.encode("ascii"))
     assert _traced_peak(lambda: graph_from_edges(ends, directed=directed)) < 4 * ends.nbytes
 
 
@@ -496,6 +535,21 @@ def test_csr_arrays_are_held_as_int64(dtype):
               indices=np.array([1], dtype=dtype), external_ids=np.arange(2, dtype=np.uint64))
     assert g.indptr.dtype == g.indices.dtype == np.int64
     assert g.neighbors(0).tolist() == [1] and g.neighbors(1).tolist() == []
+
+
+@pytest.mark.parametrize("directed", [None, 0, 1, "no"], ids=["None", "0", "1", "no"])
+def test_directed_must_be_a_bool(directed):
+    # None would build a graph unequal to the undirected one, and "no" a directed one
+    with pytest.raises(ValueError, match=f"directed must be a bool, not {directed!r}"):
+        parse_edge_list("1 2\n", directed=directed)
+    with pytest.raises(ValueError, match="directed must be a bool"):
+        Graph(n=2, directed=directed, indptr=np.array([0, 1, 1]), indices=np.array([1]),
+              external_ids=np.arange(2, dtype=np.uint64))
+
+
+def test_numpy_bool_directed_is_held_as_bool():
+    g = graph_from_edges([(1, 2)], directed=np.True_)
+    assert g.directed is True and g == graph_from_edges([(1, 2)], directed=True)
 
 
 def test_csr_arrays_are_read_only(uncertain_pair_graph):

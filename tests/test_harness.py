@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -268,3 +269,28 @@ def test_sweep_validation(k4_graph):
         sweep_k(k4_graph, [], seed=0)
     with pytest.raises(ValueError):
         evaluate_model(build(k4_graph, k=2, seed=0), k4_graph, sample_size=0)
+
+
+@pytest.mark.parametrize("sample_size", [10_000.5, 2.5, np.float64(50.0), True, 0, -3, "100"],
+                         ids=["10000.5", "2.5", "float64", "True", "0", "-3", "str"])
+def test_sample_size_is_none_or_an_integer_from_1(monkeypatch, sample_size):
+    # 10_000.5 would tally all 780 pairs of G(40, 0.1) and write 10000.5 to the CSV
+    g = gnp_random_graph(40, 0.1, seed=1)
+    cg = build(g, k=2, seed=0)
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a model was built or queried before the sample size was checked")
+
+    monkeypatch.setattr(harness, "query_arrays", not_reached)
+    monkeypatch.setattr(harness, "build", not_reached)
+    message = f"sample_size must be None or an integer >= 1, not {sample_size!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evaluate_model(cg, g, sample_size=sample_size)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sweep_k(g, [2], sample_size=sample_size)
+
+
+def test_numpy_integer_sample_size_is_written_as_an_integer():
+    g = gnp_random_graph(40, 0.1, seed=1)
+    rep = evaluate_model(build(g, k=2, seed=0), g, sample_size=np.int64(50), seed=2)
+    assert rep.pairs == 50 and reports_to_csv([rep]).splitlines()[1].endswith(",2,50")
