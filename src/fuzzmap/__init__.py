@@ -36,7 +36,7 @@ from .graph import (
     load_edge_list,
     parse_edge_list,
 )
-from .harness import EvalReport, evaluate_model, reports_to_csv, sweep_k, write_csv
+from .harness import EvalReport, evaluate_model, reports_to_csv, sweep_k
 from .oracle import (
     Answer,
     CompressedGraph,
@@ -101,5 +101,4 @@ __all__ = [
     "save_file",
     "sweep_k",
     "to_fcl",
-    "write_csv",
 ]

@@ -24,7 +24,8 @@ _WEIGHTS[[0, -1]] /= 2.0  # trapezoid rule
 _WEIGHTED_GRID = _WEIGHTS * _GRID
 _CHUNK = 64  # rows per (chunk x grid) buffer: 0.5 MB, so each rule's pass stays in cache
 
-_TOKEN = re.compile(r":=|[():;,]|[A-Za-z_][A-Za-z0-9_]*|[-+]?\d*\.?\d+(?:[eE][-+]?\d+)?")
+_NUMBER = re.compile(r"[-+]?\d*\.?\d+(?:[eE][-+]?\d+)?")  # not nan, inf or infinity, which float() reads
+_TOKEN = re.compile(rf":=|[():;,]|[A-Za-z_][A-Za-z0-9_]*|{_NUMBER.pattern}")
 
 
 class FclParseError(ValueError):
@@ -50,7 +51,7 @@ class MembershipFunction:
         mus = [mu for _, mu in self.vertices]
         if any(x2 <= x1 for x1, x2 in zip(xs, xs[1:])):
             raise FclParseError("non-increasing x in membership vertices")
-        if xs[0] < 0.0 or xs[-1] > 1.0:
+        if any(not 0.0 <= x <= 1.0 for x in xs):  # NaN included
             raise FclParseError("membership x values must lie in [0, 1]")
         if any(not 0.0 <= mu <= 1.0 for mu in mus):
             raise FclParseError("membership values must lie in [0, 1]")
@@ -231,10 +232,9 @@ class _Tokens:
 
     def number(self) -> float:
         line, tok = self.next()
-        try:
-            return float(tok)
-        except ValueError:
-            raise FclParseError(f"line {line}: expected number, got '{tok}'") from None
+        if not _NUMBER.fullmatch(tok):
+            raise FclParseError(f"line {line}: expected number, got '{tok}'")
+        return float(tok)
 
     def read(self, form: str) -> list:
         """Consume the fixed token sequence ``form``; returns its captured values."""

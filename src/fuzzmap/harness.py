@@ -10,7 +10,7 @@ both classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -185,7 +185,3 @@ def reports_to_csv(reports: Sequence[EvalReport]) -> str:
             f"{_pct_field(rep.fuzzy_sound_no_pct)},{rep.seed},{sample}"
         )
     return "\n".join(lines) + "\n"
-
-
-def write_csv(reports: Sequence[EvalReport], sink: IO[str]) -> None:
-    sink.write(reports_to_csv(reports))

@@ -58,7 +58,7 @@ _MAX_INDEXED = 2**32  # point and state indices take at most 32 bits: at most th
 _TABLE_COORD_RATIO = 1
 # side keys, ranked as the answer rule ranks them: yes, no, a fuzzy output in [0, 1], unscored
 _KEY_YES, _KEY_NO, _KEY_UNSCORED = -2.0, -1.0, 2.0
-_YES, _NO = 0, 1  # the pair table's definite codes; fuzzy codes follow
+_NO = 1  # the pair table's codes of yes (0) and no (1); fuzzy codes follow
 _SIDE_BLOCK = 1 << 15  # (state, point) cells scored at a time while the pair table is built
 
 DEFINITE = "definite"
@@ -196,10 +196,11 @@ class CompressedGraph:
 
         ``codes[s, s']`` answers a node in state s against a node in state
         s' with ``decode[codes[s, s']]``, and is definite exactly when below
-        2. The codes rank the side keys of each state against each point
-        (``_side_codes``), and a pair's code is the lesser of its two
-        sides' codes, or the source side's alone when directed: the rank of
-        the least side key the table-less path answers from. The
+        2. A side's code is the rank of its key among the distinct side keys
+        of every state against every point, with yes, no and unscored
+        always among them (``_side_codes``), and a pair's code is the lesser
+        of its two sides' codes, or the source side's alone when directed:
+        the rank of the least side key the table-less path answers from. The
         pair table is None when itemsize * t**2 bytes exceed the cap,
         8 * k * n bytes, and when 8 * u**2 bytes exceed it (see
         _TABLE_COORD_RATIO). Built on the first query, not by build, save
@@ -273,54 +274,47 @@ def _answers(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _side_codes(points_t: np.ndarray, states: NodeStates, system: FuzzySystem,
                 max_codes: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Precedence codes of every (state, point) side, and the answer value of each code.
+    """The code of every (state, point) side, and the answer value of each code.
 
     The side of a node in state s against a node on point p has the key of
     ``_side_values`` at the ``pair_distances`` distance between points
     ``states.point[s]`` and p of the (k, u) ``points_t``, the distance the
-    table-less path computes for such a pair. The codes rank the keys:
-    _YES (0) and _NO (1), then 2... the distinct fuzzy outputs in
-    ascending order, and last the unscored key; ``_answers`` of those keys
-    is ``decode``. So the lesser code of two sides is the code of their
-    least key. States are scored about _SIDE_BLOCK cells at a time, so no
-    (t, u) float array is made: the distinct points of a block get one
-    distance row each, and each block is coded by its own fuzzy values.
-    A running union of every block's values gives up early; at the end
-    each block is recoded by its values' places in that union. Any order
-    of the states gives the same codes, row for row. None as soon as the
-    codes would number more than max_codes; else they take the smallest
-    unsigned dtype that holds them.
+    table-less path computes for such a pair. Its code is the rank of that
+    key among the distinct side keys together with _KEY_YES, _KEY_NO and
+    _KEY_UNSCORED: yes is 0, no is 1, the distinct fuzzy outputs follow
+    in ascending order and unscored is last. ``decode`` is ``_answers`` of
+    those keys, so the lesser code of two sides is the code of their least
+    key. States are ranked about _SIDE_BLOCK cells at a time, so no (t, u)
+    float array is made: the distinct points of a block get one distance
+    row each, and each block is ranked among its own keys. A running union
+    of every block's keys gives up early; at the end each block is recoded
+    by its keys' places in that union. Any order of the states gives the
+    same codes, row for row. None as soon as the codes would number more
+    than max_codes; else they take the smallest unsigned dtype that holds
+    them.
     """
     u = points_t.shape[1]
     rows = max(1, _SIDE_BLOCK // u)
     blocks = []
-    xs = np.empty(0)  # every fuzzy value so far
+    union = np.array([_KEY_YES, _KEY_NO, _KEY_UNSCORED])  # every side key so far, sorted
     for lo in range(0, states.t, rows):
         s = slice(lo, lo + rows)
         points, row = np.unique(states.point[s], return_inverse=True)
         d = pair_distances(points_t.T, points[:, None], np.arange(u)).take(row, axis=0)
         keys = _side_values(d[None], states.r[None, s, None], states.R[None, s, None], system)[0]
-        fuzzy = (keys >= 0.0) & (keys <= 1.0)
-        block_xs, inverse = np.unique(keys[fuzzy], return_inverse=True)
-        unscored = 2 + block_xs.size
-        codes = np.full(keys.shape, unscored, dtype=np.min_scalar_type(unscored))
-        codes[keys == _KEY_YES] = _YES
-        codes[keys == _KEY_NO] = _NO
-        codes[fuzzy] = 2 + inverse
-        blocks.append((codes, block_xs))
+        # ravel: numpy 2.x shapes the inverse like a 2-d input, numpy 1.x flat
+        values, local = np.unique(keys.ravel(), return_inverse=True)
+        blocks.append((values, local.astype(np.min_scalar_type(values.size - 1)).reshape(keys.shape)))
         # a sort, not np.union1d: numpy >= 2.3's hashing np.unique imports
-        # numpy.ma on first use, ~1.5 MB of a query process's peak RSS.
-        # Fuzzy values lie in [0, 1], so -1 starts the first run
-        xs = np.sort(np.concatenate((xs, block_xs)))
-        xs = xs[np.diff(xs, prepend=-1.0) > 0]
-        if 2 + xs.size >= max_codes:  # the unscored code, 2 + xs.size, would not fit
+        # numpy.ma on first use, ~1.5 MB of a query process's peak RSS
+        union = np.sort(np.concatenate((union, values)))
+        union = union[np.diff(union, prepend=-np.inf) > 0]
+        if union.size > max_codes:
             return None
-    unscored = 2 + xs.size
-    out = np.empty((states.t, u), dtype=np.min_scalar_type(unscored))
-    for lo, (codes, block_xs) in zip(range(0, states.t, rows), blocks):
-        recode = np.concatenate([[_YES, _NO], 2 + np.searchsorted(xs, block_xs), [unscored]])
-        out[lo : lo + rows] = recode.take(codes)
-    return out, _answers(np.concatenate([[_KEY_YES, _KEY_NO], xs, [_KEY_UNSCORED]]))[1]
+    out = np.empty((states.t, u), dtype=np.min_scalar_type(union.size - 1))
+    for lo, (values, local) in zip(range(0, states.t, rows), blocks):
+        out[lo : lo + rows] = np.searchsorted(union, values).take(local)
+    return out, _answers(union)[1]
 
 
 def build(

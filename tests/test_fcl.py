@@ -97,6 +97,14 @@ def test_non_increasing_vertices():
         parse_fcl(text)
 
 
+@pytest.mark.parametrize("vertices", [((np.nan, 0.5),), ((0.0, 0.0), (np.nan, 1.0), (1.0, 1.0))],
+                         ids=["only", "middle"])
+def test_nan_vertex_x_rejected(vertices):
+    # a NaN x compares false both ways, so the increasing check passes it
+    with pytest.raises(FclParseError, match=re.escape("membership x values must lie in [0, 1]")):
+        MembershipFunction(vertices)
+
+
 def test_missing_ruleblock():
     lines = [ln for ln in default_fcl_text().splitlines()
              if "RULE" not in ln and "ACT" not in ln
@@ -226,6 +234,19 @@ MALFORMED = {
         variant("(0.0, 0.0) (1.0, 1.0);\n        TERM close_to_R",
                 "(0.2, 0.0) (0.1, 1.0);\n        TERM close_to_R"),
         "line 10: TERM close_to_r: non-increasing x in membership vertices"),
+    # float() reads nan, inf and infinity, but they are identifiers, not numbers
+    "nan-vertex": (
+        variant("(0.0, 0.0) (1.0, 1.0);", "(0.0, 0.0) (nan, 1.0) (1.0, 1.0);"),
+        "line 10: expected number, got 'nan'"),
+    "inf-vertex": (
+        variant("(0.0, 1.0) (1.0, 0.0);", "(0.0, 1.0) (inf, 0.0);"),
+        "line 11: expected number, got 'inf'"),
+    "nan-rule-number": (
+        variant("RULE 1 :", "RULE nan :"),
+        "line 25: expected number, got 'nan'"),
+    "infinity-default": (
+        variant("DEFAULT := 0.5;", "DEFAULT := Infinity;"),
+        "line 18: expected number, got 'Infinity'"),
     "and-max": (
         variant("AND : MIN;", "AND : MAX;"),
         "line 22: expected MIN, got 'MAX'"),

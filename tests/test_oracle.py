@@ -586,6 +586,16 @@ def test_load_rejects_invalid_values(tmp_path, ids, offset, fmt, value, message)
     assert run(["info", str(path)]) == 2
 
 
+def test_load_rejects_nan_vertex_in_fcl_block():
+    text = default_fcl_text().replace("(0.0, 0.0) (1.0, 1.0);", "(0.0, 0.0) (0.5, 1.0) (1.0, 1.0);", 1)
+    blob = roundtrip(build(graph_from_edges(UNCERTAIN_PAIR_EDGES), k=2, seed=0, fcl_text=text))[2]
+    assert blob.count(b"(0.5, 1.0)") == 1
+    bad = bytearray(blob.replace(b"(0.5, 1.0)", b"(nan, 1.0)"))
+    struct.pack_into("<I", bad, len(bad) - 4, zlib.crc32(bytes(bad[:-4])))
+    with pytest.raises(ModelFormatError, match=re.escape("does not parse: line 10: expected number, got 'nan'")):
+        load(io.BytesIO(bytes(bad)))
+
+
 @pytest.mark.parametrize("offset, value, message", [
     # index 2 of the point field, bits 6..8: its top bit, the first of byte
     # 245, set turns 2 into 6, named by byte 244, which holds its first bit
@@ -1126,6 +1136,40 @@ def test_side_codes_do_not_depend_on_the_block_size():
             codes, decode = oracle._side_codes(cg.points_t, states, cg.fuzzy, 2**16)
         sides.add(codes.tobytes() + decode.tobytes())
     assert len(sides) == 1 and decode.size > 10  # one coding, of many fuzzy values
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(2, 30), k=st.integers(1, 4), directed=st.booleans(),
+       handmade=st.booleans(), fcl=st.sampled_from(sorted(TABLE_FCLS)),
+       block_states=st.sampled_from([1, 7, None]))
+def test_side_codes_are_the_ranks_of_the_side_keys(data, n, k, directed, handmade, fcl,
+                                                   block_states):
+    text = TABLE_FCLS[fcl]
+    if handmade:  # pooled points and radii: d == r and d == R ties, both sentinels
+        coords = data.draw(arrays(np.float64, (n, k), elements=POOL_COORD))
+        r = data.draw(arrays(np.float64, n, elements=POOL_r))
+        R = data.draw(arrays(np.float64, n, elements=POOL_R))
+        cg = manual_model(coords, r, R, directed=directed, fcl_text=text)
+    else:
+        g = gnp_random_graph(n, data.draw(st.sampled_from([0.1, 0.3, 0.6])),
+                             seed=data.draw(st.integers(0, 999)), directed=directed)
+        cg = build(g, k=k, seed=data.draw(st.integers(0, 999)), fcl_text=text)
+    states, u = cg.states, cg.u
+    # every side key in one piece: each state against each point
+    d = pair_distances(cg.points_t.T, states.point.repeat(u), np.tile(np.arange(u), states.t))
+    keys = oracle._side_values(d.reshape(1, states.t, u), states.r[None, :, None],
+                               states.R[None, :, None], cg.fuzzy)[0]
+    fixed = [oracle._KEY_YES, oracle._KEY_NO, oracle._KEY_UNSCORED]
+    ranked, rank = np.unique(np.concatenate([fixed, keys.ravel()]), return_inverse=True)
+    assert rank[:3].tolist() == [0, 1, ranked.size - 1]
+    block = oracle._SIDE_BLOCK if block_states is None else block_states * u
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_SIDE_BLOCK", block)
+        codes, decode = oracle._side_codes(cg.points_t, states, cg.fuzzy, ranked.size)
+        assert oracle._side_codes(cg.points_t, states, cg.fuzzy, ranked.size - 1) is None
+    assert codes.dtype == np.min_scalar_type(ranked.size - 1)
+    assert np.array_equal(codes, rank[3:].reshape(states.t, u))
+    assert decode.tobytes() == oracle._answers(ranked)[1].tobytes()
 
 
 def test_pair_table_is_kept_up_to_the_coordinates_bytes():
