@@ -6,10 +6,9 @@ ids 0..n-1. External ids from edge-list files may be arbitrary non-negative
 graph does not depend on the order of lines in the input.
 
 One reader takes every edge list: it checks the text in line-aligned
-pieces of about 64 KiB (``_PLAIN_CHUNK``). A piece whose only decoration
-is CRLF line ends drops each '\r'; in any other decorated piece comments,
-carriage returns, commas and signs become blanks. Then one
-``np.fromstring`` converts every id. Scratch stays in proportion
+pieces of about 64 KiB (``_PLAIN_CHUNK``), turning comments, carriage
+returns, commas and signs into blanks where a piece has them, and then
+converts every id with one ``np.fromstring``. Scratch stays in proportion
 to the input: the checks hold one piece at a time, and the CSR build
 sorts the ids and the edge keys in buffers the size of the (m, 2) edge
 array, in place.
@@ -319,13 +318,12 @@ def _read_ids(data: bytes) -> np.ndarray:
     The text is checked one piece of whole lines at a time. A piece of
     only digits, spaces, tabs and '\n' goes straight to the numpy checks:
     0 or 2 tokens a line, and each token of 20 or more digits compared
-    with 2**64. A piece that is plain once each CRLF becomes '\n' takes
-    those checks with its '\r's dropped. Any other piece must first hold
-    no ``_BAD_LINE``; then its comments, carriage returns, commas and signs
-    become blanks, and it takes the same checks. A piece that fails has
-    its first bad line worded by ``_raise_bad_line``. Scratch beyond the
-    text and the ids is O(_PLAIN_CHUNK) unless one line is longer, plus a
-    blanked copy of the text when a piece held decorations.
+    with 2**64. Any other piece must first hold no ``_BAD_LINE``; then its
+    comments, carriage returns, commas and signs become blanks, and it
+    takes the same checks. A piece that fails has its first bad line
+    worded by ``_raise_bad_line``. Scratch beyond the text and the ids is
+    O(_PLAIN_CHUNK) unless one line is longer, plus a blanked copy of the
+    text when a piece held decorations.
     """
     try:
         data.decode("utf-8")  # first, so that no bad line is reported ahead of a bad byte
@@ -338,14 +336,10 @@ def _read_ids(data: bytes) -> np.ndarray:
         # whole lines of at least _PLAIN_CHUNK bytes, or the rest of the text
         stop = data.find(b"\n", start + _PLAIN_CHUNK - 1) + 1 or len(data)
         piece = raw = data[start:stop]
-        extra = raw.translate(None, _PLAIN_BYTES)
-        if extra:
-            # where every extra byte is the '\r' of a CRLF line end, dropping them leaves plain text
-            piece = raw if extra.strip(b"\r") else raw.replace(b"\r\n", b"\n")
-            if len(raw) - len(piece) != len(extra):
-                if _BAD_LINE.search(raw):
-                    _raise_bad_line(raw, data.count(b"\n", 0, start))
-                piece = _COMMENT.sub(b"", raw).translate(_BLANKS)
+        if raw.translate(None, _PLAIN_BYTES):
+            if _BAD_LINE.search(raw):
+                _raise_bad_line(raw, data.count(b"\n", 0, start))
+            piece = _COMMENT.sub(b"", raw).translate(_BLANKS)
             blanked += (view[done:start], piece)
             done = stop
         buf = np.frombuffer(piece, dtype=np.uint8)

@@ -286,7 +286,8 @@ def _side_codes(points_t: np.ndarray, states: NodeStates, system: FuzzySystem,
     those keys, so the lesser code of two sides is the code of their least
     key. States are ranked about _SIDE_BLOCK cells at a time, so no (t, u)
     float array is made: the distinct points of a block get one distance
-    row each, and each block is ranked among its own keys. A running union
+    row each, and each block is ranked among its own keys, sorting only its
+    fuzzy outputs. A running union
     of every block's keys gives up early; at the end each block is recoded
     by its keys' places in that union. Any order of the states gives the
     same codes, row for row. None as soon as the codes would number more
@@ -302,9 +303,15 @@ def _side_codes(points_t: np.ndarray, states: NodeStates, system: FuzzySystem,
         points, row = np.unique(states.point[s], return_inverse=True)
         d = pair_distances(points_t.T, points[:, None], np.arange(u)).take(row, axis=0)
         keys = _side_values(d[None], states.r[None, s, None], states.R[None, s, None], system)[0]
-        # ravel: numpy 2.x shapes the inverse like a 2-d input, numpy 1.x flat
-        values, local = np.unique(keys.ravel(), return_inverse=True)
-        blocks.append((values, local.astype(np.min_scalar_type(values.size - 1)).reshape(keys.shape)))
+        # only the fuzzy outputs take a sort: most keys are no or unscored,
+        # which rank second and last, as yes ranks first
+        fuzzy = (keys >= 0.0) & (keys <= 1.0)
+        xs, inverse = np.unique(keys[fuzzy], return_inverse=True)
+        values = np.concatenate(([_KEY_YES, _KEY_NO], xs, [_KEY_UNSCORED]))
+        local = (keys == _KEY_NO).astype(np.min_scalar_type(values.size - 1))
+        local[keys == _KEY_UNSCORED] = values.size - 1
+        local[fuzzy] = 2 + inverse
+        blocks.append((values, local))
         # a sort, not np.union1d: numpy >= 2.3's hashing np.unique imports
         # numpy.ma on first use, ~1.5 MB of a query process's peak RSS
         union = np.sort(np.concatenate((union, values)))

@@ -416,29 +416,6 @@ def test_last_piece_alone_not_plain_goes_to_the_line_loop(last, outcome):
         assert np.array_equal(_read_ids(data), reference_parse_lines(data))
 
 
-class _Unsearchable:
-    def search(self, piece):
-        raise AssertionError(f"_BAD_LINE searched a piece: {piece[:40]!r}")
-
-
-@pytest.mark.parametrize("chunk", [1, _PLAIN_CHUNK])
-def test_crlf_only_text_skips_the_line_regex(monkeypatch, benchmark_edge_text, chunk):
-    # a piece whose only decoration is CRLF line ends drops each '\r' and
-    # takes the plain checks, which also word its errors from the CRLF text
-    small = b"1 2\n\n\t3 4 \n5\t6\n 7 8"
-    text = small if chunk == 1 else benchmark_edge_text.encode("ascii")
-    assert len(text) > 10 * chunk
-    crlf = text.replace(b"\n", b"\r\n")
-    bad = crlf.replace(b"3 4", b"3 4 9")
-    expected = _outcome(lambda: reference_parse_lines(bad))
-    monkeypatch.setattr(graph, "_BAD_LINE", _Unsearchable())
-    monkeypatch.setattr(graph, "_PLAIN_CHUNK", chunk)
-    assert np.array_equal(_read_ids(crlf), _read_ids(text))
-    assert canonical_edge_list(parse_edge_list(crlf)) == canonical_edge_list(parse_edge_list(text))
-    assert expected[0] is GraphParseError
-    assert _outcome(lambda: _read_ids(bad)) == expected
-
-
 def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
