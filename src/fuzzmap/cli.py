@@ -35,6 +35,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _int_option(option: str, least: int, text: str) -> int:
+    """The value of an int ``option`` of at least ``least``, as its argparse type."""
+    try:
+        value = int(text)
+    except ValueError:  # argparse would name the type's function, not int, in its message
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < least:
+        raise _UsageError(f"{option} must be >= {least}")
+    return value
+
+
 def _parse_k_range(spec: str) -> list[int]:
     """'lo:hi[:step]' inclusive, or a single integer."""
     parts = spec.split(":")
@@ -64,15 +75,24 @@ def _build_parser() -> _Parser:
         "radii and answer adjacency queries definitively or fuzzily.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # options that several commands share, each declared once
+    edges = argparse.ArgumentParser(add_help=False)
+    edges.add_argument("--input", required=True, help="edge-list file")
+    edges.add_argument("--quantize", action=argparse.BooleanOptionalAction, default=True,
+                       help="integer radii (default on)")
+    edges.add_argument("--directed", action="store_true")
+    report = argparse.ArgumentParser(add_help=False)
+    # the harness takes None, not 0, for all pairs
+    report.add_argument("--sample", default=DEFAULT_SAMPLE, help="pairs to sample (0 = all pairs)",
+                        type=lambda text: _int_option("--sample", 0, text) or None)
+    report.add_argument("--out", help="CSV path (default stdout)")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=lambda text: _int_option("--seed", 0, text), default=0)
 
-    p = sub.add_parser("compress", help="edge list -> FZG1 model file")
-    p.add_argument("--input", required=True, help="edge-list file")
+    p = sub.add_parser("compress", parents=[edges, seeded], help="edge list -> FZG1 model file")
     p.add_argument("--output", required=True, help="model file to write")
-    p.add_argument("--k", type=int, required=True, help="embedding dimensions")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--quantize", action=argparse.BooleanOptionalAction, default=True,
-                   help="integer radii (default on)")
-    p.add_argument("--directed", action="store_true")
+    p.add_argument("--k", type=lambda text: _int_option("--k", 1, text), required=True,
+                   help="embedding dimensions")
     p.add_argument("--fcl", help="FCL file overriding the built-in fuzzy system")
 
     p = sub.add_parser("query", help="adjacency query against a model")
@@ -80,23 +100,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--u", type=int, required=True, help="external node id")
     p.add_argument("--v", type=int, required=True, help="external node id")
 
-    p = sub.add_parser("evaluate", help="accuracy report for a model vs its graph")
+    p = sub.add_parser("evaluate", parents=[report, seeded],
+                       help="accuracy report for a model vs its graph")
     p.add_argument("--model", required=True)
     p.add_argument("--graph", required=True, help="edge-list file the model was built from")
-    p.add_argument("--sample", type=int, default=DEFAULT_SAMPLE,
-                   help="pairs to sample (0 = all pairs)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="CSV path (default stdout)")
 
-    p = sub.add_parser("sweep", help="build + evaluate across a k range")
-    p.add_argument("--input", required=True, help="edge-list file")
-    p.add_argument("--k", required=True, help="k range lo:hi[:step]")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sample", type=int, default=DEFAULT_SAMPLE,
-                   help="pairs to sample (0 = all pairs)")
-    p.add_argument("--quantize", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--directed", action="store_true")
-    p.add_argument("--out", help="CSV path (default stdout)")
+    p = sub.add_parser("sweep", parents=[edges, report, seeded],
+                       help="build + evaluate across a k range")
+    p.add_argument("--k", type=_parse_k_range, required=True, help="k range lo:hi[:step]")
 
     p = sub.add_parser("info", help="print model header fields, the distinct-point and "
                                     "node-state counts the file stores, and the size of "
@@ -115,8 +126,6 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:
-    if args.k < 1:
-        raise _UsageError("--k must be >= 1")
     g = load_edge_list(args.input, directed=args.directed)
     fcl_text = None
     if args.fcl:
@@ -147,17 +156,14 @@ def _cmd_query(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     cg = load_file(args.model)
     g = load_edge_list(args.graph, directed=cg.directed)
-    sample = None if args.sample == 0 else args.sample
-    report = evaluate_model(cg, g, sample_size=sample, seed=args.seed)
+    report = evaluate_model(cg, g, sample_size=args.sample, seed=args.seed)
     _write_text(args.out, reports_to_csv([report]))
     return EXIT_OK
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    ks = _parse_k_range(args.k)
     g = load_edge_list(args.input, directed=args.directed)
-    sample = None if args.sample == 0 else args.sample
-    reports = sweep_k(g, ks, quantize=args.quantize, seed=args.seed, sample_size=sample)
+    reports = sweep_k(g, args.k, quantize=args.quantize, seed=args.seed, sample_size=args.sample)
     _write_text(args.out, reports_to_csv(reports))
     return EXIT_OK
 
@@ -196,11 +202,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse argv and execute; returns the process exit code."""
     try:
         args = _build_parser().parse_args(argv)
-        if args.command in ("compress", "evaluate", "sweep"):
-            if getattr(args, "sample", 1) < 0:
-                raise _UsageError("--sample must be >= 0")
-            if args.seed < 0:
-                raise _UsageError("--seed must be >= 0")
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"fuzzmap: {exc}", file=sys.stderr)

@@ -25,7 +25,8 @@ _WEIGHTED_GRID = _WEIGHTS * _GRID
 _CHUNK = 64  # rows per (chunk x grid) buffer: 0.5 MB, so each rule's pass stays in cache
 
 _NUMBER = re.compile(r"[-+]?\d*\.?\d+(?:[eE][-+]?\d+)?")  # not nan, inf or infinity, which float() reads
-_TOKEN = re.compile(rf":=|[():;,]|[A-Za-z_][A-Za-z0-9_]*|{_NUMBER.pattern}")
+# the one group, the last alternative, takes any other non-blank character: a stray
+_TOKEN = re.compile(rf":=|[():;,]|[A-Za-z_][A-Za-z0-9_]*|{_NUMBER.pattern}|(\S)")
 
 
 class FclParseError(ValueError):
@@ -193,16 +194,10 @@ class _Tokens:
     def __init__(self, text: str):
         self.items: list[tuple[int, str]] = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("//", 1)[0]
-            pos = 0
-            for match in _TOKEN.finditer(line):
-                gap = line[pos : match.start()]
-                if gap.strip():
-                    raise FclParseError(f"line {lineno}: unexpected character {gap.strip()[0]!r}")
+            for match in _TOKEN.finditer(raw.split("//", 1)[0]):
+                if match.group(1):
+                    raise FclParseError(f"line {lineno}: unexpected character {match.group(1)!r}")
                 self.items.append((lineno, match.group()))
-                pos = match.end()
-            if line[pos:].strip():
-                raise FclParseError(f"line {lineno}: unexpected character {line[pos:].strip()[0]!r}")
         self.pos = 0
 
     def peek(self) -> tuple[int, str]:
@@ -226,7 +221,7 @@ class _Tokens:
 
     def ident(self) -> str:
         line, tok = self.next()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok) or tok.upper() in _KEYWORDS:
+        if not tok.isidentifier() or tok.upper() in _KEYWORDS:  # only _TOKEN's name form is one
             raise FclParseError(f"line {line}: expected identifier, got '{tok}'")
         return tok
 
@@ -366,7 +361,7 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def to_fcl(sys: FuzzySystem, name: str = "adjacency_likelihood") -> str:
+def to_fcl(sys: FuzzySystem) -> str:
     """Serialize a system to FCL text that parses back to equal behavior."""
 
     def term_lines(terms: dict[str, MembershipFunction]):
@@ -374,7 +369,7 @@ def to_fcl(sys: FuzzySystem, name: str = "adjacency_likelihood") -> str:
             pts = " ".join(f"({_fmt(x)}, {_fmt(mu)})" for x, mu in mf.vertices)
             yield f"        TERM {term} := {pts};"
 
-    lines = [f"FUNCTION_BLOCK {name}"]
+    lines = ["FUNCTION_BLOCK adjacency_likelihood"]
     lines += [f"    VAR_INPUT {sys.input_var} : REAL; END_VAR"]
     lines += [f"    VAR_OUTPUT {sys.output_var} : REAL; END_VAR"]
     lines += ["", f"    FUZZIFY {sys.input_var}", *term_lines(sys.input_terms), "    END_FUZZIFY"]

@@ -57,7 +57,8 @@ class Graph:
     """Compressed-sparse-row (CSR) graph over dense internal ids.
 
     Row u, ``indices[indptr[u]:indptr[u + 1]]``, holds u's sorted neighbors
-    (out-neighbors when directed); other modules read it only through
+    (out-neighbors when directed); the radii scan reads the rows of many
+    nodes at once from ``indptr`` and ``indices``, other modules through
     ``neighbors`` and ``edges``. ``external_ids[u]`` is the original id of
     internal node u; sorted ascending, so the mapping is canonical.
     Instances are immutable and safe for concurrent readers.
@@ -70,8 +71,7 @@ class Graph:
     are not symmetric, and external ids that are not n strictly
     increasing values of an integer dtype in [0, 2**64), which it holds as
     uint64. The radii scan's neighbor counts rely on these, and a saved
-    model on the ids. ``directed`` must be a bool (numpy's included), held
-    as a Python bool.
+    model on the ids. ``directed`` must pass ``check_bool``.
     """
 
     n: int
@@ -81,9 +81,7 @@ class Graph:
     external_ids: np.ndarray  # (n,) uint64, internal id -> external id
 
     def __post_init__(self) -> None:
-        if not isinstance(self.directed, (bool, np.bool_)):  # None or "no" would pass as a flag
-            raise ValueError(f"directed must be a bool, not {self.directed!r}")
-        self.directed = bool(self.directed)
+        self.directed = check_bool("directed", self.directed)
         # read-only int64 views; an array the caller passed in stays writable
         for name in ("indptr", "indices"):
             values = np.asarray(getattr(self, name))
@@ -171,6 +169,16 @@ def _is_integer(value) -> bool:
 def _in_id_range(e: int) -> bool:
     """External ids are u64: [0, 2**64)."""
     return 0 <= e <= _MAX_ID
+
+
+def check_bool(name: str, value) -> bool:
+    """``value`` as a Python bool; ValueError unless it is a bool (numpy's included).
+
+    A flag of None or "no" would pass as false or true without it.
+    """
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, not {value!r}")
+    return bool(value)
 
 
 def check_node_id(u: int, n: int) -> None:

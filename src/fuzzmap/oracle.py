@@ -40,7 +40,7 @@ import numpy as np
 
 from .fastmap import Embedding, fastmap_embed
 from .fuzzy import FclParseError, FuzzySystem, default_system, evaluate_many, parse_fcl, to_fcl
-from .graph import Graph, check_node_id, lookup_internal_id
+from .graph import Graph, check_bool, check_node_id, lookup_internal_id
 from .radii import R_NONE, NodeRadii, _group_columns, _grouped_radii, group_points, pair_distances
 
 MAGIC = b"FZG1"
@@ -128,25 +128,29 @@ class CompressedGraph:
     ``points_t`` is the (k, u) table of distinct points in ``group_points``
     order and ``states`` the node states; with the external ids, nothing
     else is held per node, and all are read-only. The constructor groups
-    per-node parts once; ``from_states`` takes them grouped. ``embedding``
-    and ``radii`` gather per-node arrays for a caller that reads them; no
-    query, save or load does. ``pair_table`` is derived on first use.
+    per-node parts once; ``directed`` and ``radii.quantized`` must pass
+    ``check_bool``, and ``fcl_text`` must be a str. ``from_states`` takes
+    the parts grouped. ``embedding`` and ``radii`` gather per-node arrays
+    for a caller that reads them; no query, save or load does.
+    ``pair_table`` is derived on first use.
     """
 
     def __init__(self, embedding: Embedding, radii: NodeRadii, directed: bool,
                  fuzzy: FuzzySystem, external_ids: np.ndarray, fcl_text: str) -> None:
+        directed = check_bool("directed", directed)
+        quantized = check_bool("radii.quantized", radii.quantized)
         sizes = (embedding.n, len(radii.r), len(radii.R), len(external_ids))
         if len(set(sizes)) != 1:
             raise ValueError("model parts disagree in n: {} coordinate rows, {} r, {} R, "
                              "{} external ids".format(*sizes))
         # save writes only fcl_text, so a system that differs from its
         # parse would answer differently after a save/load round trip
-        if parse_fcl(fcl_text) != fuzzy:
+        if _parse_fcl_text(fcl_text) != fuzzy:
             raise ValueError("fuzzy system does not match the parse of fcl_text")
         groups = group_points(embedding.coords)
         vars(self).update(vars(self.from_states(
             groups.points_t, node_states(groups.inv, radii.r, radii.R), directed,
-            radii.quantized, fuzzy, external_ids, fcl_text)))
+            quantized, fuzzy, external_ids, fcl_text)))
 
     @classmethod
     def from_states(cls, points_t: np.ndarray, states: NodeStates, directed: bool, quantized: bool,
@@ -324,6 +328,13 @@ def _side_codes(points_t: np.ndarray, states: NodeStates, system: FuzzySystem,
     return out, _answers(union)[1]
 
 
+def _parse_fcl_text(fcl_text: str) -> FuzzySystem:
+    """parse_fcl of the text a model embeds, which save encodes: a str, else TypeError."""
+    if not isinstance(fcl_text, str):
+        raise TypeError(f"fcl_text must be a str, not {type(fcl_text).__name__}")
+    return parse_fcl(fcl_text)
+
+
 def build(
     g: Graph,
     k: int,
@@ -336,14 +347,16 @@ def build(
     The fuzzy system is exactly ``fcl_text`` parsed (default: the built-in
     system serialized), and the model embeds that text, so a saved file
     is self-contained and loads back to the same system. Bad FCL raises
-    FclParseError before any embedding work. The embedding is grouped
+    FclParseError, FCL that is not a str TypeError, and a ``quantize``
+    that fails ``check_bool`` ValueError, before any embedding work. The embedding is grouped
     into distinct points once, and the radii scan and the model share
     that grouping: the model keeps the points and node states, not the
     per-node arrays; like a loaded model, its arrays are read-only.
     """
+    quantize = check_bool("quantize", quantize)
     if fcl_text is None:
         fcl_text = to_fcl(default_system())
-    system = parse_fcl(fcl_text)
+    system = _parse_fcl_text(fcl_text)
     groups = group_points(fastmap_embed(g, k, seed).coords)
     radii = _grouped_radii(g, groups, quantize)
     return CompressedGraph.from_states(

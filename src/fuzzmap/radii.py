@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fastmap import Embedding
-from .graph import Graph, check_node_id
+from .graph import Graph, check_bool, check_node_id
 
 log = logging.getLogger(__name__)
 
@@ -274,6 +274,7 @@ def _radii_rule(
 
 def compute_radii(g: Graph, e: Embedding, v: int, quantize: bool = True) -> tuple[float, float]:
     """(r, R) for one node. Uses out-neighbors when the graph is directed."""
+    quantize = check_bool("quantize", quantize)
     _check_inputs(g, e)
     g._check_id(v)
     groups = group_points(e.coords)
@@ -289,8 +290,9 @@ def compute_all_radii(g: Graph, e: Embedding, quantize: bool = True) -> NodeRadi
     Points are taken a span of max(_BLOCK, _CHUNK // u) at a time: the
     kernel fills the span's distance rows _BLOCK points per call, then
     the nodes on those points go through the rule max(1, _CHUNK // u) at
-    a time, all on the calling thread.
+    a time, all on the calling thread. ``quantize`` must pass ``check_bool``.
     """
+    quantize = check_bool("quantize", quantize)
     _check_inputs(g, e)
     return _grouped_radii(g, group_points(e.coords), quantize)
 

@@ -179,15 +179,25 @@ def test_usage_errors_exit_1(capsys):
     ["sweep", "--input", "g.txt", "--k", "2"],
 ])
 def test_negative_seed_is_a_usage_error_before_any_io(command, monkeypatch, capsys):
+    # and one bad value for each other usage rule of the command: the
+    # parser checks each, as the type of its option
     import fuzzmap.cli as cli
 
     def no_io(*args, **kwargs):
-        raise AssertionError("read an input before checking --seed")
+        raise AssertionError("read an input before checking the options")
 
     monkeypatch.setattr(cli, "load_edge_list", no_io)
     monkeypatch.setattr(cli, "load_file", no_io)
-    assert run([*command, "--seed", "-1"]) == 1
-    assert capsys.readouterr().err == "fuzzmap: --seed must be >= 0\n"
+    bad = {
+        "compress": [(["--k", "0"], "--k must be >= 1"),
+                     (["--k", "abc"], "argument --k: invalid int value: 'abc'")],
+        "evaluate": [(["--sample", "-1"], "--sample must be >= 0")],
+        "sweep": [(["--sample", "-1"], "--sample must be >= 0"),
+                  (["--k", "10:2"], "bad k range '10:2'")],
+    }[command[0]]
+    for option, message in [(["--seed", "-1"], "--seed must be >= 0"), *bad]:
+        assert run([*command, *option]) == 1
+        assert capsys.readouterr().err == f"fuzzmap: {message}\n"
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

@@ -299,6 +299,9 @@ MALFORMED = {
     "unexpected-character": (
         variant("DEFAULT := 0.5;", "DEFAULT := 0.5; #"),
         "line 18: unexpected character '#'"),
+    "unexpected-character-after-unicode-blank": (
+        variant("DEFAULT := 0.5;", "DEFAULT :=\u00a0\u00e90.5;"),
+        "line 18: unexpected character '\u00e9'"),
     "end-of-input": (
         variant("END_FUNCTION_BLOCK", ""),
         "line 27: unexpected end of input"),
@@ -311,6 +314,11 @@ def test_malformed_variant_message(case):
     with pytest.raises(FclParseError) as exc:
         parse_fcl(text)
     assert str(exc.value) == message
+
+
+def test_unicode_blanks_separate_tokens():
+    # a no-break space is a blank, and a form feed a blank that also ends the line
+    assert parse_fcl(variant("DEFAULT := 0.5;", "DEFAULT\u00a0:=\x0c0.5;")) == default_system()
 
 
 KEYWORDS = {"FUNCTION_BLOCK", "END_FUNCTION_BLOCK", "VAR_INPUT", "VAR_OUTPUT", "END_VAR",

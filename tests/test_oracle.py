@@ -21,6 +21,7 @@ from fuzzmap import (
     adjacent,
     build,
     compute_all_radii,
+    compute_radii,
     default_fcl_text,
     evaluate,
     fastmap_embed,
@@ -32,6 +33,7 @@ from fuzzmap import (
     query_arrays,
     query_directed,
     save,
+    sweep_k,
 )
 from fuzzmap import oracle
 from fuzzmap.cli import run
@@ -345,6 +347,64 @@ def test_fuzzy_system_must_match_fcl_text(uncertain_pair_graph):
         keyword_model(cg, fuzzy=parse_fcl(text))
     matched = keyword_model(cg, fcl_text=text, fuzzy=parse_fcl(text))
     assert roundtrip(matched)[0].fuzzy == matched.fuzzy
+
+
+def no_embedding(*args, **kwargs):
+    raise AssertionError("embedded the graph before checking the arguments")
+
+
+@pytest.mark.parametrize("flag", [None, 0, 1, "no"], ids=["None", "0", "1", "no"])
+def test_quantize_must_be_a_bool(flag, monkeypatch):
+    # quantize="no" built quantized radii in a model that held "no", and its
+    # file loaded as quantized; None built exact radii and held None
+    g = gnp_random_graph(20, 0.2, seed=1)
+    e = fastmap_embed(g, 2, seed=1)
+    monkeypatch.setattr(oracle, "fastmap_embed", no_embedding)
+    calls = [lambda: build(g, 2, 1, quantize=flag),
+             lambda: sweep_k(g, [2], quantize=flag),
+             lambda: compute_all_radii(g, e, quantize=flag),
+             lambda: compute_radii(g, e, 0, quantize=flag)]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"quantize must be a bool, not {flag!r}"):
+            call()
+
+
+@pytest.mark.parametrize("flag", [None, "yes"], ids=["None", "yes"])
+def test_keyword_constructor_flags_must_be_bools(flag):
+    # directed=None gave a model that neither query nor query_directed answered,
+    # and each such model saved as a different model
+    cg = build(gnp_random_graph(30, 0.2, seed=1), k=3, seed=1)
+    with pytest.raises(ValueError, match=f"directed must be a bool, not {flag!r}"):
+        keyword_model(cg, directed=flag)
+    with pytest.raises(ValueError, match=f"radii.quantized must be a bool, not {flag!r}"):
+        keyword_model(cg, radii=NodeRadii(cg.radii.r, cg.radii.R, flag))
+
+
+def test_numpy_bool_flags_are_held_as_bools(uncertain_pair_graph):
+    g = uncertain_pair_graph
+    cg = build(g, k=2, seed=1, quantize=np.False_)
+    assert cg.quantized is False and cg.radii.quantized is False
+    e = fastmap_embed(g, 2, seed=1)
+    assert compute_all_radii(g, e, quantize=np.True_).quantized is True
+    radii = NodeRadii(cg.radii.r, cg.radii.R, np.False_)
+    model = keyword_model(cg, directed=np.False_, radii=radii)
+    assert model.directed is False and model.quantized is False
+    assert roundtrip(model)[2] == roundtrip(cg)[2]
+
+
+@pytest.mark.parametrize("wrap", [io.StringIO, str.encode], ids=["stream", "bytes"])
+def test_fcl_text_must_be_a_str(wrap, uncertain_pair_graph, monkeypatch):
+    # parse_fcl reads streams and bytes, but save encodes fcl_text: a model
+    # holding a stream failed to save, its stream already read
+    cg = build(uncertain_pair_graph, k=2, seed=0)
+    fcl = wrap(default_fcl_text())
+    monkeypatch.setattr(oracle, "fastmap_embed", no_embedding)
+    with pytest.raises(TypeError, match=f"fcl_text must be a str, not {type(fcl).__name__}"):
+        build(uncertain_pair_graph, k=2, seed=0, fcl_text=fcl)
+    with pytest.raises(TypeError, match=f"fcl_text must be a str, not {type(fcl).__name__}"):
+        keyword_model(cg, fcl_text=fcl)
+    if isinstance(fcl, io.StringIO):
+        assert fcl.tell() == 0
 
 
 DEFAULT_FCL = default_fcl_text()
