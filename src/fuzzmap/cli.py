@@ -46,26 +46,20 @@ def _int_option(option: str, least: int, text: str) -> int:
     return value
 
 
-def _parse_k_range(spec: str) -> list[int]:
-    """'lo:hi[:step]' inclusive, or a single integer."""
-    parts = spec.split(":")
+def _parse_k_range(spec: str) -> range:
+    """The k values of 'lo:hi[:step]', hi included, or of a single integer k as k:k."""
     try:
-        values = [int(p) for p in parts]
+        values = [int(p) for p in spec.split(":")]
     except ValueError:
         raise _UsageError(f"bad k range {spec!r}") from None
-    if len(values) == 1:
-        ks = values
-    elif len(values) in (2, 3):
-        lo, hi = values[0], values[1]
-        step = values[2] if len(values) == 3 else 1
-        if step < 1 or hi < lo:
-            raise _UsageError(f"bad k range {spec!r}")
-        ks = list(range(lo, hi + 1, step))
-    else:
+    if len(values) < 3:  # k is k:k, and lo:hi is lo:hi:1
+        values = [values[0], values[-1], 1]
+    if len(values) != 3 or values[2] < 1 or values[1] < values[0]:
         raise _UsageError(f"bad k range {spec!r}")
-    if any(k < 1 for k in ks):
+    lo, hi, step = values
+    if lo < 1:  # the least k
         raise _UsageError("k values must be >= 1")
-    return ks
+    return range(lo, hi + 1, step)
 
 
 def _build_parser() -> _Parser:

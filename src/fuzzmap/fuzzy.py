@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import IO
 
 import numpy as np
 
@@ -262,23 +261,19 @@ def _add_term(terms: dict[str, MembershipFunction], tokens: _Tokens) -> None:
     terms[name] = mf
 
 
-def parse_fcl(text: str | bytes | IO) -> FuzzySystem:
+def parse_fcl(text: str) -> FuzzySystem:
     """Parse FCL-subset text into a validated FuzzySystem.
 
     Grammar (keywords case-insensitive, identifiers case-sensitive):
     one FUNCTION_BLOCK holding VAR_INPUT/VAR_OUTPUT declarations of a
     single REAL variable each, FUZZIFY/DEFUZZIFY blocks of piecewise
     TERMs, and one RULEBLOCK of IF/IS/THEN rules with MIN activation,
-    MAX accumulation and COG defuzzification.
+    MAX accumulation and COG defuzzification. ``text`` must be a str,
+    else TypeError before anything is read: a model embeds the text and
+    saves it encoded, and ``load`` decodes it itself.
     """
-    if hasattr(text, "read"):
-        text = text.read()
-    if isinstance(text, (bytes, bytearray)):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FclParseError(f"input is not UTF-8: {exc}") from None
-
+    if not isinstance(text, str):
+        raise TypeError(f"fcl_text must be a str, not {type(text).__name__}")
     tokens = _Tokens(text)
     tokens.expect("FUNCTION_BLOCK")
     tokens.ident()

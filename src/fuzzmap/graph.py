@@ -68,10 +68,9 @@ class Graph:
     (bool included), offsets that are not n + 1 non-decreasing values
     from 0 to len(indices), neighbor ids outside [0, n), rows that are
     not strictly increasing or hold their own node, undirected rows that
-    are not symmetric, and external ids that are not n strictly
-    increasing values of an integer dtype in [0, 2**64), which it holds as
-    uint64. The radii scan's neighbor counts rely on these, and a saved
-    model on the ids. ``directed`` must pass ``check_bool``.
+    are not symmetric, and external ids that fail ``check_external_ids``.
+    The radii scan's neighbor counts rely on these, and a saved model on
+    the ids. ``directed`` must pass ``check_bool``.
     """
 
     n: int
@@ -109,13 +108,7 @@ class Graph:
             owner += indices
             if not np.array_equal(flipped, owner):
                 raise ValueError("undirected graph rows must be symmetric")
-        ids = np.asarray(self.external_ids)
-        if ids.dtype.kind not in "iu" or (ids.dtype.kind == "i" and ids.size and ids.min() < 0):
-            raise ValueError("external_ids must be integers in [0, 2**64)")
-        self.external_ids = ids = ids.astype(np.uint64, copy=False).view()
-        ids.flags.writeable = False
-        if ids.shape != (n,) or np.any(ids[1:] <= ids[:-1]):
-            raise ValueError("external_ids must hold n strictly increasing ids")
+        self.external_ids = check_external_ids(self.external_ids, n)
 
     @property
     def num_edges(self) -> int:
@@ -179,6 +172,23 @@ def check_bool(name: str, value) -> bool:
     if not isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a bool, not {value!r}")
     return bool(value)
+
+
+def check_external_ids(ids, n: int) -> np.ndarray:
+    """``ids`` as a read-only uint64 view; an array the caller passed in stays writable.
+
+    ValueError unless they are n strictly increasing values of an integer
+    dtype (bool excluded) in [0, 2**64): ``lookup_internal_id`` searches
+    them, and a saved model's file holds them so.
+    """
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu" or (ids.dtype.kind == "i" and ids.size and ids.min() < 0):
+        raise ValueError("external_ids must be integers in [0, 2**64)")
+    ids = ids.astype(np.uint64, copy=False).view()
+    ids.flags.writeable = False
+    if ids.shape != (n,) or np.any(ids[1:] <= ids[:-1]):
+        raise ValueError("external_ids must hold n strictly increasing ids")
+    return ids
 
 
 def check_node_id(u: int, n: int) -> None:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .fastmap import Embedding, fastmap_embed
 from .fuzzy import FclParseError, FuzzySystem, default_system, evaluate_many, parse_fcl, to_fcl
-from .graph import Graph, check_bool, check_node_id, lookup_internal_id
+from .graph import Graph, check_bool, check_external_ids, check_node_id, lookup_internal_id
 from .radii import R_NONE, NodeRadii, _group_columns, _grouped_radii, group_points, pair_distances
 
 MAGIC = b"FZG1"
@@ -60,6 +60,9 @@ _TABLE_COORD_RATIO = 1
 _KEY_YES, _KEY_NO, _KEY_UNSCORED = -2.0, -1.0, 2.0
 _NO = 1  # the pair table's codes of yes (0) and no (1); fuzzy codes follow
 _SIDE_BLOCK = 1 << 15  # (state, point) cells scored at a time while the pair table is built
+# what load and the keyword constructor say of a part that fails its rule
+_BAD_COORDINATE = "non-finite or overflowing coordinate"
+_BAD_YES_RADIUS, _BAD_NO_RADIUS = "invalid radius r", "invalid radius R"
 
 DEFINITE = "definite"
 FUZZY = "fuzzy"
@@ -128,10 +131,14 @@ class CompressedGraph:
     ``points_t`` is the (k, u) table of distinct points in ``group_points``
     order and ``states`` the node states; with the external ids, nothing
     else is held per node, and all are read-only. The constructor groups
-    per-node parts once; ``directed`` and ``radii.quantized`` must pass
-    ``check_bool``, and ``fcl_text`` must be a str. ``from_states`` takes
-    the parts grouped. ``embedding`` and ``radii`` gather per-node arrays
-    for a caller that reads them; no query, save or load does.
+    per-node parts once, and refuses with ValueError any part that ``load``
+    would refuse in a file: ``directed`` and ``radii.quantized`` must pass
+    ``check_bool``, the external ids ``check_external_ids``, each
+    coordinate ``_coordinates_ok``, each r ``_r_ok`` and each R ``_R_ok``
+    (a message names the first bad node), and ``fuzzy`` must equal the
+    parse of ``fcl_text``, a str. ``from_states`` takes the parts grouped.
+    ``embedding`` and ``radii`` gather per-node arrays for a caller that
+    reads them; no query, save or load does.
     ``pair_table`` is derived on first use.
     """
 
@@ -143,9 +150,15 @@ class CompressedGraph:
         if len(set(sizes)) != 1:
             raise ValueError("model parts disagree in n: {} coordinate rows, {} r, {} R, "
                              "{} external ids".format(*sizes))
+        external_ids = check_external_ids(external_ids, embedding.n)
+        for ok, what in ((_coordinates_ok(embedding.coords).all(axis=1), _BAD_COORDINATE),
+                         (_r_ok(radii.r), _BAD_YES_RADIUS), (_R_ok(radii.R), _BAD_NO_RADIUS)):
+            bad = np.flatnonzero(~ok)
+            if bad.size:
+                raise ValueError(f"{what} at node {int(bad[0])}")
         # save writes only fcl_text, so a system that differs from its
         # parse would answer differently after a save/load round trip
-        if _parse_fcl_text(fcl_text) != fuzzy:
+        if parse_fcl(fcl_text) != fuzzy:
             raise ValueError("fuzzy system does not match the parse of fcl_text")
         groups = group_points(embedding.coords)
         vars(self).update(vars(self.from_states(
@@ -328,13 +341,6 @@ def _side_codes(points_t: np.ndarray, states: NodeStates, system: FuzzySystem,
     return out, _answers(union)[1]
 
 
-def _parse_fcl_text(fcl_text: str) -> FuzzySystem:
-    """parse_fcl of the text a model embeds, which save encodes: a str, else TypeError."""
-    if not isinstance(fcl_text, str):
-        raise TypeError(f"fcl_text must be a str, not {type(fcl_text).__name__}")
-    return parse_fcl(fcl_text)
-
-
 def build(
     g: Graph,
     k: int,
@@ -356,7 +362,7 @@ def build(
     quantize = check_bool("quantize", quantize)
     if fcl_text is None:
         fcl_text = to_fcl(default_system())
-    system = _parse_fcl_text(fcl_text)
+    system = parse_fcl(fcl_text)
     groups = group_points(fastmap_embed(g, k, seed).coords)
     radii = _grouped_radii(g, groups, quantize)
     return CompressedGraph.from_states(
@@ -514,9 +520,20 @@ def _unpack_bits(buf, count: int, w: int) -> np.ndarray:
     return bits.reshape(count, w) @ (np.uint32(1) << np.arange(w, dtype=np.uint32))
 
 
-def _coordinate_limit(k: int) -> float:
-    """Largest |coordinate| for which no k-axis distance can overflow."""
-    return math.sqrt(sys.float_info.max / k) / 4
+def _coordinates_ok(coords: np.ndarray) -> np.ndarray:
+    """Per coordinate of (rows, k) ``coords``: whether no k-axis distance
+    can overflow from it; NaN and inf fail."""
+    return np.abs(coords) <= math.sqrt(sys.float_info.max / coords.shape[1]) / 4
+
+
+def _r_ok(r: np.ndarray) -> np.ndarray:
+    """Per radius r: whether it is the R_NONE sentinel or finite and >= 0."""
+    return (r == R_NONE) | (np.isfinite(r) & (r >= 0.0))
+
+
+def _R_ok(R: np.ndarray) -> np.ndarray:
+    """Per radius R: whether it is inf or finite and >= 0."""
+    return (R == np.inf) | (np.isfinite(R) & (R >= 0.0))
 
 
 def load(source: IO[bytes]) -> CompressedGraph:
@@ -574,17 +591,13 @@ def load(source: IO[bytes]) -> CompressedGraph:
         _reject_first(increasing, off + 8, 8, "external ids not strictly increasing")
     points_at = off + 8 * id_count
     points = np.frombuffer(blob, dtype="<f8", count=u * k, offset=points_at).reshape(u, k)
-    # NaN and inf fail the comparison too
-    _reject_first((np.abs(points) <= _coordinate_limit(k)).ravel(), points_at, 8,
-                  "non-finite or overflowing coordinate")
+    _reject_first(_coordinates_ok(points).ravel(), points_at, 8, _BAD_COORDINATE)
     _reject_first(_increasing(points), points_at + 8 * k, 8 * k, "points out of order")
     radii_at = points_at + 8 * u * k
     state_radii = np.frombuffer(blob, dtype="<f8", count=2 * t, offset=radii_at).reshape(t, 2)
     state_r, state_R = state_radii[:, 0], state_radii[:, 1]
-    _reject_first((state_r == R_NONE) | (np.isfinite(state_r) & (state_r >= 0.0)), radii_at, 16,
-                  "invalid radius r")
-    _reject_first((state_R == np.inf) | (np.isfinite(state_R) & (state_R >= 0.0)), radii_at + 8,
-                  16, "invalid radius R")
+    _reject_first(_r_ok(state_r), radii_at, 16, _BAD_YES_RADIUS)
+    _reject_first(_R_ok(state_R), radii_at + 8, 16, _BAD_NO_RADIUS)
     off = radii_at + 16 * t
     state_point = _read_indices(blob, off, t, u, "point index")
     # a state is named by the offset of its r

@@ -292,11 +292,48 @@ def test_compress_with_fcl_override(sample_edge_file, tmp_path, capsys):
 
 
 def test_bad_fcl_exits_2(sample_edge_file, tmp_path, capsys):
+    # the CLI reads --fcl as UTF-8 text: a file that is not UTF-8 fails there
     fcl = tmp_path / "broken.fcl"
-    fcl.write_text("FUNCTION_BLOCK x\nWHATEVER;\nEND_FUNCTION_BLOCK\n")
-    assert run(["compress", "--input", str(sample_edge_file), "--output",
-                str(tmp_path / "m.fzg"), "--k", "2", "--fcl", str(fcl)]) == 2
-    assert "line 2" in capsys.readouterr().err
+    for content, named in ((b"FUNCTION_BLOCK x\nWHATEVER;\nEND_FUNCTION_BLOCK\n", "line 2"),
+                           (b"FUNCTION_BLOCK \xff\n", "'utf-8' codec")):
+        fcl.write_bytes(content)
+        assert run(["compress", "--input", str(sample_edge_file), "--output",
+                    str(tmp_path / "m.fzg"), "--k", "2", "--fcl", str(fcl)]) == 2
+        assert named in capsys.readouterr().err
+
+
+# specs the k-range parser accepts, with the k values it once built as a list
+K_RANGES = {"4": [4], " 4 ": [4], "1": [1], "2:4": [2, 3, 4], "3:3": [3], "2:6:2": [2, 4, 6],
+            "1:10:3": [1, 4, 7, 10], "1:2:5": [1], "+2:03": [2, 3], "5:5:9": [5]}
+# rejected specs, with their messages
+BAD_K_RANGES = {"0": "k values must be >= 1", "-2": "k values must be >= 1",
+                "0:3": "k values must be >= 1", "-1:4:2": "k values must be >= 1",
+                "3:1": "bad k range '3:1'", "1:5:0": "bad k range '1:5:0'",
+                "1:5:-1": "bad k range '1:5:-1'", "a": "bad k range 'a'",
+                "1:2:3:4": "bad k range '1:2:3:4'", "1::2": "bad k range '1::2'",
+                "": "bad k range ''", "0:-1": "bad k range '0:-1'"}
+
+
+def test_k_range_is_a_range_of_the_same_values():
+    import tracemalloc
+
+    from fuzzmap.cli import _parse_k_range, _UsageError
+
+    for spec, ks in K_RANGES.items():
+        assert list(_parse_k_range(spec)) == ks, spec
+    for spec, message in BAD_K_RANGES.items():
+        with pytest.raises(_UsageError) as exc:
+            _parse_k_range(spec)
+        assert str(exc.value) == message
+    # a million k values are not built as a list (~38 MiB)
+    tracemalloc.start()
+    try:
+        ks = _parse_k_range("1:1000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (ks[0], ks[-1], len(ks)) == (1, 1000000, 1000000)
+    assert peak < 1 << 20
 
 
 def test_help_exits_zero(capsys):

@@ -1,4 +1,3 @@
-import io
 import re
 
 import numpy as np
@@ -70,16 +69,6 @@ def test_keywords_case_insensitive():
     text = text.replace("RULEBLOCK", "ruleblock").replace("TERM", "term")
     sys = parse_fcl(text)
     assert behaviorally_equal(sys, default_system())
-
-
-def test_bytes_and_stream_inputs():
-    assert parse_fcl(default_fcl_text().encode("utf-8")).rules
-    assert parse_fcl(io.StringIO(default_fcl_text())).rules
-
-
-def test_undecodable_bytes_raise_parse_error():
-    with pytest.raises(FclParseError, match="input is not UTF-8: .*0xff"):
-        parse_fcl(b"\xff")
 
 
 def test_unresolved_term_names_the_term():

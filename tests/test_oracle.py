@@ -394,17 +394,59 @@ def test_numpy_bool_flags_are_held_as_bools(uncertain_pair_graph):
 
 @pytest.mark.parametrize("wrap", [io.StringIO, str.encode], ids=["stream", "bytes"])
 def test_fcl_text_must_be_a_str(wrap, uncertain_pair_graph, monkeypatch):
-    # parse_fcl reads streams and bytes, but save encodes fcl_text: a model
-    # holding a stream failed to save, its stream already read
+    # save encodes fcl_text: a model holding a stream failed to save, its
+    # stream already read. parse_fcl is the one check, for build and the
+    # keyword constructor alike, and reads nothing before it
     cg = build(uncertain_pair_graph, k=2, seed=0)
     fcl = wrap(default_fcl_text())
     monkeypatch.setattr(oracle, "fastmap_embed", no_embedding)
-    with pytest.raises(TypeError, match=f"fcl_text must be a str, not {type(fcl).__name__}"):
-        build(uncertain_pair_graph, k=2, seed=0, fcl_text=fcl)
-    with pytest.raises(TypeError, match=f"fcl_text must be a str, not {type(fcl).__name__}"):
-        keyword_model(cg, fcl_text=fcl)
-    if isinstance(fcl, io.StringIO):
-        assert fcl.tell() == 0
+    for call in (lambda: parse_fcl(fcl),
+                 lambda: build(uncertain_pair_graph, k=2, seed=0, fcl_text=fcl),
+                 lambda: keyword_model(cg, fcl_text=fcl)):
+        with pytest.raises(TypeError, match=f"fcl_text must be a str, not {type(fcl).__name__}"):
+            call()
+        if isinstance(fcl, io.StringIO):
+            assert fcl.tell() == 0
+
+
+def _node_part(cg: CompressedGraph, name: str, node: int, value: float) -> dict:
+    """The keyword constructor's part ``name`` of cg, with ``value`` at ``node``."""
+    if name == "coords":
+        coords = cg.embedding.coords.copy(order="F")
+        coords[node, -1] = value
+        return {"embedding": Embedding(coords=coords)}
+    r, R = cg.radii.r.copy(), cg.radii.R.copy()
+    (r if name == "r" else R)[node] = value
+    return {"radii": NodeRadii(r, R, cg.quantized)}
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda cg: {"external_ids": np.arange(6, 0, -1, dtype=np.uint64)},
+     "external_ids must hold n strictly increasing ids"),
+    (lambda cg: {"external_ids": np.arange(-1, 5)}, r"external_ids must be integers in \[0, 2\*\*64\)"),
+    (lambda cg: _node_part(cg, "coords", 3, np.nan), "non-finite or overflowing coordinate at node 3"),
+    (lambda cg: _node_part(cg, "coords", 4, 1e300), "non-finite or overflowing coordinate at node 4"),
+    (lambda cg: _node_part(cg, "r", 2, -0.5), "invalid radius r at node 2"),
+    (lambda cg: _node_part(cg, "r", 5, np.nan), "invalid radius r at node 5"),
+    (lambda cg: {"radii": NodeRadii(cg.radii.r, np.full(6, -5.0), cg.quantized)},
+     "invalid radius R at node 0"),
+    (lambda cg: _node_part(cg, "R", 1, np.nan), "invalid radius R at node 1"),
+], ids=["unsorted-ids", "negative-id", "nan-coordinate", "1e300-coordinate", "r-minus-half",
+        "r-nan", "R-minus-5", "R-nan"])
+def test_keyword_constructor_refuses_what_load_refuses(bad, message, uncertain_pair_graph,
+                                                       monkeypatch):
+    # ids 6..1 gave a model whose internal_id(6) was "unknown", and R = -5 on
+    # every node answered the edge (1, 2) with a definite no; save wrote
+    # either model to a file that load refused
+    cg = build(uncertain_pair_graph, k=2, seed=0)
+    assert cg.n == 6 and np.isfinite(cg.embedding.coords).all()
+
+    def no_grouping(*args, **kwargs):
+        raise AssertionError("grouped the points before checking the parts")
+
+    monkeypatch.setattr(oracle, "group_points", no_grouping)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        keyword_model(cg, **bad(cg))
 
 
 DEFAULT_FCL = default_fcl_text()
