@@ -9,7 +9,6 @@ from .fastmap import (
     Embedding,
     choose_pivots,
     fastmap_embed,
-    graph_distance,
     graph_distance_row,
     project,
     residual_distance,
@@ -30,7 +29,6 @@ from .generate import gnp_random_graph, preferential_attachment_graph
 from .graph import (
     Graph,
     GraphParseError,
-    adjacent,
     canonical_edge_list,
     graph_from_edges,
     load_edge_list,
@@ -50,7 +48,7 @@ from .oracle import (
     save,
     save_file,
 )
-from .radii import NodeRadii, compute_all_radii, compute_radii, euclidean_distance
+from .radii import NodeRadii, compute_all_radii, compute_radii
 
 __version__ = "0.1.0"
 
@@ -68,7 +66,6 @@ __all__ = [
     "MembershipFunction",
     "ModelFormatError",
     "NodeRadii",
-    "adjacent",
     "build",
     "canonical_edge_list",
     "choose_pivots",
@@ -76,13 +73,11 @@ __all__ = [
     "compute_radii",
     "default_fcl_text",
     "default_system",
-    "euclidean_distance",
     "evaluate",
     "evaluate_many",
     "evaluate_model",
     "fastmap_embed",
     "gnp_random_graph",
-    "graph_distance",
     "graph_distance_row",
     "graph_from_edges",
     "load",

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .graph import Graph, adjacent
+from .graph import Graph, _is_integer
 
 PIVOT_SEARCH_ITERATIONS = 5  # classic FastMap heuristic constant
 
@@ -30,12 +30,11 @@ class Embedding:
     ``coords.T`` is the C-contiguous (k, n) table the distance kernel
     reads one axis at a time. ``pivots[i]`` is (a, b) for axis i, or None
     for a degenerate (zero-filled) axis. ``CompressedGraph.embedding``
-    gathers a model's coords only; its pivots and seed are None.
+    gathers a model's coords only; its pivots are None.
     """
 
     coords: np.ndarray  # (n, k) float64, Fortran order
     pivots: Optional[list[Optional[tuple[int, int]]]] = None
-    seed: Optional[int] = None
 
     def __post_init__(self) -> None:
         self.coords = np.asfortranarray(self.coords)
@@ -49,17 +48,11 @@ class Embedding:
         return self.coords.shape[1]
 
 
-def graph_distance(g: Graph, u: int, v: int) -> float:
-    """0 to self, 1 to a neighbor, n otherwise."""
-    g._check_id(u)
-    g._check_id(v)
-    if u == v:
-        return 0.0
-    return 1.0 if adjacent(g, u, v) else float(g.n)
-
-
 def graph_distance_row(g: Graph, u: int) -> np.ndarray:
-    """Vector of graph_distance(g, u, v) for all v; O(n) time and space."""
+    """Graph distances from u to every v: 0 to self, 1 to a neighbor, n otherwise.
+
+    O(n) time and space; u must pass ``check_node_id``.
+    """
     row = np.full(g.n, float(g.n))
     row[g.neighbors(u)] = 1.0
     row[u] = 0.0
@@ -125,10 +118,16 @@ def fastmap_embed(g: Graph, k: int, seed: int) -> Embedding:
     revisits nodes and ends on the pivots, so each node's distance row is
     computed once per axis and reused. Pivot a anchors at coordinate 0 and
     pivot b at the pivot distance, exactly. Degenerate axes are
-    zero-filled and iteration continues.
+    zero-filled and iteration continues. ``k`` and ``seed`` follow the id
+    rule (``graph._is_integer``: numpy integers yes, bools no), k >= 1 and
+    seed >= 0; they are checked, with ValueError, before any work.
     """
+    if not _is_integer(k):
+        raise ValueError(f"k must be an integer, not {k!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, not {seed!r}")
     if g.n < 2:
         raise ValueError("graph must have at least 2 nodes")
 
@@ -160,4 +159,4 @@ def fastmap_embed(g: Graph, k: int, seed: int) -> Embedding:
         coords[:, axis] = x
         pivots.append((a, b))
 
-    return Embedding(coords=coords, pivots=pivots, seed=seed)
+    return Embedding(coords=coords, pivots=pivots)

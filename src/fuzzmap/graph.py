@@ -1,4 +1,4 @@
-"""Edge-list ingestion and exact adjacency ground truth.
+"""Edge-list ingestion into CSR graphs, whose rows are the exact adjacency ground truth.
 
 Graphs are simple (no self-loops, no duplicate edges) with dense internal
 ids 0..n-1. External ids from edge-list files may be arbitrary non-negative
@@ -116,7 +116,7 @@ class Graph:
 
     def neighbors(self, u: int) -> np.ndarray:
         """Sorted neighbor ids of u (out-neighbors when directed)."""
-        self._check_id(u)
+        check_node_id(u, self.n)
         return self.indices[self.indptr[u] : self.indptr[u + 1]]
 
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
@@ -132,11 +132,8 @@ class Graph:
         return lookup_internal_id(self.external_ids, external)
 
     def external_id(self, internal: int) -> int:
-        self._check_id(internal)
+        check_node_id(internal, self.n)
         return int(self.external_ids[internal])
-
-    def _check_id(self, u: int) -> None:
-        check_node_id(u, self.n)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -209,18 +206,6 @@ def lookup_internal_id(external_ids: np.ndarray, external: int) -> int:
         if i < external_ids.shape[0] and int(external_ids[i]) == e:
             return i
     raise ValueError(f"unknown external node id {external}")
-
-
-def adjacent(g: Graph, u: int, v: int) -> bool:
-    """Exact adjacency: true iff edge (u, v) exists (arc u->v when directed).
-
-    Internal ids; self queries are rejected.
-    """
-    g._check_id(u)
-    g._check_id(v)
-    if u == v:
-        raise ValueError("self query")
-    return v in g.neighbors(u)
 
 
 def graph_from_edges(pairs: Iterable[tuple[int, int]] | np.ndarray,

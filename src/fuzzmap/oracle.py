@@ -29,9 +29,7 @@ just the bits its count needs: (u - 1).bit_length() for a point index,
 from __future__ import annotations
 
 import functools
-import math
 import struct
-import sys
 import zlib
 from dataclasses import dataclass
 from typing import IO, NamedTuple, Optional
@@ -41,7 +39,8 @@ import numpy as np
 from .fastmap import Embedding, fastmap_embed
 from .fuzzy import FclParseError, FuzzySystem, default_system, evaluate_many, parse_fcl, to_fcl
 from .graph import Graph, check_bool, check_external_ids, check_node_id, lookup_internal_id
-from .radii import R_NONE, NodeRadii, _group_columns, _grouped_radii, group_points, pair_distances
+from .radii import (R_NONE, _BAD_COORDINATE, NodeRadii, _coordinates_ok, _group_columns,
+                    _grouped_radii, group_points, pair_distances)
 
 MAGIC = b"FZG1"
 FORMAT_VERSION = 4
@@ -60,8 +59,7 @@ _TABLE_COORD_RATIO = 1
 _KEY_YES, _KEY_NO, _KEY_UNSCORED = -2.0, -1.0, 2.0
 _NO = 1  # the pair table's codes of yes (0) and no (1); fuzzy codes follow
 _SIDE_BLOCK = 1 << 15  # (state, point) cells scored at a time while the pair table is built
-# what load and the keyword constructor say of a part that fails its rule
-_BAD_COORDINATE = "non-finite or overflowing coordinate"
+# what load and the keyword constructor say of a radius that fails its rule
 _BAD_YES_RADIUS, _BAD_NO_RADIUS = "invalid radius r", "invalid radius R"
 
 DEFINITE = "definite"
@@ -191,7 +189,7 @@ class CompressedGraph:
 
     @functools.cached_property
     def embedding(self) -> Embedding:
-        """The n x k coordinates, read-only, gathered through the states; no pivots or seed."""
+        """The n x k coordinates, read-only, gathered through the states; no pivots."""
         coords = self.points_t.take(self.states.point, axis=1).take(self.states.index, axis=1)
         coords.flags.writeable = False
         return Embedding(coords=coords.T)  # the (k, n) C-ordered table's .T is axis-major
@@ -518,12 +516,6 @@ def _unpack_bits(buf, count: int, w: int) -> np.ndarray:
     """The ``count`` w-bit fields at the start of ``buf``, as u32; see _pack_bits."""
     bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), count=count * w, bitorder="little")
     return bits.reshape(count, w) @ (np.uint32(1) << np.arange(w, dtype=np.uint32))
-
-
-def _coordinates_ok(coords: np.ndarray) -> np.ndarray:
-    """Per coordinate of (rows, k) ``coords``: whether no k-axis distance
-    can overflow from it; NaN and inf fail."""
-    return np.abs(coords) <= math.sqrt(sys.float_info.max / coords.shape[1]) / 4
 
 
 def _r_ok(r: np.ndarray) -> np.ndarray:

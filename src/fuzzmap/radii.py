@@ -13,7 +13,8 @@ axis, j = 0..k-1, then takes the square root. The radii scan's
 ``_block_distances`` rows, ``distances_from`` and the query side's
 ``pair_distances``, which the model's pair table is scored from too,
 therefore agree bit for bit, which the soundness of definite answers
-rests on.
+rests on. A coordinate must pass ``_coordinates_ok``, so that no
+distance overflows; the radii scan and the model refuse any other.
 Coordinates are axis-major (``Embedding.coords`` is Fortran-ordered), so
 ``coords.T`` is the C-contiguous (k, n) table and each caller hands the
 kernel contiguous axis rows, or one gather per axis for m pairs: no row
@@ -54,6 +55,8 @@ log = logging.getLogger(__name__)
 R_NONE = -1.0  # definite-yes sentinel: never triggers
 _BLOCK = 4  # points per kernel call in the radii scan
 _CHUNK = 1 << 18  # scratch elements (nodes x u) per rule call
+# what the radii scan, load and the keyword constructor say of a coordinate failing _coordinates_ok
+_BAD_COORDINATE = "non-finite or overflowing coordinate"
 
 
 @dataclass(eq=False)
@@ -98,10 +101,10 @@ def pair_distances(coords: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.nda
     return _axis_distances(((c[us], c[vs]) for c in coords.T), np.empty(shape), np.empty(shape))
 
 
-def euclidean_distance(e: Embedding, u: int, v: int) -> float:
-    check_node_id(u, e.n)
-    check_node_id(v, e.n)
-    return float(pair_distances(e.coords, np.array([u]), np.array([v]))[0])
+def _coordinates_ok(coords: np.ndarray) -> np.ndarray:
+    """Per coordinate of (rows, k) ``coords``: whether no k-axis distance
+    can overflow from it; NaN and inf fail."""
+    return np.abs(coords) <= np.sqrt(np.finfo(np.float64).max / coords.shape[1]) / 4
 
 
 def _check_inputs(g: Graph, e: Embedding) -> None:
@@ -111,9 +114,9 @@ def _check_inputs(g: Graph, e: Embedding) -> None:
         raise ValueError(f"embedding has {e.n} rows but graph has {g.n} nodes")
     if e.k < 1:
         raise ValueError("embedding must have k >= 1 dimensions")
-    bad = np.flatnonzero(~np.isfinite(e.coords).all(axis=1))
+    bad = np.flatnonzero(~_coordinates_ok(e.coords).all(axis=1))
     if bad.size:
-        raise ValueError(f"non-finite coordinate at node {bad[0]}")
+        raise ValueError(f"{_BAD_COORDINATE} at node {bad[0]}")
 
 
 @dataclass(eq=False)
@@ -276,7 +279,7 @@ def compute_radii(g: Graph, e: Embedding, v: int, quantize: bool = True) -> tupl
     """(r, R) for one node. Uses out-neighbors when the graph is directed."""
     quantize = check_bool("quantize", quantize)
     _check_inputs(g, e)
-    g._check_id(v)
+    check_node_id(v, g.n)
     groups = group_points(e.coords)
     p = int(groups.inv[v])
     d = _block_distances(groups.points_t, p, p + 1, *np.empty((2, 1, groups.u)))

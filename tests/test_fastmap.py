@@ -1,17 +1,21 @@
+import io
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzmap import (
+    build,
     choose_pivots,
     fastmap_embed,
     gnp_random_graph,
-    graph_distance,
     graph_distance_row,
     graph_from_edges,
     project,
     residual_distance,
+    save,
 )
 from fuzzmap.fastmap import Embedding
 from fuzzmap.radii import group_points
@@ -23,26 +27,18 @@ def path_graph(n):
     return graph_from_edges([(i, i + 1) for i in range(n - 1)])
 
 
-def test_graph_distance_values(uncertain_pair_graph):
-    g = uncertain_pair_graph
-    one, five, three = g.internal_id(1), g.internal_id(5), g.internal_id(3)
-    assert graph_distance(g, one, five) == 1.0
-    assert graph_distance(g, one, three) == 6.0
-    assert graph_distance(g, one, one) == 0.0
-
-
 def test_graph_distance_row_matches_scalar(uncertain_pair_graph):
+    # the implicit 0/1/n distance, pair by pair: 0 to self, 1 to a neighbor, n otherwise
     g = uncertain_pair_graph
     for u in range(g.n):
         row = graph_distance_row(g, u)
         assert row.shape == (g.n,)
         for v in range(g.n):
-            assert row[v] == graph_distance(g, u, v)
-
-
-def test_graph_distance_range_check(uncertain_pair_graph):
+            assert row[v] == (0.0 if u == v else 1.0 if v in g.neighbors(u) else float(g.n))
+    one, five, three = g.internal_id(1), g.internal_id(5), g.internal_id(3)
+    assert graph_distance_row(g, one)[[five, three, one]].tolist() == [1.0, 6.0, 0.0]
     with pytest.raises(ValueError, match="out of range"):
-        graph_distance(uncertain_pair_graph, 0, 17)
+        graph_distance_row(g, 17)
 
 
 def test_choose_pivots_two_nodes():
@@ -55,11 +51,11 @@ def test_choose_pivots_two_nodes():
 def test_choose_pivots_path_graph_finds_far_pair(seed):
     # brute-force oracle: max pairwise distance over all pairs
     g = path_graph(5)
-    best = farthest_pair_distance(lambda u, v: graph_distance(g, u, v), g.n)
+    best = farthest_pair_distance(lambda u, v: graph_distance_row(g, u)[v], g.n)
     assert best == 5.0  # non-adjacent pairs dominate at distance n
     pair = choose_pivots(lambda u: graph_distance_row(g, u), g.n, seed=seed)
     a, b = pair
-    assert graph_distance(g, a, b) == best  # hence a non-adjacent pair
+    assert graph_distance_row(g, a)[b] == best  # hence a non-adjacent pair
 
 
 def test_choose_pivots_deterministic():
@@ -103,7 +99,7 @@ def test_embed_k1_anchoring():
     assert e.coords.shape == (4, 1)
     (a, b) = e.pivots[0]
     assert e.coords[a, 0] == 0.0
-    assert e.coords[b, 0] == graph_distance(g, a, b)
+    assert e.coords[b, 0] == graph_distance_row(g, a)[b]
 
 
 def test_embed_k4_complete_graph(k4_graph):
@@ -174,6 +170,35 @@ def test_embed_validation():
                       indices=np.zeros(0, dtype=np.int64), external_ids=np.array([0], dtype=np.uint64))
     with pytest.raises(ValueError):
         fastmap_embed(singleton, 2, seed=0)
+
+
+def model_bytes(cg) -> bytes:
+    sink = io.BytesIO()
+    save(cg, sink)
+    return sink.getvalue()
+
+
+@pytest.mark.parametrize("k, seed, message", [
+    (True, 1, "k must be an integer, not True"),
+    (2.0, 1, "k must be an integer, not 2.0"),
+    (np.int64(0), 1, "k must be >= 1"),
+    (2, True, "seed must be an integer >= 0, not True"),
+    (2, 1.0, "seed must be an integer >= 0, not 1.0"),
+    (2, -1, "seed must be an integer >= 0, not -1"),
+    (2, None, "seed must be an integer >= 0, not None"),
+    (np.int32(2), np.uint8(1), None),
+], ids=["k-bool", "k-float", "k-zero", "seed-bool", "seed-float", "seed-negative", "seed-none",
+        "numpy-integers"])
+def test_k_and_seed_follow_id_rule(uncertain_pair_graph, k, seed, message):
+    # a bool would build the model of 1 or 0; a float would fail deep inside numpy
+    g = uncertain_pair_graph
+    if message is None:
+        assert np.array_equal(fastmap_embed(g, k, seed).coords, fastmap_embed(g, 2, 1).coords)
+        assert model_bytes(build(g, k, seed)) == model_bytes(build(g, 2, 1))
+        return
+    for embed_or_build in (fastmap_embed, build):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            embed_or_build(g, k, seed)
 
 
 def test_embed_sixnode_shape(uncertain_pair_graph):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from fuzzmap import (
     Graph,
     GraphParseError,
-    adjacent,
     canonical_edge_list,
     graph_from_edges,
     parse_edge_list,
@@ -38,9 +37,9 @@ def test_sixnode_adjacency(uncertain_pair_graph):
     g = uncertain_pair_graph
     one = g.internal_id(1)
     assert {g.external_id(w) for w in g.neighbors(one)} == {2, 5}
-    assert adjacent(g, one, g.internal_id(5))
+    assert g.internal_id(5) in g.neighbors(one)
     for other in (3, 4, 6):
-        assert not adjacent(g, one, g.internal_id(other))
+        assert g.internal_id(other) not in g.neighbors(one)
 
 
 def test_duplicate_edges_collapse():
@@ -193,16 +192,14 @@ def test_ids_past_int_digit_limit_read_exactly():
 def test_directed_arcs_one_way():
     g = parse_edge_list("1 2\n2 3\n", directed=True)
     assert g.directed
-    assert adjacent(g, g.internal_id(1), g.internal_id(2))
-    assert not adjacent(g, g.internal_id(2), g.internal_id(1))
+    assert g.internal_id(2) in g.neighbors(g.internal_id(1))
+    assert g.internal_id(1) not in g.neighbors(g.internal_id(2))
     assert g.num_edges == 2
 
 
 def test_adjacency_errors(uncertain_pair_graph):
-    with pytest.raises(ValueError, match="self query"):
-        adjacent(uncertain_pair_graph, 0, 0)
     with pytest.raises(ValueError, match="out of range"):
-        adjacent(uncertain_pair_graph, 0, 99)
+        uncertain_pair_graph.neighbors(99)
     with pytest.raises(ValueError, match="unknown external"):
         uncertain_pair_graph.internal_id(42)
 
@@ -212,7 +209,7 @@ def test_undirected_symmetry_and_degree_sum(uncertain_pair_graph):
     for u in range(g.n):
         for v in range(g.n):
             if u != v:
-                assert adjacent(g, u, v) == adjacent(g, v, u)
+                assert (v in g.neighbors(u)) == (u in g.neighbors(v))
     assert sum(len(g.neighbors(u)) for u in range(g.n)) == 2 * g.num_edges
 
 

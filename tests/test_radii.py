@@ -12,7 +12,6 @@ from fuzzmap import (
     Graph,
     compute_all_radii,
     compute_radii,
-    euclidean_distance,
     fastmap_embed,
     gnp_random_graph,
     graph_from_edges,
@@ -26,22 +25,6 @@ from oracles import norm_oracle, radii_sort_scan
 
 def embed_of(coords) -> Embedding:
     return Embedding(coords=np.asarray(coords, dtype=float))
-
-
-def test_euclidean_basics():
-    e = embed_of([[0.0, 0.0], [3.0, 4.0]])
-    assert euclidean_distance(e, 0, 1) == 5.0
-    assert euclidean_distance(e, 1, 0) == 5.0
-    assert euclidean_distance(e, 0, 0) == 0.0
-    with pytest.raises(ValueError, match="out of range"):
-        euclidean_distance(e, 0, 5)
-    with pytest.raises(ValueError, match="out of range"):
-        euclidean_distance(e, -1, 0)
-    for bad in (True, 0.5):
-        with pytest.raises(ValueError, match=f"node id {bad!r} is not an integer"):
-            euclidean_distance(e, bad, 1)
-        with pytest.raises(ValueError, match=f"node id {bad!r} is not an integer"):
-            euclidean_distance(e, 1, bad)
 
 
 @settings(max_examples=200, deadline=None)
@@ -106,10 +89,9 @@ def test_pair_distances_memory_is_linear_in_pairs(k):
 def test_euclidean_matches_independent_norm():
     rng = np.random.default_rng(8)
     e = embed_of(rng.normal(size=(6, 4)) * 10)
-    for u in range(6):
-        for v in range(6):
-            expected = norm_oracle(e.coords[u], e.coords[v])
-            assert euclidean_distance(e, u, v) == pytest.approx(expected, rel=1e-12)
+    us, vs = np.divmod(np.arange(36), 6)
+    for u, v, d in zip(us, vs, pair_distances(e.coords, us, vs)):
+        assert d == pytest.approx(norm_oracle(e.coords[u], e.coords[v]), rel=1e-12)
 
 
 def labelled_distances(g, coords, v):
@@ -334,14 +316,16 @@ def test_coincident_points_match_per_node_and_sort_scan(data, n, k, pool, direct
         assert (every.r[v], every.R[v]) == want
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200, -1e200])
 def test_non_finite_coords_rejected(bad):
+    # the model's rule: a coordinate a k-axis distance could overflow from
+    # would give inf distances, and R = inf reads a neighbor as a definite no
     g = gnp_random_graph(20, 0.3, seed=1)
     coords = fastmap_embed(g, 3, seed=1).coords.copy()
     coords[7, 1] = bad
-    with pytest.raises(ValueError, match="non-finite coordinate at node 7"):
+    with pytest.raises(ValueError, match="non-finite or overflowing coordinate at node 7"):
         compute_all_radii(g, embed_of(coords))
-    with pytest.raises(ValueError, match="non-finite coordinate at node 7"):
+    with pytest.raises(ValueError, match="non-finite or overflowing coordinate at node 7"):
         compute_radii(g, embed_of(coords), 0)
 
 
