@@ -44,7 +44,6 @@ from .oracle import (
     load_file,
     query,
     query_arrays,
-    query_directed,
     save,
     save_file,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "project",
     "query",
     "query_arrays",
-    "query_directed",
     "reports_to_csv",
     "residual_distance",
     "save",

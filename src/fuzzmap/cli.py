@@ -18,7 +18,7 @@ from .fuzzy import FclParseError
 from .graph import GraphParseError, load_edge_list
 from .harness import DEFAULT_SAMPLE, evaluate_model, reports_to_csv, sweep_k
 from .oracle import (FORMAT_VERSION, ModelFormatError, build, ids_are_range, load_file, query,
-                     query_directed, save_file)
+                     save_file)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -136,7 +136,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     try:
         u = cg.internal_id(args.u)
         v = cg.internal_id(args.v)
-        answer = query_directed(cg, u, v) if cg.directed else query(cg, u, v)
+        answer = query(cg, u, v)
     except ValueError as exc:
         print(f"fuzzmap: {exc}", file=sys.stderr)
         return EXIT_QUERY

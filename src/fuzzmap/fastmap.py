@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .graph import Graph, _is_integer
+from .graph import Graph, _is_integer, check_seed
 
 PIVOT_SEARCH_ITERATIONS = 5  # classic FastMap heuristic constant
 
@@ -120,14 +120,14 @@ def fastmap_embed(g: Graph, k: int, seed: int) -> Embedding:
     pivot b at the pivot distance, exactly. Degenerate axes are
     zero-filled and iteration continues. ``k`` and ``seed`` follow the id
     rule (``graph._is_integer``: numpy integers yes, bools no), k >= 1 and
-    seed >= 0; they are checked, with ValueError, before any work.
+    seed >= 0 (``graph.check_seed``); they are checked, with ValueError,
+    before any work.
     """
     if not _is_integer(k):
         raise ValueError(f"k must be an integer, not {k!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not (_is_integer(seed) and seed >= 0):
-        raise ValueError(f"seed must be an integer >= 0, not {seed!r}")
+    check_seed(seed)
     if g.n < 2:
         raise ValueError("graph must have at least 2 nodes")
 

@@ -171,6 +171,12 @@ def check_bool(name: str, value) -> bool:
     return bool(value)
 
 
+def check_seed(seed) -> None:
+    """Raise ValueError unless ``seed`` is an integer >= 0 (numpy's included, bools not)."""
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, not {seed!r}")
+
+
 def check_external_ids(ids, n: int) -> np.ndarray:
     """``ids`` as a read-only uint64 view; an array the caller passed in stays writable.
 

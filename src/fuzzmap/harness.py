@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import Graph, _is_integer
+from .graph import Graph, _is_integer, check_seed
 from .oracle import CompressedGraph, build, query_arrays
 
 DEFAULT_SAMPLE = 1_000_000
@@ -119,8 +119,10 @@ def evaluate_model(
 
     The pairs are queried and tallied in blocks of ``_EVAL_BLOCK``, so
     scratch is O(block + sample + m) however many pairs are tallied.
+    ``sample_size`` and ``seed`` (``graph.check_seed``) are checked first.
     """
     _check_sample_size(sample_size)
+    check_seed(seed)
     if cg.n != g.n:
         raise ValueError(f"model has {cg.n} nodes but graph has {g.n}")
     if cg.directed != g.directed:

@@ -380,7 +380,7 @@ def query_arrays(
     scored in the batch, and ``_answers`` maps the least key to the
     answer; a model with a pair table reads the same answer from its
     cache with one gather. This is the one validated entry: the scalar
-    query ops delegate here, so all paths agree bit for bit.
+    ``query`` delegates here, so all paths agree bit for bit.
     Raises ValueError for id arrays that are not 1-d or differ in length,
     an id that is not an integer (floats and bools included), an id
     outside [0, n) and a self pair.
@@ -418,27 +418,15 @@ def _checked_ids(ids: np.ndarray, n: int) -> np.ndarray:
     return ids.astype(np.int64, copy=False)
 
 
-def _query_pair(cg: CompressedGraph, u: int, v: int, directed: bool) -> Answer:
-    if cg.directed != directed:
-        hint = "directed; use query_directed" if cg.directed else "undirected; use query"
-        raise ValueError(f"model is {hint}")
+def query(cg: CompressedGraph, u: int, v: int) -> Answer:
+    """Adjacency query u -> v on either kind of model, through ``query_arrays``.
+
+    Definite 1 when d <= r, Definite 0 when d >= R, otherwise the fuzzy
+    output; an undirected model takes the least key of both sides, a
+    directed one the source side alone (r(u), R(u)). Internal ids; u != v.
+    """
     definite, value = query_arrays(cg, [u], [v])
     return Answer(DEFINITE if definite[0] else FUZZY, float(value[0]))
-
-
-def query(cg: CompressedGraph, u: int, v: int) -> Answer:
-    """Adjacency query on an undirected model.
-
-    Definite 1 when d <= r on either side, Definite 0 when d >= R on
-    either side, otherwise the minimum of the two sides' fuzzy outputs.
-    Internal ids; u != v.
-    """
-    return _query_pair(cg, u, v, directed=False)
-
-
-def query_directed(cg: CompressedGraph, u: int, v: int) -> Answer:
-    """Arc query u -> v on a directed model; uses r(u), R(u) only."""
-    return _query_pair(cg, u, v, directed=True)
 
 
 # --- FZG1 persistence --------------------------------------------------------

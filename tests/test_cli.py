@@ -154,6 +154,21 @@ def test_query_fuzzy_four_decimals(sample_model, capsys):
     assert 0.0 < float(value) < 1.0
 
 
+def test_query_on_a_directed_star_answers_the_arc_direction(tmp_path, capsys):
+    # one query command for either kind of model: u -> v on a directed one
+    path = tmp_path / "star.txt"
+    path.write_text("".join(f"0 {v}\n" for v in range(1, 40)))
+    model = tmp_path / "star.fzg"
+    assert run(["compress", "--input", str(path), "--output", str(model),
+                "--k", "2", "--directed"]) == 0
+    capsys.readouterr()
+    verdicts = []
+    for u, v in (("0", "1"), ("1", "0")):
+        assert run(["query", "--model", str(model), "--u", u, "--v", v]) == 0
+        verdicts.append(capsys.readouterr().out.strip())
+    assert verdicts == ["yes", "no"]
+
+
 def test_query_precondition_errors_exit_3(sample_model, capsys):
     assert run(["query", "--model", str(sample_model), "--u", "1", "--v", "1"]) == 3
     assert "self query" in capsys.readouterr().err

@@ -290,7 +290,26 @@ def test_sample_size_is_none_or_an_integer_from_1(monkeypatch, sample_size):
         sweep_k(g, [2], sample_size=sample_size)
 
 
+@pytest.mark.parametrize("seed", [True, 1.0, None, -1], ids=["bool", "float", "None", "negative"])
+def test_evaluation_seed_follows_the_seed_rule(monkeypatch, seed):
+    # True sampled the seed-1 pairs but recorded True, None sampled from OS
+    # entropy, and 1.0 and -1 failed inside numpy
+    g = gnp_random_graph(30, 0.2, seed=1)
+    cg = build(g, k=2, seed=1)
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("pairs were sampled before the seed was checked")
+
+    monkeypatch.setattr(harness, "_pair_indices", not_reached)
+    message = f"seed must be an integer >= 0, not {seed!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evaluate_model(cg, g, sample_size=50, seed=seed)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sweep_k(g, [2], sample_size=50, seed=seed)
+
+
 def test_numpy_integer_sample_size_is_written_as_an_integer():
+    # a numpy integer seed passes the seed rule too
     g = gnp_random_graph(40, 0.1, seed=1)
-    rep = evaluate_model(build(g, k=2, seed=0), g, sample_size=np.int64(50), seed=2)
+    rep = evaluate_model(build(g, k=2, seed=0), g, sample_size=np.int64(50), seed=np.uint8(2))
     assert rep.pairs == 50 and reports_to_csv([rep]).splitlines()[1].endswith(",2,50")

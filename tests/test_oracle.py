@@ -30,7 +30,6 @@ from fuzzmap import (
     parse_fcl,
     query,
     query_arrays,
-    query_directed,
     save,
     sweep_k,
 )
@@ -94,11 +93,6 @@ def test_query_errors(uncertain_pair_graph):
         query(cg, 2, 2)
     with pytest.raises(ValueError, match="out of range"):
         query(cg, 0, 11)
-    with pytest.raises(ValueError, match="use query_directed"):
-        dg = build(graph_from_edges([(0, 1)], directed=True), k=1, seed=0)
-        query(dg, 0, 1)
-    with pytest.raises(ValueError, match="use query"):
-        query_directed(cg, 0, 1)
 
 
 # (us, vs) batches that must raise, each with the scalar (u, v) query
@@ -128,8 +122,23 @@ def test_query_arrays_rejects_what_scalar_query_rejects(directed, case):
         assert "1-d and of equal length" in str(batch.value)
     else:
         with pytest.raises(ValueError) as scalar:
-            (query_directed if directed else query)(cg, *pair)
+            query(cg, *pair)
         assert str(batch.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("pair_table", [True, False], ids=["pair_table", "kernel"])
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_scalar_query_is_the_batch_answer(directed, pair_table):
+    # one query for either kind of model: u -> v from the source side when directed
+    g = gnp_random_graph(12, 0.3, seed=1, directed=directed)
+    us, vs = (np.array(side) for side in zip(*itertools.permutations(range(g.n), 2)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_TABLE_COORD_RATIO", _TABLE_ALWAYS if pair_table else 0)
+        cg = build(g, k=2, seed=1)
+        definite, value = query_arrays(cg, us, vs)
+        assert (cg.pair_table is not None) == pair_table
+        for u, v, yes_no, x in zip(us.tolist(), vs.tolist(), definite, value):
+            assert query(cg, u, v) == (Answer.definite(x == 1.0) if yes_no else Answer.fuzzy(x))
 
 
 def test_empty_batch_answers_empty_arrays():
@@ -223,28 +232,28 @@ def test_definite_yes_decides_before_definite_no(pair_table):
 def test_sentinel_never_definite_yes_directed():
     coords = [[0.0], [0.5]]
     cg = manual_model(coords, r=[-1.0, 3.0], R=[4.0, 5.0], directed=True)
-    ans = query_directed(cg, 0, 1)  # r(0) = -1, d < R(0)
+    ans = query(cg, 0, 1)  # r(0) = -1, d < R(0)
     assert ans.kind == "fuzzy"
     cg_rev = manual_model(coords, r=[3.0, -1.0], R=[4.0, 5.0], directed=True)
-    assert query_directed(cg_rev, 0, 1) == Answer.definite(True)
+    assert query(cg_rev, 0, 1) == Answer.definite(True)
 
 
 def test_directed_two_cycle_definite_yes_both_ways():
     g = graph_from_edges([(0, 1), (1, 0)], directed=True)
     cg = build(g, k=2, seed=0, quantize=False)
-    assert query_directed(cg, 0, 1) == Answer.definite(True)
-    assert query_directed(cg, 1, 0) == Answer.definite(True)
+    assert query(cg, 0, 1) == Answer.definite(True)
+    assert query(cg, 1, 0) == Answer.definite(True)
 
 
 def test_directed_asymmetric_answers():
     g = graph_from_edges(DIGRAPH_ARCS, directed=True)
     cg = build(g, k=2, seed=0, quantize=True)
     assert 0 in g.neighbors(1) and 1 not in g.neighbors(0)
-    assert query_directed(cg, 0, 1) == Answer.definite(False)
-    assert query_directed(cg, 1, 0) != Answer.definite(False)
+    assert query(cg, 0, 1) == Answer.definite(False)
+    assert query(cg, 1, 0) != Answer.definite(False)
     # definite answers stay sound against arc ground truth
     for u, v in itertools.permutations(range(g.n), 2):
-        ans = query_directed(cg, u, v)
+        ans = query(cg, u, v)
         if ans.is_definite:
             assert (ans.value == 1.0) == (v in g.neighbors(u))
 
@@ -370,7 +379,7 @@ def test_quantize_must_be_a_bool(flag, monkeypatch):
 
 @pytest.mark.parametrize("flag", [None, "yes"], ids=["None", "yes"])
 def test_keyword_constructor_flags_must_be_bools(flag):
-    # directed=None gave a model that neither query nor query_directed answered,
+    # directed=None gave a model that no scalar query answered,
     # and each such model saved as a different model
     cg = build(gnp_random_graph(30, 0.2, seed=1), k=3, seed=1)
     with pytest.raises(ValueError, match=f"directed must be a bool, not {flag!r}"):
