@@ -110,6 +110,15 @@ def choose_pivots(dist_row: DistRow, n: int, seed: int) -> Optional[tuple[int, i
     return prev, cur
 
 
+def check_k(k) -> None:
+    """Raise ValueError unless ``k`` is an integer >= 1 (the id rule,
+    ``graph._is_integer``: numpy integers yes, bools and floats no)."""
+    if not _is_integer(k):
+        raise ValueError(f"k must be an integer, not {k!r}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+
+
 def fastmap_embed(g: Graph, k: int, seed: int) -> Embedding:
     """Embed the graph's nodes as n x k coordinates.
 
@@ -118,15 +127,10 @@ def fastmap_embed(g: Graph, k: int, seed: int) -> Embedding:
     revisits nodes and ends on the pivots, so each node's distance row is
     computed once per axis and reused. Pivot a anchors at coordinate 0 and
     pivot b at the pivot distance, exactly. Degenerate axes are
-    zero-filled and iteration continues. ``k`` and ``seed`` follow the id
-    rule (``graph._is_integer``: numpy integers yes, bools no), k >= 1 and
-    seed >= 0 (``graph.check_seed``); they are checked, with ValueError,
-    before any work.
+    zero-filled and iteration continues. ``k`` (``check_k``) and ``seed``
+    (``graph.check_seed``) are checked, with ValueError, before any work.
     """
-    if not _is_integer(k):
-        raise ValueError(f"k must be an integer, not {k!r}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_k(k)
     check_seed(seed)
     if g.n < 2:
         raise ValueError("graph must have at least 2 nodes")

@@ -52,16 +52,41 @@ class GraphParseError(ValueError):
     """Raised when an edge-list input cannot be parsed."""
 
 
+class _IdMap:
+    """The id map of Graph and CompressedGraph: external id <-> internal id.
+
+    A subclass holds ``n`` and ``external_ids``, the n strictly increasing
+    u64 ids that ``check_external_ids`` passed, so internal id u names
+    ``external_ids[u]``.
+    """
+
+    def internal_id(self, external: int) -> int:
+        """Binary search over the sorted ids; range-checked before the uint64 cast."""
+        if not _is_integer(external):
+            raise ValueError(f"external node id {external!r} is not an integer")
+        e = int(external)
+        if _in_id_range(e):
+            i = int(np.searchsorted(self.external_ids, np.uint64(e)))
+            if i < self.n and int(self.external_ids[i]) == e:
+                return i
+        raise ValueError(f"unknown external node id {external}")
+
+    def external_id(self, internal: int) -> int:
+        check_node_id(internal, self.n)
+        return int(self.external_ids[internal])
+
+
 @dataclass(eq=False)
-class Graph:
+class Graph(_IdMap):
     """Compressed-sparse-row (CSR) graph over dense internal ids.
 
     Row u, ``indices[indptr[u]:indptr[u + 1]]``, holds u's sorted neighbors
     (out-neighbors when directed); the radii scan reads the rows of many
     nodes at once from ``indptr`` and ``indices``, other modules through
     ``neighbors`` and ``edges``. ``external_ids[u]`` is the original id of
-    internal node u; sorted ascending, so the mapping is canonical.
-    Instances are immutable and safe for concurrent readers.
+    internal node u; sorted ascending, so the mapping is canonical, and
+    ``_IdMap`` maps ids both ways. Instances are immutable and safe for
+    concurrent readers.
 
     Construction rejects, with ValueError, arrays that are not such a
     graph: offsets or neighbor ids of a dtype that is not an integer one
@@ -128,13 +153,6 @@ class Graph:
             us, vs = us[keep], vs[keep]
         return us, vs
 
-    def internal_id(self, external: int) -> int:
-        return lookup_internal_id(self.external_ids, external)
-
-    def external_id(self, internal: int) -> int:
-        check_node_id(internal, self.n)
-        return int(self.external_ids[internal])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -181,7 +199,7 @@ def check_external_ids(ids, n: int) -> np.ndarray:
     """``ids`` as a read-only uint64 view; an array the caller passed in stays writable.
 
     ValueError unless they are n strictly increasing values of an integer
-    dtype (bool excluded) in [0, 2**64): ``lookup_internal_id`` searches
+    dtype (bool excluded) in [0, 2**64): ``_IdMap.internal_id`` searches
     them, and a saved model's file holds them so.
     """
     ids = np.asarray(ids)
@@ -200,18 +218,6 @@ def check_node_id(u: int, n: int) -> None:
         raise ValueError(f"node id {u!r} is not an integer")
     if not 0 <= u < n:
         raise ValueError(f"node id {u} out of range [0, {n})")
-
-
-def lookup_internal_id(external_ids: np.ndarray, external: int) -> int:
-    """Binary search over sorted ids; range-checked before the uint64 cast."""
-    if not _is_integer(external):
-        raise ValueError(f"external node id {external!r} is not an integer")
-    e = int(external)
-    if _in_id_range(e):
-        i = int(np.searchsorted(external_ids, np.uint64(e)))
-        if i < external_ids.shape[0] and int(external_ids[i]) == e:
-            return i
-    raise ValueError(f"unknown external node id {external}")
 
 
 def graph_from_edges(pairs: Iterable[tuple[int, int]] | np.ndarray,

@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .fastmap import check_k
 from .graph import Graph, _is_integer, check_seed
 from .oracle import CompressedGraph, build, query_arrays
 
@@ -161,9 +162,16 @@ def sweep_k(
     seed: int = 0,
     sample_size: Optional[int] = DEFAULT_SAMPLE,
 ) -> list[EvalReport]:
-    """Build one model per k (same seed) and evaluate each."""
-    if not k_values:
+    """Build one model per k (same seed) and evaluate each.
+
+    ``k_values`` is any sized sequence (a list, a range, a numpy array),
+    not empty; every k in it (``fastmap.check_k``) and ``sample_size``
+    are checked, with ValueError, before the first build.
+    """
+    if len(k_values) == 0:
         raise ValueError("k_values must be non-empty")
+    for k in k_values:
+        check_k(k)
     _check_sample_size(sample_size)
     reports = []
     for k in k_values:

@@ -38,7 +38,7 @@ import numpy as np
 
 from .fastmap import Embedding, fastmap_embed
 from .fuzzy import FclParseError, FuzzySystem, default_system, evaluate_many, parse_fcl, to_fcl
-from .graph import Graph, check_bool, check_external_ids, check_node_id, lookup_internal_id
+from .graph import Graph, _IdMap, check_bool, check_external_ids, check_node_id
 from .radii import (R_NONE, _BAD_COORDINATE, NodeRadii, _coordinates_ok, _group_columns,
                     _grouped_radii, group_points, pair_distances)
 
@@ -123,13 +123,14 @@ def node_states(point_index: np.ndarray, r: np.ndarray, R: np.ndarray) -> NodeSt
     return NodeStates(point=point_index[first], r=r[first], R=R[first], index=index)
 
 
-class CompressedGraph:
+class CompressedGraph(_IdMap):
     """The persisted adjacency oracle, held as its FZG1 file holds it.
 
     ``points_t`` is the (k, u) table of distinct points in ``group_points``
-    order and ``states`` the node states; with the external ids, nothing
-    else is held per node, and all are read-only. The constructor groups
-    per-node parts once, and refuses with ValueError any part that ``load``
+    order and ``states`` the node states; with the external ids, which
+    ``_IdMap`` maps both ways as for a Graph, nothing else is held per
+    node, and all are read-only. The constructor groups per-node parts
+    once, and refuses with ValueError any part that ``load``
     would refuse in a file: ``directed`` and ``radii.quantized`` must pass
     ``check_bool``, the external ids ``check_external_ids``, each
     coordinate ``_coordinates_ok``, each r ``_r_ok`` and each R ``_R_ok``
@@ -242,13 +243,6 @@ class CompressedGraph:
         for array in table:
             array.flags.writeable = False
         return table
-
-    def internal_id(self, external: int) -> int:
-        return lookup_internal_id(self.external_ids, external)
-
-    def external_id(self, internal: int) -> int:
-        check_node_id(internal, self.n)
-        return int(self.external_ids[internal])
 
 
 class PairTable(NamedTuple):

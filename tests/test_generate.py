@@ -75,12 +75,29 @@ def test_gnp_ids_are_0_to_n_minus_1(directed):
                 assert np.array_equal(g.external_ids, np.arange(n)), (n, p, seed)
 
 
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Make any draw fail: a generator must refuse bad arguments before its first."""
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a generator drew before its arguments were checked")
+
+    monkeypatch.setattr(np.random, "default_rng", not_reached)
+
+
 @pytest.mark.parametrize("args, message", [
     ((1, 0.5, 0), "n must be >= 2"),
     ((5, -0.1, 0), r"p must be in \[0, 1\]"),
     ((5, 1.5, 0), r"p must be in \[0, 1\]"),
+    ((30.0, 0.5, 0), "n must be an integer, not 30.0"),
+    ((True, 0.5, 0), "n must be an integer, not True"),
+    ((5, True, 0), "p must be a number, not True"),
+    ((5, 0.5, None), "seed must be an integer >= 0, not None"),
+    ((5, 0.5, 1.0), "seed must be an integer >= 0, not 1.0"),
+    ((5, 0.5, -1), "seed must be an integer >= 0, not -1"),
+    ((5, 0.5, True), "seed must be an integer >= 0, not True"),
+    ((5, 0.5, 0, "no"), "directed must be a bool, not 'no'"),
 ])
-def test_gnp_argument_checks(args, message):
+def test_gnp_argument_checks(no_draws, args, message):
     with pytest.raises(ValueError, match=message):
         gnp_random_graph(*args)
 
@@ -88,7 +105,22 @@ def test_gnp_argument_checks(args, message):
 @pytest.mark.parametrize("args, message", [
     ((10, 0, 0), "m must be >= 1"),
     ((3, 3, 0), "n must exceed m"),
+    ((50, 2, True), "seed must be an integer >= 0, not True"),
+    ((50, 2, None), "seed must be an integer >= 0, not None"),
+    ((50, 2, 1.0), "seed must be an integer >= 0, not 1.0"),
+    ((50, 2, -1), "seed must be an integer >= 0, not -1"),
+    ((30.0, 2, 0), "n must be an integer, not 30.0"),
+    ((50, True, 0), "m must be an integer, not True"),
+    ((50, 2.0, 0), "m must be an integer, not 2.0"),
 ])
-def test_preferential_attachment_argument_checks(args, message):
+def test_preferential_attachment_argument_checks(no_draws, args, message):
     with pytest.raises(ValueError, match=message):
         preferential_attachment_graph(*args)
+
+
+def test_numpy_integer_arguments_give_the_python_integer_graphs():
+    # a uint8 n once wrapped in the arc count (G(n, p)) and in 2m(n - m) (preferential attachment)
+    assert_same_graph(gnp_random_graph(np.uint8(200), 0.01, np.uint8(1)),
+                      gnp_random_graph(200, 0.01, 1))
+    assert_same_graph(preferential_attachment_graph(np.uint8(200), np.uint8(3), np.int64(1)),
+                      preferential_attachment_graph(200, 3, 1))

@@ -11,15 +11,18 @@ from hypothesis import strategies as st
 from fuzzmap import (
     Graph,
     GraphParseError,
+    build,
     canonical_edge_list,
     graph_from_edges,
+    load,
     parse_edge_list,
+    save,
 )
 from fuzzmap import graph
 from fuzzmap.graph import _PLAIN_CHUNK, _read_ids
 from fuzzmap.harness import _edge_keys
 
-from conftest import HIGH_ID_EDGES, edgeless_graph
+from conftest import HIGH_ID_EDGES, UNCERTAIN_PAIR_EDGES, edgeless_graph
 from oracles import adjacency_sets_oracle, reference_edge_list, reference_parse_lines
 
 
@@ -557,26 +560,50 @@ def test_csr_arrays_are_read_only(uncertain_pair_graph):
         g.neighbors(0)[0] = 0
 
 
+def id_maps(edges):
+    """(kind, id map): the graph of ``edges``, its model, and that model after save/load."""
+    g = graph_from_edges(edges)
+    cg = build(g, k=1, seed=0)
+    stream = io.BytesIO()
+    save(cg, stream)
+    stream.seek(0)
+    return [("graph", g), ("model", cg), ("loaded", load(stream))]
+
+
+# HIGH_ID_EDGES' ids 5, 2**63 and 2**63 + 1 are stored one by one; the ids
+# 1..6 of UNCERTAIN_PAIR_EDGES are a range, which a file stores as 1 alone
 @pytest.mark.parametrize("absent", [-1, 2**64, 6])
 def test_unknown_external_ids_rejected(absent):
-    g = graph_from_edges(HIGH_ID_EDGES)
-    with pytest.raises(ValueError, match="unknown external node id"):
-        g.internal_id(absent)
+    # 6 lies between the high ids 5 and 2**63, and 7 just past the range 1..6
+    for edges, external in ((HIGH_ID_EDGES, absent),
+                            (UNCERTAIN_PAIR_EDGES, 7 if absent == 6 else absent)):
+        for kind, ids in id_maps(edges):
+            with pytest.raises(ValueError, match="unknown external node id"):
+                ids.internal_id(external)
 
 
 def test_non_integer_ids_rejected():
-    g = graph_from_edges(HIGH_ID_EDGES)
-    for external in (1.9, "3", np.float64(7.0), True):
-        with pytest.raises(ValueError, match="is not an integer"):
-            g.internal_id(external)
+    for edges in (HIGH_ID_EDGES, UNCERTAIN_PAIR_EDGES):
+        for kind, ids in id_maps(edges):
+            for external in (1.9, "3", np.float64(7.0), True):
+                with pytest.raises(ValueError, match="is not an integer"):
+                    ids.internal_id(external)
+            with pytest.raises(ValueError, match="node id 1.5 is not an integer"):
+                ids.external_id(1.5)
     with pytest.raises(ValueError, match="node id 1.5 is not an integer"):
-        g.neighbors(1.5)
+        graph_from_edges(HIGH_ID_EDGES).neighbors(1.5)
 
 
 def test_adjacent_high_ids_resolve_to_distinct_rows():
-    g = graph_from_edges(HIGH_ID_EDGES)
-    assert g.internal_id(2**63) == 1
-    assert g.internal_id(2**63 + 1) == 2
-    assert g.external_id(2) == 2**63 + 1
-    with pytest.raises(ValueError, match="out of range"):
-        g.external_id(-1)
+    for kind, ids in id_maps(HIGH_ID_EDGES):
+        assert ids.internal_id(2**63) == 1, kind
+        assert ids.internal_id(2**63 + 1) == 2, kind
+        assert ids.external_id(2) == 2**63 + 1, kind
+        with pytest.raises(ValueError, match="out of range"):
+            ids.external_id(-1)  # once wrapped to the last node
+    # every id of either set maps to its row and back
+    for edges in (HIGH_ID_EDGES, UNCERTAIN_PAIR_EDGES):
+        external = sorted({e for edge in edges for e in edge})
+        for kind, ids in id_maps(edges):
+            assert [ids.internal_id(e) for e in external] == list(range(len(external))), kind
+            assert [ids.external_id(u) for u in range(len(external))] == external, kind

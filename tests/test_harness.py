@@ -1,3 +1,4 @@
+import copy
 import itertools
 import re
 import tracemalloc
@@ -17,7 +18,7 @@ from fuzzmap import (
     save_file,
     sweep_k,
 )
-from fuzzmap import harness
+from fuzzmap import harness, oracle
 from fuzzmap.cli import run
 from fuzzmap.harness import _EVAL_BLOCK, CSV_HEADER, _decode_pairs, _pair_indices
 
@@ -264,11 +265,27 @@ def test_sweep_k_variation_keeps_soundness():
     assert len({r.definite_pct for r in reports}) > 1  # coverage moves with k
 
 
-def test_sweep_validation(k4_graph):
-    with pytest.raises(ValueError):
-        sweep_k(k4_graph, [], seed=0)
+def test_sweep_validation(monkeypatch, k4_graph):
     with pytest.raises(ValueError):
         evaluate_model(build(k4_graph, k=2, seed=0), k4_graph, sample_size=0)
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a model was built before every k was checked")
+
+    monkeypatch.setattr(harness, "build", not_reached)
+    for k_values, message in (([], "k_values must be non-empty"),
+                              (np.arange(0), "k_values must be non-empty"),
+                              (range(0), "k_values must be non-empty"),
+                              ([2, 0], "k must be >= 1"),
+                              (np.arange(-1, 3), "k must be >= 1"),
+                              ([2, 3.0], "k must be an integer, not 3.0"),
+                              ((2, True), "k must be an integer, not True")):
+        with pytest.raises(ValueError, match=message):
+            sweep_k(k4_graph, k_values, seed=0)
+    monkeypatch.undo()
+    # numpy integers are ks: an array of them is a sequence of k values
+    reports = sweep_k(k4_graph, np.arange(1, 3), seed=0, sample_size=None)
+    assert [rep.k for rep in reports] == [1, 2]
 
 
 @pytest.mark.parametrize("sample_size", [10_000.5, 2.5, np.float64(50.0), True, 0, -3, "100"],
@@ -313,3 +330,48 @@ def test_numpy_integer_sample_size_is_written_as_an_integer():
     g = gnp_random_graph(40, 0.1, seed=1)
     rep = evaluate_model(build(g, k=2, seed=0), g, sample_size=np.int64(50), seed=np.uint8(2))
     assert rep.pairs == 50 and reports_to_csv([rep]).splitlines()[1].endswith(",2,50")
+
+
+def state_pair_nodes(states):
+    """(us, vs): one pair of distinct nodes per ordered state pair (s, s'), u in s and v in s'.
+
+    A diagonal pair (s, s) takes the first two nodes of s, so it is left out
+    when s holds one node.
+    """
+    order = np.argsort(states.index, kind="stable")  # the nodes, grouped by state
+    start = np.searchsorted(states.index[order], np.arange(states.t + 1))
+    first = order[start[:-1]]
+    # each state's second node, or -1 where it holds one
+    second = np.where(np.diff(start) > 1, order[np.minimum(start[:-1] + 1, order.size - 1)], -1)
+    su, sv = np.divmod(np.arange(states.t * states.t), states.t)
+    us, vs = first[su], np.where(su == sv, second[sv], first[sv])
+    keep = vs >= 0
+    return us[keep], vs[keep]
+
+
+# the pair table's cap (oracle._TABLE_COORD_RATIO) is raised to give BA(3000, 5)
+# a table and dropped to 0 to take directed G(3000, 0.004)'s away
+@pytest.mark.parametrize("make, ratio, has_table", [
+    (lambda: preferential_attachment_graph(3000, 5, seed=1), 2, True),
+    (lambda: preferential_attachment_graph(3000, 5, seed=1), 1, False),
+    (lambda: gnp_random_graph(3000, 0.004, seed=1, directed=True), 1, True),
+    (lambda: gnp_random_graph(3000, 0.004, seed=1, directed=True), 0, False),
+], ids=["ba-table", "ba-kernel", "gnp-directed-table", "gnp-directed-kernel"])
+def test_every_pair_is_sound(monkeypatch, make, ratio, has_table):
+    g = make()
+    monkeypatch.setattr(oracle, "_TABLE_COORD_RATIO", ratio)
+    cg = build(g, k=8, seed=1)
+    assert (cg.pair_table is not None) == has_table
+    rep = evaluate_model(cg, g, sample_size=None)
+    assert rep.pairs == (g.n * (g.n - 1) if g.directed else g.n * (g.n - 1) // 2)
+    assert rep.definite > 0
+    assert rep.definite_correct == rep.definite
+    if has_table:
+        # the table must not vouch for itself: every ordered state pair answers
+        # alike through it and through a copy of the model that has none
+        bare = copy.copy(cg)
+        bare.pair_table = None
+        us, vs = state_pair_nodes(cg.states)
+        assert us.size >= cg.states.t * (cg.states.t - 1)
+        for got, want in zip(query_arrays(cg, us, vs), query_arrays(bare, us, vs)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -38,8 +38,7 @@ from fuzzmap.cli import run
 from fuzzmap.fastmap import Embedding
 from fuzzmap.radii import _BLOCK, _block_distances, distances_from, group_points, pair_distances
 
-from conftest import (HIGH_ID_EDGES, UNCERTAIN_PAIR_EDGES, edgeless_graph, manual_model,
-                      soundness_corpus)
+from conftest import UNCERTAIN_PAIR_EDGES, edgeless_graph, manual_model, soundness_corpus
 from oracles import answer_oracle, fzg1_size_oracle
 
 # 5-node digraph exhibiting asymmetric definite answers (found by search,
@@ -596,30 +595,6 @@ def test_loaded_fuzzy_system_behaviorally_equal(uncertain_pair_graph):
     a = [evaluate(cg.fuzzy, float(x)) for x in grid]
     b = [evaluate(loaded.fuzzy, float(x)) for x in grid]
     assert a == b
-
-
-def test_external_id_mapping(uncertain_pair_graph):
-    cg = build(uncertain_pair_graph, k=2, seed=0)
-    for ext in (1, 2, 3, 4, 5, 6):
-        assert cg.external_id(cg.internal_id(ext)) == ext
-    with pytest.raises(ValueError, match="unknown external"):
-        cg.internal_id(99)
-
-
-@pytest.mark.parametrize("absent", [-1, 2**64, 6])
-def test_model_unknown_external_ids_rejected(absent):
-    cg = build(graph_from_edges(HIGH_ID_EDGES), k=1, seed=0)
-    with pytest.raises(ValueError, match="unknown external node id"):
-        cg.internal_id(absent)
-
-
-def test_model_adjacent_high_ids_resolve_to_distinct_rows():
-    cg = build(graph_from_edges(HIGH_ID_EDGES), k=1, seed=0)
-    assert cg.internal_id(2**63) == 1
-    assert cg.internal_id(2**63 + 1) == 2
-    assert cg.external_id(2) == 2**63 + 1
-    with pytest.raises(ValueError, match="out of range"):
-        cg.external_id(-1)  # once wrapped to the last node
 
 
 def _rewritten(blob: bytes, offset: int, fmt: str, value) -> bytes:
