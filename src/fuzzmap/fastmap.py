@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .graph import Graph, _is_integer, check_seed
+from .graph import Graph, check_int
 
 PIVOT_SEARCH_ITERATIONS = 5  # classic FastMap heuristic constant
 
@@ -92,10 +92,12 @@ def choose_pivots(dist_row: DistRow, n: int, seed: int) -> Optional[tuple[int, i
     Starts from a seed-chosen node and hops to the farthest node five
     times; the last two candidates form the pair (a, b). Returns None (the
     degenerate-axis marker) when the pair distance is zero. Deterministic
-    given the seed; argmax ties resolve to the lowest id.
+    given the seed; argmax ties resolve to the lowest id. Before the draw,
+    ValueError unless ``n`` is an integer >= 2 and ``seed`` an integer
+    >= 0 (``graph.check_int``): a ``seed`` of None would draw from OS
+    entropy, and True would act as 1.
     """
-    if n < 2:
-        raise ValueError("pivot selection needs at least two nodes")
+    n, seed = check_int("n", n, 2), check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     cur = int(rng.integers(n))
     prev = cur
@@ -110,15 +112,6 @@ def choose_pivots(dist_row: DistRow, n: int, seed: int) -> Optional[tuple[int, i
     return prev, cur
 
 
-def check_k(k) -> None:
-    """Raise ValueError unless ``k`` is an integer >= 1 (the id rule,
-    ``graph._is_integer``: numpy integers yes, bools and floats no)."""
-    if not _is_integer(k):
-        raise ValueError(f"k must be an integer, not {k!r}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-
-
 def fastmap_embed(g: Graph, k: int, seed: int) -> Embedding:
     """Embed the graph's nodes as n x k coordinates.
 
@@ -127,11 +120,11 @@ def fastmap_embed(g: Graph, k: int, seed: int) -> Embedding:
     revisits nodes and ends on the pivots, so each node's distance row is
     computed once per axis and reused. Pivot a anchors at coordinate 0 and
     pivot b at the pivot distance, exactly. Degenerate axes are
-    zero-filled and iteration continues. ``k`` (``check_k``) and ``seed``
-    (``graph.check_seed``) are checked, with ValueError, before any work.
+    zero-filled and iteration continues. ``k``, an integer >= 1, and
+    ``seed``, an integer >= 0, are checked by ``graph.check_int``, with
+    ValueError, before any work.
     """
-    check_k(k)
-    check_seed(seed)
+    k, seed = check_int("k", k, 1), check_int("seed", seed, 0)
     if g.n < 2:
         raise ValueError("graph must have at least 2 nodes")
 

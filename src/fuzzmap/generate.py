@@ -11,9 +11,11 @@ bounded ``Generator.integers``.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
-from .graph import Graph, _is_integer, check_bool, check_seed, graph_from_edges
+from .graph import Graph, check_bool, check_int, graph_from_edges
 
 # at most this many G(n, p) coin flips are held at once
 _GNP_BLOCK = 1 << 18
@@ -32,23 +34,19 @@ def gnp_random_graph(n: int, p: float, seed: int, directed: bool = False) -> Gra
     with the draw for v = u skipped (directed). Blocks of at most
     ``_GNP_BLOCK`` draws concatenate to the stream one call per row makes.
 
-    Before any draw, ValueError unless ``n`` is an integer >= 2 (the id
-    rule, ``graph._is_integer``: numpy integers yes, bools and floats no),
-    ``p`` a number in [0, 1] that is not a bool, ``directed`` a bool
-    (``graph.check_bool``) and ``seed`` an integer >= 0
-    (``graph.check_seed``).
+    Before any draw, ValueError unless ``n`` is an integer >= 2 and
+    ``seed`` an integer >= 0 (``graph.check_int``: numpy integers yes,
+    bools and floats no), ``p`` a real number (``numbers.Real``, numpy
+    floats included) in [0, 1] that is not a bool, and ``directed`` a
+    bool (``graph.check_bool``).
     """
-    if not _is_integer(n):
-        raise ValueError(f"n must be an integer, not {n!r}")
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if isinstance(p, (bool, np.bool_)):
+    n = check_int("n", n, 2)
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
         raise ValueError(f"p must be a number, not {p!r}")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     directed = check_bool("directed", directed)
-    check_seed(seed)
-    n = int(n)  # a numpy n would wrap in the arc count
+    seed = check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     if directed:
         total = n * n
@@ -94,19 +92,13 @@ def preferential_attachment_graph(n: int, m: int, seed: int) -> Graph:
     position. Repeats are rare (137 of 19,994 nodes in BA(20000, 5,
     seed=1)), so spans double while clean and halve on a repeat.
 
-    Before any draw, ValueError unless ``n`` and ``m`` are integers (the id
-    rule, as for ``gnp_random_graph``) with m >= 1 and n > m, and ``seed``
-    is an integer >= 0 (``graph.check_seed``).
+    Before any draw, ValueError unless ``m`` is an integer >= 1, then
+    ``n`` an integer >= m + 1 and ``seed`` an integer >= 0
+    (``graph.check_int``, as for ``gnp_random_graph``).
     """
-    for name, value in (("n", n), ("m", m)):
-        if not _is_integer(value):
-            raise ValueError(f"{name} must be an integer, not {value!r}")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if n <= m:
-        raise ValueError("n must exceed m")
-    check_seed(seed)
-    n, m = int(n), int(m)
+    m = check_int("m", m, 1)
+    n = check_int("n", n, m + 1)
+    seed = check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     # ends[2i], ends[2i + 1] are edge i. An entry drawn uniformly is a node
     # drawn in proportion to its degree. Node w's edges start at 2m(w - m)

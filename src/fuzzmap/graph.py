@@ -95,7 +95,9 @@ class Graph(_IdMap):
     not strictly increasing or hold their own node, undirected rows that
     are not symmetric, and external ids that fail ``check_external_ids``.
     The radii scan's neighbor counts rely on these, and a saved model on
-    the ids. ``directed`` must pass ``check_bool``.
+    the ids. ``n`` must pass ``check_int`` (an integer >= 0, held as a
+    Python int, so no pair count over it wraps) and ``directed``
+    ``check_bool``.
     """
 
     n: int
@@ -105,6 +107,7 @@ class Graph(_IdMap):
     external_ids: np.ndarray  # (n,) uint64, internal id -> external id
 
     def __post_init__(self) -> None:
+        self.n = check_int("n", self.n, 0)
         self.directed = check_bool("directed", self.directed)
         # read-only int64 views; an array the caller passed in stays writable
         for name in ("indptr", "indices"):
@@ -115,7 +118,7 @@ class Graph(_IdMap):
             values.flags.writeable = False
             setattr(self, name, values)
         n, indptr, indices = self.n, self.indptr, self.indices
-        if (n < 0 or indptr.shape != (n + 1,) or indices.ndim != 1 or indptr[0] != 0
+        if (indptr.shape != (n + 1,) or indices.ndim != 1 or indptr[0] != 0
                 or indptr[-1] != indices.shape[0] or np.any(np.diff(indptr) < 0)):
             raise ValueError("indptr must hold n + 1 non-decreasing offsets from 0 to len(indices)")
         if indices.size and not 0 <= indices.min() <= indices.max() < n:
@@ -189,10 +192,17 @@ def check_bool(name: str, value) -> bool:
     return bool(value)
 
 
-def check_seed(seed) -> None:
-    """Raise ValueError unless ``seed`` is an integer >= 0 (numpy's included, bools not)."""
-    if not (_is_integer(seed) and seed >= 0):
-        raise ValueError(f"seed must be an integer >= 0, not {seed!r}")
+def check_int(name: str, value, least: int) -> int:
+    """``value`` as a Python int; ValueError unless it is an integer >= ``least``.
+
+    The count rule of every seed, k, n, m and sample size: numpy integers
+    are taken, bools and floats are not (a bool would count as 1 or 0, a
+    float fail deep inside numpy), and a numpy integer comes back as a
+    Python int, whose arithmetic does not wrap.
+    """
+    if not (_is_integer(value) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
+    return int(value)
 
 
 def check_external_ids(ids, n: int) -> np.ndarray:
@@ -227,9 +237,11 @@ def graph_from_edges(pairs: Iterable[tuple[int, int]] | np.ndarray,
     ``pairs`` is an iterable of pairs or an (m, 2) integer array, which is
     used as is. Deduplicates edges and drops self-loops; nodes are the
     union of endpoint ids, remapped densely in sorted order. Raises
-    ValueError for an element that is not a pair and for an id that is not
+    ValueError for a ``directed`` that fails ``check_bool`` (before any
+    work), for an element that is not a pair and for an id that is not
     an integer (floats and bools included) or lies outside [0, 2**64).
     """
+    directed = check_bool("directed", directed)
     if isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu":
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError(f"edge array must have shape (m, 2), got {pairs.shape}")
@@ -317,8 +329,10 @@ def parse_edge_list(text: str | bytes | IO, directed: bool = False) -> Graph:
     and lines whose first other byte is '#' or '%', are skipped. Self-loop
     lines are skipped (with a logged warning count); duplicate edges
     collapse. Input that is not UTF-8, and the first line outside this
-    grammar (named by its number), raise GraphParseError.
+    grammar (named by its number), raise GraphParseError. A ``directed``
+    that fails ``check_bool`` raises ValueError before the text is read.
     """
+    directed = check_bool("directed", directed)
     if hasattr(text, "read"):
         text = text.read()
     if isinstance(text, str):

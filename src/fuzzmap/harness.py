@@ -14,8 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fastmap import check_k
-from .graph import Graph, _is_integer, check_seed
+from .graph import Graph, check_int
 from .oracle import CompressedGraph, build, query_arrays
 
 DEFAULT_SAMPLE = 1_000_000
@@ -84,12 +83,6 @@ def _pair_indices(
     return total, np.sort(rng.choice(total, sample_size, replace=False, shuffle=False))
 
 
-def _check_sample_size(sample_size) -> None:
-    """Raise ValueError unless sample_size is None or an integer >= 1 (bools and floats refused)."""
-    if sample_size is not None and not (_is_integer(sample_size) and sample_size >= 1):
-        raise ValueError(f"sample_size must be None or an integer >= 1, not {sample_size!r}")
-
-
 def _decode_pairs(idx: np.ndarray, n: int, directed: bool) -> tuple[np.ndarray, np.ndarray]:
     """The node pairs of pair indices.
 
@@ -120,10 +113,13 @@ def evaluate_model(
 
     The pairs are queried and tallied in blocks of ``_EVAL_BLOCK``, so
     scratch is O(block + sample + m) however many pairs are tallied.
-    ``sample_size`` and ``seed`` (``graph.check_seed``) are checked first.
+    ``sample_size`` (None for every pair, else an integer >= 1) and
+    ``seed`` (an integer >= 0) are checked first by ``graph.check_int``,
+    and the report holds the Python ints it returns.
     """
-    _check_sample_size(sample_size)
-    check_seed(seed)
+    if sample_size is not None:
+        sample_size = check_int("sample_size", sample_size, 1)
+    seed = check_int("seed", seed, 0)
     if cg.n != g.n:
         raise ValueError(f"model has {cg.n} nodes but graph has {g.n}")
     if cg.directed != g.directed:
@@ -165,14 +161,15 @@ def sweep_k(
     """Build one model per k (same seed) and evaluate each.
 
     ``k_values`` is any sized sequence (a list, a range, a numpy array),
-    not empty; every k in it (``fastmap.check_k``) and ``sample_size``
-    are checked, with ValueError, before the first build.
+    not empty; every k in it (an integer >= 1) and ``sample_size`` (as
+    in ``evaluate_model``) are checked by ``graph.check_int``, with
+    ValueError, before the first build.
     """
     if len(k_values) == 0:
         raise ValueError("k_values must be non-empty")
-    for k in k_values:
-        check_k(k)
-    _check_sample_size(sample_size)
+    k_values = [check_int("k", k, 1) for k in k_values]
+    if sample_size is not None:
+        sample_size = check_int("sample_size", sample_size, 1)
     reports = []
     for k in k_values:
         cg = build(g, k=k, seed=seed, quantize=quantize)

@@ -71,6 +71,24 @@ def test_choose_pivots_degenerate_and_errors():
         choose_pivots(zero, 1, seed=0)
 
 
+@pytest.mark.parametrize("n, seed, message", [
+    (3, None, "seed must be an integer >= 0, not None"),
+    (3, True, "seed must be an integer >= 0, not True"),
+    (3, 1.0, "seed must be an integer >= 0, not 1.0"),
+    (3, -1, "seed must be an integer >= 0, not -1"),
+    (2.5, 0, "n must be an integer >= 2, not 2.5"),
+    (True, 0, "n must be an integer >= 2, not True"),
+], ids=["seed-none", "seed-bool", "seed-float", "seed-negative", "n-float", "n-bool"])
+def test_choose_pivots_checks_n_and_seed_before_the_draw(monkeypatch, n, seed, message):
+    # a None seed would draw the start from OS entropy, and True act as 1
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a pivot start was drawn before n and seed were checked")
+
+    monkeypatch.setattr(np.random, "default_rng", not_reached)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        choose_pivots(lambda u: np.ones(3), n, seed)
+
+
 def test_project_anchors_and_formula():
     assert project(0.0, 3.0, 3.0) == 0.0
     assert project(3.0, 3.0, 0.0) == 3.0
@@ -179,9 +197,9 @@ def model_bytes(cg) -> bytes:
 
 
 @pytest.mark.parametrize("k, seed, message", [
-    (True, 1, "k must be an integer, not True"),
-    (2.0, 1, "k must be an integer, not 2.0"),
-    (np.int64(0), 1, "k must be >= 1"),
+    (True, 1, "k must be an integer >= 1, not True"),
+    (2.0, 1, "k must be an integer >= 1, not 2.0"),
+    (np.int64(0), 1, f"k must be an integer >= 1, not {np.int64(0)!r}"),
     (2, True, "seed must be an integer >= 0, not True"),
     (2, 1.0, "seed must be an integer >= 0, not 1.0"),
     (2, -1, "seed must be an integer >= 0, not -1"),

@@ -85,36 +85,38 @@ def no_draws(monkeypatch):
 
 
 @pytest.mark.parametrize("args, message", [
-    ((1, 0.5, 0), "n must be >= 2"),
+    ((1, 0.5, 0), "n must be an integer >= 2, not 1"),
     ((5, -0.1, 0), r"p must be in \[0, 1\]"),
     ((5, 1.5, 0), r"p must be in \[0, 1\]"),
-    ((30.0, 0.5, 0), "n must be an integer, not 30.0"),
-    ((True, 0.5, 0), "n must be an integer, not True"),
+    ((30.0, 0.5, 0), "n must be an integer >= 2, not 30.0"),
+    ((True, 0.5, 0), "n must be an integer >= 2, not True"),
     ((5, True, 0), "p must be a number, not True"),
     ((5, 0.5, None), "seed must be an integer >= 0, not None"),
     ((5, 0.5, 1.0), "seed must be an integer >= 0, not 1.0"),
     ((5, 0.5, -1), "seed must be an integer >= 0, not -1"),
     ((5, 0.5, True), "seed must be an integer >= 0, not True"),
     ((5, 0.5, 0, "no"), "directed must be a bool, not 'no'"),
+    ((5, "0.5", 0), "p must be a number, not '0.5'"),
+    ((5, None, 0), "p must be a number, not None"),
 ])
 def test_gnp_argument_checks(no_draws, args, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         gnp_random_graph(*args)
 
 
 @pytest.mark.parametrize("args, message", [
-    ((10, 0, 0), "m must be >= 1"),
-    ((3, 3, 0), "n must exceed m"),
+    ((10, 0, 0), "m must be an integer >= 1, not 0"),
+    ((3, 3, 0), "n must be an integer >= 4, not 3"),
     ((50, 2, True), "seed must be an integer >= 0, not True"),
     ((50, 2, None), "seed must be an integer >= 0, not None"),
     ((50, 2, 1.0), "seed must be an integer >= 0, not 1.0"),
     ((50, 2, -1), "seed must be an integer >= 0, not -1"),
-    ((30.0, 2, 0), "n must be an integer, not 30.0"),
-    ((50, True, 0), "m must be an integer, not True"),
-    ((50, 2.0, 0), "m must be an integer, not 2.0"),
+    ((30.0, 2, 0), "n must be an integer >= 3, not 30.0"),
+    ((50, True, 0), "m must be an integer >= 1, not True"),
+    ((50, 2.0, 0), "m must be an integer >= 1, not 2.0"),
 ])
 def test_preferential_attachment_argument_checks(no_draws, args, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         preferential_attachment_graph(*args)
 
 

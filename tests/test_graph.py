@@ -13,8 +13,11 @@ from fuzzmap import (
     GraphParseError,
     build,
     canonical_edge_list,
+    evaluate_model,
+    gnp_random_graph,
     graph_from_edges,
     load,
+    load_edge_list,
     parse_edge_list,
     save,
 )
@@ -479,10 +482,14 @@ def test_graph_build_memory_is_linear_in_edges(benchmark_edge_text, directed):
         (2, True, [0, 1, 1], [1], [0], "external_ids must hold n strictly increasing"),
         (2, True, [0, 1, 1], [1], [5, 5], "external_ids must hold n strictly increasing"),
         (2, True, [0, 1, 1], [1], [5, 3], "external_ids must hold n strictly increasing"),
+        # a float n would fail inside fastmap and a bool n count as 1
+        (2.0, True, [0, 1, 1], [1], [0, 1], r"^n must be an integer >= 0, not 2\.0$"),
+        (True, True, [0, 0], [], [0], "^n must be an integer >= 0, not True$"),
+        ("2", True, [0, 1, 1], [1], [0, 1], "^n must be an integer >= 0, not '2'$"),
     ],
     ids=["indptr-length", "indptr-start", "indptr-decreasing", "indptr-end", "neighbor-minus-one",
          "neighbor-n", "self-loop", "repeat", "unsorted", "one-way-edge", "one-way-path",
-         "ids-length", "ids-repeat", "ids-descending"],
+         "ids-length", "ids-repeat", "ids-descending", "n-float", "n-bool", "n-str"],
 )
 def test_malformed_csr_rejected(n, directed, indptr, indices, external_ids, message):
     ids = np.arange(n) if external_ids is None else external_ids
@@ -490,6 +497,15 @@ def test_malformed_csr_rejected(n, directed, indptr, indices, external_ids, mess
         Graph(n=n, directed=directed, indptr=np.array(indptr),
               indices=np.array(indices, dtype=np.int64),
               external_ids=np.array(ids, dtype=np.uint64))
+
+
+def test_numpy_n_is_held_as_a_python_int():
+    # held as a uint8, n(n-1)/2 would wrap to 60 of the 19,900 pairs that evaluation tallies
+    source = gnp_random_graph(200, 0.05, seed=1)
+    g = Graph(n=np.uint8(200), directed=False, indptr=source.indptr, indices=source.indices,
+              external_ids=source.external_ids)
+    assert type(g.n) is int and g == source
+    assert evaluate_model(build(g, k=2, seed=0), g, sample_size=None).pairs == 19900
 
 
 @pytest.mark.parametrize("ids", [
@@ -545,6 +561,22 @@ def test_directed_must_be_a_bool(directed):
     with pytest.raises(ValueError, match="directed must be a bool"):
         Graph(n=2, directed=directed, indptr=np.array([0, 1, 1]), indices=np.array([1]),
               external_ids=np.arange(2, dtype=np.uint64))
+
+
+def test_directed_is_checked_before_any_work(monkeypatch, tmp_path):
+    # unchecked, a bad flag would have the whole graph read and built before Graph refused it
+    def not_reached(*args, **kwargs):
+        raise AssertionError("edges were read before directed was checked")
+
+    monkeypatch.setattr(graph, "_read_ids", not_reached)
+    monkeypatch.setattr(graph, "_pairs_to_array", not_reached)
+    path = tmp_path / "edges.txt"
+    path.write_text("1 2\n")
+    for call in (lambda: parse_edge_list("1 2\n", directed="no"),
+                 lambda: load_edge_list(str(path), directed="no"),
+                 lambda: graph_from_edges([(1, 2)], directed="no")):
+        with pytest.raises(ValueError, match="^directed must be a bool, not 'no'$"):
+            call()
 
 
 def test_numpy_bool_directed_is_held_as_bool():

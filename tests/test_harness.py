@@ -273,14 +273,15 @@ def test_sweep_validation(monkeypatch, k4_graph):
         raise AssertionError("a model was built before every k was checked")
 
     monkeypatch.setattr(harness, "build", not_reached)
+    negative = np.arange(-1, 3)
     for k_values, message in (([], "k_values must be non-empty"),
                               (np.arange(0), "k_values must be non-empty"),
                               (range(0), "k_values must be non-empty"),
-                              ([2, 0], "k must be >= 1"),
-                              (np.arange(-1, 3), "k must be >= 1"),
-                              ([2, 3.0], "k must be an integer, not 3.0"),
-                              ((2, True), "k must be an integer, not True")):
-        with pytest.raises(ValueError, match=message):
+                              ([2, 0], "k must be an integer >= 1, not 0"),
+                              (negative, f"k must be an integer >= 1, not {negative[0]!r}"),
+                              ([2, 3.0], "k must be an integer >= 1, not 3.0"),
+                              ((2, True), "k must be an integer >= 1, not True")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             sweep_k(k4_graph, k_values, seed=0)
     monkeypatch.undo()
     # numpy integers are ks: an array of them is a sequence of k values
@@ -300,7 +301,7 @@ def test_sample_size_is_none_or_an_integer_from_1(monkeypatch, sample_size):
 
     monkeypatch.setattr(harness, "query_arrays", not_reached)
     monkeypatch.setattr(harness, "build", not_reached)
-    message = f"sample_size must be None or an integer >= 1, not {sample_size!r}"
+    message = f"sample_size must be an integer >= 1, not {sample_size!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         evaluate_model(cg, g, sample_size=sample_size)
     with pytest.raises(ValueError, match=re.escape(message)):

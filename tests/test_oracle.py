@@ -258,7 +258,7 @@ def test_directed_asymmetric_answers():
 
 
 def test_build_validation(uncertain_pair_graph):
-    with pytest.raises(ValueError, match="k must be >= 1"):
+    with pytest.raises(ValueError, match="^k must be an integer >= 1, not 0$"):
         build(uncertain_pair_graph, k=0, seed=0)
     singleton = edgeless_graph(1)
     with pytest.raises(ValueError, match="graph must have at least 2 nodes"):
