@@ -47,7 +47,7 @@ from .oracle import (
     save,
     save_file,
 )
-from .radii import NodeRadii, compute_all_radii, compute_radii
+from .radii import NodeRadii, compute_all_radii
 
 __version__ = "0.1.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "canonical_edge_list",
     "choose_pivots",
     "compute_all_radii",
-    "compute_radii",
     "default_fcl_text",
     "default_system",
     "evaluate",

@@ -30,13 +30,16 @@ class Embedding:
     ``coords.T`` is the C-contiguous (k, n) table the distance kernel
     reads one axis at a time. ``pivots[i]`` is (a, b) for axis i, or None
     for a degenerate (zero-filled) axis. ``CompressedGraph.embedding``
-    gathers a model's coords only; its pivots are None.
+    gathers a model's coords only; its pivots are None. ValueError for
+    coords that are not 2-d.
     """
 
     coords: np.ndarray  # (n, k) float64, Fortran order
     pivots: Optional[list[Optional[tuple[int, int]]]] = None
 
     def __post_init__(self) -> None:
+        if np.ndim(self.coords) != 2:
+            raise ValueError(f"coords must be 2-d (n, k), not of shape {np.shape(self.coords)}")
         self.coords = np.asfortranarray(self.coords)
 
     @property

@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import struct
 import zlib
-from dataclasses import dataclass
 from typing import IO, NamedTuple, Optional
 
 import numpy as np
@@ -39,7 +38,7 @@ import numpy as np
 from .fastmap import Embedding, fastmap_embed
 from .fuzzy import FclParseError, FuzzySystem, default_system, evaluate_many, parse_fcl, to_fcl
 from .graph import Graph, _IdMap, check_bool, check_external_ids, check_node_id
-from .radii import (R_NONE, _BAD_COORDINATE, NodeRadii, _coordinates_ok, _group_columns,
+from .radii import (R_NONE, _BAD_COORDINATE, _NO_AXES, NodeRadii, _coordinates_ok, _group_columns,
                     _grouped_radii, group_points, pair_distances)
 
 MAGIC = b"FZG1"
@@ -62,32 +61,16 @@ _SIDE_BLOCK = 1 << 15  # (state, point) cells scored at a time while the pair ta
 # what load and the keyword constructor say of a radius that fails its rule
 _BAD_YES_RADIUS, _BAD_NO_RADIUS = "invalid radius r", "invalid radius R"
 
-DEFINITE = "definite"
-FUZZY = "fuzzy"
-
 
 class ModelFormatError(ValueError):
     """Raised when an FZG1 stream is malformed."""
 
 
-@dataclass(frozen=True)
-class Answer:
-    """Query verdict: Definite 1/0, or a fuzzy likelihood in [0, 1]."""
+class Answer(NamedTuple):
+    """One pair's ``query_arrays`` answer: definite 1.0/0.0, or a fuzzy likelihood in [0, 1]."""
 
-    kind: str  # DEFINITE or FUZZY
+    is_definite: bool
     value: float
-
-    @classmethod
-    def definite(cls, yes: bool) -> "Answer":
-        return cls(DEFINITE, 1.0 if yes else 0.0)
-
-    @classmethod
-    def fuzzy(cls, likelihood: float) -> "Answer":
-        return cls(FUZZY, float(likelihood))
-
-    @property
-    def is_definite(self) -> bool:
-        return self.kind == DEFINITE
 
 
 class NodeStates(NamedTuple):
@@ -130,12 +113,13 @@ class CompressedGraph(_IdMap):
     order and ``states`` the node states; with the external ids, which
     ``_IdMap`` maps both ways as for a Graph, nothing else is held per
     node, and all are read-only. The constructor groups per-node parts
-    once, and refuses with ValueError any part that ``load``
-    would refuse in a file: ``directed`` and ``radii.quantized`` must pass
-    ``check_bool``, the external ids ``check_external_ids``, each
-    coordinate ``_coordinates_ok``, each r ``_r_ok`` and each R ``_R_ok``
-    (a message names the first bad node), and ``fuzzy`` must equal the
-    parse of ``fcl_text``, a str. ``from_states`` takes the parts grouped.
+    once, and refuses with ValueError any part that ``load`` would refuse
+    in a file: n and k must be at least 1, ``directed`` and
+    ``radii.quantized`` must pass ``check_bool``, the external ids
+    ``check_external_ids``, each coordinate ``_coordinates_ok``, each r
+    ``_r_ok`` and each R ``_R_ok`` (a message names the first bad node),
+    and ``fuzzy`` must equal the parse of ``fcl_text``, a str.
+    ``from_states`` takes the parts grouped.
     ``embedding`` and ``radii`` gather per-node arrays for a caller that
     reads them; no query, save or load does.
     ``pair_table`` is derived on first use.
@@ -149,6 +133,10 @@ class CompressedGraph(_IdMap):
         if len(set(sizes)) != 1:
             raise ValueError("model parts disagree in n: {} coordinate rows, {} r, {} R, "
                              "{} external ids".format(*sizes))
+        if embedding.n < 1:
+            raise ValueError("model must have at least 1 node")
+        if embedding.k < 1:
+            raise ValueError(_NO_AXES)
         external_ids = check_external_ids(external_ids, embedding.n)
         for ok, what in ((_coordinates_ok(embedding.coords).all(axis=1), _BAD_COORDINATE),
                          (_r_ok(radii.r), _BAD_YES_RADIUS), (_R_ok(radii.R), _BAD_NO_RADIUS)):
@@ -413,14 +401,15 @@ def _checked_ids(ids: np.ndarray, n: int) -> np.ndarray:
 
 
 def query(cg: CompressedGraph, u: int, v: int) -> Answer:
-    """Adjacency query u -> v on either kind of model, through ``query_arrays``.
+    """Adjacency query u -> v on either kind of model: ``query_arrays``'s
+    answer for the one pair, as ``Answer(is_definite, value)``.
 
     Definite 1 when d <= r, Definite 0 when d >= R, otherwise the fuzzy
     output; an undirected model takes the least key of both sides, a
     directed one the source side alone (r(u), R(u)). Internal ids; u != v.
     """
     definite, value = query_arrays(cg, [u], [v])
-    return Answer(DEFINITE if definite[0] else FUZZY, float(value[0]))
+    return Answer(bool(definite[0]), float(value[0]))
 
 
 # --- FZG1 persistence --------------------------------------------------------

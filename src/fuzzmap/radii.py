@@ -33,7 +33,8 @@ p's nearest other point while that one does. Only nodes failing both,
 and rows that need the exact R, copy and mask their point's row. An
 unquantized model needs the exact R on every row; quantization only
 narrows that to the rows where floor(M) + 1 fails, and rounds at the end.
-``compute_radii`` runs the same path for one node. Spans and chunks
+A node's radii read only its own point's row and its own neighbors,
+so the span and chunk it falls in do not change them. Spans and chunks
 hold at most max(_BLOCK * u, _CHUNK) elements, so the scratch is
 O(_BLOCK * u + _CHUNK). The gain depends on the collapse: with all
 points distinct (u = n) the scan costs O(n^2 k) as before. The scan
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fastmap import Embedding
-from .graph import Graph, check_bool, check_node_id
+from .graph import Graph, check_bool
 
 log = logging.getLogger(__name__)
 
@@ -57,6 +58,8 @@ _BLOCK = 4  # points per kernel call in the radii scan
 _CHUNK = 1 << 18  # scratch elements (nodes x u) per rule call
 # what the radii scan, load and the keyword constructor say of a coordinate failing _coordinates_ok
 _BAD_COORDINATE = "non-finite or overflowing coordinate"
+# what compute_all_radii and the keyword constructor say of an embedding with no axis
+_NO_AXES = "embedding must have k >= 1 dimensions"
 
 
 @dataclass(eq=False)
@@ -105,18 +108,6 @@ def _coordinates_ok(coords: np.ndarray) -> np.ndarray:
     """Per coordinate of (rows, k) ``coords``: whether no k-axis distance
     can overflow from it; NaN and inf fail."""
     return np.abs(coords) <= np.sqrt(np.finfo(np.float64).max / coords.shape[1]) / 4
-
-
-def _check_inputs(g: Graph, e: Embedding) -> None:
-    if g.n < 2:
-        raise ValueError("graph must have at least 2 nodes")
-    if e.n != g.n:
-        raise ValueError(f"embedding has {e.n} rows but graph has {g.n} nodes")
-    if e.k < 1:
-        raise ValueError("embedding must have k >= 1 dimensions")
-    bad = np.flatnonzero(~_coordinates_ok(e.coords).all(axis=1))
-    if bad.size:
-        raise ValueError(f"{_BAD_COORDINATE} at node {bad[0]}")
 
 
 @dataclass(eq=False)
@@ -275,28 +266,28 @@ def _radii_rule(
     return r, R
 
 
-def compute_radii(g: Graph, e: Embedding, v: int, quantize: bool = True) -> tuple[float, float]:
-    """(r, R) for one node. Uses out-neighbors when the graph is directed."""
-    quantize = check_bool("quantize", quantize)
-    _check_inputs(g, e)
-    check_node_id(v, g.n)
-    groups = group_points(e.coords)
-    p = int(groups.inv[v])
-    d = _block_distances(groups.points_t, p, p + 1, *np.empty((2, 1, groups.u)))
-    r, R = _radii_rule(g, groups, np.array([v]), d, p, _nearest_other(d, p), quantize)
-    return float(r[0]), float(R[0])
-
-
 def compute_all_radii(g: Graph, e: Embedding, quantize: bool = True) -> NodeRadii:
-    """Radii for every node; equals the per-node op applied sequentially.
+    """Radii for every node; each node's come from its point's row and
+    its neighbors alone, whatever span or chunk it falls in.
 
     Points are taken a span of max(_BLOCK, _CHUNK // u) at a time: the
     kernel fills the span's distance rows _BLOCK points per call, then
     the nodes on those points go through the rule max(1, _CHUNK // u) at
     a time, all on the calling thread. ``quantize`` must pass ``check_bool``.
+    ValueError, in this order, for a graph of fewer than 2 nodes, an
+    embedding whose row count is not the graph's n, k = 0, and a
+    coordinate failing ``_coordinates_ok`` (naming its node).
     """
     quantize = check_bool("quantize", quantize)
-    _check_inputs(g, e)
+    if g.n < 2:
+        raise ValueError("graph must have at least 2 nodes")
+    if e.n != g.n:
+        raise ValueError(f"embedding has {e.n} rows but graph has {g.n} nodes")
+    if e.k < 1:
+        raise ValueError(_NO_AXES)
+    bad = np.flatnonzero(~_coordinates_ok(e.coords).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{_BAD_COORDINATE} at node {bad[0]}")
     return _grouped_radii(g, group_points(e.coords), quantize)
 
 

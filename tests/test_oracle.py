@@ -20,7 +20,6 @@ from fuzzmap import (
     NodeRadii,
     build,
     compute_all_radii,
-    compute_radii,
     default_fcl_text,
     evaluate,
     fastmap_embed,
@@ -64,7 +63,7 @@ def keyword_model(cg: CompressedGraph, **parts) -> CompressedGraph:
 def test_complete_graph_all_definite_yes(k4_graph):
     cg = build(k4_graph, k=3, seed=1, quantize=False)
     for u, v in itertools.combinations(range(4), 2):
-        assert query(cg, u, v) == Answer.definite(True)
+        assert query(cg, u, v) == Answer(True, 1.0)
 
 
 def test_edgeless_graph_all_definite_no():
@@ -72,17 +71,17 @@ def test_edgeless_graph_all_definite_no():
     for quantize in (False, True):
         cg = build(g, k=2, seed=3, quantize=quantize)
         for u, v in itertools.combinations(range(4), 2):
-            assert query(cg, u, v) == Answer.definite(False)
+            assert query(cg, u, v) == Answer(True, 0.0)
 
 
 def test_sample_model_pattern(uncertain_pair_graph):
     cg = build(uncertain_pair_graph, k=2, seed=0, quantize=True)
     one = cg.internal_id(1)
-    assert query(cg, one, cg.internal_id(5)) == Answer.definite(True)
+    assert query(cg, one, cg.internal_id(5)) == Answer(True, 1.0)
     for other in (3, 4, 6):
-        assert query(cg, one, cg.internal_id(other)) == Answer.definite(False)
+        assert query(cg, one, cg.internal_id(other)) == Answer(True, 0.0)
     uncertain = query(cg, one, cg.internal_id(2))
-    assert uncertain.kind == "fuzzy"
+    assert not uncertain.is_definite
     assert uncertain.value > 0.5  # node 2 sits closer to the smaller circle
 
 
@@ -136,8 +135,10 @@ def test_scalar_query_is_the_batch_answer(directed, pair_table):
         cg = build(g, k=2, seed=1)
         definite, value = query_arrays(cg, us, vs)
         assert (cg.pair_table is not None) == pair_table
-        for u, v, yes_no, x in zip(us.tolist(), vs.tolist(), definite, value):
-            assert query(cg, u, v) == (Answer.definite(x == 1.0) if yes_no else Answer.fuzzy(x))
+        for u, v, yes_no, x in zip(us.tolist(), vs.tolist(), definite.tolist(), value.tolist()):
+            ans = query(cg, u, v)
+            assert ans == Answer(yes_no, x) and ans._fields == ("is_definite", "value")
+            assert type(ans.is_definite) is bool and type(ans.value) is float
 
 
 def test_empty_batch_answers_empty_arrays():
@@ -194,7 +195,7 @@ def test_fuzzy_monotone_in_distance():
     R = [3.0, np.inf, np.inf, np.inf, np.inf]
     cg = manual_model(coords, r, R)
     likelihoods = [query(cg, 0, v).value for v in (1, 2, 3, 4)]
-    assert all(q.kind == "fuzzy" for q in (query(cg, 0, v) for v in (1, 2, 3, 4)))
+    assert all(not q.is_definite for q in (query(cg, 0, v) for v in (1, 2, 3, 4)))
     assert likelihoods == sorted(likelihoods, reverse=True)
 
 
@@ -202,7 +203,7 @@ def test_single_sentinel_side_uses_other_side_alone():
     coords = [[0.0], [2.0]]
     cg = manual_model(coords, r=[-1.0, 0.5], R=[np.inf, 10.0])
     ans = query(cg, 0, 1)
-    assert ans.kind == "fuzzy"
+    assert not ans.is_definite
     expected = evaluate(cg.fuzzy, (10.0 - 2.0) / (10.0 - 0.5))
     assert ans.value == expected
 
@@ -210,11 +211,11 @@ def test_single_sentinel_side_uses_other_side_alone():
 def test_both_sentinel_sides_yield_half():
     coords = [[0.0], [2.0]]
     cg = manual_model(coords, r=[-1.0, -1.0], R=[np.inf, np.inf])
-    assert query(cg, 0, 1) == Answer.fuzzy(0.5)
+    assert query(cg, 0, 1) == Answer(False, 0.5)
     # r sentinel with finite R on one side only: still no contribution
     cg2 = manual_model(coords, r=[-1.0, -1.0], R=[5.0, np.inf])
     ans = query(cg2, 0, 1)
-    assert ans.kind == "fuzzy"
+    assert not ans.is_definite
     assert ans.value == 0.5
 
 
@@ -225,31 +226,31 @@ def test_definite_yes_decides_before_definite_no(pair_table):
         mp.setattr(oracle, "_TABLE_COORD_RATIO", _TABLE_ALWAYS if pair_table else 0)
         cg = manual_model([[0.0], [1.0]], r=[2.0, -1.0], R=[np.inf, 0.5])
         assert (cg.pair_table is not None) == pair_table
-        assert query(cg, 0, 1) == query(cg, 1, 0) == Answer.definite(True)
+        assert query(cg, 0, 1) == query(cg, 1, 0) == Answer(True, 1.0)
 
 
 def test_sentinel_never_definite_yes_directed():
     coords = [[0.0], [0.5]]
     cg = manual_model(coords, r=[-1.0, 3.0], R=[4.0, 5.0], directed=True)
     ans = query(cg, 0, 1)  # r(0) = -1, d < R(0)
-    assert ans.kind == "fuzzy"
+    assert not ans.is_definite
     cg_rev = manual_model(coords, r=[3.0, -1.0], R=[4.0, 5.0], directed=True)
-    assert query(cg_rev, 0, 1) == Answer.definite(True)
+    assert query(cg_rev, 0, 1) == Answer(True, 1.0)
 
 
 def test_directed_two_cycle_definite_yes_both_ways():
     g = graph_from_edges([(0, 1), (1, 0)], directed=True)
     cg = build(g, k=2, seed=0, quantize=False)
-    assert query(cg, 0, 1) == Answer.definite(True)
-    assert query(cg, 1, 0) == Answer.definite(True)
+    assert query(cg, 0, 1) == Answer(True, 1.0)
+    assert query(cg, 1, 0) == Answer(True, 1.0)
 
 
 def test_directed_asymmetric_answers():
     g = graph_from_edges(DIGRAPH_ARCS, directed=True)
     cg = build(g, k=2, seed=0, quantize=True)
     assert 0 in g.neighbors(1) and 1 not in g.neighbors(0)
-    assert query(cg, 0, 1) == Answer.definite(False)
-    assert query(cg, 1, 0) != Answer.definite(False)
+    assert query(cg, 0, 1) == Answer(True, 0.0)
+    assert query(cg, 1, 0) != Answer(True, 0.0)
     # definite answers stay sound against arc ground truth
     for u, v in itertools.permutations(range(g.n), 2):
         ans = query(cg, u, v)
@@ -369,8 +370,7 @@ def test_quantize_must_be_a_bool(flag, monkeypatch):
     monkeypatch.setattr(oracle, "fastmap_embed", no_embedding)
     calls = [lambda: build(g, 2, 1, quantize=flag),
              lambda: sweep_k(g, [2], quantize=flag),
-             lambda: compute_all_radii(g, e, quantize=flag),
-             lambda: compute_radii(g, e, 0, quantize=flag)]
+             lambda: compute_all_radii(g, e, quantize=flag)]
     for call in calls:
         with pytest.raises(ValueError, match=f"quantize must be a bool, not {flag!r}"):
             call()
@@ -438,8 +438,14 @@ def _node_part(cg: CompressedGraph, name: str, node: int, value: float) -> dict:
     (lambda cg: {"radii": NodeRadii(cg.radii.r, np.full(6, -5.0), cg.quantized)},
      "invalid radius R at node 0"),
     (lambda cg: _node_part(cg, "R", 1, np.nan), "invalid radius R at node 1"),
+    # n = 0 saved to a file that save could not write; k = 0 divided by zero
+    (lambda cg: {"embedding": Embedding(coords=np.zeros((0, 2))), "external_ids": np.zeros(0, int),
+                 "radii": NodeRadii(np.zeros(0), np.zeros(0), cg.quantized)},
+     "model must have at least 1 node"),
+    (lambda cg: {"embedding": Embedding(coords=np.zeros((6, 0)))},
+     "embedding must have k >= 1 dimensions"),
 ], ids=["unsorted-ids", "negative-id", "nan-coordinate", "1e300-coordinate", "r-minus-half",
-        "r-nan", "R-minus-5", "R-nan"])
+        "r-nan", "R-minus-5", "R-nan", "n-zero", "k-zero"])
 def test_keyword_constructor_refuses_what_load_refuses(bad, message, uncertain_pair_graph,
                                                        monkeypatch):
     # ids 6..1 gave a model whose internal_id(6) was "unknown", and R = -5 on

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,6 @@ from hypothesis.extra.numpy import arrays
 from fuzzmap import (
     Graph,
     compute_all_radii,
-    compute_radii,
     fastmap_embed,
     gnp_random_graph,
     graph_from_edges,
@@ -94,6 +94,12 @@ def test_euclidean_matches_independent_norm():
         assert d == pytest.approx(norm_oracle(e.coords[u], e.coords[v]), rel=1e-12)
 
 
+def node_radii(g, e, quantize):
+    """Each node's (r, R) as Python floats, from one compute_all_radii call."""
+    every = compute_all_radii(g, e, quantize=quantize)
+    return list(zip(every.r.tolist(), every.R.tolist()))
+
+
 def labelled_distances(g, coords, v):
     d = distances_from(coords, v)
     return [(float(d[u]), u in g.neighbors(v)) for u in range(g.n) if u != v]
@@ -106,8 +112,9 @@ def test_radii_match_sort_scan_oracle(quantize, directed):
         g = gnp_random_graph(10 + 13 * i, [0.05, 0.2, 0.5][i % 3], seed=70 + i,
                              directed=directed)
         e = fastmap_embed(g, 3, seed=i)
+        every = node_radii(g, e, quantize)
         for v in range(g.n):
-            got = compute_radii(g, e, v, quantize=quantize)
+            got = every[v]
             want = radii_sort_scan(labelled_distances(g, e.coords, v), quantize)
             assert got == want, f"node {v} of graph {i}"
 
@@ -116,10 +123,10 @@ def test_node_adjacent_to_all():
     # m = +inf: r equals the farthest-neighbor distance; quantized R = floor(M)+1
     g = graph_from_edges([(0, 1), (0, 2), (0, 3)])
     e = embed_of([[0.0], [1.3], [2.7], [0.4]])
-    r, R = compute_radii(g, e, 0, quantize=False)
+    r, R = node_radii(g, e, False)[0]
     assert r == 2.7
     assert R == math.inf
-    rq, Rq = compute_radii(g, e, 0, quantize=True)
+    rq, Rq = node_radii(g, e, True)[0]
     assert rq == 2.0  # floor of the unquantized radius
     assert Rq == 3.0  # floor(M) + 1
 
@@ -128,10 +135,10 @@ def test_node_adjacent_to_none_directed():
     # node 2 has no out-neighbors: r = -1 sentinel, R = nearest other node
     g = graph_from_edges([(0, 1), (1, 2)], directed=True)
     e = embed_of([[0.0], [2.0], [3.0]])
-    r, R = compute_radii(g, e, 2, quantize=False)
+    r, R = node_radii(g, e, False)[2]
     assert r == -1.0
     assert R == 1.0  # distance to node 1
-    rq, Rq = compute_radii(g, e, 2, quantize=True)
+    rq, Rq = node_radii(g, e, True)[2]
     assert rq == 0.0  # ceil(m) - 1; sound since nothing sits at distance 0
     assert Rq == 1.0  # no neighbors: unquantized R is kept
 
@@ -146,11 +153,9 @@ def test_quantized_R_keeps_its_guard_above_2_53():
     M = distances_from(e.coords, 0)[1]
     assert M == 2.0**54 and np.floor(M) + 1.0 == M  # the shortcut is not above M
     for quantize in (False, True):
-        r, R = compute_radii(g, e, 0, quantize=quantize)
+        r, R = node_radii(g, e, quantize)[0]
         assert R == 2.0**55 and M < R  # edge (0, 1) never answers a definite no
         assert r == 2.0**54  # and it answers yes: no non-neighbor within r
-    every = compute_all_radii(g, e, quantize=True)
-    assert every.R[0] == 2.0**55 and every.r[0] == 2.0**54
 
 
 def test_coincident_non_neighbor_forces_sentinel():
@@ -158,7 +163,7 @@ def test_coincident_non_neighbor_forces_sentinel():
     g = graph_from_edges([(0, 1), (1, 2)])
     e = embed_of([[0.0], [5.0], [0.0]])
     for quantize in (False, True):
-        r, R = compute_radii(g, e, 0, quantize=quantize)
+        r, R = node_radii(g, e, quantize)[0]
         assert r == -1.0  # d <= 0 must never answer yes
 
 
@@ -186,7 +191,6 @@ def test_nearest_point_and_its_fallback_match_sort_scan(case, quantize, directed
     every = compute_all_radii(g, e, quantize=quantize)
     for v in range(g.n):
         want = radii_sort_scan(labelled_distances(g, e.coords, v), quantize)
-        assert compute_radii(g, e, v, quantize=quantize) == want, f"node {v}"
         assert (every.r[v], every.R[v]) == want, f"node {v}"
     # node 0's r lies below m = 1 in the first case and m = 3 in the second
     m = 1.0 if case == "nearest-point-holds-non-neighbor" else 3.0
@@ -199,7 +203,7 @@ def test_boundary_tie_neighbor_and_non_neighbor():
     # for r (r stays below 2), the neighbor wins for R (R stays above 2)
     g = graph_from_edges([(0, 1), (0, 2), (2, 3)])  # 3 is a non-neighbor of 0
     e = embed_of([[0.0], [1.0], [2.0], [2.0]])
-    r, R = compute_radii(g, e, 0, quantize=False)
+    r, R = node_radii(g, e, False)[0]
     assert r == 1.0
     assert R == math.inf  # no non-neighbor strictly beyond the farthest neighbor
 
@@ -240,6 +244,7 @@ def test_quantized_radii_sound_direction():
     for i in range(5):
         g = gnp_random_graph(40, 0.2, seed=120 + i)
         e = fastmap_embed(g, 3, seed=i)
+        every = node_radii(g, e, True)
         for v in range(g.n):
             d = distances_from(e.coords, v)
             others = np.arange(g.n) != v
@@ -249,18 +254,10 @@ def test_quantized_radii_sound_direction():
             nbd = d[nb & others]
             m = nnd.min() if nnd.size else math.inf
             M = nbd.max() if nbd.size else -math.inf
-            rq, Rq = compute_radii(g, e, v, quantize=True)
+            rq, Rq = every[v]
             assert rq == -1.0 or rq < m  # never reaches a non-neighbor
             assert Rq > M  # never cuts off a neighbor
             assert rq == -1.0 or float(rq).is_integer()
-
-
-def test_all_radii_equals_per_node():
-    g = gnp_random_graph(300, 0.05, seed=77)
-    e = fastmap_embed(g, 3, seed=7)
-    seq = [compute_radii(g, e, v) for v in range(g.n)]
-    every = compute_all_radii(g, e)
-    assert [(r, R) for r, R in zip(every.r, every.R)] == seq
 
 
 def graph_from_matrix(adj: np.ndarray, directed: bool) -> Graph:
@@ -281,14 +278,18 @@ COORD = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3),
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), n=st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]),
-       k=st.integers(1, 8), directed=st.booleans(), quantize=st.booleans())
-def test_all_radii_equal_per_node_and_sort_scan(data, n, k, directed, quantize):
+       k=st.integers(1, 8), directed=st.booleans(), quantize=st.booleans(),
+       chunk_cap=st.sampled_from([1, 5, radii._CHUNK]))
+def test_all_radii_equal_per_node_and_sort_scan(data, n, k, directed, quantize, chunk_cap):
+    # a small _CHUNK gives a span per _BLOCK points, so rows past the first
+    # span meet tie-heavy and 2**52-scale coordinates too
     g = graph_from_matrix(data.draw(arrays(bool, (n, n))), directed)
     e = embed_of(data.draw(arrays(np.float64, (n, k), elements=COORD)))
-    every = compute_all_radii(g, e, quantize=quantize)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(radii, "_CHUNK", chunk_cap)
+        every = compute_all_radii(g, e, quantize=quantize)
     for v in range(n):
         want = radii_sort_scan(labelled_distances(g, e.coords, v), quantize)
-        assert compute_radii(g, e, v, quantize=quantize) == want
         assert (every.r[v], every.R[v]) == want
 
 
@@ -312,7 +313,6 @@ def test_coincident_points_match_per_node_and_sort_scan(data, n, k, pool, direct
         every = compute_all_radii(g, e, quantize=quantize)
     for v in range(n):
         want = radii_sort_scan(labelled_distances(g, e.coords, v), quantize)
-        assert compute_radii(g, e, v, quantize=quantize) == want
         assert (every.r[v], every.R[v]) == want
 
 
@@ -325,8 +325,6 @@ def test_non_finite_coords_rejected(bad):
     coords[7, 1] = bad
     with pytest.raises(ValueError, match="non-finite or overflowing coordinate at node 7"):
         compute_all_radii(g, embed_of(coords))
-    with pytest.raises(ValueError, match="non-finite or overflowing coordinate at node 7"):
-        compute_radii(g, embed_of(coords), 0)
 
 
 @pytest.mark.parametrize("row", [[0], [1, 1], [2, 1]], ids=["self-loop", "repeat", "unsorted"])
@@ -352,14 +350,17 @@ def test_scan_logs_point_grouping(caplog):
 
 
 def test_radii_validation(uncertain_pair_graph):
-    e = fastmap_embed(uncertain_pair_graph, 2, seed=0)
-    with pytest.raises(ValueError):
-        compute_radii(uncertain_pair_graph, embed_of([[0.0], [1.0]]), 0)
+    g = uncertain_pair_graph
+    with pytest.raises(ValueError, match="^embedding has 2 rows but graph has 6 nodes$"):
+        compute_all_radii(g, embed_of([[0.0], [1.0]]))
     singleton = Graph(n=1, directed=False, indptr=np.zeros(2, dtype=np.int64),
                       indices=np.zeros(0, dtype=np.int64), external_ids=np.array([9], dtype=np.uint64))
-    with pytest.raises(ValueError):
-        compute_radii(singleton, embed_of([[0.0]]), 0)
-    with pytest.raises(ValueError, match="out of range"):
-        compute_radii(uncertain_pair_graph, e, 17)
-    with pytest.raises(ValueError, match="k >= 1"):
-        compute_radii(uncertain_pair_graph, embed_of(np.zeros((6, 0))), 0)
+    with pytest.raises(ValueError, match="^graph must have at least 2 nodes$"):
+        compute_all_radii(singleton, embed_of([[0.0]]))
+    with pytest.raises(ValueError, match="^embedding must have k >= 1 dimensions$"):
+        compute_all_radii(g, embed_of(np.zeros((6, 0))))
+    # coords that are not 2-d raised IndexError from the checks' shape reads
+    for shape in [(6,), (6, 2, 1), ()]:
+        message = re.escape(f"coords must be 2-d (n, k), not of shape {shape}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            compute_all_radii(g, Embedding(coords=np.zeros(shape)))
