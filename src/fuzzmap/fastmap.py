@@ -10,37 +10,62 @@ residual distances.
 from __future__ import annotations
 
 import functools
+import logging
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .graph import Graph, check_int
+from .graph import Graph, check_int, check_real
 
 PIVOT_SEARCH_ITERATIONS = 5  # classic FastMap heuristic constant
 
 DistRow = Callable[[int], np.ndarray]
+# what Embedding and load say of a coordinate failing _coordinates_ok
+_BAD_COORDINATE = "non-finite or overflowing coordinate"
+
+log = logging.getLogger(__name__)
+
+
+def _coordinates_ok(coords: np.ndarray) -> np.ndarray:
+    """Per coordinate of (rows, k) float64 ``coords``: whether no k-axis
+    distance can overflow from it; NaN and inf fail. Two comparisons make
+    bool temporaries only, where np.abs would copy the f64 table."""
+    bound = np.sqrt(np.finfo(np.float64).max / coords.shape[1]) / 4
+    return (coords >= -bound) & (coords <= bound)
 
 
 @dataclass(eq=False)
 class Embedding:
     """n x k coordinate table with the pivot pair recorded per axis.
 
-    ``coords`` is kept axis-major: the (n, k) array in Fortran order, so
-    ``coords.T`` is the C-contiguous (k, n) table the distance kernel
-    reads one axis at a time. ``pivots[i]`` is (a, b) for axis i, or None
-    for a degenerate (zero-filled) axis. ``CompressedGraph.embedding``
-    gathers a model's coords only; its pivots are None. ValueError for
-    coords that are not 2-d.
+    Per-node coordinates enter a model here alone, so this is where the
+    coordinate rule is stated once, for ``build``, the keyword
+    constructor and ``CompressedGraph.embedding`` alike: ValueError, in
+    this order, for coords of a dtype that is not a real number
+    (``graph.check_real``), not 2-d, with k = 0 axes, or with a
+    coordinate failing ``_coordinates_ok`` (naming its node). ``coords``
+    is held as float64, the dtype a model file holds, so a model and its
+    file compute the same distances; and axis-major: the (n, k) array in
+    Fortran order, so ``coords.T`` is the C-contiguous (k, n) table the
+    distance kernel reads one axis at a time.
+    ``pivots[i]`` is (a, b) for axis i, or None for a degenerate
+    (zero-filled) axis. ``CompressedGraph.embedding`` gathers a model's
+    coords only; its pivots are None.
     """
 
     coords: np.ndarray  # (n, k) float64, Fortran order
     pivots: Optional[list[Optional[tuple[int, int]]]] = None
 
     def __post_init__(self) -> None:
-        if np.ndim(self.coords) != 2:
-            raise ValueError(f"coords must be 2-d (n, k), not of shape {np.shape(self.coords)}")
-        self.coords = np.asfortranarray(self.coords)
+        self.coords = check_real("coords", self.coords, order="F")
+        if self.coords.ndim != 2:
+            raise ValueError(f"coords must be 2-d (n, k), not of shape {self.coords.shape}")
+        if self.k < 1:
+            raise ValueError("embedding must have k >= 1 dimensions")
+        bad = np.flatnonzero(~_coordinates_ok(self.coords).all(axis=1))
+        if bad.size:
+            raise ValueError(f"{_BAD_COORDINATE} at node {bad[0]}")
 
     @property
     def n(self) -> int:
@@ -123,9 +148,10 @@ def fastmap_embed(g: Graph, k: int, seed: int) -> Embedding:
     revisits nodes and ends on the pivots, so each node's distance row is
     computed once per axis and reused. Pivot a anchors at coordinate 0 and
     pivot b at the pivot distance, exactly. Degenerate axes are
-    zero-filled and iteration continues. ``k``, an integer >= 1, and
-    ``seed``, an integer >= 0, are checked by ``graph.check_int``, with
-    ValueError, before any work.
+    zero-filled and iteration continues, and one INFO line on this
+    module's logger counts them. ``k``, an integer >= 1, and ``seed``, an
+    integer >= 0, are checked by ``graph.check_int``, with ValueError,
+    before any work.
     """
     k, seed = check_int("k", k, 1), check_int("seed", seed, 0)
     if g.n < 2:
@@ -159,4 +185,5 @@ def fastmap_embed(g: Graph, k: int, seed: int) -> Embedding:
         coords[:, axis] = x
         pivots.append((a, b))
 
+    log.info("fastmap: n=%d k=%d degenerate_axes=%d", n, k, pivots.count(None))
     return Embedding(coords=coords, pivots=pivots)

@@ -35,11 +35,10 @@ from typing import IO, NamedTuple, Optional
 
 import numpy as np
 
-from .fastmap import Embedding, fastmap_embed
+from .fastmap import _BAD_COORDINATE, Embedding, _coordinates_ok, fastmap_embed
 from .fuzzy import FclParseError, FuzzySystem, default_system, evaluate_many, parse_fcl, to_fcl
-from .graph import Graph, _IdMap, check_bool, check_external_ids, check_node_id
-from .radii import (R_NONE, _BAD_COORDINATE, _NO_AXES, NodeRadii, _coordinates_ok, _group_columns,
-                    _grouped_radii, group_points, pair_distances)
+from .graph import Graph, _IdMap, check_bool, check_external_ids, check_node_id, check_real
+from .radii import R_NONE, NodeRadii, _group_columns, _grouped_radii, group_points, pair_distances
 
 MAGIC = b"FZG1"
 FORMAT_VERSION = 4
@@ -114,11 +113,13 @@ class CompressedGraph(_IdMap):
     ``_IdMap`` maps both ways as for a Graph, nothing else is held per
     node, and all are read-only. The constructor groups per-node parts
     once, and refuses with ValueError any part that ``load`` would refuse
-    in a file: n and k must be at least 1, ``directed`` and
-    ``radii.quantized`` must pass ``check_bool``, the external ids
-    ``check_external_ids``, each coordinate ``_coordinates_ok``, each r
-    ``_r_ok`` and each R ``_R_ok`` (a message names the first bad node),
-    and ``fuzzy`` must equal the parse of ``fcl_text``, a str.
+    in a file: ``Embedding`` has already checked k and every coordinate,
+    ``directed`` and ``radii.quantized`` must pass ``check_bool``,
+    ``radii.r`` and ``radii.R`` ``check_real`` (both are held as
+    float64), n must be at least 1, the external ids must pass
+    ``check_external_ids``, each r ``_r_ok`` and each R ``_R_ok`` (a
+    message names the first bad node), and ``fuzzy`` must equal the
+    parse of ``fcl_text``, a str.
     ``from_states`` takes the parts grouped.
     ``embedding`` and ``radii`` gather per-node arrays for a caller that
     reads them; no query, save or load does.
@@ -129,17 +130,15 @@ class CompressedGraph(_IdMap):
                  fuzzy: FuzzySystem, external_ids: np.ndarray, fcl_text: str) -> None:
         directed = check_bool("directed", directed)
         quantized = check_bool("radii.quantized", radii.quantized)
-        sizes = (embedding.n, len(radii.r), len(radii.R), len(external_ids))
+        r, R = check_real("radii.r", radii.r), check_real("radii.R", radii.R)
+        sizes = (embedding.n, len(r), len(R), len(external_ids))
         if len(set(sizes)) != 1:
             raise ValueError("model parts disagree in n: {} coordinate rows, {} r, {} R, "
                              "{} external ids".format(*sizes))
         if embedding.n < 1:
             raise ValueError("model must have at least 1 node")
-        if embedding.k < 1:
-            raise ValueError(_NO_AXES)
         external_ids = check_external_ids(external_ids, embedding.n)
-        for ok, what in ((_coordinates_ok(embedding.coords).all(axis=1), _BAD_COORDINATE),
-                         (_r_ok(radii.r), _BAD_YES_RADIUS), (_R_ok(radii.R), _BAD_NO_RADIUS)):
+        for ok, what in ((_r_ok(r), _BAD_YES_RADIUS), (_R_ok(R), _BAD_NO_RADIUS)):
             bad = np.flatnonzero(~ok)
             if bad.size:
                 raise ValueError(f"{what} at node {int(bad[0])}")
@@ -148,9 +147,8 @@ class CompressedGraph(_IdMap):
         if parse_fcl(fcl_text) != fuzzy:
             raise ValueError("fuzzy system does not match the parse of fcl_text")
         groups = group_points(embedding.coords)
-        vars(self).update(vars(self.from_states(
-            groups.points_t, node_states(groups.inv, radii.r, radii.R), directed,
-            quantized, fuzzy, external_ids, fcl_text)))
+        vars(self).update(vars(self.from_states(groups.points_t, node_states(groups.inv, r, R),
+                                                directed, quantized, fuzzy, external_ids, fcl_text)))
 
     @classmethod
     def from_states(cls, points_t: np.ndarray, states: NodeStates, directed: bool, quantized: bool,

@@ -13,8 +13,10 @@ axis, j = 0..k-1, then takes the square root. The radii scan's
 ``_block_distances`` rows, ``distances_from`` and the query side's
 ``pair_distances``, which the model's pair table is scored from too,
 therefore agree bit for bit, which the soundness of definite answers
-rests on. A coordinate must pass ``_coordinates_ok``, so that no
-distance overflows; the radii scan and the model refuse any other.
+rests on. The kernel subtracts in its operands' dtype, so every caller
+passes float64, the dtype a model file holds: ``Embedding`` converts
+its coordinates to float64 and refuses any that fails
+``fastmap._coordinates_ok``, so that no distance overflows.
 Coordinates are axis-major (``Embedding.coords`` is Fortran-ordered), so
 ``coords.T`` is the C-contiguous (k, n) table and each caller hands the
 kernel contiguous axis rows, or one gather per axis for m pairs: no row
@@ -56,10 +58,6 @@ log = logging.getLogger(__name__)
 R_NONE = -1.0  # definite-yes sentinel: never triggers
 _BLOCK = 4  # points per kernel call in the radii scan
 _CHUNK = 1 << 18  # scratch elements (nodes x u) per rule call
-# what the radii scan, load and the keyword constructor say of a coordinate failing _coordinates_ok
-_BAD_COORDINATE = "non-finite or overflowing coordinate"
-# what compute_all_radii and the keyword constructor say of an embedding with no axis
-_NO_AXES = "embedding must have k >= 1 dimensions"
 
 
 @dataclass(eq=False)
@@ -88,7 +86,11 @@ def _axis_distances(axes, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 
 
 def distances_from(coords: np.ndarray, v: int) -> np.ndarray:
-    """Euclidean distances from node v to every node (self included, 0)."""
+    """Euclidean distances from node v to every node (self included, 0).
+
+    The kernel subtracts in its operands' dtype, so callers pass float64
+    coordinates (``Embedding.coords``), the dtype a model file holds.
+    """
     n = coords.shape[0]
     return _axis_distances(zip(coords.T, coords[v]), np.empty(n), np.empty(n))
 
@@ -98,16 +100,11 @@ def pair_distances(coords: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.nda
 
     Gathers one axis at a time, so temporaries are the size of the output,
     not k times it: a (rows, 1) index against a (u,) one gives (rows, u)
-    distances from rows + u gathered values an axis.
+    distances from rows + u gathered values an axis. The kernel subtracts
+    in its operands' dtype, so callers pass float64 coordinates.
     """
     shape = np.broadcast_shapes(np.shape(us), np.shape(vs))
     return _axis_distances(((c[us], c[vs]) for c in coords.T), np.empty(shape), np.empty(shape))
-
-
-def _coordinates_ok(coords: np.ndarray) -> np.ndarray:
-    """Per coordinate of (rows, k) ``coords``: whether no k-axis distance
-    can overflow from it; NaN and inf fail."""
-    return np.abs(coords) <= np.sqrt(np.finfo(np.float64).max / coords.shape[1]) / 4
 
 
 @dataclass(eq=False)
@@ -274,20 +271,15 @@ def compute_all_radii(g: Graph, e: Embedding, quantize: bool = True) -> NodeRadi
     kernel fills the span's distance rows _BLOCK points per call, then
     the nodes on those points go through the rule max(1, _CHUNK // u) at
     a time, all on the calling thread. ``quantize`` must pass ``check_bool``.
-    ValueError, in this order, for a graph of fewer than 2 nodes, an
-    embedding whose row count is not the graph's n, k = 0, and a
-    coordinate failing ``_coordinates_ok`` (naming its node).
+    ValueError, in this order, for a graph of fewer than 2 nodes and an
+    embedding whose row count is not the graph's n; ``Embedding`` has
+    already checked k and every coordinate.
     """
     quantize = check_bool("quantize", quantize)
     if g.n < 2:
         raise ValueError("graph must have at least 2 nodes")
     if e.n != g.n:
         raise ValueError(f"embedding has {e.n} rows but graph has {g.n} nodes")
-    if e.k < 1:
-        raise ValueError(_NO_AXES)
-    bad = np.flatnonzero(~_coordinates_ok(e.coords).all(axis=1))
-    if bad.size:
-        raise ValueError(f"{_BAD_COORDINATE} at node {bad[0]}")
     return _grouped_radii(g, group_points(e.coords), quantize)
 
 

@@ -1,4 +1,5 @@
-"""Smoke test: every narrative script under demos/ runs to completion."""
+"""Smoke test: every narrative script under demos/ runs to completion,
+under ``-W error``, so a warning (a numpy ComplexWarning, say) fails it."""
 
 import os
 import subprocess
@@ -18,7 +19,7 @@ def test_demo_exits_zero(demo, tmp_path):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        [sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

@@ -1,10 +1,12 @@
 import io
+import logging
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
 from fuzzmap import (
     build,
@@ -176,6 +178,59 @@ def test_embed_degenerate_axes_zero_fill(k4_graph):
     assert degenerate, "expected at least one degenerate axis on K4 with k=6"
     for axis in degenerate:
         assert np.all(e.coords[:, axis] == 0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_embed_logs_degenerate_axes(uncertain_pair_graph, caplog, seed):
+    # build accepts any k and stores every zero axis: the 6-node graph
+    # separates in 3 axes, so k = 50 zero-fills 47
+    with caplog.at_level(logging.INFO, logger="fuzzmap.fastmap"):
+        e = fastmap_embed(uncertain_pair_graph, 50, seed=seed)
+    assert e.pivots.count(None) == 47
+    assert [rec.getMessage() for rec in caplog.records] == ["fastmap: n=6 k=50 degenerate_axes=47"]
+
+
+REAL_DTYPES = (npst.integer_dtypes() | npst.unsigned_integer_dtypes()
+               | npst.floating_dtypes(sizes=(16, 32, 64)))
+OTHER_DTYPES = (npst.boolean_dtypes() | npst.complex_number_dtypes() | npst.unicode_string_dtypes()
+                | npst.byte_string_dtypes() | npst.datetime64_dtypes() | npst.timedelta64_dtypes()
+                | st.just(np.dtype(object)))
+
+
+@st.composite
+def real_coords(draw):
+    """An (n, k) array of one real dtype, C- or F-ordered, every value
+    within the coordinate rule's bound."""
+    dtype = draw(REAL_DTYPES)
+    bounds = {}  # NaN and inf fail the rule, and only float64 reaches past its bound
+    if dtype.kind == "f":
+        bounds = dict(allow_nan=False, allow_infinity=False)
+    if dtype.kind == "f" and dtype.itemsize == 8:
+        bounds.update(min_value=-1e150, max_value=1e150)
+    shape = (draw(st.integers(0, 8)), draw(st.integers(1, 4)))
+    coords = draw(npst.arrays(dtype, shape, elements=npst.from_dtype(dtype, **bounds)))
+    return np.asfortranarray(coords) if draw(st.booleans()) else coords
+
+
+@settings(max_examples=200, deadline=None)
+@given(real_coords())
+def test_embedding_holds_real_coords_as_float64(coords):
+    # every int and float dtype is held as float64, the dtype a model file
+    # holds: a float32 or int64 model computed other distances than its file
+    held = Embedding(coords=coords).coords
+    assert held.dtype == np.float64 and held.flags.f_contiguous
+    assert held.tobytes("F") == coords.astype(np.float64).tobytes("F")
+
+
+@settings(max_examples=100, deadline=None)
+@given(dtype=OTHER_DTYPES, n=st.integers(0, 4), k=st.integers(1, 3))
+def test_embedding_refuses_coords_that_are_not_real(dtype, n, k):
+    # complex coordinates built a model that saved their real parts alone,
+    # bool ones failed in the radii scan with TypeError
+    coords = np.zeros((n, k), dtype=dtype)
+    message = re.escape(f"coords must be real numbers, not of dtype {dtype}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Embedding(coords=coords)
 
 
 def test_embed_validation():

@@ -22,6 +22,7 @@ from fuzzmap import (
     compute_all_radii,
     default_fcl_text,
     evaluate,
+    evaluate_model,
     fastmap_embed,
     gnp_random_graph,
     graph_from_edges,
@@ -438,6 +439,11 @@ def _node_part(cg: CompressedGraph, name: str, node: int, value: float) -> dict:
     (lambda cg: {"radii": NodeRadii(cg.radii.r, np.full(6, -5.0), cg.quantized)},
      "invalid radius R at node 0"),
     (lambda cg: _node_part(cg, "R", 1, np.nan), "invalid radius R at node 1"),
+    # bool radii were held as bool; complex ones saved their real parts
+    (lambda cg: {"radii": NodeRadii(np.zeros(6, dtype=bool), cg.radii.R, cg.quantized)},
+     "radii.r must be real numbers, not of dtype bool"),
+    (lambda cg: {"radii": NodeRadii(cg.radii.r, cg.radii.R.astype(complex), cg.quantized)},
+     "radii.R must be real numbers, not of dtype complex128"),
     # n = 0 saved to a file that save could not write; k = 0 divided by zero
     (lambda cg: {"embedding": Embedding(coords=np.zeros((0, 2))), "external_ids": np.zeros(0, int),
                  "radii": NodeRadii(np.zeros(0), np.zeros(0), cg.quantized)},
@@ -445,7 +451,7 @@ def _node_part(cg: CompressedGraph, name: str, node: int, value: float) -> dict:
     (lambda cg: {"embedding": Embedding(coords=np.zeros((6, 0)))},
      "embedding must have k >= 1 dimensions"),
 ], ids=["unsorted-ids", "negative-id", "nan-coordinate", "1e300-coordinate", "r-minus-half",
-        "r-nan", "R-minus-5", "R-nan", "n-zero", "k-zero"])
+        "r-nan", "R-minus-5", "R-nan", "r-bool", "R-complex", "n-zero", "k-zero"])
 def test_keyword_constructor_refuses_what_load_refuses(bad, message, uncertain_pair_graph,
                                                        monkeypatch):
     # ids 6..1 gave a model whose internal_id(6) was "unknown", and R = -5 on
@@ -460,6 +466,43 @@ def test_keyword_constructor_refuses_what_load_refuses(bad, message, uncertain_p
     monkeypatch.setattr(oracle, "group_points", no_grouping)
     with pytest.raises(ValueError, match=f"^{message}$"):
         keyword_model(cg, **bad(cg))
+
+
+@pytest.mark.parametrize("gnp, make", [
+    # float32 FastMap coordinates, exact radii: the model's float32 kernel
+    # answered 193 pairs unlike its file, which gave 4 unsound definite answers
+    ((120, 0.1, 10), lambda g: fastmap_embed(g, 4, seed=10).coords.astype(np.float32)),
+    # int64 coordinates near +-4e18: the kernel's int64 subtraction wrapped,
+    # and 36 of 780 pairs answered unlike the file
+    ((40, 0.2, 3), lambda g: np.random.default_rng(0).integers(-4 * 10**18, 4 * 10**18, (g.n, 2))),
+], ids=["float32", "int64"])
+def test_keyword_model_answers_as_its_file(gnp, make):
+    n, p, seed = gnp
+    g = gnp_random_graph(n, p, seed=seed)
+    embedding = Embedding(coords=make(g))
+    text = default_fcl_text()
+    cg = CompressedGraph(embedding=embedding, radii=compute_all_radii(g, embedding, quantize=False),
+                         directed=False, fuzzy=parse_fcl(text), external_ids=g.external_ids,
+                         fcl_text=text)
+    loaded = roundtrip(cg)[0]
+    us, vs = np.triu_indices(n, 1)
+    assert us.size == n * (n - 1) // 2
+    (definite, value), (file_definite, file_value) = (query_arrays(m, us, vs) for m in (cg, loaded))
+    assert np.count_nonzero((definite != file_definite) | (value != file_value)) == 0
+    for model in (cg, loaded):
+        rep = evaluate_model(model, g, sample_size=None)
+        assert rep.pairs == us.size and rep.definite_correct == rep.definite
+
+
+def test_keyword_constructor_holds_float64_radii(uncertain_pair_graph):
+    # NodeStates holds f64 radii, but int radii were held as int64
+    cg = build(uncertain_pair_graph, k=2, seed=0, quantize=True)
+    r, R = cg.radii.r, cg.radii.R
+    for cast in (np.int64, np.int8, np.uint16, np.float32):
+        model = keyword_model(cg, radii=NodeRadii(r.astype(cast), R.astype(cast), True))
+        assert model.states.r.dtype == model.states.R.dtype == np.float64
+        assert np.array_equal(model.radii.r, r) and np.array_equal(model.radii.R, R)
+        assert roundtrip(model)[2] == roundtrip(cg)[2]
 
 
 DEFAULT_FCL = default_fcl_text()
