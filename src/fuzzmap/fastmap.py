@@ -35,7 +35,7 @@ def _coordinates_ok(coords: np.ndarray) -> np.ndarray:
     return (coords >= -bound) & (coords <= bound)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Embedding:
     """n x k coordinate table with the pivot pair recorded per axis.
 
@@ -48,7 +48,10 @@ class Embedding:
     is held as float64, the dtype a model file holds, so a model and its
     file compute the same distances; and axis-major: the (n, k) array in
     Fortran order, so ``coords.T`` is the C-contiguous (k, n) table the
-    distance kernel reads one axis at a time.
+    distance kernel reads one axis at a time. The Embedding is frozen and
+    ``coords`` read-only, a copy unless it was passed as a read-only array
+    that owns its memory (as ``fastmap_embed`` passes its own), so no
+    later write, to it or to an array the caller holds, gets past the rule.
     ``pivots[i]`` is (a, b) for axis i, or None for a degenerate
     (zero-filled) axis. ``CompressedGraph.embedding`` gathers a model's
     coords only; its pivots are None.
@@ -58,14 +61,18 @@ class Embedding:
     pivots: Optional[list[Optional[tuple[int, int]]]] = None
 
     def __post_init__(self) -> None:
-        self.coords = check_real("coords", self.coords, order="F")
-        if self.coords.ndim != 2:
-            raise ValueError(f"coords must be 2-d (n, k), not of shape {self.coords.shape}")
-        if self.k < 1:
+        coords = check_real("coords", self.coords)
+        if coords.flags.writeable or coords.base is not None:  # the caller could write it
+            coords = coords.copy(order="F")
+        if coords.ndim != 2:
+            raise ValueError(f"coords must be 2-d (n, k), not of shape {coords.shape}")
+        if coords.shape[1] < 1:
             raise ValueError("embedding must have k >= 1 dimensions")
-        bad = np.flatnonzero(~_coordinates_ok(self.coords).all(axis=1))
+        bad = np.flatnonzero(~_coordinates_ok(coords).all(axis=1))
         if bad.size:
             raise ValueError(f"{_BAD_COORDINATE} at node {bad[0]}")
+        coords.flags.writeable = False
+        object.__setattr__(self, "coords", coords)
 
     @property
     def n(self) -> int:
@@ -74,6 +81,14 @@ class Embedding:
     @property
     def k(self) -> int:
         return self.coords.shape[1]
+
+
+def check_embedding(e) -> Embedding:
+    """``e`` if it is an Embedding; TypeError otherwise, since only an
+    Embedding's coordinates have passed the coordinate rule."""
+    if not isinstance(e, Embedding):
+        raise TypeError(f"embedding must be an Embedding, not {type(e).__name__}")
+    return e
 
 
 def graph_distance_row(g: Graph, u: int) -> np.ndarray:
@@ -186,4 +201,5 @@ def fastmap_embed(g: Graph, k: int, seed: int) -> Embedding:
         pivots.append((a, b))
 
     log.info("fastmap: n=%d k=%d degenerate_axes=%d", n, k, pivots.count(None))
+    coords.flags.writeable = False  # no other name holds it, so Embedding need not copy it
     return Embedding(coords=coords, pivots=pivots)

@@ -205,14 +205,14 @@ def check_int(name: str, value, least: int) -> int:
     return int(value)
 
 
-def check_real(name: str, values, order: str = "K") -> np.ndarray:
-    """``values`` as a float64 array, the dtype a model file holds;
+def check_real(name: str, values) -> np.ndarray:
+    """``values`` as an F-ordered float64 array, the dtype a model file holds;
     ValueError naming the dtype unless it is a real number (numpy kinds
     i, u and f: no bool, complex, object, str, bytes or datetime)."""
     values = np.asarray(values)
     if values.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be real numbers, not of dtype {values.dtype}")
-    return values.astype(np.float64, order=order, copy=False)
+    return values.astype(np.float64, order="F", copy=False)
 
 
 def check_external_ids(ids, n: int) -> np.ndarray:

@@ -35,7 +35,7 @@ from typing import IO, NamedTuple, Optional
 
 import numpy as np
 
-from .fastmap import _BAD_COORDINATE, Embedding, _coordinates_ok, fastmap_embed
+from .fastmap import _BAD_COORDINATE, Embedding, _coordinates_ok, check_embedding, fastmap_embed
 from .fuzzy import FclParseError, FuzzySystem, default_system, evaluate_many, parse_fcl, to_fcl
 from .graph import Graph, _IdMap, check_bool, check_external_ids, check_node_id, check_real
 from .radii import R_NONE, NodeRadii, _group_columns, _grouped_radii, group_points, pair_distances
@@ -113,7 +113,8 @@ class CompressedGraph(_IdMap):
     ``_IdMap`` maps both ways as for a Graph, nothing else is held per
     node, and all are read-only. The constructor groups per-node parts
     once, and refuses with ValueError any part that ``load`` would refuse
-    in a file: ``Embedding`` has already checked k and every coordinate,
+    in a file: ``embedding`` must pass ``check_embedding`` (TypeError),
+    as ``Embedding`` has already checked k and every coordinate,
     ``directed`` and ``radii.quantized`` must pass ``check_bool``,
     ``radii.r`` and ``radii.R`` ``check_real`` (both are held as
     float64), n must be at least 1, the external ids must pass
@@ -128,7 +129,7 @@ class CompressedGraph(_IdMap):
 
     def __init__(self, embedding: Embedding, radii: NodeRadii, directed: bool,
                  fuzzy: FuzzySystem, external_ids: np.ndarray, fcl_text: str) -> None:
-        directed = check_bool("directed", directed)
+        embedding, directed = check_embedding(embedding), check_bool("directed", directed)
         quantized = check_bool("radii.quantized", radii.quantized)
         r, R = check_real("radii.r", radii.r), check_real("radii.R", radii.R)
         sizes = (embedding.n, len(r), len(R), len(external_ids))
@@ -178,7 +179,6 @@ class CompressedGraph(_IdMap):
     def embedding(self) -> Embedding:
         """The n x k coordinates, read-only, gathered through the states; no pivots."""
         coords = self.points_t.take(self.states.point, axis=1).take(self.states.index, axis=1)
-        coords.flags.writeable = False
         return Embedding(coords=coords.T)  # the (k, n) C-ordered table's .T is axis-major
 
     @functools.cached_property

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fastmap import Embedding
+from .fastmap import Embedding, check_embedding
 from .graph import Graph, check_bool
 
 log = logging.getLogger(__name__)
@@ -270,12 +270,12 @@ def compute_all_radii(g: Graph, e: Embedding, quantize: bool = True) -> NodeRadi
     Points are taken a span of max(_BLOCK, _CHUNK // u) at a time: the
     kernel fills the span's distance rows _BLOCK points per call, then
     the nodes on those points go through the rule max(1, _CHUNK // u) at
-    a time, all on the calling thread. ``quantize`` must pass ``check_bool``.
-    ValueError, in this order, for a graph of fewer than 2 nodes and an
-    embedding whose row count is not the graph's n; ``Embedding`` has
-    already checked k and every coordinate.
+    a time, all on the calling thread. ``quantize`` must pass ``check_bool``
+    and ``e`` ``check_embedding``: ``Embedding`` has already checked k and
+    every coordinate. ValueError, in this order, for a graph of fewer than
+    2 nodes and an embedding whose row count is not the graph's n.
     """
-    quantize = check_bool("quantize", quantize)
+    quantize, e = check_bool("quantize", quantize), check_embedding(e)
     if g.n < 2:
         raise ValueError("graph must have at least 2 nodes")
     if e.n != g.n:

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import math
@@ -6,6 +7,7 @@ import struct
 import zlib
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -492,6 +494,34 @@ def test_keyword_model_answers_as_its_file(gnp, make):
     for model in (cg, loaded):
         rep = evaluate_model(model, g, sample_size=None)
         assert rep.pairs == us.size and rep.definite_correct == rep.definite
+
+
+def test_no_write_gets_past_the_coordinate_rule():
+    # an inf written into e.coords after fastmap_embed gave R = inf on a
+    # quarter of the nodes, and the keyword constructor then built a model
+    # whose file load refused; any object with .coords passed as well
+    g = gnp_random_graph(20, 0.3, seed=1)
+    e = fastmap_embed(g, 3, seed=1)
+    radii = compute_all_radii(g, e)
+    with pytest.raises(ValueError, match="read-only"):
+        e.coords[7, 1] = np.inf
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.coords = e.coords.astype(complex)
+    coords = e.coords.copy(order="F")
+    held = Embedding(coords=coords)
+    coords[7, 1] = np.inf  # the caller's array is not the one held
+    assert np.array_equal(held.coords, e.coords) and not held.coords.flags.writeable
+    assert Embedding(coords=e.coords).coords is e.coords  # a read-only owner is not copied
+    again = compute_all_radii(g, held)
+    assert np.array_equal(again.r, radii.r) and np.array_equal(again.R, radii.R)
+    text = default_fcl_text()
+    stub = SimpleNamespace(coords=coords, n=g.n, k=3)
+    for call in (lambda: compute_all_radii(g, stub),
+                 lambda: CompressedGraph(embedding=stub, radii=radii, directed=False,
+                                         fuzzy=parse_fcl(text), external_ids=g.external_ids,
+                                         fcl_text=text)):
+        with pytest.raises(TypeError, match="^embedding must be an Embedding, not SimpleNamespace$"):
+            call()
 
 
 def test_keyword_constructor_holds_float64_radii(uncertain_pair_graph):
