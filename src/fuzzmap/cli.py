@@ -173,8 +173,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"largest_group={np.bincount(cg.states.point.take(cg.states.index)).max()}")
     # the distinct (point, r, R) triples of the file's state table
     print(f"node_states={cg.states.t}")
-    # 0 outside 8 * u**2 <= 8 * k * n or itemsize * t**2 <= 8 * k * n bytes, where
-    # queries run the distance kernel; builds the table
+    # 0 where CompressedGraph.pair_table is None; builds the table
     print(f"pair_table_bytes={0 if cg.pair_table is None else cg.pair_table.codes.nbytes}")
     # true: the file stores the ids as lo alone, false: as n u64 ids
     print(f"id_range={'true' if ids_are_range(cg.external_ids) else 'false'}")

@@ -111,16 +111,9 @@ class CompressedGraph(_IdMap):
     ``points_t`` is the (k, u) table of distinct points in ``group_points``
     order and ``states`` the node states; with the external ids, which
     ``_IdMap`` maps both ways as for a Graph, nothing else is held per
-    node, and all are read-only. The constructor groups per-node parts
-    once, and refuses with ValueError any part that ``load`` would refuse
-    in a file: ``embedding`` must pass ``check_embedding`` (TypeError),
-    as ``Embedding`` has already checked k and every coordinate,
-    ``directed`` and ``radii.quantized`` must pass ``check_bool``,
-    ``radii.r`` and ``radii.R`` ``check_real`` (both are held as
-    float64), n must be at least 1, the external ids must pass
-    ``check_external_ids``, each r ``_r_ok`` and each R ``_R_ok`` (a
-    message names the first bad node), and ``fuzzy`` must equal the
-    parse of ``fcl_text``, a str.
+    node, and all are read-only. The constructor refuses any part that
+    ``load`` would refuse in a file, by the checks ``__init__`` calls,
+    before it groups the per-node parts once.
     ``from_states`` takes the parts grouped.
     ``embedding`` and ``radii`` gather per-node arrays for a caller that
     reads them; no query, save or load does.

@@ -14,9 +14,8 @@ axis, j = 0..k-1, then takes the square root. The radii scan's
 ``pair_distances``, which the model's pair table is scored from too,
 therefore agree bit for bit, which the soundness of definite answers
 rests on. The kernel subtracts in its operands' dtype, so every caller
-passes float64, the dtype a model file holds: ``Embedding`` converts
-its coordinates to float64 and refuses any that fails
-``fastmap._coordinates_ok``, so that no distance overflows.
+passes float64, the dtype a model file holds, as ``Embedding`` holds
+its coordinates.
 Coordinates are axis-major (``Embedding.coords`` is Fortran-ordered), so
 ``coords.T`` is the C-contiguous (k, n) table and each caller hands the
 kernel contiguous axis rows, or one gather per axis for m pairs: no row
@@ -271,9 +270,9 @@ def compute_all_radii(g: Graph, e: Embedding, quantize: bool = True) -> NodeRadi
     kernel fills the span's distance rows _BLOCK points per call, then
     the nodes on those points go through the rule max(1, _CHUNK // u) at
     a time, all on the calling thread. ``quantize`` must pass ``check_bool``
-    and ``e`` ``check_embedding``: ``Embedding`` has already checked k and
-    every coordinate. ValueError, in this order, for a graph of fewer than
-    2 nodes and an embedding whose row count is not the graph's n.
+    and ``e`` ``check_embedding``; then ValueError, in this order, for a
+    graph of fewer than 2 nodes and an embedding whose row count is not
+    the graph's n.
     """
     quantize, e = check_bool("quantize", quantize), check_embedding(e)
     if g.n < 2:

@@ -53,10 +53,39 @@ def test_info_fields(sample_model, capsys):
         ("6", "2", "true", "false")
 
 
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+# what an input rule may raise; a rule the CLI's option parser checks raises none ("—")
+RULE_EXCEPTIONS = {"ValueError", "TypeError", "GraphParseError", "FclParseError",
+                   "ModelFormatError"}
+
+
 def test_readme_lists_the_info_keys():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    (comment,) = re.findall(r"^fuzzmap info g\.fzg +# (.*)$", readme, flags=re.M)
+    (comment,) = re.findall(r"^fuzzmap info g\.fzg +# (.*)$", README, flags=re.M)
     assert comment.split(", ") == INFO_KEYS
+
+
+def test_readme_input_rules_name_real_tests_and_messages():
+    # each row of the Input-rules table: input | rule | exception and message
+    # stem | CLI exit | test; no README line outside it names an exception class
+    section = README.split("\n## Input rules\n", 1)[1].split("\n## ", 1)[0]
+    lines = [line for line in section.splitlines() if line.startswith("|")][2:]  # no header
+    named = [line for line in README.splitlines() if re.search(r"\b\w+Error\b", line)]
+    assert set(named) <= set(lines)
+    tests = {path.name: path.read_text(encoding="utf-8") for path in (ROOT / "tests").glob("*.py")}
+    source = "".join(path.read_text(encoding="utf-8")
+                     for path in (ROOT / "src" / "fuzzmap").glob("*.py"))
+    rows = [line.strip("|").split("|") for line in lines]
+    assert rows and all(len(row) == 5 for row in rows)
+    for _, _, raised, code, test in rows:
+        exception, stem = re.fullmatch(r" (?:`(\w+)`|—) `([^`]+)` ", raised).groups()
+        if exception is None:
+            assert code == " 1 ", raised
+        else:
+            assert exception in RULE_EXCEPTIONS and code in (" 2 ", " 3 ", " — "), raised
+        assert stem in source, stem
+        file, name = re.fullmatch(r" `(test_\w+\.py)::(test_\w+)(?:\[[^\]]+\])?` ", test).groups()
+        assert re.search(rf"^def {name}\(", tests.get(file, ""), flags=re.M), test
 
 
 def info_fields(model, capsys) -> dict:

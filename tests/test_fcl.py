@@ -223,6 +223,9 @@ MALFORMED = {
         variant("(0.0, 0.0) (1.0, 1.0);\n        TERM close_to_R",
                 "(0.2, 0.0) (0.1, 1.0);\n        TERM close_to_R"),
         "line 10: TERM close_to_r: non-increasing x in membership vertices"),
+    "mu-above-one": (
+        variant("(0.0, 0.0) (1.0, 1.0);", "(0.0, 0.0) (1.0, 1.5);"),
+        "line 10: TERM close_to_r: membership values must lie in [0, 1]"),
     # float() reads nan, inf and infinity, but they are identifiers, not numbers
     "nan-vertex": (
         variant("(0.0, 0.0) (1.0, 1.0);", "(0.0, 0.0) (nan, 1.0) (1.0, 1.0);"),

@@ -18,6 +18,7 @@ from hypothesis.extra.numpy import arrays
 from fuzzmap import (
     Answer,
     CompressedGraph,
+    FclParseError,
     ModelFormatError,
     NodeRadii,
     build,
@@ -417,6 +418,13 @@ def test_fcl_text_must_be_a_str(wrap, uncertain_pair_graph, monkeypatch):
             call()
         if isinstance(fcl, io.StringIO):
             assert fcl.tell() == 0
+
+
+def test_bad_fcl_fails_before_the_embedding(uncertain_pair_graph, monkeypatch):
+    monkeypatch.setattr(oracle, "fastmap_embed", no_embedding)
+    text = "FUNCTION_BLOCK x\nWHATEVER;\nEND_FUNCTION_BLOCK\n"
+    with pytest.raises(FclParseError, match="^line 2: unknown keyword 'WHATEVER'$"):
+        build(uncertain_pair_graph, k=2, seed=0, fcl_text=text)
 
 
 def _node_part(cg: CompressedGraph, name: str, node: int, value: float) -> dict:
