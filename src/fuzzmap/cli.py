@@ -10,15 +10,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .fuzzy import FclParseError
-from .graph import GraphParseError, load_edge_list
+from .fuzzy import parse_fcl
+from .graph import load_edge_list
 from .harness import DEFAULT_SAMPLE, evaluate_model, reports_to_csv, sweep_k
-from .oracle import (FORMAT_VERSION, ModelFormatError, build, ids_are_range, load_file, query,
-                     save_file)
+from .oracle import FORMAT_VERSION, build, ids_are_range, load_file, query, save_file
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -120,11 +120,13 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:
+    try:  # --fcl first, so a bad one is named before any edge is read
+        fcl_text = Path(args.fcl).read_text(encoding="utf-8") if args.fcl else None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"--fcl file is not UTF-8 ({args.fcl}): {exc}") from None
+    if fcl_text is not None:
+        parse_fcl(fcl_text)  # build parses it again, after the edge list
     g = load_edge_list(args.input, directed=args.directed)
-    fcl_text = None
-    if args.fcl:
-        with open(args.fcl, "r", encoding="utf-8") as f:
-            fcl_text = f.read()
     cg = build(g, k=args.k, seed=args.seed, quantize=args.quantize, fcl_text=fcl_text)
     nbytes = save_file(cg, args.output)
     print(f"n={cg.n} k={cg.k} bytes={nbytes}")
@@ -201,7 +203,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # argparse -h/--help
         return int(exc.code or 0)
-    except (GraphParseError, FclParseError, ModelFormatError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # the library's parse and format errors are ValueErrors
         print(f"fuzzmap: {exc}", file=sys.stderr)
         return EXIT_IO
 

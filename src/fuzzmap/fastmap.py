@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .graph import Graph, check_int, check_real
+from .graph import Graph, check_int, check_real, hold
 
 PIVOT_SEARCH_ITERATIONS = 5  # classic FastMap heuristic constant
 
@@ -49,9 +49,8 @@ class Embedding:
     file compute the same distances; and axis-major: the (n, k) array in
     Fortran order, so ``coords.T`` is the C-contiguous (k, n) table the
     distance kernel reads one axis at a time. The Embedding is frozen and
-    ``coords`` read-only, a copy unless it was passed as a read-only array
-    that owns its memory (as ``fastmap_embed`` passes its own), so no
-    later write, to it or to an array the caller holds, gets past the rule.
+    ``coords`` held by ``graph.hold``, so no later write, to it or to an
+    array the caller holds, gets past the rule.
     ``pivots[i]`` is (a, b) for axis i, or None for a degenerate
     (zero-filled) axis. ``CompressedGraph.embedding`` gathers a model's
     coords only; its pivots are None.
@@ -61,9 +60,7 @@ class Embedding:
     pivots: Optional[list[Optional[tuple[int, int]]]] = None
 
     def __post_init__(self) -> None:
-        coords = check_real("coords", self.coords)
-        if coords.flags.writeable or coords.base is not None:  # the caller could write it
-            coords = coords.copy(order="F")
+        coords = hold(check_real("coords", self.coords), np.float64)
         if coords.ndim != 2:
             raise ValueError(f"coords must be 2-d (n, k), not of shape {coords.shape}")
         if coords.shape[1] < 1:
@@ -71,7 +68,6 @@ class Embedding:
         bad = np.flatnonzero(~_coordinates_ok(coords).all(axis=1))
         if bad.size:
             raise ValueError(f"{_BAD_COORDINATE} at node {bad[0]}")
-        coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)
 
     @property
@@ -201,5 +197,5 @@ def fastmap_embed(g: Graph, k: int, seed: int) -> Embedding:
         pivots.append((a, b))
 
     log.info("fastmap: n=%d k=%d degenerate_axes=%d", n, k, pivots.count(None))
-    coords.flags.writeable = False  # no other name holds it, so Embedding need not copy it
+    coords.flags.writeable = False  # no other name holds it, so hold need not copy it
     return Embedding(coords=coords, pivots=pivots)

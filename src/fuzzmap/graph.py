@@ -76,7 +76,7 @@ class _IdMap:
         return int(self.external_ids[internal])
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Graph(_IdMap):
     """Compressed-sparse-row (CSR) graph over dense internal ids.
 
@@ -85,8 +85,9 @@ class Graph(_IdMap):
     nodes at once from ``indptr`` and ``indices``, other modules through
     ``neighbors`` and ``edges``. ``external_ids[u]`` is the original id of
     internal node u; sorted ascending, so the mapping is canonical, and
-    ``_IdMap`` maps ids both ways. Instances are immutable and safe for
-    concurrent readers.
+    ``_IdMap`` maps ids both ways. The Graph is frozen and each array is
+    held by ``hold``, so no later write, to it or to an array the caller
+    holds, gets past the checks; instances are safe for concurrent readers.
 
     Construction rejects, with ValueError, arrays that are not such a
     graph: offsets or neighbor ids of a dtype that is not an integer one
@@ -107,16 +108,13 @@ class Graph(_IdMap):
     external_ids: np.ndarray  # (n,) uint64, internal id -> external id
 
     def __post_init__(self) -> None:
-        self.n = check_int("n", self.n, 0)
-        self.directed = check_bool("directed", self.directed)
-        # read-only int64 views; an array the caller passed in stays writable
+        object.__setattr__(self, "n", check_int("n", self.n, 0))
+        object.__setattr__(self, "directed", check_bool("directed", self.directed))
         for name in ("indptr", "indices"):
             values = np.asarray(getattr(self, name))
             if values.dtype.kind not in "iu":  # a float would be truncated, a bool read as 0/1
                 raise ValueError(f"{name} must be an integer array, not {values.dtype}")
-            values = values.astype(np.int64, copy=False).view()
-            values.flags.writeable = False
-            setattr(self, name, values)
+            object.__setattr__(self, name, hold(values, np.int64))
         n, indptr, indices = self.n, self.indptr, self.indices
         if (indptr.shape != (n + 1,) or indices.ndim != 1 or indptr[0] != 0
                 or indptr[-1] != indices.shape[0] or np.any(np.diff(indptr) < 0)):
@@ -136,7 +134,7 @@ class Graph(_IdMap):
             owner += indices
             if not np.array_equal(flipped, owner):
                 raise ValueError("undirected graph rows must be symmetric")
-        self.external_ids = check_external_ids(self.external_ids, n)
+        object.__setattr__(self, "external_ids", check_external_ids(self.external_ids, n))
 
     @property
     def num_edges(self) -> int:
@@ -215,8 +213,22 @@ def check_real(name: str, values) -> np.ndarray:
     return values.astype(np.float64, order="F", copy=False)
 
 
+def hold(values: np.ndarray, dtype: type) -> np.ndarray:
+    """``values`` as a read-only ``dtype`` array that is its holder's own:
+    the array itself when it already is one and owns its memory, else one
+    read-only copy, in the same memory order. The holding rule of every
+    array a Graph, an Embedding or a model takes from a caller, so no
+    later write through a name the caller keeps reaches what was checked.
+    A caller that passes a read-only array owning its memory hands it
+    over, as ``graph_from_edges`` and ``fastmap_embed`` do theirs.
+    """
+    held = values.astype(dtype, copy=values.flags.writeable or values.base is not None)
+    held.flags.writeable = False
+    return held
+
+
 def check_external_ids(ids, n: int) -> np.ndarray:
-    """``ids`` as a read-only uint64 view; an array the caller passed in stays writable.
+    """``ids`` as uint64, held by ``hold``.
 
     ValueError unless they are n strictly increasing values of an integer
     dtype (bool excluded) in [0, 2**64): ``_IdMap.internal_id`` searches
@@ -225,8 +237,7 @@ def check_external_ids(ids, n: int) -> np.ndarray:
     ids = np.asarray(ids)
     if ids.dtype.kind not in "iu" or (ids.dtype.kind == "i" and ids.size and ids.min() < 0):
         raise ValueError("external_ids must be integers in [0, 2**64)")
-    ids = ids.astype(np.uint64, copy=False).view()
-    ids.flags.writeable = False
+    ids = hold(ids, np.uint64)
     if ids.shape != (n,) or np.any(ids[1:] <= ids[:-1]):
         raise ValueError("external_ids must hold n strictly increasing ids")
     return ids
@@ -298,6 +309,7 @@ def graph_from_edges(pairs: Iterable[tuple[int, int]] | np.ndarray,
     del keep
     indptr = np.searchsorted(keys, np.arange(n + 1) * n)
     keys %= n  # sorted, deduplicated rows of neighbor ids
+    indptr.flags.writeable = keys.flags.writeable = ids.flags.writeable = False  # Graph holds them
     return Graph(n=n, directed=directed, indptr=indptr, indices=keys, external_ids=ids)
 
 
@@ -347,7 +359,11 @@ def parse_edge_list(text: str | bytes | IO, directed: bool = False) -> Graph:
         text = text.read()
     if isinstance(text, str):
         text = text.encode("utf-8", "surrogatepass")  # a lone surrogate fails the UTF-8 check
-    data = text if isinstance(text, bytes) else memoryview(text).tobytes()
+    try:
+        data = text if isinstance(text, bytes) else memoryview(text).tobytes()
+    except TypeError:
+        raise TypeError("text must be a str, a bytes-like object or a stream, "
+                        f"not {type(text).__name__}") from None
     return graph_from_edges(_read_ids(data), directed=directed)
 
 
@@ -447,8 +463,6 @@ def canonical_edge_list(g: Graph) -> str:
     empty graph (GraphParseError).
     """
     us, vs = g.edges()  # internal order == ascending external order
-    ext = g.external_ids
-    ends = np.empty((us.shape[0], 2), dtype=ext.dtype)
-    ends[:, 0], ends[:, 1] = ext[us], ext[vs]
+    ends = np.column_stack((g.external_ids[us], g.external_ids[vs]))
     # tolist gives Python ints, which %d writes exactly beyond int64
     return ("%d %d\n" * us.shape[0]) % tuple(ends.ravel().tolist()) or "\n"

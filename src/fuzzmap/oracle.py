@@ -147,7 +147,12 @@ class CompressedGraph(_IdMap):
     @classmethod
     def from_states(cls, points_t: np.ndarray, states: NodeStates, directed: bool, quantized: bool,
                     fuzzy: FuzzySystem, external_ids: np.ndarray, fcl_text: str) -> CompressedGraph:
-        """The model of points and states already in ``node_states`` order; unchecked."""
+        """The model of points and states already in ``node_states`` order; unchecked.
+
+        The model takes the arrays as its own and makes them read-only, so
+        only ``build``, ``load`` and the keyword constructor call it, with
+        arrays they made or a Graph holds.
+        """
         cg = cls.__new__(cls)
         cg.points_t, cg.states, cg.directed, cg.quantized = points_t, states, directed, quantized
         cg.fuzzy, cg.external_ids, cg.fcl_text = fuzzy, external_ids, fcl_text
@@ -338,7 +343,7 @@ def build(
     radii = _grouped_radii(g, groups, quantize)
     return CompressedGraph.from_states(
         groups.points_t, node_states(groups.inv, radii.r, radii.R), g.directed, quantize,
-        system, g.external_ids.copy(), fcl_text)
+        system, g.external_ids, fcl_text)
 
 
 def query_arrays(

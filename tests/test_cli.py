@@ -346,6 +346,19 @@ def test_bad_fcl_exits_2(sample_edge_file, tmp_path, capsys):
         assert named in capsys.readouterr().err
 
 
+def test_bad_fcl_is_named_before_the_input_is_read(tmp_path, capsys):
+    # compress parsed the whole edge list before it read --fcl, and a file
+    # that was not UTF-8 gave Python's codec message, naming neither
+    fcl = tmp_path / "bad.fcl"
+    for content, named in ((b"FUNCTION_BLOCK \xff\n", f"--fcl file is not UTF-8 ({fcl}): 'utf-8'"),
+                           (b"FUNCTION_BLOCK x\nWHATEVER;\nEND_FUNCTION_BLOCK\n", "line 2")):
+        fcl.write_bytes(content)
+        assert run(["compress", "--input", str(tmp_path / "missing.txt"), "--output",
+                    str(tmp_path / "m.fzg"), "--k", "2", "--fcl", str(fcl)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "missing.txt" not in err
+
+
 # specs the k-range parser accepts, with the k values it once built as a list
 K_RANGES = {"4": [4], " 4 ": [4], "1": [1], "2:4": [2, 3, 4], "3:3": [3], "2:6:2": [2, 4, 6],
             "1:10:3": [1, 4, 7, 10], "1:2:5": [1], "+2:03": [2, 3], "5:5:9": [5]}

@@ -145,9 +145,12 @@ def test_non_ascii_comment_is_skipped(monkeypatch, chunk):
 
 def test_memoryview_input_and_non_text_rejected():
     # every bytes-like input is read as bytes; anything else is a TypeError
+    # of the library's own, where it was memoryview's
     assert parse_edge_list(memoryview(b"1 2\n")) == parse_edge_list("1 2\n")
-    with pytest.raises(TypeError):
-        parse_edge_list(12)
+    for text, kind in ((12, "int"), (None, "NoneType"), ([b"1 2\n"], "list")):
+        stem = "text must be a str, a bytes-like object or a stream"
+        with pytest.raises(TypeError, match=rf"^{stem}, not {kind}$"):
+            parse_edge_list(text)
 
 
 def test_grammar_decorations_give_the_plain_graph():

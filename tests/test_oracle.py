@@ -19,6 +19,7 @@ from fuzzmap import (
     Answer,
     CompressedGraph,
     FclParseError,
+    Graph,
     ModelFormatError,
     NodeRadii,
     build,
@@ -30,7 +31,9 @@ from fuzzmap import (
     gnp_random_graph,
     graph_from_edges,
     load,
+    parse_edge_list,
     parse_fcl,
+    preferential_attachment_graph,
     query,
     query_arrays,
     save,
@@ -530,6 +533,57 @@ def test_no_write_gets_past_the_coordinate_rule():
                                          fcl_text=text)):
         with pytest.raises(TypeError, match="^embedding must be an Embedding, not SimpleNamespace$"):
             call()
+
+
+def caller_held_graph(seed: int) -> tuple[Graph, Graph, dict]:
+    """A directed G(60, 0.2), a Graph of copies of its arrays, and those copies."""
+    source = gnp_random_graph(60, 0.2, seed=seed, directed=True)
+    parts = {name: getattr(source, name).copy() for name in ("indptr", "indices", "external_ids")}
+    return source, Graph(n=source.n, directed=True, **parts), parts
+
+
+@pytest.mark.parametrize("case", ["indptr", "indices", "external_ids", "fields", "model-ids",
+                                  "seed-12", "seed-28"])
+def test_no_write_gets_past_the_holding_rule(case):
+    # Graph and check_external_ids held read-only views of the caller's
+    # arrays, and a Graph's fields could be reassigned, so a later write
+    # got past every check
+    seed = int(case[5:]) if case.startswith("seed-") else 1
+    source, g, parts = caller_held_graph(seed)
+    if case in parts:
+        parts[case][:] = parts[case][::-1].copy()
+        assert g == source and not getattr(g, case).flags.writeable
+    elif case == "fields":
+        for name in ("n", "directed", "indptr", "indices", "external_ids"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(g, name, getattr(source, name))
+    elif case == "model-ids":
+        # the written ids reached the model, whose saved file load refused
+        cg = build(g, k=3, seed=seed)
+        ids = cg.external_ids.copy()
+        model = keyword_model(cg, external_ids=ids)
+        ids[:] = ids[::-1].copy()
+        assert np.array_equal(model.external_ids, source.external_ids)
+        assert roundtrip(model)[2] == roundtrip(cg)[2]
+    else:
+        # a repeated neighbor written into every row: on these seeds the
+        # model gave one definite answer each that the written graph refuted
+        indptr, indices = parts["indptr"], parts["indices"]
+        for lo, hi in zip(indptr[:-1], indptr[1:]):
+            if hi - lo >= 2:
+                indices[lo + 1] = indices[lo]
+        report = evaluate_model(build(g, k=3, seed=seed), g, sample_size=None)
+        assert report.definite_correct == report.definite > 0
+
+
+def test_the_build_path_holds_each_graph_array_once():
+    # parsed and generated graphs held read-only views of the arrays
+    # graph_from_edges made, and build copied the ids into the model
+    for g in (parse_edge_list("1 2\n2 3\n3 1\n3 4\n"), preferential_attachment_graph(50, 2, seed=1),
+              gnp_random_graph(40, 0.2, seed=1, directed=True)):
+        for array in (g.indptr, g.indices, g.external_ids):
+            assert array.base is None and not array.flags.writeable
+        assert np.shares_memory(build(g, k=2, seed=0).external_ids, g.external_ids)
 
 
 def test_keyword_constructor_holds_float64_radii(uncertain_pair_graph):
