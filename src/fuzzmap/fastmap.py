@@ -48,9 +48,8 @@ class Embedding:
     is held as float64, the dtype a model file holds, so a model and its
     file compute the same distances; and axis-major: the (n, k) array in
     Fortran order, so ``coords.T`` is the C-contiguous (k, n) table the
-    distance kernel reads one axis at a time. The Embedding is frozen and
-    ``coords`` held by ``graph.hold``, so no later write, to it or to an
-    array the caller holds, gets past the rule.
+    distance kernel reads one axis at a time. The Embedding follows the
+    holding rule (``graph.hold``), so no later write gets past the checks.
     ``pivots[i]`` is (a, b) for axis i, or None for a degenerate
     (zero-filled) axis. ``CompressedGraph.embedding`` gathers a model's
     coords only; its pivots are None.

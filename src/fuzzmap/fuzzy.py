@@ -11,8 +11,10 @@ with COG) and are immutable once built; evaluation is pure.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from importlib import resources
+from types import MappingProxyType
 
 import numpy as np
 
@@ -71,12 +73,17 @@ class FuzzyRule:
 
 @dataclass(frozen=True)
 class FuzzySystem:
-    """Validated Mamdani system: min activation, max accumulation, COG."""
+    """Validated Mamdani system: min activation, max accumulation, COG.
+
+    The system follows the holding rule (``graph.hold``): it is frozen, and
+    it holds its term maps as read-only copies, so its compiled rules,
+    ``to_fcl`` and ``==`` describe one system.
+    """
 
     input_var: str
     output_var: str
-    input_terms: dict[str, MembershipFunction]
-    output_terms: dict[str, MembershipFunction]
+    input_terms: Mapping[str, MembershipFunction]
+    output_terms: Mapping[str, MembershipFunction]
     rules: tuple[FuzzyRule, ...]
     default_output: float = 0.5  # returned when no rule fires at all
     # per rule: antecedent term and consequent term sampled on the grid
@@ -94,6 +101,8 @@ class FuzzySystem:
                 raise FclParseError(f"unresolved input term '{rule.antecedent}'")
             if rule.consequent not in self.output_terms:
                 raise FclParseError(f"unresolved output term '{rule.consequent}'")
+        for name in ("input_terms", "output_terms"):  # read-only copies: _compiled is made of them
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
         compiled = tuple(
             (self.input_terms[rule.antecedent], self.output_terms[rule.consequent].at(_GRID))
             for rule in self.rules
@@ -359,7 +368,7 @@ def _fmt(value: float) -> str:
 def to_fcl(sys: FuzzySystem) -> str:
     """Serialize a system to FCL text that parses back to equal behavior."""
 
-    def term_lines(terms: dict[str, MembershipFunction]):
+    def term_lines(terms: Mapping[str, MembershipFunction]):
         for term, mf in terms.items():
             pts = " ".join(f"({_fmt(x)}, {_fmt(mu)})" for x, mu in mf.vertices)
             yield f"        TERM {term} := {pts};"

@@ -85,9 +85,9 @@ class Graph(_IdMap):
     nodes at once from ``indptr`` and ``indices``, other modules through
     ``neighbors`` and ``edges``. ``external_ids[u]`` is the original id of
     internal node u; sorted ascending, so the mapping is canonical, and
-    ``_IdMap`` maps ids both ways. The Graph is frozen and each array is
-    held by ``hold``, so no later write, to it or to an array the caller
-    holds, gets past the checks; instances are safe for concurrent readers.
+    ``_IdMap`` maps ids both ways. The Graph follows the holding rule
+    (``hold``), so no later write gets past the checks; instances are
+    safe for concurrent readers.
 
     Construction rejects, with ValueError, arrays that are not such a
     graph: offsets or neighbor ids of a dtype that is not an integer one
@@ -204,25 +204,29 @@ def check_int(name: str, value, least: int) -> int:
 
 
 def check_real(name: str, values) -> np.ndarray:
-    """``values`` as an F-ordered float64 array, the dtype a model file holds;
-    ValueError naming the dtype unless it is a real number (numpy kinds
-    i, u and f: no bool, complex, object, str, bytes or datetime)."""
+    """``values`` as an array, unconverted (``hold`` converts it); ValueError
+    naming the dtype unless it is a real number (numpy kinds i, u and f:
+    no bool, complex, object, str, bytes or datetime)."""
     values = np.asarray(values)
     if values.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be real numbers, not of dtype {values.dtype}")
-    return values.astype(np.float64, order="F", copy=False)
+    return values
 
 
 def hold(values: np.ndarray, dtype: type) -> np.ndarray:
-    """``values`` as a read-only ``dtype`` array that is its holder's own:
-    the array itself when it already is one and owns its memory, else one
-    read-only copy, in the same memory order. The holding rule of every
-    array a Graph, an Embedding or a model takes from a caller, so no
-    later write through a name the caller keeps reaches what was checked.
-    A caller that passes a read-only array owning its memory hands it
-    over, as ``graph_from_edges`` and ``fastmap_embed`` do theirs.
+    """``values`` as a read-only, Fortran-ordered ``dtype`` array that is its
+    holder's own: the array itself when it already is one and owns its
+    memory, else one read-only copy, converted in the same step.
+
+    The holding rule of fuzzmap's records: every record it hands out is
+    frozen (a Graph, an Embedding, a model, a FuzzySystem and its term
+    maps, NodeRadii, PointGroups, EvalReport and the named tuples),
+    and every array a Graph, an Embedding or a model keeps is held here,
+    so no later write through a name the caller keeps reaches what was
+    checked. A caller that passes a read-only array owning its memory
+    hands it over, as ``graph_from_edges`` and ``fastmap_embed`` do theirs.
     """
-    held = values.astype(dtype, copy=values.flags.writeable or values.base is not None)
+    held = values.astype(dtype, order="F", copy=values.flags.writeable or values.base is not None)
     held.flags.writeable = False
     return held
 

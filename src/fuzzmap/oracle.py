@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import struct
 import zlib
+from dataclasses import FrozenInstanceError
 from typing import IO, NamedTuple, Optional
 
 import numpy as np
@@ -111,9 +112,10 @@ class CompressedGraph(_IdMap):
     ``points_t`` is the (k, u) table of distinct points in ``group_points``
     order and ``states`` the node states; with the external ids, which
     ``_IdMap`` maps both ways as for a Graph, nothing else is held per
-    node, and all are read-only. The constructor refuses any part that
-    ``load`` would refuse in a file, by the checks ``__init__`` calls,
-    before it groups the per-node parts once.
+    node. The model follows the holding rule (``graph.hold``): it is
+    frozen, so it answers as its file does. The constructor refuses any
+    part that ``load`` would refuse in a file, by the checks ``__init__``
+    calls, before it groups the per-node parts once.
     ``from_states`` takes the parts grouped.
     ``embedding`` and ``radii`` gather per-node arrays for a caller that
     reads them; no query, save or load does.
@@ -124,7 +126,7 @@ class CompressedGraph(_IdMap):
                  fuzzy: FuzzySystem, external_ids: np.ndarray, fcl_text: str) -> None:
         embedding, directed = check_embedding(embedding), check_bool("directed", directed)
         quantized = check_bool("radii.quantized", radii.quantized)
-        r, R = check_real("radii.r", radii.r), check_real("radii.R", radii.R)
+        r, R = (np.asarray(check_real(f"radii.{x}", getattr(radii, x)), np.float64) for x in "rR")
         sizes = (embedding.n, len(r), len(R), len(external_ids))
         if len(set(sizes)) != 1:
             raise ValueError("model parts disagree in n: {} coordinate rows, {} r, {} R, "
@@ -149,16 +151,22 @@ class CompressedGraph(_IdMap):
                     fuzzy: FuzzySystem, external_ids: np.ndarray, fcl_text: str) -> CompressedGraph:
         """The model of points and states already in ``node_states`` order; unchecked.
 
-        The model takes the arrays as its own and makes them read-only, so
+        Sets the fields once, in the instance dict, and takes the arrays as
+        its own under the holding rule (``graph.hold``) without a copy, so
         only ``build``, ``load`` and the keyword constructor call it, with
         arrays they made or a Graph holds.
         """
         cg = cls.__new__(cls)
-        cg.points_t, cg.states, cg.directed, cg.quantized = points_t, states, directed, quantized
-        cg.fuzzy, cg.external_ids, cg.fcl_text = fuzzy, external_ids, fcl_text
+        vars(cg).update(points_t=points_t, states=states, directed=directed, quantized=quantized,
+                        fuzzy=fuzzy, external_ids=external_ids, fcl_text=fcl_text)
         for array in (points_t, *states, external_ids):  # the pair table would not follow an edit
             array.flags.writeable = False
         return cg
+
+    def _frozen(self, name: str, *value) -> None:
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __setattr__ = __delattr__ = _frozen
 
     @property
     def n(self) -> int:
@@ -175,9 +183,12 @@ class CompressedGraph(_IdMap):
 
     @functools.cached_property
     def embedding(self) -> Embedding:
-        """The n x k coordinates, read-only, gathered through the states; no pivots."""
-        coords = self.points_t.take(self.states.point, axis=1).take(self.states.index, axis=1)
-        return Embedding(coords=coords.T)  # the (k, n) C-ordered table's .T is axis-major
+        """The n x k coordinates, gathered through the states; no pivots."""
+        coords = np.empty((self.n, self.k), order="F")  # axis-major, so hold keeps it as is
+        # every index is in range; take buffers ``out`` in its default mode, not in "clip"
+        self.points_t.take(self.states.point[self.states.index], axis=1, out=coords.T, mode="clip")
+        coords.flags.writeable = False
+        return Embedding(coords=coords)
 
     @functools.cached_property
     def radii(self) -> NodeRadii:

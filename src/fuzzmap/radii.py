@@ -59,7 +59,7 @@ _BLOCK = 4  # points per kernel call in the radii scan
 _CHUNK = 1 << 18  # scratch elements (nodes x u) per rule call
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class NodeRadii:
     r: np.ndarray  # (n,) float64, -1.0 sentinel
     R: np.ndarray  # (n,) float64, +inf sentinel
@@ -106,7 +106,7 @@ def pair_distances(coords: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.nda
     return _axis_distances(((c[us], c[vs]) for c in coords.T), np.empty(shape), np.empty(shape))
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class PointGroups:
     """The distinct points of an embedding and the nodes on each.
 

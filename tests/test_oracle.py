@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import struct
+import tracemalloc
 import zlib
 from collections import Counter
 from fractions import Fraction
@@ -19,12 +20,14 @@ from fuzzmap import (
     Answer,
     CompressedGraph,
     FclParseError,
+    FuzzySystem,
     Graph,
     ModelFormatError,
     NodeRadii,
     build,
     compute_all_radii,
     default_fcl_text,
+    default_system,
     evaluate,
     evaluate_model,
     fastmap_embed,
@@ -38,6 +41,7 @@ from fuzzmap import (
     query_arrays,
     save,
     sweep_k,
+    to_fcl,
 )
 from fuzzmap import oracle
 from fuzzmap.cli import run
@@ -586,6 +590,116 @@ def test_the_build_path_holds_each_graph_array_once():
         assert np.shares_memory(build(g, k=2, seed=0).external_ids, g.external_ids)
 
 
+MODEL_FIELDS = ("points_t", "states", "directed", "quantized", "fuzzy", "external_ids", "fcl_text")
+
+
+def answers_like_its_file(cg: CompressedGraph) -> bool:
+    """Whether every pair answers alike from the model and from its saved file."""
+    us, vs = np.nonzero(~np.eye(cg.n, dtype=bool))
+    return all(a.tobytes() == b.tobytes()
+               for a, b in zip(query_arrays(cg, us, vs), query_arrays(roundtrip(cg)[0], us, vs)))
+
+
+@pytest.mark.parametrize("case", ["built", "loaded", "keyword", "radii-and-groups",
+                                  "reversed-ids", "other-fuzzy", "directed-after-query",
+                                  "edited-term"])
+def test_every_record_is_frozen(monkeypatch, case):
+    # a model's fields could be reassigned, NodeRadii and PointGroups were
+    # plain dataclasses, and a FuzzySystem's term dicts could be edited after
+    # its rules were compiled, so a model could answer unlike its own file
+    g = gnp_random_graph(60, 0.2, seed=3)
+    cg = build(g, k=3, seed=1)
+    other_adjacent = parse_fcl(default_fcl_text().replace(
+        "TERM adjacent := (0.0, 0.0) (1.0, 1.0);",
+        "TERM adjacent := (0.0, 0.0) (0.3, 1.0) (1.0, 1.0);"))
+    if case in ("built", "loaded", "keyword"):
+        monkeypatch.setattr(oracle, "_TABLE_COORD_RATIO", _TABLE_ALWAYS)
+        model = {"built": cg, "loaded": roundtrip(cg)[0], "keyword": keyword_model(cg)}[case]
+        for name in MODEL_FIELDS:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(model, name, getattr(model, name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(model, name)
+        # the derived views are still built once, on first use
+        assert model.pair_table is not None and model.pair_table is model.pair_table
+        assert model.embedding is model.embedding and model.radii is model.radii
+        for name in ("pair_table", "embedding", "radii"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(model, name, None)
+        assert answers_like_its_file(model)
+    elif case == "radii-and-groups":
+        for record in (cg.radii, compute_all_radii(g, cg.embedding),
+                       group_points(cg.embedding.coords)):
+            for field in dataclasses.fields(record):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, field.name, getattr(record, field.name))
+    elif case == "reversed-ids":
+        # save wrote a file that load refused: external ids not strictly increasing
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cg.external_ids = cg.external_ids[::-1].copy()
+        assert answers_like_its_file(cg)
+    elif case == "other-fuzzy":
+        # 222 of the 1,770 pairs answered unlike the saved file
+        assert cg.pair_table is None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cg.fuzzy = other_adjacent
+        assert answers_like_its_file(cg)
+    elif case == "directed-after-query":
+        # the pair table of the first query stayed undirected: 50,474 of the
+        # 1,999,000 reversed pairs answered unlike the saved file
+        big = build(preferential_attachment_graph(2000, 3, seed=1), k=4, seed=1)
+        query_arrays(big, [0], [1])
+        assert big.pair_table is not None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            big.directed = True
+        assert not big.directed and not roundtrip(big)[0].directed
+    else:
+        # the edited system passed the keyword constructor's check, its terms
+        # equal to the parse of the text, but evaluated its old compiled rules:
+        # 385 of the 1,770 pairs answered unlike the model's file
+        system = default_system()
+        with pytest.raises(TypeError):
+            system.input_terms["close_to_r"] = other_adjacent.output_terms["adjacent"]
+        with pytest.raises(TypeError):
+            del system.output_terms["adjacent"]
+        assert system == parse_fcl(default_fcl_text()) == parse_fcl(to_fcl(system))
+        # a system holds copies of the caller's term maps, not the maps
+        terms = dict(system.input_terms)
+        held = FuzzySystem(system.input_var, system.output_var, terms, system.output_terms,
+                           system.rules)
+        terms["close_to_r"] = other_adjacent.output_terms["adjacent"]
+        assert held == system and to_fcl(held) == to_fcl(system)
+        assert answers_like_its_file(keyword_model(cg, fuzzy=system))
+
+
+def traced_peak(make) -> tuple[object, int]:
+    """``make()`` and the peak of the bytes it had allocated at once, as tracemalloc saw them."""
+    tracemalloc.start()
+    try:
+        made = make()
+        return made, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_each_per_node_view_is_held_once():
+    # the embedding gathered a (k, n) table whose .T view hold copied again
+    # (305,065 traced bytes at peak), and Embedding converted float32 or
+    # C-ordered coords in check_real before hold copied them (256,681)
+    cg = roundtrip(build(preferential_attachment_graph(2000, 5, seed=1), k=8, seed=1))[0]
+    table = 8 * cg.n * cg.k
+    assert table == 128_000
+    embedding, peak = traced_peak(lambda: cg.embedding)
+    assert peak < 1.75 * table
+    coords = embedding.coords
+    assert coords.base is None and coords.flags.f_contiguous and not coords.flags.writeable
+    for copy in (coords.astype(np.float32), np.ascontiguousarray(coords)):
+        held, peak = traced_peak(lambda: Embedding(coords=copy))
+        assert peak < 1.75 * table
+        assert np.array_equal(held.coords, copy) and held.coords.flags.f_contiguous
+        assert held.coords.base is None and not held.coords.flags.writeable
+
+
 def test_keyword_constructor_holds_float64_radii(uncertain_pair_graph):
     # NodeStates holds f64 radii, but int radii were held as int64
     cg = build(uncertain_pair_graph, k=2, seed=0, quantize=True)
@@ -938,8 +1052,9 @@ def test_signed_zero_rows_share_a_point():
 
 def test_save_refuses_more_points_than_u32_indices_address(uncertain_pair_graph):
     cg = build(uncertain_pair_graph, k=2, seed=0)
-    # a broadcast view claims 2**32 + 1 points without allocating them
-    cg.points_t = np.broadcast_to(cg.points_t[:, :1], (cg.k, 2**32 + 1))
+    # a broadcast view claims 2**32 + 1 points without allocating them; the
+    # model is frozen, so the view goes in through its instance dict
+    vars(cg)["points_t"] = np.broadcast_to(cg.points_t[:, :1], (cg.k, 2**32 + 1))
     with pytest.raises(ValueError, match=re.escape("4294967297 distinct points exceed")):
         save(cg, io.BytesIO())
 
