@@ -69,6 +69,9 @@ class Embedding:
             raise ValueError(f"{_BAD_COORDINATE} at node {bad[0]}")
         object.__setattr__(self, "coords", coords)
 
+    def __reduce__(self):  # pickle and copy remake the embedding through its checks
+        return type(self), (self.coords, self.pivots)
+
     @property
     def n(self) -> int:
         return self.coords.shape[0]

@@ -109,6 +109,9 @@ class FuzzySystem:
         )
         object.__setattr__(self, "_compiled", compiled)
 
+    def __reduce__(self):  # a read-only term map does not pickle; the system's FCL does
+        return parse_fcl, (to_fcl(self),)
+
 
 def default_fcl_text() -> str:
     """Source of the shipped default.fcl, the one definition of default_system()."""

@@ -136,6 +136,9 @@ class Graph(_IdMap):
                 raise ValueError("undirected graph rows must be symmetric")
         object.__setattr__(self, "external_ids", check_external_ids(self.external_ids, n))
 
+    def __reduce__(self):  # pickle and copy remake the graph through its checks
+        return type(self), (self.n, self.directed, self.indptr, self.indices, self.external_ids)
+
     @property
     def num_edges(self) -> int:
         return len(self.indices) if self.directed else len(self.indices) // 2

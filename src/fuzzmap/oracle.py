@@ -48,10 +48,10 @@ _FLAG_QUANTIZED = 2
 _FLAG_ID_RANGE = 4  # external ids are lo..lo+n-1; the id block holds lo alone
 _HEADER = struct.Struct("<4sIIQIIQQ")  # magic, version, flags, n, k, fcl_len, u, t
 _MAX_INDEXED = 2**32  # point and state indices take at most 32 bits: at most this many of each
-# a derived table may take this many bytes per byte of n x k f64 coordinates, which
-# the model does not hold: the t x t pair table is kept while itemsize * t**2 <= 8 * k * n.
-# Its sides are scored only while 8 * u**2 <= 8 * k * n, as if a u x u f64
-# distance table had to fit too: beyond that the many distinct distances
+# the pair table's one budget, in bytes per byte of n x k f64 coordinates, which the
+# model does not hold: cap = _TABLE_COORD_RATIO * 8 * k * n, and each of the t x t codes
+# may take cap // t**2 bytes. Its sides are scored only while 8 * u**2 <= cap, as if a
+# u x u f64 distance table had to fit too: beyond that the many distinct distances
 # make the first query's fuzzy inference far costlier, often only to give up
 _TABLE_COORD_RATIO = 1
 # side keys, ranked as the answer rule ranks them: yes, no, a fuzzy output in [0, 1], unscored
@@ -153,8 +153,8 @@ class CompressedGraph(_IdMap):
 
         Sets the fields once, in the instance dict, and takes the arrays as
         its own under the holding rule (``graph.hold``) without a copy, so
-        only ``build``, ``load`` and the keyword constructor call it, with
-        arrays they made or a Graph holds.
+        only ``build``, ``load``, the keyword constructor, pickle and copy
+        call it, with arrays they made, a Graph holds or a model holds.
         """
         cg = cls.__new__(cls)
         vars(cg).update(points_t=points_t, states=states, directed=directed, quantized=quantized,
@@ -162,6 +162,10 @@ class CompressedGraph(_IdMap):
         for array in (points_t, *states, external_ids):  # the pair table would not follow an edit
             array.flags.writeable = False
         return cg
+
+    def __reduce__(self):  # pickle and copy remake the model as held, without derived views
+        return self.from_states, (self.points_t, self.states, self.directed, self.quantized,
+                                  self.fuzzy, self.external_ids, self.fcl_text)
 
     def _frozen(self, name: str, *value) -> None:
         raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
@@ -197,10 +201,6 @@ class CompressedGraph(_IdMap):
         r.flags.writeable = R.flags.writeable = False
         return NodeRadii(r=r, R=R, quantized=self.quantized)
 
-    def _fits_table(self, nbytes: int) -> bool:
-        """Whether a derived table of this many bytes stays under the cap."""
-        return nbytes <= _TABLE_COORD_RATIO * 8 * self.k * self.n
-
     @functools.cached_property
     def pair_table(self) -> Optional[PairTable]:
         """Every answer a query can give, one code per ordered pair of node states.
@@ -211,33 +211,26 @@ class CompressedGraph(_IdMap):
         of every state against every point, with yes, no and unscored
         always among them (``_side_codes``), and a pair's code is the lesser
         of its two sides' codes, or the source side's alone when directed:
-        the rank of the least side key the table-less path answers from. The
-        pair table is None when itemsize * t**2 bytes exceed the cap,
-        8 * k * n bytes, and when 8 * u**2 bytes exceed it (see
-        _TABLE_COORD_RATIO). Built on the first query, not by build, save
-        or load; its arrays are read-only. Where cached_property takes no
-        lock (Python 3.12 and later), two threads that race on the first
-        query may both build it; they build identical tables.
+        the rank of the least side key the table-less path answers from.
+        One budget caps the table, cap = 8 * k * n bytes (_TABLE_COORD_RATIO):
+        the pair table is None when 8 * u**2 bytes exceed it, and when its
+        codes would need more than cap // t**2 bytes each. Built on the
+        first query, not by build, save or load; its arrays are read-only.
+        Where cached_property takes no lock (Python 3.12 and later), two
+        threads that race on the first query may both build it; they build
+        identical tables.
         """
-        if not self._fits_table(8 * self.u * self.u):
+        cap = _TABLE_COORD_RATIO * 8 * self.k * self.n
+        if 8 * self.u**2 > cap:
             return None
-        states = self.states
-        t = states.t
-        # the widest code the cap leaves room for
-        width = next((w for w in (8, 4, 2, 1) if self._fits_table(w * t * t)), 0)
-        if not width:
-            return None
-        sides = _side_codes(self.points_t, states, self.fuzzy, max_codes=256**width)
+        sides = _side_codes(self.points_t, self.states, self.fuzzy, cap // self.states.t**2)
         if sides is None:
             return None
-        side_codes, decode = sides
-        codes = side_codes.take(states.point, axis=1)  # s's side against a node in state s'
+        codes, decode = sides
         if not self.directed:
             codes = np.minimum(codes, codes.T)
-        table = PairTable(codes=codes, decode=decode)
-        for array in table:
-            array.flags.writeable = False
-        return table
+        codes.flags.writeable = decode.flags.writeable = False
+        return PairTable(codes=codes, decode=decode)
 
 
 class PairTable(NamedTuple):
@@ -277,32 +270,35 @@ def _answers(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _side_codes(points_t: np.ndarray, states: NodeStates, system: FuzzySystem,
-                max_codes: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The code of every (state, point) side, and the answer value of each code.
+                width: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The code of every state's side against every state, and the answer value of each code.
 
-    The side of a node in state s against a node on point p has the key of
+    The side of a node in state s against a node in state s' has the key of
     ``_side_values`` at the ``pair_distances`` distance between points
-    ``states.point[s]`` and p of the (k, u) ``points_t``, the distance the
-    table-less path computes for such a pair. Its code is the rank of that
-    key among the distinct side keys together with _KEY_YES, _KEY_NO and
-    _KEY_UNSCORED: yes is 0, no is 1, the distinct fuzzy outputs follow
-    in ascending order and unscored is last. ``decode`` is ``_answers`` of
-    those keys, so the lesser code of two sides is the code of their least
-    key. States are ranked about _SIDE_BLOCK cells at a time, so no (t, u)
-    float array is made: the distinct points of a block get one distance
-    row each, and each block is ranked among its own keys, sorting only its
-    fuzzy outputs. A running union
-    of every block's keys gives up early; at the end each block is recoded
-    by its keys' places in that union. Any order of the states gives the
-    same codes, row for row. None as soon as the codes would number more
-    than max_codes; else they take the smallest unsigned dtype that holds
-    them.
+    ``states.point[s]`` and ``states.point[s']`` of the (k, u) ``points_t``,
+    the distance the table-less path computes for such a pair. Its code is
+    the rank of that key among the distinct side keys of every state against
+    every point, together with _KEY_YES, _KEY_NO and _KEY_UNSCORED: yes is
+    0, no is 1, the distinct fuzzy outputs follow in ascending order and
+    unscored is last. ``decode`` is ``_answers`` of those keys, so the
+    lesser code of two sides is the code of their least key. States are
+    ranked about _SIDE_BLOCK (state, point) cells at a time, so no (t, u)
+    array is made: the distinct points of a block get one distance row
+    each, and each block is ranked among its own keys, sorting only its
+    fuzzy outputs. A running union of every block's keys is checked before
+    each block and after the last; at the end each block is recoded by its
+    keys' places in that union and written to its rows of the (t, t) codes.
+    Any order of the states gives the same codes, row for row. None as soon
+    as the codes would take more than ``width`` bytes each in the smallest
+    unsigned dtype that holds them, which they take.
     """
     u = points_t.shape[1]
     rows = max(1, _SIDE_BLOCK // u)
     blocks = []
     union = np.array([_KEY_YES, _KEY_NO, _KEY_UNSCORED])  # every side key so far, sorted
     for lo in range(0, states.t, rows):
+        if np.min_scalar_type(union.size - 1).itemsize > width:
+            return None
         s = slice(lo, lo + rows)
         points, row = np.unique(states.point[s], return_inverse=True)
         d = pair_distances(points_t.T, points[:, None], np.arange(u)).take(row, axis=0)
@@ -320,12 +316,15 @@ def _side_codes(points_t: np.ndarray, states: NodeStates, system: FuzzySystem,
         # numpy.ma on first use, ~1.5 MB of a query process's peak RSS
         union = np.sort(np.concatenate((union, values)))
         union = union[np.diff(union, prepend=-np.inf) > 0]
-        if union.size > max_codes:
-            return None
-    out = np.empty((states.t, u), dtype=np.min_scalar_type(union.size - 1))
+    dtype = np.min_scalar_type(union.size - 1)
+    if dtype.itemsize > width:
+        return None
+    codes = np.empty((states.t, states.t), dtype=dtype)
     for lo, (values, local) in zip(range(0, states.t, rows), blocks):
-        out[lo : lo + rows] = np.searchsorted(union, values).take(local)
-    return out, _answers(union)[1]
+        # cast before the two gathers, so the (rows, t) temporary is no wider than the codes
+        ranks = np.searchsorted(union, values).astype(dtype)
+        codes[lo : lo + rows] = ranks.take(local).take(states.point, axis=1)
+    return codes, _answers(union)[1]
 
 
 def build(

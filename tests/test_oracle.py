@@ -1,7 +1,10 @@
+import copy
 import dataclasses
 import io
 import itertools
+import json
 import math
+import pickle
 import re
 import struct
 import tracemalloc
@@ -48,6 +51,7 @@ from fuzzmap.cli import run
 from fuzzmap.fastmap import Embedding
 from fuzzmap.radii import _BLOCK, _block_distances, distances_from, group_points, pair_distances
 
+import reference_models
 from conftest import UNCERTAIN_PAIR_EDGES, edgeless_graph, manual_model, soundness_corpus
 from oracles import answer_oracle, fzg1_size_oracle
 
@@ -672,6 +676,52 @@ def test_every_record_is_frozen(monkeypatch, case):
         assert answers_like_its_file(keyword_model(cg, fuzzy=system))
 
 
+COPIES = {"pickle": lambda record: pickle.loads(pickle.dumps(record)),
+          "copy": copy.copy, "deepcopy": copy.deepcopy}
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_pickled_and_copied_records_are_remade_through_their_checks(monkeypatch, how):
+    # a FuzzySystem's read-only term maps, and so a model, did not pickle or
+    # copy; an unpickled Graph or Embedding held writable arrays, and setting
+    # indices[0] = 0 gave a graph whose row 0 held its own node
+    monkeypatch.setattr(oracle, "_TABLE_COORD_RATIO", _TABLE_ALWAYS)
+    remake = COPIES[how]
+    g = gnp_random_graph(30, 0.2, seed=1)
+    cg = build(g, k=3, seed=1)
+    us, vs = np.nonzero(~np.eye(cg.n, dtype=bool))
+    answers = b"".join(a.tobytes() for a in query_arrays(cg, us, vs))
+    assert cg.pair_table is not None
+    system, graph, embedding, model = map(remake, (default_system(), g, cg.embedding, cg))
+    assert system == default_system() and to_fcl(system) == to_fcl(default_system())
+    assert graph == g
+    assert embedding.coords.tobytes() == cg.embedding.coords.tobytes()
+    assert embedding.coords.flags.f_contiguous and embedding.pivots == cg.embedding.pivots
+    for name in ("points_t", "external_ids"):
+        assert getattr(model, name).tobytes() == getattr(cg, name).tobytes()
+    assert [a.tobytes() for a in model.states] == [a.tobytes() for a in cg.states]
+    assert (model.directed, model.quantized, model.fcl_text) == (cg.directed, cg.quantized,
+                                                                 cg.fcl_text)
+    assert model.fuzzy == cg.fuzzy
+    for record in (system, graph, embedding, model):
+        names = MODEL_FIELDS if record is model else [f.name for f in dataclasses.fields(record)]
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, getattr(record, name))
+    with pytest.raises(TypeError):
+        system.input_terms["close_to_r"] = system.output_terms["adjacent"]
+    for array in (graph.indptr, graph.indices, graph.external_ids, embedding.coords,
+                  model.points_t, *model.states, model.external_ids):
+        assert not array.flags.writeable and array.flags.owndata
+    with pytest.raises(ValueError, match="read-only"):
+        graph.indices[0] = 0
+    # the remade model carries no derived view, and answers and saves as before
+    assert not {"pair_table", "embedding", "radii"} & set(vars(model))
+    assert b"".join(a.tobytes() for a in query_arrays(model, us, vs)) == answers
+    assert model.pair_table is not None
+    assert roundtrip(model)[2] == roundtrip(cg)[2]
+
+
 def traced_peak(make) -> tuple[object, int]:
     """``make()`` and the peak of the bytes it had allocated at once, as tracemalloc saw them."""
     tracemalloc.start()
@@ -1186,8 +1236,8 @@ def _check_loaded_model(cg: CompressedGraph) -> None:
             definite.tobytes() + value.tobytes()
         t = cg.states.t
         # a 16-node model's side cells hold far fewer than 254 fuzzy values: one-byte codes
-        assert (cg.pair_table is None) == (not cg._fits_table(8 * cg.u**2)
-                                                or not cg._fits_table(t * t))
+        assert (cg.pair_table is None) == (not fits_table(cg, 8 * cg.u**2)
+                                                or not fits_table(cg, t * t))
         if cg.pair_table is not None:
             assert cg.pair_table.codes.shape == (t, t) and cg.pair_table.codes.dtype == np.uint8
             assert not any(array.flags.writeable for array in cg.pair_table)
@@ -1309,6 +1359,11 @@ def test_reordered_states_answer_alike_and_do_not_load():
 # --- the pair table's distance source ----------------------------------------
 
 _TABLE_ALWAYS = 2**40  # a cap no test model reaches: every model scores a pair table
+
+
+def fits_table(cg: CompressedGraph, nbytes: int) -> bool:
+    """Whether a derived table of this many bytes stays under the pair table's budget."""
+    return nbytes <= oracle._TABLE_COORD_RATIO * 8 * cg.k * cg.n
 
 
 def assert_scan_rows_match_kernel(cg: CompressedGraph) -> None:
@@ -1474,7 +1529,7 @@ def test_side_codes_do_not_depend_on_the_block_size():
     for rows in range(1, states.t + 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "_SIDE_BLOCK", rows * cg.u)
-            codes, decode = oracle._side_codes(cg.points_t, states, cg.fuzzy, 2**16)
+            codes, decode = oracle._side_codes(cg.points_t, states, cg.fuzzy, 2)
         sides.add(codes.tobytes() + decode.tobytes())
     assert len(sides) == 1 and decode.size > 10  # one coding, of many fuzzy values
 
@@ -1504,12 +1559,13 @@ def test_side_codes_are_the_ranks_of_the_side_keys(data, n, k, directed, handmad
     ranked, rank = np.unique(np.concatenate([fixed, keys.ravel()]), return_inverse=True)
     assert rank[:3].tolist() == [0, 1, ranked.size - 1]
     block = oracle._SIDE_BLOCK if block_states is None else block_states * u
+    width = np.min_scalar_type(ranked.size - 1).itemsize
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_SIDE_BLOCK", block)
-        codes, decode = oracle._side_codes(cg.points_t, states, cg.fuzzy, ranked.size)
-        assert oracle._side_codes(cg.points_t, states, cg.fuzzy, ranked.size - 1) is None
+        codes, decode = oracle._side_codes(cg.points_t, states, cg.fuzzy, width)
+        assert oracle._side_codes(cg.points_t, states, cg.fuzzy, width // 2) is None
     assert codes.dtype == np.min_scalar_type(ranked.size - 1)
-    assert np.array_equal(codes, rank[3:].reshape(states.t, u))
+    assert np.array_equal(codes, rank[3:].reshape(states.t, u).take(states.point, axis=1))
     assert decode.tobytes() == oracle._answers(ranked)[1].tobytes()
 
 
@@ -1520,7 +1576,7 @@ def test_pair_table_is_kept_up_to_the_coordinates_bytes():
     over_cap = manual_model([[0.0]] * 5 + [[5.0]] * 5, R=[np.inf] * 10,
                             r=[-1.0, 0.0, 1.0, 2.0, 3.0, -1.0, 0.0, 1.0, 2.0, 2.0])
     for cg, t in ((at_cap, 8), (over_cap, 9)):
-        assert cg.states.t == t and cg._fits_table(8 * cg.u**2)
+        assert cg.states.t == t and fits_table(cg, 8 * cg.u**2)
     table = at_cap.pair_table
     assert table.codes.shape == (8, 8) and table.codes.dtype == np.uint8
     assert table.codes.nbytes == at_cap.embedding.coords.nbytes == 64
@@ -1547,17 +1603,15 @@ def test_pair_table_gives_up_once_its_codes_outgrow_the_cap():
         mp.setattr(oracle, "_side_values", counting)
         capped = make()
         assert capped.u == 20 and capped.states.t == t
-        assert capped._fits_table(8 * capped.u**2) and capped.pair_table is None
+        assert fits_table(capped, 8 * capped.u**2) and capped.pair_table is None
         assert len(scored) < t  # gave up before scoring every state
         mp.setattr(oracle, "_TABLE_COORD_RATIO", 2)  # room for two-byte codes
         wide = make()
         codes = wide.pair_table.codes
     assert codes.dtype == np.uint16 and codes.max() > 255
-    # the scoring gives up exactly when the unscored code would not fit under max_codes
-    states = wide.states
-    count = wide.pair_table.decode.size
-    for max_codes, fits in ((count, True), (count - 1, False)):
-        sides = oracle._side_codes(wide.points_t, states, wide.fuzzy, max_codes)
+    # the scoring gives up once its codes would take more than the bytes one code may
+    for width, fits in ((2, True), (1, False)):
+        sides = oracle._side_codes(wide.points_t, wide.states, wide.fuzzy, width)
         assert (sides is not None) == fits
     us, vs = np.nonzero(~np.eye(n, dtype=bool))
     assert b"".join(a.tobytes() for a in query_arrays(capped, us, vs)) == \
@@ -1646,7 +1700,7 @@ def test_first_query_outside_the_u2_condition_scores_no_side(directed):
 
     for cg in (over_cap, distinct, built):
         # t**2 one-byte codes would fit the 8 * k * n-byte cap
-        assert cg._fits_table(cg.states.t ** 2)
+        assert fits_table(cg, cg.states.t ** 2)
         us, vs = np.nonzero(~np.eye(cg.n, dtype=bool))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "_side_codes", unexpected)
@@ -1666,12 +1720,24 @@ def held_arrays(cg: CompressedGraph) -> list[np.ndarray]:
     return [v for v in values if isinstance(v, np.ndarray)]
 
 
+def test_models_match_the_reference_ledger():
+    # six seeded models' FZG1 digests, sizes and every-pair counts; a change
+    # that alters them on purpose rewrites the ledger with reference_models.py
+    want = json.loads(reference_models.LEDGER.read_text())
+    got = reference_models.ledger()
+    assert list(got) == list(want)
+    for name, record in want.items():
+        assert list(got[name]) == list(record), name
+        for field, value in record.items():
+            assert got[name][field] == value, (name, field)
+
+
 def test_benchmark_model_keeps_its_pair_table(benchmark_model, tmp_path):
     # the query benchmark's model, BA(20000, 5) at k = 8: u = 148 points, far
     # inside u**2 <= k * n (u up to 400), so its first query scores a pair table
     cg = benchmark_model
     assert cg.u == 148
-    assert cg._fits_table(8 * 400**2) and not cg._fits_table(8 * 401**2)
+    assert fits_table(cg, 8 * 400**2) and not fits_table(cg, 8 * 401**2)
     loaded = roundtrip(cg)[0]
     assert loaded.points_t.tobytes() == cg.points_t.tobytes()
     assert [a.tobytes() for a in loaded.states] == [a.tobytes() for a in cg.states]
