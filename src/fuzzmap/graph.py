@@ -258,6 +258,32 @@ def check_node_id(u: int, n: int) -> None:
         raise ValueError(f"node id {u} out of range [0, {n})")
 
 
+def _group_columns(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Number the columns of a (rows, n) table of 8-byte keys: columns that
+    compare equal under ``!=`` form a group, and the groups are numbered in
+    sorted order, row 0 the primary key.
+
+    Returns (order, new, inv): the sorting permutation, a mask of the sorted
+    columns that start a group, and each column's group, so ``order[new]``
+    takes one column of each group. Float or multi-row keys take a stable
+    ``np.lexsort``, so that column is the group's lowest-numbered: 0.0 and
+    -0.0 compare equal with different bits, and each group keeps its first
+    column's. A single row of integers, where equal values are equal bits,
+    takes one ``argsort``. The group numbers are written over the sorted
+    table's first row before they are scattered to ``inv``.
+    """
+    one_int_row = keys.shape[0] == 1 and keys.dtype.kind in "iu"
+    order = keys[0].argsort() if one_int_row else np.lexsort(keys[::-1])
+    ranked = keys.take(order, axis=1)  # take keeps the table C-contiguous
+    new = np.ones(order.size, dtype=bool)
+    np.any(ranked[:, 1:] != ranked[:, :-1], axis=0, out=new[1:])
+    ranks = np.cumsum(new, out=ranked[0].view(np.intp))
+    ranks -= 1
+    inv = np.empty(order.size, dtype=np.intp)
+    inv[order] = ranks
+    return order, new, inv
+
+
 def graph_from_edges(pairs: Iterable[tuple[int, int]] | np.ndarray,
                      directed: bool = False) -> Graph:
     """Build a Graph from (external_u, external_v) pairs.
@@ -275,7 +301,7 @@ def graph_from_edges(pairs: Iterable[tuple[int, int]] | np.ndarray,
             raise ValueError(f"edge array must have shape (m, 2), got {pairs.shape}")
         if pairs.dtype.kind == "i" and pairs.size and pairs.min() < 0:
             raise ValueError("edge array holds a negative node id")
-        ends = pairs.astype(np.uint64, copy=False)
+        ends = pairs.astype(np.uint64, order="C", copy=False)
     else:
         ends = _pairs_to_array(pairs)
     loops = ends[:, 0] == ends[:, 1]
@@ -285,19 +311,10 @@ def graph_from_edges(pairs: Iterable[tuple[int, int]] | np.ndarray,
     if not ends.size:
         raise GraphParseError("empty graph")
     # scratch is a few arrays the size of ``ends``, each dropped once used
-    flat = ends.ravel()
-    order = flat.argsort()
-    ranks = flat[order]  # the sorted ids, overwritten by their dense ranks
-    new = ranks[1:] != ranks[:-1]
-    ids = np.concatenate((ranks[:1], ranks[1:][new]))
+    order, new, dense = _group_columns(ends.reshape(1, -1))  # dense: each id's rank
+    ids = ends.ravel()[order[new]]
     n = ids.shape[0]
-    ranks = ranks.view(np.int64)
-    ranks[0] = 0
-    np.cumsum(new, out=ranks[1:])
-    del new
-    dense = np.empty(flat.shape[0], dtype=np.int64)
-    dense[order] = ranks
-    del order, ranks
+    del order, new
     src, dst = dense[0::2], dense[1::2]
     # the key u * n + v of each arc; undirected, both directions' keys overwrite dense
     keys = src * n

@@ -38,8 +38,9 @@ import numpy as np
 
 from .fastmap import _BAD_COORDINATE, Embedding, _coordinates_ok, check_embedding, fastmap_embed
 from .fuzzy import FclParseError, FuzzySystem, default_system, evaluate_many, parse_fcl, to_fcl
-from .graph import Graph, _IdMap, check_bool, check_external_ids, check_node_id, check_real
-from .radii import R_NONE, NodeRadii, _group_columns, _grouped_radii, group_points, pair_distances
+from .graph import (Graph, _group_columns, _IdMap, check_bool, check_external_ids, check_node_id,
+                    check_real)
+from .radii import R_NONE, NodeRadii, _grouped_radii, group_points, pair_distances
 
 MAGIC = b"FZG1"
 FORMAT_VERSION = 4
@@ -94,14 +95,14 @@ class NodeStates(NamedTuple):
 
 
 def node_states(point_index: np.ndarray, r: np.ndarray, R: np.ndarray) -> NodeStates:
-    """Group nodes by (point, r, R), in one lexicographic sort.
+    """Group nodes by (point, r, R), numbered by ``graph._group_columns``.
 
     Radii are compared by their bit patterns, so every node of a state
     has that state's r and R byte for byte.
     """
     r_bits, R_bits = (np.ascontiguousarray(a, dtype=np.float64).view(np.uint64) for a in (r, R))
     keys = np.stack([point_index.astype(np.uint64), r_bits, R_bits])
-    order, _, new, index = _group_columns(keys)
+    order, new, index = _group_columns(keys)
     first = order[new]  # one node of each state
     return NodeStates(point=point_index[first], r=r[first], R=R[first], index=index)
 

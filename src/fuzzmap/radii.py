@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fastmap import Embedding, check_embedding
-from .graph import Graph, check_bool
+from .graph import Graph, _group_columns, check_bool
 
 log = logging.getLogger(__name__)
 
@@ -127,33 +127,17 @@ class PointGroups:
         return self.cnt.shape[0]
 
 
-def _group_columns(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Group the columns of a (k, n) key table that compare equal under ``!=``,
-    in one lexicographic sort, row 0 the primary key.
-
-    Returns (order, ranked, new, inv): the sorting permutation, the sorted
-    table, a mask of the sorted columns that start a group, and each
-    column's group, numbered in sorted order.
-    """
-    order = np.lexsort(keys[::-1])
-    ranked = keys.take(order, axis=1)  # take keeps the (k, n) table C-contiguous
-    new = np.ones(order.size, dtype=bool)
-    np.any(ranked[:, 1:] != ranked[:, :-1], axis=0, out=new[1:])
-    inv = np.empty(order.size, dtype=np.intp)
-    inv[order] = np.cumsum(new) - 1
-    return order, ranked, new, inv
-
-
 def group_points(coords: np.ndarray) -> PointGroups:
-    """Group nodes by equal coordinate rows, in one lexicographic sort.
+    """Group nodes by equal coordinate rows, numbered by ``graph._group_columns``.
 
-    0.0 and -0.0 compare equal and share a point; the kernel squares
-    every difference, so either sign gives the same distance bits.
+    0.0 and -0.0 compare equal and share a point, which keeps the bits of
+    its lowest-numbered node; the kernel squares every difference, so
+    either sign gives the same distance bits.
     """
-    order, ranked_t, new, inv = _group_columns(coords.T)
+    order, new, inv = _group_columns(coords.T)
     starts = np.flatnonzero(new)
     offsets = np.append(starts, order.size)
-    return PointGroups(points_t=ranked_t.take(starts, axis=1), inv=inv,
+    return PointGroups(points_t=coords.T.take(order[starts], axis=1), inv=inv,
                        cnt=np.diff(offsets), order=order, offsets=offsets)
 
 

@@ -9,6 +9,9 @@ it checks the answer rule, not the inference. The reference generators
 hand their pairs to ``graph_from_edges``, so they check which pairs the
 bulk generators draw, not how a graph is built. ``reference_parse_lines``
 is the edge-list reader as a loop over lines, one regex match a line.
+``state_pair_counts`` asks fuzzmap's own ``query_arrays``, once per ordered
+pair of node states, so it checks how the every-pair tallies are counted,
+not the answers.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 from fuzzmap.fastmap import graph_distance_row, residual_distance
 from fuzzmap.fuzzy import evaluate
 from fuzzmap.graph import GraphParseError, graph_from_edges
+from fuzzmap.oracle import query_arrays
 
 
 def norm_oracle(p, q) -> float:
@@ -314,3 +318,62 @@ def reference_parse_lines(data: bytes) -> np.ndarray:
             ids.append(v)
         start = stop + 1
     return np.frombuffer(ids, dtype=np.uint64).reshape(-1, 2)
+
+
+def state_pair_nodes(states):
+    """(us, vs): one pair of distinct nodes per ordered state pair (s, s'), u in s and v in s'.
+
+    A diagonal pair (s, s) takes the first two nodes of s, so it is left out
+    when s holds one node.
+    """
+    order = np.argsort(states.index, kind="stable")  # the nodes, grouped by state
+    start = np.searchsorted(states.index[order], np.arange(states.t + 1))
+    first = order[start[:-1]]
+    # each state's second node, or -1 where it holds one
+    second = np.where(np.diff(start) > 1, order[np.minimum(start[:-1] + 1, order.size - 1)], -1)
+    su, sv = np.divmod(np.arange(states.t * states.t), states.t)
+    us, vs = first[su], np.where(su == sv, second[sv], first[sv])
+    keep = vs >= 0
+    return us[keep], vs[keep]
+
+
+def state_pair_counts(cg, g) -> dict:
+    """Every-pair answer counts of model ``cg`` against graph ``g``, in O(t**2 + m) queries.
+
+    A pair's answer depends only on its endpoints' node states, so
+    ``query_arrays`` is asked once per ordered state pair (s, s'), through
+    the nodes ``state_pair_nodes`` picks, and the answer stands for
+    c[s] * c[s'] node pairs (c[s] * (c[s] - 1) when s = s'), halved for an
+    undirected model, which answers (s, s') as (s', s). Each edge of ``g``
+    is then asked once. Counts over every pair: ``pairs``, ``yes``, ``no``,
+    ``fallback`` (non-definite answers of exactly 0.5) and ``below``
+    (non-definite answers under 0.5); over the edges: ``edges``,
+    ``edges_yes``, ``edges_no``, and ``edges_above`` and ``edges_below``
+    (non-definite answers over and under 0.5).
+    """
+    us, vs = state_pair_nodes(cg.states)
+    s, s2 = cg.states.index[us], cg.states.index[vs]
+    c = np.bincount(cg.states.index, minlength=cg.states.t)
+    weight = c[s] * (c[s2] - (s == s2))  # node pairs per ordered state pair
+    definite, value = query_arrays(cg, us, vs)
+    edge_definite, edge_value = query_arrays(cg, *g.edges())
+
+    def pairs(mask):
+        return int(weight[mask].sum()) // (1 if cg.directed else 2)
+
+    def edges(mask):
+        return int(np.count_nonzero(mask))
+
+    fuzzy, edge_fuzzy = ~definite, ~edge_definite
+    return {
+        "pairs": pairs(np.ones_like(definite)),
+        "yes": pairs(definite & (value == 1.0)),
+        "no": pairs(definite & (value == 0.0)),
+        "edges_yes": edges(edge_definite & (edge_value == 1.0)),
+        "edges_no": edges(edge_definite & (edge_value == 0.0)),
+        "fallback": pairs(fuzzy & (value == 0.5)),
+        "below": pairs(fuzzy & (value < 0.5)),
+        "edges": edge_definite.size,
+        "edges_above": edges(edge_fuzzy & (edge_value > 0.5)),
+        "edges_below": edges(edge_fuzzy & (edge_value < 0.5)),
+    }

@@ -2,12 +2,10 @@
 
 Each model is built at k = 8 with build seed 1. Its record holds the
 SHA-256 and size of its FZG1 bytes, u, t and ``pair_table_bytes`` (as
-``fuzzmap info`` prints it). A model with a pair table also records its
-every-pair counts, read from the table: each ordered pair of node states
-(s, s') stands for c[s] * c[s'] node pairs (c[s] * (c[s] - 1) when s = s'),
-halved for an undirected model, whose codes are symmetric. Each edge is
-then looked up once by its endpoints' states. A model without a table
-records its digest and sizes only.
+``fuzzmap info`` prints it), and its every-pair counts from
+``oracles.state_pair_counts``, with or without a pair table: pairs, yes,
+no, edges answered yes, edges answered no, and the 0.5 fallback (the
+non-definite answers of exactly 0.5).
 
 ``tests/reference_models.json`` holds the records, and
 ``test_models_match_the_reference_ledger`` rebuilds them and compares
@@ -30,6 +28,7 @@ import sys
 import numpy as np
 
 from fuzzmap import build, gnp_random_graph, graph_from_edges, preferential_attachment_graph, save
+from oracles import state_pair_counts
 
 LEDGER = pathlib.Path(__file__).with_name("reference_models.json")
 
@@ -57,24 +56,9 @@ def _models():
 
 
 def _counts(cg, g) -> dict:
-    """Every-pair counts of a model with a pair table, read from the table."""
-    table, states = cg.pair_table, cg.states
-    c = np.bincount(states.index, minlength=states.t)
-    weight = np.outer(c, c) - np.diag(c)  # ordered node pairs per ordered state pair
-    per_code = np.zeros(table.decode.size, dtype=np.int64)
-    np.add.at(per_code, table.codes.ravel(), weight.ravel())
-    if not cg.directed:
-        per_code //= 2
-    us, vs = g.edges()
-    edge_codes = table.codes[states.index[us], states.index[vs]]
-    return {
-        "pairs": int(per_code.sum()),
-        "yes": int(per_code[0]),
-        "no": int(per_code[1]),
-        "edges_yes": int(np.count_nonzero(edge_codes == 0)),
-        "edges_no": int(np.count_nonzero(edge_codes == 1)),
-        "fallback": int(per_code[-1]),  # the unscored code is the last
-    }
+    """Every-pair counts of a model, from ``oracles.state_pair_counts``."""
+    counts = state_pair_counts(cg, g)
+    return {key: counts[key] for key in ("pairs", "yes", "no", "edges_yes", "edges_no", "fallback")}
 
 
 def ledger() -> dict:
@@ -94,8 +78,7 @@ def ledger() -> dict:
             "t": cg.states.t,
             "pair_table_bytes": 0 if table is None else table.codes.nbytes,
         }
-        if table is not None:
-            record["counts"] = _counts(cg, g)
+        record["counts"] = _counts(cg, g)
         records[name] = record
     return records
 

@@ -23,6 +23,7 @@ from fuzzmap.cli import run
 from fuzzmap.harness import _EVAL_BLOCK, CSV_HEADER, _decode_pairs, _pair_indices
 
 from conftest import edgeless_graph
+from oracles import state_pair_counts, state_pair_nodes
 
 
 def sample_pairs(n, directed, sample_size, seed):
@@ -333,23 +334,6 @@ def test_numpy_integer_sample_size_is_written_as_an_integer():
     assert rep.pairs == 50 and reports_to_csv([rep]).splitlines()[1].endswith(",2,50")
 
 
-def state_pair_nodes(states):
-    """(us, vs): one pair of distinct nodes per ordered state pair (s, s'), u in s and v in s'.
-
-    A diagonal pair (s, s) takes the first two nodes of s, so it is left out
-    when s holds one node.
-    """
-    order = np.argsort(states.index, kind="stable")  # the nodes, grouped by state
-    start = np.searchsorted(states.index[order], np.arange(states.t + 1))
-    first = order[start[:-1]]
-    # each state's second node, or -1 where it holds one
-    second = np.where(np.diff(start) > 1, order[np.minimum(start[:-1] + 1, order.size - 1)], -1)
-    su, sv = np.divmod(np.arange(states.t * states.t), states.t)
-    us, vs = first[su], np.where(su == sv, second[sv], first[sv])
-    keep = vs >= 0
-    return us[keep], vs[keep]
-
-
 # the pair table's cap (oracle._TABLE_COORD_RATIO) is raised to give BA(3000, 5)
 # a table and dropped to 0 to take directed G(3000, 0.004)'s away
 @pytest.mark.parametrize("make, ratio, has_table", [
@@ -376,3 +360,38 @@ def test_every_pair_is_sound(monkeypatch, make, ratio, has_table):
         assert us.size >= cg.states.t * (cg.states.t - 1)
         for got, want in zip(query_arrays(cg, us, vs), query_arrays(bare, us, vs)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def report_from_state_pairs(counts: dict) -> dict:
+    """The every-pair tallies of ``evaluate_model``, derived from ``state_pair_counts``."""
+    definite = counts["yes"] + counts["no"]
+    return {
+        "pairs": counts["pairs"],
+        "definite": definite,
+        # a yes is right on an edge, a no on a non-edge
+        "definite_correct": counts["edges_yes"] + counts["no"] - counts["edges_no"],
+        "fuzzy_pairs": counts["pairs"] - definite,
+        "fuzzy_true": counts["edges"] - counts["edges_yes"] - counts["edges_no"],
+        "fuzzy_sound_yes": counts["edges_above"],
+        "fuzzy_sound_no": counts["below"] - counts["edges_below"],
+    }
+
+
+# the pair table's cap at test_oracle's _TABLE_ALWAYS (2**40, every model scores
+# a table) and at 0 (none does)
+@pytest.mark.parametrize("ratio", [2**40, 0], ids=["table", "kernel"])
+@pytest.mark.parametrize("quantize", [True, False], ids=["quantized", "exact"])
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+@pytest.mark.parametrize("n, p, seed", [(40, 0.15, 1), (90, 0.05, 2), (150, 0.03, 3)])
+def test_every_pair_tallies_match_the_state_pair_counts(monkeypatch, n, p, seed, directed,
+                                                       quantize, ratio):
+    # every pair's answer depends only on its two node states, so the tallies
+    # over all pairs follow from one query per ordered state pair and one per edge
+    monkeypatch.setattr(oracle, "_TABLE_COORD_RATIO", ratio)
+    g = gnp_random_graph(n, p, seed=seed, directed=directed)
+    cg = build(g, k=4, seed=seed, quantize=quantize)
+    assert (cg.pair_table is not None) == (ratio > 0)
+    rep = evaluate_model(cg, g, sample_size=None)
+    want = report_from_state_pairs(state_pair_counts(cg, g))
+    assert {field: getattr(rep, field) for field in want} == want
+    assert rep.fuzzy_pairs > 0 and rep.definite > 0

@@ -1100,6 +1100,26 @@ def test_signed_zero_rows_share_a_point():
     assert np.array_equal(loaded.embedding.coords, cg.embedding.coords)
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_points_keep_the_bits_of_their_lowest_numbered_node(k):
+    # 0.0 and -0.0 share a point but not their bits: the point holds the bits
+    # of its lowest-numbered node, in group_points and in a saved model
+    rng = np.random.default_rng(k)
+    fcl_text = default_fcl_text()
+    for _ in range(100):
+        n = int(rng.integers(2, 40))
+        coords = np.asfortranarray(rng.choice([0.0, -0.0, 1.0, -2.5], size=(n, k)))
+        groups = group_points(coords)
+        first = [int(np.flatnonzero(groups.inv == q)[0]) for q in range(groups.u)]
+        want = coords[first].T.tobytes()
+        assert groups.points_t.tobytes() == want
+        cg = CompressedGraph(embedding=Embedding(coords=coords),
+                             radii=NodeRadii(np.full(n, -1.0), np.full(n, np.inf), False),
+                             directed=False, fuzzy=parse_fcl(fcl_text),
+                             external_ids=np.arange(n, dtype=np.uint64), fcl_text=fcl_text)
+        assert cg.points_t.tobytes() == roundtrip(cg)[0].points_t.tobytes() == want
+
+
 def test_save_refuses_more_points_than_u32_indices_address(uncertain_pair_graph):
     cg = build(uncertain_pair_graph, k=2, seed=0)
     # a broadcast view claims 2**32 + 1 points without allocating them; the
