@@ -16,6 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._pcg import draw_below, seed_words
 from .graph import Graph, check_int, check_real, hold
 
 PIVOT_SEARCH_ITERATIONS = 5  # classic FastMap heuristic constant
@@ -130,8 +131,10 @@ def residual_distance(d_ij, x_i, x_j):
 def choose_pivots(dist_row: DistRow, n: int, seed: int) -> Optional[tuple[int, int]]:
     """Pick a far pivot pair by iterated farthest-point hops.
 
-    Starts from a seed-chosen node and hops to the farthest node five
-    times; the last two candidates form the pair (a, b). Returns None (the
+    Starts from a seed-chosen node, the one ``numpy.random.default_rng(seed)
+    .integers(n)`` draws, bit for bit, though ``_pcg.draw_below`` draws it
+    without numpy.random; then hops to the farthest node five times; the
+    last two candidates form the pair (a, b). Returns None (the
     degenerate-axis marker) when the pair distance is zero. Deterministic
     given the seed; argmax ties resolve to the lowest id. Before the draw,
     ValueError unless ``n`` is an integer >= 2 and ``seed`` an integer
@@ -139,8 +142,7 @@ def choose_pivots(dist_row: DistRow, n: int, seed: int) -> Optional[tuple[int, i
     entropy, and True would act as 1.
     """
     n, seed = check_int("n", n, 2), check_int("seed", seed, 0)
-    rng = np.random.default_rng(seed)
-    cur = int(rng.integers(n))
+    cur = draw_below(seed, n)
     prev = cur
     d_ab = 0.0
     for _ in range(PIVOT_SEARCH_ITERATIONS):
@@ -157,14 +159,16 @@ def fastmap_embed(g: Graph, k: int, seed: int) -> Embedding:
     """Embed the graph's nodes as n x k coordinates.
 
     Per axis: pivot search, projection of every node, then residual
-    wrapping of the distance function for the next axis. The pivot search
-    revisits nodes and ends on the pivots, so each node's distance row is
-    computed once per axis and reused. Pivot a anchors at coordinate 0 and
-    pivot b at the pivot distance, exactly. Degenerate axes are
-    zero-filled and iteration continues, and one INFO line on this
-    module's logger counts them. ``k``, an integer >= 1, and ``seed``, an
-    integer >= 0, are checked by ``graph.check_int``, with ValueError,
-    before any work.
+    wrapping of the distance function for the next axis. Axis i's pivot
+    search is seeded with word i of ``numpy.random.SeedSequence(seed)
+    .generate_state(k)``, which ``_pcg.seed_words`` gives bit for bit. The
+    pivot search revisits nodes and ends on the pivots, so each node's
+    distance row is computed once per axis and reused. Pivot a anchors at
+    coordinate 0 and pivot b at the pivot distance, exactly. Degenerate
+    axes are zero-filled and iteration continues, and one INFO line on
+    this module's logger counts them. ``k``, an integer >= 1, and
+    ``seed``, an integer >= 0, are checked by ``graph.check_int``, with
+    ValueError, before any work.
     """
     k, seed = check_int("k", k, 1), check_int("seed", seed, 0)
     if g.n < 2:
@@ -173,7 +177,7 @@ def fastmap_embed(g: Graph, k: int, seed: int) -> Embedding:
     n = g.n
     coords = np.zeros((n, k), order="F")
     pivots: list[Optional[tuple[int, int]]] = []
-    axis_seeds = np.random.SeedSequence(seed).generate_state(k)
+    axis_seeds = seed_words(seed, k)
 
     for axis in range(k):
 
@@ -184,7 +188,7 @@ def fastmap_embed(g: Graph, k: int, seed: int) -> Embedding:
                 row = residual_distance(row, coords[u, lvl], coords[:, lvl])
             return row
 
-        pair = choose_pivots(dist_row, n, int(axis_seeds[axis]))
+        pair = choose_pivots(dist_row, n, axis_seeds[axis])
         if pair is None:
             pivots.append(None)
             continue  # axis stays zero-filled

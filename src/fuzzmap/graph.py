@@ -388,7 +388,9 @@ def parse_edge_list(text: str | bytes | IO, directed: bool = False) -> Graph:
     except TypeError:
         raise TypeError("text must be a str, a bytes-like object or a stream, "
                         f"not {type(text).__name__}") from None
-    return graph_from_edges(_read_ids(data), directed=directed)
+    ids = _read_ids(data)
+    del text, data  # the graph build sets a compress's peak; the text need not live through it
+    return graph_from_edges(ids, directed=directed)
 
 
 def _read_ids(data: bytes) -> np.ndarray:

@@ -416,6 +416,31 @@ def test_module_entry_point(sample_edge_file, tmp_path):
     assert proc.stdout.strip() == "yes"
 
 
+def _imports_numpy_random(code: str) -> bool:
+    """Whether a fresh interpreter running ``code`` imported numpy.random."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint('numpy.random' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("command", ["compress", "query", "info"])
+def test_compress_query_and_info_never_import_numpy_random(command, sample_edge_file,
+                                                           sample_model, tmp_path):
+    # FastMap draws its pivots without numpy.random (~6 MB and ~15 ms to import)
+    if _imports_numpy_random("import numpy"):
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    args = {
+        "compress": ["compress", "--input", str(sample_edge_file),
+                     "--output", str(tmp_path / "m.fzg"), "--k", "8", "--seed", "1"],
+        "query": ["query", "--model", str(sample_model), "--u", "1", "--v", "5"],
+        "info": ["info", str(sample_model)],
+    }[command]
+    assert not _imports_numpy_random(f"from fuzzmap.cli import run\nassert run({args!r}) == 0")
+
+
 def test_query_negative_id_exits_3(sample_model, capsys):
     assert run(["query", "--model", str(sample_model), "--u", "-1", "--v", "5"]) == 3
     assert "unknown external node id -1" in capsys.readouterr().err

@@ -19,6 +19,7 @@ from fuzzmap import (
     residual_distance,
     save,
 )
+from fuzzmap import fastmap
 from fuzzmap.fastmap import Embedding
 from fuzzmap.radii import group_points
 
@@ -86,7 +87,7 @@ def test_choose_pivots_checks_n_and_seed_before_the_draw(monkeypatch, n, seed, m
     def not_reached(*args, **kwargs):
         raise AssertionError("a pivot start was drawn before n and seed were checked")
 
-    monkeypatch.setattr(np.random, "default_rng", not_reached)
+    monkeypatch.setattr(fastmap, "draw_below", not_reached)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         choose_pivots(lambda u: np.ones(3), n, seed)
 

@@ -445,6 +445,17 @@ def test_reader_memory_is_linear_in_text(benchmark_edge_text):
         assert _traced_peak(lambda: parse_edge_list(text)) < ends_bytes + 4 * ends_bytes
 
 
+def test_loading_drops_the_text_before_the_graph_build(benchmark_edge_text, tmp_path):
+    # the graph build sets the load's peak; the ids live through it, the text need not
+    path = tmp_path / "ba20k.txt"
+    path.write_text(benchmark_edge_text, encoding="ascii")
+    ids = _read_ids(path.read_bytes())
+    assert ids.shape[0] > 99_000
+    build_peak = _traced_peak(lambda: graph_from_edges(ids))
+    bound = build_peak + ids.nbytes + len(benchmark_edge_text) // 2
+    assert _traced_peak(lambda: load_edge_list(str(path))) < bound
+
+
 def test_line_loop_memory_is_linear_in_text(benchmark_edge_text):
     # a header line costs one blanked copy of the text, the reference line
     # loop reads the same ids, and the whole parse stays within the plain
