@@ -10,7 +10,7 @@ definite answers happen.
 import numpy as np
 
 from fuzzmap import build, gnp_random_graph, query_arrays
-from fuzzmap.radii import distances_from
+from fuzzmap.radii import pair_distances
 
 
 def main():
@@ -20,7 +20,7 @@ def main():
     print("per-node bands (quantized):")
     print("  node   r      R      neighbor distances -> non-neighbor distances")
     for v in range(g.n):
-        d = distances_from(cg.embedding.coords, v)
+        d = pair_distances(cg.embedding.coords, v, np.arange(g.n))
         nbd = sorted(round(float(d[u]), 2) for u in g.neighbors(v))
         nnd = sorted(round(float(d[u]), 2) for u in range(g.n)
                      if u != v and u not in g.neighbors(v))

@@ -337,10 +337,13 @@ def parse_fcl(text: str) -> FuzzySystem:
     if tokens.pos < len(tokens.items):
         line, tok = tokens.peek()
         raise FclParseError(f"line {line}: trailing content '{tok}'")
+    # whole-text errors name the END_FUNCTION_BLOCK line, still in ``line``
     if len(variables) < 2:
-        raise FclParseError("missing VAR_INPUT or VAR_OUTPUT declaration")
+        raise FclParseError(f"line {line}: missing VAR_INPUT or VAR_OUTPUT declaration")
     if "RULEBLOCK" not in blocks_seen:
-        raise FclParseError("missing RULEBLOCK")
+        raise FclParseError(f"line {line}: missing RULEBLOCK")
+    if not rules:
+        raise FclParseError(f"line {line}: at least one rule is required")
 
     checked_rules = []
     for line, in_var, in_term, out_var, out_term in rules:

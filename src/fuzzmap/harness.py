@@ -71,16 +71,17 @@ class EvalReport:
 def _pair_indices(
     n: int, directed: bool, sample_size: Optional[int], seed: int
 ) -> tuple[int, Optional[np.ndarray]]:
-    """(total, idx): the pair count, and the sorted sampled pair indices or None for all.
+    """(total, idx): the pair count, and the sampled pair indices or None for all.
 
     A sample is uniform without replacement over the total pair indices,
-    seeded; memory is O(sample), not O(n^2).
+    seeded, in the order drawn: every tally is a sum. Memory is O(sample),
+    not O(n^2).
     """
     total = n * (n - 1) if directed else n * (n - 1) // 2
     if sample_size is None or sample_size >= total:
         return total, None
     rng = np.random.default_rng(seed)
-    return total, np.sort(rng.choice(total, sample_size, replace=False, shuffle=False))
+    return total, rng.choice(total, sample_size, replace=False, shuffle=False)
 
 
 def _decode_pairs(idx: np.ndarray, n: int, directed: bool) -> tuple[np.ndarray, np.ndarray]:

@@ -29,6 +29,7 @@ just the bits its count needs: (u - 1).bit_length() for a point index,
 from __future__ import annotations
 
 import functools
+import itertools
 import struct
 import zlib
 from dataclasses import FrozenInstanceError
@@ -535,59 +536,55 @@ def load(source: IO[bytes]) -> CompressedGraph:
     if not 1 <= t <= min(n, _MAX_INDEXED):
         raise ModelFormatError(f"invalid state count t={t} for n={n} at offset 36")
     id_count = 1 if flags & _FLAG_ID_RANGE else n
-    w_u, w_t = _index_bits(u), _index_bits(t)
-    # Python ints: no overflow
-    expected = (_HEADER.size + 8 * id_count + 8 * u * k + 16 * t + _packed_size(t, w_u)
-                + _packed_size(n, w_t) + fcl_len + 4)
+    # the sections in stream order, each offset the sum of the sizes before
+    # it (Python ints: no overflow): ids, points, state radii, packed point
+    # and state indices, FCL, CRC, then the stream length
+    ids_at, points_at, radii_at, state_point_at, state_index_at, fcl_at, crc_at, expected = (
+        itertools.accumulate([8 * id_count, 8 * u * k, 16 * t, _packed_size(t, _index_bits(u)),
+                              _packed_size(n, _index_bits(t)), fcl_len, 4], initial=_HEADER.size))
     if len(blob) != expected:
         raise ModelFormatError(
             f"truncated or oversized stream: expected {expected} bytes, got {len(blob)}"
             f" (offset {min(len(blob), expected)})"
         )
-    (crc,) = struct.unpack_from("<I", blob, expected - 4)
+    (crc,) = struct.unpack_from("<I", blob, crc_at)
     if crc != zlib.crc32(memoryview(blob)[:-4]):
-        raise ModelFormatError(f"CRC mismatch at offset {expected - 4}")
+        raise ModelFormatError(f"CRC mismatch at offset {crc_at}")
 
-    off = _HEADER.size
-    ids = np.frombuffer(blob, dtype="<u8", count=id_count, offset=off).astype(np.uint64)
+    ids = np.frombuffer(blob, dtype="<u8", count=id_count, offset=ids_at).astype(np.uint64)
     if flags & _FLAG_ID_RANGE:
         lo = int(ids[0])
         if lo + n - 1 >= 2**64:
-            raise ModelFormatError(f"id range {lo}..{lo + n - 1} exceeds 2**64 - 1 at offset {off}")
+            raise ModelFormatError(
+                f"id range {lo}..{lo + n - 1} exceeds 2**64 - 1 at offset {ids_at}")
         external_ids = ids[0] + np.arange(n, dtype=np.uint64)
     else:
         external_ids = ids
         increasing = external_ids[1:] > external_ids[:-1]
-        _reject_first(increasing, off + 8, 8, "external ids not strictly increasing")
-    points_at = off + 8 * id_count
+        _reject_first(increasing, ids_at + 8, 8, "external ids not strictly increasing")
     points = np.frombuffer(blob, dtype="<f8", count=u * k, offset=points_at).reshape(u, k)
     _reject_first(_coordinates_ok(points).ravel(), points_at, 8, _BAD_COORDINATE)
     _reject_first(_increasing(points), points_at + 8 * k, 8 * k, "points out of order")
-    radii_at = points_at + 8 * u * k
     state_radii = np.frombuffer(blob, dtype="<f8", count=2 * t, offset=radii_at).reshape(t, 2)
     state_r, state_R = state_radii[:, 0], state_radii[:, 1]
     _reject_first(_r_ok(state_r), radii_at, 16, _BAD_YES_RADIUS)
     _reject_first(_R_ok(state_R), radii_at + 8, 16, _BAD_NO_RADIUS)
-    off = radii_at + 16 * t
-    state_point = _read_indices(blob, off, t, u, "point index")
+    state_point = _read_indices(blob, state_point_at, t, u, "point index")
     # a state is named by the offset of its r
     keys = np.column_stack([state_point.astype(np.uint64), state_radii.view("<u8")])
     _reject_first(_increasing(keys), radii_at + 16, 16, "node states out of order")
-    held = np.zeros(u, dtype=bool)
-    held[state_point] = True
-    _reject_first(held, points_at, 8 * k, "point without a node state")
-    off += _packed_size(t, w_u)
-    state_index = _read_indices(blob, off, n, t, "state index")
+    _reject_first(np.bincount(state_point, minlength=u) > 0, points_at, 8 * k,
+                  "point without a node state")
+    state_index = _read_indices(blob, state_index_at, n, t, "state index")
     _reject_first(np.bincount(state_index, minlength=t) > 0, radii_at, 16,
                   "node state without a node")
-    off += _packed_size(n, w_t)
     try:
-        fcl_text = blob[off : off + fcl_len].decode("utf-8")
+        fcl_text = blob[fcl_at:crc_at].decode("utf-8")
         fuzzy = parse_fcl(fcl_text)
     except UnicodeDecodeError as exc:
-        raise ModelFormatError(f"FCL block is not UTF-8 at offset {off + exc.start}") from None
+        raise ModelFormatError(f"FCL block is not UTF-8 at offset {fcl_at + exc.start}") from None
     except FclParseError as exc:
-        raise ModelFormatError(f"FCL block at offset {off} does not parse: {exc}") from None
+        raise ModelFormatError(f"FCL block at offset {fcl_at} does not parse: {exc}") from None
 
     states = NodeStates(point=state_point.astype(np.intp), r=state_r.astype(np.float64),
                         R=state_R.astype(np.float64), index=state_index.astype(np.intp))

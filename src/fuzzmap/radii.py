@@ -10,8 +10,8 @@ guarantees.
 Every distance comes from one kernel, ``_axis_distances``: it takes one
 (a_j, b_j) operand pair per axis, adds the squared differences axis by
 axis, j = 0..k-1, then takes the square root. The radii scan's
-``_block_distances`` rows, ``distances_from`` and the query side's
-``pair_distances``, which the model's pair table is scored from too,
+``_block_distances`` rows and the query side's ``pair_distances``, which
+the model's pair table is scored from too and ``distances_from`` calls,
 therefore agree bit for bit, which the soundness of definite answers
 rests on. The kernel subtracts in its operands' dtype, so every caller
 passes float64, the dtype a model file holds, as ``Embedding`` holds
@@ -87,15 +87,15 @@ def _axis_distances(axes, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 def distances_from(coords: np.ndarray, v: int) -> np.ndarray:
     """Euclidean distances from node v to every node (self included, 0).
 
-    The kernel subtracts in its operands' dtype, so callers pass float64
-    coordinates (``Embedding.coords``), the dtype a model file holds.
+    It is ``pair_distances`` of v against every node; fl(a - b) is
+    -fl(b - a), so the bits equal those of every node against v. No build
+    or query calls it.
     """
-    n = coords.shape[0]
-    return _axis_distances(zip(coords.T, coords[v]), np.empty(n), np.empty(n))
+    return pair_distances(coords, v, np.arange(coords.shape[0]))
 
 
 def pair_distances(coords: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Euclidean distances for id arrays that broadcast together; same kernel as distances_from.
+    """Euclidean distances for id arrays that broadcast together.
 
     Gathers one axis at a time, so temporaries are the size of the output,
     not k times it: a (rows, 1) index against a (u,) one gives (rows, u)

@@ -30,6 +30,23 @@ from fuzzmap.graph import GraphParseError, graph_from_edges
 from fuzzmap.oracle import query_arrays
 
 
+def kernel_distance_row(coords, v: int) -> np.ndarray:
+    """Distances from node v to every node, as the kernel sums them.
+
+    A plain loop over the axes, j = 0..k-1, that adds each squared
+    difference to a running total, then takes the square root. Every step
+    is one rounded float64 operation in that order, and the total starts
+    at 0.0, which adds nothing to a square, so the bits are the kernel's
+    without any of its code.
+    """
+    coords = np.asarray(coords, dtype=np.float64)
+    total = np.zeros(coords.shape[0])
+    for j in range(coords.shape[1]):
+        diff = coords[:, j] - coords[v, j]
+        total = total + diff * diff
+    return np.sqrt(total)
+
+
 def norm_oracle(p, q) -> float:
     """Euclidean norm, plain math."""
     return math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))

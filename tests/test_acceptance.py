@@ -32,10 +32,11 @@ from fuzzmap import (
     to_fcl,
 )
 from fuzzmap.fuzzy import FclParseError
-from fuzzmap.radii import distances_from, group_points
+from fuzzmap.radii import group_points
 
 from conftest import UNCERTAIN_PAIR_EDGES, manual_model, soundness_corpus
-from oracles import fzg1_size_oracle, mamdani_centroid_oracle, radii_sort_scan
+from oracles import (fzg1_size_oracle, kernel_distance_row, mamdani_centroid_oracle,
+                     radii_sort_scan)
 
 
 def _report(num: int, name: str, ok: bool) -> None:
@@ -88,7 +89,7 @@ def test_criterion_2_radii_oracle_equivalence():
             every = {quantize: compute_all_radii(g, e, quantize=quantize)
                      for quantize in (True, False)}
             for v in range(g.n):
-                d = distances_from(e.coords, v)
+                d = kernel_distance_row(e.coords, v)
                 labelled = [(float(d[u]), u in g.neighbors(v))
                             for u in range(g.n) if u != v]
                 for quantize in (True, False):

@@ -275,13 +275,19 @@ MALFORMED = {
     "trailing-content": (
         variant("END_FUNCTION_BLOCK", "END_FUNCTION_BLOCK\nEND_VAR"),
         "line 29: trailing content 'END_VAR'"),
+    # whole-text errors name the END_FUNCTION_BLOCK line
     "missing-var": (
         "FUNCTION_BLOCK f\nEND_FUNCTION_BLOCK\n",
-        "missing VAR_INPUT or VAR_OUTPUT declaration"),
+        "line 2: missing VAR_INPUT or VAR_OUTPUT declaration"),
     "missing-ruleblock": (
         "FUNCTION_BLOCK f\n    VAR_INPUT x : REAL; END_VAR\n"
         "    VAR_OUTPUT y : REAL; END_VAR\nEND_FUNCTION_BLOCK\n",
-        "missing RULEBLOCK"),
+        "line 4: missing RULEBLOCK"),
+    "no-rule": (  # a RULEBLOCK without a RULE
+        variant("        RULE 1 : IF closeness IS close_to_r THEN likelihood IS adjacent;\n"
+                "        RULE 2 : IF closeness IS close_to_R THEN likelihood IS non_adjacent;\n",
+                ""),
+        "line 26: at least one rule is required"),
     "identifier-number": (
         variant("VAR_INPUT closeness", "VAR_INPUT 12"),
         "line 6: expected identifier, got '12'"),

@@ -53,7 +53,7 @@ from fuzzmap.radii import _BLOCK, _block_distances, distances_from, group_points
 
 import reference_models
 from conftest import UNCERTAIN_PAIR_EDGES, edgeless_graph, manual_model, soundness_corpus
-from oracles import answer_oracle, fzg1_size_oracle
+from oracles import answer_oracle, fzg1_size_oracle, kernel_distance_row
 
 # 5-node digraph exhibiting asymmetric definite answers (found by search,
 # stable for k=2, seed=0, quantized): arc 1->0 exists, 0->1 does not, and
@@ -1097,6 +1097,8 @@ def test_signed_zero_rows_share_a_point():
     before = pair_distances(cg.embedding.coords, us, vs)
     after = pair_distances(loaded.embedding.coords, us, vs)
     assert before.tobytes() == after.tobytes()
+    want = np.stack([kernel_distance_row(coords, v) for v in range(5)])
+    assert before.tobytes() == want[us, vs].tobytes()
     assert np.array_equal(loaded.embedding.coords, cg.embedding.coords)
 
 
@@ -1388,16 +1390,18 @@ def fits_table(cg: CompressedGraph, nbytes: int) -> bool:
 
 def assert_scan_rows_match_kernel(cg: CompressedGraph) -> None:
     """The radii scan's distance rows equal the distances queries use, bit
-    for bit: the _block_distances rows of each span of points lo..hi-1 (a
-    single point, a span that starts partway, all of them), gathered
-    through each node's point, equal distances_from and pair_distances
-    both ways round on the nodes' coordinates."""
+    for bit: on the nodes' coordinates, pair_distances both ways round and
+    distances_from equal the independent reference rows, and so do the
+    _block_distances rows of each span of points lo..hi-1 (a single point,
+    a span that starts partway, all of them), gathered through each
+    node's point."""
     coords, index, u = cg.embedding.coords, cg.states.point.take(cg.states.index), cg.u
     ids = np.arange(cg.n)
-    rows = [distances_from(coords, v).tobytes() for v in ids]
+    rows = [kernel_distance_row(coords, v).tobytes() for v in ids]
     for v in ids:
         assert rows[v] == pair_distances(coords, np.full(cg.n, v), ids).tobytes()
         assert rows[v] == pair_distances(coords, ids, np.full(cg.n, v)).tobytes()
+        assert rows[v] == distances_from(coords, v).tobytes()
     out, tmp = np.empty((2, u, u))
     for lo, hi in itertools.combinations(range(u + 1), 2):
         span = _block_distances(cg.points_t, lo, hi, out, tmp)

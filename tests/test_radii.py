@@ -20,7 +20,7 @@ from fuzzmap import radii
 from fuzzmap.fastmap import Embedding
 from fuzzmap.radii import _BLOCK, _block_distances, distances_from, pair_distances
 
-from oracles import norm_oracle, radii_sort_scan
+from oracles import kernel_distance_row, norm_oracle, radii_sort_scan
 
 
 def embed_of(coords) -> Embedding:
@@ -30,21 +30,22 @@ def embed_of(coords) -> Embedding:
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), n=st.integers(2, 40), k=st.integers(1, 16), order=st.sampled_from("CF"))
 def test_pair_distances_bitwise_equal_distances_from(data, n, k, order):
-    # soundness: the radii are built from distances_from and queries read
-    # pair_distances, so the two must agree bit for bit in both directions,
-    # whichever memory order the coords are in
+    # soundness: queries read pair_distances, so it must give the bits of
+    # the independent reference in both directions, whichever memory order
+    # the coords are in, and so must distances_from
     coords = np.asarray(data.draw(arrays(np.float64, (n, k), elements=st.floats(-1e6, 1e6))),
                         order=order)
     node = st.integers(0, n - 1)
     us, vs = np.array(data.draw(st.lists(st.tuples(node, node), min_size=1, max_size=50))).T
-    d = pair_distances(coords, us, vs)
-    for i, (u, v) in enumerate(zip(us, vs)):
-        assert d[i].tobytes() == distances_from(coords, u)[v].tobytes()
-        assert d[i].tobytes() == distances_from(coords, v)[u].tobytes()
+    want = np.stack([kernel_distance_row(coords, v) for v in range(n)])
+    d = pair_distances(coords, us, vs).tobytes()
+    assert d == want[us, vs].tobytes() == want[vs, us].tobytes()
+    assert pair_distances(coords, vs, us).tobytes() == d
     # a (rows, 1) index against every node, as the pair table scores its sides
     rows = pair_distances(coords, us[:, None], np.arange(n))
     assert rows.shape == (len(us), n)
-    assert rows.tobytes() == np.stack([distances_from(coords, u) for u in us]).tobytes()
+    assert rows.tobytes() == want[us].tobytes()
+    assert np.stack([distances_from(coords, v) for v in range(n)]).tobytes() == want.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -52,8 +53,8 @@ def test_pair_distances_bitwise_equal_distances_from(data, n, k, order):
        order=st.sampled_from("CF"))
 def test_block_rows_bitwise_equal_query_distances(data, n, k, order):
     # the all-nodes scan reads its distances from these block rows, so each
-    # must equal what a query computes for the same pair, bit for bit; in F
-    # order coords.T is the C-contiguous table the scan reads
+    # must equal the reference and what a query computes for the same pair,
+    # bit for bit; in F order coords.T is the C-contiguous table the scan reads
     coords = np.asarray(data.draw(arrays(np.float64, (n, k), elements=st.floats(-1e6, 1e6))),
                         order=order)
     out, tmp = np.empty((2, _BLOCK, n))
@@ -63,7 +64,7 @@ def test_block_rows_bitwise_equal_query_distances(data, n, k, order):
         rows = _block_distances(coords.T, lo, hi, out, tmp)
         for i, v in enumerate(range(lo, hi)):
             row = rows[i].tobytes()
-            assert row == distances_from(coords, v).tobytes()
+            assert row == kernel_distance_row(coords, v).tobytes()
             assert row == pair_distances(coords, np.full(n, v), ids).tobytes()
             assert row == pair_distances(coords, ids, np.full(n, v)).tobytes()
 
@@ -101,7 +102,7 @@ def node_radii(g, e, quantize):
 
 
 def labelled_distances(g, coords, v):
-    d = distances_from(coords, v)
+    d = kernel_distance_row(coords, v)
     return [(float(d[u]), u in g.neighbors(v)) for u in range(g.n) if u != v]
 
 
@@ -150,7 +151,7 @@ def test_quantized_R_keeps_its_guard_above_2_53():
     # keeps the unquantized R = 2**55, the nearest non-neighbor beyond M.
     g = graph_from_edges([(0, 1), (1, 2)])
     e = embed_of([[0.0], [2.0**54], [2.0**55]])
-    M = distances_from(e.coords, 0)[1]
+    M = kernel_distance_row(e.coords, 0)[1]
     assert M == 2.0**54 and np.floor(M) + 1.0 == M  # the shortcut is not above M
     for quantize in (False, True):
         r, R = node_radii(g, e, quantize)[0]
@@ -213,7 +214,7 @@ def test_uncertain_pair_bands(uncertain_pair_graph):
 
     cg = build(uncertain_pair_graph, k=2, seed=0, quantize=True)
     one = cg.internal_id(1)
-    d = distances_from(cg.embedding.coords, one)
+    d = kernel_distance_row(cg.embedding.coords, one)
     r1, R1 = cg.radii.r[one], cg.radii.R[one]
     assert d[cg.internal_id(5)] <= r1  # inside the smaller circle
     assert r1 < d[cg.internal_id(2)] < R1  # the uncertain node
@@ -230,7 +231,7 @@ def test_soundness_brute_force(quantize):
         e = fastmap_embed(g, 4, seed=i)
         radii = compute_all_radii(g, e, quantize=quantize)
         for v in range(g.n):
-            d = distances_from(e.coords, v)
+            d = kernel_distance_row(e.coords, v)
             for u in range(g.n):
                 if u == v:
                     continue
@@ -246,7 +247,7 @@ def test_quantized_radii_sound_direction():
         e = fastmap_embed(g, 3, seed=i)
         every = node_radii(g, e, True)
         for v in range(g.n):
-            d = distances_from(e.coords, v)
+            d = kernel_distance_row(e.coords, v)
             others = np.arange(g.n) != v
             nb = np.zeros(g.n, bool)
             nb[g.neighbors(v)] = True
